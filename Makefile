@@ -163,13 +163,14 @@ pgo:
 # ref-identity: the mechanical observational-equivalence proof for the
 # open-addressed/pooled containers AND the time-wheel scheduler — the
 # entire test suite (golden figures, chaos, model check included)
-# replayed on the reference containers and reference binary-heap
-# scheduler via the tus_ref build tag, plus the in-process differential
-# rigs that compare both modes side by side (container state identity,
-# wheel-vs-heap pop-order identity under seeded + chaos traffic).
+# replayed with config.Reference defaulted on (reference containers,
+# the binary heap alone) via the tus_ref build tag, plus the in-process
+# differential rigs that run a fast and a reference machine side by
+# side (state identity at every drain point under seeded + chaos
+# traffic, whole-system cycle/stat identity, event-level pop order).
 ref-identity:
 	$(GO) test -tags tus_ref ./...
-	$(GO) test -run 'TestDifferential|TestRefContainers|TestWheel' -count=1 ./internal/memsys/ ./internal/system/ ./internal/event/
+	$(GO) test -run 'TestDifferential|TestReference|TestWheel' -count=1 ./internal/memsys/ ./internal/system/ ./internal/event/
 
 # bench-gate: the perf-regression ratchet — regenerate the figures with
 # a fresh cache, then fail if any figure (or total wall-clock) got more

@@ -45,7 +45,6 @@ import (
 	"os"
 
 	"tusim/internal/config"
-	"tusim/internal/event"
 	"tusim/internal/harness"
 	"tusim/internal/prof"
 	"tusim/internal/supervise"
@@ -92,12 +91,7 @@ func main() {
 	resume := flag.String("resume", "", "resume a killed journaled run by its run ID")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of this invocation to the file")
 	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to the file on exit")
-	sched := flag.String("sched", "", "event scheduler engine: wheel | heap (empty = build default)")
 	flag.Parse()
-
-	if err := event.SetDefaultEngine(*sched); err != nil {
-		fail(err)
-	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {

@@ -28,7 +28,6 @@ import (
 	"tusim/internal/audit"
 	"tusim/internal/config"
 	"tusim/internal/energy"
-	"tusim/internal/event"
 	"tusim/internal/harness"
 	"tusim/internal/isa"
 	"tusim/internal/litmus"
@@ -64,12 +63,7 @@ func main() {
 	workers := flag.Int("j", 0, "max concurrent chaos cells (0 = all CPUs, 1 = serial; results identical)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of this invocation to the file")
 	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to the file on exit")
-	sched := flag.String("sched", "", "event scheduler engine: wheel | heap (empty = build default)")
 	flag.Parse()
-
-	if err := event.SetDefaultEngine(*sched); err != nil {
-		fail(err)
-	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {

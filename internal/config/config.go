@@ -160,23 +160,18 @@ type Config struct {
 	// it from cell identity. Zero selects DefaultCellTimeout.
 	CellTimeout time.Duration
 
-	// RefContainers runs this machine's per-line state (private cache
-	// lines, MSHRs, writeback buffer, directory entries) on the
-	// reference container implementations (built-in maps, always-fresh
-	// allocation) instead of the open-addressed/pooled fast path. Any
-	// observable difference between the two modes is a bug; the
-	// differential state-identity rig runs one system in each mode and
-	// compares state at every drain point.
-	RefContainers bool
-
-	// RefScheduler runs this machine's event queue on the reference
-	// binary-heap engine instead of the hierarchical time wheel. Both
-	// engines pop in exactly (cycle, insertion-seq) order, so any
-	// observable difference is a bug; the scheduler differential rig
-	// runs one system on each engine and compares state at every drain
-	// point (and `make ref-identity` replays the whole suite on the
-	// reference engine via the tus_ref build tag).
-	RefScheduler bool
+	// Reference runs this machine on the reference twins of its fast
+	// structures: per-line state (private cache lines, MSHRs, writeback
+	// buffer, directory entries, WOQ) in built-in maps with always-fresh
+	// allocation instead of the open-addressed/pooled containers, and
+	// the event queue on the binary heap alone instead of the time
+	// wheel. Any observable difference between the two modes is a bug;
+	// the differential rigs run one machine in each and compare state
+	// at every drain point. Default() sets it false; building with
+	// -tags tus_ref flips that default so the whole suite replays on
+	// the reference side. Unlike CellTimeout it is part of a cell's
+	// cache identity.
+	Reference bool
 }
 
 // DefaultWatchdogWindow is the no-commit-progress bound used when
@@ -240,6 +235,8 @@ func Default() *Config {
 		MaxCycles:      1 << 34,
 		WatchdogWindow: DefaultWatchdogWindow,
 		CellTimeout:    DefaultCellTimeout,
+
+		Reference: defaultReference,
 	}
 }
 

@@ -54,7 +54,7 @@ func newCoreRig(t *testing.T, ops []isa.MicroOp, mut func(*config.Config)) *core
 	if mut != nil {
 		mut(cfg)
 	}
-	q := event.NewQueue()
+	q := event.NewQueueRef(cfg.Reference)
 	mem := memsys.NewMemory()
 	st := stats.NewSet("t")
 	dram := memsys.NewDRAM(q, cfg.DRAMLatency, cfg.DRAMMaxInFlight)

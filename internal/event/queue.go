@@ -1,50 +1,37 @@
 // Package event provides the deterministic discrete-event kernel that
 // drives all timing in the simulator. Every component schedules
 // callbacks on a single Queue; the simulation advances by executing
-// events in (cycle, insertion-order) order, which makes every run
+// events in (cycle, insertion-seq) order, which makes every run
 // bit-for-bit reproducible for a given seed.
 //
-// The queue has two interchangeable engines:
+// The queue is a time wheel over a small binary min-heap. Events due
+// 0 < delta < horizon cycles from now go on the wheel: power-of-two
+// slots holding per-slot FIFO chains whose nodes come from a slab
+// free-list, so scheduling and firing are O(1) and move no closure
+// pointers. Everything else — due-now (delta == 0) and far-future
+// (delta >= horizon) events — overflows to the heap. Measured on whole
+// cells that share is zero (EXPERIMENTS.md, "Scheduler class shares"),
+// so the heap has to be correct and small, not fast.
 //
-//   - The default is a hierarchical time wheel: a short-horizon wheel
-//     of power-of-two slots holding per-slot FIFO chains whose nodes
-//     come from a slab free-list, plus an overflow ladder (a small
-//     binary heap) for far-future events such as Every watchdogs and
-//     periodic auditors. Scheduling and firing are O(1) with no
-//     sift-up/sift-down item moves, which matters twice over: the old
-//     heap's swaps were ~20% of whole-simulator CPU, and every moved
-//     item carried two function pointers whose GC write barriers were
-//     another ~10%.
+// The reference engine (NewQueueRef(true), selected machine-wide by
+// config.Reference) is the same queue with a zero-cycle horizon: every
+// event overflows, the wheel is never touched, and pops are plainly the
+// heap's (cycle, seq) order. The wheel reproduces that order exactly.
+// A RunDue at cycle now fires, in turn:
 //
-//   - The reference engine is the previous hand-rolled binary min-heap
-//     over a flat []item slice. It is kept behind NewHeapQueue /
-//     config.RefScheduler / the tus_ref build tag so the wheel's pop
-//     order can be differentially pinned against it forever (see
-//     wheel_test.go and the memsys scheduler-differential rig).
+//  1. stale due-now events (cycle < now: scheduled outside RunDue just
+//     before the clock moved), lowest cycles first off the heap;
+//  2. far-future overflow at now, scheduled at least a horizon ago;
+//  3. the slot chain at now (FIFO), scheduled less than a horizon ago;
+//  4. due-now events at now, scheduled during this very cycle.
 //
-// Both engines pop in exactly (cycle, insertion-seq) order, so golden
-// figures, chaos repro bundles, and model-check traces are
-// byte-identical regardless of engine. The wheel preserves the order
-// by construction: slot chains are FIFO (ascending seq), a slot within
-// the horizon holds exactly one distinct cycle, and the insert path
-// routes exactly three classes of event to the ladder — far-future
-// (delta >= wheelSpan), due-now (delta == 0 after the causality clamp),
-// and everything in reference mode. For a given cycle X that keeps the
-// fire order seq-ascending: far-ladder events at X were scheduled at
-// now <= X-wheelSpan, wheel events at X at X-wheelSpan < now < X, and
-// due-now ladder events at now == X; now and seq are both monotone, and
-// RunDue fires ladder-then-chain per cycle with the heap interleaving
-// the due-now stragglers (which the heap engine also fires late, at the
-// first RunDue after they were scheduled) identically.
+// Classes 2-4 share a cycle, and each was scheduled at a strictly later
+// now, hence with larger seqs, than the one before; the heap orders by
+// seq inside a class. A slot maps to one cycle of [now, now+horizon),
+// so a chain never mixes cycles.
 package event
 
 import "math/bits"
-
-// DefaultRef selects the scheduler engine for callers that do not
-// choose explicitly (NewQueue consults it). It is false in normal
-// builds; the tus_ref build tag flips it to true so the entire test
-// suite replays on the reference heap.
-var DefaultRef = false
 
 // Func is a callback executed when its event fires.
 type Func func()
@@ -55,6 +42,7 @@ type Func func()
 // is a heap allocation; a Func2 bound once and reused is not.
 type Func2 func(a, b uint64)
 
+// item is one scheduled event; exactly one of fn and fn2 is set.
 type item struct {
 	cycle uint64
 	seq   uint64 // tie-breaker: FIFO among events at the same cycle
@@ -72,11 +60,18 @@ func (it *item) less(other *item) bool {
 	return it.seq < other.seq
 }
 
+func (it *item) fire() {
+	if it.fn2 != nil {
+		it.fn2(it.a, it.b)
+	} else {
+		it.fn()
+	}
+}
+
 // Wheel geometry. The span must cover the simulator's ordinary
 // latencies (Table I tops out at DRAMLatency=160; chaos request jitter
-// adds up to ~200 more), so almost every event schedules O(1) into the
-// wheel and only long periodics (auditor Every cadences, watchdog
-// timers) take the overflow ladder.
+// adds up to ~200 more), so every hot event schedules O(1) into the
+// wheel and only long periodics (auditor Every cadences) overflow.
 const (
 	wheelBits  = 9
 	wheelSlots = 1 << wheelBits // 512 cycles of near horizon
@@ -87,32 +82,29 @@ const (
 // node is one wheel-resident event in the slab; chains link by slab
 // index so list surgery moves int32s, never the closure pointers.
 type node struct {
-	cycle uint64
-	seq   uint64
-	a, b  uint64
-	fn    Func
-	fn2   Func2
-	next  int32
+	item
+	next int32
 }
 
 // chain is one slot's FIFO list (slab indices; -1 = empty).
 type chain struct{ head, tail int32 }
 
 // Queue is a discrete-event scheduler keyed by clock cycle. Construct
-// with NewQueue (engine per DefaultRef), NewHeapQueue (reference heap)
-// or NewQueueRef; the zero value is not usable — slot chains and the
-// free list need their -1 sentinels.
+// with NewQueue or NewQueueRef; the zero value is not usable — slot
+// chains and the free list need their -1 sentinels.
 type Queue struct {
 	now uint64
 	seq uint64
-	n   int // total pending events, both engines
+	n   int // total pending events, wheel and overflow
 
-	// heap is the whole queue in reference mode, and the overflow
-	// ladder (events >= wheelSlots cycles out) in wheel mode.
-	heap []item
+	// horizon is wheelSlots, or 0 on the reference engine: an event
+	// delta cycles out rides the wheel iff 0 < delta < horizon.
+	horizon uint64
 
-	// refHeap disables the wheel entirely (reference engine).
-	refHeap bool
+	// heap is the min-heap of everything the wheel does not hold (its
+	// overflow); overflowed counts the events ever pushed onto it.
+	heap       []item
+	overflowed uint64
 
 	// Wheel state: per-slot chains, an occupancy bitmap for O(words)
 	// next-event scans, and the node slab with its free list.
@@ -123,28 +115,21 @@ type Queue struct {
 	nearN int
 }
 
-// NewQueue returns an empty event queue at cycle 0 using the engine
-// selected by DefaultRef (the wheel in normal builds).
-func NewQueue() *Queue { return NewQueueRef(DefaultRef) }
+// NewQueue returns an empty event queue at cycle 0 on the time wheel.
+func NewQueue() *Queue { return NewQueueRef(false) }
 
-// NewHeapQueue returns an empty queue on the reference binary-heap
-// engine.
-func NewHeapQueue() *Queue { return NewQueueRef(true) }
-
-// NewQueueRef returns an empty queue; ref selects the reference heap
-// engine instead of the time wheel.
+// NewQueueRef returns an empty queue; ref selects the reference engine
+// (the heap alone) instead of the time wheel.
 func NewQueueRef(ref bool) *Queue {
-	q := &Queue{refHeap: ref, free: -1}
-	if !ref {
-		for i := range q.slots {
-			q.slots[i] = chain{head: -1, tail: -1}
-		}
+	q := &Queue{horizon: wheelSlots, free: -1}
+	if ref {
+		q.horizon = 0
+	}
+	for i := range q.slots {
+		q.slots[i] = chain{head: -1, tail: -1}
 	}
 	return q
 }
-
-// Ref reports whether the queue runs on the reference heap engine.
-func (q *Queue) Ref() bool { return q.refHeap }
 
 // Now reports the current cycle.
 func (q *Queue) Now() uint64 { return q.now }
@@ -152,8 +137,19 @@ func (q *Queue) Now() uint64 { return q.now }
 // Len reports the number of pending events.
 func (q *Queue) Len() int { return q.n }
 
-// push inserts it into the heap, sifting up to restore heap order.
+// Scheduled reports how many events have ever been scheduled.
+func (q *Queue) Scheduled() uint64 { return q.seq }
+
+// Overflowed reports how many of them were routed to the overflow heap
+// instead of the wheel. Whole-cell simulation keeps it at zero (pinned
+// by a system test), so a latency that grows past the horizon fails a
+// test instead of quietly moving hot traffic onto the heap.
+func (q *Queue) Overflowed() uint64 { return q.overflowed }
+
+// push inserts it into the overflow heap, sifting up to restore heap
+// order.
 func (q *Queue) push(it item) {
+	q.overflowed++
 	q.heap = append(q.heap, it)
 	i := len(q.heap) - 1
 	for i > 0 {
@@ -219,22 +215,18 @@ func (q *Queue) pushSlot(cycle uint64, fn Func, fn2 Func2, a, b uint64) {
 	q.nearN++
 }
 
-// schedule is the shared insert path for both engines and both
-// callback arities.
+// schedule is the shared insert path for both callback arities. The
+// wheel's ring arithmetic can represent neither the present cycle nor
+// anything a horizon or more away, so those two classes overflow. The
+// fields travel as scalars: handing the wheel path a 48-byte item by
+// value doubled BenchmarkWheelAt2.
 func (q *Queue) schedule(cycle uint64, fn Func, fn2 Func2, a, b uint64) {
 	if cycle < q.now {
 		cycle = q.now
 	}
 	q.seq++
 	q.n++
-	// Three event classes take the ladder: everything in reference
-	// mode, far-future events (beyond the wheel horizon), and events
-	// due at the CURRENT cycle. The last matters for order fidelity:
-	// the heap engine fires cycle<=now stragglers at the next RunDue,
-	// and the wheel's ring arithmetic cannot represent the past — so
-	// due-now events ride the ladder, whose (cycle, seq) pops replay
-	// the heap's late-firing behavior exactly.
-	if q.refHeap || cycle == q.now || cycle-q.now >= wheelSlots {
+	if d := cycle - q.now; d == 0 || d >= q.horizon {
 		q.push(item{cycle: cycle, seq: q.seq, fn: fn, fn2: fn2, a: a, b: b})
 		return
 	}
@@ -247,7 +239,7 @@ func (q *Queue) schedule(cycle uint64, fn Func, fn2 Func2, a, b uint64) {
 func (q *Queue) At(cycle uint64, fn Func) { q.schedule(cycle, fn, nil, 0, 0) }
 
 // After schedules fn to run delay cycles from now.
-func (q *Queue) After(delay uint64, fn Func) { q.schedule(q.now+delay, fn, nil, 0, 0) }
+func (q *Queue) After(delay uint64, fn Func) { q.At(q.now+delay, fn) }
 
 // At2 schedules fn(a, b) to run at the given absolute cycle, with the
 // same causality clamp as At. The arguments ride in the event record,
@@ -256,15 +248,13 @@ func (q *Queue) After(delay uint64, fn Func) { q.schedule(q.now+delay, fn, nil, 
 func (q *Queue) At2(cycle uint64, fn Func2, a, b uint64) { q.schedule(cycle, nil, fn, a, b) }
 
 // After2 schedules fn(a, b) to run delay cycles from now.
-func (q *Queue) After2(delay uint64, fn Func2, a, b uint64) {
-	q.schedule(q.now+delay, nil, fn, a, b)
-}
+func (q *Queue) After2(delay uint64, fn Func2, a, b uint64) { q.At2(q.now+delay, fn, a, b) }
 
 // nearNext returns the cycle of the earliest wheel-resident event. The
 // occupancy bitmap makes the scan O(wheelWords): slots are probed in
 // ring order starting at now's slot, and a set bit at ring distance d
 // is exactly an event at cycle now+d, because the wheel only ever
-// holds cycles in [now, now+wheelSpan-1] and a slot maps to one cycle
+// holds cycles in [now, now+wheelSlots-1] and a slot maps to one cycle
 // of that window.
 func (q *Queue) nearNext() (uint64, bool) {
 	if q.nearN == 0 {
@@ -287,15 +277,9 @@ func (q *Queue) nearNext() (uint64, bool) {
 	panic("event: wheel occupancy bitmap out of sync")
 }
 
-// nextPending returns the earliest pending cycle across both the wheel
-// and the overflow ladder (reference mode: the heap alone).
+// nextPending returns the earliest pending cycle across the wheel and
+// the overflow heap.
 func (q *Queue) nextPending() (uint64, bool) {
-	if q.refHeap {
-		if len(q.heap) == 0 {
-			return 0, false
-		}
-		return q.heap[0].cycle, true
-	}
 	best, ok := q.nearNext()
 	if len(q.heap) > 0 && (!ok || q.heap[0].cycle < best) {
 		return q.heap[0].cycle, true
@@ -303,72 +287,48 @@ func (q *Queue) nextPending() (uint64, bool) {
 	return best, ok
 }
 
-// fireCycle runs every event scheduled at cycle c, in insertion order.
-// Overflow-ladder events fire first: every ladder event at c carries a
-// smaller seq than every wheel event at c (see the package comment's
-// order-preservation argument), and the heap pops them seq-ascending.
-// The slot chain then fires FIFO; events appended to the chain by the
-// running events (After(0) cascades) are picked up in the same sweep.
+// fireCycle runs the events scheduled at cycle c in seq order: overflow
+// events older than the slot chain (class 2 of the package comment),
+// then the chain. Due-now overflow at c (class 4) is younger than the
+// chain head, so it waits for RunDue's next pass, which finds the chain
+// empty.
 func (q *Queue) fireCycle(c uint64) {
-	for len(q.heap) > 0 && q.heap[0].cycle == c {
+	s := c & wheelMask
+	ch := &q.slots[s]
+	// A chain is single-cycle, but when c is STALE (c < now, a due-now
+	// event fired late) the slot's resident cycle is c+wheelSlots — a
+	// future event this fire must not touch, and one a stale callback
+	// can itself schedule, hence the cycle check on every node.
+	chainSeq := ^uint64(0)
+	if ch.head >= 0 && q.nodes[ch.head].cycle == c {
+		chainSeq = q.nodes[ch.head].seq
+	}
+	for len(q.heap) > 0 && q.heap[0].cycle == c && q.heap[0].seq < chainSeq {
 		it := q.pop()
 		q.n--
-		if it.fn2 != nil {
-			it.fn2(it.a, it.b)
-		} else {
-			it.fn()
-		}
+		it.fire()
 	}
-	s := c & wheelMask
-	for {
-		ch := &q.slots[s]
+	for ch.head >= 0 && q.nodes[ch.head].cycle == c {
 		idx := ch.head
-		if idx < 0 {
-			return
-		}
 		nd := &q.nodes[idx]
-		// The chain is single-cycle by construction: wheel residents
-		// always lie in [now, now+wheelSpan-1], where exactly one cycle
-		// maps to this slot. But when c is a STALE ladder cycle (c < now,
-		// a due-now event fired late), the slot's resident cycle is
-		// c+wheelSpan — a future event this fire must not touch.
-		if nd.cycle != c {
-			return
-		}
+		it := nd.item
 		ch.head = nd.next
 		if ch.head < 0 {
 			ch.tail = -1
 			q.occ[s>>6] &^= 1 << (s & 63)
 		}
-		fn, fn2, a, b := nd.fn, nd.fn2, nd.a, nd.b
 		nd.fn, nd.fn2 = nil, nil // drop closure references for the GC
 		nd.next = q.free
 		q.free = idx
 		q.nearN--
 		q.n--
-		if fn2 != nil {
-			fn2(a, b)
-		} else {
-			fn()
-		}
+		it.fire()
 	}
 }
 
 // RunDue executes every event scheduled at or before the current cycle.
 // Events may schedule further events for the same cycle; those run too.
 func (q *Queue) RunDue() {
-	if q.refHeap {
-		for len(q.heap) > 0 && q.heap[0].cycle <= q.now {
-			it := q.pop()
-			q.n--
-			if it.fn2 != nil {
-				it.fn2(it.a, it.b)
-			} else {
-				it.fn()
-			}
-		}
-		return
-	}
 	for q.n > 0 {
 		c, ok := q.nextPending()
 		if !ok || c > q.now {

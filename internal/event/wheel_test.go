@@ -9,9 +9,10 @@ import (
 // The wheel's contract is bit-exact (cycle, seq) pop-order identity
 // with the reference heap. These tests drive both engines through the
 // same randomized schedules — including far-future events that take
-// the overflow ladder, Every periodics, idle-time jumps, and events
-// scheduled from inside firing events — and require identical firing
-// sequences and identical clocks at every step.
+// the overflow heap, Every periodics, idle-time jumps, due-now events
+// left stale by a clock move, and events scheduled from inside firing
+// events — and require identical firing sequences and identical clocks
+// at every step.
 
 // rec is one observed firing: which label fired and at what cycle.
 type rec struct {
@@ -27,8 +28,15 @@ func driveBoth(seed int64, steps int) (wheelLog, heapLog []rec) {
 	logs := make([][]rec, 2)
 	var label uint64
 	for step := 0; step < steps; step++ {
-		op := rng.Intn(10)
+		op := rng.Intn(11)
 		switch {
+		case op == 10: // delta 0 between Advance calls: fires stale, a cycle late
+			label++
+			for i, q := range qs {
+				q, i, l := q, i, label
+				q.After(0, func() { logs[i] = append(logs[i], rec{l, q.Now()}) })
+				q.Advance()
+			}
 		case op < 5: // near event, wheel horizon
 			d := uint64(rng.Intn(wheelSlots))
 			label++
@@ -40,7 +48,7 @@ func driveBoth(seed int64, steps int) (wheelLog, heapLog []rec) {
 					q.After(d, func() { logs[i] = append(logs[i], rec{l, q.Now()}) })
 				}
 			}
-		case op < 7: // far event, overflow ladder
+		case op < 7: // far event, overflow heap
 			d := uint64(wheelSlots + rng.Intn(wheelSlots*4))
 			label++
 			for i, q := range qs {
@@ -104,15 +112,15 @@ func TestWheelVsHeapDifferential(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowLadderOrder pins the exact boundary case the
-// order-preservation argument rests on: a far event (ladder) and a
+// TestWheelOverflowLadderOrder pins the class 2 / class 3 split of the
+// package comment's order argument: a far event (overflow) and a
 // later-scheduled near event (wheel) at the SAME cycle must fire in
-// scheduling order — ladder first.
+// scheduling order — overflow first.
 func TestWheelOverflowLadderOrder(t *testing.T) {
 	q := NewQueueRef(false)
 	var got []int
 	target := uint64(wheelSlots + 100)
-	q.At(target, func() { got = append(got, 1) }) // delta > span: ladder
+	q.At(target, func() { got = append(got, 1) }) // delta > span: overflow
 	q.AdvanceTo(200)                              // now target is within the horizon
 	q.At(target, func() { got = append(got, 2) }) // wheel
 	q.At(target, func() { got = append(got, 3) }) // wheel, same slot FIFO
@@ -146,8 +154,58 @@ func TestWheelSlotAliasRoutesToLadder(t *testing.T) {
 	}
 }
 
+// staleDueNow schedules f at the current cycle (10) outside RunDue, so
+// the following Advance fires it stale: at now=11 with cycle 10.
+func staleDueNow(ref bool, f func(q *Queue, fired func(string))) []string {
+	q := NewQueueRef(ref)
+	q.AdvanceTo(10)
+	var got []string
+	fired := func(label string) { got = append(got, fmt.Sprintf("%s@%d", label, q.Now())) }
+	f(q, fired)
+	q.Advance()
+	q.Drain(1 << 20)
+	return got
+}
+
+// TestWheelStaleCycleSparesSlotAlias pins fireCycle's per-node cycle
+// check: a stale event at cycle 10 schedules g at 10+wheelSlots, which
+// lands in the very slot being fired and must wait for its own cycle.
+func TestWheelStaleCycleSparesSlotAlias(t *testing.T) {
+	for _, ref := range []bool{false, true} {
+		got := staleDueNow(ref, func(q *Queue, fired func(string)) {
+			q.At(10, func() {
+				fired("f")
+				q.After(wheelSlots-1, func() { fired("g") })
+			})
+		})
+		if want := fmt.Sprintf("[f@11 g@%d]", 10+wheelSlots); fmt.Sprint(got) != want {
+			t.Fatalf("ref=%v: fired %v, want %s", ref, got, want)
+		}
+	}
+}
+
+// TestWheelStaleCycleKeepsSeqOrder pins the class 3 / class 4 split of
+// the package comment's order argument: a stale event schedules g due
+// now while h, scheduled earlier, already waits in that cycle's chain.
+// g reaches the overflow heap before the chain fires but must run
+// after it.
+func TestWheelStaleCycleKeepsSeqOrder(t *testing.T) {
+	for _, ref := range []bool{false, true} {
+		got := staleDueNow(ref, func(q *Queue, fired func(string)) {
+			q.After(1, func() { fired("h") })
+			q.At(10, func() {
+				fired("f")
+				q.After(0, func() { fired("g") })
+			})
+		})
+		if want := "[f@11 h@11 g@11]"; fmt.Sprint(got) != want {
+			t.Fatalf("ref=%v: fired %v, want %s", ref, got, want)
+		}
+	}
+}
+
 // TestWheelEveryPeriodic drives an Every cadence longer than the wheel
-// span (the auditor/watchdog pattern the ladder exists for) alongside
+// span (the auditor pattern the far-future overflow exists for) alongside
 // near traffic on both engines.
 func TestWheelEveryPeriodic(t *testing.T) {
 	for _, ref := range []bool{false, true} {
@@ -174,12 +232,12 @@ func TestWheelEveryPeriodic(t *testing.T) {
 // TestWheelSteadyStateZeroAlloc extends the event-kernel allocation
 // pin to the wheel engine explicitly: once the slab free list has
 // reached its high-water mark, schedule+fire via At2 — including far
-// events through the ladder — must not allocate.
+// events through the overflow heap — must not allocate.
 func TestWheelSteadyStateZeroAlloc(t *testing.T) {
 	q := NewQueueRef(false)
 	sink := uint64(0)
 	fn := func(a, b uint64) { sink += a + b }
-	for i := 0; i < 256; i++ { // grow slab + ladder to high-water mark
+	for i := 0; i < 256; i++ { // grow slab + heap to high-water mark
 		q.After2(uint64(i%8), fn, 1, 2)
 		q.After2(uint64(wheelSlots+i%8), fn, 1, 2)
 	}

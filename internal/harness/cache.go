@@ -40,7 +40,8 @@ func NewDiskCache(dir string) (*DiskCache, error) {
 // contentKey hashes everything that determines a cell's result.
 // Supervision-only knobs (the cell deadline) are zeroed out first: they
 // cannot change a simulation outcome, so two runs differing only in
-// timeout policy must share cache entries.
+// timeout policy must share cache entries. cfg.Reference stays in: a
+// reference run must never be served a fast run's entry.
 func (r *Runner) contentKey(b workload.Benchmark, cfg *config.Config) string {
 	hc := cfg.Clone()
 	hc.CellTimeout = 0

@@ -97,8 +97,10 @@ func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 
 // TestContentKeySensitivity: the content hash must move when anything
 // that can change the result moves — mechanism, SB size, seed, trace
-// length, checker attachment, harness version — and must be stable for
-// identical inputs.
+// length, checker attachment, harness version — or that names which
+// implementation produced it (config.Reference: a reference run served
+// fast results from a warm cache would make the differential vacuous),
+// and must be stable for identical inputs.
 func TestContentKeySensitivity(t *testing.T) {
 	b, _ := workload.ByName("503.bw2")
 	base := NewQuickRunner()
@@ -123,6 +125,9 @@ func TestContentKeySensitivity(t *testing.T) {
 	variants["check"] = checked.contentKey(b, cfgOf(config.TUS, 114))
 	other, _ := workload.ByName("502.gcc1")
 	variants["bench"] = base.contentKey(other, cfgOf(config.TUS, 114))
+	flipped := cfgOf(config.TUS, 114)
+	flipped.Reference = !flipped.Reference
+	variants["reference"] = base.contentKey(b, flipped)
 	seen := map[string]string{ref: "ref"}
 	for what, key := range variants {
 		if prev, dup := seen[key]; dup {

@@ -15,15 +15,9 @@
 // state-identity rig runs the whole simulator on both modes with
 // identical seeds and asserts identical state at every drain point.
 // Because reference Pools never reuse memory, any code path that fails
-// to reset a recycled struct's fields diverges immediately. Build with
-// `-tags tus_ref` to flip DefaultRef and run the entire test suite —
-// golden figures included — on the reference containers.
+// to reset a recycled struct's fields diverges immediately. Machines
+// choose the mode from config.Reference (NewRef, NewPoolRef).
 package lmap
-
-// DefaultRef selects the container implementation for callers that do
-// not choose explicitly (config.Default consults it). It is false in
-// normal builds; the tus_ref build tag flips it to true.
-var DefaultRef = false
 
 // hash is the splitmix64 finalizer: line addresses are multiples of the
 // cache-line size, so the low bits carry no entropy and must be mixed
@@ -49,9 +43,8 @@ type Map[T any] struct {
 	ref  map[uint64]*T // non-nil in reference mode
 }
 
-// New returns an empty map using the implementation selected by
-// DefaultRef.
-func New[T any]() *Map[T] { return NewRef[T](DefaultRef) }
+// New returns an empty open-addressed map.
+func New[T any]() *Map[T] { return NewRef[T](false) }
 
 // NewRef returns an empty map; ref selects the reference (built-in
 // map) implementation instead of the open-addressed table.
@@ -209,9 +202,8 @@ type Pool[T any] struct {
 	ref  bool
 }
 
-// NewPool returns a pool using the implementation selected by
-// DefaultRef.
-func NewPool[T any]() *Pool[T] { return &Pool[T]{ref: DefaultRef} }
+// NewPool returns a recycling pool.
+func NewPool[T any]() *Pool[T] { return NewPoolRef[T](false) }
 
 // NewPoolRef returns a pool; ref selects always-fresh allocation.
 func NewPoolRef[T any](ref bool) *Pool[T] { return &Pool[T]{ref: ref} }

@@ -27,7 +27,7 @@ func newRig(t *testing.T, ops []isa.MicroOp, mechName string, mut func(*config.C
 	if mut != nil {
 		mut(cfg)
 	}
-	q := event.NewQueue()
+	q := event.NewQueueRef(cfg.Reference)
 	mem := memsys.NewMemory()
 	st := stats.NewSet("t")
 	dram := memsys.NewDRAM(q, cfg.DRAMLatency, cfg.DRAMMaxInFlight)

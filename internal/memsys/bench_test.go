@@ -12,7 +12,7 @@ import (
 // testing.T helpers (benchmarks must not pay t.Helper on the hot path).
 func benchRig(cores int) *rig {
 	cfg := config.Default().WithCores(cores)
-	q := event.NewQueue()
+	q := event.NewQueueRef(cfg.Reference)
 	mem := NewMemory()
 	st := stats.NewSet("sys")
 	dram := NewDRAM(q, cfg.DRAMLatency, cfg.DRAMMaxInFlight)

@@ -13,15 +13,16 @@ import (
 )
 
 // The differential state-identity rig: one memory system runs on the
-// open-addressed/pooled fast containers, its twin runs on the
-// reference containers (built-in maps, always-fresh allocation), and
-// the same seeded traffic — loads, stores, ownership bounces,
-// unauthorized-store lifecycles, chaos-injector streams — is pumped
-// through both. At every drain point the full observable state (cache
+// open-addressed/pooled fast containers and the time-wheel scheduler,
+// its twin runs with config.Reference set (built-in maps, always-fresh
+// allocation, the binary heap alone), and the same seeded traffic —
+// loads, stores, ownership bounces, unauthorized-store lifecycles,
+// chaos-injector streams — is pumped through both. At every drain point the full observable state (cache
 // lines, MSHRs, write-back buffer, directory, stats, and the ordered
 // reply log) must be byte-identical. Reference pools never recycle
 // memory, so a missing field reset in the fast path's struct reuse
-// diverges here immediately.
+// diverges here immediately, and so does any wheel pop that leaves the
+// heap's (cycle, seq) order.
 
 // diffSide is one of the two systems under comparison plus the
 // observable-output log the rig compares.
@@ -62,16 +63,11 @@ func (h *diffHandler) HandleRelinquish(line uint64) {
 	h.side.log = append(h.side.log, fmt.Sprintf("relinq c%d %#x", h.core, line))
 }
 
-// newDiffSide builds one comparison side. ref selects the reference
-// containers; schedRef selects the reference binary-heap scheduler
-// (false = the production time wheel), independently, so the rig can
-// pin container identity and scheduler identity with the same
-// snapshot machinery.
-func newDiffSide(cores int, ref, schedRef bool, plan faults.Plan) *diffSide {
+// newDiffSide builds one comparison side; ref is its config.Reference.
+func newDiffSide(cores int, ref bool, plan faults.Plan) *diffSide {
 	cfg := config.Default().WithCores(cores)
-	cfg.RefContainers = ref
-	cfg.RefScheduler = schedRef
-	q := event.NewQueueRef(schedRef)
+	cfg.Reference = ref
+	q := event.NewQueueRef(ref)
 	mem := NewMemory()
 	st := stats.NewSet("sys")
 	dram := NewDRAM(q, cfg.DRAMLatency, cfg.DRAMMaxInFlight)
@@ -187,27 +183,8 @@ func (s *diffSide) step(op, core int, line uint64, off, sz uint64, seq uint64) {
 
 func runDifferential(t *testing.T, seed int64, cores int, plan faults.Plan) {
 	t.Helper()
-	fast := newDiffSide(cores, false, event.DefaultRef, plan)
-	ref := newDiffSide(cores, true, event.DefaultRef, plan)
-	runDiffPair(t, "fast", fast, "reference", ref, seed)
-}
-
-// runSchedulerDifferential holds the containers fixed (fast path on
-// both sides) and varies only the event-queue engine: one machine on
-// the time wheel, its twin on the reference binary heap. Identical
-// snapshots at every drain point — including the cycle counter, the
-// ordered reply log, and every stat — pin the wheel's (cycle, seq) pop
-// order to the heap under full coherence traffic.
-func runSchedulerDifferential(t *testing.T, seed int64, cores int, plan faults.Plan) {
-	t.Helper()
-	wheel := newDiffSide(cores, false, false, plan)
-	heap := newDiffSide(cores, false, true, plan)
-	runDiffPair(t, "wheel", wheel, "heap", heap, seed)
-}
-
-func runDiffPair(t *testing.T, aName string, fast *diffSide, bName string, ref *diffSide, seed int64) {
-	t.Helper()
-	cores := len(fast.r.ps)
+	fast := newDiffSide(cores, false, plan)
+	ref := newDiffSide(cores, true, plan)
 	rng := rand.New(rand.NewSource(seed))
 
 	// A line pool with deliberate set pressure: more lines per L1 set
@@ -241,8 +218,8 @@ func runDiffPair(t *testing.T, aName string, fast *diffSide, bName string, ref *
 		ref.r.q.Drain(ref.r.q.Now() + 1_000_000)
 		fs, rs := fast.snapshot(pool), ref.snapshot(pool)
 		if fs != rs {
-			t.Fatalf("seed %d drain point %d: %s and %s state diverge\n%s",
-				seed, step, aName, bName, firstDiff(fs, rs))
+			t.Fatalf("seed %d drain point %d: fast and reference state diverge\n%s",
+				seed, step, firstDiff(fs, rs))
 		}
 	}
 }
@@ -259,8 +236,8 @@ func firstDiff(a, b string) string {
 }
 
 // TestDifferentialStateIdentity drives seeded random traffic through a
-// fast-container and a reference-container memory system and asserts
-// identical state at every drain point.
+// fast and a reference memory system and asserts identical state at
+// every drain point.
 func TestDifferentialStateIdentity(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -272,7 +249,9 @@ func TestDifferentialStateIdentity(t *testing.T) {
 // TestDifferentialStateIdentityChaos repeats the comparison with a
 // chaos-injector stream active on both sides: NACKs, busy stalls, MSHR
 // pressure, and latency jitter push both machines through the retry
-// and backoff paths, and the states must still match exactly.
+// and backoff paths and reschedule events at adversarial offsets
+// (including the wheel-horizon boundary), and the states must still
+// match exactly.
 func TestDifferentialStateIdentityChaos(t *testing.T) {
 	for _, seed := range []uint64{3, 11} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -287,35 +266,4 @@ func TestDifferentialStateIdentityChaos(t *testing.T) {
 // more of the traffic.
 func TestDifferentialFourCores(t *testing.T) {
 	runDifferential(t, 99, 4, faults.Plan{})
-}
-
-// TestDifferentialSchedulerWheelVsHeap pins the time-wheel scheduler's
-// pop order to the reference heap under seeded coherence traffic: same
-// containers, different event-queue engines, byte-identical state at
-// every drain point.
-func TestDifferentialSchedulerWheelVsHeap(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runSchedulerDifferential(t, seed, 2, faults.Plan{})
-		})
-	}
-}
-
-// TestDifferentialSchedulerChaos repeats the scheduler comparison with
-// a chaos-injector stream active: latency jitter and NACK-driven
-// retries reschedule events at adversarial offsets (including the
-// wheel-horizon boundary), and the pop order must still match exactly.
-func TestDifferentialSchedulerChaos(t *testing.T) {
-	for _, seed := range []uint64{3, 11} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			plan := faults.Schedule(seed)
-			runSchedulerDifferential(t, int64(seed), 2, plan)
-		})
-	}
-}
-
-// TestDifferentialSchedulerFourCores widens the scheduler comparison
-// to a 4-core machine.
-func TestDifferentialSchedulerFourCores(t *testing.T) {
-	runSchedulerDifferential(t, 99, 4, faults.Plan{})
 }

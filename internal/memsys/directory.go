@@ -89,7 +89,7 @@ func (d *Directory) BusyInfo(line uint64) (bool, uint64) {
 
 // NewDirectory builds the LLC+directory.
 func NewDirectory(cfg *config.Config, q *event.Queue, mem *Memory, dram *DRAM, st *stats.Set) *Directory {
-	ref := cfg.RefContainers || lmap.DefaultRef
+	ref := cfg.Reference
 	d := &Directory{
 		cfg:     cfg,
 		q:       q,

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tusim/internal/config"
 	"tusim/internal/event"
 )
 
@@ -106,7 +107,7 @@ func TestMemoryRoundTrip(t *testing.T) {
 }
 
 func TestDRAMLatency(t *testing.T) {
-	q := event.NewQueue()
+	q := event.NewQueueRef(config.Default().Reference)
 	d := NewDRAM(q, 160, 32)
 	done := uint64(0)
 	d.Access(func() { done = q.Now() })
@@ -120,7 +121,7 @@ func TestDRAMLatency(t *testing.T) {
 }
 
 func TestDRAMBandwidthBound(t *testing.T) {
-	q := event.NewQueue()
+	q := event.NewQueueRef(config.Default().Reference)
 	d := NewDRAM(q, 100, 2)
 	var finishes []uint64
 	for i := 0; i < 4; i++ {

@@ -208,7 +208,7 @@ type Private struct {
 
 // NewPrivate builds the private hierarchy for core id.
 func NewPrivate(id int, cfg *config.Config, q *event.Queue, dir *Directory, st *stats.Set) *Private {
-	ref := cfg.RefContainers || lmap.DefaultRef
+	ref := cfg.Reference
 	p := &Private{
 		ID:            id,
 		cfg:           cfg,

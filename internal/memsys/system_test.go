@@ -24,7 +24,7 @@ func newRig(t testing.TB, cores int, mut func(*config.Config)) *rig {
 	if mut != nil {
 		mut(cfg)
 	}
-	q := event.NewQueue()
+	q := event.NewQueueRef(cfg.Reference)
 	mem := NewMemory()
 	st := stats.NewSet("sys")
 	dram := NewDRAM(q, cfg.DRAMLatency, cfg.DRAMMaxInFlight)

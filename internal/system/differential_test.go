@@ -4,19 +4,20 @@ import (
 	"testing"
 
 	"tusim/internal/config"
+	"tusim/internal/faults"
 	"tusim/internal/workload"
 )
 
-// TestRefContainersWholeSystemIdentity is the whole-machine half of the
+// TestReferenceWholeSystemIdentity is the whole-machine half of the
 // differential state-identity rig (the memsys package holds the
 // per-drain-point half): every mechanism runs the same workload twice,
-// once on the open-addressed/pooled fast containers and once on the
-// reference containers, and the complete runs must agree on cycle
+// once on the fast containers and time wheel and once with
+// config.Reference set, and the complete runs must agree on cycle
 // count and every statistic. Combined with `go test -tags tus_ref
 // ./...` — which replays the entire suite, golden figures included, on
-// the reference containers — this pins observational equivalence of
-// the two container implementations at full-system scale.
-func TestRefContainersWholeSystemIdentity(t *testing.T) {
+// the reference side — this pins observational equivalence of the fast
+// structures and their reference twins at full-system scale.
+func TestReferenceWholeSystemIdentity(t *testing.T) {
 	run := func(t *testing.T, m config.Mechanism, bench string, threads bool, ref bool) (uint64, string) {
 		b, ok := workload.ByName(bench)
 		if !ok {
@@ -26,7 +27,7 @@ func TestRefContainersWholeSystemIdentity(t *testing.T) {
 		if threads {
 			cfg = cfg.WithCores(b.Threads)
 		}
-		cfg.RefContainers = ref
+		cfg.Reference = ref
 		ops := 6000
 		sys, err := New(cfg, b.Streams(3, ops))
 		if err != nil {
@@ -61,5 +62,63 @@ func TestRefContainersWholeSystemIdentity(t *testing.T) {
 				t.Fatalf("stats divergence:\nfast:\n%s\nref:\n%s", fastStats, refStats)
 			}
 		})
+	}
+}
+
+type nopAuditor struct{}
+
+func (nopAuditor) Audit(uint64) *faults.ProtocolError { return nil }
+
+// TestWheelHoldsAllCellTraffic pins the measurement the scheduler's
+// design leans on (EXPERIMENTS.md, "Scheduler class shares", which this
+// test's -v output reproduces): whole cells schedule nothing due-now
+// and nothing a wheel horizon (512 cycles) or more away, so the
+// overflow heap sees no hot traffic. A latency that grows past the
+// horizon fails here instead of silently moving events onto the heap.
+// An auditor cadence of 512 is the one known far-future source and
+// proves the counter counts.
+func TestWheelHoldsAllCellTraffic(t *testing.T) {
+	run := func(t *testing.T, bench string, m config.Mechanism, ops int, audit uint64) *System {
+		b, ok := workload.ByName(bench)
+		if !ok {
+			t.Fatalf("unknown benchmark %q", bench)
+		}
+		if testing.Short() {
+			ops /= 10 // `make race`; the table in EXPERIMENTS.md is the full scale
+		}
+		cfg := config.Default().WithMechanism(m).WithCores(b.Threads)
+		cfg.Reference = false // on the reference engine every event overflows
+		sys, err := New(cfg, b.Streams(1, ops))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if audit > 0 {
+			sys.SetAuditor(nopAuditor{}, audit)
+		}
+		if err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s/%v x%d @%d uops: %d events scheduled, %d overflowed",
+			bench, m, cfg.Cores, ops, sys.Q.Scheduled(), sys.Q.Overflowed())
+		return sys
+	}
+	for _, tc := range []struct {
+		bench string
+		m     config.Mechanism
+		ops   int
+	}{
+		{"502.gcc2", config.TUS, 150000},
+		{"502.gcc2", config.Baseline, 150000},
+		{"505.mcf", config.TUS, 50000},
+		{"tf.embed", config.TUS, 50000},
+		{"dedup", config.TUS, 12000},
+		{"canneal", config.Baseline, 12000},
+	} {
+		if n := run(t, tc.bench, tc.m, tc.ops, 0).Q.Overflowed(); n != 0 {
+			t.Errorf("%s/%v: %d events overflowed the wheel, want 0", tc.bench, tc.m, n)
+		}
+	}
+	if run(t, "502.gcc2", config.TUS, 2000, 512).Q.Overflowed() == 0 {
+		t.Error("audited run (cadence 512): Overflowed() = 0, want the auditor's far-future ticks")
 	}
 }

@@ -79,7 +79,7 @@ func New(cfg *config.Config, streams []isa.Stream) (*System, error) {
 	}
 	s := &System{
 		Cfg:      cfg,
-		Q:        event.NewQueueRef(cfg.RefScheduler || event.DefaultRef),
+		Q:        event.NewQueueRef(cfg.Reference),
 		Mem:      memsys.NewMemory(),
 		SysStats: stats.NewSet("sys"),
 	}

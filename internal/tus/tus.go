@@ -102,7 +102,7 @@ const tusIdleFlush = 4
 // New builds the TUS mechanism for a core and registers it as the
 // private hierarchy's unauthorized handler.
 func New(core *cpu.Core, cfg *config.Config, q *event.Queue, st *stats.Set) *TUS {
-	ref := cfg.RefContainers || lmap.DefaultRef
+	ref := cfg.Reference
 	t := &TUS{
 		core:           core,
 		priv:           core.Priv(),

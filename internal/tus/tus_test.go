@@ -29,7 +29,7 @@ func newRig(t *testing.T, cores int, traces [][]isa.MicroOp, mut func(*config.Co
 	if mut != nil {
 		mut(cfg)
 	}
-	q := event.NewQueue()
+	q := event.NewQueueRef(cfg.Reference)
 	mem := memsys.NewMemory()
 	sysSt := stats.NewSet("sys")
 	dram := memsys.NewDRAM(q, cfg.DRAMLatency, cfg.DRAMMaxInFlight)
