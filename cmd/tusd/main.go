@@ -165,7 +165,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tusd: listener shutdown: %v\n", err)
 	}
 	if err := srv.WaitIdle(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "tusd: %v (abandoning remaining builds)\n", err)
+		fmt.Fprintf(os.Stderr, "tusd: %v (exiting with jobs still running)\n", err)
 	}
 
 	if *benchOut != "" {

@@ -94,8 +94,12 @@ func NewBenchRecorder(r *Runner) *BenchRecorder {
 	return &BenchRecorder{r: r, start: time.Now()}
 }
 
-// Time runs f and records its wall-clock under name.
+// Time runs f and records its wall-clock under name; a nil recorder
+// just runs f.
 func (b *BenchRecorder) Time(name string, f func() error) error {
+	if b == nil {
+		return f()
+	}
 	t0 := time.Now()
 	err := f()
 	b.mu.Lock()

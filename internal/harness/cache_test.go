@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -168,7 +169,7 @@ func TestDiskCacheParallelSharing(t *testing.T) {
 	}
 	cold := cachedRunner(t, dir)
 	cold.Workers = 4
-	if err := cold.Prefetch(cells); err != nil {
+	if err := cold.Prefetch(context.Background(), cells); err != nil {
 		t.Fatal(err)
 	}
 	if got := int(cold.cellsRun.Load()); got != len(cells) {
@@ -176,7 +177,7 @@ func TestDiskCacheParallelSharing(t *testing.T) {
 	}
 	warm := cachedRunner(t, dir)
 	warm.Workers = 4
-	if err := warm.Prefetch(cells); err != nil {
+	if err := warm.Prefetch(context.Background(), cells); err != nil {
 		t.Fatal(err)
 	}
 	if got := warm.cellsRun.Load(); got != 0 {

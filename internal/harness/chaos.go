@@ -1,12 +1,11 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 
 	"tusim/internal/audit"
 	"tusim/internal/config"
@@ -181,54 +180,6 @@ type ChaosResult struct {
 	Err error
 }
 
-// runMatrix executes n independent cells through a workers-wide pool
-// and returns the lowest failing cell index plus its error (-1, nil on
-// a clean sweep). Workers claim indices in order and a failure stops
-// further claims, so every index below the claimed ones has already
-// started: the minimum failing index — and therefore the reported
-// failure and run count — is identical to the serial sweep's.
-func runMatrix(workers, n int, run func(int) error) (int, error) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := run(i); err != nil {
-				return i, err
-			}
-		}
-		return -1, nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	next.Store(-1)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				if err := run(i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return i, err
-		}
-	}
-	return -1, nil
-}
-
 // ChaosLitmus sweeps the litmus chaos matrix: every mechanism ×
 // ChaosPatterns × schedules derived fault plans × skews start offsets,
 // each under the TSO checker and the invariant auditor, fanned out over
@@ -264,7 +215,7 @@ func ChaosLitmus(seed uint64, schedules, skews int, auditEvery uint64, workers i
 	cellPlan := func(c chaosCell) faults.Plan {
 		return faults.Schedule(faults.MixSeed(seed, uint64(c.mi), uint64(c.pi), uint64(c.si)))
 	}
-	failIdx, failErr := runMatrix(workers, len(cells), func(i int) error {
+	failIdx, failErr := parmap(context.Background(), workers, len(cells), func(i int) error {
 		c := cells[i]
 		m := config.Mechanisms[c.mi]
 		plan := cellPlan(c)
@@ -310,7 +261,7 @@ func ChaosBench(seed uint64, ops int, auditEvery uint64, workers int) (ChaosResu
 	cellPlan := func(bi int) faults.Plan {
 		return faults.Schedule(faults.MixSeed(seed, 0xBE9C4, uint64(bi)))
 	}
-	failIdx, failErr := runMatrix(workers, len(benchs), func(bi int) error {
+	failIdx, failErr := parmap(context.Background(), workers, len(benchs), func(bi int) error {
 		plan := cellPlan(bi)
 		_, err := RunChaosBench(benchs[bi], config.TUS, int64(seed), ops, 0, plan, auditEvery, 0)
 		return err

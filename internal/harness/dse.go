@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -71,7 +72,7 @@ func DSE(r *Runner, benchName string) ([]DSEPoint, error) {
 	)
 
 	cycles := make([]uint64, len(specs))
-	err := r.parmap(len(specs), func(i int) error {
+	_, err := parmap(context.Background(), r.workers(), len(specs), func(i int) error {
 		cyc, err := run(specs[i].mut)
 		if err != nil {
 			return fmt.Errorf("harness: DSE %s: %w", specs[i].label, err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -13,11 +14,130 @@ import (
 // SBSizes are the store buffer sizes of the scalability study (Fig. 8).
 var SBSizes = []int{32, 64, 114}
 
-// Each figure builder first enumerates its full cell list and hands it
-// to Runner.Prefetch, which fans the cells out to the worker pool; the
-// assembly loops below then read every cell from the in-process cache
-// in the same deterministic order as the original serial harness, so
-// output is byte-identical at any worker count.
+// Study is one regenerable product of the evaluation — a figure, the
+// histogram report, a tusd cell matrix — as the two things every consumer
+// needs: which cells it reads and how to assemble them. The registry
+// table, RenderFigure, BuildJSON and tusd's job plans are all loops or
+// one-liners over Study values.
+type Study interface {
+	// Cells is the raw simulation matrix in assembly order; a cell may
+	// appear more than once.
+	Cells() []Cell
+	// Assemble reads the cells back through Run, in the same
+	// deterministic order at any worker count, and builds the product.
+	// It claims no cell outside Cells(), so after Build's prefetch every
+	// read is a memoized hit.
+	Assemble(r *Runner) (Product, error)
+}
+
+// Product is an assembled Study.
+type Product interface {
+	// Print renders the text form. figure labels the panels that carry a
+	// paper figure number ("Figure 10"); the rest ignore it.
+	Print(w io.Writer, figure string)
+	// JSON is the value `tusbench -json` encodes for the study.
+	JSON() any
+}
+
+// Build is the only place a study's cells are claimed: prefetch the
+// matrix through the worker pool under ctx, then assemble serially from
+// the memoized cells. A canceled ctx returns ctx.Err() within one
+// cell's duration and assembles nothing.
+func (r *Runner) Build(ctx context.Context, st Study) (Product, error) {
+	if err := r.Prefetch(ctx, st.Cells()); err != nil {
+		return nil, err
+	}
+	return st.Assemble(r)
+}
+
+// built runs st to completion and returns its concrete product; the
+// exported one-study entry points below are this one-liner.
+func built[P Product](r *Runner, st Study) (P, error) {
+	p, err := r.Build(context.Background(), st)
+	if err != nil {
+		var none P
+		return none, err
+	}
+	return p.(P), nil
+}
+
+// fullMatrix enumerates benchs × mechanisms at mechSB plus the baseline
+// at baseSB — the cell set shared by the stall, speedup, EDP and
+// histogram studies.
+func fullMatrix(benchs []workload.Benchmark, baseSB, mechSB int) []Cell {
+	var cells []Cell
+	for _, b := range benchs {
+		cells = append(cells, Cell{b, config.Baseline, baseSB})
+		for _, m := range config.Mechanisms {
+			cells = append(cells, Cell{b, m, mechSB})
+		}
+	}
+	return cells
+}
+
+// mechTable is the mechanism-column table every per-benchmark figure
+// shares: a header line, one line per row, then a foot row (geomean or
+// average). label/head/cell are the first-column, column-header and
+// value formats; val, when set, maps a stored value to the printed one.
+type mechTable struct {
+	label, head, cell string
+	val               func(float64) float64
+}
+
+var (
+	speedupTable = mechTable{"  %-16s", " %8s", " %+7.1f%%", pct}
+	edpTable     = mechTable{"  %-16s", " %8s", " %8.3f", nil}
+	stallTable   = mechTable{"%-16s", " %7s", " %6.1f%%", nil}
+)
+
+func (t mechTable) print(w io.Writer, n int, row func(i int) (string, map[config.Mechanism]float64),
+	foot string, footVals map[config.Mechanism]float64) {
+	line := func(label string, vals map[config.Mechanism]float64) {
+		fmt.Fprintf(w, t.label, label)
+		for _, m := range config.Mechanisms {
+			v := vals[m]
+			if t.val != nil {
+				v = t.val(v)
+			}
+			fmt.Fprintf(w, t.cell, v)
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, t.label, "benchmark")
+	for _, m := range config.Mechanisms {
+		fmt.Fprintf(w, t.head, m)
+	}
+	fmt.Fprintln(w)
+	for i := 0; i < n; i++ {
+		line(row(i))
+	}
+	line(foot, footVals)
+}
+
+// pct turns a speedup ratio into the signed percentage the tables print.
+func pct(x float64) float64 { return 100 * (x - 1) }
+
+// speedupsOver returns mechanism m's speedup at mechSB over the baseline
+// at baseSB for each benchmark in order. A benchmark with either cell
+// quarantined is skipped (recorded under tag), so the aggregate built
+// from the result degrades to the survivors.
+func (r *Runner) speedupsOver(tag string, benchs []workload.Benchmark, m config.Mechanism, baseSB, mechSB int) ([]float64, error) {
+	var sp []float64
+	for _, b := range benchs {
+		base, bok, err := r.runCell(tag, b, config.Baseline, baseSB)
+		if err != nil {
+			return nil, err
+		}
+		res, rok, err := r.runCell(tag, b, m, mechSB)
+		if err != nil {
+			return nil, err
+		}
+		if bok && rok {
+			sp = append(sp, Speedup(res, base))
+		}
+	}
+	return sp, nil
+}
 
 // Fig8Row is one (suite, SB size) series of geomean speedups relative
 // to the 114-entry-SB baseline.
@@ -27,14 +147,16 @@ type Fig8Row struct {
 	Speedup map[config.Mechanism]float64
 }
 
+// Fig8Rows is the assembled scalability study.
+type Fig8Rows []Fig8Row
+
 // fig8Suite is one suite series of the scalability study.
 type fig8Suite struct {
 	name   string
 	benchs []workload.Benchmark
 }
 
-// fig8Suites enumerates the scalability study's suite series; the
-// registry reuses it for cell counting.
+// fig8Suites enumerates the scalability study's suite series.
 func fig8Suites() []fig8Suite {
 	spec := make([]workload.Benchmark, 0, 8)
 	tf := make([]workload.Benchmark, 0, 4)
@@ -52,8 +174,11 @@ func fig8Suites() []fig8Suite {
 	}
 }
 
-// fig8Cells is the scalability study's full cell list.
-func fig8Cells() []Cell {
+// fig8Spec is the scalability study: geomean speedup over the 114-entry
+// baseline for every mechanism, SB size, and suite.
+type fig8Spec struct{}
+
+func (fig8Spec) Cells() []Cell {
 	var cells []Cell
 	for _, s := range fig8Suites() {
 		for _, b := range s.benchs {
@@ -68,35 +193,15 @@ func fig8Cells() []Cell {
 	return cells
 }
 
-// Fig8 regenerates the scalability analysis: geomean speedup over the
-// 114-entry baseline for every mechanism, SB size, and suite.
-func Fig8(r *Runner) ([]Fig8Row, error) {
-	suites := fig8Suites()
-	if err := r.Prefetch(fig8Cells()); err != nil {
-		return nil, err
-	}
-	var rows []Fig8Row
-	for _, s := range suites {
+func (fig8Spec) Assemble(r *Runner) (Product, error) {
+	var rows Fig8Rows
+	for _, s := range fig8Suites() {
 		for _, sb := range SBSizes {
 			row := Fig8Row{Suite: s.name, SB: sb, Speedup: map[config.Mechanism]float64{}}
 			for _, m := range config.Mechanisms {
-				var sp []float64
-				for _, b := range s.benchs {
-					base, bok, err := r.runCell("fig8", b, config.Baseline, 114)
-					if err != nil {
-						return nil, err
-					}
-					res, rok, err := r.runCell("fig8", b, m, sb)
-					if err != nil {
-						return nil, err
-					}
-					if !bok || !rok {
-						// Quarantined: the geomean degrades to the
-						// surviving benchmarks (recorded in the report's
-						// degraded section).
-						continue
-					}
-					sp = append(sp, Speedup(res, base))
+				sp, err := r.speedupsOver("fig8", s.benchs, m, 114, sb)
+				if err != nil {
+					return nil, err
 				}
 				gm, err := Geomean(sp)
 				if err != nil {
@@ -110,8 +215,11 @@ func Fig8(r *Runner) ([]Fig8Row, error) {
 	return rows, nil
 }
 
-// PrintFig8 renders the Fig. 8 table.
-func PrintFig8(w io.Writer, rows []Fig8Row) {
+// Fig8 regenerates the scalability analysis.
+func Fig8(r *Runner) ([]Fig8Row, error) { return built[Fig8Rows](r, fig8Spec{}) }
+
+// Print renders the Fig. 8 table.
+func (rows Fig8Rows) Print(w io.Writer, _ string) {
 	fmt.Fprintln(w, "Figure 8: geomean speedup vs 114-entry-SB baseline, by SB size")
 	fmt.Fprintf(w, "%-20s %4s", "suite", "SB")
 	for _, m := range config.Mechanisms {
@@ -121,7 +229,7 @@ func PrintFig8(w io.Writer, rows []Fig8Row) {
 	for _, row := range rows {
 		fmt.Fprintf(w, "%-20s %4d", row.Suite, row.SB)
 		for _, m := range config.Mechanisms {
-			fmt.Fprintf(w, " %+7.1f%%", 100*(row.Speedup[m]-1))
+			fmt.Fprintf(w, " %+7.1f%%", pct(row.Speedup[m]))
 		}
 		fmt.Fprintln(w)
 	}
@@ -133,31 +241,21 @@ type Fig9Row struct {
 	Stalls map[config.Mechanism]float64 // % of cycles
 }
 
-// fullMatrix enumerates benchs × mechanisms at mechSB plus the baseline
-// at baseSB — the cell set shared by the stall, speedup, and EDP
-// studies.
-func fullMatrix(benchs []workload.Benchmark, baseSB, mechSB int) []Cell {
-	var cells []Cell
-	for _, b := range benchs {
-		cells = append(cells, Cell{b, config.Baseline, baseSB})
-		for _, m := range config.Mechanisms {
-			cells = append(cells, Cell{b, m, mechSB})
-		}
-	}
-	return cells
-}
+// Fig9Rows is the assembled stall study.
+type Fig9Rows []Fig9Row
 
-// Fig9 regenerates the SB-induced dispatch stall breakdown (114 SB,
+// fig9Spec is the SB-induced dispatch stall breakdown (114 SB,
 // single-threaded SB-bound set, sorted by baseline stalls).
-func Fig9(r *Runner) ([]Fig9Row, error) {
-	if err := r.Prefetch(fullMatrix(workload.SBBound(), 114, 114)); err != nil {
-		return nil, err
-	}
-	benchs, err := r.sbBoundSorted(114)
+type fig9Spec struct{}
+
+func (fig9Spec) Cells() []Cell { return fullMatrix(workload.SBBound(), 114, 114) }
+
+func (fig9Spec) Assemble(r *Runner) (Product, error) {
+	benchs, err := r.SortByBaselineStalls(workload.SBBound(), 114)
 	if err != nil {
 		return nil, err
 	}
-	var rows []Fig9Row
+	var rows Fig9Rows
 	for _, b := range benchs {
 		row := Fig9Row{Bench: b.Name, Stalls: map[config.Mechanism]float64{}}
 		good := true
@@ -185,28 +283,27 @@ func Fig9(r *Runner) ([]Fig9Row, error) {
 	return rows, nil
 }
 
+// Fig9 regenerates the stall breakdown.
+func Fig9(r *Runner) ([]Fig9Row, error) { return built[Fig9Rows](r, fig9Spec{}) }
+
 // PrintFig9 renders the Fig. 9 table.
-func PrintFig9(w io.Writer, rows []Fig9Row) {
+func PrintFig9(w io.Writer, rows []Fig9Row) { Fig9Rows(rows).Print(w, "") }
+
+// Print renders the Fig. 9 table.
+func (rows Fig9Rows) Print(w io.Writer, _ string) {
 	fmt.Fprintln(w, "Figure 9: SB-induced stalls (% of cycles), 114-entry SB, ST SB-bound (lower is better)")
-	fmt.Fprintf(w, "%-16s", "benchmark")
-	for _, m := range config.Mechanisms {
-		fmt.Fprintf(w, " %7s", m)
-	}
-	fmt.Fprintln(w)
 	avg := map[config.Mechanism]float64{}
 	for _, row := range rows {
-		fmt.Fprintf(w, "%-16s", row.Bench)
 		for _, m := range config.Mechanisms {
-			fmt.Fprintf(w, " %6.1f%%", row.Stalls[m])
 			avg[m] += row.Stalls[m]
 		}
-		fmt.Fprintln(w)
 	}
-	fmt.Fprintf(w, "%-16s", "average")
-	for _, m := range config.Mechanisms {
-		fmt.Fprintf(w, " %6.1f%%", avg[m]/float64(len(rows)))
+	for m := range avg {
+		avg[m] /= float64(len(rows))
 	}
-	fmt.Fprintln(w)
+	stallTable.print(w, len(rows),
+		func(i int) (string, map[config.Mechanism]float64) { return rows[i].Bench, rows[i].Stalls },
+		"average", avg)
 }
 
 // SpeedupStudy holds the data behind Figs. 10/13: an S-curve over every
@@ -229,74 +326,46 @@ type SpeedupRow struct {
 	Speedups map[config.Mechanism]float64
 }
 
-// Speedups regenerates Fig. 10 (baselineSB=114) or Fig. 13
-// (baselineSB=32): every mechanism runs with mechSB entries and is
-// normalized to the baseline with baselineSB entries.
-func Speedups(r *Runner, baselineSB, mechSB int) (*SpeedupStudy, error) {
-	study := &SpeedupStudy{
-		BaselineSB: baselineSB,
-		MechSB:     mechSB,
-		SCurves:    map[config.Mechanism][]float64{},
-		Geomean:    map[config.Mechanism]float64{},
-	}
-	fig := fmt.Sprintf("speedups_%d_%d", baselineSB, mechSB)
-	all := workload.All()
-	if err := r.Prefetch(fullMatrix(all, baselineSB, mechSB)); err != nil {
-		return nil, err
-	}
+// speedupSpec is Fig. 10 (114/114) or Fig. 13 (32/32): every mechanism
+// runs with mechSB entries and is normalized to the baseline with baseSB
+// entries.
+type speedupSpec struct{ baseSB, mechSB int }
+
+func (s speedupSpec) Cells() []Cell { return fullMatrix(workload.All(), s.baseSB, s.mechSB) }
+
+func (s speedupSpec) Assemble(r *Runner) (Product, error) {
+	study := &SpeedupStudy{BaselineSB: s.baseSB, MechSB: s.mechSB, SCurves: map[config.Mechanism][]float64{}}
+	fig := fmt.Sprintf("speedups_%d_%d", s.baseSB, s.mechSB)
 	for _, m := range config.Mechanisms {
-		var sp []float64
-		for _, b := range all {
-			base, bok, err := r.runCell(fig, b, config.Baseline, baselineSB)
-			if err != nil {
-				return nil, err
-			}
-			res, rok, err := r.runCell(fig, b, m, mechSB)
-			if err != nil {
-				return nil, err
-			}
-			if !bok || !rok {
-				continue
-			}
-			sp = append(sp, Speedup(res, base))
-		}
-		curve, err := SCurve(sp)
-		if err != nil {
-			return nil, fmt.Errorf("speedups %d/%d %v: %w", baselineSB, mechSB, m, err)
-		}
-		study.SCurves[m] = curve
-	}
-	benchs, err := r.sbBoundSorted(baselineSB)
-	if err != nil {
-		return nil, err
-	}
-	gm := map[config.Mechanism][]float64{}
-	for _, b := range benchs {
-		base, resm, ok, err := r.rowResults(fig, b, baselineSB, mechSB)
+		sp, err := r.speedupsOver(fig, workload.All(), m, s.baseSB, s.mechSB)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			continue
-		}
-		row := SpeedupRow{Bench: b.Name, Speedups: map[config.Mechanism]float64{}}
-		for _, m := range config.Mechanisms {
-			row.Speedups[m] = Speedup(resm[m], base)
-			gm[m] = append(gm[m], row.Speedups[m])
-		}
-		study.Breakdown = append(study.Breakdown, row)
-	}
-	if len(study.Breakdown) == 0 {
-		return nil, fmt.Errorf("speedups %d/%d: every SB-bound benchmark quarantined", baselineSB, mechSB)
-	}
-	for m, xs := range gm {
-		g, err := Geomean(xs)
+		curve, err := SCurve(sp)
 		if err != nil {
-			return nil, fmt.Errorf("speedups %d/%d %v: %w", baselineSB, mechSB, m, err)
+			return nil, fmt.Errorf("%s %v: %w", fig, m, err)
 		}
-		study.Geomean[m] = g
+		study.SCurves[m] = curve
 	}
+	benchs, err := r.SortByBaselineStalls(workload.SBBound(), s.baseSB)
+	if err != nil {
+		return nil, err
+	}
+	bd, err := r.normalized(fig, benchs, s.baseSB, s.mechSB, Speedup)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range bd.Rows {
+		study.Breakdown = append(study.Breakdown, SpeedupRow{row.Bench, row.EDP})
+	}
+	study.Geomean = bd.Geomean
 	return study, nil
+}
+
+// Speedups regenerates Fig. 10 (baselineSB=114) or Fig. 13
+// (baselineSB=32).
+func Speedups(r *Runner, baselineSB, mechSB int) (*SpeedupStudy, error) {
+	return built[*SpeedupStudy](r, speedupSpec{baselineSB, mechSB})
 }
 
 // Print renders the study in the paper's two-panel layout.
@@ -305,35 +374,23 @@ func (s *SpeedupStudy) Print(w io.Writer, figure string) {
 		figure, s.BaselineSB, s.MechSB)
 	fmt.Fprintln(w, "left panel - S-curve over all applications (sorted speedups):")
 	for _, m := range config.Mechanisms {
-		curve := s.SCurves[m]
 		var sb strings.Builder
-		for _, x := range curve {
-			fmt.Fprintf(&sb, " %+5.1f", 100*(x-1))
+		for _, x := range s.SCurves[m] {
+			fmt.Fprintf(&sb, " %+5.1f", pct(x))
 		}
 		fmt.Fprintf(w, "  %-5s%s\n", m, sb.String())
 	}
 	fmt.Fprintln(w, "right panel - ST SB-bound breakdown:")
-	fmt.Fprintf(w, "  %-16s", "benchmark")
-	for _, m := range config.Mechanisms {
-		fmt.Fprintf(w, " %8s", m)
-	}
-	fmt.Fprintln(w)
-	for _, row := range s.Breakdown {
-		fmt.Fprintf(w, "  %-16s", row.Bench)
-		for _, m := range config.Mechanisms {
-			fmt.Fprintf(w, " %+7.1f%%", 100*(row.Speedups[m]-1))
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "  %-16s", "geomean")
-	for _, m := range config.Mechanisms {
-		fmt.Fprintf(w, " %+7.1f%%", 100*(s.Geomean[m]-1))
-	}
-	fmt.Fprintln(w)
+	speedupTable.print(w, len(s.Breakdown),
+		func(i int) (string, map[config.Mechanism]float64) {
+			return s.Breakdown[i].Bench, s.Breakdown[i].Speedups
+		},
+		"geomean", s.Geomean)
 }
 
-// EDPStudy holds Figs. 11/15 (ST SB-bound) or the EDP halves of
-// Figs. 12/14 (Parsec): EDP normalized to the baseline.
+// EDPStudy holds Figs. 11/15 (ST SB-bound) or one panel of Figs. 12/14
+// (Parsec): one row per benchmark of a metric normalized to the
+// baseline, plus its geomean.
 type EDPStudy struct {
 	BaselineSB int
 	MechSB     int
@@ -347,67 +404,87 @@ type EDPRow struct {
 	EDP   map[config.Mechanism]float64 // normalized; lower is better
 }
 
-// EDP regenerates an EDP figure over the given benchmark set.
-func EDP(r *Runner, benchs []workload.Benchmark, baselineSB, mechSB int) (*EDPStudy, error) {
-	study := &EDPStudy{
-		BaselineSB: baselineSB,
-		MechSB:     mechSB,
-		Geomean:    map[config.Mechanism]float64{},
-	}
-	if err := r.Prefetch(fullMatrix(benchs, baselineSB, mechSB)); err != nil {
-		return nil, err
-	}
-	fig := fmt.Sprintf("edp_%d_%d", baselineSB, mechSB)
-	gm := map[config.Mechanism][]float64{}
+// normalized is the loop the breakdown, EDP and Parsec panels share: one
+// row per benchmark of metric(mechanism cell at mechSB, baseline cell at
+// baseSB), and the per-mechanism geomean over the rows. A row with any
+// quarantined cell is dropped whole — a partial comparison would mislead
+// — but its remaining cells are still probed, so the degraded section
+// (under tag) lists every poisoned cell, not just the first.
+func (r *Runner) normalized(tag string, benchs []workload.Benchmark, baseSB, mechSB int,
+	metric func(res, base Result) float64) (*EDPStudy, error) {
+	study := &EDPStudy{BaselineSB: baseSB, MechSB: mechSB, Geomean: map[config.Mechanism]float64{}}
 	for _, b := range benchs {
-		base, resm, ok, err := r.rowResults(fig, b, baselineSB, mechSB)
+		base, good, err := r.runCell(tag, b, config.Baseline, baseSB)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			continue
-		}
 		row := EDPRow{Bench: b.Name, EDP: map[config.Mechanism]float64{}}
 		for _, m := range config.Mechanisms {
-			row.EDP[m] = resm[m].EDP / base.EDP
-			gm[m] = append(gm[m], row.EDP[m])
+			res, ok, err := r.runCell(tag, b, m, mechSB)
+			if err != nil {
+				return nil, err
+			}
+			good = good && ok
+			if good {
+				row.EDP[m] = metric(res, base)
+			}
 		}
-		study.Rows = append(study.Rows, row)
+		if good {
+			study.Rows = append(study.Rows, row)
+		}
 	}
 	if len(study.Rows) == 0 {
-		return nil, fmt.Errorf("edp %d/%d: every benchmark quarantined", baselineSB, mechSB)
+		return nil, fmt.Errorf("%s: every benchmark quarantined", tag)
 	}
-	for m, xs := range gm {
+	for _, m := range config.Mechanisms {
+		xs := make([]float64, len(study.Rows))
+		for i, row := range study.Rows {
+			xs[i] = row.EDP[m]
+		}
 		g, err := Geomean(xs)
 		if err != nil {
-			return nil, fmt.Errorf("edp %d/%d %v: %w", baselineSB, mechSB, m, err)
+			return nil, fmt.Errorf("%s %v: %w", tag, m, err)
 		}
 		study.Geomean[m] = g
 	}
 	return study, nil
 }
 
+// edpRatio is the EDP figures' metric: EDP normalized to the baseline.
+func edpRatio(res, base Result) float64 { return res.EDP / base.EDP }
+
+// edpSpec is an EDP figure over a benchmark set (Figs. 11/15).
+type edpSpec struct {
+	benchs         []workload.Benchmark
+	baseSB, mechSB int
+}
+
+func (s edpSpec) Cells() []Cell { return fullMatrix(s.benchs, s.baseSB, s.mechSB) }
+
+func (s edpSpec) Assemble(r *Runner) (Product, error) {
+	study, err := r.normalized(fmt.Sprintf("edp_%d_%d", s.baseSB, s.mechSB), s.benchs, s.baseSB, s.mechSB, edpRatio)
+	if err != nil {
+		return nil, err
+	}
+	return study, nil
+}
+
+// EDP regenerates an EDP figure over the given benchmark set.
+func EDP(r *Runner, benchs []workload.Benchmark, baselineSB, mechSB int) (*EDPStudy, error) {
+	return built[*EDPStudy](r, edpSpec{benchs, baselineSB, mechSB})
+}
+
 // Print renders the EDP table.
 func (s *EDPStudy) Print(w io.Writer, figure string) {
 	fmt.Fprintf(w, "%s: EDP normalized to %d-entry-SB baseline (mechanisms at SB=%d, lower is better)\n",
 		figure, s.BaselineSB, s.MechSB)
-	fmt.Fprintf(w, "  %-16s", "benchmark")
-	for _, m := range config.Mechanisms {
-		fmt.Fprintf(w, " %8s", m)
-	}
-	fmt.Fprintln(w)
-	for _, row := range s.Rows {
-		fmt.Fprintf(w, "  %-16s", row.Bench)
-		for _, m := range config.Mechanisms {
-			fmt.Fprintf(w, " %8.3f", row.EDP[m])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "  %-16s", "geomean")
-	for _, m := range config.Mechanisms {
-		fmt.Fprintf(w, " %8.3f", s.Geomean[m])
-	}
-	fmt.Fprintln(w)
+	s.printRows(w, edpTable)
+}
+
+func (s *EDPStudy) printRows(w io.Writer, t mechTable) {
+	t.print(w, len(s.Rows),
+		func(i int) (string, map[config.Mechanism]float64) { return s.Rows[i].Bench, s.Rows[i].EDP },
+		"geomean", s.Geomean)
 }
 
 // ParsecStudy is a Fig. 12/14 panel pair: Parsec speedup and EDP.
@@ -416,67 +493,37 @@ type ParsecStudy struct {
 	EDP     *EDPStudy
 }
 
-// Parsec regenerates Fig. 12 (baselineSB=114) or Fig. 14 (32).
-func Parsec(r *Runner, baselineSB, mechSB int) (*ParsecStudy, error) {
-	benchs := workload.BySuite(workload.Parsec)
-	if err := r.Prefetch(fullMatrix(benchs, baselineSB, mechSB)); err != nil {
-		return nil, err
-	}
-	fig := fmt.Sprintf("parsec_%d_%d", baselineSB, mechSB)
-	sp := &EDPStudy{BaselineSB: baselineSB, MechSB: mechSB, Geomean: map[config.Mechanism]float64{}}
-	gm := map[config.Mechanism][]float64{}
-	for _, b := range benchs {
-		base, resm, ok, err := r.rowResults(fig, b, baselineSB, mechSB)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		row := EDPRow{Bench: b.Name, EDP: map[config.Mechanism]float64{}}
-		for _, m := range config.Mechanisms {
-			row.EDP[m] = Speedup(resm[m], base)
-			gm[m] = append(gm[m], row.EDP[m])
-		}
-		sp.Rows = append(sp.Rows, row)
-	}
-	if len(sp.Rows) == 0 {
-		return nil, fmt.Errorf("parsec %d/%d: every benchmark quarantined", baselineSB, mechSB)
-	}
-	for m, xs := range gm {
-		g, err := Geomean(xs)
-		if err != nil {
-			return nil, fmt.Errorf("parsec %d/%d %v: %w", baselineSB, mechSB, m, err)
-		}
-		sp.Geomean[m] = g
-	}
-	edp, err := EDP(r, benchs, baselineSB, mechSB)
+// parsecSpec is Fig. 12 (114/114) or Fig. 14 (32/32).
+type parsecSpec struct{ baseSB, mechSB int }
+
+func (s parsecSpec) edp() edpSpec {
+	return edpSpec{workload.BySuite(workload.Parsec), s.baseSB, s.mechSB}
+}
+
+func (s parsecSpec) Cells() []Cell { return s.edp().Cells() }
+
+func (s parsecSpec) Assemble(r *Runner) (Product, error) {
+	e := s.edp()
+	sp, err := r.normalized(fmt.Sprintf("parsec_%d_%d", s.baseSB, s.mechSB), e.benchs, s.baseSB, s.mechSB, Speedup)
 	if err != nil {
 		return nil, err
 	}
-	return &ParsecStudy{Speedup: sp, EDP: edp}, nil
+	edp, err := e.Assemble(r)
+	if err != nil {
+		return nil, err
+	}
+	return &ParsecStudy{Speedup: sp, EDP: edp.(*EDPStudy)}, nil
+}
+
+// Parsec regenerates Fig. 12 (baselineSB=114) or Fig. 14 (32).
+func Parsec(r *Runner, baselineSB, mechSB int) (*ParsecStudy, error) {
+	return built[*ParsecStudy](r, parsecSpec{baselineSB, mechSB})
 }
 
 // Print renders both Parsec panels.
 func (p *ParsecStudy) Print(w io.Writer, figure string) {
 	fmt.Fprintf(w, "%s left: Parsec speedup vs %d-entry-SB baseline (higher is better)\n", figure, p.Speedup.BaselineSB)
-	fmt.Fprintf(w, "  %-16s", "benchmark")
-	for _, m := range config.Mechanisms {
-		fmt.Fprintf(w, " %8s", m)
-	}
-	fmt.Fprintln(w)
-	for _, row := range p.Speedup.Rows {
-		fmt.Fprintf(w, "  %-16s", row.Bench)
-		for _, m := range config.Mechanisms {
-			fmt.Fprintf(w, " %+7.1f%%", 100*(row.EDP[m]-1))
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "  %-16s", "geomean")
-	for _, m := range config.Mechanisms {
-		fmt.Fprintf(w, " %+7.1f%%", 100*(p.Speedup.Geomean[m]-1))
-	}
-	fmt.Fprintln(w)
+	p.Speedup.printRows(w, speedupTable)
 	p.EDP.Print(w, figure+" right")
 }
 

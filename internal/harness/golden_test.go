@@ -2,13 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"tusim/internal/workload"
 )
 
 var update = flag.Bool("update", false, "regenerate golden figure snapshots in testdata/")
@@ -32,74 +31,22 @@ func goldenRunner() *Runner {
 // stall breakdown, and both Parsec panel pairs.
 func TestGoldenFigures(t *testing.T) {
 	r := goldenRunner()
-	cases := []struct {
-		name  string
-		build func() (any, error)
-	}{
-		{"fig8", func() (any, error) {
-			rows, err := Fig8(r)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]Fig8JSON, 0, len(rows))
-			for _, row := range rows {
-				out = append(out, Fig8JSON{Suite: row.Suite, SB: row.SB, Speedups: mechMap(row.Speedup)})
-			}
-			return out, nil
-		}},
-		{"fig9", func() (any, error) {
-			rows, err := Fig9(r)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]Fig9JSON, 0, len(rows))
-			for _, row := range rows {
-				out = append(out, Fig9JSON{Bench: row.Bench, Stalls: mechMap(row.Stalls)})
-			}
-			return out, nil
-		}},
-		{"fig12", func() (any, error) {
-			p, err := Parsec(r, 114, 114)
-			if err != nil {
-				return nil, err
-			}
-			return &ParsecJSON{Speedup: edpJSON(p.Speedup), EDP: edpJSON(p.EDP)}, nil
-		}},
-		{"fig13", func() (any, error) {
-			s, err := Speedups(r, 32, 32)
-			if err != nil {
-				return nil, err
-			}
-			return speedupsJSON(s), nil
-		}},
-		{"fig14", func() (any, error) {
-			p, err := Parsec(r, 32, 32)
-			if err != nil {
-				return nil, err
-			}
-			return &ParsecJSON{Speedup: edpJSON(p.Speedup), EDP: edpJSON(p.EDP)}, nil
-		}},
-		{"fig15", func() (any, error) {
-			s, err := EDP(r, workload.SBBound(), 32, 32)
-			if err != nil {
-				return nil, err
-			}
-			return edpJSON(s), nil
-		}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			v, err := tc.build()
+	for _, fig := range []int{8, 9, 12, 13, 14, 15} {
+		f, ok := FigureByNum(fig)
+		if !ok {
+			t.Fatalf("figure %d not in the registry", fig)
+		}
+		t.Run(f.Name, func(t *testing.T) {
+			p, err := r.Build(context.Background(), f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.MarshalIndent(v, "", "  ")
+			got, err := json.MarshalIndent(p.JSON(), "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
 			got = append(got, '\n')
-			path := filepath.Join("testdata", tc.name+".golden.json")
+			path := filepath.Join("testdata", f.Name+".golden.json")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -115,7 +62,7 @@ func TestGoldenFigures(t *testing.T) {
 				t.Fatalf("missing golden snapshot (regenerate with -update): %v", err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s drifted from its golden snapshot.\nIf the change is intended, regenerate with:\n  go test ./internal/harness -run TestGoldenFigures -update\ngot %d bytes, want %d bytes", tc.name, len(got), len(want))
+				t.Fatalf("%s drifted from its golden snapshot.\nIf the change is intended, regenerate with:\n  go test ./internal/harness -run TestGoldenFigures -update\ngot %d bytes, want %d bytes", f.Name, len(got), len(want))
 			}
 		})
 	}

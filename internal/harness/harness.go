@@ -12,6 +12,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -235,51 +236,71 @@ func (r *Runner) compute(b workload.Benchmark, m config.Mechanism, sbSize int, k
 			})
 		}
 	}
-	if r.Supervisor == nil {
-		res, err := r.simulate(b, cfg, key, ckey)
-		return res, false, err
-	}
-	// Supervised path. A deadline-abandoned attempt keeps running as a
-	// zombie goroutine (goroutines cannot be killed), so result
-	// publication is serialized: only the supervisor's winning attempt
-	// is returned, and a late zombie write cannot race it.
-	class := "st"
-	if b.Threads > 1 {
-		class = "mt"
-	}
+	// A deadline-abandoned attempt keeps running as a zombie goroutine
+	// (goroutines cannot be killed), so attempts only hand their outcome
+	// over under resMu and nothing is counted or announced until the
+	// supervisor has picked the winner: a late zombie can neither race
+	// the returned result nor count the cell twice.
 	var resMu sync.Mutex
-	var res Result
-	err := r.Supervisor.Do(key, class, func() error {
-		out, serr := r.simulate(b, cfg, key, ckey)
-		if serr != nil {
-			return serr
+	var out simOutcome
+	attempt := func() error {
+		o, err := r.simulate(b, cfg, key)
+		if err != nil {
+			return err
+		}
+		// The cache write alone stays inside the attempt: the supervisor
+		// journals the cell done the moment the attempt returns, and a
+		// resumed run relies on "journaled done => in the cache". A zombie
+		// rewriting the same content-addressed entry is harmless.
+		if r.Cache != nil {
+			r.Cache.Put(ckey, o.res)
 		}
 		resMu.Lock()
-		res = out
+		out = o
 		resMu.Unlock()
 		return nil
-	})
-	resMu.Lock()
-	defer resMu.Unlock()
+	}
+	var err error
+	if r.Supervisor == nil {
+		err = attempt()
+	} else {
+		class := "st"
+		if b.Threads > 1 {
+			class = "mt"
+		}
+		err = r.Supervisor.Do(key, class, attempt)
+	}
 	if err != nil {
 		return Result{}, false, err
 	}
-	return res, false, nil
+	resMu.Lock()
+	won := out
+	resMu.Unlock()
+	r.publish(key, won)
+	return won.res, false, nil
 }
 
-// simulate runs one cell for real (no cache probe) and writes the
-// result back to the persistent cache.
-func (r *Runner) simulate(b workload.Benchmark, cfg *config.Config, key, ckey string) (Result, error) {
+// simOutcome is one finished simulation attempt: the result plus what
+// publish accounts for it.
+type simOutcome struct {
+	res   Result
+	wall  time.Duration
+	trace *trace.Tracer
+}
+
+// simulate runs one cell for real (no cache probe). It has no side
+// effect outside its own system: compute caches and publishes it.
+func (r *Runner) simulate(b workload.Benchmark, cfg *config.Config, key string) (simOutcome, error) {
 	m, sbSize := cfg.Mechanism, cfg.SBEntries
 	if r.testHookSim != nil {
 		if err := r.testHookSim(key); err != nil {
-			return Result{}, err
+			return simOutcome{}, err
 		}
 	}
 	start := time.Now()
 	sys, err := system.New(cfg, r.interned.streams(b, r.Seed, r.ops(b)))
 	if err != nil {
-		return Result{}, fmt.Errorf("harness: %s: %w", key, err)
+		return simOutcome{}, fmt.Errorf("harness: %s: %w", key, err)
 	}
 	// Discard the first third as warm-up (the paper warms 200M of each
 	// 2B-instruction simulation point; our warm workloads put their
@@ -296,12 +317,12 @@ func (r *Runner) simulate(b workload.Benchmark, cfg *config.Config, key, ckey st
 		sys.SetObserver(ck)
 	}
 	if err := sys.Run(); err != nil {
-		return Result{}, fmt.Errorf("harness: %s: %w", key, err)
+		return simOutcome{}, fmt.Errorf("harness: %s: %w", key, err)
 	}
 	if ck != nil {
 		ck.Finish()
 		if err := ck.Err(); err != nil {
-			return Result{}, fmt.Errorf("harness: %s: %w", key, err)
+			return simOutcome{}, fmt.Errorf("harness: %s: %w", key, err)
 		}
 	}
 	st := sys.StatsSum()
@@ -316,70 +337,93 @@ func (r *Runner) simulate(b workload.Benchmark, cfg *config.Config, key, ckey st
 		Energy: model.Energy(st, sys.Cycles),
 		EDP:    model.EDP(st, sys.Cycles),
 	}
-	r.cellNanos.Add(int64(time.Since(start)))
-	r.cellCycles.Add(sys.Cycles)
-	r.cellsRun.Add(1)
-	if tr != nil && r.OnTrace != nil {
-		r.OnTrace(key, tr)
-	}
-	if r.Cache != nil {
-		r.Cache.Put(ckey, res)
-	}
-	if r.Verbose {
-		fmt.Printf("  ran %-28s cycles=%-10d sbstall=%5.1f%%\n", key, res.Cycles, res.SBStallPct())
-	}
-	return res, nil
+	return simOutcome{res: res, wall: time.Since(start), trace: tr}, nil
 }
 
-// Prefetch simulates the given cells through the worker pool, filling
-// the in-process cache so subsequent Run calls return instantly. The
-// figure builders call it with their full cell list and then assemble
-// output serially in deterministic order, which is what makes the
-// parallel path byte-identical to the serial one. The returned error is
-// the first failing cell in list order (deterministic regardless of
-// completion order); with Workers <= 1 cells run serially in order and
-// Prefetch stops at the first failure, exactly like the pre-parallel
-// harness.
-// Quarantined cells are not Prefetch failures: the supervisor has
-// already contained them, and the figure builders degrade around them,
-// so the prefetch keeps filling every other cell.
-func (r *Runner) Prefetch(cells []Cell) error {
-	w := r.workers()
-	if w <= 1 || len(cells) <= 1 {
-		for _, c := range cells {
-			if _, err := r.Run(c.Bench, c.Mech, c.SB); err != nil && !isQuarantined(err) {
-				return err
+// publish accounts for and announces one freshly simulated cell, exactly
+// once per cell: perf counters, the trace callback and the -v line.
+func (r *Runner) publish(key string, out simOutcome) {
+	r.cellNanos.Add(int64(out.wall))
+	r.cellCycles.Add(out.res.Cycles)
+	r.cellsRun.Add(1)
+	if out.trace != nil && r.OnTrace != nil {
+		r.OnTrace(key, out.trace)
+	}
+	if r.Verbose {
+		fmt.Printf("  ran %-28s cycles=%-10d sbstall=%5.1f%%\n", key, out.res.Cycles, out.res.SBStallPct())
+	}
+}
+
+// Prefetch claims the given cells through the worker pool, filling the
+// in-process cache so the assembly that follows reads every cell back
+// instantly and in deterministic order — which is what makes the
+// parallel path byte-identical to the serial one. It is the only place
+// a study's cells are claimed (see Build).
+//
+// ctx stops the claiming, never a simulation: workers look at it between
+// cells, because a cell is shared across callers by Run's singleflight
+// and whoever else waits on it must still get its result. A canceled
+// Prefetch returns ctx.Err() within one cell's duration. Otherwise the
+// error is the first failing cell in list order (deterministic at any
+// worker count). Quarantined cells are not failures: the supervisor has
+// already contained them and the assemblies degrade around them, so the
+// prefetch keeps filling every other cell.
+func (r *Runner) Prefetch(ctx context.Context, cells []Cell) error {
+	_, err := parmap(ctx, r.workers(), len(cells), func(i int) error {
+		_, err := r.Run(cells[i].Bench, cells[i].Mech, cells[i].SB)
+		if isQuarantined(err) {
+			return nil
+		}
+		return err
+	})
+	return err
+}
+
+// parmap is the harness's one worker pool: it runs f(0..n-1) on up to
+// workers goroutines (the caller's included, so one worker is a plain
+// serial loop) and returns the lowest failing index with its error, or
+// (-1, nil) on a clean sweep. Indices are claimed in order and claiming
+// stops at the first failure, so every index below a failing one has
+// run and the result is the serial sweep's at any worker count. A done
+// ctx also stops the claiming, and then wins: (-1, ctx.Err()).
+func parmap(ctx context.Context, workers, n int, f func(int) error) (int, error) {
+	if workers > n {
+		workers = n
+	}
+	errs := make([]error, n)
+	claiming, stop := context.WithCancel(ctx)
+	defer stop()
+	var next atomic.Int64
+	work := func() {
+		for claiming.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if errs[i] = f(i); errs[i] != nil {
+				stop()
 			}
 		}
-		return nil
 	}
-	errs := make([]error, len(cells))
-	var next atomic.Int64
-	next.Store(-1)
 	var wg sync.WaitGroup
-	if w > len(cells) {
-		w = len(cells)
-	}
-	for i := 0; i < w; i++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(cells) {
-					return
-				}
-				_, errs[i] = r.Run(cells[i].Bench, cells[i].Mech, cells[i].SB)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !isQuarantined(err) {
-			return err
+	if err := ctx.Err(); err != nil {
+		return -1, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return i, err
 		}
 	}
-	return nil
+	return -1, nil
 }
 
 // isQuarantined reports whether err is a supervisor quarantine.
@@ -417,20 +461,6 @@ func NewSupervisor(timeout time.Duration) *supervise.Supervisor {
 	})
 }
 
-// noteDegraded records a (figure, cell) skip for the report's
-// "degraded" section; duplicates collapse.
-func (r *Runner) noteDegraded(fig, cellKey, reason string) {
-	r.degMu.Lock()
-	defer r.degMu.Unlock()
-	if r.degraded == nil {
-		r.degraded = map[string]DegradedCell{}
-	}
-	k := fig + "|" + cellKey
-	if _, dup := r.degraded[k]; !dup {
-		r.degraded[k] = DegradedCell{Figure: fig, Cell: cellKey, Reason: reason}
-	}
-}
-
 // DegradedCells returns every recorded figure degradation, sorted by
 // (figure, cell) so reports serialize deterministically. Empty (and
 // nil) on a healthy run.
@@ -454,92 +484,25 @@ func (r *Runner) DegradedCells() []DegradedCell {
 }
 
 // runCell is Run plus quarantine degradation: a quarantined cell is
-// recorded under fig and reported as ok=false with a nil error, so
-// builders skip it; any other failure propagates.
+// recorded under fig for the report's "degraded" section (duplicates
+// collapse) and reported as ok=false with a nil error, so assemblies
+// skip it; any other failure propagates.
 func (r *Runner) runCell(fig string, b workload.Benchmark, m config.Mechanism, sb int) (Result, bool, error) {
 	res, err := r.Run(b, m, sb)
 	if err == nil {
 		return res, true, nil
 	}
 	var q *supervise.Quarantined
-	if errors.As(err, &q) {
-		r.noteDegraded(fig, q.Key, q.Reason)
-		return Result{}, false, nil
+	if !errors.As(err, &q) {
+		return Result{}, false, err
 	}
-	return Result{}, false, err
-}
-
-// rowResults fetches one benchmark's full figure row: the baseline cell
-// at baseSB plus every mechanism at mechSB. ok is false when any of
-// those cells is quarantined (each quarantine is recorded under fig, and
-// the remaining cells are still probed so the degraded section lists
-// every poisoned cell, not just the first); hard errors propagate.
-func (r *Runner) rowResults(fig string, b workload.Benchmark, baseSB, mechSB int) (Result, map[config.Mechanism]Result, bool, error) {
-	base, good, err := r.runCell(fig, b, config.Baseline, baseSB)
-	if err != nil {
-		return Result{}, nil, false, err
+	r.degMu.Lock()
+	defer r.degMu.Unlock()
+	if r.degraded == nil {
+		r.degraded = map[string]DegradedCell{}
 	}
-	out := make(map[config.Mechanism]Result, len(config.Mechanisms))
-	for _, m := range config.Mechanisms {
-		res, ok, err := r.runCell(fig, b, m, mechSB)
-		if err != nil {
-			return Result{}, nil, false, err
-		}
-		if !ok {
-			good = false
-			continue
-		}
-		out[m] = res
-	}
-	return base, out, good, nil
-}
-
-// parmap runs f(0..n-1) through the worker pool and returns the error
-// with the lowest index (deterministic first failure). With one worker
-// it degrades to a plain serial loop that stops at the first error.
-func (r *Runner) parmap(n int, f func(int) error) error {
-	return parmap(r.workers(), n, f)
-}
-
-func parmap(workers, n int, f func(int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				errs[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	r.degraded[fig+"|"+q.Key] = DegradedCell{Figure: fig, Cell: q.Key, Reason: q.Reason}
+	return Result{}, false, nil
 }
 
 // Speedup returns base.Cycles / res.Cycles.
@@ -581,45 +544,27 @@ func SCurve(xs []float64) ([]float64, error) {
 
 // SortByBaselineStalls returns benchs sorted by baseline SB-stall
 // fraction (descending) at the given SB size — the paper sorts its
-// per-benchmark bars this way. An empty input returns an empty,
-// non-nil slice; an invalid benchmark surfaces Run's error.
+// per-benchmark bars this way. It reads the baseline cells through Run,
+// so inside an assembly they are already memoized. An empty input
+// returns an empty, non-nil slice; an invalid benchmark surfaces Run's
+// error.
 func (r *Runner) SortByBaselineStalls(benchs []workload.Benchmark, sb int) ([]workload.Benchmark, error) {
-	type kv struct {
-		b workload.Benchmark
-		s float64
-	}
-	cells := make([]Cell, len(benchs))
-	for i, b := range benchs {
-		cells[i] = Cell{b, config.Baseline, sb}
-	}
-	if err := r.Prefetch(cells); err != nil {
-		return nil, err
-	}
-	kvs := make([]kv, 0, len(benchs))
+	stalls := make(map[string]float64, len(benchs))
 	for _, b := range benchs {
 		res, err := r.Run(b, config.Baseline, sb)
-		if err != nil {
-			if isQuarantined(err) {
-				// A quarantined baseline sorts last; the figure builder
-				// will rediscover the quarantine per-cell and record the
-				// degradation under its own figure name.
-				kvs = append(kvs, kv{b, -1})
-				continue
-			}
+		switch {
+		case err == nil:
+			stalls[b.Name] = res.SBStallPct()
+		case isQuarantined(err):
+			// A quarantined baseline sorts last; the assembly rediscovers
+			// the quarantine per cell and records the degradation under
+			// its own figure name.
+			stalls[b.Name] = -1
+		default:
 			return nil, err
 		}
-		kvs = append(kvs, kv{b, res.SBStallPct()})
 	}
-	sort.SliceStable(kvs, func(i, j int) bool { return kvs[i].s > kvs[j].s })
-	out := make([]workload.Benchmark, len(kvs))
-	for i, x := range kvs {
-		out[i] = x.b
-	}
+	out := append([]workload.Benchmark{}, benchs...)
+	sort.SliceStable(out, func(i, j int) bool { return stalls[out[i].Name] > stalls[out[j].Name] })
 	return out, nil
-}
-
-// sbBoundSorted sorts the ST SB-bound set by baseline SB-stall
-// fraction at the given SB size.
-func (r *Runner) sbBoundSorted(sb int) ([]workload.Benchmark, error) {
-	return r.SortByBaselineStalls(workload.SBBound(), sb)
 }

@@ -22,20 +22,26 @@ type HistRow struct {
 	Hists map[string]stats.HistSnapshot
 }
 
-// Histograms runs (or fetches) the ST SB-bound matrix at the given SB
-// size and returns every cell's histograms: SB/WOQ/TSOB/MSHR occupancy,
-// drain latency, and TUS unauthorized-residency distributions. The cell
-// set matches Fig. 9's, so after a figure run everything is already
-// memoized and this is free.
-func Histograms(r *Runner, sb int) ([]HistRow, error) {
-	benchs := workload.SBBound()
-	if err := r.Prefetch(fullMatrix(benchs, sb, sb)); err != nil {
-		return nil, err
-	}
-	var rows []HistRow
-	for _, b := range benchs {
+// HistRows is the assembled histogram report.
+type HistRows []HistRow
+
+// histSpec is the histogram report: every cell of the ST SB-bound matrix
+// at one SB size — SB/WOQ/TSOB/MSHR occupancy, drain latency, and TUS
+// unauthorized-residency distributions. At 114 entries the matrix is
+// Fig. 9's, so after a figure run everything is already memoized.
+type histSpec struct{ sb int }
+
+// HistStudy returns the histogram report at the given SB size as a
+// Study (tusd's hist job builds it under the job's context).
+func HistStudy(sb int) Study { return histSpec{sb} }
+
+func (s histSpec) Cells() []Cell { return fullMatrix(workload.SBBound(), s.sb, s.sb) }
+
+func (s histSpec) Assemble(r *Runner) (Product, error) {
+	var rows HistRows
+	for _, b := range workload.SBBound() {
 		for _, m := range config.Mechanisms {
-			res, ok, err := r.runCell("histograms", b, m, sb)
+			res, ok, err := r.runCell("histograms", b, m, s.sb)
 			if err != nil {
 				return nil, err
 			}
@@ -50,14 +56,21 @@ func Histograms(r *Runner, sb int) ([]HistRow, error) {
 				names = append(names, n)
 			}
 			sort.Strings(names)
-			rows = append(rows, HistRow{Bench: b.Name, Mech: m, SB: sb, Names: names, Hists: snaps})
+			rows = append(rows, HistRow{Bench: b.Name, Mech: m, SB: s.sb, Names: names, Hists: snaps})
 		}
 	}
 	return rows, nil
 }
 
+// Histograms runs (or fetches) the histogram report at the given SB
+// size.
+func Histograms(r *Runner, sb int) ([]HistRow, error) { return built[HistRows](r, histSpec{sb}) }
+
 // PrintHistograms renders the histogram report as text.
-func PrintHistograms(w io.Writer, rows []HistRow) {
+func PrintHistograms(w io.Writer, rows []HistRow) { HistRows(rows).Print(w, "") }
+
+// Print renders the histogram report as text.
+func (rows HistRows) Print(w io.Writer, _ string) {
 	fmt.Fprintln(w, "Occupancy / latency histograms (cycles or entries; power-of-two buckets)")
 	for _, row := range rows {
 		fmt.Fprintf(w, "%s/%v/SB=%d\n", row.Bench, row.Mech, row.SB)
@@ -83,7 +96,8 @@ type HistJSON struct {
 	P99   uint64  `json:"p99_upper"`
 }
 
-func histsJSON(rows []HistRow) []HistJSON {
+// JSON flattens the report to one entry per (cell, histogram).
+func (rows HistRows) JSON() any {
 	var out []HistJSON
 	for _, row := range rows {
 		for _, n := range row.Names {

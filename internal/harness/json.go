@@ -1,37 +1,58 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"strconv"
 
 	"tusim/internal/config"
-	"tusim/internal/workload"
 )
 
 // JSONReport is the machine-readable form of the full evaluation,
-// written by `tusbench -json`.
+// written by `tusbench -json`: the scale, one section per registry row
+// under its JSON key (paper order), the histogram summary of the ST
+// SB-bound matrix at 114 SB (the Fig. 9 cells, so no extra runs), and —
+// only when a quarantined cell had to be skipped — the degraded list. A
+// report with that last section is an explicit partial result, never a
+// silent one.
 type JSONReport struct {
 	// Scale records the trace lengths the numbers were produced at.
 	Scale struct {
 		Ops         int   `json:"ops"`
 		ParallelOps int   `json:"parallel_ops"`
 		Seed        int64 `json:"seed"`
-	} `json:"scale"`
-	Fig8  []Fig8JSON    `json:"fig8_scalability"`
-	Fig9  []Fig9JSON    `json:"fig9_sb_stalls"`
-	Fig10 *SpeedupsJSON `json:"fig10_speedups_114"`
-	Fig11 *EDPJSON      `json:"fig11_edp_114"`
-	Fig12 *ParsecJSON   `json:"fig12_parsec_114"`
-	Fig13 *SpeedupsJSON `json:"fig13_speedups_32"`
-	Fig14 *ParsecJSON   `json:"fig14_parsec_32"`
-	Fig15 *EDPJSON      `json:"fig15_edp_32"`
-	// Hists summarizes every occupancy/latency histogram of the ST
-	// SB-bound matrix at 114 SB (the Fig. 9 cells, so no extra runs).
-	Hists []HistJSON `json:"histograms"`
-	// Degraded lists every quarantined cell the figure builders had to
-	// skip; absent on a healthy run. A report with this section is an
-	// explicit partial result, never a silent one.
-	Degraded []DegradedCell `json:"degraded,omitempty"`
+	}
+	Sections []JSONSection
+	Degraded []DegradedCell
+}
+
+// JSONSection is one study's JSON form under its report key.
+type JSONSection struct {
+	Key   string
+	Value any
+}
+
+// MarshalJSON writes the sections as object members in report order
+// (encoding/json would sort a map's keys and put fig10 before fig8).
+func (rep JSONReport) MarshalJSON() ([]byte, error) {
+	members := append([]JSONSection{{"scale", rep.Scale}}, rep.Sections...)
+	if len(rep.Degraded) > 0 {
+		members = append(members, JSONSection{"degraded", rep.Degraded})
+	}
+	buf := []byte{'{'}
+	for i, m := range members {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		val, err := json.Marshal(m.Value)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(strconv.AppendQuote(buf, m.Key), ':')
+		buf = append(buf, val...)
+	}
+	return append(buf, '}'), nil
 }
 
 // Fig8JSON is one scalability row.
@@ -78,7 +99,26 @@ func mechMap(m map[config.Mechanism]float64) map[string]float64 {
 	return out
 }
 
-func speedupsJSON(s *SpeedupStudy) *SpeedupsJSON {
+// JSON mirrors the scalability rows.
+func (rows Fig8Rows) JSON() any {
+	var out []Fig8JSON
+	for _, row := range rows {
+		out = append(out, Fig8JSON{Suite: row.Suite, SB: row.SB, Speedups: mechMap(row.Speedup)})
+	}
+	return out
+}
+
+// JSON mirrors the stall rows.
+func (rows Fig9Rows) JSON() any {
+	var out []Fig9JSON
+	for _, row := range rows {
+		out = append(out, Fig9JSON{Bench: row.Bench, Stalls: mechMap(row.Stalls)})
+	}
+	return out
+}
+
+// JSON mirrors SpeedupStudy.
+func (s *SpeedupStudy) JSON() any {
 	out := &SpeedupsJSON{
 		BaselineSB: s.BaselineSB,
 		MechSB:     s.MechSB,
@@ -94,7 +134,8 @@ func speedupsJSON(s *SpeedupStudy) *SpeedupsJSON {
 	return out
 }
 
-func edpJSON(s *EDPStudy) *EDPJSON {
+// JSON mirrors EDPStudy.
+func (s *EDPStudy) JSON() any {
 	out := &EDPJSON{BaselineSB: s.BaselineSB, MechSB: s.MechSB, Geomean: mechMap(s.Geomean)}
 	for _, row := range s.Rows {
 		out.Rows = append(out.Rows, Fig9JSON{Bench: row.Bench, Stalls: mechMap(row.EDP)})
@@ -102,116 +143,34 @@ func edpJSON(s *EDPStudy) *EDPJSON {
 	return out
 }
 
-// BuildJSON runs the full evaluation and assembles the report. A
-// non-nil rec records per-figure wall-clock for BENCH_harness.json.
+// JSON mirrors ParsecStudy.
+func (p *ParsecStudy) JSON() any {
+	return &ParsecJSON{Speedup: p.Speedup.JSON().(*EDPJSON), EDP: p.EDP.JSON().(*EDPJSON)}
+}
+
+// BuildJSON runs the full evaluation — every registry row, then the
+// histogram report — and assembles the report. A non-nil rec records
+// per-study wall-clock for BENCH_harness.json.
 func BuildJSON(r *Runner, rec *BenchRecorder) (*JSONReport, error) {
-	timed := func(name string, f func() error) error {
-		if rec != nil {
-			return rec.Time(name, f)
-		}
-		return f()
-	}
-	var rep JSONReport
+	rep := &JSONReport{}
 	rep.Scale.Ops = r.Ops
 	rep.Scale.ParallelOps = r.ParallelOps
 	rep.Scale.Seed = r.Seed
-
-	if err := timed("fig8", func() error {
-		rows8, err := Fig8(r)
-		if err != nil {
-			return err
+	hists := FigureSpec{Name: "histograms", jsonKey: "histograms", study: histSpec{114}}
+	for _, f := range append(Figures(), hists) {
+		if err := rec.Time(f.Name, func() error {
+			p, err := r.Build(context.Background(), f.study)
+			if err != nil {
+				return err
+			}
+			rep.Sections = append(rep.Sections, JSONSection{f.jsonKey, p.JSON()})
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		for _, row := range rows8 {
-			rep.Fig8 = append(rep.Fig8, Fig8JSON{Suite: row.Suite, SB: row.SB, Speedups: mechMap(row.Speedup)})
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := timed("fig9", func() error {
-		rows9, err := Fig9(r)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows9 {
-			rep.Fig9 = append(rep.Fig9, Fig9JSON{Bench: row.Bench, Stalls: mechMap(row.Stalls)})
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := timed("fig10", func() error {
-		s10, err := Speedups(r, 114, 114)
-		if err != nil {
-			return err
-		}
-		rep.Fig10 = speedupsJSON(s10)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := timed("fig11", func() error {
-		e11, err := EDP(r, workload.SBBound(), 114, 114)
-		if err != nil {
-			return err
-		}
-		rep.Fig11 = edpJSON(e11)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := timed("fig12", func() error {
-		p12, err := Parsec(r, 114, 114)
-		if err != nil {
-			return err
-		}
-		rep.Fig12 = &ParsecJSON{Speedup: edpJSON(p12.Speedup), EDP: edpJSON(p12.EDP)}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := timed("fig13", func() error {
-		s13, err := Speedups(r, 32, 32)
-		if err != nil {
-			return err
-		}
-		rep.Fig13 = speedupsJSON(s13)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := timed("fig14", func() error {
-		p14, err := Parsec(r, 32, 32)
-		if err != nil {
-			return err
-		}
-		rep.Fig14 = &ParsecJSON{Speedup: edpJSON(p14.Speedup), EDP: edpJSON(p14.EDP)}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := timed("fig15", func() error {
-		e15, err := EDP(r, workload.SBBound(), 32, 32)
-		if err != nil {
-			return err
-		}
-		rep.Fig15 = edpJSON(e15)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := timed("histograms", func() error {
-		rows, err := Histograms(r, 114)
-		if err != nil {
-			return err
-		}
-		rep.Hists = histsJSON(rows)
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	rep.Degraded = r.DegradedCells()
-	return &rep, nil
+	return rep, nil
 }
 
 // WriteJSON runs the full evaluation and writes it as indented JSON.

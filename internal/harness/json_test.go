@@ -14,7 +14,18 @@ func TestWriteJSON(t *testing.T) {
 	if err := WriteJSON(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	var rep JSONReport
+	// The wire schema, decoded independently of the encoder's section
+	// table: member names here are the contract with report consumers.
+	var rep struct {
+		Scale struct {
+			Ops int `json:"ops"`
+		} `json:"scale"`
+		Fig8  []Fig8JSON    `json:"fig8_scalability"`
+		Fig9  []Fig9JSON    `json:"fig9_sb_stalls"`
+		Fig10 *SpeedupsJSON `json:"fig10_speedups_114"`
+		Fig12 *ParsecJSON   `json:"fig12_parsec_114"`
+		Hists []HistJSON    `json:"histograms"`
+	}
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
@@ -26,6 +37,9 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if rep.Fig12 == nil || rep.Fig12.EDP == nil {
 		t.Fatal("fig12 missing")
+	}
+	if len(rep.Hists) == 0 {
+		t.Fatal("histograms missing")
 	}
 	if rep.Scale.Ops != 2500 {
 		t.Fatalf("scale.ops = %d", rep.Scale.Ops)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -58,7 +59,7 @@ func TestParallelResultStructs(t *testing.T) {
 				cells = append(cells, Cell{b, m, 114})
 			}
 		}
-		if err := r.Prefetch(cells); err != nil {
+		if err := r.Prefetch(context.Background(), cells); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		out := make([]Result, len(cells))
@@ -98,7 +99,7 @@ func TestPrefetchDeterministicError(t *testing.T) {
 		r := NewQuickRunner()
 		r.Ops = 1000
 		r.Workers = w
-		err := r.Prefetch(cells)
+		err := r.Prefetch(context.Background(), cells)
 		if err == nil {
 			t.Fatalf("workers=%d: Prefetch accepted an invalid benchmark", w)
 		}
@@ -117,7 +118,7 @@ func TestRunSingleflight(t *testing.T) {
 	b, _ := workload.ByName("503.bw2")
 	const callers = 8
 	results := make([]Result, callers)
-	if err := parmap(callers, callers, func(i int) error {
+	if _, err := parmap(context.Background(), callers, callers, func(i int) error {
 		res, err := r.Run(b, config.TUS, 114)
 		results[i] = res
 		return err
@@ -206,7 +207,7 @@ func TestRunRejectsInvalidBenchmark(t *testing.T) {
 func TestParmapOrderAndError(t *testing.T) {
 	for _, w := range []int{1, 3, 16} {
 		var hits [40]int32
-		if err := parmap(w, len(hits), func(i int) error {
+		if _, err := parmap(context.Background(), w, len(hits), func(i int) error {
 			hits[i]++
 			return nil
 		}); err != nil {
@@ -217,14 +218,14 @@ func TestParmapOrderAndError(t *testing.T) {
 				t.Fatalf("workers=%d: index %d ran %d times", w, i, h)
 			}
 		}
-		err := parmap(w, 10, func(i int) error {
+		at, err := parmap(context.Background(), w, 10, func(i int) error {
 			if i >= 4 {
 				return fmt.Errorf("boom %d", i)
 			}
 			return nil
 		})
-		if err == nil || err.Error() != "boom 4" {
-			t.Fatalf("workers=%d: first-in-order error = %v, want boom 4", w, err)
+		if at != 4 || err == nil || err.Error() != "boom 4" {
+			t.Fatalf("workers=%d: first-in-order failure = %d, %v, want 4, boom 4", w, at, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -8,13 +9,15 @@ import (
 )
 
 // This file is the single registry of everything the evaluation can
-// produce: which figures exist, which benchmarks exist, and which
-// simulation cells each figure runs. `tusbench -list`, tusd's
-// GET /v1/figures, and the server's per-job progress accounting all
-// read the same tables, so the CLI and the service can never disagree
-// about what is servable.
+// produce: which figures exist, which benchmarks exist, and — through
+// each row's Study — which simulation cells a figure reads and how it is
+// assembled. `tusbench -list`, `tusbench -fig`, `tusbench -json`, tusd's
+// GET /v1/figures and its job plans all read this one table, so the CLI
+// and the service can never disagree about what is servable.
 
-// FigureSpec describes one regenerable figure of Sec. VI.
+// FigureSpec is one row of the registry: a regenerable figure of
+// Sec. VI. It is itself a Study — the row's study under its figure
+// label, printed the way `tusbench -fig <n>` prints it.
 type FigureSpec struct {
 	// Fig is the paper's figure number (8-15).
 	Fig int
@@ -22,22 +25,21 @@ type FigureSpec struct {
 	Name string
 	// Title is the one-line human description.
 	Title string
-	// DegradeTags are the figure tags the builders record quarantine
-	// degradations under; a served figure response surfaces every
-	// DegradedCell whose Figure field matches one of these.
-	DegradeTags []string
+	// jsonKey is the figure's member name in the `tusbench -json` report.
+	jsonKey string
+	study   Study
 }
 
 // figureSpecs lists every figure in paper order.
 var figureSpecs = []FigureSpec{
-	{8, "fig8", "geomean speedup vs 114-entry-SB baseline, by SB size and suite", []string{"fig8"}},
-	{9, "fig9", "SB-induced dispatch stalls (% of cycles), 114-entry SB, ST SB-bound", []string{"fig9"}},
-	{10, "fig10", "speedup S-curve + SB-bound breakdown vs 114-entry-SB baseline", []string{"speedups_114_114"}},
-	{11, "fig11", "normalized EDP @114 SB, ST SB-bound", []string{"edp_114_114"}},
-	{12, "fig12", "Parsec speedup + EDP @114 SB", []string{"parsec_114_114", "edp_114_114"}},
-	{13, "fig13", "speedup S-curve + SB-bound breakdown vs 32-entry-SB baseline", []string{"speedups_32_32"}},
-	{14, "fig14", "Parsec speedup + EDP @32 SB", []string{"parsec_32_32", "edp_32_32"}},
-	{15, "fig15", "normalized EDP @32 SB, ST SB-bound", []string{"edp_32_32"}},
+	{8, "fig8", "geomean speedup vs 114-entry-SB baseline, by SB size and suite", "fig8_scalability", fig8Spec{}},
+	{9, "fig9", "SB-induced dispatch stalls (% of cycles), 114-entry SB, ST SB-bound", "fig9_sb_stalls", fig9Spec{}},
+	{10, "fig10", "speedup S-curve + SB-bound breakdown vs 114-entry-SB baseline", "fig10_speedups_114", speedupSpec{114, 114}},
+	{11, "fig11", "normalized EDP @114 SB, ST SB-bound", "fig11_edp_114", edpSpec{workload.SBBound(), 114, 114}},
+	{12, "fig12", "Parsec speedup + EDP @114 SB", "fig12_parsec_114", parsecSpec{114, 114}},
+	{13, "fig13", "speedup S-curve + SB-bound breakdown vs 32-entry-SB baseline", "fig13_speedups_32", speedupSpec{32, 32}},
+	{14, "fig14", "Parsec speedup + EDP @32 SB", "fig14_parsec_32", parsecSpec{32, 32}},
+	{15, "fig15", "normalized EDP @32 SB, ST SB-bound", "fig15_edp_32", edpSpec{workload.SBBound(), 32, 32}},
 }
 
 // Figures returns every regenerable figure in paper order.
@@ -55,62 +57,47 @@ func FigureByNum(fig int) (FigureSpec, bool) {
 	return FigureSpec{}, false
 }
 
+// Cells is the figure's raw matrix.
+func (f FigureSpec) Cells() []Cell { return f.study.Cells() }
+
+// Assemble assembles the row's study under its figure label.
+func (f FigureSpec) Assemble(r *Runner) (Product, error) {
+	p, err := f.study.Assemble(r)
+	if err != nil {
+		return nil, err
+	}
+	return figureProduct{p, fmt.Sprintf("Figure %d", f.Fig)}, nil
+}
+
+// figureProduct prints a product in the exact byte form
+// `tusbench -fig <n>` prints: the table under its figure label followed
+// by one blank line. tusd serves these same bytes, which is what makes a
+// network fetch diffable against the CLI.
+type figureProduct struct {
+	Product
+	figure string
+}
+
+func (p figureProduct) Print(w io.Writer, _ string) {
+	p.Product.Print(w, p.figure)
+	fmt.Fprintln(w)
+}
+
 // CellKey renders the cell's in-process identity, matching Runner.Run's
 // singleflight key ("bench/mech/sb") and the journal's cell records.
 func CellKey(c Cell) string {
 	return fmt.Sprintf("%s/%v/%d", c.Bench.Name, c.Mech, c.SB)
 }
 
-// FigureCells returns the figure's full simulation cell list, deduped
-// in first-appearance order — exactly the distinct cells a cold
-// regeneration simulates. An unknown figure returns nil.
-func FigureCells(fig int) []Cell {
-	var raw []Cell
-	switch fig {
-	case 8:
-		raw = fig8Cells()
-	case 9:
-		raw = fullMatrix(workload.SBBound(), 114, 114)
-	case 10:
-		raw = fullMatrix(workload.All(), 114, 114)
-	case 11:
-		raw = fullMatrix(workload.SBBound(), 114, 114)
-	case 12:
-		raw = fullMatrix(workload.BySuite(workload.Parsec), 114, 114)
-	case 13:
-		raw = fullMatrix(workload.All(), 32, 32)
-	case 14:
-		raw = fullMatrix(workload.BySuite(workload.Parsec), 32, 32)
-	case 15:
-		raw = fullMatrix(workload.SBBound(), 32, 32)
-	default:
-		return nil
-	}
-	seen := make(map[string]bool, len(raw))
-	out := make([]Cell, 0, len(raw))
-	for _, c := range raw {
-		k := CellKey(c)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// FigureCellUnion returns the distinct union of the given figures'
-// cells, deduped by CellKey in first-appearance order across the
-// figures as listed. Its length is the registry's expected exactly-once
-// cell total for a cold run that regenerates exactly those figures:
-// tusload asserts the daemon's cells_run counter lands on it. Unknown
-// figure numbers contribute nothing.
-func FigureCellUnion(figs ...int) []Cell {
+// CellUnion returns the distinct cells of the given lists, deduped by
+// CellKey in first-appearance order — exactly the cells a cold build of
+// those lists simulates.
+func CellUnion(lists ...[]Cell) []Cell {
 	seen := map[string]bool{}
 	var out []Cell
-	for _, f := range figs {
-		for _, c := range FigureCells(f) {
-			k := CellKey(c)
-			if !seen[k] {
+	for _, cells := range lists {
+		for _, c := range cells {
+			if k := CellKey(c); !seen[k] {
 				seen[k] = true
 				out = append(out, c)
 			}
@@ -119,64 +106,37 @@ func FigureCellUnion(figs ...int) []Cell {
 	return out
 }
 
+// FigureCells returns the figure's distinct simulation cells in
+// first-appearance order. An unknown figure returns nil.
+func FigureCells(fig int) []Cell { return FigureCellUnion(fig) }
+
+// FigureCellUnion returns the distinct union of the given figures'
+// cells. Its length is the registry's expected exactly-once cell total
+// for a cold run that regenerates exactly those figures: tusload asserts
+// the daemon's cells_run counter lands on it. Unknown figure numbers
+// contribute nothing.
+func FigureCellUnion(figs ...int) []Cell {
+	var lists [][]Cell
+	for _, fig := range figs {
+		if f, ok := FigureByNum(fig); ok {
+			lists = append(lists, f.Cells())
+		}
+	}
+	return CellUnion(lists...)
+}
+
 // RenderFigure regenerates figure fig through r and writes it to w in
-// the exact byte form `tusbench -fig <n>` prints: the table followed by
-// one blank line. tusd serves these same bytes, which is what makes a
-// network fetch diffable against the CLI.
+// the byte form `tusbench -fig <n>` prints.
 func RenderFigure(r *Runner, fig int, w io.Writer) error {
-	switch fig {
-	case 8:
-		rows, err := Fig8(r)
-		if err != nil {
-			return err
-		}
-		PrintFig8(w, rows)
-	case 9:
-		rows, err := Fig9(r)
-		if err != nil {
-			return err
-		}
-		PrintFig9(w, rows)
-	case 10:
-		s, err := Speedups(r, 114, 114)
-		if err != nil {
-			return err
-		}
-		s.Print(w, "Figure 10")
-	case 11:
-		s, err := EDP(r, workload.SBBound(), 114, 114)
-		if err != nil {
-			return err
-		}
-		s.Print(w, "Figure 11")
-	case 12:
-		s, err := Parsec(r, 114, 114)
-		if err != nil {
-			return err
-		}
-		s.Print(w, "Figure 12")
-	case 13:
-		s, err := Speedups(r, 32, 32)
-		if err != nil {
-			return err
-		}
-		s.Print(w, "Figure 13")
-	case 14:
-		s, err := Parsec(r, 32, 32)
-		if err != nil {
-			return err
-		}
-		s.Print(w, "Figure 14")
-	case 15:
-		s, err := EDP(r, workload.SBBound(), 32, 32)
-		if err != nil {
-			return err
-		}
-		s.Print(w, "Figure 15")
-	default:
+	f, ok := FigureByNum(fig)
+	if !ok {
 		return fmt.Errorf("unknown figure %d", fig)
 	}
-	fmt.Fprintln(w)
+	p, err := r.Build(context.Background(), f)
+	if err != nil {
+		return err
+	}
+	p.Print(w, "")
 	return nil
 }
 
@@ -215,7 +175,7 @@ func List() ListReport {
 			Fig:   f.Fig,
 			Name:  f.Name,
 			Title: f.Title,
-			Cells: len(FigureCells(f.Fig)),
+			Cells: len(CellUnion(f.Cells())),
 		})
 	}
 	for _, b := range workload.All() {

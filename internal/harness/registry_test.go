@@ -1,9 +1,14 @@
 package harness
 
 import (
+	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"tusim/internal/config"
 	"tusim/internal/workload"
@@ -33,9 +38,6 @@ func TestRegistryCoversEveryFigure(t *testing.T) {
 				t.Errorf("fig%d: duplicate cell %s", f.Fig, k)
 			}
 			seen[k] = true
-		}
-		if len(f.DegradeTags) == 0 {
-			t.Errorf("fig%d: no degrade tags (quarantine would be invisible)", f.Fig)
 		}
 	}
 	if _, ok := FigureByNum(7); ok {
@@ -136,5 +138,47 @@ func TestFigureCellUnion(t *testing.T) {
 	}
 	if len(union) != 2*n9 {
 		t.Errorf("union(9,15,11) = %d, want %d", len(union), 2*n9)
+	}
+}
+
+// TestStudyCellsCannotDrift holds every Study to its own declaration: a
+// cold build on a fresh runner completes exactly the cells Cells() names
+// — none missing (the prefetch would be incomplete and assembly would
+// simulate serially) and none extra (tusd's progress totals, tusload's
+// exactly-once count and a job's degraded list would all be wrong).
+func TestStudyCellsCannotDrift(t *testing.T) {
+	studies := map[string]Study{"hist@114": HistStudy(114)}
+	for _, f := range Figures() {
+		studies[f.Name] = f
+	}
+	for name, st := range studies {
+		t.Run(name, func(t *testing.T) {
+			r := NewQuickRunner()
+			r.Ops = 1000
+			r.ParallelOps = 150
+			r.Workers = 4
+			var mu sync.Mutex
+			var got []string
+			r.OnCellDone = func(key string, _ bool, _ time.Duration, err error) {
+				if err != nil {
+					t.Errorf("cell %s: %v", key, err)
+				}
+				mu.Lock()
+				got = append(got, key)
+				mu.Unlock()
+			}
+			if _, err := r.Build(context.Background(), st); err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, c := range CellUnion(st.Cells()) {
+				want = append(want, CellKey(c))
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("cells completed != cells declared\n got %v\nwant %v", got, want)
+			}
+		})
 	}
 }

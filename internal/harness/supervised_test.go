@@ -1,16 +1,20 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tusim/internal/config"
 	"tusim/internal/faults"
 	"tusim/internal/supervise"
 	"tusim/internal/system"
+	"tusim/internal/trace"
 	"tusim/internal/workload"
 )
 
@@ -181,5 +185,52 @@ func TestSupervisedFigureDegrades(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("degraded section %+v does not name %s under fig9", deg, poison)
+	}
+}
+
+// TestSupervisedDeadlineMissPublishesOnce: the supervisor gives up on an
+// attempt that overruns its deadline and retries, but the overrun
+// attempt keeps running and finishes later. Only the winning attempt may
+// be published — one cells_run, one trace callback — or tusload's
+// exactly-once invariant and BENCH_harness.json's cells_run both break.
+func TestSupervisedDeadlineMissPublishesOnce(t *testing.T) {
+	b, _ := workload.ByName("503.bw2")
+	r := NewQuickRunner()
+	r.Ops = 500 // ~40 ms under -race: far inside the retry's deadline
+	r.Trace = true
+	r.Supervisor = NewSupervisor(time.Second)
+	var traces atomic.Int64
+	r.OnTrace = func(string, *trace.Tracer) { traces.Add(1) }
+	release := make(chan struct{})
+	var calls atomic.Int64
+	r.testHookSim = func(string) error {
+		if calls.Add(1) == 1 {
+			<-release // stall the first attempt past its deadline
+		}
+		return nil
+	}
+	if _, err := r.Run(b, config.TUS, 114); err != nil {
+		t.Fatalf("retry after the deadline miss failed: %v", err)
+	}
+	if n := r.Supervisor.Retries(); n != 1 {
+		t.Fatalf("retries = %d, want 1", n)
+	}
+	// Let the overrun attempt simulate to completion, and wait until no
+	// attempt goroutine is left.
+	close(release)
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Supervisor).attempt")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("overrun attempt never returned")
+		}
+	}
+	if n := r.CacheStats().CellsRun; n != 1 {
+		t.Fatalf("cells_run = %d after one cell (overrun attempt + retry), want 1", n)
+	}
+	if n := traces.Load(); n != 1 {
+		t.Fatalf("OnTrace fired %d times for one cell, want 1", n)
 	}
 }

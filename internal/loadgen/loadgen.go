@@ -896,7 +896,7 @@ func (l *Loader) ResetMetricsBaseline() {
 }
 
 // CheckExactlyOnce waits for the daemon to quiesce (jobs_inflight 0 —
-// abandoned builds included) and then requires tusd_cells_run_total to
+// canceled ones included) and then requires tusd_cells_run_total to
 // equal the registry's expected cell total: every distinct cell
 // simulated exactly once, none skipped, none repeated.
 func (l *Loader) CheckExactlyOnce(ctx context.Context, when string) error {

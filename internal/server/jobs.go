@@ -21,9 +21,8 @@ import (
 	"tusim/internal/workload"
 )
 
-// Job states. A job is terminal in exactly one of done/failed/canceled;
-// the first transition wins (a canceled job whose abandoned build later
-// completes stays canceled).
+// Job states. A job is terminal in exactly one of done/failed/canceled,
+// and terminal states are immutable.
 const (
 	JobQueued   = "queued"
 	JobRunning  = "running"
@@ -73,8 +72,9 @@ type JobJSON struct {
 	// Coalesced counts later identical requests that attached to this
 	// job instead of starting their own.
 	Coalesced int `json:"coalesced"`
-	// Degraded lists quarantined cells the figure builders skipped; a
-	// response carrying this section is an explicit partial result.
+	// Degraded lists the job's own cells that are quarantined, which its
+	// product therefore skipped; a response carrying this section is an
+	// explicit partial result.
 	Degraded   []harness.DegradedCell `json:"degraded,omitempty"`
 	CreatedAt  string                 `json:"created_at"`
 	StartedAt  string                 `json:"started_at,omitempty"`
@@ -199,18 +199,17 @@ func (j *Job) stateEventLocked() sseEvent {
 	return sseEvent{name: "state", data: data}
 }
 
-// jobPlan is a validated, runnable job: its coalesce key, its known
-// cell matrix (nil for litmus jobs, which do not go through the
-// Runner), and the build function.
+// jobPlan is a validated, runnable job: its coalesce key, its distinct
+// cells (nil for litmus jobs, which do not go through the Runner), and
+// the build function.
 type jobPlan struct {
 	kind        string
 	name        string
 	key         string
 	cells       []harness.Cell
-	degradeTags []string
 	contentType string
-	// total overrides the progress denominator for jobs whose work does
-	// not flow through the Runner (litmus); 0 means len(cells).
+	// total is the progress denominator: len(cells), or the model-check
+	// cell count for litmus jobs.
 	total int
 	// timed, when non-empty, records the build's wall-clock under this
 	// name in the server's BenchRecorder (the /v1/bench trajectory).
@@ -250,80 +249,46 @@ func (s *Server) cellsKey(kind, extra string, cells []harness.Cell) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// studyPlan compiles a Runner-backed job. Figure, hist and cells jobs
+// are all this one plan: prefetch the study's cells under the job's
+// context, then assemble and print. extra distinguishes jobs of one kind
+// that share a matrix.
+func (s *Server) studyPlan(kind, name, extra, contentType, timed string, st harness.Study) *jobPlan {
+	cells := harness.CellUnion(st.Cells())
+	return &jobPlan{
+		kind:        kind,
+		name:        name,
+		key:         s.cellsKey(kind, extra, cells),
+		cells:       cells,
+		contentType: contentType,
+		total:       len(cells),
+		timed:       timed,
+		run: func(ctx context.Context, _ *Job) ([]byte, error) {
+			p, err := s.r.Build(ctx, st)
+			if err != nil {
+				return nil, err
+			}
+			var buf bytes.Buffer
+			p.Print(&buf, "")
+			return buf.Bytes(), nil
+		},
+	}
+}
+
 func (s *Server) planFigure(fig int) (*jobPlan, error) {
 	spec, ok := harness.FigureByNum(fig)
 	if !ok {
 		return nil, fmt.Errorf("unknown figure %d (GET /v1/figures lists the servable set)", fig)
 	}
-	cells := harness.FigureCells(fig)
-	return &jobPlan{
-		kind:        "figure",
-		name:        spec.Name,
-		key:         s.cellsKey("figure", spec.Name, cells),
-		cells:       cells,
-		degradeTags: spec.DegradeTags,
-		contentType: "text/plain; charset=utf-8",
-		timed:       spec.Name,
-		run: func(ctx context.Context, j *Job) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := harness.RenderFigure(s.r, fig, &buf); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-	}, nil
+	return s.studyPlan("figure", spec.Name, spec.Name, "text/plain; charset=utf-8", spec.Name, spec), nil
 }
 
 func (s *Server) planHist(sb int) (*jobPlan, error) {
 	if sb <= 0 {
 		return nil, fmt.Errorf("hist: sb must be positive, got %d", sb)
 	}
-	cells := dedupCells(fullHistMatrix(sb))
 	name := fmt.Sprintf("hist@%d", sb)
-	return &jobPlan{
-		kind:        "hist",
-		name:        name,
-		key:         s.cellsKey("hist", name, cells),
-		cells:       cells,
-		degradeTags: []string{"histograms"},
-		contentType: "text/plain; charset=utf-8",
-		run: func(ctx context.Context, j *Job) ([]byte, error) {
-			rows, err := harness.Histograms(s.r, sb)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			harness.PrintHistograms(&buf, rows)
-			return buf.Bytes(), nil
-		},
-	}, nil
-}
-
-// fullHistMatrix mirrors harness.Histograms's cell set: the ST SB-bound
-// matrix at one SB size.
-func fullHistMatrix(sb int) []harness.Cell {
-	var cells []harness.Cell
-	for _, b := range workload.SBBound() {
-		cells = append(cells, harness.Cell{Bench: b, Mech: config.Baseline, SB: sb})
-		for _, m := range config.Mechanisms {
-			cells = append(cells, harness.Cell{Bench: b, Mech: m, SB: sb})
-		}
-	}
-	return cells
-}
-
-// dedupCells drops duplicate cell keys, keeping first-appearance order.
-func dedupCells(cells []harness.Cell) []harness.Cell {
-	seen := make(map[string]bool, len(cells))
-	out := make([]harness.Cell, 0, len(cells))
-	for _, c := range cells {
-		k := harness.CellKey(c)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, c)
-		}
-	}
-	return out
+	return s.studyPlan("hist", name, name, "text/plain; charset=utf-8", "", harness.HistStudy(sb)), nil
 }
 
 // cellRow is one cell-matrix result row.
@@ -368,55 +333,47 @@ func (s *Server) planCells(req JobRequest) (*jobPlan, error) {
 			}
 		}
 	}
-	cells = dedupCells(cells)
-	name := fmt.Sprintf("cells(%d)", len(cells))
-	return &jobPlan{
-		kind:        "cells",
-		name:        name,
-		key:         s.cellsKey("cells", "", cells),
-		cells:       cells,
-		contentType: "application/json",
-		run: func(ctx context.Context, j *Job) ([]byte, error) {
-			// Prefetch fans the matrix out to the worker pool; rows then
-			// assemble in deterministic request order. Cancellation is
-			// honored between rows.
-			if err := s.r.Prefetch(cells); err != nil {
-				return nil, err
-			}
-			rows := make([]cellRow, 0, len(cells))
-			for _, c := range cells {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				row := cellRow{Bench: c.Bench.Name, Mech: c.Mech.String(), SB: c.SB}
-				res, err := s.r.Run(c.Bench, c.Mech, c.SB)
-				switch {
-				case err == nil:
-					row.Cycles = res.Cycles
-					row.SBStallPct = res.SBStallPct()
-					row.EDP = res.EDP
-				case isQuarantined(err):
-					row.Quarantined = err.Error()
-				default:
-					return nil, err
-				}
-				rows = append(rows, row)
-			}
-			data, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			return append(data, '\n'), nil
-		},
-	}, nil
+	cells = harness.CellUnion(cells)
+	return s.studyPlan("cells", fmt.Sprintf("cells(%d)", len(cells)), "", "application/json", "", cellMatrix(cells)), nil
 }
 
-// isQuarantined reports whether err is a supervisor quarantine (the
-// cells job surfaces these per-row instead of failing the job).
-func isQuarantined(err error) bool {
-	var q *supervise.Quarantined
-	return errors.As(err, &q)
+// cellMatrix is the cells job's Study: the requested cells, assembled
+// as one JSON row each in request order.
+type cellMatrix []harness.Cell
+
+func (m cellMatrix) Cells() []harness.Cell { return m }
+
+func (m cellMatrix) Assemble(r *harness.Runner) (harness.Product, error) {
+	rows := make([]cellRow, 0, len(m))
+	for _, c := range m {
+		row := cellRow{Bench: c.Bench.Name, Mech: c.Mech.String(), SB: c.SB}
+		res, err := r.Run(c.Bench, c.Mech, c.SB)
+		var q *supervise.Quarantined
+		switch {
+		case err == nil:
+			row.Cycles = res.Cycles
+			row.SBStallPct = res.SBStallPct()
+			row.EDP = res.EDP
+		case errors.As(err, &q):
+			// Quarantines surface per row instead of failing the job.
+			row.Quarantined = err.Error()
+		default:
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	data, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return cellsJSON(append(data, '\n')), nil
 }
+
+// cellsJSON is an assembled cell matrix, already encoded.
+type cellsJSON []byte
+
+func (d cellsJSON) Print(w io.Writer, _ string) { w.Write(d) }
+func (d cellsJSON) JSON() any                   { return json.RawMessage(d) }
 
 func (s *Server) planLitmus(req JobRequest) (*jobPlan, error) {
 	tests := litmus.Tests()
@@ -483,16 +440,14 @@ func (s *Server) planLitmus(req JobRequest) (*jobPlan, error) {
 						unsound++
 					}
 					done++
-					s.jobCellEvent(j, fmt.Sprintf("%s/%v", lt.Name, m), false, 0, done, total, nil)
+					j.mu.Lock()
+					j.cellEventLocked(fmt.Sprintf("%s/%v", lt.Name, m), false, 0, done, nil)
+					j.mu.Unlock()
 				}
 			}
 			if unsound > 0 {
 				// The report text is still the job output; the error marks
 				// the job failed so clients cannot mistake it for a pass.
-				j.mu.Lock()
-				j.output = buf.Bytes()
-				j.contentType = "text/plain; charset=utf-8"
-				j.mu.Unlock()
 				return buf.Bytes(), fmt.Errorf("unsound: %d litmus cell(s) produced TSO-forbidden behaviour", unsound)
 			}
 			return buf.Bytes(), nil

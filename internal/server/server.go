@@ -8,10 +8,11 @@
 // SSE; /metrics exposes Prometheus text with no dependencies.
 //
 // Determinism contract: a figure job's bytes are exactly what
-// `tusbench -fig <n>` prints for the same scale flags — the server
-// calls the same harness.RenderFigure the CLI does, and the harness's
-// parallel/cached paths are byte-identical by construction. The CI
-// smoke job diffs the two byte-for-byte.
+// `tusbench -fig <n>` prints for the same scale flags — the job builds
+// the same registry row (a harness.Study) that harness.RenderFigure
+// builds for the CLI, and the harness's parallel/cached paths are
+// byte-identical by construction. The CI smoke job diffs the two
+// byte-for-byte.
 package server
 
 import (
@@ -134,28 +135,23 @@ func (s *Server) onCellDone(key string, cached bool, d time.Duration, err error)
 	}
 	s.mu.Lock()
 	waiters := s.byCell[key]
-	var jobs []*Job
-	for j := range waiters {
-		jobs = append(jobs, j)
-	}
-	delete(s.byCell, key)
+	delete(s.byCell, key) // the set is this call's alone from here on
 	s.mu.Unlock()
-	for _, j := range jobs {
+	for j := range waiters {
 		s.deliverCell(j, key, cached, d, err)
 	}
 }
 
 // deliverCell updates one job's progress for a completed cell and
-// broadcasts the event. Idempotent per (job, cell): late zombie
-// completions after a supervised deadline cannot double-count.
+// broadcasts the event. Idempotent per (job, cell), and a no-op once the
+// job is terminal (finalize drops the pending set).
 func (s *Server) deliverCell(j *Job, key string, cached bool, d time.Duration, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if !j.pending[key] {
-		j.mu.Unlock()
 		return
 	}
 	delete(j.pending, key)
-	j.cellsDone++
 	if err == nil {
 		if cached {
 			j.cellsCached++
@@ -163,11 +159,19 @@ func (s *Server) deliverCell(j *Job, key string, cached bool, d time.Duration, e
 			j.cellsRun++
 		}
 	}
+	j.cellEventLocked(key, cached, d.Seconds(), j.cellsDone+1, err)
+}
+
+// cellEventLocked records that done cells have completed and broadcasts
+// the per-cell progress event; callers hold mu. The litmus job calls it
+// directly, since model-check cells do not flow through the harness.
+func (j *Job) cellEventLocked(cell string, cached bool, seconds float64, done int, err error) {
+	j.cellsDone = done
 	ev := map[string]any{
-		"cell":    key,
+		"cell":    cell,
 		"cached":  cached,
-		"seconds": d.Seconds(),
-		"done":    j.cellsDone,
+		"seconds": seconds,
+		"done":    done,
 		"total":   j.cellsTotal,
 	}
 	if err != nil {
@@ -175,28 +179,6 @@ func (s *Server) deliverCell(j *Job, key string, cached bool, d time.Duration, e
 	}
 	data, _ := json.Marshal(ev)
 	j.broadcast(sseEvent{name: "cell", data: data})
-	j.mu.Unlock()
-}
-
-// jobCellEvent reports direct (non-Runner) per-cell progress; the
-// litmus job uses it since model-check cells do not flow through the
-// harness.
-func (s *Server) jobCellEvent(j *Job, cell string, cached bool, seconds float64, done, total int, err error) {
-	j.mu.Lock()
-	j.cellsDone = done
-	ev := map[string]any{
-		"cell":    cell,
-		"cached":  cached,
-		"seconds": seconds,
-		"done":    done,
-		"total":   total,
-	}
-	if err != nil {
-		ev["error"] = err.Error()
-	}
-	data, _ := json.Marshal(ev)
-	j.broadcast(sseEvent{name: "cell", data: data})
-	j.mu.Unlock()
 }
 
 // Submit validates req, coalesces it against in-flight jobs, and
@@ -210,7 +192,6 @@ func (s *Server) Submit(req JobRequest) (*Job, bool, error) {
 	if s.draining.Load() {
 		return nil, false, errDraining
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	if j := s.inflight[p.key]; j != nil {
 		j.mu.Lock()
@@ -218,9 +199,9 @@ func (s *Server) Submit(req JobRequest) (*Job, bool, error) {
 		j.mu.Unlock()
 		s.coalescedN.Add(1)
 		s.mu.Unlock()
-		cancel()
 		return j, true, nil
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	s.seq++
 	j := &Job{
 		ID:          fmt.Sprintf("j%d", s.seq),
@@ -231,12 +212,9 @@ func (s *Server) Submit(req JobRequest) (*Job, bool, error) {
 		contentType: p.contentType,
 		created:     time.Now(),
 		pending:     make(map[string]bool, len(p.cells)),
-		cellsTotal:  len(p.cells),
+		cellsTotal:  p.total,
 		done:        make(chan struct{}),
 		cancel:      cancel,
-	}
-	if p.total > 0 {
-		j.cellsTotal = p.total
 	}
 	for _, c := range p.cells {
 		k := harness.CellKey(c)
@@ -281,21 +259,25 @@ func (s *Server) evictLocked() {
 	s.order = kept
 }
 
+// isTerminal reports whether state is one of the three final states.
+func isTerminal(state string) bool {
+	return state == JobDone || state == JobFailed || state == JobCanceled
+}
+
 // terminal reports whether the job has reached a final state.
 func (j *Job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
-	case JobDone, JobFailed, JobCanceled:
-		return true
-	}
-	return false
+	return isTerminal(j.state)
 }
 
-// runJob drives one job: pool admission, per-job deadline, build, and
-// idempotent finalization. The build goroutine is never killed — on
-// cancel or deadline it is abandoned (its cells keep warming the shared
-// cache) and runJob waits for it so drain has a precise meaning.
+// runJob drives one job on its own goroutine: pool admission, per-job
+// deadline, build, finalization. Cancel and -job-timeout are one
+// mechanism — the job's context — and it acts where the plan claims
+// work: between cells, never inside one (a cell may be shared with
+// another job through the Runner's singleflight). So a stopped job
+// returns, and frees its pool slot, within one cell's duration, and
+// drain has nothing to wait for but this function.
 func (s *Server) runJob(ctx context.Context, j *Job, p *jobPlan) {
 	defer s.builds.Done()
 	select {
@@ -316,62 +298,60 @@ func (s *Server) runJob(ctx context.Context, j *Job, p *jobPlan) {
 	j.broadcast(j.stateEventLocked())
 	j.mu.Unlock()
 
-	innerDone := make(chan struct{})
-	var out []byte
-	var err error
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("job panicked: %v", v)
-			}
-			close(innerDone)
-		}()
-		run := func() error {
-			out, err = p.run(ctx, j)
-			return err
-		}
-		if p.timed != "" {
-			s.rec.Time(p.timed, run)
-		} else {
-			run()
-		}
-	}()
-	select {
-	case <-innerDone:
-		switch {
-		case err == nil:
-			s.finalize(j, p, JobDone, out, "")
-		case errors.Is(err, context.Canceled):
-			s.finalize(j, p, JobCanceled, nil, "canceled")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.finalize(j, p, JobFailed, nil, fmt.Sprintf("job deadline exceeded (%v)", s.o.JobTimeout))
-		default:
-			s.finalize(j, p, JobFailed, out, err.Error())
-		}
-	case <-ctx.Done():
-		if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
-			s.finalize(j, p, JobFailed, nil, fmt.Sprintf("job deadline exceeded (%v)", s.o.JobTimeout))
-		} else {
-			s.finalize(j, p, JobCanceled, nil, "canceled")
-		}
-		// Wait out the abandoned build so the pool slot stays accounted
-		// and drain means "no build running anywhere".
-		<-innerDone
+	out, err := s.build(ctx, j, p)
+	switch {
+	case err == nil:
+		s.finalize(j, p, JobDone, out, "")
+	case errors.Is(err, context.Canceled):
+		s.finalize(j, p, JobCanceled, nil, "canceled")
+	case errors.Is(err, context.DeadlineExceeded):
+		s.finalize(j, p, JobFailed, nil, fmt.Sprintf("job deadline exceeded (%v)", s.o.JobTimeout))
+	default:
+		s.finalize(j, p, JobFailed, out, err.Error())
 	}
 }
 
-// finalize commits the job's terminal state exactly once: the first
-// transition wins, later calls are no-ops.
+// build runs the plan, recording its wall-clock when the plan is timed;
+// a panic in the plan becomes the job's error.
+func (s *Server) build(ctx context.Context, j *Job, p *jobPlan) (out []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("job panicked: %v", v)
+		}
+	}()
+	rec := s.rec
+	if p.timed == "" {
+		rec = nil
+	}
+	err = rec.Time(p.timed, func() (err error) {
+		out, err = p.run(ctx, j)
+		return err
+	})
+	return out, err
+}
+
+// finalize commits the job's terminal state; runJob calls it exactly
+// once per job.
 func (s *Server) finalize(j *Job, p *jobPlan, state string, out []byte, errMsg string) {
-	deg := s.degradedFor(p)
+	var deg []harness.DegradedCell
+	if state == JobDone {
+		deg = s.degraded(j.Name, p.cells)
+	}
 	s.mu.Lock()
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
+	// Counted before the state is visible: whoever sees the job terminal
+	// also sees it gone from tusd_jobs_inflight.
+	s.jobsCompleted[[2]string{j.Kind, state}]++
+	s.jobsInflight.Add(-1)
+	// Unregister the cells the job never saw complete. deliverCell, on
+	// another job's worker, deletes from j.pending under j.mu alone, so
+	// the set is walked under j.mu too (lock order s.mu -> j.mu, as in
+	// Submit) and then dropped: a cell completing later finds nothing
+	// pending and leaves the terminal job untouched.
 	j.mu.Lock()
-	pending := j.pending
-	j.mu.Unlock()
-	for k := range pending {
+	for k := range j.pending {
 		if w := s.byCell[k]; w != nil {
 			delete(w, j)
 			if len(w) == 0 {
@@ -379,13 +359,7 @@ func (s *Server) finalize(j *Job, p *jobPlan, state string, out []byte, errMsg s
 			}
 		}
 	}
-	s.mu.Unlock()
-
-	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
-		j.mu.Unlock()
-		return
-	}
+	j.pending = nil
 	j.state = state
 	if out != nil {
 		j.output = out
@@ -397,11 +371,7 @@ func (s *Server) finalize(j *Job, p *jobPlan, state string, out []byte, errMsg s
 		j.started = j.finished
 	}
 	j.mu.Unlock()
-
-	s.mu.Lock()
-	s.jobsCompleted[[2]string{j.Kind, state}]++
 	s.mu.Unlock()
-	s.jobsInflight.Add(-1)
 
 	v := j.view()
 	data, _ := json.Marshal(v)
@@ -417,20 +387,18 @@ func (s *Server) finalize(j *Job, p *jobPlan, state string, out []byte, errMsg s
 	}
 }
 
-// degradedFor filters the runner's accumulated quarantine degradations
-// down to the tags this job's builders record under.
-func (s *Server) degradedFor(p *jobPlan) []harness.DegradedCell {
-	if p == nil || len(p.degradeTags) == 0 {
+// degraded lists the job's own cells that sit in the supervisor's
+// quarantine: exactly the cells its product had to skip.
+func (s *Server) degraded(name string, cells []harness.Cell) []harness.DegradedCell {
+	if s.r.Supervisor == nil {
 		return nil
 	}
-	tag := map[string]bool{}
-	for _, t := range p.degradeTags {
-		tag[t] = true
-	}
+	quarantined := s.r.Supervisor.QuarantinedCells()
 	var out []harness.DegradedCell
-	for _, d := range s.r.DegradedCells() {
-		if tag[d.Figure] {
-			out = append(out, d)
+	for _, c := range cells {
+		k := harness.CellKey(c)
+		if reason, bad := quarantined[k]; bad {
+			out = append(out, harness.DegradedCell{Figure: name, Cell: k, Reason: reason})
 		}
 	}
 	return out
@@ -444,12 +412,7 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	if j == nil {
 		return nil, false
 	}
-	j.mu.Lock()
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+	j.cancel()
 	return j, true
 }
 
@@ -487,8 +450,8 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // Draining reports whether a drain has started.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// WaitIdle blocks until every job build (including abandoned ones) has
-// finished, or ctx expires.
+// WaitIdle blocks until every job has left runJob — nothing builds
+// anywhere else — or ctx expires.
 func (s *Server) WaitIdle(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
@@ -703,7 +666,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		case ev := <-ch:
 			writeSSE(w, ev)
 			fl.Flush()
-			if ev.name == JobDone || ev.name == JobFailed || ev.name == JobCanceled {
+			if isTerminal(ev.name) {
 				return
 			}
 		case <-j.done:

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +27,13 @@ const (
 	testOps  = 2500
 	testPOps = 300
 )
+
+// allBenches is the ST SB-bound set: with a few SB sizes, a cells matrix
+// big enough to still be running when a test cancels it.
+var allBenches = []string{
+	"502.gcc1", "502.gcc2", "502.gcc3", "502.gcc4", "502.gcc5",
+	"505.mcf", "520.omnetpp", "557.xz", "tf.matmul", "tf.conv", "tf.embed",
+}
 
 func testRunner(t *testing.T, cacheDir string) *harness.Runner {
 	t.Helper()
@@ -204,10 +212,10 @@ func TestSubmitCoalescesIdenticalRequests(t *testing.T) {
 	}
 }
 
-// TestCancel covers both cancellation shapes: a queued job dies
-// immediately, and a running job is abandoned the moment its context
-// is canceled while its terminal state stays canceled even after the
-// abandoned build completes.
+// TestCancel covers the two cancellation shapes that never reach the
+// Runner: a queued job dies immediately, and a running litmus job stops
+// between model-check cells. TestStopFreesSlot covers Runner-backed
+// jobs.
 func TestCancel(t *testing.T) {
 	s, _ := newTestServer(t, Options{MaxJobs: 1})
 
@@ -247,11 +255,197 @@ func TestCancel(t *testing.T) {
 	if _, ok := s.Cancel("j999"); ok {
 		t.Fatal("cancel of unknown job reported ok")
 	}
-	// Drain still completes: abandoned builds are waited out.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := s.WaitIdle(ctx); err != nil {
-		t.Fatal(err)
+}
+
+// countCells wraps the server's OnCellDone hook (installed by New) so a
+// test can see every cell completion: all of them, and the freshly
+// simulated ones.
+func countCells(r *harness.Runner) (all, fresh *atomic.Int64) {
+	all, fresh = new(atomic.Int64), new(atomic.Int64)
+	hook := r.OnCellDone
+	r.OnCellDone = func(key string, cached bool, d time.Duration, err error) {
+		all.Add(1)
+		if err == nil && !cached {
+			fresh.Add(1)
+		}
+		hook(key, cached, d, err)
+	}
+	return all, fresh
+}
+
+// firstCellEvent blocks until the job reports its first completed cell.
+func firstCellEvent(t *testing.T, j *Job) {
+	t.Helper()
+	ch, _ := j.subscribe()
+	defer j.unsubscribe(ch)
+	for deadline := time.After(time.Minute); ; {
+		select {
+		case ev := <-ch:
+			if ev.name == "cell" {
+				return
+			}
+		case <-j.done:
+			t.Fatalf("job %s ended (%s) before its first cell event", j.ID, j.view().State)
+		case <-deadline:
+			t.Fatalf("job %s: no cell event within a minute", j.ID)
+		}
+	}
+}
+
+// TestStopFreesSlot is the one-cancel-path contract for Runner-backed
+// jobs: a job stopped mid-prefetch — by DELETE or by -job-timeout —
+// turns terminal and gives its pool slot back within one cell's
+// duration. With one slot and one worker, a queued one-cell job gets to
+// run before more than two further cells of the stopped job complete
+// (the one in flight, plus one claimed while the cancel was landing),
+// the stopped job's matrix stays incomplete, and nothing keeps
+// simulating behind WaitIdle's back.
+func TestStopFreesSlot(t *testing.T) {
+	idle := func(t *testing.T, s *Server) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := s.WaitIdle(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.JobsInflight(); n != 0 {
+			t.Fatalf("JobsInflight = %d after WaitIdle, want 0", n)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		req  JobRequest
+	}{
+		{"figure", JobRequest{Kind: "figure", Fig: 10}},
+		{"cells", JobRequest{Kind: "cells", Benches: allBenches, SBs: []int{114, 140, 171}}},
+	} {
+		t.Run("cancel/"+tc.name, func(t *testing.T) {
+			r := testRunner(t, "")
+			r.Workers = 1
+			s, _ := newTestServer(t, Options{Runner: r, MaxJobs: 1})
+			all, _ := countCells(r)
+
+			big, _, err := s.Submit(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstCellEvent(t, big)
+			// Disjoint from both big matrices, so it has one cell to run.
+			small, _, err := s.Submit(JobRequest{Kind: "cells", Benches: []string{"502.gcc1"}, Mechs: []string{"base"}, SBs: []int{32}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := all.Load()
+			s.Cancel(big.ID)
+
+			if v := waitJob(t, small, time.Minute); v.State != JobDone {
+				t.Fatalf("queued job ended %s (%s), want done", v.State, v.Error)
+			}
+			if ran := all.Load() - before - 1; ran > 2 {
+				t.Fatalf("%d cells of the canceled job completed before the queued job got the slot, want <= 2", ran)
+			}
+			v := waitJob(t, big, time.Minute)
+			if v.State != JobCanceled {
+				t.Fatalf("canceled job ended %s (%s), want canceled", v.State, v.Error)
+			}
+			if v.CellsDone >= v.CellsTotal {
+				t.Fatalf("canceled job completed its whole matrix (%d/%d)", v.CellsDone, v.CellsTotal)
+			}
+			idle(t, s)
+		})
+	}
+
+	// -job-timeout takes the same path: the job fails, the slot comes
+	// back, the rest of the matrix is never simulated, and no cell is
+	// left half-published.
+	t.Run("timeout/figure", func(t *testing.T) {
+		r := testRunner(t, "")
+		r.Workers = 1
+		s, _ := newTestServer(t, Options{Runner: r, MaxJobs: 1, JobTimeout: 50 * time.Millisecond})
+		all, fresh := countCells(r)
+		j, _, err := s.Submit(JobRequest{Kind: "figure", Fig: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := waitJob(t, j, time.Minute)
+		if v.State != JobFailed || !strings.Contains(v.Error, "job deadline exceeded") {
+			t.Fatalf("timed-out job ended %s (%q), want failed: job deadline exceeded", v.State, v.Error)
+		}
+		idle(t, s)
+		if n := all.Load(); n >= int64(v.CellsTotal) {
+			t.Fatalf("%d of %d cells completed: the build outlived its job", n, v.CellsTotal)
+		}
+		if cs := r.CacheStats(); cs.CellsRun != fresh.Load() {
+			t.Fatalf("cells_run = %d, but %d fresh completions were announced", cs.CellsRun, fresh.Load())
+		}
+	})
+}
+
+// TestCancelWhileSharingCells is the -race regression for finalize: a
+// job turns terminal (and unregisters its pending cells) while another
+// job's workers are still delivering completions of cells both jobs
+// wait on. Each round pairs a hist job with a cells job over the same
+// fresh matrix and cancels the cells job mid-run; the hist job must
+// still see every cell. The window is a few microseconds per cancel, so
+// a clean run proves little on its own — the detector has to see it.
+func TestCancelWhileSharingCells(t *testing.T) {
+	s, _ := newTestServer(t, Options{MaxJobs: 2})
+	for sb := 40; sb < 46; sb++ {
+		hist, _, err := s.Submit(JobRequest{Kind: "hist", SB: sb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, _, err := s.Submit(JobRequest{Kind: "cells", Benches: allBenches, Mechs: []string{"base", "SSB", "CSB", "SPB", "TUS"}, SBs: []int{sb}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		firstCellEvent(t, cells)
+		s.Cancel(cells.ID)
+		if v := waitJob(t, cells, time.Minute); v.State != JobCanceled {
+			t.Fatalf("sb %d: cells job ended %s (%s), want canceled", sb, v.State, v.Error)
+		}
+		if v := waitJob(t, hist, 2*time.Minute); v.State != JobDone || v.CellsDone != v.CellsTotal {
+			t.Fatalf("sb %d: hist job %s (%s) %d/%d cells, want done and complete", sb, v.State, v.Error, v.CellsDone, v.CellsTotal)
+		}
+	}
+}
+
+// TestDegradedIsTheJobsOwnCells: a job reports exactly its own cells
+// that are quarantined. Fig. 11 reads the poisoned SB-bound cell and
+// says so; Fig. 12 (Parsec) never reads it and must not inherit it just
+// because both figures contain an EDP panel at 114 entries.
+func TestDegradedIsTheJobsOwnCells(t *testing.T) {
+	r := testRunner(t, "")
+	const poisoned = "505.mcf/TUS/114"
+	r.Supervisor.Quarantine(poisoned, "preloaded by the test")
+	s, _ := newTestServer(t, Options{Runner: r, MaxJobs: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct{ fig, degraded int }{{11, 1}, {12, 0}} {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/figures/%d", ts.URL, tc.fig))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("fig %d: status %d", tc.fig, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Tusd-Degraded"); got != fmt.Sprint(tc.degraded) {
+			t.Fatalf("fig %d: X-Tusd-Degraded = %q, want %d", tc.fig, got, tc.degraded)
+		}
+		j, ok := s.Job(resp.Header.Get("X-Tusd-Job"))
+		if !ok {
+			t.Fatalf("fig %d: job not in registry", tc.fig)
+		}
+		deg := j.view().Degraded
+		if len(deg) != tc.degraded {
+			t.Fatalf("fig %d: degraded = %+v, want %d entries", tc.fig, deg, tc.degraded)
+		}
+		if tc.degraded == 1 && (deg[0].Cell != poisoned || deg[0].Reason == "") {
+			t.Fatalf("fig %d: degraded entry %+v does not name %s with a reason", tc.fig, deg[0], poisoned)
+		}
 	}
 }
 
@@ -611,10 +805,6 @@ func TestAPIErrorPaths(t *testing.T) {
 	// with partial bytes. MaxJobs is 1, so a heavy blocker (the full
 	// bench set at three SB points, 66 cells) pins the pool slot long
 	// enough that the second job stays queued through the checks below.
-	allBenches := []string{
-		"502.gcc1", "502.gcc2", "502.gcc3", "502.gcc4", "502.gcc5",
-		"505.mcf", "520.omnetpp", "557.xz", "tf.matmul", "tf.conv", "tf.embed",
-	}
 	blocker, _, err := s.Submit(JobRequest{Kind: "cells", Benches: allBenches, SBs: []int{114, 140, 171}})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,10 @@
 #      X-Tusd-Cells-Run: 0 (everything served from the shared cache);
 #   3. GET /v1/figures matches `tusbench -list`;
 #   4. /metrics carries every required series;
-#   5. SIGTERM drains gracefully (listener first), exits 0, and writes
+#   5. a figure job canceled right after submission turns terminal,
+#      frees the pool (tusd_jobs_inflight 0) and leaves no partial state
+#      behind: Fig. 9 still diffs clean against the CLI;
+#   6. SIGTERM drains gracefully (listener first), exits 0, and writes
 #      the perf trajectory record (BENCH_OUT, kept for CI artifacts).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -88,6 +91,32 @@ for series in \
         || { echo "server-smoke: /metrics missing $series"; cat "$dir/metrics.txt"; exit 1; }
 done
 echo "server-smoke: /metrics carries all required series"
+
+# Cancel: submit Fig. 10 and DELETE it at once. The job must turn
+# terminal (canceled — or done, if the machine beat the DELETE), the pool
+# must empty, and the canceled job must leave nothing half-done behind.
+job=$(curl -fsS -X POST "$base/v1/jobs" -d '{"kind":"figure","fig":10}' \
+    | sed -n 's/^ *"id": "\([^"]*\)".*/\1/p')
+[ -n "$job" ] || { echo "server-smoke: figure 10 submit returned no job id"; exit 1; }
+curl -fsS -X DELETE "$base/v1/jobs/$job" >/dev/null
+state=""
+for _ in $(seq 1 600); do
+    state=$(curl -fsS "$base/v1/jobs/$job" | sed -n 's/^ *"state": "\([^"]*\)".*/\1/p')
+    case "$state" in
+        canceled|done) break ;;
+        queued|running) sleep 0.05 ;;
+        *) echo "server-smoke: canceled job $job ended '$state'"; exit 1 ;;
+    esac
+done
+case "$state" in
+    canceled|done) ;;
+    *) echo "server-smoke: job $job still '$state' 30 s after DELETE"; exit 1 ;;
+esac
+curl -fsS "$base/metrics" | grep -qx 'tusd_jobs_inflight 0' \
+    || { echo "server-smoke: jobs still in flight after cancel"; curl -fsS "$base/metrics" | grep tusd_jobs; exit 1; }
+curl -fsS "$base/v1/figures/9" > "$dir/after_cancel.txt"
+diff "$dir/cli_fig9.txt" "$dir/after_cancel.txt"
+echo "server-smoke: figure 10 job $job $state after DELETE, pool empty, figure 9 still byte-identical"
 
 # Graceful drain: SIGTERM closes the listener first and exits cleanly.
 kill -TERM "$tusd_pid"
