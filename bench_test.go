@@ -11,6 +11,7 @@
 package tusim_test
 
 import (
+	"context"
 	"testing"
 
 	"tusim/internal/config"
@@ -38,18 +39,30 @@ func reportSpeedups(b *testing.B, sp map[config.Mechanism]float64) {
 	}
 }
 
+// figureJSON builds registry figure fig the way tusbench and tusd do —
+// Runner.Build over the registry row — and returns its JSON rows.
+func figureJSON[T any](b *testing.B, fig int) T {
+	b.Helper()
+	f, _ := harness.FigureByNum(fig)
+	p, err := benchRunner().Build(context.Background(), f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p.JSON().(T)
+}
+
 // BenchmarkFig8_Scalability regenerates the SB-size scalability study.
 func BenchmarkFig8_Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		rows, err := harness.Fig8(r)
-		if err != nil {
-			b.Fatal(err)
-		}
 		// Report the SPEC row at SB=32 (the headline "small SB" case).
-		for _, row := range rows {
-			if row.SB == 32 && row.Suite == "SPEC-ST(SB-bound)" {
-				reportSpeedups(b, row.Speedup)
+		for _, row := range figureJSON[[]harness.Fig8JSON](b, 8) {
+			if row.SB != 32 || row.Suite != "SPEC-ST(SB-bound)" {
+				continue
+			}
+			for _, m := range config.Mechanisms {
+				if m != config.Baseline {
+					b.ReportMetric(100*(row.Speedups[m.String()]-1), m.String()+"_speedup_%")
+				}
 			}
 		}
 	}
@@ -58,15 +71,11 @@ func BenchmarkFig8_Scalability(b *testing.B) {
 // BenchmarkFig9_SBStalls regenerates the SB-induced stall breakdown.
 func BenchmarkFig9_SBStalls(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		rows, err := harness.Fig9(r)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := figureJSON[[]harness.Fig9JSON](b, 9)
 		var base, tus float64
 		for _, row := range rows {
-			base += row.Stalls[config.Baseline]
-			tus += row.Stalls[config.TUS]
+			base += row.Stalls[config.Baseline.String()]
+			tus += row.Stalls[config.TUS.String()]
 		}
 		n := float64(len(rows))
 		b.ReportMetric(base/n, "base_stall_%")

@@ -58,8 +58,9 @@ type runHeader struct {
 	// resuming with a skewed binary is detected and warned (completed
 	// cells then miss the content-addressed cache and resimulate).
 	Version     string `json:"harness_version,omitempty"`
-	Mode        string `json:"mode"` // "figs" or "json"
+	Mode        string `json:"mode"` // "figs", "json", "dse", "hist" or "summary"
 	Fig         int    `json:"fig,omitempty"`
+	DSE         string `json:"dse,omitempty"` // the swept benchmark, mode "dse"
 	Quick       bool   `json:"quick,omitempty"`
 	Ops         int    `json:"ops"`
 	ParallelOps int    `json:"parallel_ops"`
@@ -123,13 +124,21 @@ func main() {
 	}
 
 	mode := "figs"
-	if *jsonOut {
+	switch {
+	case *jsonOut:
 		mode = "json"
+	case *dse != "":
+		mode = "dse"
+	case *hist:
+		mode = "hist"
+	case *summary:
+		mode = "summary"
 	}
 	hdr := runHeader{
 		Version:     harness.Version,
 		Mode:        mode,
 		Fig:         *fig,
+		DSE:         *dse,
 		Quick:       *quick,
 		Ops:         *ops,
 		ParallelOps: *pops,
@@ -178,6 +187,7 @@ func main() {
 		*check = h.Check
 		*cacheDir = h.Cache
 		*fig = h.Fig
+		*dse = h.DSE
 		resumeState = st
 		if st.Finished {
 			fmt.Fprintf(os.Stderr, "tusbench: run %s already finished; replaying from cache\n", *resume)
@@ -261,7 +271,8 @@ func main() {
 		}
 	}
 
-	if hdr.Mode == "json" {
+	switch hdr.Mode {
+	case "json":
 		rep, err := harness.BuildJSON(r, rec)
 		if err != nil {
 			fail(err)
@@ -271,53 +282,41 @@ func main() {
 		if err := enc.Encode(rep); err != nil {
 			fail(err)
 		}
-		finish()
-		emitBench()
-		return
-	}
-
-	if *dse != "" {
+	case "dse":
 		points, err := harness.DSE(r, *dse)
 		if err != nil {
 			fail(err)
 		}
 		harness.PrintDSE(os.Stdout, points)
-		finish()
-		return
-	}
-
-	if *hist {
+	case "hist":
 		rows, err := harness.Histograms(r, 114)
 		if err != nil {
 			fail(err)
 		}
 		harness.PrintHistograms(os.Stdout, rows)
-		finish()
-		return
-	}
-
-	if *summary {
+	case "summary":
 		if err := printSummary(r); err != nil {
 			fail(err)
 		}
-		finish()
-		return
-	}
-
-	figs := []int{8, 9, 10, 11, 12, 13, 14, 15}
-	if *fig != 0 {
-		figs = []int{*fig}
-	}
-	for _, f := range figs {
-		f := f
-		if err := rec.Time(fmt.Sprintf("fig%d", f), func() error {
-			return harness.RenderFigure(r, f, os.Stdout)
-		}); err != nil {
-			fail(err)
+	case "figs":
+		figs := []int{8, 9, 10, 11, 12, 13, 14, 15}
+		if *fig != 0 {
+			figs = []int{*fig}
 		}
-	}
-	if *fig == 0 {
-		harness.PrintCAMTable(os.Stdout)
+		for _, f := range figs {
+			f := f
+			if err := rec.Time(fmt.Sprintf("fig%d", f), func() error {
+				return harness.RenderFigure(r, f, os.Stdout)
+			}); err != nil {
+				fail(err)
+			}
+		}
+		if *fig == 0 {
+			harness.PrintCAMTable(os.Stdout)
+		}
+	default:
+		// Only a journal header can carry a mode main did not just compute.
+		fail(fmt.Errorf("journal %s: unknown run mode %q", *resume, hdr.Mode))
 	}
 	finish()
 	emitBench()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"tusim/internal/harness"
+	"tusim/internal/supervise"
 )
 
 // The tests re-execute this test binary as tusbench itself: with
@@ -93,5 +94,43 @@ func TestCLIAgainstRegistry(t *testing.T) {
 				t.Fatalf("stderr %q does not contain %q", stderr, tc.stderr)
 			}
 		})
+	}
+}
+
+// TestResumeRestoresMode: the journal header records what the run was
+// producing, so the resume command tusbench prints regenerates that
+// product — not the figure sweep — byte for byte.
+func TestResumeRestoresMode(t *testing.T) {
+	jdir, cdir := t.TempDir(), t.TempDir()
+	hist := []string{"-quick", "-ops", "2500", "-parallel-ops", "300", "-hist"}
+	want, stderr, code := tusbench(t, hist...)
+	if code != 0 || len(want) == 0 {
+		t.Fatalf("uninterrupted -hist run: exit %d, %d bytes (stderr: %s)", code, len(want), stderr)
+	}
+	_, stderr, code = tusbench(t, append(hist, "-journal", "-journal-dir", jdir, "-cache", cdir)...)
+	if code != 0 {
+		t.Fatalf("journaled -hist run: exit %d (stderr: %s)", code, stderr)
+	}
+	ids, err := supervise.List(jdir)
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("journal dir holds runs %v (err %v), want exactly one", ids, err)
+	}
+	got, stderr, code := tusbench(t, "-resume", ids[0], "-journal-dir", jdir)
+	if code != 0 {
+		t.Fatalf("resume: exit %d (stderr: %s)", code, stderr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed -hist run printed something else:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	// A header whose mode this binary does not know is refused.
+	j, err := supervise.Create(jdir, "future", map[string]any{"mode": "fig99", "quick": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	got, stderr, code = tusbench(t, "-resume", "future", "-journal-dir", jdir)
+	if code != 1 || len(got) != 0 || !strings.Contains(string(stderr), `unknown run mode "fig99"`) {
+		t.Fatalf("unknown mode: exit %d, stdout %q, stderr %q", code, got, stderr)
 	}
 }

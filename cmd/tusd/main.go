@@ -14,7 +14,6 @@
 //	tusd -job-timeout 10m        # per-job deadline
 //	tusd -cache ""               # disable the shared disk cache
 //	tusd -bench-out F            # write the perf trajectory on exit
-//	tusd -journal                # crash-consistent supervision journal
 //
 // API:
 //
@@ -32,8 +31,8 @@
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: the listener closes
 // first (so load balancers stop routing), in-flight jobs run to
-// completion bounded by -drain-timeout, then the bench report and
-// journal are finalized.
+// completion bounded by -drain-timeout, then the bench report is
+// written.
 package main
 
 import (
@@ -51,7 +50,6 @@ import (
 	"tusim/internal/config"
 	"tusim/internal/harness"
 	"tusim/internal/server"
-	"tusim/internal/supervise"
 )
 
 func main() {
@@ -69,8 +67,6 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "max wait for in-flight jobs on shutdown")
 	benchOut := flag.String("bench-out", "", "write the perf trajectory report here on clean shutdown")
-	journalOn := flag.Bool("journal", false, "record a crash-consistent supervision journal under -journal-dir")
-	journalDir := flag.String("journal-dir", ".tusjournal", "run journal directory")
 	flag.Parse()
 
 	r := harness.NewRunner()
@@ -95,27 +91,6 @@ func main() {
 		r.Cache = cache
 	}
 	r.Supervisor = harness.NewSupervisor(config.Default().CellTimeout)
-
-	var journal *supervise.Journal
-	if *journalOn {
-		id := supervise.NewRunID()
-		j, err := supervise.Create(*journalDir, id, map[string]any{
-			"harness_version": harness.Version,
-			"mode":            "tusd",
-			"quick":           *quick,
-			"ops":             r.Ops,
-			"parallel_ops":    r.ParallelOps,
-			"seed":            r.Seed,
-			"check":           r.Check,
-			"cache":           *cacheDir,
-		})
-		if err != nil {
-			fail(err)
-		}
-		journal = j
-		r.Supervisor.SetJournal(j)
-		fmt.Fprintf(os.Stderr, "tusd: journaling run %s under %s\n", id, *journalDir)
-	}
 
 	srv := server.New(server.Options{
 		Runner:     r,
@@ -172,10 +147,6 @@ func main() {
 		if err := srv.BenchReport().WriteFile(*benchOut); err != nil {
 			fmt.Fprintf(os.Stderr, "tusd: bench-out: %v\n", err)
 		}
-	}
-	if journal != nil {
-		journal.Finish()
-		journal.Close()
 	}
 	if deg := r.DegradedCells(); len(deg) > 0 {
 		fmt.Fprintf(os.Stderr, "tusd: %d cells were degraded by quarantine this run:\n", len(deg))

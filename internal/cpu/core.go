@@ -259,6 +259,10 @@ func (c *Core) readyPop() {
 	}
 }
 
+// Committed is the core's committed micro-op count (the committed_ops
+// counter, so it restarts at the warm-up reset).
+func (c *Core) Committed() uint64 { return c.cCommitted.Value() }
+
 // Done reports the core has fully retired its trace, drained its SB
 // and mechanism, and has no in-flight memory operations.
 func (c *Core) Done() bool {

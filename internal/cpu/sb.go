@@ -213,18 +213,3 @@ func (sb *StoreBuffer) LookaheadLines(k int, visit func(line uint64)) {
 		visit(ln)
 	}
 }
-
-// OldestUnexecutedBefore reports whether any store older than seq has
-// not generated its address yet (blocks load issue conservatively).
-func (sb *StoreBuffer) OldestUnexecutedBefore(seq uint64) bool {
-	for i := 0; i < sb.count; i++ {
-		e := sb.at(i)
-		if e.Seq >= seq {
-			return false
-		}
-		if !e.Executed {
-			return true
-		}
-	}
-	return false
-}

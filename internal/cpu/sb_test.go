@@ -103,9 +103,6 @@ func TestSBUnexecutedStoreBlocks(t *testing.T) {
 	if res != FwdConflict {
 		t.Fatalf("res = %v; unknown older store address must block", res)
 	}
-	if !sb.OldestUnexecutedBefore(5) {
-		t.Fatal("OldestUnexecutedBefore wrong")
-	}
 }
 
 func TestSBMinUnexecTracking(t *testing.T) {

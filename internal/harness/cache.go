@@ -56,8 +56,7 @@ func (r *Runner) contentKey(b workload.Benchmark, cfg *config.Config) string {
 // request coalescing on these, so "the same job" means exactly what
 // "the same cache entry" means.
 func (r *Runner) ContentKey(c Cell) string {
-	cfg := config.Default().WithMechanism(c.Mech).WithSB(c.SB).WithCores(c.Bench.Threads)
-	return r.contentKey(c.Bench, cfg)
+	return r.contentKey(c.Bench, c.config())
 }
 
 // CacheStats is a point-in-time snapshot of the runner's cell

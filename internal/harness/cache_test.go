@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -185,5 +186,37 @@ func TestDiskCacheParallelSharing(t *testing.T) {
 	}
 	if got := int(warm.cellsFromC.Load()); got != len(cells) {
 		t.Fatalf("warm prefetch loaded %d cells from cache, want %d", got, len(cells))
+	}
+}
+
+// TestCacheDirVanishesMidRun: a cache that breaks after it was opened
+// degrades to simulate-without-cache — same bytes, no error, every cell
+// simulated — never to a failed figure.
+func TestCacheDirVanishesMidRun(t *testing.T) {
+	render := func(cache *DiskCache) ([]byte, CacheStats) {
+		r := NewQuickRunner()
+		r.Cache = cache
+		var buf bytes.Buffer
+		if err := RenderFigure(r, 9, &buf); err != nil {
+			t.Fatalf("render with cache %v: %v", cache, err)
+		}
+		return buf.Bytes(), r.CacheStats()
+	}
+	want, _ := render(nil)
+
+	dir := filepath.Join(t.TempDir(), "cache")
+	cache, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, st := render(cache)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Fig. 9 over a vanished cache dir differs from the cache-less render:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if n := int64(len(FigureCellUnion(9))); st.CellsRun != n || st.CellsCached != 0 {
+		t.Fatalf("cells_run=%d cells_cached=%d, want %d and 0", st.CellsRun, st.CellsCached, n)
 	}
 }

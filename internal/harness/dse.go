@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"tusim/internal/config"
-	"tusim/internal/system"
 	"tusim/internal/workload"
 )
 
@@ -26,34 +25,24 @@ type DSEPoint struct {
 // WCBs are cost-effective, and group lengths beyond 8 stop mattering
 // for sequential applications.
 //
-// The sweep points mutate the machine configuration, so they bypass the
-// Runner's cell cache; each point simulates a private system, and the
-// whole sweep (default + every point) fans out to the worker pool with
-// results merged back in fixed sweep order.
+// Every point is a cell like any other: it goes through the Runner's
+// singleflight memo, disk cache (the content key hashes the whole
+// configuration), supervisor and journal under the key of the default
+// cell plus the point's label ("502.gcc5/TUS/114/WOQ=16"). The default
+// point is the ordinary 502.gcc5/TUS/114 cell. The sweep fans out to the
+// worker pool with results merged back in fixed sweep order.
 func DSE(r *Runner, benchName string) ([]DSEPoint, error) {
 	b, ok := workload.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown benchmark %q", benchName)
 	}
-	run := func(mut func(*config.Config)) (uint64, error) {
-		cfg := config.Default().WithMechanism(config.TUS).WithCores(b.Threads)
-		mut(cfg)
-		sys, err := system.New(cfg, r.interned.streams(b, r.Seed, r.ops(b)))
-		if err != nil {
-			return 0, err
-		}
-		sys.WarmupOps = uint64(r.ops(b)) * uint64(b.Threads) / 3
-		if err := sys.Run(); err != nil {
-			return 0, err
-		}
-		return sys.Cycles, nil
-	}
+	def := Cell{b, config.TUS, config.Default().SBEntries}
 
 	type spec struct {
 		label string
 		mut   func(*config.Config)
 	}
-	specs := []spec{{"default", func(*config.Config) {}}}
+	specs := []spec{{"default", nil}}
 	for _, n := range []int{16, 32, 64, 128} {
 		n := n
 		specs = append(specs, spec{fmt.Sprintf("WOQ=%d", n), func(c *config.Config) { c.WOQEntries = n }})
@@ -73,11 +62,20 @@ func DSE(r *Runner, benchName string) ([]DSEPoint, error) {
 
 	cycles := make([]uint64, len(specs))
 	_, err := parmap(context.Background(), r.workers(), len(specs), func(i int) error {
-		cyc, err := run(specs[i].mut)
+		key, mkcfg := CellKey(def), def.config
+		if mut := specs[i].mut; mut != nil {
+			key += "/" + specs[i].label
+			mkcfg = func() *config.Config {
+				cfg := def.config()
+				mut(cfg)
+				return cfg
+			}
+		}
+		res, err := r.run(b, key, mkcfg)
 		if err != nil {
 			return fmt.Errorf("harness: DSE %s: %w", specs[i].label, err)
 		}
-		cycles[i] = cyc
+		cycles[i] = res.Cycles
 		return nil
 	})
 	if err != nil {

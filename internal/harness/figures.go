@@ -215,9 +215,6 @@ func (fig8Spec) Assemble(r *Runner) (Product, error) {
 	return rows, nil
 }
 
-// Fig8 regenerates the scalability analysis.
-func Fig8(r *Runner) ([]Fig8Row, error) { return built[Fig8Rows](r, fig8Spec{}) }
-
 // Print renders the Fig. 8 table.
 func (rows Fig8Rows) Print(w io.Writer, _ string) {
 	fmt.Fprintln(w, "Figure 8: geomean speedup vs 114-entry-SB baseline, by SB size")
@@ -282,12 +279,6 @@ func (fig9Spec) Assemble(r *Runner) (Product, error) {
 	}
 	return rows, nil
 }
-
-// Fig9 regenerates the stall breakdown.
-func Fig9(r *Runner) ([]Fig9Row, error) { return built[Fig9Rows](r, fig9Spec{}) }
-
-// PrintFig9 renders the Fig. 9 table.
-func PrintFig9(w io.Writer, rows []Fig9Row) { Fig9Rows(rows).Print(w, "") }
 
 // Print renders the Fig. 9 table.
 func (rows Fig9Rows) Print(w io.Writer, _ string) {

@@ -77,16 +77,13 @@ type Runner struct {
 	// Cache, when non-nil, persists results across processes keyed by
 	// the content hash of (harness version, config, workload identity).
 	Cache *DiskCache
-	// Trace attaches a store-lifecycle tracer to every freshly simulated
-	// cell. Tracing is observational only: every result and figure is
-	// byte-identical with it on or off (the golden identity test pins
-	// this). Event streams are discarded unless OnTrace is set; cells
-	// served from a cache never simulated, so they deliver no trace.
-	Trace bool
-	// OnTrace, when set together with Trace, receives each simulated
-	// cell's tracer after the run completes (key = "bench/mech/sb").
-	// Called from worker goroutines; the callback must be safe for
-	// concurrent use when Workers > 1.
+	// OnTrace, when set, attaches a store-lifecycle tracer to every
+	// freshly simulated cell and receives it after the run completes
+	// (key = "bench/mech/sb"); cells served from a cache never simulated,
+	// so they deliver no trace. Tracing is observational only: every
+	// result and figure is byte-identical with it on or off (the golden
+	// identity test pins this). Called from worker goroutines; the
+	// callback must be safe for concurrent use when Workers > 1.
 	OnTrace func(key string, t *trace.Tracer)
 	// OnCellDone, when set, observes every cell completion exactly once
 	// per process: it fires on the singleflight owner's path after the
@@ -181,11 +178,26 @@ func (r *Runner) workers() int {
 	return runtime.NumCPU()
 }
 
+// config is the machine a registry cell simulates: the default machine
+// under the cell's mechanism, SB size and core count.
+func (c Cell) config() *config.Config {
+	return config.Default().WithMechanism(c.Mech).WithSB(c.SB).WithCores(c.Bench.Threads)
+}
+
 // Run simulates benchmark b under mechanism m with the given SB size.
 // It is safe for concurrent use: identical cells are de-duplicated so
 // exactly one simulation runs per key per process.
 func (r *Runner) Run(b workload.Benchmark, m config.Mechanism, sbSize int) (Result, error) {
-	key := fmt.Sprintf("%s/%v/%d", b.Name, m, sbSize)
+	c := Cell{b, m, sbSize}
+	return r.run(b, CellKey(c), c.config)
+}
+
+// run is Run for any machine configuration (the DSE sweep mutates it):
+// key names the singleflight slot, the journal record and the supervised
+// cell; the disk cache is keyed by the content of the configuration, not
+// by key. mkcfg is called only by the slot's owner, so a memoized read
+// builds no config.
+func (r *Runner) run(b workload.Benchmark, key string, mkcfg func() *config.Config) (Result, error) {
 	r.mu.Lock()
 	if r.cells == nil {
 		r.cells = make(map[string]*cell)
@@ -202,7 +214,7 @@ func (r *Runner) Run(b workload.Benchmark, m config.Mechanism, sbSize int) (Resu
 	}
 	start := time.Now()
 	var cached bool
-	c.res, cached, c.err = r.compute(b, m, sbSize, key)
+	c.res, cached, c.err = r.compute(b, mkcfg(), key)
 	if r.OnCellDone != nil {
 		r.OnCellDone(key, cached, time.Since(start), c.err)
 	}
@@ -214,14 +226,13 @@ func (r *Runner) Run(b workload.Benchmark, m config.Mechanism, sbSize int) (Resu
 // behind Run's singleflight gate, routing fresh simulations through the
 // supervisor when one is attached. cached reports whether the result
 // was served from the disk cache instead of simulated.
-func (r *Runner) compute(b workload.Benchmark, m config.Mechanism, sbSize int, key string) (_ Result, cached bool, _ error) {
+func (r *Runner) compute(b workload.Benchmark, cfg *config.Config, key string) (_ Result, cached bool, _ error) {
 	if !b.Valid() {
 		return Result{}, false, fmt.Errorf("harness: %s: unknown or zero-value benchmark", key)
 	}
-	cfg := config.Default().WithMechanism(m).WithSB(sbSize).WithCores(b.Threads)
 	ckey := r.contentKey(b, cfg)
 	if r.Cache != nil {
-		res, st := r.Cache.Get(ckey, b, m, sbSize)
+		res, st := r.Cache.Get(ckey, b, cfg.Mechanism, cfg.SBEntries)
 		switch st {
 		case CacheHit:
 			r.cellsFromC.Add(1)
@@ -307,7 +318,7 @@ func (r *Runner) simulate(b workload.Benchmark, cfg *config.Config, key string) 
 	// footprint-touch prologue inside this window).
 	sys.WarmupOps = uint64(r.ops(b)) * uint64(b.Threads) / 3
 	var tr *trace.Tracer
-	if r.Trace {
+	if r.OnTrace != nil {
 		tr = trace.New(0)
 		sys.SetTracer(tr)
 	}
@@ -346,7 +357,7 @@ func (r *Runner) publish(key string, out simOutcome) {
 	r.cellNanos.Add(int64(out.wall))
 	r.cellCycles.Add(out.res.Cycles)
 	r.cellsRun.Add(1)
-	if out.trace != nil && r.OnTrace != nil {
+	if out.trace != nil {
 		r.OnTrace(key, out.trace)
 	}
 	if r.Verbose {

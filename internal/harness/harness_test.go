@@ -110,7 +110,7 @@ func TestRunnerChecked(t *testing.T) {
 func TestFig9Structure(t *testing.T) {
 	r := NewQuickRunner()
 	r.Ops = 3000
-	rows, err := Fig9(r)
+	rows, err := built[Fig9Rows](r, fig9Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +124,9 @@ func TestFig9Structure(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	PrintFig9(&sb, rows)
+	rows.Print(&sb, "")
 	if !strings.Contains(sb.String(), "Figure 9") {
-		t.Fatal("PrintFig9 output missing header")
+		t.Fatal("Fig. 9 output missing header")
 	}
 }
 
@@ -184,7 +184,7 @@ func TestFig8Structure(t *testing.T) {
 	r := NewQuickRunner()
 	r.Ops = 3000
 	r.ParallelOps = 400
-	rows, err := Fig8(r)
+	rows, err := built[Fig8Rows](r, fig8Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"strconv"
 
 	"tusim/internal/config"
@@ -171,15 +170,4 @@ func BuildJSON(r *Runner, rec *BenchRecorder) (*JSONReport, error) {
 	}
 	rep.Degraded = r.DegradedCells()
 	return rep, nil
-}
-
-// WriteJSON runs the full evaluation and writes it as indented JSON.
-func WriteJSON(w io.Writer, r *Runner) error {
-	rep, err := BuildJSON(r, nil)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

@@ -1,17 +1,25 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 )
+
+// reportJSON is `tusbench -json`: BuildJSON, then an indented encode.
+func reportJSON(r *Runner) ([]byte, error) {
+	rep, err := BuildJSON(r, nil)
+	if err != nil {
+		return nil, err
+	}
+	return json.MarshalIndent(rep, "", "  ")
+}
 
 func TestWriteJSON(t *testing.T) {
 	r := NewQuickRunner()
 	r.Ops = 2500
 	r.ParallelOps = 300
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, r); err != nil {
+	out, err := reportJSON(r)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The wire schema, decoded independently of the encoder's section
@@ -26,7 +34,7 @@ func TestWriteJSON(t *testing.T) {
 		Fig12 *ParsecJSON   `json:"fig12_parsec_114"`
 		Hists []HistJSON    `json:"histograms"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+	if err := json.Unmarshal(out, &rep); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
 	if len(rep.Fig8) != 9 || len(rep.Fig9) == 0 {

@@ -20,11 +20,11 @@ func evalJSON(t *testing.T, workers int) []byte {
 	r.Ops = 1600
 	r.ParallelOps = 200
 	r.Workers = workers
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, r); err != nil {
+	out, err := reportJSON(r)
+	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	return buf.Bytes()
+	return out
 }
 
 // TestParallelByteIdentity is the tentpole's core guarantee: the full

@@ -106,12 +106,8 @@ func CellUnion(lists ...[]Cell) []Cell {
 	return out
 }
 
-// FigureCells returns the figure's distinct simulation cells in
-// first-appearance order. An unknown figure returns nil.
-func FigureCells(fig int) []Cell { return FigureCellUnion(fig) }
-
 // FigureCellUnion returns the distinct union of the given figures'
-// cells. Its length is the registry's expected exactly-once cell total
+// cells in first-appearance order. Its length is the registry's expected exactly-once cell total
 // for a cold run that regenerates exactly those figures: tusload asserts
 // the daemon's cells_run counter lands on it. Unknown figure numbers
 // contribute nothing.

@@ -27,7 +27,7 @@ func TestRegistryCoversEveryFigure(t *testing.T) {
 		if f.Fig != 8+i {
 			t.Errorf("Figures()[%d].Fig = %d, want %d (paper order)", i, f.Fig, 8+i)
 		}
-		cells := FigureCells(f.Fig)
+		cells := FigureCellUnion(f.Fig)
 		if len(cells) == 0 {
 			t.Errorf("fig%d: no cells", f.Fig)
 		}
@@ -53,7 +53,7 @@ func TestRegistryCoversEveryFigure(t *testing.T) {
 // (the baseline cell coincides with the Baseline mechanism column).
 func TestFig9CellCount(t *testing.T) {
 	want := len(workload.SBBound()) * len(config.Mechanisms)
-	if got := len(FigureCells(9)); got != want {
+	if got := len(FigureCellUnion(9)); got != want {
 		t.Fatalf("fig9 cells = %d, want %d", got, want)
 	}
 }
@@ -83,8 +83,8 @@ func TestListReport(t *testing.T) {
 		t.Errorf("Figures = %d rows, want %d", len(rep.Figures), len(Figures()))
 	}
 	for _, f := range rep.Figures {
-		if f.Cells != len(FigureCells(f.Fig)) {
-			t.Errorf("fig%d: listed cells %d != registry %d", f.Fig, f.Cells, len(FigureCells(f.Fig)))
+		if f.Cells != len(FigureCellUnion(f.Fig)) {
+			t.Errorf("fig%d: listed cells %d != registry %d", f.Fig, f.Cells, len(FigureCellUnion(f.Fig)))
 		}
 		if f.Title == "" || f.Name == "" {
 			t.Errorf("fig%d: empty name/title", f.Fig)
@@ -110,7 +110,7 @@ func TestRenderFigureUnknown(t *testing.T) {
 // set at 114) collapse to one set, disjoint SB sizes add, and unknown
 // figures contribute nothing.
 func TestFigureCellUnion(t *testing.T) {
-	n9 := len(FigureCells(9))
+	n9 := len(FigureCellUnion(9))
 	if got := len(FigureCellUnion(9)); got != n9 {
 		t.Errorf("union(9) = %d, want %d", got, n9)
 	}

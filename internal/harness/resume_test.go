@@ -30,7 +30,7 @@ const (
 // fig9Bytes renders the Fig. 9 report as canonical JSON bytes — the
 // byte-identity oracle for the resume test.
 func fig9Bytes(r *Runner) ([]byte, error) {
-	rows, err := Fig9(r)
+	rows, err := built[Fig9Rows](r, fig9Spec{})
 	if err != nil {
 		return nil, err
 	}

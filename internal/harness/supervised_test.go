@@ -157,7 +157,7 @@ func TestSupervisedFigureDegrades(t *testing.T) {
 		}
 		return nil
 	}
-	rows, err := Fig9(r)
+	rows, err := built[Fig9Rows](r, fig9Spec{})
 	if err != nil {
 		t.Fatalf("degraded figure must still build: %v", err)
 	}
@@ -197,7 +197,6 @@ func TestSupervisedDeadlineMissPublishesOnce(t *testing.T) {
 	b, _ := workload.ByName("503.bw2")
 	r := NewQuickRunner()
 	r.Ops = 500 // ~40 ms under -race: far inside the retry's deadline
-	r.Trace = true
 	r.Supervisor = NewSupervisor(time.Second)
 	var traces atomic.Int64
 	r.OnTrace = func(string, *trace.Tracer) { traces.Add(1) }

@@ -25,8 +25,8 @@ func TestTraceIdentityFig8(t *testing.T) {
 	}
 
 	r := goldenRunner()
-	r.Trace = true
-	rows, err := Fig8(r)
+	r.OnTrace = func(string, *trace.Tracer) {} // tracers attached, streams discarded
+	rows, err := built[Fig8Rows](r, fig8Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,6 @@ func TestTraceChromeRoundTrip(t *testing.T) {
 	}
 	r := NewQuickRunner()
 	r.Workers = 1
-	r.Trace = true
 	var mu sync.Mutex
 	tracers := map[string]*trace.Tracer{}
 	r.OnTrace = func(key string, tr *trace.Tracer) {
@@ -145,7 +144,6 @@ func TestTraceCacheHitDeliversNoTrace(t *testing.T) {
 	r := NewQuickRunner()
 	r.Ops = 2000
 	r.Cache = cache
-	r.Trace = true
 	fired := 0
 	r.OnTrace = func(string, *trace.Tracer) { fired++ }
 	if _, err := r.Run(b, config.Baseline, 32); err != nil {

@@ -4,29 +4,13 @@ import (
 	"testing"
 
 	"tusim/internal/config"
-	"tusim/internal/event"
-	"tusim/internal/stats"
 )
 
-// benchRig wires cores private hierarchies to one directory without the
-// testing.T helpers (benchmarks must not pay t.Helper on the hot path).
-func benchRig(cores int) *rig {
-	cfg := config.Default().WithCores(cores)
-	q := event.NewQueueRef(cfg.Reference)
-	mem := NewMemory()
-	st := stats.NewSet("sys")
-	dram := NewDRAM(q, cfg.DRAMLatency, cfg.DRAMMaxInFlight)
-	dir := NewDirectory(cfg, q, mem, dram, st)
-	ps := make([]*Private, cores)
-	for i := range ps {
-		ps[i] = NewPrivate(i, cfg, q, dir, stats.NewSet("p"))
-	}
-	dir.Attach(ps)
-	return &rig{cfg: cfg, q: q, mem: mem, dir: dir, ps: ps, st: st}
-}
+// benchRig is newRig without the testing.T plumbing.
+func benchRig(cores int) *rig { return buildRig(config.Default().WithCores(cores)) }
 
 // warmLine pulls a line into the L1 in the requested writability.
-func (r *rig) warmLine(b *testing.B, line uint64, writable bool) {
+func (r *rig) warmLine(b testing.TB, line uint64, writable bool) {
 	b.Helper()
 	done := false
 	if writable {
@@ -34,7 +18,7 @@ func (r *rig) warmLine(b *testing.B, line uint64, writable bool) {
 			b.Fatalf("RequestWritable(%#x) could not start", line)
 		}
 	} else {
-		if !r.ps[0].Load(line, 8, func([]byte) { done = true }) {
+		if !r.load(0, line, 8, func([]byte) { done = true }) {
 			b.Fatalf("Load(%#x) could not start", line)
 		}
 	}
@@ -134,14 +118,7 @@ func TestL1HitLoadZeroAlloc(t *testing.T) {
 	r := benchRig(1)
 	p := r.ps[0]
 	const line = 0x4000
-	done := false
-	if !p.Load(line, 8, func([]byte) { done = true }) {
-		t.Fatal("warm load did not start")
-	}
-	r.q.Drain(r.q.Now() + 1_000_000)
-	if !done {
-		t.Fatal("warm load never completed")
-	}
+	r.warmLine(t, line, false)
 	p.LoadReply = func(seq, data uint64) {}
 	var i uint64
 	step := func() {
@@ -163,14 +140,7 @@ func TestL1HitStoreZeroAlloc(t *testing.T) {
 	r := benchRig(1)
 	p := r.ps[0]
 	const line = 0x8000
-	granted := false
-	if !p.RequestWritable(line, false, true, func(ok bool) { granted = ok }) {
-		t.Fatal("warm request did not start")
-	}
-	r.q.Drain(r.q.Now() + 1_000_000)
-	if !granted {
-		t.Fatal("warm request never granted")
-	}
+	r.warmLine(t, line, true)
 	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	step := func() {
 		if !p.StoreVisible(line+8, buf) {

@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"tusim/internal/config"
-	"tusim/internal/event"
 	"tusim/internal/faults"
-	"tusim/internal/stats"
 )
 
 // The differential state-identity rig: one memory system runs on the
@@ -28,7 +26,6 @@ import (
 // observable-output log the rig compares.
 type diffSide struct {
 	r       *rig
-	coreSts []*stats.Set
 	handler []*diffHandler
 	log     []string
 }
@@ -67,31 +64,20 @@ func (h *diffHandler) HandleRelinquish(line uint64) {
 func newDiffSide(cores int, ref bool, plan faults.Plan) *diffSide {
 	cfg := config.Default().WithCores(cores)
 	cfg.Reference = ref
-	q := event.NewQueueRef(ref)
-	mem := NewMemory()
-	st := stats.NewSet("sys")
-	dram := NewDRAM(q, cfg.DRAMLatency, cfg.DRAMMaxInFlight)
-	dir := NewDirectory(cfg, q, mem, dram, st)
-	side := &diffSide{}
-	ps := make([]*Private, cores)
-	for i := range ps {
-		cs := stats.NewSet("p")
-		ps[i] = NewPrivate(i, cfg, q, dir, cs)
-		side.coreSts = append(side.coreSts, cs)
-		h := &diffHandler{p: ps[i], side: side, core: i}
-		ps[i].SetHandler(h)
+	side := &diffSide{r: buildRig(cfg)}
+	for i, p := range side.r.ps {
+		h := &diffHandler{p: p, side: side, core: i}
+		p.SetHandler(h)
 		side.handler = append(side.handler, h)
 		core := i
-		ps[i].LoadReply = func(seq, data uint64) {
+		p.LoadReply = func(seq, data uint64) {
 			side.log = append(side.log, fmt.Sprintf("load c%d seq=%d data=%#x", core, seq, data))
 		}
 	}
-	dir.Attach(ps)
-	side.r = &rig{cfg: cfg, q: q, mem: mem, dir: dir, ps: ps, st: st}
 	if plan.Enabled() {
 		in := faults.NewInjector(plan)
-		dir.SetFaults(in)
-		for _, p := range ps {
+		side.r.dir.SetFaults(in)
+		for _, p := range side.r.ps {
 			p.SetFaults(in)
 		}
 	}
@@ -122,7 +108,7 @@ func (s *diffSide) snapshot(pool []uint64) string {
 			}
 		}
 		b.WriteString("\n")
-		fmt.Fprintf(&b, "core %d stats:\n%s", i, s.coreSts[i].String())
+		fmt.Fprintf(&b, "core %d stats:\n%s", i, p.st.String())
 	}
 	b.WriteString("directory:\n")
 	s.r.dir.AuditEntries(func(line uint64, owner int, sharers uint64, busy bool, busySince uint64) {
@@ -169,7 +155,7 @@ func (s *diffSide) step(op, core int, line uint64, off, sz uint64, seq uint64) {
 			return
 		}
 		buf := []byte{byte(seq), 0xBB, 0xCC, 0xDD, 1, 2, 3, 4}
-		if p.StoreUnauthorized(line+off, buf[:sz]) {
+		if p.StoreUnauthorizedLine(lineStore(line+off, buf[:sz])) {
 			started := p.RequestWritable(line, false, true, nil)
 			s.log = append(s.log, fmt.Sprintf("ustore c%d %#x req=%v", core, line+off, started))
 		} else {

@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"fmt"
 	"sort"
 
 	"tusim/internal/config"
@@ -187,18 +186,7 @@ func (d *Directory) Request(src int, line uint64, wantM, lowLane bool, cb func(o
 	d.q.After(d.reqLat+d.faults.ReqExtra(), func() { d.handle(src, line, wantM, lowLane, cb) })
 }
 
-// DebugLine, when nonzero, traces every transaction on that line.
-var DebugLine uint64
-
 func (d *Directory) handle(src int, line uint64, wantM, lowLane bool, cb func(ok bool, data *LineData, excl bool)) {
-	if DebugLine != 0 && line == DebugLine {
-		e := d.entries.Get(line)
-		o, b := -1, false
-		if e != nil {
-			o, b = e.owner, e.busy
-		}
-		fmt.Printf("[%d] handle src=%d wantM=%v owner=%d busy=%v\n", d.q.Now(), src, wantM, o, b)
-	}
 	if d.faults.SpuriousNack() {
 		// A NACK is a legal response to any request (busy line, TUS
 		// delay), so requesters must already cope with it at any time.
@@ -428,14 +416,6 @@ func (d *Directory) LLCData(line uint64) *LineData {
 		return &e.data
 	}
 	return nil
-}
-
-// SharersOf reports the sharer bitmask (tests).
-func (d *Directory) SharersOf(line uint64) uint64 {
-	if e := d.entries.Get(line & LineMask); e != nil {
-		return e.sharers
-	}
-	return 0
 }
 
 // ---------- Audit / chaos hooks ----------

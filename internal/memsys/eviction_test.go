@@ -108,7 +108,7 @@ func TestPrefetchPoolDoesNotBlockDemand(t *testing.T) {
 		t.Fatal("demand MSHRs exhausted by prefetches")
 	}
 	var got []byte
-	if !r.ps[0].Load(0x900000, 8, func(d []byte) { got = d }) {
+	if !r.load(0, 0x900000, 8, func(d []byte) { got = d }) {
 		t.Fatal("demand load rejected while prefetch pool full")
 	}
 	r.run(t)

@@ -52,16 +52,13 @@ type PLine struct {
 	loadWaiters []loadWait
 }
 
-// loadWait is one pending read. The hot (core) path identifies the load
-// by seq and is answered through the set-once LoadReply callback with
-// the bytes packed little-endian into a uint64 — no per-load closure,
-// no per-load []byte. cb, when non-nil, overrides that with a one-off
-// callback (test rigs and diagnostics).
+// loadWait is one pending read, identified by seq and answered through
+// the set-once LoadReply callback with the bytes packed little-endian
+// into a uint64 — no per-load closure, no per-load []byte.
 type loadWait struct {
 	addr uint64
 	seq  uint64
 	size uint8
-	cb   func([]byte)
 }
 
 type mshrEntry struct {
@@ -308,19 +305,10 @@ func (p *Private) touch2(pl *PLine) { p.lruTick++; pl.lru2 = p.lruTick }
 // ---------- Loads ----------
 
 // reply answers one pending load after delay cycles (synchronously when
-// delay is 0, matching the fill path's in-event delivery). Seq-path
-// replies ride the two-arg event form, so a hit schedules nothing on
-// the heap beyond the preallocated item slot.
+// delay is 0, matching the fill path's in-event delivery). Replies ride
+// the two-arg event form, so a hit schedules nothing on the heap beyond
+// the preallocated item slot.
 func (p *Private) reply(lw loadWait, src *LineData, delay uint64) {
-	if lw.cb != nil {
-		data := extract(src, lw.addr, lw.size)
-		if delay == 0 {
-			lw.cb(data)
-		} else {
-			p.q.After(delay, func() { lw.cb(data) })
-		}
-		return
-	}
 	packed := extractPacked(src, lw.addr, lw.size)
 	if delay == 0 {
 		p.LoadReply(lw.seq, packed)
@@ -329,15 +317,10 @@ func (p *Private) reply(lw loadWait, src *LineData, delay uint64) {
 	}
 }
 
-// Load performs a timed read of size bytes at addr. cb receives the
-// data when the access completes. It returns false when the access
-// cannot even start (MSHRs full); the caller retries next cycle.
-func (p *Private) Load(addr uint64, size uint8, cb func([]byte)) bool {
-	return p.load(loadWait{addr: addr, size: size, cb: cb})
-}
-
-// LoadSeq is the allocation-free form of Load used by the core's issue
-// path: the read is identified by seq and answered through LoadReply.
+// LoadSeq performs a timed read of size bytes at addr. The read is
+// identified by seq and answered through LoadReply when the access
+// completes. It returns false when the access cannot even start (MSHRs
+// full); the caller retries next cycle.
 func (p *Private) LoadSeq(addr uint64, size uint8, seq uint64) bool {
 	return p.load(loadWait{addr: addr, size: size, seq: seq})
 }
@@ -702,8 +685,12 @@ func (p *Private) StoreVisibleLine(line uint64, data *LineData, mask Mask) bool 
 
 // ---------- TUS store paths ----------
 
-// StoreUnauthorizedLine is the line-granular unauthorized write used
-// when a WCB flushes a coalesced group into the L1D.
+// StoreUnauthorizedLine places a coalesced mask of store bytes in L1
+// without permission, marking the line not visible (Fig. 7 left path;
+// the WCB flushes a group into the L1D this way). If the line is absent
+// it is allocated; if present and visible-but-unwritable (S), the read
+// permission is kept but the copy becomes invisible. Returns false when
+// no L1 way can host the line.
 func (p *Private) StoreUnauthorizedLine(line uint64, data *LineData, mask Mask) bool {
 	line &= LineMask
 	pl := p.lines.Get(line)
@@ -732,7 +719,8 @@ func (p *Private) StoreUnauthorizedLine(line uint64, data *LineData, mask Mask) 
 }
 
 // StoreUnauthorizedHitLine coalesces a mask of bytes into an existing
-// not-visible line (WOQ-level store cycle).
+// not-visible line (a store cycle, Sec. III-B). The caller must have
+// verified the line is not visible.
 func (p *Private) StoreUnauthorizedHitLine(line uint64, data *LineData, mask Mask) {
 	line &= LineMask
 	pl := p.lines.Get(line)
@@ -746,93 +734,12 @@ func (p *Private) StoreUnauthorizedHitLine(line uint64, data *LineData, mask Mas
 	p.cL1Write.Inc()
 }
 
-// StoreOverVisibleLine is the line-granular "authorized hit" TUS path.
-func (p *Private) StoreOverVisibleLine(line uint64, data *LineData, mask Mask) bool {
-	line &= LineMask
-	pl := p.lines.Get(line)
-	if pl == nil || (pl.State != StateE && pl.State != StateM) || pl.NotVisible {
-		return false
-	}
-	if !pl.InL1 {
-		if !p.allocL1(pl) {
-			return false
-		}
-		pl.L1Data = pl.L2Data
-		pl.L1Dirty = false
-	}
-	if !pl.InL2 {
-		p.allocL2(pl)
-	}
-	pl.L2Data = pl.L1Data
-	pl.L2Dirty = pl.L2Dirty || pl.L1Dirty
-	p.cL2Update.Inc()
-
-	Merge(&pl.L1Data, data, mask)
-	pl.UMask = mask
-	pl.NotVisible = true
-	pl.Ready = true
-	pl.State = StateM
-	p.touch1(pl)
-	p.cL1Write.Inc()
-	return true
-}
-
-// StoreUnauthorized places store bytes in L1 without permission,
-// marking the line not visible (Fig. 7 left path). If the line is
-// absent it is allocated; if present and visible-but-unwritable (S),
-// the read permission is kept but the copy becomes invisible. Returns
-// false when no L1 way can host the line.
-func (p *Private) StoreUnauthorized(addr uint64, data []byte) bool {
-	line := addr & LineMask
-	pl := p.lines.Get(line)
-	if pl == nil {
-		pl = p.newLine(line)
-	}
-	if !pl.InL1 {
-		if !p.allocL1(pl) {
-			p.cL1SetOverflow.Inc()
-			return false
-		}
-		if pl.InL2 {
-			pl.L1Data = pl.L2Data
-		} else {
-			pl.L1Data = LineData{}
-		}
-		pl.L1Dirty = false
-	}
-	off := addr & (LineBytes - 1)
-	copy(pl.L1Data[off:], data)
-	pl.UMask |= MaskFor(addr, uint8(len(data)))
-	pl.NotVisible = true
-	pl.Ready = false
-	p.touch1(pl)
-	p.cL1Write.Inc()
-	return true
-}
-
-// StoreUnauthorizedHit coalesces more bytes into an existing
-// not-visible line (a store cycle, Sec. III-B). The caller must have
-// verified the line is not visible.
-func (p *Private) StoreUnauthorizedHit(addr uint64, data []byte) {
-	line := addr & LineMask
-	pl := p.lines.Get(line)
-	if pl == nil || !pl.NotVisible || !pl.InL1 {
-		panic(faults.Violationf("memsys", p.ID, line, "unauthorized-resident",
-			"StoreUnauthorizedHit on a line that is not an unauthorized L1 resident"))
-	}
-	off := addr & (LineBytes - 1)
-	copy(pl.L1Data[off:], data)
-	pl.UMask |= MaskFor(addr, uint8(len(data)))
-	p.touch1(pl)
-	p.cL1Write.Inc()
-}
-
-// StoreOverVisible implements the TUS "authorized hit on a modified
+// StoreOverVisibleLine implements the TUS "authorized hit on a modified
 // line" path (Fig. 7 (3)): the current data is first pushed to the
 // private L2 so a valid authorized copy survives, then the new bytes
 // are written and the line turns not-visible but ready.
-func (p *Private) StoreOverVisible(addr uint64, data []byte) bool {
-	line := addr & LineMask
+func (p *Private) StoreOverVisibleLine(line uint64, data *LineData, mask Mask) bool {
+	line &= LineMask
 	pl := p.lines.Get(line)
 	if pl == nil || (pl.State != StateE && pl.State != StateM) || pl.NotVisible {
 		return false
@@ -852,9 +759,8 @@ func (p *Private) StoreOverVisible(addr uint64, data []byte) bool {
 	pl.L2Dirty = pl.L2Dirty || pl.L1Dirty
 	p.cL2Update.Inc()
 
-	off := addr & (LineBytes - 1)
-	copy(pl.L1Data[off:], data)
-	pl.UMask = MaskFor(addr, uint8(len(data)))
+	Merge(&pl.L1Data, data, mask)
+	pl.UMask = mask
 	pl.NotVisible = true
 	pl.Ready = true
 	pl.State = StateM
@@ -1223,18 +1129,9 @@ func (p *Private) SabotageHideLine() (uint64, bool) {
 	return best, true
 }
 
-// extract copies size bytes at addr out of a line.
-func extract(l *LineData, addr uint64, size uint8) []byte {
-	off := addr & (LineBytes - 1)
-	out := make([]byte, size)
-	copy(out, l[off:])
-	return out
-}
-
 // extractPacked packs size bytes at addr into a uint64, little-endian
 // (byte i of the line lands in bits 8i..8i+7, matching what copying
-// into a [8]byte and decoding with encoding/binary would produce). It
-// is the allocation-free twin of extract for the seq-based load path.
+// into a [8]byte and decoding with encoding/binary would produce).
 func extractPacked(l *LineData, addr uint64, size uint8) uint64 {
 	off := addr & (LineBytes - 1)
 	var v uint64

@@ -16,6 +16,16 @@ type rig struct {
 	dir *Directory
 	ps  []*Private
 	st  *stats.Set
+
+	// Loads go in through LoadSeq and come back through LoadReply, the
+	// path cpu.Core drives; pending maps a seq to the test's callback.
+	seq     uint64
+	pending map[uint64]pendingLoad
+}
+
+type pendingLoad struct {
+	size uint8
+	cb   func([]byte)
 }
 
 func newRig(t testing.TB, cores int, mut func(*config.Config)) *rig {
@@ -24,17 +34,54 @@ func newRig(t testing.TB, cores int, mut func(*config.Config)) *rig {
 	if mut != nil {
 		mut(cfg)
 	}
+	return buildRig(cfg)
+}
+
+func buildRig(cfg *config.Config) *rig {
 	q := event.NewQueueRef(cfg.Reference)
 	mem := NewMemory()
 	st := stats.NewSet("sys")
 	dram := NewDRAM(q, cfg.DRAMLatency, cfg.DRAMMaxInFlight)
 	dir := NewDirectory(cfg, q, mem, dram, st)
-	ps := make([]*Private, cores)
-	for i := range ps {
-		ps[i] = NewPrivate(i, cfg, q, dir, stats.NewSet("p"))
+	r := &rig{cfg: cfg, q: q, mem: mem, dir: dir, st: st, pending: map[uint64]pendingLoad{}}
+	r.ps = make([]*Private, cfg.Cores)
+	for i := range r.ps {
+		r.ps[i] = NewPrivate(i, cfg, q, dir, stats.NewSet("p"))
+		r.ps[i].LoadReply = r.loadReply
 	}
-	dir.Attach(ps)
-	return &rig{cfg: cfg, q: q, mem: mem, dir: dir, ps: ps, st: st}
+	dir.Attach(r.ps)
+	return r
+}
+
+// load issues a timed read the way the core does; cb receives the
+// reply's packed bytes unpacked again. False means the access could not
+// start (MSHRs full).
+func (r *rig) load(core int, addr uint64, size uint8, cb func([]byte)) bool {
+	r.seq++
+	r.pending[r.seq] = pendingLoad{size, cb}
+	if !r.ps[core].LoadSeq(addr, size, r.seq) {
+		delete(r.pending, r.seq)
+		return false
+	}
+	return true
+}
+
+func (r *rig) loadReply(seq, data uint64) {
+	pl := r.pending[seq]
+	delete(r.pending, seq)
+	out := make([]byte, pl.size)
+	for i := range out {
+		out[i] = byte(data >> (8 * i))
+	}
+	pl.cb(out)
+}
+
+// lineStore turns a byte-granular store into the (line, data, mask)
+// triple the line-granular store paths take.
+func lineStore(addr uint64, data []byte) (uint64, *LineData, Mask) {
+	var ld LineData
+	copy(ld[addr&(LineBytes-1):], data)
+	return addr & LineMask, &ld, MaskFor(addr, uint8(len(data)))
 }
 
 func (r *rig) run(t testing.TB) {
@@ -45,7 +92,7 @@ func (r *rig) run(t testing.TB) {
 func (r *rig) mustLoad(t testing.TB, core int, addr uint64, size uint8) []byte {
 	t.Helper()
 	var got []byte
-	if !r.ps[core].Load(addr, size, func(d []byte) { got = d }) {
+	if !r.load(core, addr, size, func(d []byte) { got = d }) {
 		t.Fatalf("Load(%#x) could not start", addr)
 	}
 	r.run(t)
@@ -77,7 +124,7 @@ func TestLoadMissFillHit(t *testing.T) {
 
 	start := r.q.Now()
 	var doneAt uint64
-	r.ps[0].Load(0x1008, 4, func(d []byte) {
+	r.load(0, 0x1008, 4, func(d []byte) {
 		doneAt = r.q.Now()
 		if d[0] != 8 || d[3] != 11 {
 			t.Errorf("load data = %v", d)
@@ -92,7 +139,7 @@ func TestLoadMissFillHit(t *testing.T) {
 
 	// Second access is an L1 hit at L1 latency.
 	start = r.q.Now()
-	r.ps[0].Load(0x1000, 8, func(d []byte) { doneAt = r.q.Now() })
+	r.load(0, 0x1000, 8, func(d []byte) { doneAt = r.q.Now() })
 	r.run(t)
 	if doneAt != start+r.cfg.L1D.Latency {
 		t.Errorf("hit completed at %d, want %d", doneAt, start+r.cfg.L1D.Latency)
@@ -105,8 +152,8 @@ func TestLoadMissFillHit(t *testing.T) {
 func TestLoadMergesIntoMSHR(t *testing.T) {
 	r := newRig(t, 1, nil)
 	done := 0
-	r.ps[0].Load(0x2000, 8, func([]byte) { done++ })
-	r.ps[0].Load(0x2008, 8, func([]byte) { done++ })
+	r.load(0, 0x2000, 8, func([]byte) { done++ })
+	r.load(0, 0x2008, 8, func([]byte) { done++ })
 	if got := r.st.Get("llc_accesses"); got != 0 {
 		t.Fatalf("llc access counted before arrival: %d", got)
 	}
@@ -246,17 +293,17 @@ func TestBusyLineSerializesRequests(t *testing.T) {
 
 func TestMSHRLimit(t *testing.T) {
 	r := newRig(t, 1, func(c *config.Config) { c.L1D.MSHRs = 2 })
-	if !r.ps[0].Load(0x100, 8, func([]byte) {}) {
+	if !r.load(0, 0x100, 8, func([]byte) {}) {
 		t.Fatal("first load rejected")
 	}
-	if !r.ps[0].Load(0x200, 8, func([]byte) {}) {
+	if !r.load(0, 0x200, 8, func([]byte) {}) {
 		t.Fatal("second load rejected")
 	}
-	if r.ps[0].Load(0x300, 8, func([]byte) {}) {
+	if r.load(0, 0x300, 8, func([]byte) {}) {
 		t.Fatal("third load should have been rejected (MSHRs full)")
 	}
 	r.run(t)
-	if !r.ps[0].Load(0x300, 8, func([]byte) {}) {
+	if !r.load(0, 0x300, 8, func([]byte) {}) {
 		t.Fatal("load rejected after MSHRs drained")
 	}
 }
@@ -281,7 +328,7 @@ func TestUpgradePiggybacksOnInflightRead(t *testing.T) {
 	r.mustLoad(t, 1, 0x9000, 8)
 	gotLoad := false
 	okW := false
-	r.ps[0].Load(0x9000, 8, func([]byte) { gotLoad = true })
+	r.load(0, 0x9000, 8, func([]byte) { gotLoad = true })
 	r.ps[0].RequestWritable(0x9000, false, true, func(b bool) { okW = b })
 	r.run(t)
 	if !gotLoad || !okW {
@@ -308,8 +355,8 @@ func TestWritebackBufferServicesProbe(t *testing.T) {
 	// Evict by touching another line; immediately have core 1 read the
 	// dirty line.
 	var got []byte
-	r.ps[0].Load(0x40, 8, func([]byte) {})
-	r.ps[1].Load(0x0, 1, func(d []byte) { got = d })
+	r.load(0, 0x40, 8, func([]byte) {})
+	r.load(1, 0x0, 1, func(d []byte) { got = d })
 	r.run(t)
 	if got == nil || got[0] != 0x42 {
 		t.Fatalf("remote read during writeback = %v, want 0x42", got)

@@ -33,7 +33,7 @@ func TestUnauthorizedStoreThenFillMerges(t *testing.T) {
 	r.mem.WriteLine(0xB000, &seed)
 
 	// Write 4 bytes without permission: always-hit illusion.
-	if !r.ps[0].StoreUnauthorized(0xB008, []byte{1, 2, 3, 4}) {
+	if !r.ps[0].StoreUnauthorizedLine(lineStore(0xB008, []byte{1, 2, 3, 4})) {
 		t.Fatal("unauthorized store failed")
 	}
 	pl := r.ps[0].Lookup(0xB000)
@@ -81,8 +81,8 @@ func TestUnauthorizedStoreThenFillMerges(t *testing.T) {
 func TestUnauthorizedStoreCoalescesOnHit(t *testing.T) {
 	r := newRig(t, 1, nil)
 	r.ps[0].SetHandler(&fakeHandler{})
-	r.ps[0].StoreUnauthorized(0xC000, []byte{1})
-	r.ps[0].StoreUnauthorizedHit(0xC001, []byte{2})
+	r.ps[0].StoreUnauthorizedLine(lineStore(0xC000, []byte{1}))
+	r.ps[0].StoreUnauthorizedHitLine(lineStore(0xC001, []byte{2}))
 	pl := r.ps[0].Lookup(0xC000)
 	if pl.UMask != 0x3 {
 		t.Fatalf("UMask = %#x, want 0x3", pl.UMask)
@@ -99,9 +99,9 @@ func TestLoadToUnauthorizedLineWaitsForPermission(t *testing.T) {
 	seed[0] = 0x55
 	r.mem.WriteLine(0xD000, &seed)
 
-	r.ps[0].StoreUnauthorized(0xD008, []byte{7})
+	r.ps[0].StoreUnauthorizedLine(lineStore(0xD008, []byte{7}))
 	var got []byte
-	r.ps[0].Load(0xD000, 1, func(d []byte) { got = d })
+	r.load(0, 0xD000, 1, func(d []byte) { got = d })
 	r.q.Drain(r.q.Now() + 10)
 	if got != nil {
 		t.Fatal("load to not-ready unauthorized line must wait")
@@ -120,7 +120,7 @@ func TestProbeDelayNacksRequester(t *testing.T) {
 	r.ps[1].SetHandler(&fakeHandler{})
 
 	// Core 0 gets an unauthorized line ready (permission held, not visible).
-	r.ps[0].StoreUnauthorized(0xE000, []byte{9})
+	r.ps[0].StoreUnauthorizedLine(lineStore(0xE000, []byte{9}))
 	r.ps[0].RequestWritable(0xE000, false, false, nil)
 	r.run(t)
 
@@ -157,7 +157,7 @@ func TestProbeDelayNacksRequester(t *testing.T) {
 	}
 	// Ownership transferred with the *new* data (line was visible by then).
 	var got []byte
-	r.ps[1].Load(0xE000, 1, func(d []byte) { got = d })
+	r.load(1, 0xE000, 1, func(d []byte) { got = d })
 	r.run(t)
 	if got[0] != 9 {
 		t.Fatalf("transferred data = %v, want visible store value 9", got)
@@ -174,7 +174,7 @@ func TestProbeRelinquishServesStaleData(t *testing.T) {
 	seed[0] = 0x33
 	r.mem.WriteLine(0xF000, &seed)
 
-	r.ps[0].StoreUnauthorized(0xF000, []byte{0x99})
+	r.ps[0].StoreUnauthorizedLine(lineStore(0xF000, []byte{0x99}))
 	r.ps[0].RequestWritable(0xF000, false, false, nil)
 	r.run(t)
 	pl := r.ps[0].Lookup(0xF000)
@@ -184,7 +184,7 @@ func TestProbeRelinquishServesStaleData(t *testing.T) {
 
 	// Core 1 requests: core 0 relinquishes; core 1 must see the OLD data.
 	var got []byte
-	r.ps[1].Load(0xF000, 1, func(d []byte) { got = d })
+	r.load(1, 0xF000, 1, func(d []byte) { got = d })
 	r.run(t)
 	if got == nil || got[0] != 0x33 {
 		t.Fatalf("requester saw %v, want stale 0x33", got)
@@ -222,11 +222,11 @@ func TestNotVisibleLineNotEvictable(t *testing.T) {
 		c.L1D.Ways = 1
 	})
 	r.ps[0].SetHandler(&fakeHandler{})
-	if !r.ps[0].StoreUnauthorized(0x0, []byte{1}) {
+	if !r.ps[0].StoreUnauthorizedLine(lineStore(0x0, []byte{1})) {
 		t.Fatal("unauthorized store failed")
 	}
 	var got []byte
-	r.ps[0].Load(0x80, 8, func(d []byte) { got = d }) // same set
+	r.load(0, 0x80, 8, func(d []byte) { got = d }) // same set
 	r.run(t)
 	pl := r.ps[0].Lookup(0x0)
 	if pl == nil || !pl.InL1 || !pl.NotVisible {
@@ -236,7 +236,7 @@ func TestNotVisibleLineNotEvictable(t *testing.T) {
 		t.Fatal("conflicting load never completed (it may stay in L2 only)")
 	}
 	// A second unauthorized store to that set must be refused.
-	if r.ps[0].StoreUnauthorized(0x100, []byte{2}) {
+	if r.ps[0].StoreUnauthorizedLine(lineStore(0x100, []byte{2})) {
 		t.Fatal("unauthorized store succeeded with no free way")
 	}
 }
@@ -258,7 +258,7 @@ func TestL1WaysAvailable(t *testing.T) {
 		t.Fatal("split across sets should fit")
 	}
 	// Pin one way with an unauthorized line: only 1 slot left in set 0.
-	r.ps[0].StoreUnauthorized(0x0, []byte{1})
+	r.ps[0].StoreUnauthorizedLine(lineStore(0x0, []byte{1}))
 	if !r.ps[0].L1WaysAvailable([]uint64{0x80}) {
 		t.Fatal("one free way remains")
 	}
@@ -268,5 +268,101 @@ func TestL1WaysAvailable(t *testing.T) {
 	// The resident line itself still counts as available.
 	if !r.ps[0].L1WaysAvailable([]uint64{0x0, 0x80}) {
 		t.Fatal("resident line counts as satisfied")
+	}
+}
+
+// TestStoreOverVisibleLine drives Fig. 7 (3), the authorized hit: the
+// old copy goes down to the private L2 first, the new bytes land in L1
+// and the line turns not-visible but ready with UMask replaced.
+func TestStoreOverVisibleLine(t *testing.T) {
+	r := newRig(t, 1, nil)
+	p := r.ps[0]
+	p.SetHandler(&fakeHandler{})
+	var seed LineData
+	for i := range seed {
+		seed[i] = 0x10
+	}
+	r.mem.WriteLine(0xB000, &seed)
+
+	if p.StoreOverVisibleLine(lineStore(0xB008, []byte{1, 2})) {
+		t.Fatal("authorized-hit path accepted a line held without permission")
+	}
+	// A full unauthorized lifecycle first, so the line has carried a
+	// mask (bytes 0-3) before: it must not leak into the next one.
+	p.StoreUnauthorizedLine(lineStore(0xB000, []byte{0xA0, 0xA1, 0xA2, 0xA3}))
+	r.mustWritable(t, 0, 0xB000)
+	p.MakeVisible(0xB000)
+	pl := p.Lookup(0xB000)
+	if pl.NotVisible || pl.UMask != 0 || pl.State != StateM {
+		t.Fatalf("setup: notVisible=%v umask=%#x state=%v", pl.NotVisible, pl.UMask, pl.State)
+	}
+
+	updates := p.st.Get("l2_updates")
+	if !p.StoreOverVisibleLine(lineStore(0xB008, []byte{1, 2})) {
+		t.Fatal("authorized hit on a modified line refused")
+	}
+	if !pl.NotVisible || !pl.Ready || pl.State != StateM {
+		t.Fatalf("after authorized hit: notVisible=%v ready=%v state=%v", pl.NotVisible, pl.Ready, pl.State)
+	}
+	if pl.UMask != MaskFor(0xB008, 2) {
+		t.Fatalf("UMask = %#x, want exactly the new store's %#x", pl.UMask, MaskFor(0xB008, 2))
+	}
+	// L2 holds the old authorized copy: the published bytes, not the new ones.
+	if pl.L2Data[0] != 0xA0 || pl.L2Data[3] != 0xA3 || pl.L2Data[8] != 0x10 || !pl.L2Dirty {
+		t.Fatalf("L2 copy = %v dirty=%v, want the pre-store line", pl.L2Data[:12], pl.L2Dirty)
+	}
+	if pl.L1Data[0] != 0xA0 || pl.L1Data[8] != 1 || pl.L1Data[9] != 2 || pl.L1Data[10] != 0x10 {
+		t.Fatalf("L1 copy = %v", pl.L1Data[:12])
+	}
+	if got := p.st.Get("l2_updates"); got != updates+1 {
+		t.Fatalf("l2_updates = %d, want %d", got, updates+1)
+	}
+	// A second store now is a store-cycle hit, not another authorized hit.
+	if p.StoreOverVisibleLine(lineStore(0xB010, []byte{3})) {
+		t.Fatal("authorized-hit path accepted a not-visible line")
+	}
+	// Ready lines serve loads from the L1 copy.
+	if got := r.mustLoad(t, 0, 0xB008, 2); got[0] != 1 || got[1] != 2 {
+		t.Fatalf("load from ready line = %v", got)
+	}
+}
+
+// TestStoreVisibleLine drives CSB's atomic group write: a coalesced mask
+// with a hole lands in a writable line and is visible at once.
+func TestStoreVisibleLine(t *testing.T) {
+	r := newRig(t, 1, nil)
+	p := r.ps[0]
+	var seed LineData
+	for i := range seed {
+		seed[i] = 0x10
+	}
+	r.mem.WriteLine(0xA000, &seed)
+	var gotLine uint64
+	var gotMask Mask
+	p.OnStoreVisible = func(line uint64, mask Mask, data *LineData) { gotLine, gotMask = line, mask }
+
+	line, data, mask := lineStore(0xA004, []byte{1, 2})
+	_, hi, hiMask := lineStore(0xA020, []byte{7})
+	Merge(data, hi, hiMask)
+	mask |= hiMask
+	if p.StoreVisibleLine(line, data, mask) {
+		t.Fatal("group write succeeded without permission")
+	}
+	r.mustWritable(t, 0, 0xA000)
+	if !p.StoreVisibleLine(line, data, mask) {
+		t.Fatal("group write failed with M permission")
+	}
+	pl := p.Lookup(0xA000)
+	if pl.State != StateM || !pl.L1Dirty || pl.NotVisible {
+		t.Fatalf("state=%v l1Dirty=%v notVisible=%v", pl.State, pl.L1Dirty, pl.NotVisible)
+	}
+	if pl.L1Data[3] != 0x10 || pl.L1Data[4] != 1 || pl.L1Data[5] != 2 || pl.L1Data[6] != 0x10 || pl.L1Data[0x20] != 7 {
+		t.Fatalf("masked merge wrong: %v", pl.L1Data[:0x22])
+	}
+	if gotLine != 0xA000 || gotMask != mask {
+		t.Fatalf("listener saw line=%#x mask=%#x, want mask %#x", gotLine, gotMask, mask)
+	}
+	if got := p.st.Get("l1d_writes"); got != 1 {
+		t.Fatalf("l1d_writes = %d, want 1", got)
 	}
 }

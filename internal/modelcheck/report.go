@@ -110,25 +110,6 @@ func Check(test litmus.Test, m config.Mechanism, eo ExploreOpts, lim Limits) (*R
 	return r, nil
 }
 
-// CheckSuite runs Check over a set of programs × mechanisms, stopping
-// at the first unsound cell. Results arrive in deterministic order.
-func CheckSuite(tests []litmus.Test, mechs []config.Mechanism, eo ExploreOpts, lim Limits) ([]*Report, error) {
-	var out []*Report
-	for _, test := range tests {
-		for _, m := range mechs {
-			r, err := Check(test, m, eo, lim)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, r)
-			if !r.Sound() {
-				return out, nil
-			}
-		}
-	}
-	return out, nil
-}
-
 // Write renders the report compactly.
 func (r *Report) Write(w io.Writer) {
 	got, total := r.Coverage()

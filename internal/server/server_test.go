@@ -111,7 +111,7 @@ func TestFigureByteIdentity(t *testing.T) {
 	}
 	wg.Wait()
 
-	nCells := len(harness.FigureCells(9))
+	nCells := len(harness.FigureCellUnion(9))
 	for i, rp := range replies {
 		if rp.code != http.StatusOK {
 			t.Fatalf("req %d: status %d, body %s", i, rp.code, rp.body)
@@ -605,7 +605,7 @@ func TestSSEProgress(t *testing.T) {
 	if err := json.Unmarshal([]byte(lastData), &final); err != nil {
 		t.Fatalf("terminal event payload: %v", err)
 	}
-	if final.State != JobDone || final.CellsDone != final.CellsTotal || final.CellsTotal != len(harness.FigureCells(9)) {
+	if final.State != JobDone || final.CellsDone != final.CellsTotal || final.CellsTotal != len(harness.FigureCellUnion(9)) {
 		t.Fatalf("terminal payload %+v", final)
 	}
 

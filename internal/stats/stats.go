@@ -7,7 +7,7 @@
 // goroutine, each with its own Sets, but merges them into shared
 // aggregates and snapshots them while producers may still be running.
 // Counter updates are atomic and every Set registry operation (Counter,
-// Get, Merge, Snapshot, Subtract, Reset, Names, String) is guarded by a
+// Get, Merge, Snapshot, Reset, Names, String) is guarded by a
 // mutex, so a Set is safe for concurrent use. Merge acquires the two
 // Sets' locks strictly in sequence (snapshot the source, then add into
 // the destination), so concurrent cross-merges cannot deadlock.
@@ -140,30 +140,8 @@ func (s *Set) Snapshot() map[string]uint64 {
 	return out
 }
 
-// Subtract removes a snapshot's values from the counters (used to
-// discard warm-up statistics). Counters created after the snapshot are
-// left unchanged.
-func (s *Set) Subtract(snap map[string]uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, v := range snap {
-		c, ok := s.counters[name]
-		if !ok {
-			continue
-		}
-		// Producers may race this clamp; the harness only subtracts
-		// between run phases, when the counter is quiescent.
-		if cur := c.Value(); cur >= v {
-			c.v.Store(cur - v)
-		} else {
-			c.v.Store(0)
-		}
-	}
-}
-
-// Reset zeroes all counters and histograms, keeping handles valid.
-// (Warm-up discard resets; Subtract is counter-only and leaves
-// histograms alone, which the harness never relies on.)
+// Reset zeroes all counters and histograms, keeping handles valid
+// (the warm-up discard).
 func (s *Set) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

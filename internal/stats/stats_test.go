@@ -212,32 +212,6 @@ func TestConcurrentCrossMerge(t *testing.T) {
 	wg.Wait() // reaching here is the assertion: no deadlock, no race
 }
 
-// TestSubtractClamps checks warm-up subtraction semantics: exact
-// removal, clamping at zero, and indifference to post-snapshot counters.
-func TestSubtractClamps(t *testing.T) {
-	s := NewSet("x")
-	s.Counter("a").Add(10)
-	s.Counter("b").Add(3)
-	snap := s.Snapshot()
-	s.Counter("a").Add(5)
-	s.Counter("late").Add(7) // created after the snapshot
-	s.Subtract(snap)
-	if got := s.Get("a"); got != 5 {
-		t.Fatalf("a = %d, want 5", got)
-	}
-	if got := s.Get("b"); got != 0 {
-		t.Fatalf("b = %d, want 0", got)
-	}
-	if got := s.Get("late"); got != 7 {
-		t.Fatalf("late = %d, want 7", got)
-	}
-	// Clamp: subtracting a snapshot larger than the counter floors at 0.
-	s.Subtract(map[string]uint64{"a": 100})
-	if got := s.Get("a"); got != 0 {
-		t.Fatalf("a after clamp = %d, want 0", got)
-	}
-}
-
 // TestSnapshotDuringMerge exercises Snapshot racing Merge on the same
 // destination (the harness snapshots aggregates while cells merge in).
 func TestSnapshotDuringMerge(t *testing.T) {

@@ -118,7 +118,7 @@ func (s *System) crash(kind string, violation *faults.ProtocolError, message str
 	for i, c := range s.Cores {
 		snap := CoreSnapshot{
 			Core:        i,
-			Committed:   s.CoreStats[i].Get("committed_ops"),
+			Committed:   c.Committed(),
 			SBLen:       c.SB.Len(),
 			SBOverflows: c.SB.Overflows,
 		}

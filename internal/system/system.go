@@ -244,10 +244,7 @@ func (s *System) Run() (err error) {
 			return s.crash(CrashMaxCycles, nil,
 				fmt.Sprintf("exceeded MaxCycles=%d", s.Cfg.MaxCycles))
 		}
-		committed := uint64(0)
-		for _, st := range s.CoreStats {
-			committed += st.Get("committed_ops")
-		}
+		committed := s.TotalCommitted()
 		if !s.warmed && s.WarmupOps > 0 && committed >= s.WarmupOps {
 			s.warmed = true
 			s.warmCycle = s.Q.Now()
@@ -263,9 +260,9 @@ func (s *System) Run() (err error) {
 			lastCommitted = committed
 			lastProgress = s.Q.Now()
 		} else if s.Q.Now()-lastProgress > watchdogWindow {
-			perCore := make([]uint64, len(s.CoreStats))
-			for i, st := range s.CoreStats {
-				perCore[i] = st.Get("committed_ops")
+			perCore := make([]uint64, len(s.Cores))
+			for i, c := range s.Cores {
+				perCore[i] = c.Committed()
 			}
 			return s.crash(CrashWatchdog, nil,
 				fmt.Sprintf("no commit progress for %d cycles (per-core commits: %v) — deadlock?",
@@ -297,8 +294,8 @@ func (s *System) finalizeStats() {
 // TotalCommitted sums committed micro-ops over all cores.
 func (s *System) TotalCommitted() uint64 {
 	var n uint64
-	for _, st := range s.CoreStats {
-		n += st.Get("committed_ops")
+	for _, c := range s.Cores {
+		n += c.Committed()
 	}
 	return n
 }

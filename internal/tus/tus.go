@@ -10,7 +10,6 @@
 package tus
 
 import (
-	"fmt"
 	"tusim/internal/config"
 	"tusim/internal/cpu"
 	"tusim/internal/event"
@@ -655,18 +654,4 @@ func (t *TUS) AuditWOQ() []WOQInfo {
 		}
 	}
 	return out
-}
-
-// DumpWOQ renders the WOQ for debugging.
-func (t *TUS) DumpWOQ() string {
-	s := fmt.Sprintf("woq(len=%d pending=%d wcb=%d):", len(t.woq), len(t.pending), t.wcbs.Len())
-	for i, e := range t.woq {
-		if i > 24 {
-			s += " ..."
-			break
-		}
-		s += fmt.Sprintf(" [%d g%d line=%#x lex=%d perm=%v rdy=%v req=%v cyc=%v]",
-			i, e.group, e.line, t.lex(e.line), e.hasPerm, e.ready, e.requested, e.canCycle)
-	}
-	return s
 }

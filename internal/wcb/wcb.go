@@ -215,12 +215,3 @@ func (s *Set) Forward(addr uint64, size uint8) (hit bool, conflict bool, out [8]
 	}
 	return false, false, out
 }
-
-// Lines returns the line addresses of a group.
-func Lines(group []*Buffer) []uint64 {
-	out := make([]uint64, len(group))
-	for i, b := range group {
-		out[i] = b.Line
-	}
-	return out
-}

@@ -155,18 +155,6 @@ func TestGroupFlushOrderIsOldestFirst(t *testing.T) {
 	}
 }
 
-func TestLinesHelper(t *testing.T) {
-	s := NewSet(2, 16)
-	s.Insert(0x1000, []byte{1})
-	s.Insert(0x2000, []byte{2})
-	s.Insert(0x1008, []byte{3}) // merge
-	g := s.OldestGroup()
-	ls := Lines(g)
-	if len(ls) != 2 {
-		t.Fatalf("Lines = %v", ls)
-	}
-}
-
 // Property: after any sequence of inserts, all valid buffers hold
 // distinct lines, and every group's lines are lex-distinct.
 func TestInvariantsUnderRandomInserts(t *testing.T) {

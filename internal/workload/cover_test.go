@@ -55,49 +55,6 @@ func TestStreamsMatchGenerate(t *testing.T) {
 	}
 }
 
-// TestChaseFingerprint exercises the pointer-chase generator: serial
-// load dependence through the hot region and periodic cold store
-// bursts far outside it.
-func TestChaseFingerprint(t *testing.T) {
-	gen := genChase(1<<20, 8<<20, 4, 8, 6)
-	traces := gen(1, 4000, 2)
-	if len(traces) != 2 {
-		t.Fatalf("got %d traces, want 2", len(traces))
-	}
-	again := gen(1, 4000, 2)
-	for ti := range traces {
-		if len(traces[ti]) != 4000 {
-			t.Fatalf("thread %d: %d ops, want 4000", ti, len(traces[ti]))
-		}
-		for i := range traces[ti] {
-			if traces[ti][i] != again[ti][i] {
-				t.Fatalf("thread %d op %d: not deterministic", ti, i)
-			}
-		}
-	}
-	var depLoads, coldStores, stores int
-	base := threadBase(0)
-	for _, op := range traces[0] {
-		switch op.Kind {
-		case isa.Load:
-			if op.Dep1 != 0 {
-				depLoads++
-			}
-		case isa.Store:
-			stores++
-			if op.Addr >= base+(1<<27) {
-				coldStores++
-			}
-		}
-	}
-	if depLoads == 0 {
-		t.Fatal("chase emitted no dependent loads; the serial chain is the fingerprint")
-	}
-	if coldStores == 0 || coldStores >= stores {
-		t.Fatalf("cold stores %d of %d: want some but not all stores in the cold region", coldStores, stores)
-	}
-}
-
 // TestBurstTrains covers the train-length parameter: explicit lengths
 // pass through, unset clamps to one, and a multi-train burst still
 // yields exactly the requested op count.

@@ -103,23 +103,3 @@ func TestWarmPrologueTouchesFootprint(t *testing.T) {
 		t.Errorf("prologue touched %d/256 footprint lines", len(touched))
 	}
 }
-
-func TestTiledKernelShape(t *testing.T) {
-	gen := genTiledKernel(8, 96, 4, 1<<20)
-	tr := gen(1, 3000, 1)[0]
-	if err := isa.Validate(tr); err != nil {
-		t.Fatal(err)
-	}
-	fp, stores := 0, 0
-	for _, op := range tr {
-		if op.Kind == isa.FPMul || op.Kind == isa.FPAdd {
-			fp++
-		}
-		if op.Kind == isa.Store {
-			stores++
-		}
-	}
-	if fp < stores {
-		t.Errorf("TF kernel should be FP-heavy: fp=%d stores=%d", fp, stores)
-	}
-}

@@ -213,47 +213,6 @@ func genBurst(p burstParams, footprint uint64) func(int64, int, int) [][]isa.Mic
 	}
 }
 
-// genChase is the mcf/tf.embed fingerprint: a serial pointer chase
-// over a warm region (L2/LLC hits keep the chase moving) punctuated by
-// bursts of stores to cold lines in a footprint far beyond the LLC.
-// The cold stores block the baseline's SB head for DRAM latencies
-// faster than prefetch-at-commit can cover, so committed stores pile
-// up — the long-latency-store pathology that store-wait-free designs
-// (TUS, SSB) hide and coalescing/prefetching (CSB, SPB) cannot.
-func genChase(hotFoot, coldFoot uint64, computeGap, burstEvery, burstLines int) func(int64, int, int) [][]isa.MicroOp {
-	return func(seed int64, ops, threads int) [][]isa.MicroOp {
-		out := make([][]isa.MicroOp, threads)
-		for t := 0; t < threads; t++ {
-			rng := rand.New(rand.NewSource(seed + int64(t)*104729))
-			b := &builder{rng: rng}
-			base := threadBase(t)
-			lastLoad := -1
-			iter := 0
-			for len(b.ops) < ops {
-				addr := base + (uint64(rng.Uint32())*64)%hotFoot
-				dep := 0
-				if lastLoad >= 0 {
-					dep = len(b.ops) - lastLoad
-				}
-				lastLoad = b.load(addr+align8(rng), 8, dep)
-				b.computeRun(computeGap, false)
-				// Update the visited node in place (hits the loaded line).
-				b.store(addr&^uint64(63)|align8(rng), 8, len(b.ops)-lastLoad)
-				iter++
-				if burstEvery > 0 && iter%burstEvery == 0 {
-					for l := 0; l < burstLines; l++ {
-						st := base + (1 << 27) + (uint64(rng.Uint32())*64)%coldFoot
-						b.store(st+align8(rng), 8, 0)
-						b.computeRun(3, false)
-					}
-				}
-			}
-			out[t] = b.ops[:ops]
-		}
-		return out
-	}
-}
-
 // genMLP is the mcf fingerprint that matters for store handling: a
 // memory-level-parallelism-bound mix of independent long-latency loads
 // and cold stores. When committed stores back up in the SB, dispatch
@@ -362,46 +321,6 @@ func genLoadHeavy(footprint uint64, hotPct int, storePct int) func(int64, int, i
 					b.load(addr&^7, 8, 0)
 				}
 				b.computeRun(2, false)
-			}
-			out[t] = b.ops[:ops]
-		}
-		return out
-	}
-}
-
-// genTiledKernel is the TensorFlow fingerprint: cold streaming input
-// tiles feeding FMA chains with output store bursts to cold lines —
-// a latency-bound mix where SB backlog shrinks the load window, and
-// page-irregular output placement that defeats SPB.
-func genTiledKernel(tileLines, tileStrideLines, computeDepth int, footprint uint64) func(int64, int, int) [][]isa.MicroOp {
-	return func(seed int64, ops, threads int) [][]isa.MicroOp {
-		out := make([][]isa.MicroOp, threads)
-		for t := 0; t < threads; t++ {
-			rng := rand.New(rand.NewSource(seed + int64(t)*6151))
-			b := &builder{rng: rng}
-			base := threadBase(t)
-			tile := uint64(0)
-			for len(b.ops) < ops {
-				inBase := base + (tile*uint64(tileStrideLines)*64)%footprint
-				outBase := base + (1 << 27) + (tile*uint64(tileStrideLines)*64)%footprint
-				// Stream the input tile through FMA chains.
-				var acc int
-				for l := 0; l < tileLines; l++ {
-					ld := b.load(inBase+uint64(l)*64, 8, 0)
-					b.alu(isa.FPMul, len(b.ops)-ld)
-					for d := 1; d < computeDepth; d++ {
-						b.alu(isa.FPAdd, 1)
-					}
-					acc = len(b.ops) - 1
-				}
-				// Write the (reduced) output tile: a coalescible burst of
-				// cold lines.
-				for l := 0; l < tileLines/2; l++ {
-					for s := 0; s < 2; s++ {
-						b.store(outBase+uint64(l)*64+uint64(s)*8, 8, len(b.ops)-acc)
-					}
-				}
-				tile++
 			}
 			out[t] = b.ops[:ops]
 		}
