@@ -66,7 +66,7 @@ func (a *Auditor) Audit(cycle uint64) *faults.ProtocolError {
 // settled reports whether a line's coherence state is stable enough to
 // judge: no directory transaction, writeback, or miss in flight on it.
 func (a *Auditor) settled(core int, line uint64) bool {
-	if busy, _ := a.sys.Dir.BusyInfo(line); busy {
+	if _, _, busy, _ := a.sys.Dir.EntryInfo(line); busy {
 		return false
 	}
 	p := a.sys.Privs[core]

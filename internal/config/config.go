@@ -306,7 +306,11 @@ func (c *Config) Validate() error {
 		name string
 		c    CacheConfig
 	}{{"L1D", c.L1D}, {"L2", c.L2}, {"L3", c.L3}} {
-		if cc.c.LineBytes == 0 || cc.c.Ways == 0 || cc.c.SizeBytes%(cc.c.LineBytes*cc.c.Ways) != 0 {
+		if cc.c.LineBytes != 64 {
+			// memsys addresses lines with a fixed >> 6 / &^ 63.
+			return fmt.Errorf("config: %s LineBytes = %d, need 64", cc.name, cc.c.LineBytes)
+		}
+		if cc.c.Ways < 1 || cc.c.SizeBytes < 1 || cc.c.SizeBytes%(cc.c.LineBytes*cc.c.Ways) != 0 {
 			return fmt.Errorf("config: %s geometry %d/%dw/%dB does not divide into sets", cc.name, cc.c.SizeBytes, cc.c.Ways, cc.c.LineBytes)
 		}
 	}

@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestTableI asserts the defaults match the paper's Table I exactly.
 func TestTableI(t *testing.T) {
@@ -124,6 +127,38 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted invalid config", i)
 		}
+	}
+}
+
+// A cache with no sets used to validate (0 % anything == 0) and die on
+// the first access with an integer divide by zero in the set index; a
+// line size other than the 64 bytes memsys shifts by mis-indexed silently.
+func TestValidateRejectsBadCacheGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"L1D size 0", func(c *Config) { c.L1D.SizeBytes = 0 }, "L1D geometry"},
+		{"L2 size 0", func(c *Config) { c.L2.SizeBytes = 0 }, "L2 geometry"},
+		{"L3 size 0", func(c *Config) { c.L3.SizeBytes = 0 }, "L3 geometry"},
+		{"L2 size negative", func(c *Config) { c.L2.SizeBytes = -c.L2.SizeBytes }, "L2 geometry"},
+		{"L1D ways negative", func(c *Config) { c.L1D.Ways = -12 }, "L1D geometry"},
+		{"L1D 32-byte lines", func(c *Config) { c.L1D.LineBytes = 32 }, "L1D LineBytes"},
+		{"L3 128-byte lines", func(c *Config) { c.L3.LineBytes = 128 }, "L3 LineBytes"},
+		{"L2 line size 0", func(c *Config) { c.L2.LineBytes = 0 }, "L2 LineBytes"},
+	} {
+		c := Default()
+		tc.edit(c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	// One set is the smallest legal cache.
+	c := Default()
+	c.L1D = CacheConfig{SizeBytes: 64 * 12, Ways: 12, LineBytes: 64, Latency: c.L1D.Latency, MSHRs: c.L1D.MSHRs}
+	if err := c.Validate(); err != nil || c.L1D.Sets() != 1 {
+		t.Errorf("one-set L1D: Validate = %v, Sets = %d", err, c.L1D.Sets())
 	}
 }
 

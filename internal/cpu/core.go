@@ -74,7 +74,11 @@ type Core struct {
 
 	// rob is a power-of-two ring indexed by seq&robMask; robCap is the
 	// architectural capacity (the ring may be larger so indexing is a
-	// mask, not a division).
+	// mask, not a division). The ring starts at robFirst entries and is
+	// replaced by the full-size one the first time more ops are in
+	// flight than it holds (growROB), so a litmus core never allocates,
+	// clears or has the collector scan the 512 pointerful entries a
+	// saturated core fills within its first few hundred cycles.
 	rob      []robEntry
 	robMask  uint64
 	robCap   int
@@ -137,10 +141,6 @@ func NewCore(id int, cfg *config.Config, q *event.Queue, priv *memsys.Private, s
 			fw = w
 		}
 	}
-	robSize := 1
-	for robSize < cfg.ROBEntries {
-		robSize <<= 1
-	}
 	c := &Core{
 		ID:         id,
 		cfg:        cfg,
@@ -148,8 +148,8 @@ func NewCore(id int, cfg *config.Config, q *event.Queue, priv *memsys.Private, s
 		st:         st,
 		priv:       priv,
 		stream:     stream,
-		rob:        make([]robEntry, robSize),
-		robMask:    uint64(robSize - 1),
+		rob:        make([]robEntry, robFirst),
+		robMask:    robFirst - 1,
 		robCap:     cfg.ROBEntries,
 		SB:         NewStoreBuffer(cfg.SBEntries),
 		frontWidth: fw,
@@ -221,6 +221,26 @@ func StoreValue(core int, seq uint64) [8]byte {
 }
 
 func (c *Core) entry(seq uint64) *robEntry { return &c.rob[seq&c.robMask] }
+
+// robFirst is the ring's initial size (a power of two).
+const robFirst = 16
+
+// growROB replaces a full first ring by the power of two covering the
+// architectural capacity. Every slot is live then, and a live entry's
+// seq picks its slot in the new ring. Only dispatch calls it, where no
+// *robEntry is held.
+func (c *Core) growROB() {
+	old := c.rob
+	size := len(old)
+	for size < c.robCap {
+		size <<= 1
+	}
+	c.rob = make([]robEntry, size)
+	c.robMask = uint64(size - 1)
+	for i := range old {
+		*c.entry(old[i].seq) = old[i]
+	}
+}
 
 // readyPush inserts seq into the ready min-heap.
 func (c *Core) readyPush(seq uint64) {
@@ -697,6 +717,9 @@ func (c *Core) dispatchOp(op isa.MicroOp) bool {
 		c.tr.Emit(trace.SBEnqueue, int32(c.ID), c.q.Now(), op.Addr, seq, uint64(c.SB.Len()))
 	}
 	c.seq++
+	if c.robCount == len(c.rob) {
+		c.growROB()
+	}
 	e := c.entry(seq)
 	*e = robEntry{seq: seq, op: op, valid: true, waiters: e.waiters[:0]}
 	c.robCount++

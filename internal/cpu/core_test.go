@@ -194,6 +194,46 @@ func TestROBStallAttribution(t *testing.T) {
 	}
 }
 
+// TestROBRingGrowsWithOccupancy: the ring starts at robFirst entries
+// and becomes the power of two covering ROBEntries only once more ops
+// are in flight than it holds. Dependents registered on an op before
+// the move must still wake.
+func TestROBRingGrowsWithOccupancy(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		ops, robCap int
+		wantRing    int
+	}{
+		{"short program keeps the first ring", 8, 512, robFirst},
+		{"saturated default ROB", 700, 512, 512},
+		{"capacity that is not a power of two", 300, 100, 128},
+		{"capacity below the first ring", 60, 8, robFirst},
+	} {
+		// A load miss at the head holds commit while dispatch runs ahead;
+		// every later op depends on it (its waiter list crosses the
+		// move) or is independent.
+		ops := []isa.MicroOp{{Kind: isa.Load, Addr: 0x4000, Size: 8}}
+		for i := 1; i < tc.ops; i++ {
+			op := isa.MicroOp{Kind: isa.IntAdd}
+			if i%3 == 0 {
+				op.Dep1 = uint16(i)
+			}
+			ops = append(ops, op)
+		}
+		r := newCoreRig(t, ops, func(c *config.Config) { c.ROBEntries = tc.robCap })
+		r.run(t, 100_000)
+		if got := r.st.Get("committed_ops"); got != uint64(tc.ops) {
+			t.Errorf("%s: committed %d of %d ops", tc.name, got, tc.ops)
+		}
+		if len(r.core.rob) != tc.wantRing || r.core.robMask != uint64(tc.wantRing-1) {
+			t.Errorf("%s: ring of %d entries (mask %#x), want %d", tc.name, len(r.core.rob), r.core.robMask, tc.wantRing)
+		}
+		if full := r.st.Get("stall_rob") > 0; full != (tc.ops > tc.robCap) {
+			t.Errorf("%s: stall_rob = %d with %d ops against a %d-entry ROB", tc.name, r.st.Get("stall_rob"), tc.ops, tc.robCap)
+		}
+	}
+}
+
 func TestFenceOrdersStores(t *testing.T) {
 	ops := []isa.MicroOp{
 		{Kind: isa.Store, Addr: 0x1000, Size: 8},

@@ -185,10 +185,14 @@ func (m *Map[T]) grow() {
 	}
 }
 
-// poolChunk is the slab granule: Pool allocates entry structs 64 at a
-// time so long-running simulations touch the allocator O(peak/64)
-// times instead of O(events).
-const poolChunk = 64
+// poolChunk is the largest slab granule: slabs double from poolFirst
+// entry structs up to 64, so a machine that touches four lines does
+// not pay for 64 of every entry type, while long-running simulations
+// still touch the allocator O(peak/64) times instead of O(events).
+const (
+	poolFirst = 4
+	poolChunk = 64
+)
 
 // Pool is a slab-backed free-list allocator for entry structs. Get
 // returns a recycled struct when one is available; callers own the
@@ -199,6 +203,7 @@ const poolChunk = 64
 type Pool[T any] struct {
 	free []*T
 	slab []T
+	next int // size of the next slab
 	ref  bool
 }
 
@@ -206,7 +211,7 @@ type Pool[T any] struct {
 func NewPool[T any]() *Pool[T] { return NewPoolRef[T](false) }
 
 // NewPoolRef returns a pool; ref selects always-fresh allocation.
-func NewPoolRef[T any](ref bool) *Pool[T] { return &Pool[T]{ref: ref} }
+func NewPoolRef[T any](ref bool) *Pool[T] { return &Pool[T]{next: poolFirst, ref: ref} }
 
 // Get returns an entry struct. In fast mode the struct may be recycled
 // and must be fully reset by the caller before use.
@@ -221,7 +226,8 @@ func (p *Pool[T]) Get() *T {
 		return v
 	}
 	if len(p.slab) == 0 {
-		p.slab = make([]T, poolChunk)
+		p.slab = make([]T, p.next)
+		p.next = min(2*p.next, poolChunk)
 	}
 	v := &p.slab[0]
 	p.slab = p.slab[1:]

@@ -2,6 +2,7 @@ package lmap
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -198,6 +199,23 @@ func TestPoolSlabContiguity(t *testing.T) {
 		seen[e] = true
 	}
 	p.Put(nil) // tolerated no-op
+}
+
+// TestPoolSlabsDouble: a pool that hands out four structs has allocated
+// four, not poolChunk; slabs double from poolFirst and stay at poolChunk.
+func TestPoolSlabsDouble(t *testing.T) {
+	p := NewPool[entry]()
+	var slabs []int
+	for i := 0; i < 4+8+16+32+64+64; i++ {
+		fresh := len(p.slab) == 0 // this Get allocates a slab
+		p.Get()
+		if fresh {
+			slabs = append(slabs, len(p.slab)+1)
+		}
+	}
+	if want := []int{poolFirst, 8, 16, 32, poolChunk, poolChunk}; !reflect.DeepEqual(slabs, want) {
+		t.Fatalf("slab sizes %v, want %v", slabs, want)
+	}
 }
 
 func BenchmarkMapGetHit(b *testing.B) {

@@ -26,8 +26,7 @@ type Directory struct {
 
 	entries *lmap.Map[dirEntry]
 	pool    *lmap.Pool[dirEntry]
-	sets    [][]*dirEntry
-	ways    int
+	sets    setTable[dirEntry]
 
 	reqLat uint64 // one-way private-L2 <-> LLC latency
 	netLat uint64 // one-way probe latency
@@ -77,15 +76,6 @@ type queuedReq struct {
 // dirQueueCap bounds the per-line request queue; overflow is NACKed.
 const dirQueueCap = 24
 
-// BusyInfo reports whether a line's directory entry is busy and since
-// when (debugging aid).
-func (d *Directory) BusyInfo(line uint64) (bool, uint64) {
-	if e := d.entries.Get(line & LineMask); e != nil {
-		return e.busy, e.busySince
-	}
-	return false, 0
-}
-
 // NewDirectory builds the LLC+directory.
 func NewDirectory(cfg *config.Config, q *event.Queue, mem *Memory, dram *DRAM, st *stats.Set) *Directory {
 	ref := cfg.Reference
@@ -97,8 +87,7 @@ func NewDirectory(cfg *config.Config, q *event.Queue, mem *Memory, dram *DRAM, s
 		st:      st,
 		entries: lmap.NewRef[dirEntry](ref),
 		pool:    lmap.NewPoolRef[dirEntry](ref),
-		sets:    make([][]*dirEntry, cfg.L3.Sets()),
-		ways:    cfg.L3.Ways,
+		sets:    newSetTable[dirEntry](cfg.L3.Sets()),
 		reqLat:  cfg.L3.Latency / 2,
 		netLat:  cfg.NetLatency,
 	}
@@ -123,8 +112,6 @@ func (d *Directory) SetFaults(in *faults.Injector) {
 	}
 }
 
-func (d *Directory) set(line uint64) uint64 { return (line >> 6) % uint64(d.cfg.L3.Sets()) }
-
 // entry returns (allocating if needed) the directory entry for line.
 // Allocation may evict an un-cached-above victim; if every way is
 // pinned the set temporarily overflows (counted, never fatal).
@@ -132,9 +119,9 @@ func (d *Directory) entry(line uint64) *dirEntry {
 	if e := d.entries.Get(line); e != nil {
 		return e
 	}
-	s := d.set(line)
-	ways := d.sets[s]
-	if len(ways) >= d.ways {
+	s := d.sets.of(line)
+	ways := d.sets.ways(s)
+	if len(ways) >= d.cfg.L3.Ways {
 		var victim *dirEntry
 		for _, w := range ways {
 			if w.busy || w.owner >= 0 || w.sharers != 0 {
@@ -151,7 +138,7 @@ func (d *Directory) entry(line uint64) *dirEntry {
 				d.dram.Accesses++
 			}
 			d.entries.Delete(victim.line)
-			d.sets[s] = removeDir(d.sets[s], victim)
+			d.sets.remove(s, victim)
 			d.pool.Put(victim)
 		} else {
 			d.cOverflow.Inc()
@@ -162,20 +149,10 @@ func (d *Directory) entry(line uint64) *dirEntry {
 	e := d.pool.Get()
 	*e = dirEntry{line: line, owner: -1, waiting: e.waiting[:0]}
 	d.entries.Put(line, e)
-	d.sets[s] = append(d.sets[s], e)
+	d.sets.add(s, e)
 	d.lruTick++
 	e.lru = d.lruTick
 	return e
-}
-
-func removeDir(s []*dirEntry, x *dirEntry) []*dirEntry {
-	for i, v := range s {
-		if v == x {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
-	}
-	return s
 }
 
 // Request is the private hierarchy's entry point for GetS/GetM. The
@@ -399,14 +376,6 @@ func (d *Directory) WriteBack(src int, line uint64, data *LineData, cb func(ok b
 		// collected the data); acknowledge and drop it.
 		d.q.After(d.reqLat, func() { cb(true) })
 	})
-}
-
-// OwnerOf reports the directory's notion of a line's owner (tests).
-func (d *Directory) OwnerOf(line uint64) int {
-	if e := d.entries.Get(line & LineMask); e != nil {
-		return e.owner
-	}
-	return -1
 }
 
 // LLCData returns the LLC's copy of a line if present with valid data

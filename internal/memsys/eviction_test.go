@@ -46,7 +46,7 @@ func TestWritebackReachesLLC(t *testing.T) {
 	r.ps[0].StoreVisible(0x0, []byte{0x31})
 	r.mustLoad(t, 0, 0x40, 8) // evicts line 0 everywhere
 	r.run(t)
-	if r.dir.OwnerOf(0x0) == 0 {
+	if r.ownerOf(0x0) == 0 {
 		t.Fatal("directory still thinks core 0 owns the evicted line")
 	}
 	if d := r.dir.LLCData(0x0); d == nil || d[0] != 0x31 {

@@ -156,8 +156,7 @@ type Private struct {
 
 	lines    *lmap.Map[PLine]
 	linePool *lmap.Pool[PLine]
-	l1Sets   [][]*PLine
-	l2Sets   [][]*PLine
+	l1, l2   setTable[PLine]
 
 	mshrs     *lmap.Map[mshrEntry]
 	mshrPool  *lmap.Pool[mshrEntry]
@@ -214,8 +213,8 @@ func NewPrivate(id int, cfg *config.Config, q *event.Queue, dir *Directory, st *
 		st:            st,
 		lines:         lmap.NewRef[PLine](ref),
 		linePool:      lmap.NewPoolRef[PLine](ref),
-		l1Sets:        make([][]*PLine, cfg.L1D.Sets()),
-		l2Sets:        make([][]*PLine, cfg.L2.Sets()),
+		l1:            newSetTable[PLine](cfg.L1D.Sets()),
+		l2:            newSetTable[PLine](cfg.L2.Sets()),
 		mshrs:         lmap.NewRef[mshrEntry](ref),
 		mshrPool:      lmap.NewPoolRef[mshrEntry](ref),
 		mshrLimit:     cfg.L1D.MSHRs,
@@ -277,9 +276,6 @@ func (p *Private) SetFaults(in *faults.Injector) {
 		p.cFaultMSHR = p.st.Counter("fault_mshr_pressure")
 	}
 }
-
-func (p *Private) l1Set(line uint64) int { return int((line >> 6) % uint64(len(p.l1Sets))) }
-func (p *Private) l2Set(line uint64) int { return int((line >> 6) % uint64(len(p.l2Sets))) }
 
 // Lookup returns the private line state, or nil if untracked.
 func (p *Private) Lookup(line uint64) *PLine { return p.lines.Get(line & LineMask) }
@@ -800,24 +796,23 @@ func (p *Private) MakeVisible(line uint64) {
 // L1 simultaneously (the atomic-group associativity restriction,
 // Sec. III-B). Lines already resident count as satisfied.
 func (p *Private) L1WaysAvailable(lines []uint64) bool {
-	need := map[int]int{}
+	need := map[uint64]int{}
 	for _, ln := range lines {
 		ln &= LineMask
 		pl := p.lines.Get(ln)
 		if pl != nil && pl.InL1 {
 			continue
 		}
-		need[p.l1Set(ln)]++
+		need[p.l1.of(ln)]++
 	}
 	for set, n := range need {
-		free := p.cfg.L1D.Ways - len(p.l1Sets[set])
-		evictable := 0
-		for _, v := range p.l1Sets[set] {
-			if p.l1Evictable(v) {
-				evictable++
+		avail := p.cfg.L1D.Ways // free ways plus evictable ones
+		for _, v := range p.l1.ways(set) {
+			if !p.l1Evictable(v) {
+				avail--
 			}
 		}
-		if free+evictable < n {
+		if avail < n {
 			return false
 		}
 	}
@@ -831,8 +826,8 @@ func (p *Private) l1Evictable(pl *PLine) bool {
 // allocL1 places pl into its L1 set, evicting if needed. Returns false
 // when every way is pinned (locked or not visible).
 func (p *Private) allocL1(pl *PLine) bool {
-	set := p.l1Set(pl.Line)
-	ways := p.l1Sets[set]
+	set := p.l1.of(pl.Line)
+	ways := p.l1.ways(set)
 	if len(ways) >= p.cfg.L1D.Ways {
 		victim := p.pickL1Victim(ways)
 		if victim == nil {
@@ -840,7 +835,7 @@ func (p *Private) allocL1(pl *PLine) bool {
 		}
 		p.evictL1(victim)
 	}
-	p.l1Sets[set] = append(p.l1Sets[set], pl)
+	p.l1.add(set, pl)
 	pl.InL1 = true
 	p.touch1(pl)
 	return true
@@ -861,9 +856,7 @@ func (p *Private) pickL1Victim(ways []*PLine) *PLine {
 
 // evictL1 removes pl from L1, writing dirty data back into the L2 copy.
 func (p *Private) evictL1(pl *PLine) {
-	set := p.l1Set(pl.Line)
-	p.l1Sets[set] = remove(p.l1Sets[set], pl)
-	pl.InL1 = false
+	p.evictL1noWB(pl)
 	if pl.L1Dirty {
 		if !pl.InL2 {
 			p.allocL2(pl)
@@ -880,8 +873,8 @@ func (p *Private) evictL1(pl *PLine) {
 // as needed. The L2 has 16 ways; when every way is pinned we allow a
 // temporary overflow and count it rather than deadlock the fill path.
 func (p *Private) allocL2(pl *PLine) {
-	set := p.l2Set(pl.Line)
-	ways := p.l2Sets[set]
+	set := p.l2.of(pl.Line)
+	ways := p.l2.ways(set)
 	if len(ways) >= p.cfg.L2.Ways {
 		var victim *PLine
 		for _, w := range ways {
@@ -898,7 +891,7 @@ func (p *Private) allocL2(pl *PLine) {
 			p.st.Counter("l2_set_overflow").Inc()
 		}
 	}
-	p.l2Sets[set] = append(p.l2Sets[set], pl)
+	p.l2.add(set, pl)
 	pl.InL2 = true
 	p.touch2(pl)
 }
@@ -925,8 +918,7 @@ func (p *Private) dropL2(pl *PLine) {
 	if !pl.InL2 {
 		return
 	}
-	set := p.l2Set(pl.Line)
-	p.l2Sets[set] = remove(p.l2Sets[set], pl)
+	p.l2.remove(p.l2.of(pl.Line), pl)
 	pl.InL2 = false
 }
 
@@ -939,16 +931,6 @@ func (p *Private) gc(pl *PLine) {
 	}
 	p.lines.Delete(pl.Line)
 	p.linePool.Put(pl)
-}
-
-func remove(s []*PLine, x *PLine) []*PLine {
-	for i, v := range s {
-		if v == x {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
-	}
-	return s
 }
 
 // writeBack sends the data to the directory, retrying NACKs from a
@@ -1063,8 +1045,7 @@ func (p *Private) Probe(line uint64, kind ProbeKind) ProbeReply {
 // evictL1noWB removes the L1 residency without pushing data to L2
 // (used on invalidation, where the data already left via the probe).
 func (p *Private) evictL1noWB(pl *PLine) {
-	set := p.l1Set(pl.Line)
-	p.l1Sets[set] = remove(p.l1Sets[set], pl)
+	p.l1.remove(p.l1.of(pl.Line), pl)
 	pl.InL1 = false
 }
 

@@ -84,6 +84,12 @@ func lineStore(addr uint64, data []byte) (uint64, *LineData, Mask) {
 	return addr & LineMask, &ld, MaskFor(addr, uint8(len(data)))
 }
 
+// ownerOf is the directory's notion of a line's owner (-1 when none).
+func (r *rig) ownerOf(line uint64) int {
+	owner, _, _, _ := r.dir.EntryInfo(line)
+	return owner
+}
+
 func (r *rig) run(t testing.TB) {
 	t.Helper()
 	r.q.Drain(r.q.Now() + 1_000_000)
@@ -209,8 +215,8 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	if !r.ps[1].Writable(0x5000) {
 		t.Fatal("writer did not gain M")
 	}
-	if r.dir.OwnerOf(0x5000) != 1 {
-		t.Fatalf("directory owner = %d, want 1", r.dir.OwnerOf(0x5000))
+	if r.ownerOf(0x5000) != 1 {
+		t.Fatalf("directory owner = %d, want 1", r.ownerOf(0x5000))
 	}
 }
 
@@ -279,7 +285,7 @@ func TestBusyLineSerializesRequests(t *testing.T) {
 		t.Fatal("conflicting writable grants completed simultaneously")
 	}
 	// The second grant must have waited for (and invalidated) the first.
-	owner := r.dir.OwnerOf(0x7000)
+	owner := r.ownerOf(0x7000)
 	if owner != 0 && owner != 1 {
 		t.Fatalf("owner = %d", owner)
 	}

@@ -1,8 +1,7 @@
 package modelcheck
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"tusim/internal/config"
 	"tusim/internal/faults"
@@ -115,16 +114,16 @@ type Exploration struct {
 	Transcript []string
 }
 
-// scriptKey is a compact deterministic encoding of a decision schedule.
-func scriptKey(ds []faults.Decision) string {
+// appendScript appends the compact deterministic encoding of a decision
+// schedule: each decision's kind letter and value, "-" when empty.
+func appendScript(b []byte, ds []faults.Decision) []byte {
 	if len(ds) == 0 {
-		return "-"
+		return append(b, '-')
 	}
-	var b strings.Builder
 	for _, d := range ds {
-		fmt.Fprintf(&b, "%c%d", d.Kind, d.Val)
+		b = strconv.AppendUint(append(b, d.Kind), d.Val, 10)
 	}
-	return b.String()
+	return b
 }
 
 // Explore drives the real simulator through its nondeterminism choice
@@ -148,6 +147,7 @@ func Explore(test litmus.Test, m config.Mechanism, opts ExploreOpts) *Exploratio
 		First:      map[string]runRef{},
 	}
 
+	var buf []byte // one run's transcript line, then its trace key
 	for skew := 0; skew < opts.Skews; skew++ {
 		// seen holds consumed-trace keys: two scripts that collapse to
 		// the same consumed schedule are the same run (the sleep-set
@@ -168,23 +168,25 @@ func Explore(test litmus.Test, m config.Mechanism, opts ExploreOpts) *Exploratio
 			obs, trace, err := runScripted(test, m, ref, opts)
 			ex.Runs++
 
-			traceKey := scriptKey(trace)
-			line := fmt.Sprintf("skew=%d script=%s", skew, scriptKey(script))
+			buf = strconv.AppendInt(append(buf[:0], "skew="...), int64(skew), 10)
+			buf = appendScript(append(buf, " script="...), script)
 			if err != nil {
-				ex.Transcript = append(ex.Transcript, line+" -> ERROR "+err.Error())
+				ex.Transcript = append(ex.Transcript, string(buf)+" -> ERROR "+err.Error())
 				ex.Violation = minimize(test, m, opts, &Violation{
 					Ref: ref, Err: err, Reason: "run failed under a legal schedule",
 				})
 				return ex
 			}
-			ex.Transcript = append(ex.Transcript, line+" -> "+Key(obs))
-			if seen[traceKey] {
+			key := Key(obs)
+			buf = append(append(buf, " -> "...), key...)
+			ex.Transcript = append(ex.Transcript, string(buf))
+			buf = appendScript(buf[:0], trace)
+			if seen[string(buf)] {
 				ex.Pruned++
 				continue
 			}
-			seen[traceKey] = true
+			seen[string(buf)] = true
 
-			key := Key(obs)
 			ex.Outcomes[key]++
 			ex.Vecs[key] = obs
 			if _, ok := ex.First[key]; !ok {

@@ -2,6 +2,8 @@ package modelcheck
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -87,6 +89,36 @@ func TestExploreDeterministicTranscript(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
 		t.Fatalf("outcome censuses differ: %v vs %v", a.Outcomes, b.Outcomes)
+	}
+}
+
+// TestExploreTranscriptPinned pins one cell's whole transcript — SB
+// under TUS at tuscheck's -smoke budgets — to the bytes recorded before
+// the explorer's key building left fmt: run order, script encoding,
+// outcome keys and the pruning they feed cannot drift unnoticed.
+func TestExploreTranscriptPinned(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "SB_TUS_smoke.transcript"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := Explore(testByName(t, "SB"), config.TUS, ExploreOpts{Skews: 3, MaxDecisions: 4, MaxRuns: 64})
+	got := strings.Join(ex.Transcript, "\n") + "\n"
+	if got != string(want) {
+		t.Fatalf("SB/TUS smoke transcript drifted from testdata/SB_TUS_smoke.transcript:\n%s", got)
+	}
+	census := map[string]int{"[0 0]": 34, "[0 1]": 3, "[1 0]": 6, "[1 1]": 5}
+	if ex.Runs != 48 || ex.Pruned != 0 || !reflect.DeepEqual(ex.Outcomes, census) {
+		t.Fatalf("runs %d pruned %d census %v, want 48, 0, %v", ex.Runs, ex.Pruned, ex.Outcomes, census)
+	}
+}
+
+// TestKeyMatchesFmt: outcome keys cross-index with litmus.Result's
+// fmt.Sprint keys, so the hand-built form must stay byte-identical.
+func TestKeyMatchesFmt(t *testing.T) {
+	for _, o := range [][]uint64{nil, {}, {0}, {1, 0, 1}, {0, 18446744073709551615, 42}} {
+		if got, want := Key(o), fmt.Sprint(o); got != want {
+			t.Errorf("Key(%v) = %q, want %q", o, got, want)
+		}
 	}
 }
 

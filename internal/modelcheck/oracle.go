@@ -26,6 +26,7 @@ package modelcheck
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"tusim/internal/isa"
@@ -49,7 +50,17 @@ type Outcome []uint64
 // Key is the canonical map key for an outcome. It matches the key
 // format litmus.Result.Outcomes uses, so simulator and oracle outcome
 // sets cross-index directly.
-func Key(o []uint64) string { return fmt.Sprint(o) }
+func Key(o []uint64) string {
+	b := make([]byte, 0, 32)
+	b = append(b, '[')
+	for i, v := range o {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(b, v, 10)
+	}
+	return string(append(b, ']'))
+}
 
 // OracleResult is the oracle's verdict on one program.
 type OracleResult struct {
