@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test short race race-harness check smoke chaos litmus figs figures-par fuzz cover bench bench-diff pgo ref-identity trace-smoke resume-smoke serve server-smoke loadtest soak bench-gate clean
+.PHONY: all build vet test short race race-harness check smoke chaos litmus figs figures-par fuzz cover bench pgo ref-identity trace-smoke resume-smoke serve server-smoke loadtest soak clean
 
 all: vet build test
 
@@ -59,11 +59,10 @@ figs:
 	$(GO) run ./cmd/tusbench -quick
 
 # figures-par: regenerate all figures with the parallel harness (one
-# worker per CPU), a persistent result cache, and the per-figure
-# timing record. Re-running is nearly free: every unchanged cell loads
-# from .tuscache by content hash.
+# worker per CPU) and a persistent result cache. Re-running is nearly
+# free: every unchanged cell loads from .tuscache by content hash.
 figures-par:
-	$(GO) run ./cmd/tusbench -quick -j 0 -cache .tuscache -bench-out BENCH_harness.json
+	$(GO) run ./cmd/tusbench -quick -j 0 -cache .tuscache
 
 # fuzz: both native fuzz targets on a short budget (the committed seed
 # corpora under testdata/fuzz replay as plain tests in `make test`).
@@ -106,8 +105,8 @@ serve:
 
 # server-smoke: the tusd acceptance path through real binaries — cold
 # and warm GET /v1/figures/9 diffed byte-for-byte against the CLI,
-# /v1/figures vs -list, required /metrics series, graceful SIGTERM
-# drain, and the perf trajectory record on exit.
+# /v1/figures vs -list, required /metrics series, a canceled job, and
+# a graceful SIGTERM drain.
 server-smoke:
 	bash scripts/server_smoke.sh
 
@@ -129,33 +128,24 @@ soak:
 
 # bench: the tiered microbenchmark suite, cheapest first — container
 # ops (lmap), event queue, SB drain, WCB coalesce, L1 hit/miss +
-# directory probe, then whole-cell simulation throughput. Run with
-# -benchmem semantics baked in where it matters; compare against a
-# baseline with benchstat if available.
+# directory probe, then whole-cell simulation throughput. A developer
+# tool with no committed baseline: the numbers are this machine's, so
+# compare two runs of your own. "Is it slower" is answered by
+# `bash benchmark/run.sh` (see DESIGN.md, "Perf record").
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 0.5s ./internal/lmap/ ./internal/event/ ./internal/cpu/ ./internal/wcb/ ./internal/memsys/
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkWholeCellCyclesPerSec' -benchtime 2s .
 
-# bench-diff: benchstat-style comparison of a fresh `make bench` run
-# against the committed BENCH_micro.txt baseline. Informational —
-# microbenchmark numbers are machine-dependent, so the ratchet that
-# FAILS on regression is bench-gate; this table makes per-benchmark
-# drift reviewable (CI uploads it as an artifact). Refresh the baseline
-# with: make bench > BENCH_micro.txt
-bench-diff:
-	$(GO) test -run '^$$' -bench . -benchtime 0.5s ./internal/lmap/ ./internal/event/ ./internal/cpu/ ./internal/wcb/ ./internal/memsys/ > bench_fresh.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkWholeCellCyclesPerSec' -benchtime 2s . >> bench_fresh.txt
-	$(GO) run ./cmd/benchdiff -old BENCH_micro.txt -new bench_fresh.txt
-
 # pgo: regenerate the committed profile-guided-optimization profile.
-# Runs the representative workload — a serial fresh-cache -quick figure
-# sweep, the same shape the bench-gate ratchet measures — under the CPU
-# profiler and installs the result as cmd/tusbench/default.pgo, which
-# the Go toolchain applies automatically to every `go build`/`go run`
-# of ./cmd/tusbench. The profile is an input to the build, not an
-# output: regenerate deliberately, check the throughput delta with
-# bench-gate, and commit the refreshed file. The CI pgo job proves the
-# optimized build stays byte-identical on every figure.
+# Runs the representative workload — a serial cache-less -quick figure
+# sweep, the cell mix of the benchmark's fig_matrix workload — under
+# the CPU profiler and installs the result as cmd/tusbench/default.pgo,
+# which the Go toolchain applies automatically to every `go build`/
+# `go run` of ./cmd/tusbench. The profile is an input to the build, not
+# an output: regenerate deliberately, check the throughput delta with
+# `bash benchmark/run.sh` (it builds with this profile), and commit the
+# refreshed file. The CI pgo job proves the optimized build stays
+# byte-identical on every figure.
 pgo:
 	$(GO) run ./cmd/tusbench -quick -j 1 -cpuprofile tusbench.pgo.tmp > /dev/null
 	mv tusbench.pgo.tmp cmd/tusbench/default.pgo
@@ -172,15 +162,10 @@ ref-identity:
 	$(GO) test -tags tus_ref ./...
 	$(GO) test -run 'TestDifferential|TestReference|TestWheel' -count=1 ./internal/memsys/ ./internal/system/ ./internal/event/
 
-# bench-gate: the perf-regression ratchet — regenerate the figures with
-# a fresh cache, then fail if any figure (or total wall-clock) got more
-# than 2x slower than the committed BENCH_harness.json baseline.
-bench-gate:
-	bash scripts/bench_gate.sh
-
 # clean: drop run-local state — the content-addressed result cache,
-# stale run journals, and scratch artifacts. Never touches committed
-# records (BENCH_harness.json, golden files).
+# stale run journals, the benchmark's build directory, and scratch
+# artifacts. Never touches committed records (golden files,
+# benchmark/expected.json, cmd/tusbench/default.pgo).
 clean:
-	rm -rf .tuscache .tusjournal bin
-	rm -f cover.out trace.json tus-crash.json mc-crash.json tusload_report.json
+	rm -rf .tuscache .tusjournal .bench_build bin
+	rm -f cover.out trace.json tus-crash.json mc-crash.json tusload_report.json *.prof

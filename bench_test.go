@@ -294,8 +294,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkWholeCellCyclesPerSec measures a whole experiment cell
 // (system build + full run) in simulated cycles per wall second — the
-// same unit the harness records as sim_cycles_per_sec and the perf
-// ratchet gates on.
+// unit of the benchmark's harness.sim_cycles_per_s.
 func BenchmarkWholeCellCyclesPerSec(b *testing.B) {
 	bench, _ := workload.ByName("502.gcc2")
 	b.ResetTimer()

@@ -17,7 +17,6 @@
 //	tusbench -j 8            # run up to 8 simulation cells in parallel
 //	tusbench -j 0            # parallel across all CPUs (default)
 //	tusbench -cache DIR      # persistent content-addressed result cache
-//	tusbench -bench-out F    # write per-figure wall-clock to F (JSON)
 //	tusbench -journal        # record a crash-consistent run journal
 //	tusbench -resume ID      # resume a killed journaled run
 //
@@ -83,10 +82,9 @@ func main() {
 	pops := flag.Int("parallel-ops", 0, "override per-thread trace length for 16-thread runs")
 	seed := flag.Int64("seed", 1, "workload seed")
 	check := flag.Bool("check", false, "attach the TSO checker to every run")
-	verbose := flag.Bool("v", false, "print each run")
+	verbose := flag.Bool("v", false, "print each run on stderr")
 	workers := flag.Int("j", 0, "max concurrent simulation cells (0 = all CPUs, 1 = serial)")
 	cacheDir := flag.String("cache", "", "persistent result cache directory (empty = off)")
-	benchOut := flag.String("bench-out", "", "write per-figure timing report to this file (e.g. BENCH_harness.json)")
 	journalOn := flag.Bool("journal", false, "record a crash-consistent run journal under -journal-dir")
 	journalDir := flag.String("journal-dir", ".tusjournal", "run journal directory")
 	resume := flag.String("resume", "", "resume a killed journaled run by its run ID")
@@ -261,19 +259,9 @@ func main() {
 		}
 	}
 
-	rec := harness.NewBenchRecorder(r)
-	emitBench := func() {
-		if *benchOut == "" {
-			return
-		}
-		if err := rec.Report().WriteFile(*benchOut); err != nil {
-			fail(err)
-		}
-	}
-
 	switch hdr.Mode {
 	case "json":
-		rep, err := harness.BuildJSON(r, rec)
+		rep, err := harness.BuildJSON(r)
 		if err != nil {
 			fail(err)
 		}
@@ -304,10 +292,7 @@ func main() {
 			figs = []int{*fig}
 		}
 		for _, f := range figs {
-			f := f
-			if err := rec.Time(fmt.Sprintf("fig%d", f), func() error {
-				return harness.RenderFigure(r, f, os.Stdout)
-			}); err != nil {
+			if err := harness.RenderFigure(r, f, os.Stdout); err != nil {
 				fail(err)
 			}
 		}
@@ -319,7 +304,6 @@ func main() {
 		fail(fmt.Errorf("journal %s: unknown run mode %q", *resume, hdr.Mode))
 	}
 	finish()
-	emitBench()
 }
 
 // profStop finalizes any active profiles; fail must flush them because

@@ -134,3 +134,40 @@ func TestResumeRestoresMode(t *testing.T) {
 		t.Fatalf("unknown mode: exit %d, stdout %q, stderr %q", code, got, stderr)
 	}
 }
+
+// TestVerboseStaysOffStdout: -v is run chatter, so it goes to stderr
+// and stdout keeps the figure's bytes at any -j. The chatter is also
+// the "what was simulated" signal CI reads: one `ran` line per cell on
+// a cold cache, only `hit` lines on a warm one.
+func TestVerboseStaysOffStdout(t *testing.T) {
+	fig9 := []string{"-quick", "-ops", "2500", "-parallel-ops", "300", "-fig", "9"}
+	want, stderr, code := tusbench(t, fig9...)
+	if code != 0 || len(want) == 0 {
+		t.Fatalf("plain run: exit %d, %d bytes (stderr: %s)", code, len(want), stderr)
+	}
+	count := func(stderr []byte, prefix string) (n int) {
+		for _, line := range strings.Split(string(stderr), "\n") {
+			if strings.HasPrefix(line, prefix) {
+				n++
+			}
+		}
+		return n
+	}
+	cells := len(harness.FigureCellUnion(9))
+	verbose := append(fig9, "-v", "-cache", t.TempDir())
+	for _, run := range []struct {
+		name     string
+		ran, hit int
+	}{{"cold", cells, 0}, {"warm", 0, cells}} {
+		got, stderr, code := tusbench(t, verbose...)
+		if code != 0 {
+			t.Fatalf("%s -v run: exit %d (stderr: %s)", run.name, code, stderr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s -v run changed stdout:\ngot:\n%s\nwant:\n%s", run.name, got, want)
+		}
+		if ran, hit := count(stderr, "  ran "), count(stderr, "  hit "); ran != run.ran || hit != run.hit {
+			t.Fatalf("%s -v run: %d ran / %d hit lines on stderr, want %d / %d:\n%s", run.name, ran, hit, run.ran, run.hit, stderr)
+		}
+	}
+}

@@ -13,7 +13,6 @@
 //	tusd -max-jobs 4             # up to 4 jobs building at once
 //	tusd -job-timeout 10m        # per-job deadline
 //	tusd -cache ""               # disable the shared disk cache
-//	tusd -bench-out F            # write the perf trajectory on exit
 //
 // API:
 //
@@ -27,12 +26,11 @@
 //	GET  /v1/jobs/{id}/output    # finished job's output bytes
 //	GET  /v1/jobs/{id}/events    # SSE progress stream
 //	POST /v1/jobs/{id}/cancel    # request cancellation (DELETE works too)
-//	GET  /v1/bench               # BENCH_harness.json-shaped perf report
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: the listener closes
-// first (so load balancers stop routing), in-flight jobs run to
-// completion bounded by -drain-timeout, then the bench report is
-// written.
+// first (so load balancers stop routing) and in-flight jobs run to
+// completion bounded by -drain-timeout. A drain that hits the bound
+// exits 1 with jobs still running.
 package main
 
 import (
@@ -60,13 +58,12 @@ func main() {
 	pops := flag.Int("parallel-ops", 0, "override per-thread trace length for 16-thread runs")
 	seed := flag.Int64("seed", 1, "workload seed")
 	check := flag.Bool("check", false, "attach the TSO checker to every run")
-	verbose := flag.Bool("v", false, "print each run")
+	verbose := flag.Bool("v", false, "print each run on stderr")
 	workers := flag.Int("j", 0, "max concurrent simulation cells per job (0 = all CPUs)")
 	cacheDir := flag.String("cache", ".tuscache", "persistent result cache directory shared by all jobs (empty = off)")
 	maxJobs := flag.Int("max-jobs", 2, "max concurrently building jobs (queued past this)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "max wait for in-flight jobs on shutdown")
-	benchOut := flag.String("bench-out", "", "write the perf trajectory report here on clean shutdown")
 	flag.Parse()
 
 	r := harness.NewRunner()
@@ -139,20 +136,15 @@ func main() {
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "tusd: listener shutdown: %v\n", err)
 	}
-	if err := srv.WaitIdle(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "tusd: %v (exiting with jobs still running)\n", err)
-	}
-
-	if *benchOut != "" {
-		if err := srv.BenchReport().WriteFile(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "tusd: bench-out: %v\n", err)
-		}
-	}
+	drainErr := srv.WaitIdle(shutCtx)
 	if deg := r.DegradedCells(); len(deg) > 0 {
 		fmt.Fprintf(os.Stderr, "tusd: %d cells were degraded by quarantine this run:\n", len(deg))
 		for _, d := range deg {
 			fmt.Fprintf(os.Stderr, "  %s: %s: %s\n", d.Figure, d.Cell, d.Reason)
 		}
+	}
+	if drainErr != nil {
+		fail(fmt.Errorf("%w (exiting with jobs still running)", drainErr))
 	}
 	fmt.Fprintln(os.Stderr, "tusd: drained, bye")
 }

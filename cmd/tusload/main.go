@@ -2,22 +2,19 @@
 // enforces the serving-layer invariants while doing it: figure
 // byte-identity against the canonical CLI output, warm-phase cells_run
 // frozen at zero, the Runner's exactly-once cell accounting, and
-// /metrics counter monotonicity. It is also the perf-regression
-// ratchet's comparator (-gate) and a crash-recovery soak harness
-// (-soak).
+// /metrics counter monotonicity. It is also a crash-recovery soak
+// harness (-soak).
 //
 // Usage:
 //
 //	tusload -base http://127.0.0.1:8344     # load an already-running tusd
 //	tusload -tusd bin/tusd -smoke           # spawn a daemon, tiny CI preset
 //	tusload -tusd bin/tusd -soak            # SIGKILL mid-load, restart, verify
-//	tusload -gate -bench-baseline BENCH_harness.json -bench-fresh fresh.json
 //
 // The scale flags (-quick/-ops/-parallel-ops/-seed) must match the
 // daemon exactly: they configure both the spawned daemon and the
 // in-process reference runner that renders the byte-identity oracle.
-// Exit status is nonzero when any invariant was violated or any gate
-// comparison regressed.
+// Exit status is nonzero when any invariant was violated.
 package main
 
 import (
@@ -58,18 +55,7 @@ func main() {
 
 	smoke := flag.Bool("smoke", false, "CI preset: tiny scale (ops 2500/300), figure 9, 48 ops at concurrency 8")
 	soak := flag.Bool("soak", false, "kill/restart soak: SIGKILL the daemon mid-load, restart on the same cache, verify byte-identical warm responses (requires -tusd)")
-
-	gate := flag.Bool("gate", false, "compare fresh perf records against baselines and fail on regression (no daemon needed)")
-	benchBaseline := flag.String("bench-baseline", "", "gate: committed BENCH_harness.json baseline")
-	benchFresh := flag.String("bench-fresh", "", "gate: freshly generated BENCH_harness.json")
-	latBaseline := flag.String("lat-baseline", "", "gate: committed tusload latency report baseline")
-	latFresh := flag.String("lat-fresh", "", "gate: freshly generated tusload latency report")
-	maxRatio := flag.Float64("max-ratio", 0, "gate: allowed fresh/baseline multiple (default 2.0)")
 	flag.Parse()
-
-	if *gate {
-		os.Exit(runGate(*benchBaseline, *benchFresh, *latBaseline, *latFresh, *maxRatio))
-	}
 
 	if *smoke {
 		if *ops == 0 {
@@ -231,58 +217,6 @@ func runSoak(ctx context.Context, l *loadgen.Loader, d *daemon) error {
 	// The restarted daemon must have simulated nothing: every response
 	// came off the shared disk cache.
 	return l.CheckAllCached(ctx, "after restart")
-}
-
-func runGate(benchBase, benchFresh, latBase, latFresh string, maxRatio float64) int {
-	o := loadgen.GateOpts{MaxRatio: maxRatio}
-	ran := false
-	var violations []string
-	if benchBase != "" || benchFresh != "" {
-		if benchBase == "" || benchFresh == "" {
-			fail(fmt.Errorf("gate: -bench-baseline and -bench-fresh go together"))
-		}
-		b, err := loadgen.ReadBench(benchBase)
-		if err != nil {
-			fail(err)
-		}
-		f, err := loadgen.ReadBench(benchFresh)
-		if err != nil {
-			fail(err)
-		}
-		ran = true
-		for _, v := range loadgen.GateBench(b, f, o) {
-			violations = append(violations, "bench: "+v)
-		}
-	}
-	if latBase != "" || latFresh != "" {
-		if latBase == "" || latFresh == "" {
-			fail(fmt.Errorf("gate: -lat-baseline and -lat-fresh go together"))
-		}
-		b, err := loadgen.ReadReport(latBase)
-		if err != nil {
-			fail(err)
-		}
-		f, err := loadgen.ReadReport(latFresh)
-		if err != nil {
-			fail(err)
-		}
-		ran = true
-		for _, v := range loadgen.GateLatency(b, f, o) {
-			violations = append(violations, "latency: "+v)
-		}
-	}
-	if !ran {
-		fail(fmt.Errorf("gate: nothing to compare (pass -bench-baseline/-bench-fresh and/or -lat-baseline/-lat-fresh)"))
-	}
-	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "tusload: GATE FAILED: %d regression(s):\n", len(violations))
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "  -", v)
-		}
-		return 1
-	}
-	fmt.Fprintln(os.Stderr, "tusload: gate passed: no regressions beyond the allowed ratio")
-	return 0
 }
 
 // daemon is a spawned tusd process plus everything needed to respawn it

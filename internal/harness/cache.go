@@ -107,7 +107,8 @@ func (c *DiskCache) path(key string) string {
 // CacheStatus is the outcome of a cache probe. Corruption still
 // degrades to a fresh simulation (a corrupt entry behaves like a miss),
 // but the runner counts it and warns: a silently rotting cache
-// directory should be visible in BENCH_harness.json, not invisible.
+// directory should be visible in CacheStats and tusd's /metrics, not
+// invisible.
 type CacheStatus int
 
 const (

@@ -68,7 +68,7 @@ type Runner struct {
 	Seed int64
 	// Check attaches the TSO checker to every run (slower).
 	Check bool
-	// Verbose prints each run as it completes.
+	// Verbose prints each run to stderr as it completes.
 	Verbose bool
 	// Workers bounds concurrent cell simulations: 0 picks
 	// runtime.NumCPU(), 1 is the serial path. Results are identical at
@@ -113,9 +113,7 @@ type Runner struct {
 	// instead of each regenerating it (see intern.go).
 	interned interner
 
-	// Perf accounting for the BENCH_harness.json emitter.
-	cellNanos  atomic.Int64
-	cellCycles atomic.Uint64
+	// Cell accounting behind CacheStats.
 	cellsRun   atomic.Int64
 	cellsFromC atomic.Int64
 	// cacheCorrupt counts disk-cache entries that existed but failed to
@@ -237,7 +235,7 @@ func (r *Runner) compute(b workload.Benchmark, cfg *config.Config, key string) (
 		case CacheHit:
 			r.cellsFromC.Add(1)
 			if r.Verbose {
-				fmt.Printf("  hit %-28s cycles=%-10d (cache)\n", key, res.Cycles)
+				fmt.Fprintf(os.Stderr, "  hit %-28s cycles=%-10d (cache)\n", key, res.Cycles)
 			}
 			return res, true, nil
 		case CacheCorrupt:
@@ -295,7 +293,6 @@ func (r *Runner) compute(b workload.Benchmark, cfg *config.Config, key string) (
 // publish accounts for it.
 type simOutcome struct {
 	res   Result
-	wall  time.Duration
 	trace *trace.Tracer
 }
 
@@ -308,7 +305,6 @@ func (r *Runner) simulate(b workload.Benchmark, cfg *config.Config, key string) 
 			return simOutcome{}, err
 		}
 	}
-	start := time.Now()
 	sys, err := system.New(cfg, r.interned.streams(b, r.Seed, r.ops(b)))
 	if err != nil {
 		return simOutcome{}, fmt.Errorf("harness: %s: %w", key, err)
@@ -348,20 +344,18 @@ func (r *Runner) simulate(b workload.Benchmark, cfg *config.Config, key string) 
 		Energy: model.Energy(st, sys.Cycles),
 		EDP:    model.EDP(st, sys.Cycles),
 	}
-	return simOutcome{res: res, wall: time.Since(start), trace: tr}, nil
+	return simOutcome{res: res, trace: tr}, nil
 }
 
 // publish accounts for and announces one freshly simulated cell, exactly
-// once per cell: perf counters, the trace callback and the -v line.
+// once per cell: the run counter, the trace callback and the -v line.
 func (r *Runner) publish(key string, out simOutcome) {
-	r.cellNanos.Add(int64(out.wall))
-	r.cellCycles.Add(out.res.Cycles)
 	r.cellsRun.Add(1)
 	if out.trace != nil {
 		r.OnTrace(key, out.trace)
 	}
 	if r.Verbose {
-		fmt.Printf("  ran %-28s cycles=%-10d sbstall=%5.1f%%\n", key, out.res.Cycles, out.res.SBStallPct())
+		fmt.Fprintf(os.Stderr, "  ran %-28s cycles=%-10d sbstall=%5.1f%%\n", key, out.res.Cycles, out.res.SBStallPct())
 	}
 }
 

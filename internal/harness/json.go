@@ -148,25 +148,19 @@ func (p *ParsecStudy) JSON() any {
 }
 
 // BuildJSON runs the full evaluation — every registry row, then the
-// histogram report — and assembles the report. A non-nil rec records
-// per-study wall-clock for BENCH_harness.json.
-func BuildJSON(r *Runner, rec *BenchRecorder) (*JSONReport, error) {
+// histogram report — and assembles the report.
+func BuildJSON(r *Runner) (*JSONReport, error) {
 	rep := &JSONReport{}
 	rep.Scale.Ops = r.Ops
 	rep.Scale.ParallelOps = r.ParallelOps
 	rep.Scale.Seed = r.Seed
 	hists := FigureSpec{Name: "histograms", jsonKey: "histograms", study: histSpec{114}}
 	for _, f := range append(Figures(), hists) {
-		if err := rec.Time(f.Name, func() error {
-			p, err := r.Build(context.Background(), f.study)
-			if err != nil {
-				return err
-			}
-			rep.Sections = append(rep.Sections, JSONSection{f.jsonKey, p.JSON()})
-			return nil
-		}); err != nil {
+		p, err := r.Build(context.Background(), f.study)
+		if err != nil {
 			return nil, err
 		}
+		rep.Sections = append(rep.Sections, JSONSection{f.jsonKey, p.JSON()})
 	}
 	rep.Degraded = r.DegradedCells()
 	return rep, nil

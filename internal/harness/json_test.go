@@ -7,7 +7,7 @@ import (
 
 // reportJSON is `tusbench -json`: BuildJSON, then an indented encode.
 func reportJSON(r *Runner) ([]byte, error) {
-	rep, err := BuildJSON(r, nil)
+	rep, err := BuildJSON(r)
 	if err != nil {
 		return nil, err
 	}

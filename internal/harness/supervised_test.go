@@ -192,7 +192,7 @@ func TestSupervisedFigureDegrades(t *testing.T) {
 // attempt that overruns its deadline and retries, but the overrun
 // attempt keeps running and finishes later. Only the winning attempt may
 // be published — one cells_run, one trace callback — or tusload's
-// exactly-once invariant and BENCH_harness.json's cells_run both break.
+// exactly-once invariant and tusd_cells_run_total both break.
 func TestSupervisedDeadlineMissPublishesOnce(t *testing.T) {
 	b, _ := workload.ByName("503.bw2")
 	r := NewQuickRunner()

@@ -2,9 +2,9 @@ package harness
 
 // Version is the single harness identity string shared by every layer
 // that must agree on what "the same result" means: the content-addressed
-// disk cache keys it, cache entries embed it, BENCH_harness.json records
-// it, the run journal header carries it so a resume under a different
-// binary is detected, and tusd reports it from /healthz and /metrics.
+// disk cache keys it, cache entries embed it, the run journal header
+// carries it so a resume under a different binary is detected, and tusd
+// reports it from /healthz and /metrics.
 // Bump it whenever a change anywhere in the simulator can alter cell
 // results, so stale entries from older binaries can never masquerade as
 // fresh runs. Keeping it in one exported constant (instead of per-layer
@@ -19,6 +19,5 @@ package harness
 // traces. Pop order — and therefore every cell result — is proved
 // identical to the v5 binary heap by the wheel differential rig and
 // `make ref-identity`, but the same honesty argument applies: a v6
-// binary must never serve v5 cache entries as its own, so the
-// committed BENCH_harness.json baseline was regenerated fresh.)
+// binary must never serve v5 cache entries as its own.)
 const Version = "tusim-harness-6"

@@ -23,8 +23,7 @@
 // *offered* load, not the observed schedule.
 //
 // Per-endpoint latency lands in stats.Histogram (power-of-two buckets);
-// the Report exports p50/p95/p99 upper bounds via stats.QuantSummary,
-// which scripts/bench_gate.sh turns into an enforced perf contract.
+// the Report exports p50/p95/p99 upper bounds via stats.QuantSummary.
 package loadgen
 
 import (

@@ -2,7 +2,9 @@ package loadgen_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,7 +13,6 @@ import (
 	"tusim/internal/harness"
 	"tusim/internal/loadgen"
 	"tusim/internal/server"
-	"tusim/internal/stats"
 )
 
 // testOps matches the server test scale: tiny traces, because these
@@ -106,13 +107,17 @@ func TestClosedLoopRun(t *testing.T) {
 		t.Fatalf("no figure-cold endpoint in %+v", rep.Endpoints)
 	}
 
-	// The report must round-trip through disk for the gate.
+	// The report must round-trip through disk: CI uploads the file.
 	path := filepath.Join(t.TempDir(), "report.json")
 	if err := rep.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := loadgen.ReadReport(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var back loadgen.Report
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Requests != rep.Requests || len(back.Endpoints) != len(rep.Endpoints) {
@@ -255,201 +260,5 @@ func TestMonotonicViolations(t *testing.T) {
 	}
 	if v := loadgen.MonotonicViolations(cur, cur); len(v) != 0 {
 		t.Fatalf("identical scrapes produced violations: %v", v)
-	}
-}
-
-func benchRecord(fig8, wall float64) harness.BenchReport {
-	return harness.BenchReport{
-		HarnessVersion: harness.Version,
-		Figures: []harness.FigTiming{
-			{Name: "fig8", Seconds: fig8},
-			{Name: "fig9", Seconds: 0.0003},
-		},
-		WallSeconds: wall,
-	}
-}
-
-// TestGateBench pins the ratchet semantics, including the acceptance
-// negative test: a synthetic 3x-slower record must fail the gate.
-func TestGateBench(t *testing.T) {
-	baseline := benchRecord(10.0, 13.0)
-
-	if v := loadgen.GateBench(baseline, baseline, loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("identical records failed the gate: %v", v)
-	}
-	// 1.5x slower: within the 2x budget.
-	if v := loadgen.GateBench(baseline, benchRecord(15.0, 19.5), loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("1.5x failed the gate: %v", v)
-	}
-	// Faster never fails — the ratchet only guards the slow direction.
-	if v := loadgen.GateBench(baseline, benchRecord(3.0, 4.0), loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("faster run failed the gate: %v", v)
-	}
-	// The negative test: 3x slower must trip both the figure and the
-	// wall-clock wire.
-	v := loadgen.GateBench(baseline, benchRecord(30.0, 39.0), loadgen.GateOpts{})
-	if len(v) != 2 {
-		t.Fatalf("3x-slower record produced %d violations, want 2: %v", len(v), v)
-	}
-	if !strings.Contains(v[0], "fig8") || !strings.Contains(v[1], "wall_seconds") {
-		t.Fatalf("violations: %v", v)
-	}
-
-	// Sub-floor figures are noise-exempt: fig9 ballooning from 0.3ms to
-	// 0.9ms (3x!) is scheduler jitter, not a regression.
-	fresh := benchRecord(10.0, 13.0)
-	fresh.Figures[1].Seconds = 0.0009
-	if v := loadgen.GateBench(baseline, fresh, loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("sub-floor jitter failed the gate: %v", v)
-	}
-
-	// A figure vanishing from the fresh run is itself a violation.
-	missing := harness.BenchReport{Figures: []harness.FigTiming{{Name: "fig9", Seconds: 0.0003}}, WallSeconds: 13.0}
-	v = loadgen.GateBench(baseline, missing, loadgen.GateOpts{})
-	if len(v) != 1 || !strings.Contains(v[0], "missing") {
-		t.Fatalf("missing figure: %v", v)
-	}
-
-	// MaxRatio is configurable: at 4.0 the 3x record passes.
-	if v := loadgen.GateBench(baseline, benchRecord(30.0, 39.0), loadgen.GateOpts{MaxRatio: 4.0}); len(v) != 0 {
-		t.Fatalf("3x failed a 4x gate: %v", v)
-	}
-}
-
-func throughputRecord(cyclesPerSec, cellSeconds float64) harness.BenchReport {
-	rep := benchRecord(10.0, 13.0)
-	rep.SimCyclesPerSec = cyclesPerSec
-	rep.CellSeconds = cellSeconds
-	return rep
-}
-
-// TestGateBenchThroughput pins the sim_cycles_per_sec wire: a
-// throughput COLLAPSE fails (lower is worse, opposite polarity from
-// the timing wires), cache-hot zero readings and sub-floor simulation
-// time are exempt, and faster never fails.
-func TestGateBenchThroughput(t *testing.T) {
-	baseline := throughputRecord(2.0e6, 12.0)
-
-	if v := loadgen.GateBench(baseline, baseline, loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("identical throughput failed the gate: %v", v)
-	}
-	// 1.5x slower: within the 2x budget.
-	if v := loadgen.GateBench(baseline, throughputRecord(1.4e6, 12.0), loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("1.5x throughput drop failed the gate: %v", v)
-	}
-	// Higher throughput never fails.
-	if v := loadgen.GateBench(baseline, throughputRecord(6.0e6, 12.0), loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("faster simulator failed the gate: %v", v)
-	}
-	// A >2x collapse trips the wire.
-	v := loadgen.GateBench(baseline, throughputRecord(0.6e6, 12.0), loadgen.GateOpts{})
-	if len(v) != 1 || !strings.Contains(v[0], "sim_cycles_per_sec") {
-		t.Fatalf("3.3x throughput collapse: got %v, want one sim_cycles_per_sec violation", v)
-	}
-	// A fully cache-hot fresh run reports zero throughput — that is
-	// absence of evidence, not a regression.
-	if v := loadgen.GateBench(baseline, throughputRecord(0, 0), loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("cache-hot fresh run failed the gate: %v", v)
-	}
-	// Likewise a baseline with no measurement gates nothing.
-	if v := loadgen.GateBench(throughputRecord(0, 0), throughputRecord(0.6e6, 12.0), loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("unmeasured baseline failed the gate: %v", v)
-	}
-	// Sub-floor simulation time on either side is scheduler noise.
-	if v := loadgen.GateBench(baseline, throughputRecord(0.6e6, 0.01), loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("sub-floor cell_seconds failed the gate: %v", v)
-	}
-	// MaxRatio applies: at 4.0 the 3.3x collapse passes.
-	if v := loadgen.GateBench(baseline, throughputRecord(0.6e6, 12.0), loadgen.GateOpts{MaxRatio: 4.0}); len(v) != 0 {
-		t.Fatalf("3.3x collapse failed a 4x gate: %v", v)
-	}
-}
-
-// TestGateBenchWorkerMismatch pins the worker-invariance rule: when
-// baseline and fresh disagree on workers or num_cpu, wall-clock wires
-// (per-figure, wall_seconds) are suppressed in favor of the
-// worker-invariant cell_seconds, while sim_cycles_per_sec keeps
-// ratcheting regardless of shape.
-func TestGateBenchWorkerMismatch(t *testing.T) {
-	shaped := func(workers, cpus int, fig8, wall, cell float64, cyclesPerSec float64) harness.BenchReport {
-		rep := benchRecord(fig8, wall)
-		rep.Workers = workers
-		rep.NumCPU = cpus
-		rep.CellSeconds = cell
-		rep.CellsRun = 300
-		rep.SimCyclesPerSec = cyclesPerSec
-		return rep
-	}
-	baseline := shaped(16, 16, 2.0, 3.0, 40.0, 2.0e6)
-
-	// 16-way baseline vs serial CI runner: wall time legitimately 10x
-	// worse, but cell_seconds and throughput match — must pass.
-	serial := shaped(1, 1, 30.0, 41.0, 41.0, 2.0e6)
-	if v := loadgen.GateBench(baseline, serial, loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("shape-mismatched wall regression failed the gate: %v", v)
-	}
-	// A real regression shows up in the worker-invariant aggregate.
-	slow := shaped(1, 1, 90.0, 121.0, 120.0, 2.0e6)
-	v := loadgen.GateBench(baseline, slow, loadgen.GateOpts{})
-	if len(v) != 1 || !strings.Contains(v[0], "cell_seconds") {
-		t.Fatalf("3x cell_seconds regression across shapes: got %v, want one cell_seconds violation", v)
-	}
-	// Throughput collapse still gates across shapes.
-	collapsed := shaped(1, 1, 30.0, 41.0, 41.0, 0.5e6)
-	v = loadgen.GateBench(baseline, collapsed, loadgen.GateOpts{})
-	if len(v) != 1 || !strings.Contains(v[0], "sim_cycles_per_sec") {
-		t.Fatalf("throughput collapse across shapes: got %v, want one sim_cycles_per_sec violation", v)
-	}
-	// Same shape on both sides keeps the wall-clock wires armed.
-	sameSlow := shaped(16, 16, 9.0, 10.0, 40.0, 2.0e6)
-	v = loadgen.GateBench(baseline, sameSlow, loadgen.GateOpts{})
-	if len(v) != 2 {
-		t.Fatalf("same-shape 3x wall regression: got %v, want fig8 + wall_seconds", v)
-	}
-	// A cache-hot fresh run across shapes has no cell evidence: pass.
-	hot := shaped(1, 1, 0.1, 0.2, 0.0, 0)
-	hot.CellsRun = 0
-	if v := loadgen.GateBench(baseline, hot, loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("cache-hot shape-mismatched run failed the gate: %v", v)
-	}
-}
-
-func latReport(p99 uint64) loadgen.Report {
-	return loadgen.Report{
-		Endpoints: []loadgen.EndpointStats{
-			{Endpoint: "figure", LatencyUS: stats.QuantSummary{Count: 100, P99: p99}},
-			{Endpoint: "metrics", LatencyUS: stats.QuantSummary{Count: 100, P99: 512}},
-		},
-	}
-}
-
-func TestGateLatency(t *testing.T) {
-	baseline := latReport(4096)
-
-	if v := loadgen.GateLatency(baseline, baseline, loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("identical reports failed: %v", v)
-	}
-	// One power-of-two bucket shift is exactly 2x: the strict > passes it.
-	if v := loadgen.GateLatency(baseline, latReport(8192), loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("single bucket shift failed: %v", v)
-	}
-	// Two bucket shifts (4x) fail.
-	v := loadgen.GateLatency(baseline, latReport(16384), loadgen.GateOpts{})
-	if len(v) != 1 || !strings.Contains(v[0], "figure p99") {
-		t.Fatalf("4x p99: %v", v)
-	}
-	// Both-under-floor endpoints are skipped (metrics stays at 512 <
-	// 1000us in both, so even a big ratio there would be exempt).
-	sub := latReport(4096)
-	sub.Endpoints[1].LatencyUS.P99 = 64
-	fresh := latReport(4096)
-	fresh.Endpoints[1].LatencyUS.P99 = 512
-	if v := loadgen.GateLatency(sub, fresh, loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("sub-floor endpoint failed: %v", v)
-	}
-	// Endpoints absent from the fresh run are skipped, not violations:
-	// mixes differ across runs.
-	if v := loadgen.GateLatency(baseline, loadgen.Report{}, loadgen.GateOpts{}); len(v) != 0 {
-		t.Fatalf("missing endpoints should be skipped: %v", v)
 	}
 }

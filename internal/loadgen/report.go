@@ -21,9 +21,7 @@ type EndpointStats struct {
 }
 
 // Report is tusload's run record: offered-load parameters, invariant
-// outcomes, and per-endpoint latency summaries. It is the latency half
-// of the perf-regression ratchet (the harness half is
-// BENCH_harness.json).
+// outcomes, and per-endpoint latency summaries.
 type Report struct {
 	HarnessVersion string  `json:"harness_version"`
 	Seed           uint64  `json:"seed"`
@@ -49,19 +47,6 @@ func (r Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadReport loads a report written by WriteFile.
-func ReadReport(path string) (Report, error) {
-	var r Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("loadgen: %s: %w", path, err)
-	}
-	return r, nil
 }
 
 // WriteSummary prints the human-readable run summary.

@@ -211,9 +211,6 @@ type jobPlan struct {
 	// total is the progress denominator: len(cells), or the model-check
 	// cell count for litmus jobs.
 	total int
-	// timed, when non-empty, records the build's wall-clock under this
-	// name in the server's BenchRecorder (the /v1/bench trajectory).
-	timed string
 	run   func(ctx context.Context, j *Job) ([]byte, error)
 }
 
@@ -253,7 +250,7 @@ func (s *Server) cellsKey(kind, extra string, cells []harness.Cell) string {
 // are all this one plan: prefetch the study's cells under the job's
 // context, then assemble and print. extra distinguishes jobs of one kind
 // that share a matrix.
-func (s *Server) studyPlan(kind, name, extra, contentType, timed string, st harness.Study) *jobPlan {
+func (s *Server) studyPlan(kind, name, extra, contentType string, st harness.Study) *jobPlan {
 	cells := harness.CellUnion(st.Cells())
 	return &jobPlan{
 		kind:        kind,
@@ -262,7 +259,6 @@ func (s *Server) studyPlan(kind, name, extra, contentType, timed string, st harn
 		cells:       cells,
 		contentType: contentType,
 		total:       len(cells),
-		timed:       timed,
 		run: func(ctx context.Context, _ *Job) ([]byte, error) {
 			p, err := s.r.Build(ctx, st)
 			if err != nil {
@@ -280,7 +276,7 @@ func (s *Server) planFigure(fig int) (*jobPlan, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown figure %d (GET /v1/figures lists the servable set)", fig)
 	}
-	return s.studyPlan("figure", spec.Name, spec.Name, "text/plain; charset=utf-8", spec.Name, spec), nil
+	return s.studyPlan("figure", spec.Name, spec.Name, "text/plain; charset=utf-8", spec), nil
 }
 
 func (s *Server) planHist(sb int) (*jobPlan, error) {
@@ -288,7 +284,7 @@ func (s *Server) planHist(sb int) (*jobPlan, error) {
 		return nil, fmt.Errorf("hist: sb must be positive, got %d", sb)
 	}
 	name := fmt.Sprintf("hist@%d", sb)
-	return s.studyPlan("hist", name, name, "text/plain; charset=utf-8", "", harness.HistStudy(sb)), nil
+	return s.studyPlan("hist", name, name, "text/plain; charset=utf-8", harness.HistStudy(sb)), nil
 }
 
 // cellRow is one cell-matrix result row.
@@ -334,7 +330,7 @@ func (s *Server) planCells(req JobRequest) (*jobPlan, error) {
 		}
 	}
 	cells = harness.CellUnion(cells)
-	return s.studyPlan("cells", fmt.Sprintf("cells(%d)", len(cells)), "", "application/json", "", cellMatrix(cells)), nil
+	return s.studyPlan("cells", fmt.Sprintf("cells(%d)", len(cells)), "", "application/json", cellMatrix(cells)), nil
 }
 
 // cellMatrix is the cells job's Study: the requested cells, assembled

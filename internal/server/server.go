@@ -57,7 +57,6 @@ type Options struct {
 type Server struct {
 	o   Options
 	r   *harness.Runner
-	rec *harness.BenchRecorder
 	mux *http.ServeMux
 
 	mu       sync.Mutex
@@ -103,7 +102,6 @@ func New(o Options) *Server {
 	s := &Server{
 		o:             o,
 		r:             o.Runner,
-		rec:           harness.NewBenchRecorder(o.Runner),
 		jobs:          map[string]*Job{},
 		inflight:      map[string]*Job{},
 		byCell:        map[string]map[*Job]bool{},
@@ -311,23 +309,14 @@ func (s *Server) runJob(ctx context.Context, j *Job, p *jobPlan) {
 	}
 }
 
-// build runs the plan, recording its wall-clock when the plan is timed;
-// a panic in the plan becomes the job's error.
+// build runs the plan; a panic in the plan becomes the job's error.
 func (s *Server) build(ctx context.Context, j *Job, p *jobPlan) (out []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("job panicked: %v", v)
 		}
 	}()
-	rec := s.rec
-	if p.timed == "" {
-		rec = nil
-	}
-	err = rec.Time(p.timed, func() (err error) {
-		out, err = p.run(ctx, j)
-		return err
-	})
-	return out, err
+	return p.run(ctx, j)
 }
 
 // finalize commits the job's terminal state; runJob calls it exactly
@@ -466,13 +455,6 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 	}
 }
 
-// BenchReport assembles the perf trajectory record for the server's
-// lifetime (figure timings, cell accounting, cache split) — the same
-// BENCH_harness.json shape tusbench emits.
-func (s *Server) BenchReport() harness.BenchReport {
-	return s.rec.Report()
-}
-
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -488,7 +470,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleJobCancel)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("GET /v1/bench", s.handleBench)
 	// Live profiling of a running daemon: CPU/heap/goroutine profiles on
 	// the same mux as the operational endpoints (tusd binds loopback-ish
 	// harness ports, not the public internet). `go tool pprof
@@ -631,10 +612,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, j.view())
-}
-
-func (s *Server) handleBench(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.BenchReport())
 }
 
 // handleJobEvents streams the job's progress as server-sent events:

@@ -948,21 +948,6 @@ func TestHistJobAndRegistryHTTP(t *testing.T) {
 		t.Fatalf("GET /v1/jobs does not list finished hist job %s: %+v", v.ID, jobs)
 	}
 
-	// /v1/bench serves the BENCH_harness.json shape with live cell
-	// accounting.
-	bresp, err := http.Get(ts.URL + "/v1/bench")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep harness.BenchReport
-	if err := json.NewDecoder(bresp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	bresp.Body.Close()
-	if rep.HarnessVersion != harness.Version || rep.CellsRun == 0 {
-		t.Fatalf("bench report %+v", rep)
-	}
-
 	// Quiesced: the gauge returns to zero.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
