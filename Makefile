@@ -64,15 +64,18 @@ figs:
 figures-par:
 	$(GO) run ./cmd/tusbench -quick -j 0 -cache .tuscache
 
-# fuzz: both native fuzz targets on a short budget (the committed seed
+# fuzz: the native fuzz targets on a short budget (the committed seed
 # corpora under testdata/fuzz replay as plain tests in `make test`).
 # FuzzOracleVsChecker drives random small TSO programs through the
 # operational oracle and replays every allowed interleaving through the
-# online checker; FuzzWorkloadTrace shakes the workload generators.
+# online checker; FuzzWorkloadTrace shakes the workload generators;
+# FuzzStoreRing drives the indexed store ring and its entry-by-entry
+# reference twin with one operation stream.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/tso/ -run '^$$' -fuzz FuzzOracleVsChecker -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -run '^$$' -fuzz FuzzWorkloadTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cpu/ -run '^$$' -fuzz FuzzStoreRing -fuzztime $(FUZZTIME)
 
 # cover: enforce the coverage floor over the layers that carry the
 # repo's behavioural contracts — the tracer and histogram code (golden/

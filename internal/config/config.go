@@ -174,6 +174,11 @@ type Config struct {
 	Reference bool
 }
 
+// MaxStoreRing is the largest SBEntries or TSOBEntries: the store ring
+// (cpu.StoreBuffer) links its slots with 16-bit indices, so a larger
+// ring would alias slots instead of failing.
+const MaxStoreRing = 1 << 15
+
 // DefaultWatchdogWindow is the no-commit-progress bound used when
 // Config.WatchdogWindow is zero.
 const DefaultWatchdogWindow = 2_000_000
@@ -296,8 +301,8 @@ func (c *Config) Validate() error {
 	if c.CellTimeout < 0 {
 		return fmt.Errorf("config: CellTimeout = %v, need >= 0", c.CellTimeout)
 	}
-	if c.SBEntries < 1 {
-		return fmt.Errorf("config: SBEntries = %d, need >= 1", c.SBEntries)
+	if c.SBEntries < 1 || c.SBEntries > MaxStoreRing {
+		return fmt.Errorf("config: SBEntries = %d, need 1..%d", c.SBEntries, MaxStoreRing)
 	}
 	if c.ROBEntries < c.CommitWidth {
 		return fmt.Errorf("config: ROB (%d) smaller than commit width (%d)", c.ROBEntries, c.CommitWidth)
@@ -328,8 +333,8 @@ func (c *Config) Validate() error {
 	if c.Mechanism == TUS && c.WOQEntries < 1 {
 		return fmt.Errorf("config: TUS needs WOQEntries >= 1")
 	}
-	if c.Mechanism == SSB && c.TSOBEntries < 1 {
-		return fmt.Errorf("config: SSB needs TSOBEntries >= 1")
+	if c.Mechanism == SSB && (c.TSOBEntries < 1 || c.TSOBEntries > MaxStoreRing) {
+		return fmt.Errorf("config: SSB needs TSOBEntries in 1..%d, got %d", MaxStoreRing, c.TSOBEntries)
 	}
 	return nil
 }

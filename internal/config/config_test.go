@@ -130,6 +130,34 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// The store ring links slots with 16-bit indices; a capacity past what
+// they hold must be refused at Validate, not wrap inside the ring.
+func TestValidateBoundsStoreRings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  *Config
+		want string
+	}{
+		{"SB one past", func() *Config { c := Default(); c.SBEntries = MaxStoreRing + 1; return c }(), "config: SBEntries"},
+		{"TSOB one past", func() *Config { c := Default().WithMechanism(SSB); c.TSOBEntries = MaxStoreRing + 1; return c }(), "config: SSB needs TSOBEntries"},
+	} {
+		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error starting %q", tc.name, err, tc.want)
+		}
+	}
+	c := Default().WithMechanism(SSB).WithSB(MaxStoreRing)
+	c.TSOBEntries = MaxStoreRing
+	if err := c.Validate(); err != nil {
+		t.Errorf("rings at MaxStoreRing rejected: %v", err)
+	}
+	// Only SSB has a TSOB; the other mechanisms ignore the field.
+	c = Default()
+	c.TSOBEntries = MaxStoreRing + 1
+	if err := c.Validate(); err != nil {
+		t.Errorf("baseline rejected for an unused TSOB size: %v", err)
+	}
+}
+
 // A cache with no sets used to validate (0 % anything == 0) and die on
 // the first access with an integer divide by zero in the set index; a
 // line size other than the 64 bytes memsys shifts by mis-indexed silently.

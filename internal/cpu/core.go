@@ -151,7 +151,7 @@ func NewCore(id int, cfg *config.Config, q *event.Queue, priv *memsys.Private, s
 		rob:        make([]robEntry, robFirst),
 		robMask:    robFirst - 1,
 		robCap:     cfg.ROBEntries,
-		SB:         NewStoreBuffer(cfg.SBEntries),
+		SB:         NewStoreBuffer(cfg.SBEntries, cfg.Reference),
 		frontWidth: fw,
 	}
 	c.execDoneFn = c.execDone

@@ -6,7 +6,10 @@
 // CSB, and SPB policies share one core.
 package cpu
 
-import "tusim/internal/memsys"
+import (
+	"tusim/internal/config"
+	"tusim/internal/memsys"
+)
 
 // SBEntry is one store buffer slot. The SB is unified for non-committed
 // and committed stores, as in x86 processors (paper footnote 1).
@@ -17,6 +20,10 @@ type SBEntry struct {
 	Data      [8]byte
 	Executed  bool // address generated and data captured
 	Committed bool
+	// next and run are the ring's line index (see StoreBuffer). They sit
+	// in what would otherwise be padding: the entry stays 40 bytes.
+	next uint16 // slot+1 of the next-older entry in this entry's bucket; 0 = none
+	run  uint16 // on the first entry of a same-line run: the run's length
 	// CommitCycle is the cycle the store's ROB entry retired (set by the
 	// core at commit). Drain latency = pop cycle − CommitCycle. Purely
 	// observational: no mechanism reads it for timing decisions.
@@ -29,8 +36,41 @@ func (e *SBEntry) Line() uint64 { return e.Addr &^ 63 }
 // Mask returns the byte mask of the entry within its line.
 func (e *SBEntry) Mask() memsys.Mask { return memsys.MaskFor(e.Addr, e.Size) }
 
-// StoreBuffer is a program-order ring of stores. Every load searches it
-// associatively (the CAM the paper's energy analysis centres on).
+// sbBuckets is the size of the ring's line-hash table. It is fixed so the
+// table lives inside the StoreBuffer and construction allocates nothing
+// for it; at 1,024 entries a chain is still ~16 long.
+const sbBuckets = 64
+
+// sbBucket hashes a line address to its bucket (multiplicative, so
+// page-strided lines spread too).
+func sbBucket(line uint64) uint {
+	return uint((line >> 6) * 0x9E3779B97F4A7C15 >> (64 - 6))
+}
+
+// StoreBuffer is a program-order ring of stores: the core's SB and SSB's
+// TSOB. Every load searches it associatively (the CAM the paper's energy
+// analysis centres on) and every drain cycle reads the distinct lines at
+// its head; hardware does both in a cycle, so the ring answers both by
+// line instead of walking its capacity:
+//
+//   - Chains. bucket[h] names the youngest live entry whose line hashes
+//     to h, and each entry names the next-older entry of its bucket, so
+//     Search visits only the entries sharing the load's bucket, youngest
+//     first. Pop never unlinks: it clears the bucket when the popped head
+//     is that bucket's youngest, and otherwise leaves the link that names
+//     it stale. A stale link is always the tail of its chain and names a
+//     slot that is free or was reused by a younger store, so a walk ends
+//     at the first link that does not lead to a strictly older position.
+//   - Runs. The first entry of each maximal run of consecutive same-line
+//     entries carries the run's length (Push extends the youngest run,
+//     Pop hands length-1 to the new head), so LookaheadLines takes one
+//     step per distinct line. It stops at the first uncommitted run head,
+//     which is where the entry-by-entry walk stops because stores commit
+//     in order.
+//
+// Under config.Reference Search and LookaheadLines walk entry by entry
+// instead (the reference twin the differential rigs compare against);
+// the index is maintained either way.
 type StoreBuffer struct {
 	// entries is a power-of-two ring (indexing is a mask, not a
 	// division); capacity is the architectural size.
@@ -51,17 +91,31 @@ type StoreBuffer struct {
 	// a uniform drain-event hook without each mechanism carrying a
 	// clock. Must be observational only.
 	OnPop func(*SBEntry)
+
+	ref bool
+	// tailRun is the slot of the first entry of the youngest run
+	// (meaningful while count > 0).
+	tailRun uint16
+	bucket  [sbBuckets]uint16 // slot+1 of the bucket's youngest live entry; 0 = none
 }
 
 const noUnexec = ^uint64(0)
 
-// NewStoreBuffer allocates an SB with the given capacity.
-func NewStoreBuffer(capacity int) *StoreBuffer {
+// NewStoreBuffer allocates a ring with the given capacity, at most
+// config.MaxStoreRing: slot links are 16 bits wide (config.Validate
+// rejects larger SB and TSOB sizes before a machine is built). ref
+// (config.Reference) selects the reference twin: entry-by-entry Search
+// and LookaheadLines.
+func NewStoreBuffer(capacity int, ref bool) *StoreBuffer {
+	if capacity > config.MaxStoreRing {
+		// Invariant: config.Validate bounds every capacity a machine uses.
+		panic("cpu: store ring capacity exceeds config.MaxStoreRing")
+	}
 	size := 1
 	for size < capacity {
 		size <<= 1
 	}
-	return &StoreBuffer{entries: make([]SBEntry, size), mask: size - 1, capacity: capacity, minUnexec: noUnexec}
+	return &StoreBuffer{entries: make([]SBEntry, size), mask: size - 1, capacity: capacity, minUnexec: noUnexec, ref: ref}
 }
 
 // Cap returns the SB capacity.
@@ -84,13 +138,43 @@ func (sb *StoreBuffer) Push(seq, addr uint64, size uint8) *SBEntry {
 		sb.Overflows++
 		return nil
 	}
-	idx := (sb.head + sb.count) & sb.mask
-	sb.count++
-	e := &sb.entries[idx]
-	*e = SBEntry{Seq: seq, Addr: addr, Size: size}
+	e := sb.append(SBEntry{Seq: seq, Addr: addr, Size: size})
 	if sb.minUnexec == noUnexec {
 		sb.minUnexec = seq
 	}
+	return e
+}
+
+// PushCopy appends a copy of a store that left another ring — SSB moves
+// committed stores from the SB into its TSOB this way — and reports
+// whether there was room. The copy keeps the source's data and flags; it
+// must already be executed, so the oldest-unexecuted cache is left alone.
+func (sb *StoreBuffer) PushCopy(src *SBEntry) bool {
+	if sb.Full() {
+		return false
+	}
+	sb.append(*src)
+	return true
+}
+
+// append writes v at the tail and links it into its bucket's chain and
+// the youngest run.
+func (sb *StoreBuffer) append(v SBEntry) *SBEntry {
+	idx := (sb.head + sb.count) & sb.mask
+	e := &sb.entries[idx]
+	*e = v
+	line := e.Line()
+	b := &sb.bucket[sbBucket(line)]
+	e.next = *b
+	*b = uint16(idx + 1)
+	if first := &sb.entries[sb.tailRun]; sb.count > 0 && first.Line() == line {
+		e.run = 0
+		first.run++
+	} else {
+		e.run = 1
+		sb.tailRun = uint16(idx)
+	}
+	sb.count++
 	return e
 }
 
@@ -126,10 +210,21 @@ func (sb *StoreBuffer) Pop() {
 		// Invariant: mechanisms pop only after Head() returned non-nil.
 		panic("cpu: pop from empty store buffer")
 	}
+	e := &sb.entries[sb.head]
 	if sb.OnPop != nil {
-		sb.OnPop(&sb.entries[sb.head])
+		sb.OnPop(e)
 	}
-	sb.head = (sb.head + 1) & sb.mask
+	if b := &sb.bucket[sbBucket(e.Line())]; *b == uint16(sb.head+1) {
+		*b = 0
+	}
+	next := (sb.head + 1) & sb.mask
+	if e.run > 1 {
+		sb.entries[next].run = e.run - 1
+		if int(sb.tailRun) == sb.head {
+			sb.tailRun = uint16(next)
+		}
+	}
+	sb.head = next
 	sb.count--
 }
 
@@ -166,7 +261,50 @@ func (sb *StoreBuffer) Search(loadSeq, addr uint64, size uint8) (ForwardResult, 
 	}
 	want := memsys.MaskFor(addr, size)
 	line := addr &^ 63
-	// Scan youngest -> oldest.
+	if sb.ref {
+		return sb.searchRef(loadSeq, addr, size, want, line)
+	}
+	// Every store older than the load is executed, so only same-line
+	// entries decide the result: walk the line's bucket youngest ->
+	// oldest. pos is the ring position of the last entry visited; a link
+	// that does not lead to an older position is stale.
+	pos := sb.count
+	for s := sb.bucket[sbBucket(line)]; s != 0; {
+		idx := int(s - 1)
+		p := (idx - sb.head) & sb.mask
+		if p >= pos {
+			break
+		}
+		pos = p
+		e := &sb.entries[idx]
+		s = e.next
+		if e.Seq >= loadSeq || e.Line() != line {
+			continue
+		}
+		if m := e.Mask(); m.Overlaps(want) {
+			return e.forward(m, want, addr, size)
+		}
+	}
+	return FwdMiss, zero
+}
+
+// forward answers a load from the youngest older store overlapping it
+// (m is the store's mask, want the load's).
+func (e *SBEntry) forward(m, want memsys.Mask, addr uint64, size uint8) (ForwardResult, [8]byte) {
+	var out [8]byte
+	if !m.Covers(want) {
+		return FwdConflict, out
+	}
+	// Full cover: extract the requested bytes from the store data.
+	off := int(addr&63) - int(e.Addr&63)
+	copy(out[:size], e.Data[off:off+int(size)])
+	return FwdHit, out
+}
+
+// searchRef is Search's reference twin: the whole ring, youngest ->
+// oldest.
+func (sb *StoreBuffer) searchRef(loadSeq, addr uint64, size uint8, want memsys.Mask, line uint64) (ForwardResult, [8]byte) {
+	var zero [8]byte
 	for i := sb.count - 1; i >= 0; i-- {
 		e := sb.at(i)
 		if e.Seq >= loadSeq {
@@ -178,25 +316,32 @@ func (sb *StoreBuffer) Search(loadSeq, addr uint64, size uint8) (ForwardResult, 
 		if e.Line() != line {
 			continue
 		}
-		m := e.Mask()
-		if !m.Overlaps(want) {
-			continue
+		if m := e.Mask(); m.Overlaps(want) {
+			return e.forward(m, want, addr, size)
 		}
-		if !m.Covers(want) {
-			return FwdConflict, zero
-		}
-		// Full cover: extract the requested bytes from the store data.
-		var out [8]byte
-		off := int(addr&63) - int(e.Addr&63)
-		copy(out[:size], e.Data[off:off+int(size)])
-		return FwdHit, out
 	}
 	return FwdMiss, zero
 }
 
 // LookaheadLines visits up to k distinct line addresses of the oldest
-// committed stores (drain-ahead RFO issue).
+// committed stores (drain-ahead RFO issue): one step per run.
 func (sb *StoreBuffer) LookaheadLines(k int, visit func(line uint64)) {
+	if sb.ref {
+		sb.lookaheadRef(k, visit)
+		return
+	}
+	for i, seen := 0, 0; i < sb.count && seen < k; seen++ {
+		e := sb.at(i)
+		if !e.Committed {
+			break
+		}
+		visit(e.Line())
+		i += int(e.run)
+	}
+}
+
+// lookaheadRef is LookaheadLines' reference twin: entry by entry.
+func (sb *StoreBuffer) lookaheadRef(k int, visit func(line uint64)) {
 	var last uint64 = ^uint64(0)
 	seen := 0
 	for i := 0; i < sb.count && seen < k; i++ {

@@ -13,7 +13,7 @@ func execStore(sb *StoreBuffer, seq, addr uint64, size uint8, data [8]byte) *SBE
 }
 
 func TestSBPushPop(t *testing.T) {
-	sb := NewStoreBuffer(3)
+	sb := NewStoreBuffer(3, false)
 	if !sb.Empty() || sb.Full() || sb.Cap() != 3 {
 		t.Fatal("fresh SB state wrong")
 	}
@@ -40,7 +40,7 @@ func TestSBPushPop(t *testing.T) {
 }
 
 func TestSBOverflowCounted(t *testing.T) {
-	sb := NewStoreBuffer(1)
+	sb := NewStoreBuffer(1, false)
 	if sb.Push(1, 0, 8) == nil {
 		t.Fatal("push into empty SB failed")
 	}
@@ -57,7 +57,7 @@ func TestSBOverflowCounted(t *testing.T) {
 }
 
 func TestSBForwardHit(t *testing.T) {
-	sb := NewStoreBuffer(8)
+	sb := NewStoreBuffer(8, false)
 	execStore(sb, 1, 0x100, 8, [8]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	res, data := sb.Search(5, 0x104, 4)
 	if res != FwdHit {
@@ -69,7 +69,7 @@ func TestSBForwardHit(t *testing.T) {
 }
 
 func TestSBForwardYoungestWins(t *testing.T) {
-	sb := NewStoreBuffer(8)
+	sb := NewStoreBuffer(8, false)
 	execStore(sb, 1, 0x100, 8, [8]byte{1, 1, 1, 1, 1, 1, 1, 1})
 	execStore(sb, 2, 0x100, 8, [8]byte{2, 2, 2, 2, 2, 2, 2, 2})
 	res, data := sb.Search(9, 0x100, 8)
@@ -79,7 +79,7 @@ func TestSBForwardYoungestWins(t *testing.T) {
 }
 
 func TestSBForwardOnlyOlderStores(t *testing.T) {
-	sb := NewStoreBuffer(8)
+	sb := NewStoreBuffer(8, false)
 	execStore(sb, 10, 0x100, 8, [8]byte{9})
 	res, _ := sb.Search(5, 0x100, 8)
 	if res != FwdMiss {
@@ -88,7 +88,7 @@ func TestSBForwardOnlyOlderStores(t *testing.T) {
 }
 
 func TestSBPartialOverlapConflicts(t *testing.T) {
-	sb := NewStoreBuffer(8)
+	sb := NewStoreBuffer(8, false)
 	execStore(sb, 1, 0x100, 4, [8]byte{1, 2, 3, 4})
 	res, _ := sb.Search(5, 0x102, 4) // bytes 2-5; store covers 0-3
 	if res != FwdConflict {
@@ -97,7 +97,7 @@ func TestSBPartialOverlapConflicts(t *testing.T) {
 }
 
 func TestSBUnexecutedStoreBlocks(t *testing.T) {
-	sb := NewStoreBuffer(8)
+	sb := NewStoreBuffer(8, false)
 	sb.Push(1, 0x900, 8) // address "unknown"
 	res, _ := sb.Search(5, 0x100, 8)
 	if res != FwdConflict {
@@ -106,7 +106,7 @@ func TestSBUnexecutedStoreBlocks(t *testing.T) {
 }
 
 func TestSBMinUnexecTracking(t *testing.T) {
-	sb := NewStoreBuffer(8)
+	sb := NewStoreBuffer(8, false)
 	a := sb.Push(1, 0x100, 8)
 	b := sb.Push(2, 0x200, 8)
 	c := sb.Push(3, 0x300, 8)
@@ -124,8 +124,17 @@ func TestSBMinUnexecTracking(t *testing.T) {
 	}
 }
 
+// rotate pushes and pops n stores so the ring's head sits n slots in
+// (the tests below then wrap, and reuse slots earlier stores linked to).
+func rotate(sb *StoreBuffer, n int) {
+	for i := 0; i < n; i++ {
+		execStore(sb, 0, 0x1000+uint64(i%3)*64, 8, [8]byte{}).Committed = true
+		sb.Pop()
+	}
+}
+
 func TestSBLookaheadLines(t *testing.T) {
-	sb := NewStoreBuffer(8)
+	sb := NewStoreBuffer(8, false)
 	mk := func(seq, addr uint64, committed bool) {
 		e := execStore(sb, seq, addr, 8, [8]byte{})
 		e.Committed = committed
@@ -147,39 +156,80 @@ func TestSBLookaheadLines(t *testing.T) {
 	}
 }
 
-// Property: Search never returns FwdHit with data differing from the
-// youngest covering executed store.
-func TestSBSearchProperty(t *testing.T) {
-	f := func(offsets []uint8, loadOff uint8) bool {
-		sb := NewStoreBuffer(16)
-		type st struct {
-			addr uint64
-			data byte
-		}
-		var stores []st
-		for i, o := range offsets {
-			if i >= 14 {
-				break
+// TestSBLookaheadLinesAtCapacity fills a wrapped ring of every size with
+// runs of one to three stores per line, the oldest two thirds committed,
+// and checks each depth against the list the pattern implies.
+func TestSBLookaheadLinesAtCapacity(t *testing.T) {
+	for _, capacity := range ringCaps {
+		sb := NewStoreBuffer(capacity, false)
+		rotate(sb, capacity*3/2+1)
+		committed := capacity - capacity/3
+		var want []uint64
+		line := uint64(0x8000)
+		for i, left := 0, 0; i < capacity; i, left = i+1, left-1 {
+			if left == 0 {
+				line += 64
+				left = 1 + int(line>>6)%3
+				if i < committed {
+					want = append(want, line)
+				}
 			}
-			addr := uint64(0x1000) + uint64(o%56)
-			v := byte(i + 1)
-			execStore(sb, uint64(i+1), addr, 8, [8]byte{v, v, v, v, v, v, v, v})
-			stores = append(stores, st{addr, v})
+			execStore(sb, uint64(i+1), line+uint64(left)*8, 8, [8]byte{}).Committed = i < committed
 		}
-		res, data := sb.Search(100, 0x1000+uint64(loadOff%56), 1)
-		if res != FwdHit {
-			return true // miss/conflict: nothing to verify
-		}
-		// Find the youngest store covering the byte.
-		la := uint64(0x1000) + uint64(loadOff%56)
-		for i := len(stores) - 1; i >= 0; i-- {
-			if la >= stores[i].addr && la < stores[i].addr+8 {
-				return data[0] == stores[i].data
+		for _, k := range []int{1, 2, 16, 64, capacity} {
+			var got []uint64
+			sb.LookaheadLines(k, func(l uint64) { got = append(got, l) })
+			exp := want
+			if len(exp) > k {
+				exp = exp[:k]
+			}
+			if len(got) != len(exp) {
+				t.Fatalf("capacity %d, k %d: %d lines %#x, want %d", capacity, k, len(got), got, len(exp))
+			}
+			for i := range exp {
+				if got[i] != exp[i] {
+					t.Fatalf("capacity %d, k %d: line %d = %#x, want %#x", capacity, k, i, got[i], exp[i])
+				}
 			}
 		}
-		return false // hit without a covering store
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+}
+
+// Property: Search never returns FwdHit with data differing from the
+// youngest covering executed store, at every ring size, with the ring
+// wrapped and the stores spread over a few lines of one bucket or not.
+func TestSBSearchProperty(t *testing.T) {
+	for _, capacity := range ringCaps {
+		capacity := capacity
+		f := func(offsets []uint8, loadOff uint8) bool {
+			sb := NewStoreBuffer(capacity, false)
+			rotate(sb, capacity*3/2+1)
+			type st struct {
+				addr uint64
+				data byte
+			}
+			addrOf := func(o uint8) uint64 { return 0x1000 + uint64(o>>6)*64 + uint64(o%56) }
+			var stores []st
+			for i, o := range offsets {
+				if i >= capacity {
+					break
+				}
+				v := byte(i + 1)
+				execStore(sb, uint64(i+1), addrOf(o), 8, [8]byte{v, v, v, v, v, v, v, v})
+				stores = append(stores, st{addrOf(o), v})
+			}
+			la := addrOf(loadOff)
+			res, data := sb.Search(uint64(len(offsets))+100, la, 1)
+			// Find the youngest store covering the byte.
+			for i := len(stores) - 1; i >= 0; i-- {
+				if la >= stores[i].addr && la < stores[i].addr+8 {
+					return res == FwdHit && data[0] == stores[i].data
+				}
+			}
+			return res == FwdMiss
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
+		}
 	}
 }

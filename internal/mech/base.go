@@ -52,11 +52,7 @@ func (b *Base) Tick() {
 	if e == nil || !e.Committed {
 		return
 	}
-	b.core.SB.LookaheadLines(drainLookahead, func(line uint64) {
-		if !b.priv.Writable(line) {
-			b.priv.RequestWritable(line, false, false, nil)
-		}
-	})
+	b.core.SB.LookaheadLines(drainLookahead, b.priv.KeepWritable)
 	line := e.Line()
 	if b.priv.Writable(line) {
 		if b.priv.StoreVisible(e.Addr, e.Data[:e.Size]) {

@@ -80,11 +80,7 @@ func (c *CSB) Tick() {
 	// RFOs run ahead of the drain as in the baseline, and the WCBs
 	// accept up to commit-width stores per cycle (coalescing is not
 	// L1D-port limited).
-	c.core.SB.LookaheadLines(csbLookahead, func(line uint64) {
-		if !c.priv.Writable(line) {
-			c.priv.RequestWritable(line, false, false, nil)
-		}
-	})
+	c.core.SB.LookaheadLines(csbLookahead, c.priv.KeepWritable)
 	for n := 0; n < c.cfg.CommitWidth; n++ {
 		e := c.core.SB.Head()
 		if e == nil || !e.Committed {

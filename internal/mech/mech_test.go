@@ -1,11 +1,14 @@
 package mech
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tusim/internal/config"
 	"tusim/internal/cpu"
 	"tusim/internal/event"
+	"tusim/internal/faults"
 	"tusim/internal/isa"
 	"tusim/internal/memsys"
 	"tusim/internal/stats"
@@ -15,8 +18,10 @@ import (
 type rig struct {
 	q    *event.Queue
 	core *cpu.Core
+	mech cpu.DrainMechanism
 	st   *stats.Set
 	mem  *memsys.Memory
+	dir  *memsys.Directory
 	priv *memsys.Private
 }
 
@@ -47,7 +52,7 @@ func newRig(t *testing.T, ops []isa.MicroOp, mechName string, mut func(*config.C
 		t.Fatalf("unknown mech %q", mechName)
 	}
 	core.SetMechanism(m)
-	return &rig{q: q, core: core, st: st, mem: mem, priv: priv}
+	return &rig{q: q, core: core, mech: m, st: st, mem: mem, dir: dir, priv: priv}
 }
 
 func (r *rig) run(t *testing.T, maxCycles int) {
@@ -162,6 +167,73 @@ func TestSSBDrainsInOrder(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %#v, want %#v", order, want)
+		}
+	}
+}
+
+// TestSSBLookaheadSkipLockstep: SSB skips its drain-lookahead walk while
+// the TSOB and the private's permission epoch stand still; the reference
+// machine walks every cycle. With prefetch-at-commit off the walk is the
+// only source of ahead-of-head RFOs, and with four MSHRs most of its
+// requests are refused and must be retried the cycle an MSHR frees — so
+// a skipped walk that mattered shows at once. The two machines are
+// stepped together and must agree every cycle on the MSHR table, the
+// TSOB and commit progress, fault-free and with an injector that refuses
+// MSHRs at random (each query consumes a decision: skipping a walk that
+// would have asked desynchronizes the two streams) and NACKs requests at
+// random (a NACKed lookahead request frees its MSHR with no line changing
+// state).
+func TestSSBLookaheadSkipLockstep(t *testing.T) {
+	var ops []isa.MicroOp
+	for i := uint64(0); i < 400; i++ {
+		// Runs of one to four stores per line over 90 lines, revisited.
+		line := 0x40000 + (i/(1+i%4)*7%90)*64
+		ops = append(ops, isa.MicroOp{Kind: isa.Store, Addr: line + i%8*8, Size: 8})
+		if i%9 == 0 {
+			// A load miss to a line the TSOB will reach: the walk upgrades
+			// the read MSHR it finds.
+			ops = append(ops, isa.MicroOp{Kind: isa.Load, Addr: 0x40000 + (i*5%90)*64, Size: 8})
+		}
+	}
+	for _, pressure := range []int{0, 30} {
+		build := func(ref bool) *rig {
+			r := newRig(t, ops, "ssb", func(c *config.Config) {
+				c.PrefetchAtCommit = false
+				c.L1D.MSHRs = 4
+				c.Reference = ref
+			})
+			if pressure > 0 {
+				in := faults.NewInjector(faults.Plan{Seed: 11, MSHRPressurePct: pressure, NackPct: 20})
+				r.priv.SetFaults(in)
+				r.dir.SetFaults(in)
+			}
+			return r
+		}
+		state := func(r *rig) string {
+			var b strings.Builder
+			fmt.Fprintf(&b, "committed %d tsob %+v mshrs", r.core.Committed(), r.mech.(*SSB).AuditTSOB())
+			r.priv.AuditMSHRs(func(line, born uint64, wantM, _ bool) { fmt.Fprintf(&b, " %#x@%d/%v", line, born, wantM) })
+			return b.String()
+		}
+		fast, ref := build(false), build(true)
+		for cycle := 0; !fast.core.Done() || !ref.core.Done(); cycle++ {
+			if cycle > 1_000_000 {
+				t.Fatalf("pressure %d%%: not finished after %d cycles", pressure, cycle)
+			}
+			for _, r := range []*rig{fast, ref} {
+				r.q.Advance()
+				r.core.Tick()
+			}
+			if f, r := state(fast), state(ref); f != r {
+				t.Fatalf("pressure %d%%, cycle %d:\nskipping:  %s\nreference: %s", pressure, cycle, f, r)
+			}
+		}
+		if f, r := fast.st.String(), ref.st.String(); f != r {
+			t.Fatalf("pressure %d%%: statistics differ:\nskipping:\n%s\nreference:\n%s", pressure, f, r)
+		}
+		if fast.st.Get("l2_misses") < 90 || fast.st.Get("drain_blocked_cycles") == 0 {
+			t.Fatalf("pressure %d%%: %d misses, %d blocked cycles: the trace no longer stresses the lookahead",
+				pressure, fast.st.Get("l2_misses"), fast.st.Get("drain_blocked_cycles"))
 		}
 	}
 }

@@ -22,11 +22,16 @@ type SSB struct {
 	cfg  *config.Config
 	q    *event.Queue
 
-	tsob  []cpu.SBEntry
-	head  int
-	count int
+	// tsob is the same program-order ring as the SB, fed with copies of
+	// the stores the SB retires.
+	tsob *cpu.StoreBuffer
 
 	requested bool
+	// aheadEpoch is the private's permission epoch at the start of the
+	// last drain-lookahead walk; aheadDone says the TSOB has not changed
+	// since that walk.
+	aheadEpoch uint64
+	aheadDone  bool
 	// llcInflight models the shared-cache write port: SSB performs a
 	// write in the shared cache for every store (no coalescing), which
 	// bounds its sustained drain throughput.
@@ -58,7 +63,7 @@ func NewSSB(core *cpu.Core, cfg *config.Config, q *event.Queue, st *stats.Set) *
 		priv:      core.Priv(),
 		cfg:       cfg,
 		q:         q,
-		tsob:      make([]cpu.SBEntry, cfg.TSOBEntries),
+		tsob:      cpu.NewStoreBuffer(cfg.TSOBEntries, cfg.Reference),
 		cDrained:  st.Counter("stores_drained"),
 		cLLCWrite: st.Counter("ssb_llc_writes"),
 		cBlocked:  st.Counter("drain_blocked_cycles"),
@@ -74,49 +79,42 @@ func (s *SSB) SetTracer(t *trace.Tracer) { s.tr = t }
 // Name implements cpu.DrainMechanism.
 func (s *SSB) Name() string { return config.SSB.String() }
 
-func (s *SSB) at(i int) *cpu.SBEntry { return &s.tsob[(s.head+i)%len(s.tsob)] }
-
 // Tick moves committed stores into the TSOB (up to commit width per
 // cycle, store-wait-free) and drains the TSOB head (one per cycle).
 func (s *SSB) Tick() {
 	for n := 0; n < s.cfg.CommitWidth; n++ {
 		e := s.core.SB.Head()
-		if e == nil || !e.Committed || s.count == len(s.tsob) {
+		if e == nil || !e.Committed || !s.tsob.PushCopy(e) {
 			break
 		}
-		*s.at(s.count) = *e
-		s.count++
-		s.tr.Emit(trace.TSOBEnqueue, int32(s.core.ID), s.q.Now(), e.Addr, e.Seq, uint64(s.count))
+		s.tr.Emit(trace.TSOBEnqueue, int32(s.core.ID), s.q.Now(), e.Addr, e.Seq, uint64(s.tsob.Len()))
 		s.core.SB.Pop()
+		s.aheadDone = false
 	}
-	if uint64(s.count) > s.cPeak.Value() {
+	count := uint64(s.tsob.Len())
+	if count > s.cPeak.Value() {
 		// Track peak occupancy via a counter (monotone).
-		s.cPeak.Add(uint64(s.count) - s.cPeak.Value())
+		s.cPeak.Add(count - s.cPeak.Value())
 	}
-	s.hTSOBOcc.Observe(uint64(s.count))
-	if s.count == 0 {
+	s.hTSOBOcc.Observe(count)
+	h := s.tsob.Head()
+	if h == nil {
 		return
 	}
 	// Drain lookahead: keep write-permission requests in flight for the
 	// next few distinct lines so the deep TSOB drains with memory-level
 	// parallelism (a store that committed a thousand entries ago has
-	// long lost its prefetch-at-commit line from the L1D).
-	seen := 0
-	var last uint64 = ^uint64(0)
-	for i := 0; i < s.count && seen < ssbLookahead; i++ {
-		ln := s.at(i).Line()
-		if ln == last {
-			continue
-		}
-		last = ln
-		seen++
-		if !s.priv.Writable(ln) {
-			// Demand-class: the idealized SSB keeps its drain window's
-			// RFOs on the fast path.
-			s.priv.RequestWritable(ln, false, false, nil)
-		}
+	// long lost its prefetch-at-commit line from the L1D). Demand-class:
+	// the idealized SSB keeps its drain window's RFOs on the fast path.
+	// A blocked head would repeat the identical walk every cycle; it is
+	// skipped while the TSOB and the private's permission epoch are what
+	// the last walk started from (a walk that itself moved the epoch —
+	// allocated an MSHR, consumed an injector decision — is therefore
+	// followed by another). The reference machine always walks.
+	if ep := s.priv.PermEpoch(); s.cfg.Reference || !s.aheadDone || ep != s.aheadEpoch {
+		s.aheadEpoch, s.aheadDone = ep, true
+		s.tsob.LookaheadLines(ssbLookahead, s.priv.KeepWritable)
 	}
-	h := s.at(0)
 	line := h.Line()
 	if s.llcInflight >= ssbLLCWritePort {
 		// Shared-cache write port saturated: the uncoalesced
@@ -133,8 +131,8 @@ func (s *SSB) Tick() {
 			s.llcInflight++
 			s.q.After(s.cfg.L2.Latency, func() { s.llcInflight-- })
 			s.tr.Emit(trace.StoreVisibleEv, int32(s.core.ID), s.q.Now(), h.Addr, h.Seq, 0)
-			s.head = (s.head + 1) % len(s.tsob)
-			s.count--
+			s.tsob.Pop()
+			s.aheadDone = false
 			s.requested = false
 			s.cDrained.Inc()
 			return
@@ -147,34 +145,33 @@ func (s *SSB) Tick() {
 }
 
 // Forward searches the TSOB youngest-first (idealized: free and at
-// forwarding latency).
+// forwarding latency). Every TSOB store is older than any load in
+// flight.
 func (s *SSB) Forward(addr uint64, size uint8) (cpu.ForwardResult, [8]byte) {
-	var zero [8]byte
-	want := memsys.MaskFor(addr, size)
-	line := addr &^ 63
 	s.cSearches.Inc()
-	for i := s.count - 1; i >= 0; i-- {
-		e := s.at(i)
-		if e.Line() != line {
-			continue
-		}
-		m := e.Mask()
-		if !m.Overlaps(want) {
-			continue
-		}
-		if !m.Covers(want) {
-			return cpu.FwdConflict, zero
-		}
-		var out [8]byte
-		off := int(addr&63) - int(e.Addr&63)
-		copy(out[:size], e.Data[off:off+int(size)])
-		return cpu.FwdHit, out
+	return s.tsob.Search(^uint64(0), addr, size)
+}
+
+// TSOBInfo is the TSOB's state exported for crash snapshots: under SSB
+// the SB is empty by design and the undrained stores wait here.
+type TSOBInfo struct {
+	Len      int    `json:"len"`
+	HeadLine uint64 `json:"head_line"`
+	// HeadPending: a permission request for the head's line is in flight.
+	HeadPending bool `json:"head_pending"`
+}
+
+// AuditTSOB snapshots the TSOB; nil when it is empty.
+func (s *SSB) AuditTSOB() *TSOBInfo {
+	h := s.tsob.Head()
+	if h == nil {
+		return nil
 	}
-	return cpu.FwdMiss, zero
+	return &TSOBInfo{Len: s.tsob.Len(), HeadLine: h.Line(), HeadPending: s.priv.MSHRPending(h.Line())}
 }
 
 // Drained implements cpu.DrainMechanism.
-func (s *SSB) Drained() bool { return s.count == 0 }
+func (s *SSB) Drained() bool { return s.tsob.Empty() }
 
 // FlushDone implements cpu.DrainMechanism.
-func (s *SSB) FlushDone() bool { return s.count == 0 }
+func (s *SSB) FlushDone() bool { return s.tsob.Empty() }

@@ -165,8 +165,14 @@ type Private struct {
 	// never blocks demand misses.
 	prefMSHRs     int
 	prefMSHRLimit int
-	wb            *lmap.Map[wbEntry]
-	wbPool        *lmap.Pool[wbEntry]
+	// permEpoch advances whenever the outcome of a KeepWritable call may
+	// have changed: a line's MESI state is written (setState), an MSHR is
+	// allocated (noteMSHRAlloc) or freed (freeMSHR), or MSHRFree consulted
+	// a fault injector. See PermEpoch.
+	permEpoch uint64
+
+	wb     *lmap.Map[wbEntry]
+	wbPool *lmap.Pool[wbEntry]
 
 	handler UnauthorizedHandler
 	lruTick uint64
@@ -262,6 +268,7 @@ func (p *Private) newMSHR(line uint64) *mshrEntry {
 // noteMSHRAlloc observes a fresh MSHR allocation (occupancy includes
 // the new entry; both demand and prefetch pools count).
 func (p *Private) noteMSHRAlloc(line uint64) {
+	p.permEpoch++
 	p.hMSHROcc.Observe(uint64(p.mshrs.Len()))
 	p.tr.Emit(trace.MSHRAlloc, int32(p.ID), p.q.Now(), line, 0, uint64(p.mshrs.Len()))
 }
@@ -286,11 +293,28 @@ func (p *Private) Writable(line uint64) bool {
 	return pl != nil && (pl.State == StateE || pl.State == StateM)
 }
 
+// setState is the one writer of a line's MESI state.
+func (p *Private) setState(pl *PLine, s MESI) {
+	pl.State = s
+	p.permEpoch++
+}
+
+// PermEpoch identifies everything KeepWritable reads: which lines are
+// held in E/M, the MSHR table and, under fault injection, the injector's
+// next decision. A caller whose KeepWritable calls left the epoch where
+// it was may skip repeating them until it moves (SSB's blocked drain
+// head would otherwise re-walk an unchanged 64-line window every cycle).
+func (p *Private) PermEpoch() uint64 { return p.permEpoch }
+
 // MSHRFree reports whether a new demand miss can be tracked.
 func (p *Private) MSHRFree() bool {
-	if p.faults.MSHRPressure() {
-		p.cFaultMSHR.Inc()
-		return false
+	if p.faults != nil {
+		// Each call consumes an injector decision, so no two are alike.
+		p.permEpoch++
+		if p.faults.MSHRPressure() {
+			p.cFaultMSHR.Inc()
+			return false
+		}
 	}
 	return p.mshrs.Len()-p.prefMSHRs < p.mshrLimit
 }
@@ -425,6 +449,23 @@ func (p *Private) RequestWritable(line uint64, prefetch, autoRetry bool, cb func
 		}
 		return true
 	}
+	return p.requestMiss(line, prefetch, autoRetry, cb)
+}
+
+// KeepWritable is the drain-ahead form, RequestWritable(line, false,
+// false, nil): the drain mechanisms call it for every lookahead line
+// every cycle, so it decides on one line-table lookup and does nothing
+// for a line already held in E/M.
+func (p *Private) KeepWritable(line uint64) {
+	line &= LineMask
+	if !p.Writable(line) {
+		p.requestMiss(line, false, false, nil)
+	}
+}
+
+// requestMiss is RequestWritable for a line known not to be writable:
+// join the MSHR in flight for it or start one.
+func (p *Private) requestMiss(line uint64, prefetch, autoRetry bool, cb func(ok bool)) bool {
 	if m := p.mshrs.Get(line); m != nil {
 		if !m.wantM {
 			m.upgradeM = true
@@ -492,6 +533,7 @@ func (p *Private) send(m *mshrEntry) {
 // struct itself returns to the pool at the caller's terminal point
 // (after its loads/writeCbs have been consumed).
 func (p *Private) freeMSHR(m *mshrEntry) {
+	p.permEpoch++
 	if p.mshrs.Get(m.line) == m {
 		p.mshrs.Delete(m.line)
 		now := p.q.Now()
@@ -523,11 +565,11 @@ func (p *Private) fill(m *mshrEntry, data *LineData, excl bool) {
 
 	switch {
 	case m.wantM:
-		pl.State = StateM
+		p.setState(pl, StateM)
 	case excl:
-		pl.State = StateE
+		p.setState(pl, StateE)
 	default:
-		pl.State = StateS
+		p.setState(pl, StateS)
 	}
 
 	if pl.NotVisible && (pl.State == StateM || pl.State == StateE) {
@@ -637,7 +679,7 @@ func (p *Private) StoreVisible(addr uint64, data []byte) bool {
 	}
 	off := addr & (LineBytes - 1)
 	copy(pl.L1Data[off:], data)
-	pl.State = StateM
+	p.setState(pl, StateM)
 	pl.L1Dirty = true
 	p.touch1(pl)
 	p.cL1Write.Inc()
@@ -668,7 +710,7 @@ func (p *Private) StoreVisibleLine(line uint64, data *LineData, mask Mask) bool 
 		pl.L1Dirty = false
 	}
 	Merge(&pl.L1Data, data, mask)
-	pl.State = StateM
+	p.setState(pl, StateM)
 	pl.L1Dirty = true
 	p.touch1(pl)
 	p.cL1Write.Inc()
@@ -759,7 +801,7 @@ func (p *Private) StoreOverVisibleLine(line uint64, data *LineData, mask Mask) b
 	pl.UMask = mask
 	pl.NotVisible = true
 	pl.Ready = true
-	pl.State = StateM
+	p.setState(pl, StateM)
 	p.touch1(pl)
 	p.cL1Write.Inc()
 	return true
@@ -781,7 +823,7 @@ func (p *Private) MakeVisible(line uint64) {
 	pl.NotVisible = false
 	pl.Ready = false
 	pl.UMask = 0
-	pl.State = StateM
+	p.setState(pl, StateM)
 	pl.L1Dirty = true
 	p.tr.Emit(trace.StoreVisibleEv, int32(p.ID), p.q.Now(), pl.Line, 0, 0)
 	if p.OnStoreVisible != nil {
@@ -909,7 +951,7 @@ func (p *Private) evictL2(pl *PLine) {
 		data := pl.L2Data
 		p.writeBack(pl.Line, &data)
 	}
-	pl.State = StateI
+	p.setState(pl, StateI)
 	pl.L2Dirty = false
 	p.gc(pl)
 }
@@ -996,7 +1038,7 @@ func (p *Private) Probe(line uint64, kind ProbeKind) ProbeReply {
 		}
 		p.cRelinquish.Inc()
 		old := pl.L2Data
-		pl.State = StateI
+		p.setState(pl, StateI)
 		pl.Ready = false
 		p.dropL2(pl)
 		if p.handler != nil {
@@ -1009,7 +1051,7 @@ func (p *Private) Probe(line uint64, kind ProbeKind) ProbeReply {
 		// Unauthorized stash without permission; we are at most a
 		// sharer in the directory's eyes. Drop the read permission but
 		// keep the stash.
-		pl.State = StateI
+		p.setState(pl, StateI)
 		p.dropL2(pl)
 		return ProbeReply{Result: ProbeAck}
 	}
@@ -1025,7 +1067,7 @@ func (p *Private) Probe(line uint64, kind ProbeKind) ProbeReply {
 	}
 	switch kind {
 	case ProbeInv:
-		pl.State = StateI
+		p.setState(pl, StateI)
 		if pl.InL1 {
 			p.evictL1noWB(pl)
 		}
@@ -1033,7 +1075,7 @@ func (p *Private) Probe(line uint64, kind ProbeKind) ProbeReply {
 		pl.L1Dirty, pl.L2Dirty = false, false
 		p.gc(pl)
 	case ProbeDowngrade:
-		pl.State = StateS
+		p.setState(pl, StateS)
 		if pl.InL1 && pl.L1Dirty {
 			pl.L2Data = pl.L1Data
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tusim/internal/faults"
+	"tusim/internal/mech"
 	"tusim/internal/tus"
 )
 
@@ -23,6 +24,7 @@ type CoreSnapshot struct {
 	SBLen       int            `json:"sb_len"`
 	SBOverflows uint64         `json:"sb_overflows"`
 	WOQ         []tus.WOQInfo  `json:"woq,omitempty"`
+	TSOB        *mech.TSOBInfo `json:"tsob,omitempty"`
 	MSHRs       []MSHRSnapshot `json:"mshrs,omitempty"`
 }
 
@@ -122,8 +124,11 @@ func (s *System) crash(kind string, violation *faults.ProtocolError, message str
 			SBLen:       c.SB.Len(),
 			SBOverflows: c.SB.Overflows,
 		}
-		if t, ok := s.Mechs[i].(*tus.TUS); ok {
-			snap.WOQ = t.AuditWOQ()
+		switch m := s.Mechs[i].(type) {
+		case *tus.TUS:
+			snap.WOQ = m.AuditWOQ()
+		case *mech.SSB:
+			snap.TSOB = m.AuditTSOB()
 		}
 		s.Privs[i].AuditMSHRs(func(line, born uint64, wantM, prefetch bool) {
 			snap.MSHRs = append(snap.MSHRs, MSHRSnapshot{Line: line, Born: born, WantM: wantM, Prefetch: prefetch})

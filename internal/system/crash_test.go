@@ -3,6 +3,7 @@ package system
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"tusim/internal/config"
@@ -43,6 +44,50 @@ func TestWatchdogCrashReport(t *testing.T) {
 	// The report must serialize (it is embedded in repro bundles).
 	if _, jerr := json.Marshal(cr); jerr != nil {
 		t.Fatalf("report does not serialize: %v", jerr)
+	}
+}
+
+// TestWatchdogCrashReportShowsTSOB: under SSB the SB is empty by design,
+// so a watchdog report has to show the queue that is actually stuck —
+// the TSOB's depth, its head line and whether that line's permission
+// request is in flight.
+func TestWatchdogCrashReportShowsTSOB(t *testing.T) {
+	const stores = 6
+	var ops []isa.MicroOp
+	for i := uint64(0); i < stores; i++ {
+		ops = append(ops, isa.MicroOp{Kind: isa.Store, Addr: 1<<30 + i*4096, Size: 8})
+	}
+	cfg := config.Default().WithMechanism(config.SSB)
+	cfg.WatchdogWindow = 60 // the stores commit at once; their cold misses take longer
+	sys, err := New(cfg, []isa.Stream{isa.NewSliceStream(ops)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cr *CrashReport
+	if err := sys.Run(); !errors.As(err, &cr) || cr.Kind != CrashWatchdog {
+		t.Fatalf("Run = %v, want a watchdog crash while the TSOB drains", err)
+	}
+	snap := cr.PerCore[0]
+	if snap.Committed != stores || snap.SBLen != 0 {
+		t.Fatalf("committed %d, SB %d: want every store committed and out of the SB", snap.Committed, snap.SBLen)
+	}
+	if snap.TSOB == nil || snap.TSOB.Len != stores || snap.TSOB.HeadLine != 1<<30 || !snap.TSOB.HeadPending {
+		t.Fatalf("TSOB snapshot = %+v, want %d stores behind head line %#x with its request in flight", snap.TSOB, stores, uint64(1<<30))
+	}
+	js, err := json.Marshal(cr)
+	if err != nil || !strings.Contains(string(js), `"tsob":{"len":6,`) {
+		t.Fatalf("report JSON lacks the TSOB: %s (%v)", js, err)
+	}
+	// Other mechanisms' reports do not grow a field.
+	sys, err = New(func() *config.Config { c := config.Default(); c.WatchdogWindow = 3; return c }(), stallTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(); !errors.As(err, &cr) {
+		t.Fatalf("baseline run = %v, want a crash report", err)
+	}
+	if js, _ := json.Marshal(cr); strings.Contains(string(js), "tsob") {
+		t.Fatalf("baseline report mentions a TSOB: %s", js)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // the reference side — this pins observational equivalence of the fast
 // structures and their reference twins at full-system scale.
 func TestReferenceWholeSystemIdentity(t *testing.T) {
-	run := func(t *testing.T, m config.Mechanism, bench string, threads bool, ref bool) (uint64, string) {
+	run := func(t *testing.T, m config.Mechanism, bench string, threads bool, ops int, ref bool) (uint64, string) {
 		b, ok := workload.ByName(bench)
 		if !ok {
 			t.Fatalf("unknown benchmark %q", bench)
@@ -28,7 +28,6 @@ func TestReferenceWholeSystemIdentity(t *testing.T) {
 			cfg = cfg.WithCores(b.Threads)
 		}
 		cfg.Reference = ref
-		ops := 6000
 		sys, err := New(cfg, b.Streams(3, ops))
 		if err != nil {
 			t.Fatal(err)
@@ -44,17 +43,29 @@ func TestReferenceWholeSystemIdentity(t *testing.T) {
 		m       config.Mechanism
 		bench   string
 		threads bool
+		ops     int
 	}{
-		{config.TUS, "502.gcc2", false},
-		{config.Baseline, "505.mcf", false},
-		{config.CSB, "502.gcc5", false},
-		{config.TUS, "fluidanimate", true}, // 16-core: directory + probe traffic
+		{config.TUS, "502.gcc2", false, 6000},
+		{config.Baseline, "505.mcf", false, 6000},
+		{config.CSB, "502.gcc5", false, 6000},
+		{config.TUS, "fluidanimate", true, 6000}, // 16-core: directory + probe traffic
+		// The indexed store ring against its entry-by-entry twin where it
+		// is deepest: SSB's 1,024-entry TSOB, streaming and bursty, long
+		// enough to wrap it (a broken chain or run length shows as a cycle
+		// or RFO-count divergence here).
+		{config.SSB, "tf.embed", false, 40000},
+		{config.SSB, "502.gcc2", false, 40000},
+		{config.SSB, "502.gcc4", false, 20000}, // the lookahead's run lengths move its RFO count
+		// 16 cores: probes take E/M away under SSB's blocked heads, which
+		// must end the skipping of their lookahead walks.
+		{config.SSB, "canneal", true, 6000},
+		{config.SPB, "505.mcf", false, 6000},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.m.String()+"/"+tc.bench, func(t *testing.T) {
-			fastCycles, fastStats := run(t, tc.m, tc.bench, tc.threads, false)
-			refCycles, refStats := run(t, tc.m, tc.bench, tc.threads, true)
+			fastCycles, fastStats := run(t, tc.m, tc.bench, tc.threads, tc.ops, false)
+			refCycles, refStats := run(t, tc.m, tc.bench, tc.threads, tc.ops, true)
 			if fastCycles != refCycles {
 				t.Fatalf("cycle divergence: fast=%d ref=%d", fastCycles, refCycles)
 			}
