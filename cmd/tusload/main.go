@@ -1,9 +1,10 @@
-// Command tusload drives deterministic load against a tusd daemon and
-// enforces the serving-layer invariants while doing it: figure
-// byte-identity against the canonical CLI output, warm-phase cells_run
-// frozen at zero, the Runner's exactly-once cell accounting, and
-// /metrics counter monotonicity. It is also a crash-recovery soak
-// harness (-soak).
+// Command tusload checks a tusd daemon's serving-layer invariants while
+// driving deterministic mixed load at it: figure byte-identity against
+// the canonical CLI output, warm-phase cells_run frozen at zero, the
+// Runner's exactly-once cell accounting, /metrics counter monotonicity,
+// and the SSE, cancel and storm contracts (package loadgen lists them).
+// It is also a crash-recovery soak harness (-soak). It does not time
+// the daemon; the benchmark's serve_mix workload does.
 //
 // Usage:
 //
@@ -34,7 +35,16 @@ import (
 	"tusim/internal/loadgen"
 )
 
-func main() {
+// main has one exit: run's deferred cleanup (stop the spawned daemon,
+// remove the temp cache) has happened by the time the status is used.
+func main() { os.Exit(run()) }
+
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "tusload:", err)
+	return 1
+}
+
+func run() int {
 	base := flag.String("base", "", "base URL of a running tusd (alternative to -tusd)")
 	tusdBin := flag.String("tusd", "", "path to a tusd binary to spawn on 127.0.0.1:0")
 	cacheDir := flag.String("cache", "", "cache dir for the spawned daemon (default: fresh temp dir; -soak reuses it across the restart)")
@@ -44,40 +54,40 @@ func main() {
 	pops := flag.Int("parallel-ops", 0, "override per-thread trace length for 16-thread runs (must match the daemon)")
 	seed := flag.Int64("seed", 1, "workload seed (must match the daemon)")
 
-	figsFlag := flag.String("figs", "9", "comma-separated figures to drive")
+	figsFlag := flag.String("figs", "9", "comma-separated figures to drive (must include 9: the cells, hist and cancel ops draw from its matrix)")
 	conc := flag.Int("c", 8, "closed-loop worker count")
-	rate := flag.Float64("rate", 0, "open-loop launch rate per second (0 = closed loop)")
 	requests := flag.Int("requests", 64, "mixed-phase operation budget")
 	duration := flag.Duration("duration", 0, "additional wall-clock bound on the mixed phase (0 = none)")
 	loadSeed := flag.Uint64("load-seed", 1, "seed for the load generator's decision streams")
-	metricsEvery := flag.Duration("metrics-every", 250*time.Millisecond, "cadence of the /metrics monotonicity scrapes")
-	reportPath := flag.String("report", "", "write the latency/violation report JSON here")
 
-	smoke := flag.Bool("smoke", false, "CI preset: tiny scale (ops 2500/300), figure 9, 48 ops at concurrency 8")
+	smoke := flag.Bool("smoke", false, "CI preset: tiny scale (ops 2500/300), figure 9, 48 ops at concurrency 8; a flag given explicitly wins")
 	soak := flag.Bool("soak", false, "kill/restart soak: SIGKILL the daemon mid-load, restart on the same cache, verify byte-identical warm responses (requires -tusd)")
 	flag.Parse()
 
 	if *smoke {
-		if *ops == 0 {
-			*ops = 2500
+		// -figs and -c already default to the preset's values.
+		preset := map[string]string{"ops": "2500", "parallel-ops": "300", "requests": "48"}
+		flag.Visit(func(f *flag.Flag) { delete(preset, f.Name) })
+		for name, v := range preset {
+			flag.Set(name, v)
 		}
-		if *pops == 0 {
-			*pops = 300
-		}
-		*figsFlag, *requests, *conc = "9", 48, 8
-		*metricsEvery = 20 * time.Millisecond
 	}
 
+	// Everything the command line can get wrong is refused here, before
+	// any reference is rendered or daemon spawned.
 	figs, err := parseFigs(*figsFlag)
+	if err == nil {
+		err = loadgen.CheckFigs(figs)
+	}
+	switch {
+	case err != nil:
+	case (*base == "") == (*tusdBin == ""):
+		err = fmt.Errorf("exactly one of -base or -tusd is required")
+	case *soak && *tusdBin == "":
+		err = fmt.Errorf("-soak needs to own the daemon lifecycle: use -tusd, not -base")
+	}
 	if err != nil {
-		fail(err)
-	}
-
-	if (*base == "") == (*tusdBin == "") {
-		fail(fmt.Errorf("exactly one of -base or -tusd is required"))
-	}
-	if *soak && *tusdBin == "" {
-		fail(fmt.Errorf("-soak needs to own the daemon lifecycle: use -tusd, not -base"))
+		return fail(err)
 	}
 
 	// The reference runner renders the byte-identity oracle at the
@@ -98,7 +108,7 @@ func main() {
 		figs, ref.Ops, ref.ParallelOps, ref.Seed)
 	refs, err := loadgen.RenderReferences(ref, figs)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	var d *daemon
@@ -106,37 +116,36 @@ func main() {
 	if *tusdBin != "" {
 		cache := *cacheDir
 		if cache == "" {
-			dir, err := os.MkdirTemp("", "tusload-cache-")
-			if err != nil {
-				fail(err)
+			if cache, err = os.MkdirTemp("", "tusload-cache-"); err != nil {
+				return fail(err)
 			}
-			defer os.RemoveAll(dir)
-			cache = dir
+			defer os.RemoveAll(cache)
 		}
-		d, err = startDaemon(*tusdBin, cache, scaleArgs(*quick, *ops, *pops, *seed))
-		if err != nil {
-			fail(err)
+		// The daemon is told the reference runner's resolved scale, so
+		// the two cannot disagree.
+		d = &daemon{bin: *tusdBin, args: []string{"-cache", cache, "-max-jobs", "4", "-seed", fmt.Sprint(ref.Seed),
+			"-ops", fmt.Sprint(ref.Ops), "-parallel-ops", fmt.Sprint(ref.ParallelOps)}}
+		if err = d.start(); err != nil {
+			return fail(err)
 		}
-		defer d.stop()
+		defer d.end(syscall.SIGTERM)
 		baseURL = "http://" + d.addr
 	}
 
 	l, err := loadgen.New(loadgen.Options{
-		BaseURL:      baseURL,
-		Seed:         *loadSeed,
-		Concurrency:  *conc,
-		Rate:         *rate,
-		Requests:     *requests,
-		Duration:     *duration,
-		Figs:         figs,
-		References:   refs,
-		MetricsEvery: *metricsEvery,
+		BaseURL:     baseURL,
+		Seed:        *loadSeed,
+		Concurrency: *conc,
+		Requests:    *requests,
+		Duration:    *duration,
+		Figs:        figs,
+		References:  refs,
 		Warnf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	ctx := context.Background()
@@ -145,28 +154,15 @@ func main() {
 	} else {
 		err = l.Run(ctx)
 	}
-
 	rep := l.Report()
 	rep.WriteSummary(os.Stderr)
-	if *reportPath != "" {
-		if werr := rep.WriteFile(*reportPath); werr != nil {
-			fail(werr)
-		}
-		fmt.Fprintf(os.Stderr, "tusload: report written to %s\n", *reportPath)
-	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tusload:", err)
-		if d != nil {
-			d.stop()
-		}
-		os.Exit(1)
+		return fail(err)
 	}
 	if len(rep.Violations) > 0 {
-		if d != nil {
-			d.stop()
-		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runSoak is the crash-recovery scenario: prove that a SIGKILL mid-load
@@ -188,9 +184,9 @@ func runSoak(ctx context.Context, l *loadgen.Loader, d *daemon) error {
 	// every in-flight request must ERROR within the client timeout;
 	// RunMixed not returning is the hang we are hunting.
 	time.Sleep(500 * time.Millisecond)
-	l.SetTolerant(true)
+	l.BeginKillWindow()
 	fmt.Fprintln(os.Stderr, "tusload: soak: SIGKILL", d.cmd.Process.Pid)
-	d.kill()
+	d.end(syscall.SIGKILL)
 
 	select {
 	case <-done:
@@ -201,14 +197,10 @@ func runSoak(ctx context.Context, l *loadgen.Loader, d *daemon) error {
 	}
 
 	fmt.Fprintln(os.Stderr, "tusload: soak: restarting daemon on the same cache")
-	nd, err := startDaemon(d.bin, d.cache, d.extra)
-	if err != nil {
+	if err := d.start(); err != nil {
 		return fmt.Errorf("soak: restart: %w", err)
 	}
-	*d = *nd // adopt: the deferred stop in main now manages the new process
-	l.SetBase("http://" + d.addr)
-	l.ResetMetricsBaseline() // fresh process: counters legitimately reset
-	l.SetTolerant(false)
+	l.EndKillWindow("http://" + d.addr)
 
 	fmt.Fprintln(os.Stderr, "tusload: soak: warm sweep off the disk cache")
 	if err := l.WarmSweep(ctx); err != nil {
@@ -219,97 +211,70 @@ func runSoak(ctx context.Context, l *loadgen.Loader, d *daemon) error {
 	return l.CheckAllCached(ctx, "after restart")
 }
 
-// daemon is a spawned tusd process plus everything needed to respawn it
-// identically (the soak restart).
+// daemon is a spawned tusd process plus what respawns it identically
+// (the soak restart).
 type daemon struct {
-	bin   string
-	cache string
-	extra []string
-	addr  string
-	cmd   *exec.Cmd
+	bin  string
+	args []string
+	addr string
+	cmd  *exec.Cmd // nil while no process is running
 }
 
-func scaleArgs(quick bool, ops, pops int, seed int64) []string {
-	args := []string{"-seed", strconv.FormatInt(seed, 10), "-max-jobs", "4"}
-	if quick {
-		args = append(args, "-quick")
-	}
-	if ops > 0 {
-		args = append(args, "-ops", strconv.Itoa(ops))
-	}
-	if pops > 0 {
-		args = append(args, "-parallel-ops", strconv.Itoa(pops))
-	}
-	return args
-}
-
-// startDaemon launches tusd on 127.0.0.1:0 and resolves the real port
-// through -addr-file, then waits for /healthz.
-func startDaemon(bin, cache string, extra []string) (*daemon, error) {
+// start launches tusd on 127.0.0.1:0, resolves the real port through
+// -addr-file, and waits for /healthz.
+func (d *daemon) start() error {
 	dir, err := os.MkdirTemp("", "tusload-addr-")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer os.RemoveAll(dir)
 	addrFile := filepath.Join(dir, "addr")
 
-	args := append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-cache", cache}, extra...)
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(d.bin, append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}, d.args...)...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("spawn %s: %w", bin, err)
+		return fmt.Errorf("spawn %s: %w", d.bin, err)
 	}
-	d := &daemon{bin: bin, cache: cache, extra: extra, cmd: cmd}
-
-	var addr string
-	for deadline := time.Now().Add(15 * time.Second); ; {
-		if data, err := os.ReadFile(addrFile); err == nil {
-			addr = strings.TrimSpace(string(data))
-			break
-		}
-		if time.Now().After(deadline) {
-			d.kill()
-			return nil, fmt.Errorf("daemon never wrote %s", addrFile)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	d.addr = addr
+	d.cmd = cmd
 
 	cl := &http.Client{Timeout: time.Second}
-	for deadline := time.Now().Add(15 * time.Second); ; {
-		resp, err := cl.Get("http://" + addr + "/healthz")
-		if err == nil {
+	for _, step := range []struct {
+		failed string
+		try    func() bool
+	}{
+		{"wrote " + addrFile, func() bool {
+			data, err := os.ReadFile(addrFile)
+			d.addr = strings.TrimSpace(string(data))
+			return err == nil
+		}},
+		{"became healthy", func() bool {
+			resp, err := cl.Get("http://" + d.addr + "/healthz")
+			if err != nil {
+				return false
+			}
 			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
+			return resp.StatusCode == http.StatusOK
+		}},
+	} {
+		for deadline := time.Now().Add(15 * time.Second); !step.try(); time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				d.end(syscall.SIGKILL)
+				return fmt.Errorf("daemon %s never %s", d.bin, step.failed)
 			}
 		}
-		if time.Now().After(deadline) {
-			d.kill()
-			return nil, fmt.Errorf("daemon at %s never became healthy", addr)
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	fmt.Fprintf(os.Stderr, "tusload: daemon up at %s (cache=%s)\n", addr, cache)
-	return d, nil
+	fmt.Fprintf(os.Stderr, "tusload: daemon up at %s (%s)\n", d.addr, strings.Join(d.args, " "))
+	return nil
 }
 
-// kill SIGKILLs the daemon — the crash the soak injects.
-func (d *daemon) kill() {
-	if d.cmd == nil || d.cmd.Process == nil {
+// end sends the running daemon sig — SIGKILL is the crash the soak
+// injects, SIGTERM a graceful drain — and reaps it, falling back to
+// SIGKILL when a drain outlasts 30 s.
+func (d *daemon) end(sig os.Signal) {
+	if d.cmd == nil {
 		return
 	}
-	d.cmd.Process.Kill()
-	d.cmd.Wait()
-	d.cmd = nil
-}
-
-// stop drains the daemon gracefully, falling back to SIGKILL.
-func (d *daemon) stop() {
-	if d.cmd == nil || d.cmd.Process == nil {
-		return
-	}
-	d.cmd.Process.Signal(syscall.SIGTERM)
+	d.cmd.Process.Signal(sig)
 	done := make(chan struct{})
 	go func() { d.cmd.Wait(); close(done) }()
 	select {
@@ -323,11 +288,7 @@ func (d *daemon) stop() {
 
 func parseFigs(s string) ([]int, error) {
 	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	for _, part := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' }) {
 		n, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, fmt.Errorf("bad figure %q", part)
@@ -338,9 +299,4 @@ func parseFigs(s string) ([]int, error) {
 		return nil, fmt.Errorf("no figures in %q", s)
 	}
 	return out, nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "tusload:", err)
-	os.Exit(1)
 }

@@ -1,19 +1,30 @@
-// Package loadgen is a deterministic open- and closed-loop HTTP load
-// generator for the tusd daemon, with live invariant checking — the
-// serving-layer analogue of the model checker's differential testing:
-// instead of trusting that the service stays correct under concurrency,
-// it drives mixed job traffic (figure fetches, SSE subscribers, cell
-// matrices, litmus checks, cancels, duplicate-submit storms) and
-// asserts, while the system is saturated, that
+// Package loadgen is the invariant checker for the tusd daemon under
+// load — the serving-layer analogue of the model checker's differential
+// testing: instead of trusting that the service stays correct under
+// concurrency, it drives seeded closed-loop mixed traffic (figure
+// fetches, SSE subscribers, cell matrices, histograms, litmus checks,
+// cancels, duplicate-submit storms) and asserts, while the system is
+// saturated, that
 //
 //   - every figure response is byte-identical to the canonical
 //     `tusbench -fig <n>` output for the same scale,
-//   - the warm phase simulates nothing (cells_run stays frozen and every
-//     figure response reports X-Tusd-Cells-Run: 0),
-//   - the Runner's exactly-once contract holds: after quiescing, the
-//     daemon's tusd_cells_run_total equals the registry's expected cell
-//     total for the driven figures (harness.FigureCellUnion), and
-//   - every counter series in /metrics is monotone across scrapes.
+//   - the warm phase simulates nothing: every figure response reports
+//     X-Tusd-Cells-Run: 0 and tusd_cells_run_total stays frozen,
+//   - the Runner's exactly-once contract holds: the daemon quiesces
+//     (tusd_jobs_inflight 0), and then tusd_cells_run_total equals the
+//     registry's cell total for the driven figures
+//     (harness.FigureCellUnion) with tusd_cache_corrupt_total 0,
+//   - every counter series in /metrics is monotone across scrapes,
+//   - an SSE stream neither stalls nor breaks, carries exactly one
+//     terminal event, last, and that event is `done` with the whole
+//     matrix complete,
+//   - a canceled job reaches a terminal state, canceled or done,
+//   - a storm of identical submissions shares one coalesce key, and
+//   - a daemon restarted on a warm cache (the SIGKILL soak) serves the
+//     same bytes with tusd_cells_run_total 0.
+//
+// It asserts and does not time: whether the serving path got slower is
+// the benchmark's serve_mix workload.
 //
 // Decision-making is deterministic: all workload choices come from
 // seeded splitmix64 streams behind the faults.DecisionSource interface
@@ -21,9 +32,6 @@
 // profile replays from its seed. The HTTP interleaving itself is of
 // course up to the network and scheduler — determinism here means the
 // *offered* load, not the observed schedule.
-//
-// Per-endpoint latency lands in stats.Histogram (power-of-two buckets);
-// the Report exports p50/p95/p99 upper bounds via stats.QuantSummary.
 package loadgen
 
 import (
@@ -34,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,142 +49,86 @@ import (
 
 	"tusim/internal/faults"
 	"tusim/internal/harness"
-	"tusim/internal/stats"
 )
 
-// Mix weights the mixed-phase operation kinds. Zero weights disable an
-// op; the all-zero Mix is replaced by DefaultMix.
-type Mix struct {
-	// Figure is a synchronous GET /v1/figures/{n} with byte-identity
-	// checking (and warm-phase cells_run: 0 checking).
-	Figure int
-	// SSE submits a figure job and follows its event stream to the
-	// terminal event with per-read deadlines.
-	SSE int
-	// Cells submits a small cell-matrix job drawn from Fig. 9's matrix
-	// (so it can never grow the exactly-once cell total).
-	Cells int
-	// Hist submits a histogram job at SB 114 (again Fig. 9's matrix).
-	Hist int
-	// Litmus submits a single-program smoke model-check job.
-	Litmus int
-	// Cancel submits a cells job and immediately cancels it, then
-	// requires the job to reach a terminal state instead of hanging.
-	Cancel int
-	// Storm fires several identical figure submissions concurrently and
-	// requires them all to resolve to the same coalesce key.
-	Storm int
-}
-
-// DefaultMix skews toward the figure path (the byte-identity oracle)
-// while keeping every op kind in play.
-func DefaultMix() Mix {
-	return Mix{Figure: 8, SSE: 3, Cells: 3, Hist: 1, Litmus: 1, Cancel: 2, Storm: 2}
-}
-
-func (m Mix) total() int {
-	return m.Figure + m.SSE + m.Cells + m.Hist + m.Litmus + m.Cancel + m.Storm
-}
-
-// ops expands the weights into a pick table for DecisionSource.Index.
-func (m Mix) ops() []string {
-	var out []string
-	add := func(name string, w int) {
-		for i := 0; i < w; i++ {
-			out = append(out, name)
-		}
-	}
-	add("figure", m.Figure)
-	add("sse", m.SSE)
-	add("cells", m.Cells)
-	add("hist", m.Hist)
-	add("litmus", m.Litmus)
-	add("cancel", m.Cancel)
-	add("storm", m.Storm)
-	return out
-}
+const (
+	// jobDeadline is the hang detector: the HTTP client's timeout (an
+	// in-flight request that survives a daemon SIGKILL, or an SSE stream
+	// that stalls, must surface as an error within it), and the bound on
+	// every wait for a job to turn terminal or the daemon to quiesce.
+	jobDeadline = 2 * time.Minute
+	// scrapeEvery is the cadence of the mixed phase's monotonicity
+	// scrapes; no invariant depends on it.
+	scrapeEvery = 100 * time.Millisecond
+)
 
 // Options configures a Loader.
 type Options struct {
 	// BaseURL is the daemon's base URL ("http://127.0.0.1:port").
 	BaseURL string
-	// Client overrides the HTTP client. The default carries a 2-minute
-	// timeout, which doubles as the hang detector: an in-flight request
-	// that survives a daemon SIGKILL must surface as an error within the
-	// timeout, never hang.
-	Client *http.Client
-	// Seed seeds the splitmix64 decision streams (worker w uses
-	// Seed + w*golden-ratio so streams are independent but replayable).
+	// Seed seeds the workers' splitmix64 decision streams.
 	Seed uint64
 	// Concurrency is the closed-loop worker count. Default 8.
 	Concurrency int
-	// Rate, when positive, switches the mixed phase to open loop:
-	// operations launch on a fixed Rate-per-second schedule regardless
-	// of completions.
-	Rate float64
 	// Requests bounds the mixed phase's total operations. Default 64.
 	Requests int
 	// Duration, when positive, additionally bounds the mixed phase by
 	// wall clock.
 	Duration time.Duration
-	// Figs are the figures to drive. Default {9}. Every entry needs a
-	// Reference.
+	// Figs are the figures to drive. Default {9}; CheckFigs states what
+	// a list must satisfy. Every entry needs a Reference.
 	Figs []int
-	// Mix weights the mixed-phase op kinds.
-	Mix Mix
 	// References holds the canonical CLI bytes per figure — the
 	// byte-identity oracle. RenderReferences builds it from a runner at
 	// the daemon's scale.
 	References map[int][]byte
-	// ExpectedCells is the exactly-once cell total the daemon's
-	// tusd_cells_run_total must land on after the cold sweep and stay at
-	// through the warm phase. Zero selects
-	// len(harness.FigureCellUnion(Figs...)); negative disables the check.
-	ExpectedCells int
-	// MetricsEvery is the monotonicity scrape cadence during the mixed
-	// phase. Default 250ms.
-	MetricsEvery time.Duration
-	// JobDeadline bounds every wait-for-terminal poll. Default 2m.
-	JobDeadline time.Duration
 	// Warnf receives progress/warning lines. Nil discards.
 	Warnf func(format string, args ...any)
 }
 
-// endpoint aggregates one logical endpoint's latency and error count.
-type endpoint struct {
-	hist *stats.Histogram
-	errs atomic.Int64
+// op is one row of the mixed phase's table. run returns the operation's
+// failure; the worker loop does the accounting.
+type op struct {
+	name   string
+	weight int
+	run    func(ctx context.Context, src faults.DecisionSource) error
 }
 
 // Loader drives one load scenario and accumulates its report.
 type Loader struct {
-	o      Options
-	client *http.Client
-	mix    []string
+	o        Options
+	client   *http.Client
+	deadline time.Duration // jobDeadline
+	ops      []op
+	// expectedCells is the exactly-once cell total tusd_cells_run_total
+	// must land on after the cold sweep and stay at through the warm
+	// phase.
+	expectedCells int
 
-	base atomic.Value // string: mutable so soak can repoint after restart
-
-	set   *stats.Set
-	epMu  sync.Mutex
-	eps   map[string]*endpoint
-	order []string
-
-	requests atomic.Int64
-	errors   atomic.Int64
-	// tolerant suppresses violation escalation for transport errors —
-	// the soak harness sets it around the SIGKILL window, where refused
-	// connections are the expected outcome.
+	base atomic.Value // string: the soak repoints it after the restart
+	// tolerant is set inside the soak's kill window, where refused
+	// connections are the expected outcome: errors are still counted
+	// but stop escalating to violations.
 	tolerant atomic.Bool
 
-	violMu     sync.Mutex
+	mu         sync.Mutex
+	counts     map[string]*OpCount
 	violations []string
+	prevMet    map[string]float64
+	scrapes    int
+}
 
-	promMu  sync.Mutex
-	prevMet map[string]float64
-	scrapes int
-
-	start time.Time
-	mode  string
+// CheckFigs reports whether the mixed phase can run over figs. The
+// cells, hist and cancel ops draw from Fig. 9's matrix; without figure 9
+// in the sweep they would grow cells_run past the expected total and
+// fake an exactly-once violation.
+func CheckFigs(figs []int) error {
+	for _, f := range figs {
+		if f == 9 {
+			return nil
+		}
+	}
+	return fmt.Errorf("loadgen: figures %v lack figure 9, whose matrix the cells, hist and cancel ops draw their cells from", figs)
 }
 
 // New validates o and builds a Loader.
@@ -194,68 +145,77 @@ func New(o Options) (*Loader, error) {
 	if len(o.Figs) == 0 {
 		o.Figs = []int{9}
 	}
-	if o.Mix.total() == 0 {
-		o.Mix = DefaultMix()
-	}
-	if o.MetricsEvery <= 0 {
-		o.MetricsEvery = 250 * time.Millisecond
-	}
-	if o.JobDeadline <= 0 {
-		o.JobDeadline = 2 * time.Minute
+	if err := CheckFigs(o.Figs); err != nil {
+		return nil, err
 	}
 	for _, f := range o.Figs {
 		if len(o.References[f]) == 0 {
 			return nil, fmt.Errorf("loadgen: no reference bytes for figure %d (render them with RenderReferences)", f)
 		}
 	}
-	if o.Mix.Cells+o.Mix.Hist > 0 && !containsInt(o.Figs, 9) {
-		// Cells and hist ops draw from Fig. 9's matrix; without fig 9 in
-		// the sweep they would grow cells_run past the expected total and
-		// fake an exactly-once violation.
-		return nil, fmt.Errorf("loadgen: cells/hist ops require figure 9 in Figs (their cells are its matrix)")
-	}
-	if o.ExpectedCells == 0 {
-		o.ExpectedCells = len(harness.FigureCellUnion(o.Figs...))
-	}
-	cl := o.Client
-	if cl == nil {
-		cl = &http.Client{Timeout: 2 * time.Minute}
-	}
-	mode := "closed"
-	if o.Rate > 0 {
-		mode = "open"
-	}
 	l := &Loader{
-		o:      o,
-		client: cl,
-		mix:    o.Mix.ops(),
-		set:    stats.NewSet("tusload"),
-		eps:    map[string]*endpoint{},
-		start:  time.Now(),
-		mode:   mode,
+		o:             o,
+		client:        &http.Client{Timeout: jobDeadline},
+		deadline:      jobDeadline,
+		expectedCells: len(harness.FigureCellUnion(o.Figs...)),
+		counts:        map[string]*OpCount{},
 	}
 	l.base.Store(strings.TrimRight(o.BaseURL, "/"))
-	return l, nil
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
+	fig := func(src faults.DecisionSource) int { return o.Figs[pick(src, len(o.Figs))] }
+	// The weights skew toward the figure path (the byte-identity oracle)
+	// while keeping every op in play.
+	l.ops = []op{
+		// A synchronous GET /v1/figures/{n}: byte identity and, the cold
+		// sweep having run, X-Tusd-Cells-Run: 0.
+		{"figure", 8, func(ctx context.Context, src faults.DecisionSource) error {
+			return l.checkFigure(ctx, fig(src), true)
+		}},
+		// A figure job followed over its event stream to the terminal
+		// event.
+		{"sse", 3, func(ctx context.Context, src faults.DecisionSource) error {
+			return l.followSSE(ctx, fig(src))
+		}},
+		// A small cell-matrix job, a histogram job at SB 114 — both out of
+		// Fig. 9's matrix, so they can never grow the exactly-once cell
+		// total — and a single-program smoke model-check job.
+		{"cells", 3, func(ctx context.Context, src faults.DecisionSource) error {
+			return l.submitAndWait(ctx, cellsRequest(src), false)
+		}},
+		{"hist", 1, func(ctx context.Context, _ faults.DecisionSource) error {
+			return l.submitAndWait(ctx, map[string]any{"kind": "hist", "sb": 114}, false)
+		}},
+		{"litmus", 1, func(ctx context.Context, src faults.DecisionSource) error {
+			return l.submitAndWait(ctx, litmusRequest(src), false)
+		}},
+		// A cells job canceled as soon as it is submitted.
+		{"cancel", 2, func(ctx context.Context, src faults.DecisionSource) error {
+			return l.submitAndWait(ctx, cellsRequest(src), true)
+		}},
+		// Several identical figure submissions fired at once.
+		{"storm", 2, func(ctx context.Context, src faults.DecisionSource) error {
+			return l.storm(ctx, fig(src), 4+pick(src, 4))
+		}},
 	}
-	return false
+	return l, nil
 }
 
 // Base returns the current daemon base URL.
 func (l *Loader) Base() string { return l.base.Load().(string) }
 
-// SetBase repoints the loader at a restarted daemon.
-func (l *Loader) SetBase(u string) { l.base.Store(strings.TrimRight(u, "/")) }
+// BeginKillWindow announces that the daemon is about to be killed: from
+// here transport errors are counted but tolerated.
+func (l *Loader) BeginKillWindow() { l.tolerant.Store(true) }
 
-// SetTolerant toggles the kill-window mode: transport errors are still
-// counted, but stop escalating to invariant violations.
-func (l *Loader) SetTolerant(b bool) { l.tolerant.Store(b) }
+// EndKillWindow repoints the loader at the restarted daemon. Its
+// counters legitimately restart from zero, so the monotonicity baseline
+// is forgotten; errors are violations again.
+func (l *Loader) EndKillWindow(base string) {
+	l.base.Store(strings.TrimRight(base, "/"))
+	l.mu.Lock()
+	l.prevMet = nil
+	l.mu.Unlock()
+	l.tolerant.Store(false)
+}
 
 func (l *Loader) warnf(format string, args ...any) {
 	if l.o.Warnf != nil {
@@ -266,99 +226,86 @@ func (l *Loader) warnf(format string, args ...any) {
 // violate records one invariant violation.
 func (l *Loader) violate(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
-	l.violMu.Lock()
+	l.mu.Lock()
 	l.violations = append(l.violations, msg)
-	l.violMu.Unlock()
+	l.mu.Unlock()
 	l.warnf("tusload: VIOLATION: %s", msg)
 }
 
-// Violations snapshots the recorded invariant violations.
-func (l *Loader) Violations() []string {
-	l.violMu.Lock()
-	defer l.violMu.Unlock()
-	return append([]string(nil), l.violations...)
-}
-
-// ep interns one endpoint accumulator.
-func (l *Loader) ep(name string) *endpoint {
-	l.epMu.Lock()
-	defer l.epMu.Unlock()
-	e, ok := l.eps[name]
-	if !ok {
-		e = &endpoint{hist: l.set.Histogram(name)}
-		l.eps[name] = e
-		l.order = append(l.order, name)
+// err converts recorded violations into a single error.
+func (l *Loader) err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.violations) == 0 {
+		return nil
 	}
-	return e
+	return fmt.Errorf("loadgen: %d invariant violation(s); first: %s", len(l.violations), l.violations[0])
 }
 
-// observe records one operation's latency (µs) and error outcome. A
-// transport/protocol error outside the tolerant window is an invariant
-// violation: the acceptance contract is zero errors under healthy load.
-func (l *Loader) observe(name string, d time.Duration, err error) {
-	e := l.ep(name)
-	l.requests.Add(1)
-	e.hist.Observe(uint64(d.Microseconds()))
+// record counts one finished request under name. An error outside the
+// kill window is an invariant violation: the acceptance contract is zero
+// errors under healthy load.
+func (l *Loader) record(name string, err error) {
+	l.mu.Lock()
+	c := l.counts[name]
+	if c == nil {
+		c = &OpCount{Name: name}
+		l.counts[name] = c
+	}
+	c.Requests++
 	if err != nil {
-		e.errs.Add(1)
-		l.errors.Add(1)
-		if !l.tolerant.Load() {
-			l.violate("%s: %v", name, err)
-		} else {
-			l.warnf("tusload: %s (tolerated during kill window): %v", name, err)
+		c.Errors++
+	}
+	l.mu.Unlock()
+	switch {
+	case err == nil:
+	case l.tolerant.Load():
+		l.warnf("tusload: %s (tolerated during kill window): %v", name, err)
+	default:
+		l.violate("%s: %v", name, err)
+	}
+}
+
+// send issues one request, with payload (when non-nil) as its JSON
+// body. A non-2xx reply is an error; otherwise the caller closes the
+// body.
+func (l *Loader) send(ctx context.Context, method, path string, payload any) (*http.Response, error) {
+	var reqBody io.Reader
+	if payload != nil {
+		data, err := json.Marshal(payload)
+		if err != nil {
+			return nil, err
 		}
+		reqBody = bytes.NewReader(data)
 	}
-}
-
-// get issues a GET and returns body+headers, treating non-2xx as error.
-func (l *Loader) get(ctx context.Context, path string) ([]byte, http.Header, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", l.Base()+path, nil)
+	req, err := http.NewRequestWithContext(ctx, method, l.Base()+path, reqBody)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := l.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		body, _ := io.ReadAll(resp.Body) // best effort: the status is the error
+		resp.Body.Close()
+		return nil, fmt.Errorf("%s %s: status %d: %s", method, path, resp.StatusCode, firstLine(body))
+	}
+	return resp, nil
+}
+
+// do is send for a reply that is read whole.
+func (l *Loader) do(ctx context.Context, method, path string, payload any) ([]byte, http.Header, error) {
+	resp, err := l.send(ctx, method, path, payload)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, resp.Header, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return body, resp.Header, fmt.Errorf("GET %s: status %d: %s", path, resp.StatusCode, firstLine(body))
-	}
-	return body, resp.Header, nil
-}
-
-// post issues a JSON POST and decodes the response into out (when
-// non-nil), treating non-2xx as error.
-func (l *Loader) post(ctx context.Context, path string, payload, out any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, "POST", l.Base()+path, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := l.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("POST %s: status %d: %s", path, resp.StatusCode, firstLine(body))
-	}
-	if out != nil {
-		return json.Unmarshal(body, out)
-	}
-	return nil
+	return body, resp.Header, err
 }
 
 func firstLine(b []byte) string {
@@ -375,129 +322,138 @@ func firstLine(b []byte) string {
 // jobJSON mirrors the server's JobJSON wire form (decoded loosely so
 // the loader does not import internal/server).
 type jobJSON struct {
-	ID          string `json:"id"`
-	Kind        string `json:"kind"`
-	State       string `json:"state"`
-	Key         string `json:"key"`
-	Error       string `json:"error"`
-	CellsTotal  int    `json:"cells_total"`
-	CellsDone   int    `json:"cells_done"`
-	CellsRun    int    `json:"cells_run"`
-	CellsCached int    `json:"cells_cached"`
+	ID         string `json:"id"`
+	Kind       string `json:"kind"`
+	State      string `json:"state"`
+	Key        string `json:"key"`
+	Error      string `json:"error"`
+	CellsTotal int    `json:"cells_total"`
+	CellsDone  int    `json:"cells_done"`
+}
+
+// terminal reports whether a job state (or SSE event name) is final.
+func terminal(state string) bool {
+	return state == "done" || state == "failed" || state == "canceled"
+}
+
+// job issues a request the daemon answers with a job's JSON: a
+// submission, a cancel, a status poll.
+func (l *Loader) job(ctx context.Context, method, path string, payload any) (jobJSON, error) {
+	var j jobJSON
+	body, _, err := l.do(ctx, method, path, payload)
+	if err != nil {
+		return j, err
+	}
+	if err := json.Unmarshal(body, &j); err != nil {
+		return j, fmt.Errorf("%s %s: bad job JSON: %w", method, path, err)
+	}
+	return j, nil
+}
+
+// metrics scrapes and parses /metrics.
+func (l *Loader) metrics(ctx context.Context) (map[string]float64, error) {
+	body, _, err := l.do(ctx, "GET", "/metrics", nil)
+	if err != nil {
+		return nil, err
+	}
+	return ParseProm(string(body))
+}
+
+// sleep waits out d unless ctx ends first.
+func sleep(ctx context.Context, d time.Duration) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(d):
+		return nil
+	}
 }
 
 // checkFigure performs one GET /v1/figures/{fig} and applies the
 // byte-identity (and, when warm, the cells_run: 0) invariant.
-func (l *Loader) checkFigure(ctx context.Context, fig int, warm bool, epName string) {
-	t0 := time.Now()
-	body, hdr, err := l.get(ctx, fmt.Sprintf("/v1/figures/%d", fig))
-	l.observe(epName, time.Since(t0), err)
+func (l *Loader) checkFigure(ctx context.Context, fig int, warm bool) error {
+	body, hdr, err := l.do(ctx, "GET", fmt.Sprintf("/v1/figures/%d", fig), nil)
 	if err != nil {
-		return
+		return err
 	}
 	if want := l.o.References[fig]; !bytes.Equal(body, want) {
 		l.violate("figure %d: response differs from canonical CLI bytes (%d vs %d bytes)", fig, len(body), len(want))
 	}
-	if warm {
-		if got := hdr.Get("X-Tusd-Cells-Run"); got != "0" {
-			l.violate("figure %d: warm-phase X-Tusd-Cells-Run = %q, want 0", fig, got)
-		}
+	if got := hdr.Get("X-Tusd-Cells-Run"); warm && got != "0" {
+		l.violate("figure %d: warm-phase X-Tusd-Cells-Run = %q, want 0", fig, got)
+	}
+	return nil
+}
+
+// sweep fetches every configured figure once, serially.
+func (l *Loader) sweep(ctx context.Context, name string, warm bool) {
+	for _, fig := range l.o.Figs {
+		l.record(name, l.checkFigure(ctx, fig, warm))
 	}
 }
 
-// ColdSweep fetches every configured figure once, serially, against a
-// cold daemon: each response must match the CLI bytes, and afterwards
-// the daemon must have simulated exactly the registry's expected cell
-// total (the exactly-once proof for the cold path).
+// ColdSweep fetches every configured figure once against a cold daemon:
+// each response must match the CLI bytes, and afterwards the daemon
+// must have simulated exactly the registry's expected cell total (the
+// exactly-once proof for the cold path).
 func (l *Loader) ColdSweep(ctx context.Context) error {
-	for _, fig := range l.o.Figs {
-		l.checkFigure(ctx, fig, false, "figure-cold")
-	}
-	if err := l.CheckExactlyOnce(ctx, "after cold sweep"); err != nil {
-		return err
-	}
-	return l.err()
+	l.sweep(ctx, "figure-cold", false)
+	return l.CheckExactlyOnce(ctx, "after cold sweep")
 }
 
 // WarmSweep fetches every configured figure once and requires byte
 // identity plus X-Tusd-Cells-Run: 0 — the post-restart proof that the
 // disk cache alone reconstructs every response.
 func (l *Loader) WarmSweep(ctx context.Context) error {
-	for _, fig := range l.o.Figs {
-		l.checkFigure(ctx, fig, true, "figure-warm")
-	}
+	l.sweep(ctx, "figure-warm", true)
 	return l.err()
 }
 
-// err converts recorded violations into a single error.
-func (l *Loader) err() error {
-	v := l.Violations()
-	if len(v) == 0 {
-		return nil
-	}
-	return fmt.Errorf("loadgen: %d invariant violation(s); first: %s", len(v), v[0])
-}
-
-// Run drives the full scenario: cold sweep, mixed warm-phase load
-// (closed- or open-loop), quiesce, and the final exactly-once check
-// proving the warm phase simulated nothing.
+// Run drives the full scenario: cold sweep, mixed warm-phase load,
+// quiesce, and the final exactly-once check proving the warm phase
+// simulated nothing.
 func (l *Loader) Run(ctx context.Context) error {
 	l.warnf("tusload: cold sweep over figures %v", l.o.Figs)
 	if err := l.ColdSweep(ctx); err != nil {
 		return err
 	}
-	l.warnf("tusload: mixed %s-loop phase: %d ops, concurrency %d, rate %.1f/s",
-		l.mode, l.o.Requests, l.o.Concurrency, l.o.Rate)
+	l.warnf("tusload: mixed phase: %d ops, concurrency %d", l.o.Requests, l.o.Concurrency)
 	if err := l.RunMixed(ctx); err != nil {
 		return err
 	}
-	if err := l.CheckExactlyOnce(ctx, "after warm mixed phase"); err != nil {
-		return err
-	}
-	return l.err()
+	return l.CheckExactlyOnce(ctx, "after warm mixed phase")
 }
 
-// RunMixed runs the mixed-op phase. The warm figure invariant is active:
+// RunMixed runs the mixed-op phase: Concurrency closed-loop workers,
+// each with its own deterministic decision stream, sharing one op
+// budget, while /metrics is scraped for monotonicity from before the
+// first op until after the last. The warm figure invariant is active:
 // the cold sweep must have run first (Run does this).
 func (l *Loader) RunMixed(ctx context.Context) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	if l.o.Duration > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, l.o.Duration)
-		defer tcancel()
-	}
-
-	// Metrics monotonicity watcher.
+	stop := make(chan struct{})
 	var watch sync.WaitGroup
 	watch.Add(1)
 	go func() {
 		defer watch.Done()
-		tick := time.NewTicker(l.o.MetricsEvery)
+		tick := time.NewTicker(scrapeEvery)
 		defer tick.Stop()
 		for {
+			l.ScrapeMetrics(ctx)
 			select {
-			case <-ctx.Done():
+			case <-stop:
+				l.ScrapeMetrics(ctx)
 				return
 			case <-tick.C:
-				l.ScrapeMetrics(ctx)
 			}
 		}
 	}()
 
-	if l.o.Rate > 0 {
-		l.runOpen(ctx)
-	} else {
-		l.runClosed(ctx)
+	work := ctx
+	if l.o.Duration > 0 {
+		var cancel context.CancelFunc
+		work, cancel = context.WithTimeout(ctx, l.o.Duration)
+		defer cancel()
 	}
-	cancel()
-	watch.Wait()
-	return l.err()
-}
-
-// runClosed runs Concurrency workers, each with its own deterministic
-// decision stream, sharing one op budget.
-func (l *Loader) runClosed(ctx context.Context) {
 	var budget atomic.Int64
 	budget.Store(int64(l.o.Requests))
 	var wg sync.WaitGroup
@@ -505,67 +461,27 @@ func (l *Loader) runClosed(ctx context.Context) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			src := faults.NewPRNGSource(l.o.Seed + uint64(w)*0x9E3779B97F4A7C15)
-			for budget.Add(-1) >= 0 && ctx.Err() == nil {
-				l.step(ctx, src)
+			src := workerSource(l.o.Seed, w)
+			for budget.Add(-1) >= 0 && work.Err() == nil {
+				o := l.pickOp(src)
+				err := o.run(work, src)
+				if work.Err() != nil {
+					return // the phase ended under the op: abandoned, not failed
+				}
+				l.record(o.name, err)
 			}
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	watch.Wait()
+	return l.err()
 }
 
-// runOpen launches ops on a fixed schedule regardless of completions —
-// the arrival process of an external client population.
-func (l *Loader) runOpen(ctx context.Context) {
-	interval := time.Duration(float64(time.Second) / l.o.Rate)
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	src := &lockedSource{src: faults.NewPRNGSource(l.o.Seed)}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	var wg sync.WaitGroup
-	launched := 0
-	for launched < l.o.Requests && ctx.Err() == nil {
-		select {
-		case <-ctx.Done():
-		case <-tick.C:
-			wg.Add(1)
-			launched++
-			go func() {
-				defer wg.Done()
-				l.step(ctx, src)
-			}()
-		}
-	}
-	wg.Wait()
-}
-
-// lockedSource makes one shared decision stream safe for the open
-// loop's concurrent ops while keeping the stream itself deterministic
-// (the sequence of drawn values is fixed; which op observes which value
-// depends on arrival order, as in any open-loop generator).
-type lockedSource struct {
-	mu  sync.Mutex
-	src faults.DecisionSource
-}
-
-func (s *lockedSource) Hit(pct int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Hit(pct)
-}
-
-func (s *lockedSource) Amount(max uint64) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Amount(max)
-}
-
-func (s *lockedSource) Index(n int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Index(n)
+// workerSource is worker w's decision stream: golden-ratio offsets keep
+// the streams independent, the seed keeps them replayable.
+func workerSource(seed uint64, w int) faults.DecisionSource {
+	return faults.NewPRNGSource(seed + uint64(w)*0x9E3779B97F4A7C15)
 }
 
 // pick chooses from a non-empty domain (Index requires n >= 2).
@@ -576,143 +492,59 @@ func pick(src faults.DecisionSource, n int) int {
 	return src.Index(n)
 }
 
-// step executes one mixed-phase operation chosen by the decision stream.
-func (l *Loader) step(ctx context.Context, src faults.DecisionSource) {
-	switch l.mix[pick(src, len(l.mix))] {
-	case "figure":
-		l.checkFigure(ctx, l.o.Figs[pick(src, len(l.o.Figs))], true, "figure")
-	case "sse":
-		l.opSSE(ctx, src)
-	case "cells":
-		l.opCells(ctx, src)
-	case "hist":
-		l.opHist(ctx)
-	case "litmus":
-		l.opLitmus(ctx, src)
-	case "cancel":
-		l.opCancel(ctx, src)
-	case "storm":
-		l.opStorm(ctx, src)
+// pickOp draws the next operation in proportion to the table's weights.
+func (l *Loader) pickOp(src faults.DecisionSource) op {
+	total := 0
+	for _, o := range l.ops {
+		total += o.weight
 	}
+	n := pick(src, total)
+	for _, o := range l.ops {
+		if n -= o.weight; n < 0 {
+			return o
+		}
+	}
+	return l.ops[len(l.ops)-1]
 }
 
-// waitTerminal polls a job until it leaves queued/running.
-func (l *Loader) waitTerminal(ctx context.Context, id string) (jobJSON, error) {
-	deadline := time.Now().Add(l.o.JobDeadline)
+// waitDone polls a job until it leaves queued/running and requires it
+// to end done — or, when orCanceled is set, canceled. Anything else, a
+// hang above all, is the op's failure.
+func (l *Loader) waitDone(ctx context.Context, what, id string, orCanceled bool) error {
+	deadline := time.Now().Add(l.deadline)
 	for {
-		var j jobJSON
-		body, _, err := l.get(ctx, "/v1/jobs/"+id)
-		if err != nil {
-			return j, err
+		j, err := l.job(ctx, "GET", "/v1/jobs/"+id, nil)
+		switch {
+		case err != nil:
+			return err
+		case j.State == "done", orCanceled && j.State == "canceled":
+			return nil
+		case terminal(j.State):
+			return fmt.Errorf("%s %s (%s) ended %s (%s)", what, id, j.Kind, j.State, j.Error)
+		case time.Now().After(deadline):
+			return fmt.Errorf("%s %s: still %s after %v (hang)", what, id, j.State, l.deadline)
 		}
-		if err := json.Unmarshal(body, &j); err != nil {
-			return j, fmt.Errorf("job %s: bad JSON: %w", id, err)
-		}
-		switch j.State {
-		case "done", "failed", "canceled":
-			return j, nil
-		}
-		if time.Now().After(deadline) {
-			return j, fmt.Errorf("job %s: still %s after %v (hang)", id, j.State, l.o.JobDeadline)
-		}
-		select {
-		case <-ctx.Done():
-			return j, ctx.Err()
-		case <-time.After(25 * time.Millisecond):
+		if err := sleep(ctx, 25*time.Millisecond); err != nil {
+			return err
 		}
 	}
 }
 
-// opSSE submits a figure job and follows its SSE stream to the terminal
-// event. Every read carries an explicit deadline: a stalled stream is a
-// diagnosed violation, not a hung worker.
-func (l *Loader) opSSE(ctx context.Context, src faults.DecisionSource) {
-	fig := l.o.Figs[pick(src, len(l.o.Figs))]
-	t0 := time.Now()
-	err := l.sseFollow(ctx, fig)
-	l.observe("sse", time.Since(t0), err)
-}
-
-func (l *Loader) sseFollow(ctx context.Context, fig int) error {
-	var j jobJSON
-	if err := l.post(ctx, "/v1/jobs", map[string]any{"kind": "figure", "fig": fig}, &j); err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, "GET", l.Base()+"/v1/jobs/"+j.ID+"/events", nil)
+// submitAndWait posts a job and waits for it to end done. With cancel
+// set it cancels the job at once, and canceled — the cancel won the
+// race — is as good an end as done.
+func (l *Loader) submitAndWait(ctx context.Context, req map[string]any, cancel bool) error {
+	j, err := l.job(ctx, "POST", "/v1/jobs", req)
 	if err != nil {
 		return err
 	}
-	resp, err := l.client.Do(req)
-	if err != nil {
+	if !cancel {
+		return l.waitDone(ctx, "job", j.ID, false)
+	}
+	if _, err := l.job(ctx, "POST", "/v1/jobs/"+j.ID+"/cancel", nil); err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("events: status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		return fmt.Errorf("events: content type %q", ct)
-	}
-
-	lines := make(chan string, 64)
-	errc := make(chan error, 1)
-	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			lines <- sc.Text()
-		}
-		errc <- sc.Err()
-		close(lines)
-	}()
-
-	events := 0
-	var lastEvent, lastData string
-	readDeadline := l.o.JobDeadline
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case line, ok := <-lines:
-			if !ok {
-				// Stream closed; the last event must have been terminal.
-				if e := <-errc; e != nil {
-					return fmt.Errorf("events: read: %w", e)
-				}
-				switch lastEvent {
-				case "done":
-					var final jobJSON
-					if err := json.Unmarshal([]byte(lastData), &final); err != nil {
-						return fmt.Errorf("events: terminal payload: %w", err)
-					}
-					if final.State != "done" {
-						return fmt.Errorf("events: done event carries state %q", final.State)
-					}
-					// A fully warm job legitimately reports cells_done 0 —
-					// every cell was served from the in-process memo and no
-					// per-cell progress fired. Partial progress, though, must
-					// have completed the whole matrix.
-					if final.CellsDone != 0 && final.CellsDone != final.CellsTotal {
-						return fmt.Errorf("events: terminal cells_done %d != cells_total %d", final.CellsDone, final.CellsTotal)
-					}
-					return nil
-				case "failed", "canceled":
-					return fmt.Errorf("events: job ended %s: %s", lastEvent, lastData)
-				default:
-					return fmt.Errorf("events: stream closed after %d events without a terminal event (last %q)", events, lastEvent)
-				}
-			}
-			if strings.HasPrefix(line, "event: ") {
-				lastEvent = strings.TrimPrefix(line, "event: ")
-				events++
-			}
-			if strings.HasPrefix(line, "data: ") {
-				lastData = strings.TrimPrefix(line, "data: ")
-			}
-		case <-time.After(readDeadline):
-			return fmt.Errorf("events: no line within %v after %d events (last %q) — stalled stream", readDeadline, events, lastEvent)
-		}
-	}
+	return l.waitDone(ctx, "canceled job", j.ID, true)
 }
 
 // cellBenches is the pool cells/cancel ops draw from: ST SB-bound
@@ -741,223 +573,171 @@ func cellsRequest(src faults.DecisionSource) map[string]any {
 	return map[string]any{"kind": "cells", "benches": benches, "mechs": mechs, "sbs": []int{114}}
 }
 
-func (l *Loader) opCells(ctx context.Context, src faults.DecisionSource) {
-	reqBody := cellsRequest(src)
-	t0 := time.Now()
-	err := l.submitAndWait(ctx, reqBody, "done")
-	l.observe("cells", time.Since(t0), err)
-}
-
-func (l *Loader) opHist(ctx context.Context) {
-	t0 := time.Now()
-	err := l.submitAndWait(ctx, map[string]any{"kind": "hist", "sb": 114}, "done")
-	l.observe("hist", time.Since(t0), err)
-}
-
 var litmusProgs = []string{"SB", "MP", "LB"}
 var litmusMechs = []string{"base", "CSB", "TUS"}
 
-func (l *Loader) opLitmus(ctx context.Context, src faults.DecisionSource) {
-	reqBody := map[string]any{
+func litmusRequest(src faults.DecisionSource) map[string]any {
+	return map[string]any{
 		"kind":  "litmus",
 		"progs": []string{litmusProgs[pick(src, len(litmusProgs))]},
 		"mechs": []string{litmusMechs[pick(src, len(litmusMechs))]},
 		"smoke": true,
 	}
-	t0 := time.Now()
-	err := l.submitAndWait(ctx, reqBody, "done")
-	l.observe("litmus", time.Since(t0), err)
 }
 
-// submitAndWait posts a job and requires the given terminal state.
-func (l *Loader) submitAndWait(ctx context.Context, reqBody map[string]any, want string) error {
-	var j jobJSON
-	if err := l.post(ctx, "/v1/jobs", reqBody, &j); err != nil {
-		return err
-	}
-	final, err := l.waitTerminal(ctx, j.ID)
+// followSSE submits a figure job and follows its event stream to the
+// end, which must come as exactly one terminal event. The client's
+// timeout bounds the whole stream, so one that stalls is a diagnosed
+// failure, not a hung worker.
+func (l *Loader) followSSE(ctx context.Context, fig int) error {
+	j, err := l.job(ctx, "POST", "/v1/jobs", map[string]any{"kind": "figure", "fig": fig})
 	if err != nil {
 		return err
 	}
-	if final.State != want {
-		return fmt.Errorf("job %s (%s): state %s (%s), want %s", j.ID, j.Kind, final.State, final.Error, want)
+	resp, err := l.send(ctx, "GET", "/v1/jobs/"+j.ID+"/events", nil)
+	if err != nil {
+		return err
 	}
-	return nil
-}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		return fmt.Errorf("events: content type %q", ct)
+	}
 
-// opCancel submits a cells job, cancels it immediately, and requires a
-// terminal state: canceled if the cancel won the race, done if the job
-// beat it. Anything else — especially a hang — is a violation.
-func (l *Loader) opCancel(ctx context.Context, src faults.DecisionSource) {
-	t0 := time.Now()
-	err := func() error {
-		var j jobJSON
-		if err := l.post(ctx, "/v1/jobs", cellsRequest(src), &j); err != nil {
-			return err
+	events := 0
+	var event, data string // the last of each
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		if name, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+			if terminal(event) {
+				return fmt.Errorf("events: %q event follows the terminal %q event", name, event)
+			}
+			event = name
+			events++
+		} else if d, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			data = d
 		}
-		if err := l.post(ctx, "/v1/jobs/"+j.ID+"/cancel", map[string]any{}, nil); err != nil {
-			return err
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("events: stream stalled or broke after %d events (last %q): %w", events, event, err)
+	}
+	switch event {
+	case "done":
+		var final jobJSON
+		if err := json.Unmarshal([]byte(data), &final); err != nil {
+			return fmt.Errorf("events: terminal payload: %w", err)
 		}
-		final, err := l.waitTerminal(ctx, j.ID)
-		if err != nil {
-			return err
+		if final.State != "done" {
+			return fmt.Errorf("events: done event carries state %q", final.State)
 		}
-		if final.State != "canceled" && final.State != "done" {
-			return fmt.Errorf("canceled job %s ended %s (%s)", j.ID, final.State, final.Error)
+		// A fully warm job legitimately reports cells_done 0 — every
+		// cell was served from the in-process memo and no per-cell
+		// progress fired. Partial progress, though, must have completed
+		// the whole matrix.
+		if final.CellsDone != 0 && final.CellsDone != final.CellsTotal {
+			return fmt.Errorf("events: terminal cells_done %d != cells_total %d", final.CellsDone, final.CellsTotal)
 		}
 		return nil
-	}()
-	l.observe("cancel", time.Since(t0), err)
+	case "failed", "canceled":
+		return fmt.Errorf("events: job ended %s: %s", event, data)
+	default:
+		return fmt.Errorf("events: stream closed after %d events without a terminal event (last %q)", events, event)
+	}
 }
 
-// opStorm fires several identical figure submissions concurrently. The
-// coalesce key is content-derived, so every response must carry the
-// same key no matter how the requests raced; every job must then reach
-// done.
-func (l *Loader) opStorm(ctx context.Context, src faults.DecisionSource) {
-	fig := l.o.Figs[pick(src, len(l.o.Figs))]
-	n := 4 + pick(src, 4)
-	t0 := time.Now()
+// storm fires n identical figure submissions concurrently. The coalesce
+// key is content-derived, so every response must carry the same key no
+// matter how the requests raced; every job must then reach done.
+func (l *Loader) storm(ctx context.Context, fig, n int) error {
 	jobs := make([]jobJSON, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range jobs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = l.post(ctx, "/v1/jobs", map[string]any{"kind": "figure", "fig": fig}, &jobs[i])
+			jobs[i], errs[i] = l.job(ctx, "POST", "/v1/jobs", map[string]any{"kind": "figure", "fig": fig})
 		}(i)
 	}
 	wg.Wait()
-	err := func() error {
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
+	for i, j := range jobs {
+		if errs[i] != nil {
+			return errs[i]
 		}
-		for i := 1; i < n; i++ {
-			if jobs[i].Key != jobs[0].Key {
-				return fmt.Errorf("storm: submissions %d and 0 disagree on coalesce key (%s vs %s)", i, jobs[i].Key, jobs[0].Key)
-			}
+		if j.Key != jobs[0].Key {
+			return fmt.Errorf("storm: submissions %d and 0 disagree on coalesce key (%s vs %s)", i, j.Key, jobs[0].Key)
 		}
-		// Wait out the distinct job IDs (duplicates coalesce to one).
-		seen := map[string]bool{}
-		for _, j := range jobs {
-			if seen[j.ID] {
-				continue
-			}
-			seen[j.ID] = true
-			final, err := l.waitTerminal(ctx, j.ID)
-			if err != nil {
-				return err
-			}
-			if final.State != "done" {
-				return fmt.Errorf("storm job %s ended %s (%s)", j.ID, final.State, final.Error)
-			}
+	}
+	// Coalesced duplicates share an ID; polling it again costs one GET.
+	for _, j := range jobs {
+		if err := l.waitDone(ctx, "storm job", j.ID, false); err != nil {
+			return err
 		}
-		return nil
-	}()
-	l.observe("storm", time.Since(t0), err)
+	}
+	return nil
 }
 
 // ScrapeMetrics fetches /metrics, checks every counter series is
 // monotone versus the previous scrape, and advances the baseline.
 func (l *Loader) ScrapeMetrics(ctx context.Context) {
-	t0 := time.Now()
-	body, _, err := l.get(ctx, "/metrics")
-	l.observe("metrics", time.Since(t0), err)
+	cur, err := l.metrics(ctx)
+	l.record("metrics", err)
 	if err != nil {
 		return
 	}
-	cur, err := ParseProm(string(body))
-	if err != nil {
-		l.violate("metrics: unparseable exposition: %v", err)
-		return
-	}
-	l.promMu.Lock()
+	l.mu.Lock()
 	prev := l.prevMet
 	l.prevMet = cur
 	l.scrapes++
-	l.promMu.Unlock()
-	if prev != nil {
-		for _, v := range MonotonicViolations(prev, cur) {
-			l.violate("metrics: %s", v)
-		}
+	l.mu.Unlock()
+	for _, v := range MonotonicViolations(prev, cur) {
+		l.violate("metrics: %s", v)
 	}
 }
 
-// ResetMetricsBaseline forgets the previous scrape — required after a
-// daemon restart, where counters legitimately reset to zero.
-func (l *Loader) ResetMetricsBaseline() {
-	l.promMu.Lock()
-	l.prevMet = nil
-	l.promMu.Unlock()
-}
-
-// CheckExactlyOnce waits for the daemon to quiesce (jobs_inflight 0 —
+// checkCellsRun waits for the daemon to quiesce (jobs_inflight 0 —
 // canceled ones included) and then requires tusd_cells_run_total to
-// equal the registry's expected cell total: every distinct cell
-// simulated exactly once, none skipped, none repeated.
-func (l *Loader) CheckExactlyOnce(ctx context.Context, when string) error {
-	if l.o.ExpectedCells < 0 {
-		return nil
-	}
-	deadline := time.Now().Add(l.o.JobDeadline)
-	var m map[string]float64
+// equal want, with no cache entry found corrupt on the way.
+func (l *Loader) checkCellsRun(ctx context.Context, when string, want int, why string) error {
+	deadline := time.Now().Add(l.deadline)
 	for {
-		body, _, err := l.get(ctx, "/metrics")
+		m, err := l.metrics(ctx)
 		if err != nil {
-			return fmt.Errorf("loadgen: exactly-once %s: %w", when, err)
-		}
-		m, err = ParseProm(string(body))
-		if err != nil {
-			return fmt.Errorf("loadgen: exactly-once %s: %w", when, err)
+			return fmt.Errorf("loadgen: %s: %w", when, err)
 		}
 		if m["tusd_jobs_inflight"] == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			l.violate("exactly-once %s: daemon never quiesced (%v jobs inflight after %v)",
-				when, m["tusd_jobs_inflight"], l.o.JobDeadline)
+			if got := m["tusd_cells_run_total"]; got != float64(want) {
+				l.violate("%s: tusd_cells_run_total = %v, want exactly %d (%s)", when, got, want, why)
+			}
+			if c := m["tusd_cache_corrupt_total"]; c != 0 {
+				l.violate("%s: tusd_cache_corrupt_total = %v, want 0", when, c)
+			}
 			return l.err()
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(50 * time.Millisecond):
+		if time.Now().After(deadline) {
+			l.violate("%s: daemon never quiesced (%v jobs inflight after %v)", when, m["tusd_jobs_inflight"], l.deadline)
+			return l.err()
+		}
+		if err := sleep(ctx, 50*time.Millisecond); err != nil {
+			return err
 		}
 	}
-	got := int(m["tusd_cells_run_total"])
-	if got != l.o.ExpectedCells {
-		l.violate("exactly-once %s: tusd_cells_run_total = %d, want exactly %d (registry cell union for figures %v)",
-			when, got, l.o.ExpectedCells, l.o.Figs)
-	}
-	if c := m["tusd_cache_corrupt_total"]; c != 0 {
-		l.violate("exactly-once %s: tusd_cache_corrupt_total = %v, want 0", when, c)
-	}
-	return l.err()
 }
 
-// CheckAllCached waits for quiescence and then requires the daemon to
-// have simulated NOTHING: tusd_cells_run_total must be 0. This is the
-// post-restart soak invariant — a fresh process on a warm disk cache
-// reconstructs every response without running a single cell.
+// CheckExactlyOnce requires the quiesced daemon to have simulated the
+// registry's expected cell total: every distinct cell exactly once, none
+// skipped, none repeated.
+func (l *Loader) CheckExactlyOnce(ctx context.Context, when string) error {
+	return l.checkCellsRun(ctx, "exactly-once "+when, l.expectedCells,
+		fmt.Sprintf("registry cell union for figures %v", l.o.Figs))
+}
+
+// CheckAllCached requires the quiesced daemon to have simulated
+// NOTHING. This is the post-restart soak invariant — a fresh process on
+// a warm disk cache reconstructs every response without running a
+// single cell.
 func (l *Loader) CheckAllCached(ctx context.Context, when string) error {
-	body, _, err := l.get(ctx, "/metrics")
-	if err != nil {
-		return fmt.Errorf("loadgen: all-cached %s: %w", when, err)
-	}
-	m, err := ParseProm(string(body))
-	if err != nil {
-		return fmt.Errorf("loadgen: all-cached %s: %w", when, err)
-	}
-	if got := m["tusd_cells_run_total"]; got != 0 {
-		l.violate("all-cached %s: tusd_cells_run_total = %v, want 0 (every cell must come off the disk cache)", when, got)
-	}
-	if c := m["tusd_cache_corrupt_total"]; c != 0 {
-		l.violate("all-cached %s: tusd_cache_corrupt_total = %v, want 0", when, c)
-	}
-	return l.err()
+	return l.checkCellsRun(ctx, "all-cached "+when, 0, "every cell must come off the disk cache")
 }
 
 // RenderReferences renders each figure's canonical CLI bytes through r
@@ -974,39 +754,4 @@ func RenderReferences(r *harness.Runner, figs []int) (map[int][]byte, error) {
 		out[fig] = buf.Bytes()
 	}
 	return out, nil
-}
-
-// Report assembles the latency/violation report.
-func (l *Loader) Report() Report {
-	l.epMu.Lock()
-	names := append([]string(nil), l.order...)
-	l.epMu.Unlock()
-	sort.Strings(names)
-	eps := make([]EndpointStats, 0, len(names))
-	for _, n := range names {
-		e := l.ep(n)
-		eps = append(eps, EndpointStats{
-			Endpoint:  n,
-			Errors:    e.errs.Load(),
-			LatencyUS: e.hist.Snapshot().Summary(),
-		})
-	}
-	l.promMu.Lock()
-	scrapes := l.scrapes
-	l.promMu.Unlock()
-	return Report{
-		HarnessVersion: harness.Version,
-		Seed:           l.o.Seed,
-		Mode:           l.mode,
-		Concurrency:    l.o.Concurrency,
-		RatePerSec:     l.o.Rate,
-		Figs:           append([]int(nil), l.o.Figs...),
-		ExpectedCells:  l.o.ExpectedCells,
-		Seconds:        time.Since(l.start).Seconds(),
-		Requests:       l.requests.Load(),
-		Errors:         l.errors.Load(),
-		MetricsScrapes: scrapes,
-		Violations:     l.Violations(),
-		Endpoints:      eps,
-	}
 }

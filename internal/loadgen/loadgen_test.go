@@ -1,17 +1,12 @@
-package loadgen_test
+package loadgen
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"tusim/internal/harness"
-	"tusim/internal/loadgen"
 	"tusim/internal/server"
 )
 
@@ -48,107 +43,88 @@ func startDaemon(t *testing.T, cacheDir string) (string, map[int][]byte) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	refs, err := loadgen.RenderReferences(testRunner(t, ""), []int{9})
+	refs, err := RenderReferences(testRunner(t, ""), []int{9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ts.URL, refs
 }
 
+// coveringSeed returns the first seed under which the workers' first
+// draws between them hit every row of the op table — so a run exercises
+// every op whatever the scheduler does with the rest of the budget.
+func coveringSeed(t *testing.T, l *Loader, workers int) uint64 {
+	t.Helper()
+	for seed := uint64(1); seed < 10_000; seed++ {
+		drawn := map[string]bool{}
+		for w := 0; w < workers; w++ {
+			drawn[l.pickOp(workerSource(seed, w)).name] = true
+		}
+		if len(drawn) == len(l.ops) {
+			return seed
+		}
+	}
+	t.Fatal("no seed below 10000 covers the op table on the first draws")
+	return 0
+}
+
 // TestClosedLoopRun is the acceptance scenario: a closed-loop run at
-// concurrency 8 over the full default mix against a live daemon, ending
+// concurrency 8 over the whole op table against a live daemon, ending
 // with zero invariant violations and the exactly-once cell total.
 func TestClosedLoopRun(t *testing.T) {
 	base, refs := startDaemon(t, t.TempDir())
-	l, err := loadgen.New(loadgen.Options{
-		BaseURL:      base,
-		Seed:         42,
-		Concurrency:  8,
-		Requests:     40,
-		Figs:         []int{9},
-		References:   refs,
-		MetricsEvery: 50 * time.Millisecond,
-		JobDeadline:  time.Minute,
-		Warnf:        t.Logf,
-	})
+	o := Options{
+		BaseURL:     base,
+		Concurrency: 8,
+		Requests:    40,
+		Figs:        []int{9},
+		References:  refs,
+		Warnf:       t.Logf,
+	}
+	probe, err := New(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Run(context.Background()); err != nil {
-		t.Fatalf("run: %v\nall violations: %v", err, l.Violations())
-	}
-
-	rep := l.Report()
-	if rep.Requests < 40 {
-		t.Fatalf("report counts %d requests, want >= 40", rep.Requests)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("report counts %d errors, want 0", rep.Errors)
-	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("violations: %v", rep.Violations)
-	}
-	if rep.ExpectedCells != len(harness.FigureCellUnion(9)) {
-		t.Fatalf("expected cells %d, want %d", rep.ExpectedCells, len(harness.FigureCellUnion(9)))
-	}
-	if rep.MetricsScrapes == 0 {
-		t.Fatal("metrics watcher never scraped")
-	}
-	if len(rep.Endpoints) == 0 {
-		t.Fatal("no endpoint stats recorded")
-	}
-	var sawColdFigure bool
-	for _, e := range rep.Endpoints {
-		if e.Endpoint == "figure-cold" && e.LatencyUS.Count > 0 {
-			sawColdFigure = true
-		}
-	}
-	if !sawColdFigure {
-		t.Fatalf("no figure-cold endpoint in %+v", rep.Endpoints)
-	}
-
-	// The report must round-trip through disk: CI uploads the file.
-	path := filepath.Join(t.TempDir(), "report.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back loadgen.Report
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Requests != rep.Requests || len(back.Endpoints) != len(rep.Endpoints) {
-		t.Fatalf("report round-trip mismatch: %+v vs %+v", back, rep)
-	}
-}
-
-// TestOpenLoop drives a short fixed-rate phase: ops launch on schedule
-// and the run still ends violation-free.
-func TestOpenLoop(t *testing.T) {
-	base, refs := startDaemon(t, t.TempDir())
-	l, err := loadgen.New(loadgen.Options{
-		BaseURL:      base,
-		Seed:         7,
-		Rate:         50,
-		Requests:     16,
-		Figs:         []int{9},
-		Mix:          loadgen.Mix{Figure: 3, Storm: 1},
-		References:   refs,
-		MetricsEvery: 50 * time.Millisecond,
-		JobDeadline:  time.Minute,
-		Warnf:        t.Logf,
-	})
+	o.Seed = coveringSeed(t, probe, o.Concurrency)
+	l, err := New(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Run(context.Background()); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep := l.Report(); rep.Mode != "open" || rep.Errors != 0 {
-		t.Fatalf("mode %s errors %d, want open/0", rep.Mode, rep.Errors)
+
+	rep := l.Report()
+	if len(rep.Violations) != 0 {
+		t.Fatalf("violations: %v", rep.Violations)
+	}
+	if rep.Scrapes < 2 {
+		t.Fatalf("%d metrics scrapes, want one before the first op and one after the last", rep.Scrapes)
+	}
+	counts := map[string]OpCount{}
+	var mixed int64
+	for _, c := range rep.Ops {
+		counts[c.Name] = c
+		if c.Errors != 0 {
+			t.Errorf("op %s counts %d errors, want 0", c.Name, c.Errors)
+		}
+	}
+	for _, o := range l.ops {
+		if counts[o.name].Requests == 0 {
+			t.Errorf("op %s was never exercised: %+v", o.name, rep.Ops)
+		}
+		mixed += counts[o.name].Requests
+	}
+	if mixed != 40 {
+		t.Errorf("mixed phase counts %d requests, want the budget of 40", mixed)
+	}
+	if counts["figure-cold"].Requests != 1 || counts["metrics"].Requests != int64(rep.Scrapes) {
+		t.Errorf("sweep/scrape counts: %+v with %d scrapes", rep.Ops, rep.Scrapes)
+	}
+	var summary strings.Builder
+	rep.WriteSummary(&summary)
+	if !strings.Contains(summary.String(), "zero invariant violations") || !strings.Contains(summary.String(), "storm") {
+		t.Errorf("summary:\n%s", summary.String())
 	}
 }
 
@@ -157,7 +133,7 @@ func TestOpenLoop(t *testing.T) {
 // figure response as a violation.
 func TestCorruptReferenceDetected(t *testing.T) {
 	base, _ := startDaemon(t, t.TempDir())
-	l, err := loadgen.New(loadgen.Options{
+	l, err := New(Options{
 		BaseURL:    base,
 		Figs:       []int{9},
 		References: map[int][]byte{9: []byte("not the figure\n")},
@@ -177,28 +153,33 @@ func TestCorruptReferenceDetected(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	refs := map[int][]byte{9: []byte("x")}
-	if _, err := loadgen.New(loadgen.Options{}); err == nil {
+	if _, err := New(Options{}); err == nil {
 		t.Fatal("New accepted empty BaseURL")
 	}
-	if _, err := loadgen.New(loadgen.Options{BaseURL: "http://x", Figs: []int{9}}); err == nil {
+	if _, err := New(Options{BaseURL: "http://x", Figs: []int{9}}); err == nil {
 		t.Fatal("New accepted missing references")
 	}
-	if _, err := loadgen.New(loadgen.Options{
+	if _, err := New(Options{
 		BaseURL: "http://x", Figs: []int{15},
 		References: map[int][]byte{15: []byte("x")},
-		Mix:        loadgen.Mix{Cells: 1},
-	}); err == nil {
-		t.Fatal("New accepted cells ops without figure 9 in the sweep")
+	}); err == nil || !strings.Contains(err.Error(), "figure 9") {
+		t.Fatalf("New accepted a sweep without figure 9, whose cells the cells/hist/cancel ops draw: %v", err)
 	}
-	l, err := loadgen.New(loadgen.Options{BaseURL: "http://x/", Figs: []int{9}, References: refs})
+	if err := CheckFigs([]int{10, 9}); err != nil {
+		t.Fatalf("CheckFigs refused a list that includes 9: %v", err)
+	}
+	l, err := New(Options{BaseURL: "http://x/", Figs: []int{9}, References: refs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.Base() != "http://x" {
 		t.Fatalf("base %q, want trailing slash trimmed", l.Base())
 	}
-	if got := l.Report().ExpectedCells; got != len(harness.FigureCellUnion(9)) {
-		t.Fatalf("default ExpectedCells %d", got)
+	if l.expectedCells != len(harness.FigureCellUnion(9)) {
+		t.Fatalf("expected cells %d, want the union of figure 9", l.expectedCells)
+	}
+	if l.deadline != jobDeadline || l.client.Timeout != jobDeadline {
+		t.Fatalf("deadline %v, client timeout %v, want %v", l.deadline, l.client.Timeout, jobDeadline)
 	}
 }
 
@@ -211,7 +192,7 @@ tusd_jobs_completed_total{kind="figure",status="done"} 3
 tusd_job_seconds_sum{kind="figure"} 1.25
 
 `
-	m, err := loadgen.ParseProm(text)
+	m, err := ParseProm(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +210,10 @@ tusd_job_seconds_sum{kind="figure"} 1.25
 			t.Fatalf("%s = %v, want %v", k, m[k], v)
 		}
 	}
-	if _, err := loadgen.ParseProm("tusd_bogus_line"); err == nil {
+	if _, err := ParseProm("tusd_bogus_line"); err == nil {
 		t.Fatal("ParseProm accepted a line with no value")
 	}
-	if _, err := loadgen.ParseProm("tusd_x not-a-number"); err == nil {
+	if _, err := ParseProm("tusd_x not-a-number"); err == nil {
 		t.Fatal("ParseProm accepted a non-numeric value")
 	}
 }
@@ -250,7 +231,7 @@ func TestMonotonicViolations(t *testing.T) {
 		`tusd_job_seconds_bucket{le="1"}`: 9,  // grew: fine
 		"tusd_new_total":                  1,  // new series: fine
 	}
-	v := loadgen.MonotonicViolations(prev, cur)
+	v := MonotonicViolations(prev, cur)
 	if len(v) != 2 {
 		t.Fatalf("got %d violations, want 2 (backwards + vanished): %v", len(v), v)
 	}
@@ -258,7 +239,7 @@ func TestMonotonicViolations(t *testing.T) {
 	if !strings.Contains(joined, "went backwards") || !strings.Contains(joined, "vanished") {
 		t.Fatalf("violations: %v", v)
 	}
-	if v := loadgen.MonotonicViolations(cur, cur); len(v) != 0 {
+	if v := MonotonicViolations(cur, cur); len(v) != 0 {
 		t.Fatalf("identical scrapes produced violations: %v", v)
 	}
 }

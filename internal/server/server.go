@@ -647,12 +647,18 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-j.done:
-			// Drain any queued events, then re-send the terminal
-			// snapshot so even a slow subscriber ends with it.
+			// Drain any queued events. The terminal event is usually
+			// among them and ends the stream; a subscriber that was too
+			// slow or too late to be sent one gets the terminal
+			// snapshot instead — exactly one either way.
 			for {
 				select {
 				case ev := <-ch:
 					writeSSE(w, ev)
+					if isTerminal(ev.name) {
+						fl.Flush()
+						return
+					}
 				default:
 					v := j.view()
 					data, _ := json.Marshal(v)

@@ -532,30 +532,14 @@ func (r *sseReader) next(t *testing.T, deadline time.Duration, progress func() s
 	}
 }
 
-// TestSSEProgress streams a cold figure job end to end over real HTTP:
-// the stream opens with a state snapshot, carries per-cell progress
-// events, and closes with the terminal job JSON. Every read carries its
-// own deadline so a wedged stream is diagnosed, not waited out.
-func TestSSEProgress(t *testing.T) {
-	s, _ := newTestServer(t, Options{MaxJobs: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body, _ := json.Marshal(JobRequest{Kind: "figure", Fig: 9})
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v JobJSON
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-
-	es, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
+// followEvents reads a job's event stream to EOF and returns the event
+// names in order plus the last data payload. Every read carries its own
+// deadline so a wedged stream is diagnosed, not waited out. It holds
+// every stream to the terminal contract: opens with a state snapshot,
+// carries exactly one terminal event, and that event is the last.
+func followEvents(t *testing.T, base, id string, deadline time.Duration) (events []string, lastData string) {
+	t.Helper()
+	es, err := http.Get(base + "/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,19 +547,10 @@ func TestSSEProgress(t *testing.T) {
 	if ct := es.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events content type %q", ct)
 	}
-
-	var events []string
-	var lastData string
 	r := newSSEReader(es.Body)
-	progress := func() string {
-		last := "none"
-		if len(events) > 0 {
-			last = events[len(events)-1]
-		}
-		return fmt.Sprintf("after %d events, last %q", len(events), last)
-	}
+	progress := func() string { return fmt.Sprintf("job %s after events %v", id, events) }
 	for {
-		line, ok := r.next(t, 30*time.Second, progress)
+		line, ok := r.next(t, deadline, progress)
 		if !ok {
 			break
 		}
@@ -586,9 +561,45 @@ func TestSSEProgress(t *testing.T) {
 			lastData = strings.TrimPrefix(line, "data: ")
 		}
 	}
-	if len(events) == 0 || events[0] != "state" {
-		t.Fatalf("stream did not open with a state snapshot: %v", events)
+	if len(events) < 2 || events[0] != "state" {
+		t.Fatalf("job %s: stream did not open with a state snapshot and go on: %v", id, events)
 	}
+	for i, e := range events {
+		if isTerminal(e) != (i == len(events)-1) {
+			t.Fatalf("job %s: want exactly one terminal event, in last place: %v", id, events)
+		}
+	}
+	return events, lastData
+}
+
+func postJob(t *testing.T, base string, req JobRequest) JobJSON {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v JobJSON
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	return v
+}
+
+// TestSSEProgress streams a cold figure job end to end over real HTTP:
+// the stream opens with a state snapshot, carries per-cell progress
+// events, and closes with the terminal job JSON — once.
+func TestSSEProgress(t *testing.T) {
+	s, _ := newTestServer(t, Options{MaxJobs: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	v := postJob(t, ts.URL, JobRequest{Kind: "figure", Fig: 9})
+	events, lastData := followEvents(t, ts.URL, v.ID, 30*time.Second)
 	if events[len(events)-1] != JobDone {
 		t.Fatalf("stream did not close with done: %v", events)
 	}
@@ -623,25 +634,17 @@ func TestSSEProgress(t *testing.T) {
 	// Re-subscribing to the now-terminal job must deliver the state
 	// snapshot plus a terminal resend immediately and close the stream —
 	// a slow or late subscriber always ends on the terminal event.
-	es2, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer es2.Body.Close()
-	r2 := newSSEReader(es2.Body)
-	var events2 []string
-	progress2 := func() string { return fmt.Sprintf("replay: %d events", len(events2)) }
-	for {
-		line, ok := r2.next(t, 10*time.Second, progress2)
-		if !ok {
-			break
-		}
-		if strings.HasPrefix(line, "event: ") {
-			events2 = append(events2, strings.TrimPrefix(line, "event: "))
-		}
-	}
-	if len(events2) < 2 || events2[0] != "state" || events2[len(events2)-1] != JobDone {
+	if events2, _ := followEvents(t, ts.URL, v.ID, 10*time.Second); events2[len(events2)-1] != JobDone {
 		t.Fatalf("terminal-job replay stream: %v, want state ... done", events2)
+	}
+
+	// A live subscriber is sent the terminal event and then sees the job
+	// finish; which of the two the handler notices first is a coin toss
+	// per stream, so follow enough short cold jobs (one fresh cell each)
+	// that a handler answering both with a terminal event cannot pass.
+	for i := 0; i < 60; i++ {
+		v := postJob(t, ts.URL, JobRequest{Kind: "cells", Benches: []string{"520.omnetpp"}, Mechs: []string{"TUS"}, SBs: []int{8 + i}})
+		followEvents(t, ts.URL, v.ID, 30*time.Second)
 	}
 }
 
