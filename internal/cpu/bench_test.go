@@ -31,8 +31,7 @@ func drainSB(tr *trace.Tracer) (sb *StoreBuffer, step func()) {
 		e := sb.Push(seq, 0x1000+(seq%64)*8, 8)
 		seq++
 		sb.MarkExecuted(e)
-		e.Committed = true
-		e.CommitCycle = cycle
+		sb.Commit(e, cycle)
 		sb.Pop()
 	}
 	return sb, step

@@ -332,8 +332,7 @@ func (c *Core) commit() {
 		}
 		switch e.op.Kind {
 		case isa.Store:
-			e.sbEntry.Committed = true
-			e.sbEntry.CommitCycle = c.q.Now()
+			c.SB.Commit(e.sbEntry, c.q.Now())
 			c.tr.Emit(trace.SBCommit, int32(c.ID), c.q.Now(), e.op.Addr, e.seq, 0)
 			if c.OnStoreData != nil {
 				c.OnStoreData(e.seq, e.op.Addr, e.op.Size, e.sbEntry.Data)

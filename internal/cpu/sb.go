@@ -97,6 +97,9 @@ type StoreBuffer struct {
 	// (meaningful while count > 0).
 	tailRun uint16
 	bucket  [sbBuckets]uint16 // slot+1 of the bucket's youngest live entry; 0 = none
+	// gen advances whenever what LookaheadLines visits may have changed
+	// (see Gen).
+	gen uint64
 }
 
 const noUnexec = ^uint64(0)
@@ -154,8 +157,24 @@ func (sb *StoreBuffer) PushCopy(src *SBEntry) bool {
 		return false
 	}
 	sb.append(*src)
+	sb.gen++
 	return true
 }
+
+// Commit marks e committed at cycle now (the core retires stores through
+// here so the generation sees every commit).
+func (sb *StoreBuffer) Commit(e *SBEntry, now uint64) {
+	e.Committed = true
+	e.CommitCycle = now
+	sb.gen++
+}
+
+// Gen identifies the committed part of the ring: it advances on every
+// Commit, Pop and PushCopy. Push does not move it — it appends an
+// uncommitted store, which LookaheadLines never reaches — so a drain
+// whose walk saw the same Gen (and the same memsys.Private.PermEpoch)
+// would repeat it exactly.
+func (sb *StoreBuffer) Gen() uint64 { return sb.gen }
 
 // append writes v at the tail and links it into its bucket's chain and
 // the youngest run.
@@ -226,6 +245,7 @@ func (sb *StoreBuffer) Pop() {
 	}
 	sb.head = next
 	sb.count--
+	sb.gen++
 }
 
 // at returns the i-th oldest entry (0 = head).

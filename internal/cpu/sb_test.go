@@ -39,6 +39,30 @@ func TestSBPushPop(t *testing.T) {
 	}
 }
 
+// TestSBGen: the generation the drain lookahead keys on moves on a
+// commit, a pop and a copy-in push, and not on a plain push or a
+// rejected one.
+func TestSBGen(t *testing.T) {
+	sb := NewStoreBuffer(2, false)
+	step := func(what string, moves bool, f func()) {
+		t.Helper()
+		g := sb.Gen()
+		f()
+		if (sb.Gen() != g) != moves {
+			t.Fatalf("%s: generation %d -> %d, want moved=%v", what, g, sb.Gen(), moves)
+		}
+	}
+	var e *SBEntry
+	step("push", false, func() { e = execStore(sb, 1, 0x100, 8, [8]byte{}) })
+	step("commit", true, func() { sb.Commit(e, 7) })
+	if !e.Committed || e.CommitCycle != 7 {
+		t.Fatalf("Commit left %+v", *e)
+	}
+	step("copy-in push", true, func() { sb.PushCopy(e) })
+	step("rejected copy-in push", false, func() { sb.PushCopy(e) })
+	step("pop", true, sb.Pop)
+}
+
 func TestSBOverflowCounted(t *testing.T) {
 	sb := NewStoreBuffer(1, false)
 	if sb.Push(1, 0, 8) == nil {

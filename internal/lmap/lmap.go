@@ -19,6 +19,8 @@
 // choose the mode from config.Reference (NewRef, NewPoolRef).
 package lmap
 
+import "slices"
+
 // hash is the splitmix64 finalizer: line addresses are multiples of the
 // cache-line size, so the low bits carry no entropy and must be mixed
 // before masking.
@@ -165,6 +167,15 @@ func (m *Map[T]) Range(fn func(k uint64, v *T)) {
 	}
 }
 
+// SortedKeys returns the keys in ascending order, for callers whose
+// output must not depend on either implementation's iteration order.
+func (m *Map[T]) SortedKeys() []uint64 {
+	keys := make([]uint64, 0, m.Len())
+	m.Range(func(k uint64, _ *T) { keys = append(keys, k) })
+	slices.Sort(keys)
+	return keys
+}
+
 func (m *Map[T]) grow() {
 	oldKeys, oldVals := m.keys, m.vals
 	cap2 := len(oldVals) * 2
@@ -241,4 +252,58 @@ func (p *Pool[T]) Put(v *T) {
 		return
 	}
 	p.free = append(p.free, v)
+}
+
+// Records is a Pool whose structs also have dense ids (from 1), so an
+// event can name its record in an event.Func2 argument instead of
+// closing over a pointer. An id is recycled with its struct; in
+// reference mode every Get returns a fresh zeroed struct under a fresh
+// id, and Put retires the id. The zero value is not usable; construct
+// with NewRecordsRef.
+type Records[T any] struct {
+	pool Pool[T]
+	at   []*T // at[id-1]; nil once retired in reference mode
+	free []uint32
+}
+
+// NewRecordsRef returns an empty record pool; ref selects always-fresh
+// allocation, as NewPoolRef does.
+func NewRecordsRef[T any](ref bool) *Records[T] {
+	return &Records[T]{pool: Pool[T]{next: poolFirst, ref: ref}}
+}
+
+// Get returns a record and its id. A recycled record must be fully
+// reset by the caller before use.
+func (r *Records[T]) Get() (uint32, *T) {
+	if n := len(r.free); n > 0 {
+		id := r.free[n-1]
+		r.free = r.free[:n-1]
+		return id, r.at[id-1]
+	}
+	v := r.pool.Get()
+	r.at = append(r.at, v)
+	return uint32(len(r.at)), v
+}
+
+// ByID returns the record with the given id.
+func (r *Records[T]) ByID(id uint32) *T { return r.at[id-1] }
+
+// Put recycles record id; the caller must not use it afterwards.
+func (r *Records[T]) Put(id uint32) {
+	if r.pool.ref {
+		r.at[id-1] = nil
+		return
+	}
+	r.free = append(r.free, id)
+}
+
+// Range calls fn for every record ever handed out and not retired, in
+// id order — free ones included, which callers tell apart by their own
+// state.
+func (r *Records[T]) Range(fn func(id uint32, v *T)) {
+	for i, v := range r.at {
+		if v != nil {
+			fn(uint32(i+1), v)
+		}
+	}
 }

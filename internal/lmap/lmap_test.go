@@ -218,6 +218,44 @@ func TestPoolSlabsDouble(t *testing.T) {
 	}
 }
 
+// TestRecordsIDs: ids are dense from 1 and name their struct; the fast
+// side recycles an id with its struct and steady churn allocates
+// nothing, the reference side hands out fresh structs under fresh ids.
+func TestRecordsIDs(t *testing.T) {
+	fast := NewRecordsRef[entry](false)
+	a, ea := fast.Get()
+	b, eb := fast.Get()
+	if a != 1 || b != 2 || fast.ByID(a) != ea || fast.ByID(b) != eb || ea == eb {
+		t.Fatalf("ids %d, %d: want 1, 2 naming two distinct structs", a, b)
+	}
+	fast.Put(a)
+	if c, ec := fast.Get(); c != a || ec != ea {
+		t.Fatalf("recycled id %d (struct reused: %v), want id %d with its struct", c, ec == ea, a)
+	}
+	live := 0
+	fast.Range(func(uint32, *entry) { live++ })
+	if live != 2 {
+		t.Fatalf("Range visited %d records, want 2", live)
+	}
+	if n := testing.AllocsPerRun(100, func() { id, _ := fast.Get(); fast.Put(id) }); n != 0 {
+		t.Fatalf("Get/Put churn allocates %.1f/op, want 0", n)
+	}
+
+	ref := NewRecordsRef[entry](true)
+	a, ea = ref.Get()
+	ea.id = 7
+	ref.Put(a)
+	b, eb = ref.Get()
+	if b == a || eb == ea || eb.id != 0 {
+		t.Fatalf("reference records reused id %d or its struct", a)
+	}
+	live = 0
+	ref.Range(func(uint32, *entry) { live++ })
+	if live != 1 {
+		t.Fatalf("reference Range visited %d records, want the 1 not retired", live)
+	}
+}
+
 func BenchmarkMapGetHit(b *testing.B) {
 	for _, mode := range []struct {
 		name string

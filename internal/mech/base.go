@@ -17,22 +17,20 @@ import (
 // (prefetch-at-commit usually hides this, except on LLC misses and
 // long bursts — the paper's motivating pathologies).
 type Base struct {
-	core *cpu.Core
-	priv *memsys.Private
-
+	lookahead // over the SB; its priv is the core's hierarchy
+	core      *cpu.Core
 	requested bool // demand GetM issued for the current head
 
-	cBlocked *stats.Counter
-	cDrained *stats.Counter
+	cBlocked, cDrained *stats.Counter
 }
 
 // NewBase builds the baseline drain policy.
-func NewBase(core *cpu.Core, st *stats.Set) *Base {
+func NewBase(core *cpu.Core, cfg *config.Config, st *stats.Set) *Base {
 	return &Base{
-		core:     core,
-		priv:     core.Priv(),
-		cBlocked: st.Counter("drain_blocked_cycles"),
-		cDrained: st.Counter("stores_drained"),
+		lookahead: lookahead{ring: core.SB, priv: core.Priv(), k: drainLookahead, ref: cfg.Reference},
+		core:      core,
+		cBlocked:  st.Counter("drain_blocked_cycles"),
+		cDrained:  st.Counter("stores_drained"),
 	}
 }
 
@@ -42,8 +40,30 @@ func (b *Base) Name() string { return config.Baseline.String() }
 // drainLookahead is how many distinct committed lines ahead of the SB
 // head keep RFOs in flight (real store buffers sustain several
 // outstanding store misses; prefetch-at-commit covers most of this,
-// but its requests are dropped under MSHR pressure).
+// but its requests are dropped under MSHR pressure). CSB's window too.
 const drainLookahead = 16
+
+// lookahead is the drain-ahead RFO walk every drain shares: keep
+// write-permission requests in flight for the next k distinct committed
+// lines of a store ring. A blocked head would repeat the same walk every
+// cycle, so it is skipped while the ring's Gen and the private's
+// PermEpoch are what the last walk started from (the zero key is an
+// empty ring's); a walk that moved the epoch is followed by another. The
+// reference machine always walks.
+type lookahead struct {
+	ring       *cpu.StoreBuffer
+	priv       *memsys.Private
+	k          int
+	ref        bool
+	gen, epoch uint64
+}
+
+func (l *lookahead) walk() {
+	if gen, epoch := l.ring.Gen(), l.priv.PermEpoch(); l.ref || gen != l.gen || epoch != l.epoch {
+		l.gen, l.epoch = gen, epoch
+		l.ring.LookaheadLines(l.k, l.priv.KeepWritable)
+	}
+}
 
 // Tick drains at most one committed store per cycle (pipelined L1D
 // store port).
@@ -52,7 +72,7 @@ func (b *Base) Tick() {
 	if e == nil || !e.Committed {
 		return
 	}
-	b.core.SB.LookaheadLines(drainLookahead, b.priv.KeepWritable)
+	b.walk()
 	line := e.Line()
 	if b.priv.Writable(line) {
 		if b.priv.StoreVisible(e.Addr, e.Data[:e.Size]) {

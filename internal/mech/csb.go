@@ -1,7 +1,8 @@
 package mech
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"tusim/internal/config"
 	"tusim/internal/cpu"
@@ -19,18 +20,16 @@ import (
 // for permissions the SB stops draining — CSB's weakness on
 // long-latency store misses, which TUS removes.
 type CSB struct {
-	core *cpu.Core
-	priv *memsys.Private
-	cfg  *config.Config
+	lookahead // over the SB; its priv is the core's hierarchy
+	core      *cpu.Core
+	cfg       *config.Config
+	who       memsys.Requester // a group line whose miss waits on who is being acquired
 
 	wcbs     *wcb.Set
 	flushing []*wcb.Buffer
-	// lineScratch backs the per-cycle lex-sorted line list of the group
-	// being flushed.
+	// lineScratch holds the flushing group's lines, lex-sorted by startFlush.
 	lineScratch []uint64
-	// requested marks the line currently being acquired for the group.
-	requested map[uint64]bool
-	idle      int
+	idle        int
 
 	cDrained, cBlocked, cGroupWrites *stats.Counter
 	cCoalesced, cWCBSearch           *stats.Counter
@@ -42,17 +41,14 @@ type CSB struct {
 // before being pushed to the cache (bounds store invisibility).
 const csbIdleFlush = 8
 
-// csbLookahead matches the baseline drain-ahead RFO window.
-const csbLookahead = 16
-
 // NewCSB builds the coalescing store buffer policy.
 func NewCSB(core *cpu.Core, cfg *config.Config, st *stats.Set) *CSB {
 	return &CSB{
+		lookahead:    lookahead{ring: core.SB, priv: core.Priv(), k: drainLookahead, ref: cfg.Reference},
 		core:         core,
-		priv:         core.Priv(),
 		cfg:          cfg,
+		who:          core.Priv().AddRequester("csb", nil),
 		wcbs:         wcb.NewSet(cfg.WCBCount, cfg.LexBits),
-		requested:    make(map[uint64]bool),
 		cDrained:     st.Counter("stores_drained"),
 		cBlocked:     st.Counter("drain_blocked_cycles"),
 		cGroupWrites: st.Counter("csb_group_writes"),
@@ -80,7 +76,7 @@ func (c *CSB) Tick() {
 	// RFOs run ahead of the drain as in the baseline, and the WCBs
 	// accept up to commit-width stores per cycle (coalescing is not
 	// L1D-port limited).
-	c.core.SB.LookaheadLines(csbLookahead, c.priv.KeepWritable)
+	c.walk()
 	for n := 0; n < c.cfg.CommitWidth; n++ {
 		e := c.core.SB.Head()
 		if e == nil || !e.Committed {
@@ -108,8 +104,18 @@ func (c *CSB) Tick() {
 	}
 }
 
+// startFlush takes the oldest group and sorts its lines into lex order
+// once; the group cannot change until Release.
 func (c *CSB) startFlush() {
 	c.flushing = c.wcbs.OldestGroup()
+	lines := c.lineScratch[:0]
+	for _, b := range c.flushing {
+		lines = append(lines, b.Line)
+	}
+	slices.SortFunc(lines, func(a, b uint64) int {
+		return cmp.Compare(wcb.Lex(a, c.cfg.LexBits), wcb.Lex(b, c.cfg.LexBits))
+	})
+	c.lineScratch = lines
 	c.advanceFlush()
 }
 
@@ -119,36 +125,25 @@ func (c *CSB) advanceFlush() {
 	if c.flushing == nil {
 		return
 	}
-	lines := c.lineScratch[:0]
-	for _, b := range c.flushing {
-		lines = append(lines, b.Line)
-	}
-	c.lineScratch = lines
 	// Issue permission requests in lex order but in parallel: the order
 	// in which RFOs *start* follows the global order (forward
 	// progress), while overlapping their latencies keeps the drain off
 	// the critical path when several group lines miss.
-	sort.Slice(lines, func(i, j int) bool {
-		return wcb.Lex(lines[i], c.cfg.LexBits) < wcb.Lex(lines[j], c.cfg.LexBits)
-	})
 	allHeld := true
-	for _, ln := range lines {
+	for _, ln := range c.lineScratch {
 		if c.priv.Writable(ln) {
 			continue
 		}
 		allHeld = false
-		if !c.requested[ln] {
-			ln := ln
-			if c.priv.RequestWritable(ln, false, true, func(bool) { delete(c.requested, ln) }) {
-				c.requested[ln] = true
-			}
+		if !c.priv.Awaits(ln, c.who) {
+			c.priv.RequestWritableAs(ln, false, true, c.who)
 		}
 	}
 	if !allHeld {
 		return
 	}
 	// All permissions held: the group must also fit the L1D.
-	if !c.priv.L1WaysAvailable(lines) {
+	if !c.priv.L1WaysAvailable(c.lineScratch) {
 		return
 	}
 	for _, b := range c.flushing {
@@ -165,10 +160,7 @@ func (c *CSB) advanceFlush() {
 }
 
 // FinalizeStats exports WCB search counts at run end.
-func (c *CSB) FinalizeStats() {
-	ctr := c.cWCBSearch
-	ctr.Add(c.wcbs.Searches - ctr.Value())
-}
+func (c *CSB) FinalizeStats() { c.cWCBSearch.Add(c.wcbs.Searches - c.cWCBSearch.Value()) }
 
 // Forward implements cpu.DrainMechanism (WCBs are searched on loads).
 func (c *CSB) Forward(addr uint64, size uint8) (cpu.ForwardResult, [8]byte) {
@@ -193,7 +185,7 @@ func (c *CSB) Drained() bool { return c.wcbs.Empty() && c.flushing == nil }
 // while stores linger the idle timer pushes them out, so a waiting
 // fence always completes.
 func (c *CSB) FlushDone() bool {
-	if c.wcbs.Empty() && c.flushing == nil {
+	if c.Drained() {
 		return true
 	}
 	// A fence is waiting: flush immediately rather than idling.

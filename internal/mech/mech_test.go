@@ -11,6 +11,7 @@ import (
 	"tusim/internal/faults"
 	"tusim/internal/isa"
 	"tusim/internal/memsys"
+	"tusim/internal/prefetch"
 	"tusim/internal/stats"
 )
 
@@ -40,10 +41,13 @@ func newRig(t *testing.T, ops []isa.MicroOp, mechName string, mut func(*config.C
 	priv := memsys.NewPrivate(0, cfg, q, dir, st)
 	dir.Attach([]*memsys.Private{priv})
 	core := cpu.NewCore(0, cfg, q, priv, isa.NewSliceStream(ops), st)
+	if cfg.StreamPrefetcher {
+		priv.OnDemandMiss = prefetch.NewStream(priv, cfg.StreamPrefetchDegree, st).OnMiss
+	}
 	var m cpu.DrainMechanism
 	switch mechName {
 	case "base":
-		m = NewBase(core, st)
+		m = NewBase(core, cfg, st)
 	case "ssb":
 		m = NewSSB(core, cfg, q, st)
 	case "csb":
@@ -171,71 +175,141 @@ func TestSSBDrainsInOrder(t *testing.T) {
 	}
 }
 
-// TestSSBLookaheadSkipLockstep: SSB skips its drain-lookahead walk while
-// the TSOB and the private's permission epoch stand still; the reference
-// machine walks every cycle. With prefetch-at-commit off the walk is the
-// only source of ahead-of-head RFOs, and with four MSHRs most of its
-// requests are refused and must be retried the cycle an MSHR frees — so
-// a skipped walk that mattered shows at once. The two machines are
-// stepped together and must agree every cycle on the MSHR table, the
-// TSOB and commit progress, fault-free and with an injector that refuses
-// MSHRs at random (each query consumes a decision: skipping a walk that
-// would have asked desynchronizes the two streams) and NACKs requests at
-// random (a NACKed lookahead request frees its MSHR with no line changing
-// state).
-func TestSSBLookaheadSkipLockstep(t *testing.T) {
+// TestLookaheadSkipLockstep: every drain mechanism skips its lookahead
+// walk while its store ring's generation and the private's permission
+// epoch stand still; the reference machine walks every cycle. With
+// prefetch-at-commit off the walk is the only source of ahead-of-head
+// RFOs, and with four MSHRs most of its requests are refused and must be
+// retried the cycle an MSHR frees — so a skipped walk that mattered shows
+// at once. Each row steps the two machines together (lockstep), and they
+// must agree every cycle on the MSHR table, the store rings and commit
+// progress, fault-free and with an injector that refuses MSHRs at random
+// (each query consumes a decision: skipping a walk that would have asked
+// desynchronizes the two streams) and NACKs requests at random (a NACKed
+// lookahead request frees its MSHR with no line changing state). SPB is
+// base plus a prefetcher; the system-level twin runs cover it.
+func TestLookaheadSkipLockstep(t *testing.T) {
+	const pool = 90
 	var ops []isa.MicroOp
 	for i := uint64(0); i < 400; i++ {
-		// Runs of one to four stores per line over 90 lines, revisited.
-		line := 0x40000 + (i/(1+i%4)*7%90)*64
+		// Runs of one to four stores per line over the pool, revisited.
+		line := 0x40000 + (i/(1+i%4)*7%pool)*64
 		ops = append(ops, isa.MicroOp{Kind: isa.Store, Addr: line + i%8*8, Size: 8})
 		if i%9 == 0 {
-			// A load miss to a line the TSOB will reach: the walk upgrades
+			// A load miss to a line the drain will reach: the walk upgrades
 			// the read MSHR it finds.
-			ops = append(ops, isa.MicroOp{Kind: isa.Load, Addr: 0x40000 + (i*5%90)*64, Size: 8})
+			ops = append(ops, isa.MicroOp{Kind: isa.Load, Addr: 0x40000 + (i*5%pool)*64, Size: 8})
 		}
 	}
-	for _, pressure := range []int{0, 30} {
-		build := func(ref bool) *rig {
-			r := newRig(t, ops, "ssb", func(c *config.Config) {
-				c.PrefetchAtCommit = false
-				c.L1D.MSHRs = 4
-				c.Reference = ref
+	// The tail is where a pop alone moves the window. Sixteen lines the
+	// remote never touches are written first, and a far load miss stops
+	// commit while they drain. Then a cold line G, a written line H and a
+	// written line Z fill both WCBs and flush G; while G's permission is
+	// out, the rest commits: seven more stores to H, fourteen written
+	// lines and a cold line C, the window's sixteenth. When G arrives the
+	// group write frees its MSHR and the drain pops Z and the H run into
+	// the WCBs; nothing commits after that, so the next cycle's window,
+	// which now reaches C, differs from the last walk's by pops alone.
+	own := func(j uint64) uint64 { return 0x80000 + j*64 }
+	store := func(addr uint64) { ops = append(ops, isa.MicroOp{Kind: isa.Store, Addr: addr, Size: 8}) }
+	for j := uint64(0); j < 16; j++ {
+		store(own(j))
+	}
+	ops = append(ops, isa.MicroOp{Kind: isa.Load, Addr: 0x400000, Size: 8})
+	store(0x90000)
+	store(own(0))
+	store(own(1))
+	for j := uint64(1); j < 8; j++ {
+		store(own(0) + j*8)
+	}
+	for j := uint64(2); j < 16; j++ {
+		store(own(j))
+	}
+	store(0x90040)
+	for _, mechName := range []string{"base", "csb", "ssb"} {
+		for _, pressure := range []int{0, 30} {
+			t.Run(fmt.Sprintf("%s/pressure%d", mechName, pressure), func(t *testing.T) {
+				fast := lockstep(t, ops, mechName, pressure, 0x40000, pool)
+				if fast.st.Get("l2_misses") < pool || fast.st.Get("drain_blocked_cycles") == 0 || fast.remoteSt.Get("l2_misses") == 0 {
+					t.Fatalf("%d misses, %d blocked cycles, %d remote misses: the trace no longer stresses the lookahead",
+						fast.st.Get("l2_misses"), fast.st.Get("drain_blocked_cycles"), fast.remoteSt.Get("l2_misses"))
+				}
 			})
-			if pressure > 0 {
-				in := faults.NewInjector(faults.Plan{Seed: 11, MSHRPressurePct: pressure, NackPct: 20})
-				r.priv.SetFaults(in)
-				r.dir.SetFaults(in)
-			}
-			return r
-		}
-		state := func(r *rig) string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "committed %d tsob %+v mshrs", r.core.Committed(), r.mech.(*SSB).AuditTSOB())
-			r.priv.AuditMSHRs(func(line, born uint64, wantM, _ bool) { fmt.Fprintf(&b, " %#x@%d/%v", line, born, wantM) })
-			return b.String()
-		}
-		fast, ref := build(false), build(true)
-		for cycle := 0; !fast.core.Done() || !ref.core.Done(); cycle++ {
-			if cycle > 1_000_000 {
-				t.Fatalf("pressure %d%%: not finished after %d cycles", pressure, cycle)
-			}
-			for _, r := range []*rig{fast, ref} {
-				r.q.Advance()
-				r.core.Tick()
-			}
-			if f, r := state(fast), state(ref); f != r {
-				t.Fatalf("pressure %d%%, cycle %d:\nskipping:  %s\nreference: %s", pressure, cycle, f, r)
-			}
-		}
-		if f, r := fast.st.String(), ref.st.String(); f != r {
-			t.Fatalf("pressure %d%%: statistics differ:\nskipping:\n%s\nreference:\n%s", pressure, f, r)
-		}
-		if fast.st.Get("l2_misses") < 90 || fast.st.Get("drain_blocked_cycles") == 0 {
-			t.Fatalf("pressure %d%%: %d misses, %d blocked cycles: the trace no longer stresses the lookahead",
-				pressure, fast.st.Get("l2_misses"), fast.st.Get("drain_blocked_cycles"))
 		}
 	}
+}
+
+// lockMachine is one side of a lockstep pair: a core under test, its
+// stream prefetcher on (read MSHRs in the window, which the walk
+// upgrades), plus a remote hierarchy that reads and steals lines of the
+// same pool. The remote's GetMs invalidate lines under the drain (only a
+// state change says the walk must ask again), and its reads make the
+// core's read misses come back shared, so a missed upgrade shows.
+type lockMachine struct {
+	*rig
+	remote   *memsys.Private
+	remoteSt *stats.Set
+}
+
+// lockstep runs ops on a skipping and a reference machine cycle by
+// cycle, failing at the first cycle they disagree, and returns the
+// skipping side.
+func lockstep(t *testing.T, ops []isa.MicroOp, mechName string, pressure int, base, pool uint64) lockMachine {
+	t.Helper()
+	build := func(ref bool) lockMachine {
+		var cfg *config.Config
+		r := newRig(t, ops, mechName, func(c *config.Config) {
+			c.PrefetchAtCommit = false
+			c.StreamPrefetcher = true
+			c.L1D.MSHRs = 4
+			c.Reference = ref
+			cfg = c
+		})
+		m := lockMachine{rig: r, remoteSt: stats.NewSet("remote")}
+		m.remote = memsys.NewPrivate(1, cfg, r.q, r.dir, m.remoteSt)
+		m.remote.LoadReply = func(seq, data uint64) {}
+		r.dir.Attach([]*memsys.Private{r.priv, m.remote})
+		if pressure > 0 {
+			in := faults.NewInjector(faults.Plan{Seed: 11, MSHRPressurePct: pressure, NackPct: 20})
+			r.priv.SetFaults(in)
+			r.dir.SetFaults(in)
+		}
+		return m
+	}
+	state := func(m lockMachine) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "committed %d sb %d", m.core.Committed(), m.core.SB.Len())
+		if s, ok := m.mech.(*SSB); ok {
+			fmt.Fprintf(&b, " tsob %+v", s.AuditTSOB())
+		}
+		b.WriteString(" mshrs")
+		m.priv.AuditMSHRs(func(line, born uint64, wantM, _ bool) { fmt.Fprintf(&b, " %#x@%d/%v", line, born, wantM) })
+		return b.String()
+	}
+	fast, ref := build(false), build(true)
+	for cycle := uint64(1); !fast.core.Done() || !ref.core.Done(); cycle++ {
+		if cycle > 1_000_000 {
+			t.Fatalf("not finished after %d cycles", cycle)
+		}
+		line := base + cycle*13%pool*64
+		for _, m := range []lockMachine{fast, ref} {
+			m.q.Advance()
+			switch {
+			case cycle%11 == 0:
+				m.remote.LoadSeq(line, 8, cycle)
+			case cycle%67 == 0:
+				m.remote.RequestWritable(line, false, true, nil)
+			}
+			m.core.Tick()
+		}
+		if f, r := state(fast), state(ref); f != r {
+			t.Fatalf("cycle %d:\nskipping:  %s\nreference: %s", cycle, f, r)
+		}
+	}
+	if f, r := fast.st.String()+fast.remoteSt.String(), ref.st.String()+ref.remoteSt.String(); f != r {
+		t.Fatalf("statistics differ:\nskipping:\n%s\nreference:\n%s", f, r)
+	}
+	return fast
 }
 
 // ---------- CSB ----------
@@ -280,6 +354,45 @@ func TestCSBRequiresPermissionBeforeWrite(t *testing.T) {
 		}
 	}
 	r.run(t, 1_000_000)
+}
+
+// TestCSBGroupFlushZeroAlloc pins CSB's drain in steady state. Every
+// group is a store cycle over two lines the tiny private caches have
+// lost again by the next round, so most cycles are spent in advanceFlush
+// waiting for the group's permissions; once a round over the footprint
+// has grown every pool and table, none of it allocates.
+func TestCSBGroupFlushZeroAlloc(t *testing.T) {
+	const lines = 64
+	var ops []isa.MicroOp
+	for round := 0; round < 200; round++ {
+		for j := uint64(0); j < lines; j += 2 {
+			a, b := 0x100000+j*64, 0x100000+(j+1)*64
+			ops = append(ops, storeTrace(a, b, a+8)...)
+		}
+	}
+	r := newRig(t, ops, "csb", func(c *config.Config) {
+		c.Reference = false // the pin is on the production containers
+		c.PrefetchAtCommit = false
+		c.L1D.SizeBytes, c.L1D.Ways = 4*64, 4
+		c.L2.SizeBytes, c.L2.Ways = 16*64, 16
+	})
+	tick := func() {
+		for i := 0; i < 1000; i++ {
+			r.q.Advance()
+			r.core.Tick()
+		}
+	}
+	for i := 0; i < 5; i++ {
+		tick()
+	}
+	flushes := r.st.Get("csb_group_writes")
+	if n := testing.AllocsPerRun(5, tick); n != 0 {
+		t.Fatalf("CSB drain allocates %.1f times per 1,000 cycles, want 0", n)
+	}
+	if r.core.Done() || r.st.Get("csb_group_writes") == flushes || r.st.Get("l2_misses") < lines {
+		t.Fatalf("measured %d group writes over %d misses (done=%v): the trace no longer keeps groups waiting",
+			r.st.Get("csb_group_writes")-flushes, r.st.Get("l2_misses"), r.core.Done())
+	}
 }
 
 func TestCSBFenceFlushes(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"tusim/internal/config"
 	"tusim/internal/cpu"
 	"tusim/internal/event"
-	"tusim/internal/memsys"
 	"tusim/internal/stats"
 	"tusim/internal/trace"
 )
@@ -17,31 +16,24 @@ import (
 // the paper we idealize invalidation recovery (0-cycle replay) and let
 // loads forward from the TSOB for free.
 type SSB struct {
-	core *cpu.Core
-	priv *memsys.Private
-	cfg  *config.Config
-	q    *event.Queue
+	lookahead // over the TSOB; its priv is the core's hierarchy
+	core      *cpu.Core
+	cfg       *config.Config
+	q         *event.Queue
 
 	// tsob is the same program-order ring as the SB, fed with copies of
 	// the stores the SB retires.
 	tsob *cpu.StoreBuffer
 
 	requested bool
-	// aheadEpoch is the private's permission epoch at the start of the
-	// last drain-lookahead walk; aheadDone says the TSOB has not changed
-	// since that walk.
-	aheadEpoch uint64
-	aheadDone  bool
 	// llcInflight models the shared-cache write port: SSB performs a
 	// write in the shared cache for every store (no coalescing), which
-	// bounds its sustained drain throughput.
+	// bounds its sustained drain throughput. llcDoneFn frees a slot.
 	llcInflight int
+	llcDoneFn   event.Func2
 
-	cDrained  *stats.Counter
-	cLLCWrite *stats.Counter
-	cBlocked  *stats.Counter
-	cPeak     *stats.Counter
-	cSearches *stats.Counter
+	cDrained, cLLCWrite, cBlocked *stats.Counter
+	cPeak, cSearches              *stats.Counter
 
 	hTSOBOcc *stats.Histogram
 
@@ -58,9 +50,8 @@ const ssbLLCWritePort = 16
 
 // NewSSB builds the idealized SSB with cfg.TSOBEntries slots.
 func NewSSB(core *cpu.Core, cfg *config.Config, q *event.Queue, st *stats.Set) *SSB {
-	return &SSB{
+	s := &SSB{
 		core:      core,
-		priv:      core.Priv(),
 		cfg:       cfg,
 		q:         q,
 		tsob:      cpu.NewStoreBuffer(cfg.TSOBEntries, cfg.Reference),
@@ -71,6 +62,9 @@ func NewSSB(core *cpu.Core, cfg *config.Config, q *event.Queue, st *stats.Set) *
 		cSearches: st.Counter("tsob_searches"),
 		hTSOBOcc:  st.Histogram("tsob_occupancy"),
 	}
+	s.lookahead = lookahead{ring: s.tsob, priv: core.Priv(), k: ssbLookahead, ref: cfg.Reference}
+	s.llcDoneFn = func(_, _ uint64) { s.llcInflight-- }
+	return s
 }
 
 // SetTracer attaches (or detaches, with nil) the lifecycle tracer.
@@ -89,7 +83,6 @@ func (s *SSB) Tick() {
 		}
 		s.tr.Emit(trace.TSOBEnqueue, int32(s.core.ID), s.q.Now(), e.Addr, e.Seq, uint64(s.tsob.Len()))
 		s.core.SB.Pop()
-		s.aheadDone = false
 	}
 	count := uint64(s.tsob.Len())
 	if count > s.cPeak.Value() {
@@ -106,15 +99,7 @@ func (s *SSB) Tick() {
 	// parallelism (a store that committed a thousand entries ago has
 	// long lost its prefetch-at-commit line from the L1D). Demand-class:
 	// the idealized SSB keeps its drain window's RFOs on the fast path.
-	// A blocked head would repeat the identical walk every cycle; it is
-	// skipped while the TSOB and the private's permission epoch are what
-	// the last walk started from (a walk that itself moved the epoch —
-	// allocated an MSHR, consumed an injector decision — is therefore
-	// followed by another). The reference machine always walks.
-	if ep := s.priv.PermEpoch(); s.cfg.Reference || !s.aheadDone || ep != s.aheadEpoch {
-		s.aheadEpoch, s.aheadDone = ep, true
-		s.tsob.LookaheadLines(ssbLookahead, s.priv.KeepWritable)
-	}
+	s.walk()
 	line := h.Line()
 	if s.llcInflight >= ssbLLCWritePort {
 		// Shared-cache write port saturated: the uncoalesced
@@ -129,10 +114,9 @@ func (s *SSB) Tick() {
 			// count the energy event.
 			s.cLLCWrite.Inc()
 			s.llcInflight++
-			s.q.After(s.cfg.L2.Latency, func() { s.llcInflight-- })
+			s.q.After2(s.cfg.L2.Latency, s.llcDoneFn, 0, 0)
 			s.tr.Emit(trace.StoreVisibleEv, int32(s.core.ID), s.q.Now(), h.Addr, h.Seq, 0)
 			s.tsob.Pop()
-			s.aheadDone = false
 			s.requested = false
 			s.cDrained.Inc()
 			return

@@ -6,8 +6,14 @@ import (
 	"tusim/internal/config"
 )
 
-// benchRig is newRig without the testing.T plumbing.
-func benchRig(cores int) *rig { return buildRig(config.Default().WithCores(cores)) }
+// benchRig is newRig without the testing.T plumbing, on the production
+// containers: the allocation pins are about them (under -tags tus_ref
+// the reference twins hand out fresh records by design).
+func benchRig(cores int) *rig {
+	cfg := config.Default().WithCores(cores)
+	cfg.Reference = false
+	return buildRig(cfg)
+}
 
 // warmLine pulls a line into the L1 in the requested writability.
 func (r *rig) warmLine(b testing.TB, line uint64, writable bool) {
@@ -70,23 +76,11 @@ func BenchmarkL1StoreHit(b *testing.B) {
 // BenchmarkL1LoadMiss cycles a footprint larger than L1+L2, so loads
 // take the full MSHR → directory → LLC fill round trip.
 func BenchmarkL1LoadMiss(b *testing.B) {
-	r := benchRig(1)
-	p := r.ps[0]
-	// 4x the L2 line capacity: private levels cannot hold the set.
-	lines := 4 * r.cfg.L2.SizeBytes / r.cfg.L2.LineBytes
-	got := 0
-	p.LoadReply = func(seq, data uint64) { got++ }
+	step, _ := loadMisses(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		addr := (uint64(i%lines) << 6) + 0x100000
-		if !p.LoadSeq(addr, 8, uint64(i)) {
-			b.Fatal("load did not start")
-		}
-		r.q.Drain(r.q.Now() + 4096)
-	}
-	if got != b.N {
-		b.Fatalf("completed %d of %d loads", got, b.N)
+		step()
 	}
 }
 
@@ -94,21 +88,54 @@ func BenchmarkL1LoadMiss(b *testing.B) {
 // two cores: every request invalidates the other core's copy, so each
 // iteration pays a full directory probe round trip.
 func BenchmarkDirectoryProbe(b *testing.B) {
-	r := benchRig(2)
-	const line = 0xC000
+	step := ownershipBounce(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core := r.ps[i%2]
-		ok := false
-		if !core.RequestWritable(line, false, true, func(g bool) { ok = g }) {
-			b.Fatal("request did not start")
+		step()
+	}
+}
+
+// ownershipBounce returns a step that hands write ownership of one line
+// to the other of two cores, through one long-lived grant callback.
+func ownershipBounce(tb testing.TB) (step func()) {
+	r := benchRig(2)
+	const line = 0xC000
+	owned := false
+	grant := func(ok bool) { owned = ok }
+	i := 0
+	return func() {
+		owned = false
+		if !r.ps[i%2].RequestWritable(line, false, true, grant) {
+			tb.Fatal("request did not start")
 		}
+		i++
 		r.q.Drain(r.q.Now() + 1_000_000)
-		if !ok {
-			b.Fatal("ownership never granted")
+		if !owned {
+			tb.Fatal("ownership never granted")
 		}
 	}
+}
+
+// loadMisses returns a step that reads the next line of a footprint four
+// times the L2, so every load takes the MSHR → directory → DRAM → fill
+// round trip, and the footprint's size in lines.
+func loadMisses(tb testing.TB) (step func(), lines int) {
+	r := benchRig(1)
+	p := r.ps[0]
+	lines = 4 * r.cfg.L2.SizeBytes / r.cfg.L2.LineBytes
+	got, i := 0, 0
+	p.LoadReply = func(seq, data uint64) { got++ }
+	return func() {
+		i++
+		if !p.LoadSeq(uint64(i%lines)<<6+0x100000, 8, uint64(i)) {
+			tb.Fatal("load did not start")
+		}
+		r.q.Drain(r.q.Now() + 4096)
+		if got != i {
+			tb.Fatalf("completed %d of %d loads", got, i)
+		}
+	}, lines
 }
 
 // TestL1HitLoadZeroAlloc pins the tentpole invariant: the seq-based
@@ -150,5 +177,31 @@ func TestL1HitStoreZeroAlloc(t *testing.T) {
 	step()
 	if n := testing.AllocsPerRun(1000, step); n != 0 {
 		t.Fatalf("L1-hit store allocates %.1f allocs/op, want 0", n)
+	}
+}
+
+// TestL1LoadMissZeroAlloc pins the miss path end to end: MSHR, directory
+// transaction, DRAM queue and fill are records, so once one pass over
+// the footprint has grown every pool, table and set page, a load miss
+// allocates nothing.
+func TestL1LoadMissZeroAlloc(t *testing.T) {
+	step, lines := loadMisses(t)
+	for i := 0; i < lines; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("L1 load miss allocates %.1f allocs/op, want 0", n)
+	}
+}
+
+// TestDirectoryProbeZeroAlloc pins the probe fan-out: a GetM that
+// invalidates the other core's copy — request, probe, answer with data,
+// grant — allocates nothing, the requester's callback included.
+func TestDirectoryProbeZeroAlloc(t *testing.T) {
+	step := ownershipBounce(t)
+	step()
+	step()
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("ownership bounce allocates %.1f allocs/op, want 0", n)
 	}
 }

@@ -1,7 +1,9 @@
 package memsys
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 
 	"tusim/internal/config"
 	"tusim/internal/event"
@@ -27,6 +29,9 @@ type Directory struct {
 	entries *lmap.Map[dirEntry]
 	pool    *lmap.Pool[dirEntry]
 	sets    setTable[dirEntry]
+
+	txns   *lmap.Records[dirTxn] // the transactions in flight
+	stepFn event.Func2           // their one event handler (step)
 
 	reqLat uint64 // one-way private-L2 <-> LLC latency
 	netLat uint64 // one-way probe latency
@@ -60,21 +65,59 @@ type dirEntry struct {
 	busy      bool
 	busySince uint64
 	lru       uint64
-	// waiting queues requests that arrived while the line was busy;
-	// FIFO service prevents deterministic retry livelocks between
-	// contending cores.
-	waiting []queuedReq
-}
-
-type queuedReq struct {
-	src     int
-	wantM   bool
-	lowLane bool
-	cb      func(ok bool, data *LineData, excl bool)
+	// waiting queues the transactions (record ids) that arrived while
+	// the line was busy; FIFO service prevents deterministic retry
+	// livelocks between contending cores.
+	waiting []uint32
 }
 
 // dirQueueCap bounds the per-line request queue; overflow is NACKed.
 const dirQueueCap = 24
+
+// dirTxn is one coherence transaction (a GetS/GetM or a write-back)
+// from the moment the private side sends it until the requester has its
+// answer. Its events name it by record id; its stage says what the next
+// one does (step).
+type dirTxn struct {
+	id, req uint32 // req is the requester's record at src: its MSHR or write-back entry
+	src     int    // the requesting core
+	stage   txnStage
+	line    uint64
+	e       *dirEntry // the line's entry while this holds it busy
+	probes  []dirProbe
+	pending int      // probes not yet answered
+	data    LineData // the granted copy, or the written-back one
+
+	wantM, lowLane, writeBack bool
+	nacked, excl              bool // a probe was NACKed (TUS delay); an E/M grant
+}
+
+// dirProbe is one probe of a transaction's fan-out and its answer.
+type dirProbe struct {
+	core          int
+	kind          ProbeKind
+	sent, hasData bool
+	result        ProbeResult
+	data          LineData
+}
+
+// txnStage is where a transaction is (see String).
+type txnStage uint8
+
+const (
+	txnFree txnStage = iota
+	txnSent
+	txnQueued
+	txnStalled
+	txnProbing
+	txnDRAM
+	txnGrant
+	txnNack
+)
+
+func (s txnStage) String() string {
+	return [...]string{"free", "sent", "queued", "injected stall", "probing", "waiting on DRAM", "granting", "nacking"}[s]
+}
 
 // NewDirectory builds the LLC+directory.
 func NewDirectory(cfg *config.Config, q *event.Queue, mem *Memory, dram *DRAM, st *stats.Set) *Directory {
@@ -88,9 +131,12 @@ func NewDirectory(cfg *config.Config, q *event.Queue, mem *Memory, dram *DRAM, s
 		entries: lmap.NewRef[dirEntry](ref),
 		pool:    lmap.NewPoolRef[dirEntry](ref),
 		sets:    newSetTable[dirEntry](cfg.L3.Sets()),
+		txns:    lmap.NewRecordsRef[dirTxn](ref),
 		reqLat:  cfg.L3.Latency / 2,
 		netLat:  cfg.NetLatency,
 	}
+	d.stepFn = d.step
+	dram.done = d.dramDone
 	d.cAccess = st.Counter("llc_accesses")
 	d.cNack = st.Counter("llc_nacks")
 	d.cProbes = st.Counter("llc_probes")
@@ -155,186 +201,222 @@ func (d *Directory) entry(line uint64) *dirEntry {
 	return e
 }
 
-// Request is the private hierarchy's entry point for GetS/GetM. The
-// callback runs at response-arrival time at the requester; ok=false is
-// a NACK (busy line or TUS delay).
-func (d *Directory) Request(src int, line uint64, wantM, lowLane bool, cb func(ok bool, data *LineData, excl bool)) {
-	line &= LineMask
-	d.q.After(d.reqLat+d.faults.ReqExtra(), func() { d.handle(src, line, wantM, lowLane, cb) })
+// request sends src's GetS/GetM for its miss req or, given data, the
+// write-back req (PutM-style eviction/relinquish traffic). The answer
+// reaches Private.response or Private.writeBackDone at src; a NACK (busy
+// line or TUS delay) answers ok=false.
+func (d *Directory) request(src int, line uint64, wantM, lowLane bool, req uint32, data *LineData) {
+	id, t := d.txns.Get()
+	*t = dirTxn{id: id, stage: txnSent, src: src, req: req, line: line & LineMask,
+		wantM: wantM, lowLane: lowLane, writeBack: data != nil, probes: t.probes[:0]}
+	if data != nil {
+		t.data = *data
+	}
+	d.q.After2(d.reqLat+d.faults.ReqExtra(), d.stepFn, uint64(id), 0)
 }
 
-func (d *Directory) handle(src int, line uint64, wantM, lowLane bool, cb func(ok bool, data *LineData, excl bool)) {
+// step is every transaction event: a is the record id, b a probe index.
+func (d *Directory) step(a, b uint64) {
+	t := d.txns.ByID(uint32(a))
+	switch t.stage {
+	case txnSent:
+		if t.writeBack {
+			d.absorb(t)
+		} else {
+			d.handle(t)
+		}
+	case txnStalled:
+		t.e.busy = false
+		t.e = nil
+		d.handle(t)
+	case txnProbing:
+		d.probe(t, int(b))
+	case txnGrant, txnNack:
+		d.respond(t)
+	default:
+		panic(faults.Violationf("memsys", t.src, t.line, "txn-stage", "event for a transaction %s", t.stage))
+	}
+}
+
+func (d *Directory) handle(t *dirTxn) {
 	if d.faults.SpuriousNack() {
 		// A NACK is a legal response to any request (busy line, TUS
 		// delay), so requesters must already cope with it at any time.
 		d.cFaultNack.Inc()
-		d.cNack.Inc()
-		d.tr.Emit(trace.DirNack, dirTraceCore, d.q.Now(), line, 0, uint64(src))
-		d.q.After(d.reqLat, func() { cb(false, nil, false) })
+		d.refuse(t)
 		return
 	}
 	d.cAccess.Inc()
-	e := d.entry(line)
+	e := d.entry(t.line)
 	d.lruTick++
 	e.lru = d.lruTick
 	if e.busy {
 		if len(e.waiting) < dirQueueCap {
-			e.waiting = append(e.waiting, queuedReq{src: src, wantM: wantM, lowLane: lowLane, cb: cb})
+			t.stage = txnQueued
+			e.waiting = append(e.waiting, t.id)
 		} else {
-			d.cNack.Inc()
-			d.tr.Emit(trace.DirNack, dirTraceCore, d.q.Now(), line, 0, uint64(src))
-			d.q.After(d.reqLat, func() { cb(false, nil, false) })
+			d.refuse(t)
 		}
 		return
 	}
+	e.busy = true
+	e.busySince = d.q.Now()
+	t.e = e
 	if stall := d.faults.BusyStall(); stall > 0 {
 		// Hold the busy bit with no transaction in flight for a while,
 		// as if a remote response were slow; then restart the request.
 		// Concurrent requests queue behind the busy bit as usual.
 		d.cFaultStall.Inc()
-		e.busy = true
-		e.busySince = d.q.Now()
-		d.q.After(stall, func() {
-			e.busy = false
-			d.handle(src, line, wantM, lowLane, cb)
-		})
+		t.stage = txnStalled
+		d.q.After2(stall, d.stepFn, uint64(t.id), 0)
 		return
-	}
-	e.busy = true
-	e.busySince = d.q.Now()
-
-	nack := func() {
-		e.busy = false
-		d.cNack.Inc()
-		d.tr.Emit(trace.DirNack, dirTraceCore, d.q.Now(), line, 0, uint64(src))
-		d.q.After(d.reqLat, func() { cb(false, nil, false) })
-		d.kick(e)
-	}
-	grant := func() {
-		if wantM {
-			e.owner = src
-			e.sharers = 0
-		} else {
-			if e.owner == src {
-				e.owner = -1
-			}
-			e.sharers |= 1 << uint(src)
-		}
-		excl := wantM || (e.owner < 0 && e.sharers == 1<<uint(src))
-		if excl && !wantM {
-			// Grant E: track as owner so future requests probe us.
-			e.owner = src
-			e.sharers = 0
-		}
-		data := e.data
-		// The line stays busy until the requester has applied the fill
-		// (cb runs synchronously at response arrival); this guarantees
-		// probes never race an in-flight fill.
-		d.q.After(d.reqLat, func() {
-			cb(true, &data, excl)
-			e.busy = false
-			d.kick(e)
-		})
-	}
-
-	// Step 2 runs once data and permissions are settled.
-	withData := func(next func()) {
-		if e.hasData {
-			next()
-			return
-		}
-		fill := func() {
-			d.mem.ReadLine(line, &e.data)
-			e.hasData = true
-			next()
-		}
-		if lowLane {
-			d.dram.AccessLow(fill)
-		} else {
-			d.dram.Access(fill)
-		}
 	}
 
 	// Collect the probe targets.
-	type target struct {
-		core int
-		kind ProbeKind
-	}
-	var targets []target
-	if e.owner >= 0 && e.owner != src {
+	if e.owner >= 0 && e.owner != t.src {
 		k := ProbeDowngrade
-		if wantM {
+		if t.wantM {
 			k = ProbeInv
 		}
-		targets = append(targets, target{e.owner, k})
+		t.probes = append(t.probes, dirProbe{core: e.owner, kind: k})
 	}
-	if wantM {
+	if t.wantM {
 		for c := range d.privates {
-			if c != src && e.owner != c && e.sharers&(1<<uint(c)) != 0 {
-				targets = append(targets, target{c, ProbeInv})
+			if c != t.src && e.owner != c && e.sharers&(1<<uint(c)) != 0 {
+				t.probes = append(t.probes, dirProbe{core: c, kind: ProbeInv})
 			}
 		}
 	}
-
-	if len(targets) == 0 {
-		withData(grant)
+	if len(t.probes) == 0 {
+		d.withData(t)
 		return
 	}
 	// Probe delivery order is not architecturally specified; a seeded
 	// shuffle explores legal orderings the deterministic collector never
 	// produces on its own.
-	d.faults.ShuffleTargets(len(targets), func(i, j int) {
-		targets[i], targets[j] = targets[j], targets[i]
+	d.faults.ShuffleTargets(len(t.probes), func(i, j int) {
+		t.probes[i], t.probes[j] = t.probes[j], t.probes[i]
 	})
-
-	pending := len(targets)
-	nacked := false
-	for _, t := range targets {
-		t := t
+	t.stage = txnProbing
+	t.pending = len(t.probes)
+	for i := range t.probes {
 		d.cProbes.Inc()
-		d.q.After(d.netLat+d.faults.ProbeExtra(), func() {
-			r := d.privates[t.core].Probe(line, t.kind)
-			d.q.After(d.netLat, func() {
-				switch r.Result {
-				case ProbeNack:
-					nacked = true
-				case ProbeStale:
-					// TUS relinquish: the old authorized copy becomes
-					// the coherent data and the owner loses the line.
-					e.data = *r.Data
-					e.hasData = true
-					e.dirty = true
-					if e.owner == t.core {
-						e.owner = -1
-					}
-				case ProbeAck:
-					if r.Data != nil {
-						e.data = *r.Data
-						e.hasData = true
-						e.dirty = true
-					}
-					if t.kind == ProbeInv {
-						e.sharers &^= 1 << uint(t.core)
-						if e.owner == t.core {
-							e.owner = -1
-						}
-					} else if e.owner == t.core {
-						// Downgrade: old owner stays on as a sharer.
-						e.owner = -1
-						e.sharers |= 1 << uint(t.core)
-					}
-				}
-				pending--
-				if pending == 0 {
-					if nacked {
-						nack()
-						return
-					}
-					withData(grant)
-				}
-			})
-		})
+		d.q.After2(d.netLat+d.faults.ProbeExtra(), d.stepFn, uint64(t.id), uint64(i))
 	}
+}
+
+// probe delivers probe i to its core or, once sent, applies the answer
+// that came back; the last answer settles the transaction.
+func (d *Directory) probe(t *dirTxn, i int) {
+	pr := &t.probes[i]
+	if !pr.sent {
+		pr.sent = true
+		pr.result, pr.hasData = d.privates[pr.core].Probe(t.line, pr.kind, &pr.data)
+		d.q.After2(d.netLat, d.stepFn, uint64(t.id), uint64(i))
+		return
+	}
+	e := t.e
+	if pr.hasData {
+		// The dirty copy, or a TUS relinquish's old authorized one,
+		// becomes the coherent data.
+		e.data, e.hasData, e.dirty = pr.data, true, true
+	}
+	switch {
+	case pr.result == ProbeNack:
+		t.nacked = true
+	case pr.result == ProbeAck && pr.kind == ProbeInv:
+		e.sharers &^= 1 << uint(pr.core)
+		fallthrough
+	case pr.result == ProbeStale:
+		if e.owner == pr.core {
+			e.owner = -1
+		}
+	case e.owner == pr.core:
+		// Downgrade: old owner stays on as a sharer.
+		e.owner = -1
+		e.sharers |= 1 << uint(pr.core)
+	}
+	t.pending--
+	if t.pending > 0 {
+		return
+	}
+	if t.nacked {
+		e.busy = false
+		t.e = nil
+		d.refuse(t)
+		d.kick(e)
+		return
+	}
+	d.withData(t)
+}
+
+// withData grants t once the line's data is at the LLC, reading memory
+// first when it is not.
+func (d *Directory) withData(t *dirTxn) {
+	if t.e.hasData {
+		d.grant(t)
+		return
+	}
+	t.stage = txnDRAM
+	d.dram.access(uint64(t.id), t.lowLane)
+}
+
+// dramDone is the DRAM's answer to transaction id.
+func (d *Directory) dramDone(id uint64) {
+	t := d.txns.ByID(uint32(id))
+	d.mem.ReadLine(t.line, &t.e.data)
+	t.e.hasData = true
+	d.grant(t)
+}
+
+func (d *Directory) grant(t *dirTxn) {
+	e, bit := t.e, uint64(1)<<uint(t.src)
+	if !t.wantM {
+		if e.owner == t.src {
+			e.owner = -1
+		}
+		e.sharers |= bit
+	}
+	t.excl = t.wantM || (e.owner < 0 && e.sharers == bit)
+	if t.excl {
+		// Grant M or E: track as owner so future requests probe us.
+		e.owner, e.sharers = t.src, 0
+	}
+	// The line stays busy until the requester has applied the fill
+	// (respond runs it synchronously at response arrival); this
+	// guarantees probes never race an in-flight fill.
+	t.data = e.data
+	d.answer(t, txnGrant)
+}
+
+// refuse NACKs t (spurious, queue overflow, or a probe's TUS delay).
+func (d *Directory) refuse(t *dirTxn) {
+	d.cNack.Inc()
+	d.tr.Emit(trace.DirNack, dirTraceCore, d.q.Now(), t.line, 0, uint64(t.src))
+	d.answer(t, txnNack)
+}
+
+// answer sends t's answer back to the requester.
+func (d *Directory) answer(t *dirTxn, stage txnStage) {
+	t.stage = stage
+	d.q.After2(d.reqLat, d.stepFn, uint64(t.id), 0)
+}
+
+// respond delivers t's answer at the requester and retires the record;
+// a grant releases the line only now.
+func (d *Directory) respond(t *dirTxn) {
+	p, ok := d.privates[t.src], t.stage == txnGrant
+	if t.writeBack {
+		p.writeBackDone(t.req, ok)
+	} else {
+		p.response(t.req, ok, &t.data, t.excl)
+	}
+	if e := t.e; e != nil {
+		e.busy = false
+		d.kick(e)
+	}
+	t.stage, t.e = txnFree, nil
+	d.txns.Put(t.id)
 }
 
 // kick services the next queued request for a line that just unbusied.
@@ -345,37 +427,33 @@ func (d *Directory) kick(e *dirEntry) {
 	if e.busy || len(e.waiting) == 0 {
 		return
 	}
-	next := e.waiting[0]
-	e.waiting = e.waiting[1:]
-	d.handle(next.src, e.line, next.wantM, next.lowLane, next.cb)
+	id := e.waiting[0]
+	e.waiting = slices.Delete(e.waiting, 0, 1)
+	d.handle(d.txns.ByID(id))
 }
 
-// WriteBack handles PutM-style eviction/relinquish traffic. ok=false
-// asks the private hierarchy to retry (busy line).
-func (d *Directory) WriteBack(src int, line uint64, data *LineData, cb func(ok bool)) {
-	line &= LineMask
-	d.q.After(d.reqLat+d.faults.ReqExtra(), func() {
-		if d.faults.SpuriousNack() {
-			d.cFaultNack.Inc()
-			d.q.After(d.reqLat, func() { cb(false) })
-			return
-		}
-		d.cAccess.Inc()
-		e := d.entry(line)
-		if e.busy {
-			d.q.After(d.reqLat, func() { cb(false) })
-			return
-		}
-		if e.owner == src {
-			e.owner = -1
-			e.data = *data
-			e.hasData = true
-			e.dirty = true
-		}
-		// A writeback from a non-owner is stale (the probe already
-		// collected the data); acknowledge and drop it.
-		d.q.After(d.reqLat, func() { cb(true) })
-	})
+// absorb is a write-back's arrival at the directory.
+func (d *Directory) absorb(t *dirTxn) {
+	if d.faults.SpuriousNack() {
+		d.cFaultNack.Inc()
+		d.answer(t, txnNack)
+		return
+	}
+	d.cAccess.Inc()
+	e := d.entry(t.line)
+	if e.busy {
+		d.answer(t, txnNack)
+		return
+	}
+	if e.owner == t.src {
+		e.owner = -1
+		e.data = t.data
+		e.hasData = true
+		e.dirty = true
+	}
+	// A writeback from a non-owner is stale (the probe already
+	// collected the data); acknowledge and drop it.
+	d.answer(t, txnGrant)
 }
 
 // LLCData returns the LLC's copy of a line if present with valid data
@@ -392,13 +470,43 @@ func (d *Directory) LLCData(line uint64) *LineData {
 // AuditEntries visits every directory entry in ascending line order
 // (sorted for deterministic auditor reports).
 func (d *Directory) AuditEntries(visit func(line uint64, owner int, sharers uint64, busy bool, busySince uint64)) {
-	keys := make([]uint64, 0, d.entries.Len())
-	d.entries.Range(func(k uint64, _ *dirEntry) { keys = append(keys, k) })
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
+	for _, k := range d.entries.SortedKeys() {
 		e := d.entries.Get(k)
 		visit(e.line, e.owner, e.sharers, e.busy, e.busySince)
 	}
+}
+
+// TxnInfo is a directory transaction in flight, as crash reports list it.
+type TxnInfo struct {
+	Line      uint64 `json:"line"`
+	Core      int    `json:"core"` // the requester
+	WantM     bool   `json:"want_m"`
+	WriteBack bool   `json:"write_back,omitempty"`
+	Stage     string `json:"stage"`
+	Queued    []int  `json:"queued,omitempty"` // cores queued behind it on the busy line
+}
+
+// AuditTxns lists the transactions in flight in line order. A request
+// queued behind a busy line is listed under the one holding the line.
+func (d *Directory) AuditTxns() []TxnInfo {
+	var out []TxnInfo
+	d.txns.Range(func(_ uint32, t *dirTxn) {
+		if t.stage == txnFree || t.stage == txnQueued {
+			return
+		}
+		info := TxnInfo{Line: t.line, Core: t.src, WantM: t.wantM, WriteBack: t.writeBack, Stage: t.stage.String()}
+		if t.stage == txnProbing {
+			info.Stage = fmt.Sprintf("probing, %d of %d answered", len(t.probes)-t.pending, len(t.probes))
+		}
+		if t.e != nil {
+			for _, id := range t.e.waiting {
+				info.Queued = append(info.Queued, d.txns.ByID(id).src)
+			}
+		}
+		out = append(out, info)
+	})
+	slices.SortStableFunc(out, func(a, b TxnInfo) int { return cmp.Compare(a.Line, b.Line) })
+	return out
 }
 
 // EntryInfo reports a line's directory bookkeeping (auditor use).

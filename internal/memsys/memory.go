@@ -12,7 +12,11 @@
 // before the handler is told the line is ready.
 package memsys
 
-import "tusim/internal/event"
+import (
+	"slices"
+
+	"tusim/internal/event"
+)
 
 // LineBytes is the cache line size used throughout (Table I).
 const LineBytes = 64
@@ -86,14 +90,17 @@ func (m *Memory) WriteLine(lineAddr uint64, src *LineData) {
 // DRAM models main-memory timing: a fixed access latency with a bound
 // on concurrent accesses (a simple bandwidth model; overflow requests
 // queue FIFO). Prefetch traffic runs in a low-priority lane restricted
-// to half the channel so it can never starve demand accesses.
+// to half the channel so it can never starve demand accesses. An access
+// is its client's record id: the queues hold ids, and done receives the
+// id when the access completes (the directory installs it).
 type DRAM struct {
-	q           *event.Queue
-	latency     uint64
-	maxInFlight int
-	inFlight    int
-	waiting     []func()
-	waitingLow  []func()
+	q                   *event.Queue
+	latency             uint64
+	maxInFlight         int
+	inFlight            int
+	waiting, waitingLow []uint64
+	done                func(id uint64)
+	finishFn            event.Func2
 	// Accesses counts DRAM transfers for the energy model.
 	Accesses uint64
 }
@@ -103,36 +110,36 @@ func NewDRAM(q *event.Queue, latency uint64, maxInFlight int) *DRAM {
 	if maxInFlight < 1 {
 		maxInFlight = 1
 	}
-	return &DRAM{q: q, latency: latency, maxInFlight: maxInFlight}
+	d := &DRAM{q: q, latency: latency, maxInFlight: maxInFlight}
+	d.finishFn = d.finish
+	return d
 }
 
-// Access schedules cb after the DRAM latency, subject to the
-// concurrency bound.
-func (d *DRAM) Access(cb func()) { d.access(cb, false) }
+// access starts access id after the DRAM latency, subject to the
+// concurrency bound; low is the prefetch lane, which only occupies up
+// to half the channel and yields to queued demand accesses.
+func (d *DRAM) access(id uint64, low bool) {
+	switch {
+	case d.canStart(low):
+		d.start(id)
+	case low:
+		d.waitingLow = append(d.waitingLow, id)
+	default:
+		d.waiting = append(d.waiting, id)
+	}
+}
 
-// AccessLow is the prefetch lane: it only occupies up to half the
-// channel and yields to queued demand accesses.
-func (d *DRAM) AccessLow(cb func()) { d.access(cb, true) }
+func (d *DRAM) start(id uint64) {
+	d.inFlight++
+	d.Accesses++
+	d.q.After2(d.latency, d.finishFn, id, 0)
+}
 
-func (d *DRAM) access(cb func(), low bool) {
-	start := func() {
-		d.inFlight++
-		d.Accesses++
-		d.q.After(d.latency, func() {
-			d.inFlight--
-			cb()
-			d.pump()
-		})
-	}
-	if d.canStart(low) {
-		start()
-		return
-	}
-	if low {
-		d.waitingLow = append(d.waitingLow, start)
-	} else {
-		d.waiting = append(d.waiting, start)
-	}
+// finish is the finishFn event: access id completed.
+func (d *DRAM) finish(id, _ uint64) {
+	d.inFlight--
+	d.done(id)
+	d.pump()
 }
 
 func (d *DRAM) canStart(low bool) bool {
@@ -144,14 +151,14 @@ func (d *DRAM) canStart(low bool) bool {
 
 func (d *DRAM) pump() {
 	for len(d.waiting) > 0 && d.inFlight < d.maxInFlight {
-		next := d.waiting[0]
-		d.waiting = d.waiting[1:]
-		next()
+		id := d.waiting[0]
+		d.waiting = slices.Delete(d.waiting, 0, 1)
+		d.start(id)
 	}
 	for len(d.waitingLow) > 0 && d.inFlight < d.maxInFlight/2 {
-		next := d.waitingLow[0]
-		d.waitingLow = d.waitingLow[1:]
-		next()
+		id := d.waitingLow[0]
+		d.waitingLow = slices.Delete(d.waitingLow, 0, 1)
+		d.start(id)
 	}
 }
 

@@ -109,11 +109,12 @@ func TestMemoryRoundTrip(t *testing.T) {
 func TestDRAMLatency(t *testing.T) {
 	q := event.NewQueueRef(config.Default().Reference)
 	d := NewDRAM(q, 160, 32)
-	done := uint64(0)
-	d.Access(func() { done = q.Now() })
+	done, doneID := uint64(0), uint64(0)
+	d.done = func(id uint64) { done, doneID = q.Now(), id }
+	d.access(5, false)
 	q.Drain(1 << 20)
-	if done != 160 {
-		t.Fatalf("DRAM access completed at %d, want 160", done)
+	if done != 160 || doneID != 5 {
+		t.Fatalf("DRAM access %d completed at %d, want access 5 at 160", doneID, done)
 	}
 	if d.Accesses != 1 {
 		t.Fatalf("Accesses = %d", d.Accesses)
@@ -123,9 +124,13 @@ func TestDRAMLatency(t *testing.T) {
 func TestDRAMBandwidthBound(t *testing.T) {
 	q := event.NewQueueRef(config.Default().Reference)
 	d := NewDRAM(q, 100, 2)
-	var finishes []uint64
-	for i := 0; i < 4; i++ {
-		d.Access(func() { finishes = append(finishes, q.Now()) })
+	var finishes, order []uint64
+	d.done = func(id uint64) {
+		finishes = append(finishes, q.Now())
+		order = append(order, id)
+	}
+	for i := uint64(1); i <= 4; i++ {
+		d.access(i, false)
 	}
 	if d.InFlight() != 2 {
 		t.Fatalf("InFlight = %d, want 2 (bounded)", d.InFlight())
@@ -134,8 +139,11 @@ func TestDRAMBandwidthBound(t *testing.T) {
 	if len(finishes) != 4 {
 		t.Fatalf("only %d accesses completed", len(finishes))
 	}
-	// First two at 100, next two serialized behind them at 200.
+	// First two at 100, next two serialized behind them at 200, FIFO.
 	if finishes[0] != 100 || finishes[1] != 100 || finishes[2] != 200 || finishes[3] != 200 {
 		t.Fatalf("finish times %v, want [100 100 200 200]", finishes)
+	}
+	if order[0] != 1 || order[1] != 2 || order[2] != 3 || order[3] != 4 {
+		t.Fatalf("completion order %v, want [1 2 3 4]", order)
 	}
 }

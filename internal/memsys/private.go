@@ -1,7 +1,7 @@
 package memsys
 
 import (
-	"sort"
+	"slices"
 
 	"tusim/internal/config"
 	"tusim/internal/event"
@@ -61,7 +61,10 @@ type loadWait struct {
 	size uint8
 }
 
+// mshrEntry is one miss in flight and the private side's transaction
+// record: the directory's answer and the NACK retry name it by id.
 type mshrEntry struct {
+	id        uint32
 	line      uint64
 	born      uint64 // allocation cycle (age-bound auditing)
 	wantM     bool
@@ -74,12 +77,31 @@ type mshrEntry struct {
 	prefetch bool
 	lowLane  bool
 	loads    []loadWait
-	writeCbs []func(ok bool)
+	writers  []Requester // waiting on the write permission, in arrival order
 }
 
+// wbEntry is one write-back in flight, named by id like an MSHR.
 type wbEntry struct {
+	id      uint32
+	line    uint64
 	data    LineData
 	retired bool // a probe already transferred ownership
+}
+
+// Requester names a write-permission client registered once with
+// AddRequester (TUS, CSB): its requests carry no callback; the MSHR
+// records the handle and the outcome reaches the registered func. The
+// zero Requester is nobody.
+type Requester uint8
+
+type requester struct {
+	name string // crash reports list waiters by it
+	done func(line uint64, ok bool)
+}
+
+type lineCallback struct {
+	line uint64
+	cb   func(ok bool)
 }
 
 // ProbeKind distinguishes invalidating probes (GetM) from downgrades (GetS).
@@ -96,20 +118,14 @@ type ProbeResult uint8
 
 // Probe results.
 const (
-	// ProbeAck: done; Data is non-nil when the dirty copy travels back.
+	// ProbeAck: done; the dirty copy travels back when there is one.
 	ProbeAck ProbeResult = iota
 	// ProbeNack: TUS delayed the request (requester must retry).
 	ProbeNack
-	// ProbeStale: TUS relinquished the line; Data carries the old
-	// authorized copy from the private L2 (Sec. III-C step 8).
+	// ProbeStale: TUS relinquished the line; the old authorized copy
+	// from the private L2 travels back (Sec. III-C step 8).
 	ProbeStale
 )
-
-// ProbeReply is returned by Private.Probe.
-type ProbeReply struct {
-	Result ProbeResult
-	Data   *LineData
-}
 
 // ProbeAction is the UnauthorizedHandler's verdict on an external probe
 // hitting a not-visible line the core holds permission for.
@@ -159,7 +175,7 @@ type Private struct {
 	l1, l2   setTable[PLine]
 
 	mshrs     *lmap.Map[mshrEntry]
-	mshrPool  *lmap.Pool[mshrEntry]
+	mshrRecs  *lmap.Records[mshrEntry]
 	mshrLimit int
 	// prefetch MSHRs live in their own pool so speculative traffic
 	// never blocks demand misses.
@@ -172,7 +188,15 @@ type Private struct {
 	permEpoch uint64
 
 	wb     *lmap.Map[wbEntry]
-	wbPool *lmap.Pool[wbEntry]
+	wbRecs *lmap.Records[wbEntry]
+
+	// requesters are the registered clients (handle = index+1); the
+	// cbReq requester answers RequestWritable's callbacks, oldest first.
+	requesters []requester
+	callbacks  []lineCallback
+	cbReq      Requester
+	// Event handlers bound once (see resend, resendWB, grantNow).
+	resendFn, resendWBFn, grantFn event.Func2
 
 	handler UnauthorizedHandler
 	lruTick uint64
@@ -202,6 +226,9 @@ type Private struct {
 	cL1Write, cL2Update, cWriteback    *stats.Counter
 	cNack, cRelinquish, cPrefetchDrop  *stats.Counter
 	cLoads, cFillMerge, cL1SetOverflow *stats.Counter
+	// cWOQSearch is looked up on first use: only TUS machines have
+	// woq_searches (tus.New registers it), so others must not gain it.
+	cWOQSearch *stats.Counter
 
 	hMSHROcc *stats.Histogram
 
@@ -222,12 +249,15 @@ func NewPrivate(id int, cfg *config.Config, q *event.Queue, dir *Directory, st *
 		l1:            newSetTable[PLine](cfg.L1D.Sets()),
 		l2:            newSetTable[PLine](cfg.L2.Sets()),
 		mshrs:         lmap.NewRef[mshrEntry](ref),
-		mshrPool:      lmap.NewPoolRef[mshrEntry](ref),
+		mshrRecs:      lmap.NewRecordsRef[mshrEntry](ref),
 		mshrLimit:     cfg.L1D.MSHRs,
 		prefMSHRLimit: cfg.L1D.MSHRs / 2,
 		wb:            lmap.NewRef[wbEntry](ref),
-		wbPool:        lmap.NewPoolRef[wbEntry](ref),
+		wbRecs:        lmap.NewRecordsRef[wbEntry](ref),
 	}
+	p.resendFn = p.resend
+	p.resendWBFn = p.resendWB
+	p.grantFn = p.grantNow
 	p.cL1Hit = st.Counter("l1d_hits")
 	p.cL1Miss = st.Counter("l1d_misses")
 	p.cL2Hit = st.Counter("l2_hits")
@@ -258,10 +288,10 @@ func (p *Private) newLine(line uint64) *PLine {
 }
 
 // newMSHR allocates a fully reset miss entry; callers set the request
-// flags. loads/writeCbs keep their capacity across reuse.
+// flags. loads/writers keep their capacity across reuse.
 func (p *Private) newMSHR(line uint64) *mshrEntry {
-	m := p.mshrPool.Get()
-	*m = mshrEntry{line: line, born: p.q.Now(), loads: m.loads[:0], writeCbs: m.writeCbs[:0]}
+	id, m := p.mshrRecs.Get()
+	*m = mshrEntry{id: id, line: line, born: p.q.Now(), loads: m.loads[:0], writers: m.writers[:0]}
 	return m
 }
 
@@ -358,7 +388,10 @@ func (p *Private) load(lw loadWait) bool {
 		// permission arrives.
 		want := MaskFor(lw.addr, lw.size)
 		if pl.UMask.Covers(want) {
-			p.st.Counter("woq_searches").Inc()
+			if p.cWOQSearch == nil {
+				p.cWOQSearch = p.st.Counter("woq_searches")
+			}
+			p.cWOQSearch.Inc()
 			p.cL1Hit.Inc()
 			p.reply(lw, &pl.L1Data, p.cfg.L1D.Latency)
 			return true
@@ -435,45 +468,96 @@ func (p *Private) PrefetchRead(line uint64) bool {
 
 // ---------- Write-permission requests ----------
 
-// RequestWritable asks for E/M permission on line. With autoRetry the
-// request is retried internally after NACKs until it succeeds and cb
-// always eventually fires with ok=true; without it a NACK frees the
-// MSHR and reports ok=false so the caller (TUS) can re-request under
-// its lex-order rule. prefetch requests are dropped (cb never called)
-// when MSHRs run low. Returns false if nothing could be started.
-func (p *Private) RequestWritable(line uint64, prefetch, autoRetry bool, cb func(ok bool)) bool {
+// AddRequester registers a write-permission client; done (may be nil)
+// hears the outcome of every request it makes or joins.
+func (p *Private) AddRequester(name string, done func(line uint64, ok bool)) Requester {
+	p.requesters = append(p.requesters, requester{name: name, done: done})
+	return Requester(len(p.requesters))
+}
+
+// tell delivers one outcome to a requester.
+func (p *Private) tell(who Requester, line uint64, ok bool) {
+	if done := p.requesters[who-1].done; done != nil {
+		done(line, ok)
+	}
+}
+
+// grantNow is the grantFn event: requester b asked for line a held writable.
+func (p *Private) grantNow(line, who uint64) { p.tell(Requester(who), line, true) }
+
+// Awaits reports whether who waits on the write permission of the miss
+// in flight for line.
+func (p *Private) Awaits(line uint64, who Requester) bool {
+	m := p.mshrs.Get(line & LineMask)
+	return m != nil && slices.Contains(m.writers, who)
+}
+
+// RequestWritableAs asks for E/M permission on line on behalf of who.
+// With autoRetry the request is retried internally after NACKs until it
+// succeeds and who always eventually hears ok=true; without it a NACK
+// frees the MSHR and reports ok=false so the caller (TUS) can re-request
+// under its lex-order rule. prefetch requests are dropped (who hears
+// nothing) when MSHRs run low. Returns false if nothing could start.
+func (p *Private) RequestWritableAs(line uint64, prefetch, autoRetry bool, who Requester) bool {
 	line &= LineMask
 	if p.Writable(line) {
-		if cb != nil {
-			p.q.After(0, func() { cb(true) })
+		if who != 0 {
+			p.q.After2(0, p.grantFn, line, uint64(who))
 		}
 		return true
 	}
-	return p.requestMiss(line, prefetch, autoRetry, cb)
+	return p.requestMiss(line, prefetch, autoRetry, who)
 }
 
-// KeepWritable is the drain-ahead form, RequestWritable(line, false,
-// false, nil): the drain mechanisms call it for every lookahead line
-// every cycle, so it decides on one line-table lookup and does nothing
-// for a line already held in E/M.
+// RequestWritable is RequestWritableAs with a one-shot callback (or nil)
+// for callers that ask once (tests, the benchmark's probes). Outcomes
+// run the oldest callback waiting on their line: a line's outcomes
+// arrive in the order its requests were made.
+func (p *Private) RequestWritable(line uint64, prefetch, autoRetry bool, cb func(ok bool)) bool {
+	if cb == nil {
+		return p.RequestWritableAs(line, prefetch, autoRetry, 0)
+	}
+	if p.cbReq == 0 {
+		p.cbReq = p.AddRequester("callback", p.runCallback)
+	}
+	line &= LineMask
+	if !p.RequestWritableAs(line, prefetch, autoRetry, p.cbReq) {
+		return false
+	}
+	p.callbacks = append(p.callbacks, lineCallback{line: line, cb: cb})
+	return true
+}
+
+// runCallback runs the oldest RequestWritable callback waiting on line.
+func (p *Private) runCallback(line uint64, ok bool) {
+	i := slices.IndexFunc(p.callbacks, func(c lineCallback) bool { return c.line == line })
+	cb := p.callbacks[i].cb
+	p.callbacks = slices.Delete(p.callbacks, i, i+1)
+	cb(ok)
+}
+
+// KeepWritable is the drain-ahead form, RequestWritableAs(line, false,
+// false, 0): the drain mechanisms call it for every lookahead line, so
+// it decides on one line-table lookup and does nothing for a line
+// already held in E/M.
 func (p *Private) KeepWritable(line uint64) {
 	line &= LineMask
 	if !p.Writable(line) {
-		p.requestMiss(line, false, false, nil)
+		p.requestMiss(line, false, false, 0)
 	}
 }
 
-// requestMiss is RequestWritable for a line known not to be writable:
+// requestMiss is RequestWritableAs for a line known not to be writable:
 // join the MSHR in flight for it or start one.
-func (p *Private) requestMiss(line uint64, prefetch, autoRetry bool, cb func(ok bool)) bool {
+func (p *Private) requestMiss(line uint64, prefetch, autoRetry bool, who Requester) bool {
 	if m := p.mshrs.Get(line); m != nil {
 		if !m.wantM {
 			m.upgradeM = true
 		}
-		if cb != nil {
+		if who != 0 {
 			// A controlled (TUS) requester simply shares the outcome of
 			// whatever request is already in flight.
-			m.writeCbs = append(m.writeCbs, cb)
+			m.writers = append(m.writers, who)
 		}
 		return true
 	}
@@ -489,8 +573,8 @@ func (p *Private) requestMiss(line uint64, prefetch, autoRetry bool, cb func(ok 
 	m.wantM = true
 	m.autoRetry = autoRetry
 	m.prefetch = prefetch
-	if cb != nil {
-		m.writeCbs = append(m.writeCbs, cb)
+	if who != 0 {
+		m.writers = append(m.writers, who)
 	}
 	p.mshrs.Put(line, m)
 	if prefetch {
@@ -501,37 +585,43 @@ func (p *Private) requestMiss(line uint64, prefetch, autoRetry bool, cb func(ok 
 	return true
 }
 
-func (p *Private) send(m *mshrEntry) {
-	p.dir.Request(p.ID, m.line, m.wantM, m.lowLane, func(ok bool, data *LineData, excl bool) {
-		if !ok {
-			if m.autoRetry {
-				p.q.After(p.cfg.NetLatency, func() { p.send(m) })
-				return
-			}
-			p.freeMSHR(m)
-			for _, cb := range m.writeCbs {
-				cb(false)
-			}
-			// Pending loads must not be dropped: reissue as a fresh
-			// auto-retried read request.
-			if len(m.loads) > 0 {
-				m2 := p.newMSHR(m.line)
-				m2.autoRetry = true
-				m2.loads, m.loads = m.loads, m2.loads
-				p.mshrs.Put(m2.line, m2)
-				p.noteMSHRAlloc(m2.line)
-				p.send(m2)
-			}
-			p.mshrPool.Put(m)
-			return
-		}
+func (p *Private) send(m *mshrEntry) { p.dir.request(p.ID, m.line, m.wantM, m.lowLane, m.id, nil) }
+
+// resend is the resendFn event: a NACKed auto-retry miss a asks again.
+func (p *Private) resend(id, _ uint64) { p.send(p.mshrRecs.ByID(uint32(id))) }
+
+// response is the directory's answer to miss id, run at its arrival;
+// ok=false is a NACK (busy line or TUS delay).
+func (p *Private) response(id uint32, ok bool, data *LineData, excl bool) {
+	m := p.mshrRecs.ByID(id)
+	if ok {
 		p.fill(m, data, excl)
-	})
+		return
+	}
+	if m.autoRetry {
+		p.q.After2(p.cfg.NetLatency, p.resendFn, uint64(id), 0)
+		return
+	}
+	p.freeMSHR(m)
+	for _, w := range m.writers {
+		p.tell(w, m.line, false)
+	}
+	// Pending loads must not be dropped: reissue as a fresh
+	// auto-retried read request.
+	if len(m.loads) > 0 {
+		m2 := p.newMSHR(m.line)
+		m2.autoRetry = true
+		m2.loads, m.loads = m.loads, m2.loads
+		p.mshrs.Put(m2.line, m2)
+		p.noteMSHRAlloc(m2.line)
+		p.send(m2)
+	}
+	p.mshrRecs.Put(m.id)
 }
 
 // freeMSHR retires an MSHR, removing it from the tracking table. The
 // struct itself returns to the pool at the caller's terminal point
-// (after its loads/writeCbs have been consumed).
+// (after its loads and writers have been answered).
 func (p *Private) freeMSHR(m *mshrEntry) {
 	p.permEpoch++
 	if p.mshrs.Get(m.line) == m {
@@ -626,21 +716,21 @@ func (p *Private) fill(m *mshrEntry, data *LineData, excl bool) {
 	if m.upgradeM && pl.State == StateS {
 		// A writable request piggybacked on an in-flight read: the read
 		// was granted shared, so chase it with a proper GetM carrying
-		// the write callbacks forward.
+		// the waiting writers forward.
 		m2 := p.newMSHR(line)
 		m2.wantM = true
 		m2.autoRetry = true
-		m2.writeCbs, m.writeCbs = m.writeCbs, m2.writeCbs
+		m2.writers, m.writers = m.writers, m2.writers
 		p.mshrs.Put(line, m2)
 		p.noteMSHRAlloc(line)
 		p.send(m2)
 	} else {
-		for _, cb := range m.writeCbs {
-			cb(true)
+		for _, w := range m.writers {
+			p.tell(w, line, true)
 		}
 	}
 	p.wakeLoadWaiters(pl)
-	p.mshrPool.Put(m)
+	p.mshrRecs.Put(m.id)
 }
 
 func (p *Private) wakeLoadWaiters(pl *PLine) {
@@ -979,35 +1069,41 @@ func (p *Private) gc(pl *PLine) {
 // writeback buffer that external probes can also service.
 func (p *Private) writeBack(line uint64, data *LineData) {
 	p.cWriteback.Inc()
-	e := p.wbPool.Get()
-	*e = wbEntry{data: *data}
+	id, e := p.wbRecs.Get()
+	*e = wbEntry{id: id, line: line, data: *data}
 	p.wb.Put(line, e)
-	var try func()
-	done := func() {
-		p.wb.Delete(line)
-		p.wbPool.Put(e)
+	p.dir.request(p.ID, line, false, false, id, data)
+}
+
+// writeBackDone is the directory's answer to write-back id; a NACK is
+// retried (resendWB) until the write-back lands or a probe retires it.
+func (p *Private) writeBackDone(id uint32, ok bool) {
+	e := p.wbRecs.ByID(id)
+	if !ok && !e.retired {
+		p.q.After2(p.cfg.NetLatency, p.resendWBFn, uint64(id), 0)
+		return
 	}
-	try = func() {
-		if e.retired {
-			done()
-			return
-		}
-		p.dir.WriteBack(p.ID, line, &e.data, func(ok bool) {
-			if !ok && !e.retired {
-				p.q.After(p.cfg.NetLatency, try)
-				return
-			}
-			done()
-		})
+	p.wb.Delete(e.line)
+	p.wbRecs.Put(id)
+}
+
+// resendWB is the resendWBFn event: send write-back a again, unless a
+// probe took its data meanwhile.
+func (p *Private) resendWB(a, _ uint64) {
+	if e := p.wbRecs.ByID(uint32(a)); e.retired {
+		p.writeBackDone(e.id, true)
+	} else {
+		p.dir.request(p.ID, e.line, false, false, e.id, &e.data)
 	}
-	try()
 }
 
 // ---------- Probes ----------
 
 // Probe handles an external coherence request delivered by the
-// directory. It runs synchronously at probe-arrival time.
-func (p *Private) Probe(line uint64, kind ProbeKind) ProbeReply {
+// directory. It runs synchronously at probe-arrival time; a copy that
+// travels back (dirty data, or a relinquished line's old authorized
+// copy) is written to data, and hasData says so.
+func (p *Private) Probe(line uint64, kind ProbeKind, data *LineData) (res ProbeResult, hasData bool) {
 	line &= LineMask
 	p.tr.Emit(trace.ProbeRecv, int32(p.ID), p.q.Now(), line, 0, uint64(kind))
 	if kind == ProbeInv && p.OnLineLost != nil {
@@ -1016,12 +1112,12 @@ func (p *Private) Probe(line uint64, kind ProbeKind) ProbeReply {
 	if e := p.wb.Get(line); e != nil {
 		// The line was being written back; hand the data over directly.
 		e.retired = true
-		d := e.data
-		return ProbeReply{Result: ProbeAck, Data: &d}
+		*data = e.data
+		return ProbeAck, true
 	}
 	pl := p.lines.Get(line)
 	if pl == nil || (pl.State == StateI && !pl.NotVisible) {
-		return ProbeReply{Result: ProbeAck}
+		return ProbeAck, false
 	}
 
 	if pl.NotVisible && (pl.State == StateM || pl.State == StateE) {
@@ -1034,17 +1130,17 @@ func (p *Private) Probe(line uint64, kind ProbeKind) ProbeReply {
 		if action == ActionDelay {
 			p.cNack.Inc()
 			p.tr.Emit(trace.ProbeNackEv, int32(p.ID), p.q.Now(), line, 0, 0)
-			return ProbeReply{Result: ProbeNack}
+			return ProbeNack, false
 		}
 		p.cRelinquish.Inc()
-		old := pl.L2Data
+		*data = pl.L2Data
 		p.setState(pl, StateI)
 		pl.Ready = false
 		p.dropL2(pl)
 		if p.handler != nil {
 			p.handler.HandleRelinquish(line)
 		}
-		return ProbeReply{Result: ProbeStale, Data: &old}
+		return ProbeStale, true
 	}
 
 	if pl.NotVisible {
@@ -1053,17 +1149,15 @@ func (p *Private) Probe(line uint64, kind ProbeKind) ProbeReply {
 		// keep the stash.
 		p.setState(pl, StateI)
 		p.dropL2(pl)
-		return ProbeReply{Result: ProbeAck}
+		return ProbeAck, false
 	}
 
-	var data *LineData
 	dirty := pl.L1Dirty || pl.L2Dirty || pl.State == StateM
 	if dirty {
-		d := pl.L2Data
+		*data = pl.L2Data
 		if pl.InL1 && pl.L1Dirty {
-			d = pl.L1Data
+			*data = pl.L1Data
 		}
-		data = &d
 	}
 	switch kind {
 	case ProbeInv:
@@ -1081,7 +1175,7 @@ func (p *Private) Probe(line uint64, kind ProbeKind) ProbeReply {
 		}
 		pl.L1Dirty, pl.L2Dirty = false, false
 	}
-	return ProbeReply{Result: ProbeAck, Data: data}
+	return ProbeAck, dirty
 }
 
 // evictL1noWB removes the L1 residency without pushing data to L2
@@ -1097,23 +1191,30 @@ func (p *Private) evictL1noWB(pl *PLine) {
 // sorted walk keeps auditor reports deterministic across runs (neither
 // map implementation has a meaningful iteration order).
 func (p *Private) AuditLines(visit func(pl *PLine)) {
-	keys := make([]uint64, 0, p.lines.Len())
-	p.lines.Range(func(k uint64, _ *PLine) { keys = append(keys, k) })
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
+	for _, k := range p.lines.SortedKeys() {
 		visit(p.lines.Get(k))
 	}
 }
 
 // AuditMSHRs visits every in-flight miss in ascending line order.
 func (p *Private) AuditMSHRs(visit func(line, born uint64, wantM, prefetch bool)) {
-	keys := make([]uint64, 0, p.mshrs.Len())
-	p.mshrs.Range(func(k uint64, _ *mshrEntry) { keys = append(keys, k) })
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
+	for _, k := range p.mshrs.SortedKeys() {
 		m := p.mshrs.Get(k)
 		visit(m.line, m.born, m.wantM, m.prefetch)
 	}
+}
+
+// MSHRWaiters reports who waits on the miss in flight for line: its
+// pending loads, and its write requesters by name in arrival order.
+func (p *Private) MSHRWaiters(line uint64) (loads int, writers []string) {
+	m := p.mshrs.Get(line & LineMask)
+	if m == nil {
+		return 0, nil
+	}
+	for _, w := range m.writers {
+		writers = append(writers, p.requesters[w-1].name)
+	}
+	return len(m.loads), writers
 }
 
 // WBPending reports whether line sits in the writeback buffer (its
@@ -1132,24 +1233,14 @@ func (p *Private) MSHRPending(line uint64) bool { return p.mshrs.Get(line&LineMa
 // disagreement. Returns the corrupted line, or ok=false when no
 // candidate exists yet.
 func (p *Private) SabotageHideLine() (uint64, bool) {
-	var best uint64
-	found := false
-	p.lines.Range(func(k uint64, pl *PLine) {
-		if !pl.NotVisible || pl.Ready || !pl.InL1 {
-			return
+	for _, k := range p.lines.SortedKeys() {
+		if pl := p.lines.Get(k); pl.NotVisible && !pl.Ready && pl.InL1 {
+			pl.NotVisible = false
+			pl.UMask = 0
+			return k, true
 		}
-		if !found || k < best {
-			best = k
-			found = true
-		}
-	})
-	if !found {
-		return 0, false
 	}
-	pl := p.lines.Get(best)
-	pl.NotVisible = false
-	pl.UMask = 0
-	return best, true
+	return 0, false
 }
 
 // extractPacked packs size bytes at addr into a uint64, little-endian

@@ -5,6 +5,7 @@ import (
 
 	"tusim/internal/config"
 	"tusim/internal/event"
+	"tusim/internal/faults"
 	"tusim/internal/stats"
 )
 
@@ -312,6 +313,33 @@ func TestMSHRLimit(t *testing.T) {
 	if !r.load(0, 0x300, 8, func([]byte) {}) {
 		t.Fatal("load rejected after MSHRs drained")
 	}
+}
+
+// TestPermEpochTracksKeepWritableInputs pins the key the drain lookahead
+// skips on: each input of KeepWritable moves PermEpoch on its own — a
+// state write, an MSHR allocation, an MSHR free (a NACK, no state
+// changes) and an MSHR query that consumes an injector decision.
+func TestPermEpochTracksKeepWritableInputs(t *testing.T) {
+	r := newRig(t, 1, nil)
+	p := r.ps[0]
+	moves := func(what string, f func()) {
+		t.Helper()
+		e := p.PermEpoch()
+		f()
+		if p.PermEpoch() == e {
+			t.Fatalf("%s left PermEpoch at %d", what, e)
+		}
+	}
+	r.mustWritable(t, 0, 0x1000)
+	moves("a state write", func() { p.StoreVisible(0x1000, []byte{1}) })
+	r.dir.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, NackPct: 100}))
+	moves("an MSHR allocation", func() { p.KeepWritable(0x2000) })
+	moves("an MSHR free", func() { r.run(t) })
+	if p.MSHRPending(0x2000) || p.Writable(0x2000) {
+		t.Fatal("the NACKed request did not end as a plain free")
+	}
+	p.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, MSHRPressurePct: 50}))
+	moves("an MSHR query under faults", func() { p.MSHRFree() })
 }
 
 func TestUpgradeFromShared(t *testing.T) {

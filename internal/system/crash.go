@@ -5,15 +5,20 @@ import (
 
 	"tusim/internal/faults"
 	"tusim/internal/mech"
+	"tusim/internal/memsys"
 	"tusim/internal/tus"
 )
 
-// MSHRSnapshot is one in-flight miss at crash time.
+// MSHRSnapshot is one in-flight miss at crash time, with who waits on
+// it: pending loads, and the write requesters (by kind: "tus", "csb")
+// that hear its outcome.
 type MSHRSnapshot struct {
-	Line     uint64 `json:"line"`
-	Born     uint64 `json:"born"`
-	WantM    bool   `json:"want_m"`
-	Prefetch bool   `json:"prefetch"`
+	Line     uint64   `json:"line"`
+	Born     uint64   `json:"born"`
+	WantM    bool     `json:"want_m"`
+	Prefetch bool     `json:"prefetch"`
+	Loads    int      `json:"loads,omitempty"`
+	Writers  []string `json:"writers,omitempty"`
 }
 
 // CoreSnapshot is one core's architectural-ish state at crash time:
@@ -60,6 +65,9 @@ type CrashReport struct {
 	// rates zero when the run was fault-free).
 	FaultPlan faults.Plan    `json:"fault_plan"`
 	PerCore   []CoreSnapshot `json:"per_core"`
+	// Directory lists the coherence transactions in flight: line,
+	// requester, stage, and the requests queued behind it.
+	Directory []memsys.TxnInfo `json:"directory,omitempty"`
 	// Stack is the captured goroutine stack for panic crashes.
 	Stack string `json:"stack,omitempty"`
 }
@@ -130,11 +138,14 @@ func (s *System) crash(kind string, violation *faults.ProtocolError, message str
 		case *mech.SSB:
 			snap.TSOB = m.AuditTSOB()
 		}
-		s.Privs[i].AuditMSHRs(func(line, born uint64, wantM, prefetch bool) {
-			snap.MSHRs = append(snap.MSHRs, MSHRSnapshot{Line: line, Born: born, WantM: wantM, Prefetch: prefetch})
+		p := s.Privs[i]
+		p.AuditMSHRs(func(line, born uint64, wantM, prefetch bool) {
+			loads, writers := p.MSHRWaiters(line)
+			snap.MSHRs = append(snap.MSHRs, MSHRSnapshot{Line: line, Born: born, WantM: wantM, Prefetch: prefetch, Loads: loads, Writers: writers})
 		})
 		r.PerCore = append(r.PerCore, snap)
 	}
+	r.Directory = s.Dir.AuditTxns()
 	return r
 }
 

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"tusim/internal/config"
+	"tusim/internal/faults"
 	"tusim/internal/isa"
+	"tusim/internal/memsys"
 )
 
 // stallTrace is a single cold-miss load: commits stall for the full
@@ -88,6 +90,46 @@ func TestWatchdogCrashReportShowsTSOB(t *testing.T) {
 	}
 	if js, _ := json.Marshal(cr); strings.Contains(string(js), "tsob") {
 		t.Fatalf("baseline report mentions a TSOB: %s", js)
+	}
+}
+
+// TestWatchdogCrashReportListsTransactions: two cores read one line
+// under a plan that stalls every directory transaction on a busy bit and
+// NACKs some requests, so the line never fills and the watchdog trips.
+// The report must name who waits on what: the stalled transaction on the
+// line with its requester and the other core queued behind it, and each
+// core's MSHR with its pending load.
+func TestWatchdogCrashReportListsTransactions(t *testing.T) {
+	const line = 1 << 30
+	cfg := config.Default().WithCores(2)
+	cfg.WatchdogWindow = 400
+	load := []isa.MicroOp{{Kind: isa.Load, Addr: line, Size: 8}}
+	sys, err := New(cfg, []isa.Stream{isa.NewSliceStream(load), isa.NewSliceStream(load)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.InstallFaults(faults.NewInjector(faults.Plan{Seed: 3, BusyStallPct: 100, BusyStallMax: 100, NackPct: 5}))
+	var cr *CrashReport
+	if err := sys.Run(); !errors.As(err, &cr) || cr.Kind != CrashWatchdog {
+		t.Fatalf("Run = %v, want a watchdog crash", err)
+	}
+	var stalled *memsys.TxnInfo
+	for i, tx := range cr.Directory {
+		if tx.Line == line && tx.Stage == "injected stall" {
+			stalled = &cr.Directory[i]
+		}
+	}
+	if stalled == nil || stalled.WantM || len(stalled.Queued) != 1 || stalled.Queued[0] == stalled.Core {
+		t.Fatalf("directory = %+v, want the line's read stalled with the other core queued behind it", cr.Directory)
+	}
+	for _, snap := range cr.PerCore {
+		if len(snap.MSHRs) != 1 || snap.MSHRs[0].Line != line || snap.MSHRs[0].Loads != 1 || snap.MSHRs[0].Writers != nil {
+			t.Fatalf("core %d MSHRs = %+v, want one miss on %#x with its load waiting", snap.Core, snap.MSHRs, uint64(line))
+		}
+	}
+	js, err := json.Marshal(cr)
+	if err != nil || !strings.Contains(string(js), `"directory":[{"line":1073741824,`) || !strings.Contains(string(js), `"loads":1`) {
+		t.Fatalf("report JSON lacks the transactions or waiters: %s (%v)", js, err)
 	}
 }
 

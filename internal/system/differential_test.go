@@ -46,7 +46,7 @@ func TestReferenceWholeSystemIdentity(t *testing.T) {
 		ops     int
 	}{
 		{config.TUS, "502.gcc2", false, 6000},
-		{config.Baseline, "505.mcf", false, 6000},
+		{config.Baseline, "505.mcf", false, 30000},
 		{config.CSB, "502.gcc5", false, 6000},
 		{config.TUS, "fluidanimate", true, 6000}, // 16-core: directory + probe traffic
 		// The indexed store ring against its entry-by-entry twin where it
@@ -56,10 +56,15 @@ func TestReferenceWholeSystemIdentity(t *testing.T) {
 		{config.SSB, "tf.embed", false, 40000},
 		{config.SSB, "502.gcc2", false, 40000},
 		{config.SSB, "502.gcc4", false, 20000}, // the lookahead's run lengths move its RFO count
-		// 16 cores: probes take E/M away under SSB's blocked heads, which
-		// must end the skipping of their lookahead walks.
+		// 16 cores: probes take E/M away under the drains' blocked heads,
+		// which must end the skipping of their lookahead walks.
 		{config.SSB, "canneal", true, 6000},
-		{config.SPB, "505.mcf", false, 6000},
+		{config.Baseline, "canneal", true, 6000},
+		{config.CSB, "canneal", true, 6000},
+		// Every drain's lookahead skip on the miss-bound proxy (SPB is
+		// base plus a prefetcher).
+		{config.SPB, "505.mcf", false, 30000},
+		{config.CSB, "505.mcf", false, 30000},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -107,7 +107,7 @@ func New(cfg *config.Config, streams []isa.Stream) (*System, error) {
 		var m cpu.DrainMechanism
 		switch cfg.Mechanism {
 		case config.Baseline:
-			m = mech.NewBase(core, st)
+			m = mech.NewBase(core, cfg, st)
 		case config.TUS:
 			m = tus.New(core, cfg, s.Q, st)
 		case config.SSB:
@@ -115,7 +115,7 @@ func New(cfg *config.Config, streams []isa.Stream) (*System, error) {
 		case config.CSB:
 			m = mech.NewCSB(core, cfg, st)
 		case config.SPB:
-			m = mech.NewBase(core, st)
+			m = mech.NewBase(core, cfg, st)
 			spb := prefetch.NewSPB(priv, cfg.SPBBurstThreshold, cfg.SPBPageBytes, st)
 			core.OnStoreCommit = append(core.OnStoreCommit, spb.OnStoreCommit)
 		default:

@@ -60,6 +60,7 @@ type TUS struct {
 	priv *memsys.Private
 	cfg  *config.Config
 	q    *event.Queue
+	who  memsys.Requester // permission requests go out as this requester
 
 	wcbs    *wcb.Set
 	woq     []*woqEntry
@@ -125,6 +126,7 @@ func New(core *cpu.Core, cfg *config.Config, q *event.Queue, st *stats.Set) *TUS
 		hUnauthRes:     st.Histogram("tus_unauth_residency"),
 	}
 	t.priv.SetHandler(t)
+	t.who = t.priv.AddRequester("tus", t.permDone)
 	return t
 }
 
@@ -403,24 +405,27 @@ func (t *TUS) request(e *woqEntry) {
 		gated = 1
 	}
 	t.tr.Emit(trace.PermRequest, int32(t.core.ID), t.q.Now(), line, 0, gated)
-	ok := t.priv.RequestWritable(line, false, false, func(granted bool) {
-		if granted {
-			return // HandleFill already recorded it
-		}
-		// NACKed: a remote authorization unit delayed us (lex gate) or
-		// the request overflowed a queue. Re-request with a backoff;
-		// mark it gated so a contended line follows the Sec. III-C
-		// re-request rule instead of hammering the holder.
-		if cur := t.byLine.Get(line); cur != nil {
-			cur.requested = false
-			cur.gated = true
-			cur.retryAt = t.q.Now() + t.cfg.NetLatency
-		}
-	})
-	if !ok {
+	if !t.priv.RequestWritableAs(line, false, false, t.who) {
 		// Could not even start (MSHRs full): plain retry, not a lex gate.
 		e.requested = false
 		e.retryAt = t.q.Now() + 1
+	}
+}
+
+// permDone hears the outcome of every permission request TUS made or
+// joined (TUS's registered requester).
+func (t *TUS) permDone(line uint64, granted bool) {
+	if granted {
+		return // HandleFill already recorded it
+	}
+	// NACKed: a remote authorization unit delayed us (lex gate) or the
+	// request overflowed a queue. Re-request with a backoff; mark it
+	// gated so a contended line follows the Sec. III-C re-request rule
+	// instead of hammering the holder.
+	if cur := t.byLine.Get(line); cur != nil {
+		cur.requested = false
+		cur.gated = true
+		cur.retryAt = t.q.Now() + t.cfg.NetLatency
 	}
 }
 
