@@ -20,7 +20,7 @@ short:
 
 # race: the protocol-heavy packages under the race detector.
 race:
-	$(GO) test -short -race ./internal/system/ ./internal/litmus/
+	$(GO) test -short -race ./internal/system/ ./internal/modelcheck/
 
 # race-harness: the parallel experiment harness (worker pool, result
 # cache, stats merging, supervision layer) and the tusd service layer
@@ -53,8 +53,9 @@ CHAOS_SEED ?= 7
 chaos:
 	$(GO) run ./cmd/tusim -chaos-seed $(CHAOS_SEED)
 
+# litmus: the litmus suite under TUS against the x86-TSO oracle.
 litmus:
-	$(GO) run ./cmd/tusim -litmus -mech TUS
+	$(GO) run ./cmd/tuscheck -mech TUS
 
 figs:
 	$(GO) run ./cmd/tusbench -quick

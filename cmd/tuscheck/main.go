@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"tusim/internal/config"
+	"tusim/internal/harness"
 	"tusim/internal/litmus"
 	"tusim/internal/modelcheck"
 )
@@ -145,8 +146,8 @@ func main() {
 		}
 		if !r.Sound() {
 			exit = 1
-			if r.Bundle != nil {
-				if err := r.Bundle.Save(*crashOut); err != nil {
+			if b := harness.ViolationBundle(r); b != nil {
+				if err := b.Save(*crashOut); err != nil {
 					fail(err)
 				}
 				fmt.Printf("    repro bundle written to %s (replay: tusim -repro %s)\n",

@@ -8,7 +8,6 @@
 //	tusim -list                     # list benchmark proxies
 //	tusim -bench dedup -mech TUS    # 16-core Parsec proxy
 //	tusim -bench 505.mcf -mech base -check   # with TSO checker
-//	tusim -litmus -mech TUS                  # TSO litmus suite
 //	tusim -bench 502.gcc1 -save-trace /tmp/t # export trace files
 //	tusim -replay /tmp/t.0.tust -mech CSB    # replay a trace file
 //	tusim -trace -trace-out t.json           # store-lifecycle trace (Perfetto)
@@ -30,7 +29,6 @@ import (
 	"tusim/internal/energy"
 	"tusim/internal/harness"
 	"tusim/internal/isa"
-	"tusim/internal/litmus"
 	"tusim/internal/prof"
 	"tusim/internal/system"
 	"tusim/internal/trace"
@@ -54,7 +52,6 @@ func main() {
 	fromTrace := flag.String("replay", "", "run a saved single-thread trace file instead of a benchmark proxy")
 	doTrace := flag.Bool("trace", false, "record the store-lifecycle trace (SB/WCB/WOQ/MSHR spans)")
 	traceOut := flag.String("trace-out", "", "write the lifecycle trace as Chrome trace JSON to this file (implies -trace; default trace.json)")
-	runLitmus := flag.Bool("litmus", false, "run the TSO litmus suite under -mech and exit")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "run the seeded chaos-fuzz sweep (litmus matrix + bench soak) and exit")
 	auditEvery := flag.Uint64("audit", 0, "audit machine invariants every N cycles (0 = off)")
 	watchdog := flag.Uint64("watchdog", 0, "no-commit-progress watchdog window in cycles (0 = default)")
@@ -109,22 +106,6 @@ func main() {
 			w = runtime.NumCPU()
 		}
 		runChaos(*chaosSeed, *auditEvery, *crashOut, w)
-		return
-	}
-
-	if *runLitmus {
-		for _, lt := range litmus.Tests() {
-			res, err := litmus.Run(lt, m, 16)
-			if err != nil {
-				fail(err)
-			}
-			status := "OK"
-			if res.Violations > 0 {
-				status = fmt.Sprintf("%d TSO VIOLATIONS", res.Violations)
-			}
-			fmt.Printf("%-10s %-4s %2d interleavings  %s  outcomes: %v\n",
-				lt.Name, m, res.Runs, status, res.Outcomes)
-		}
 		return
 	}
 

@@ -11,6 +11,7 @@ import (
 	"tusim/internal/config"
 	"tusim/internal/faults"
 	"tusim/internal/litmus"
+	"tusim/internal/modelcheck"
 	"tusim/internal/system"
 	"tusim/internal/tso"
 	"tusim/internal/workload"
@@ -90,7 +91,8 @@ func LoadBundle(path string) (*ReproBundle, error) {
 // Replay re-executes the bundled run and returns the error it
 // reproduces (nil means the run came out clean — the bug did not
 // replay, which for a deterministic simulator indicates the bundle and
-// binary are out of sync).
+// binary are out of sync). A litmus run is judged like a chaos cell:
+// its own error, else an outcome outside the TSO-allowed set.
 func (b *ReproBundle) Replay() error {
 	m, err := config.ParseMechanism(b.Mechanism)
 	if err != nil {
@@ -109,6 +111,10 @@ func (b *ReproBundle) Replay() error {
 		if test == nil {
 			return fmt.Errorf("harness: unknown litmus test %q", b.Name)
 		}
+		oracle, err := modelcheck.Oracle(*test, modelcheck.Limits{})
+		if err != nil {
+			return err
+		}
 		o := litmus.Opts{
 			Faults:     &b.Faults,
 			AuditEvery: b.AuditEvery,
@@ -118,14 +124,7 @@ func (b *ReproBundle) Replay() error {
 			o.Source = faults.NewScriptSource(b.Script)
 		}
 		obs, err := litmus.RunOne(*test, m, b.Skew, o)
-		if err == nil && o.Source != nil && test.Forbidden != nil && test.Forbidden(obs) {
-			// Model-checker bundles may capture a forbidden *outcome*
-			// rather than a crash; replay must reproduce that failure
-			// mode too.
-			err = fmt.Errorf("harness: TSO-forbidden outcome %v in %s/%v skew %d (scripted schedule)",
-				obs, test.Name, m, b.Skew)
-		}
-		return err
+		return litmusVerdict(oracle, m, b.Skew, obs, err)
 	case "bench":
 		bench, ok := workload.ByName(b.Name)
 		if !ok {
@@ -135,6 +134,35 @@ func (b *ReproBundle) Replay() error {
 		return err
 	}
 	return fmt.Errorf("harness: unknown bundle kind %q", b.Kind)
+}
+
+// litmusVerdict is the one pass/fail rule for a litmus run, shared by
+// the chaos matrix and Replay: the run's own error (TSO checker,
+// auditor, crash), else an outcome outside the oracle's TSO-allowed set.
+func litmusVerdict(oracle *modelcheck.OracleResult, m config.Mechanism, skew int, obs []uint64, err error) error {
+	if err == nil && !oracle.Allowed(obs) {
+		err = fmt.Errorf("harness: TSO-forbidden outcome %v in %s/%v skew %d", obs, oracle.Program.Name, m, skew)
+	}
+	return err
+}
+
+// ViolationBundle is the replayable schedule for a model-checker
+// report's violating run, or nil when the cell is sound.
+func ViolationBundle(r *modelcheck.Report) *ReproBundle {
+	v := r.Exploration.Violation
+	if v == nil {
+		return nil
+	}
+	return &ReproBundle{
+		Kind:       "litmus",
+		Name:       r.Test,
+		Mechanism:  r.Mech.String(),
+		Skew:       v.Ref.Skew,
+		AuditEvery: r.Exploration.AuditEvery,
+		Faults:     r.Exploration.Plan,
+		Script:     v.Ref.Script,
+		Scripted:   true,
+	}
 }
 
 // RunChaosBench runs one benchmark under fault injection with the TSO
@@ -192,20 +220,31 @@ func ChaosLitmus(seed uint64, schedules, skews int, auditEvery uint64, workers i
 	for _, t := range litmus.Tests() {
 		tests[t.Name] = t
 	}
-	type chaosCell struct {
-		mi, pi, si, skew int
-		test             litmus.Test
+	// Each pattern's allowed set is computed once and shared read-only
+	// by all of its cells.
+	type pattern struct {
+		test   litmus.Test
+		oracle *modelcheck.OracleResult
 	}
+	pats := make([]pattern, len(ChaosPatterns))
+	for pi, name := range ChaosPatterns {
+		test, ok := tests[name]
+		if !ok {
+			return res, fmt.Errorf("harness: unknown chaos pattern %q", name)
+		}
+		oracle, err := modelcheck.Oracle(test, modelcheck.Limits{})
+		if err != nil {
+			return res, err
+		}
+		pats[pi] = pattern{test, oracle}
+	}
+	type chaosCell struct{ mi, pi, si, skew int }
 	var cells []chaosCell
 	for mi := range config.Mechanisms {
-		for pi, name := range ChaosPatterns {
-			test, ok := tests[name]
-			if !ok {
-				return res, fmt.Errorf("harness: unknown chaos pattern %q", name)
-			}
+		for pi := range pats {
 			for si := 0; si < schedules; si++ {
 				for skew := 0; skew < skews; skew++ {
-					cells = append(cells, chaosCell{mi, pi, si, skew, test})
+					cells = append(cells, chaosCell{mi, pi, si, skew})
 				}
 			}
 		}
@@ -219,15 +258,11 @@ func ChaosLitmus(seed uint64, schedules, skews int, auditEvery uint64, workers i
 		c := cells[i]
 		m := config.Mechanisms[c.mi]
 		plan := cellPlan(c)
-		obs, err := litmus.RunOne(c.test, m, c.skew, litmus.Opts{
+		obs, err := litmus.RunOne(pats[c.pi].test, m, c.skew, litmus.Opts{
 			Faults:     &plan,
 			AuditEvery: auditEvery,
 		})
-		if err == nil && c.test.Forbidden != nil && c.test.Forbidden(obs) {
-			err = fmt.Errorf("harness: TSO-forbidden outcome %v in %s/%v skew %d under faults",
-				obs, c.test.Name, m, c.skew)
-		}
-		return err
+		return litmusVerdict(pats[c.pi].oracle, m, c.skew, obs, err)
 	})
 	if failIdx < 0 {
 		res.Runs = len(cells)
@@ -238,7 +273,7 @@ func ChaosLitmus(seed uint64, schedules, skews int, auditEvery uint64, workers i
 	res.Err = failErr
 	res.Bundle = &ReproBundle{
 		Kind:       "litmus",
-		Name:       c.test.Name,
+		Name:       ChaosPatterns[c.pi],
 		Mechanism:  config.Mechanisms[c.mi].String(),
 		Skew:       c.skew,
 		AuditEvery: auditEvery,

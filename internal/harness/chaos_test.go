@@ -3,11 +3,13 @@ package harness
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tusim/internal/config"
 	"tusim/internal/faults"
 	"tusim/internal/litmus"
+	"tusim/internal/modelcheck"
 	"tusim/internal/system"
 )
 
@@ -130,6 +132,70 @@ func TestSabotageDetectedAndReproduced(t *testing.T) {
 					rcr.Kind, rcr.Cycle, rcr.Violation.Invariant)
 			}
 		})
+	}
+}
+
+// TestLitmusVerdict pins the one verdict the chaos matrix and Replay
+// share: a run error passes through, an outcome outside the oracle's
+// set is an error naming it, and an allowed outcome is clean.
+func TestLitmusVerdict(t *testing.T) {
+	oracle, err := modelcheck.Oracle(findTest(t, "MP"), modelcheck.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := litmusVerdict(oracle, config.Baseline, 4, []uint64{1, 0}, nil); err == nil ||
+		!strings.Contains(err.Error(), "[1 0] in MP/base skew 4") {
+		t.Errorf("MP [1 0]: verdict %v, want an error naming the outcome and cell", err)
+	}
+	if err := litmusVerdict(oracle, config.Baseline, 4, []uint64{1, 1}, nil); err != nil {
+		t.Errorf("MP [1 1]: verdict %v, want nil", err)
+	}
+	runErr := errors.New("checker tripped")
+	if err := litmusVerdict(oracle, config.Baseline, 4, nil, runErr); err != runErr {
+		t.Errorf("run error: verdict %v, want it passed through", err)
+	}
+}
+
+// TestCheckViolationPipeline: corrupting protocol state via sabotage
+// must surface as a model-checker violation with a *replayable*
+// minimal schedule — the full capture → minimize → bundle → replay
+// loop.
+func TestCheckViolationPipeline(t *testing.T) {
+	plan := modelcheck.ExplorePlan()
+	plan.SabotageSpec = faults.Sabotage{Cycle: 1, Core: 0, Kind: faults.SabotageHideLine}
+	opts := modelcheck.ExploreOpts{Skews: 3, MaxDecisions: 4, MaxRuns: 48, Plan: &plan, AuditEvery: 1}
+
+	r, err := modelcheck.Check(findTest(t, "MP"), config.TUS, opts, modelcheck.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Sound() {
+		t.Fatal("sabotaged run reported sound")
+	}
+	if v := r.Exploration.Violation; v == nil || v.Err == nil {
+		t.Fatalf("violation carries no error: %+v", v)
+	}
+	bundle := ViolationBundle(r)
+	if bundle == nil {
+		t.Fatal("violation produced no repro bundle")
+	}
+
+	// The bundle must survive disk and reproduce the failure.
+	path := filepath.Join(t.TempDir(), "mc-crash.json")
+	if err := bundle.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerr := loaded.Replay()
+	if rerr == nil {
+		t.Fatal("replay of the minimized schedule came out clean")
+	}
+	var cr *system.CrashReport
+	if !errors.As(rerr, &cr) {
+		t.Fatalf("replay error is not a CrashReport: %v", rerr)
 	}
 }
 

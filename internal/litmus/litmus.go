@@ -1,9 +1,17 @@
-// Package litmus runs classic memory-consistency litmus tests on the
-// simulated machine. Each test is a tiny multi-core program with an
-// assertion about which final observations x86-TSO forbids; running
-// them under every store mechanism checks that TUS (and the
-// comparison mechanisms) preserve TSO not just statistically (the
-// online checker) but on the canonical adversarial patterns:
+// Package litmus is the repo's suite of classic memory-consistency
+// litmus tests and the means to run them on the simulated machine:
+//
+//   - Tests returns the suite, each test a tiny multi-core program;
+//   - Test.Program exports a test as checkable IR (ir.go);
+//   - RunOne runs a test once on a configured machine and returns its
+//     outcome vector.
+//
+// The package says nothing about which outcomes are legal. That is the
+// one question internal/modelcheck answers: its operational x86-TSO
+// oracle enumerates each program's allowed outcome set, and the
+// explorer, the chaos matrix and bundle replay all ask it. The comments
+// on each test record why TSO allows or forbids its interesting
+// outcome:
 //
 //   - SB  (store buffering):   r1=0 ^ r2=0 is ALLOWED under TSO
 //   - MP  (message passing):   r1=1 ^ r2=0 is FORBIDDEN
@@ -19,10 +27,8 @@
 //   - ATOM (atomic group):     a coalesced A,B,A group publishes
 //     atomically — no observer may see the second A write before B
 //
-// Observations are collected over many interleavings by varying
-// per-core start skew and filler work; TSO-forbidden outcomes must
-// never appear for any skew, and (for ALLOWED tests) the relaxed
-// outcome should appear for at least one skew.
+// RunOne varies interleavings by per-core start skew; fault injection
+// and scripted decision sources (Opts) perturb them further.
 package litmus
 
 import (
@@ -62,15 +68,6 @@ type Test struct {
 	// vector after all recorded loads. The n6 test needs this: its
 	// discriminating outcome constrains the final value of x.
 	FinalReads []uint64
-	// Forbidden returns true if the observation vector (all threads'
-	// recorded load values, flattened, then FinalReads values; k means
-	// "saw the k-th store to that address in program-scan order", 0
-	// means "saw initial memory") violates x86-TSO.
-	Forbidden func(obs []uint64) bool
-	// WantRelaxed, when set, is an outcome that TSO *allows*; the
-	// runner reports whether it was ever observed (it should be, for
-	// the SB test — the store buffer is the whole point).
-	WantRelaxed func(obs []uint64) bool
 }
 
 // delay returns n filler ALU ops (a serial chain, n cycles).
@@ -99,8 +96,6 @@ func Tests() []Test {
 				{Ops: []isa.MicroOp{st(X), ld(Y)}, ObsSeqs: []int{0}},
 				{Ops: []isa.MicroOp{st(Y), ld(X)}, ObsSeqs: []int{0}},
 			},
-			Forbidden:   func(obs []uint64) bool { return false }, // everything is legal
-			WantRelaxed: func(obs []uint64) bool { return obs[0] == 0 && obs[1] == 0 },
 		},
 		{
 			// SB+mfence: the fences forbid r1=r2=0.
@@ -109,17 +104,15 @@ func Tests() []Test {
 				{Ops: []isa.MicroOp{st(X), {Kind: isa.Fence}, ld(Y)}, ObsSeqs: []int{0}},
 				{Ops: []isa.MicroOp{st(Y), {Kind: isa.Fence}, ld(X)}, ObsSeqs: []int{0}},
 			},
-			Forbidden: func(obs []uint64) bool { return obs[0] == 0 && obs[1] == 0 },
 		},
 		{
 			// MP: T0: x=1; y=1   T1: r1=y; r2=x
-			// Forbidden: r1=1 ^ r2=0 (stores must become visible in order).
+			// TSO forbids r1=1 ^ r2=0 (stores must become visible in order).
 			Name: "MP",
 			Threads: []Thread{
 				{Ops: []isa.MicroOp{st(X), st(Y)}},
 				{Ops: append(append([]isa.MicroOp{ld(Y)}, delay(8)...), ld(X)), ObsSeqs: []int{0, 1}},
 			},
-			Forbidden: func(obs []uint64) bool { return obs[0] == 1 && obs[1] == 0 },
 		},
 		{
 			// MP with the two stores coalescing into one atomic group
@@ -130,7 +123,6 @@ func Tests() []Test {
 				{Ops: []isa.MicroOp{st(X), st(Y), {Kind: isa.Store, Addr: X + 8, Size: 8}}},
 				{Ops: append(append([]isa.MicroOp{ld(Y)}, delay(8)...), ld(X)), ObsSeqs: []int{0, 1}},
 			},
-			Forbidden: func(obs []uint64) bool { return obs[0] == 1 && obs[1] == 0 },
 		},
 		{
 			// ATOM: the atomic group {X, Y} (via the cycle X,Y,X+8) may
@@ -142,25 +134,17 @@ func Tests() []Test {
 				{Ops: []isa.MicroOp{st(X), st(Y), {Kind: isa.Store, Addr: X + 8, Size: 8}}},
 				{Ops: []isa.MicroOp{{Kind: isa.Load, Addr: X + 8, Size: 8}, ld(Y), ld(X)}, ObsSeqs: []int{0, 1, 2}},
 			},
-			Forbidden: func(obs []uint64) bool {
-				// obs[0]=saw X+8 write, obs[1]=saw Y, obs[2]=saw X.
-				if obs[0] == 1 && (obs[1] == 0 || obs[2] == 0) {
-					return true // second X write visible without the group
-				}
-				return obs[1] == 1 && obs[2] == 0 // Y visible before older X
-			},
 		},
 		{
 			// CoWW + CoRW: same-location writes by one core must be
 			// observed in order by another core polling the location.
+			// Observation encodes which write was seen: 0 (init),
+			// 1 (first write) or 2 (second). Going backwards is forbidden.
 			Name: "CoWW",
 			Threads: []Thread{
 				{Ops: []isa.MicroOp{st(X), {Kind: isa.Store, Addr: X, Size: 8}}},
 				{Ops: append(append([]isa.MicroOp{ld(X)}, delay(8)...), ld(X)), ObsSeqs: []int{0, 1}},
 			},
-			// Observation encodes which write was seen: 0 (init),
-			// 1 (first write) or 2 (second). Going backwards is forbidden.
-			Forbidden: func(obs []uint64) bool { return obs[1] < obs[0] },
 		},
 		{
 			// CoRR: same-location reads by one core must not observe a
@@ -171,7 +155,6 @@ func Tests() []Test {
 				{Ops: []isa.MicroOp{st(X)}},
 				{Ops: append(append([]isa.MicroOp{ld(X)}, delay(8)...), ld(X)), ObsSeqs: []int{0, 1}},
 			},
-			Forbidden: func(obs []uint64) bool { return obs[1] < obs[0] },
 		},
 		{
 			// LB: T0: r1=x; y=1   T1: r2=y; x=1
@@ -183,7 +166,6 @@ func Tests() []Test {
 				{Ops: []isa.MicroOp{ld(X), st(Y)}, ObsSeqs: []int{0}},
 				{Ops: []isa.MicroOp{ld(Y), st(X)}, ObsSeqs: []int{0}},
 			},
-			Forbidden: func(obs []uint64) bool { return obs[0] == 1 && obs[1] == 1 },
 		},
 		{
 			// IRIW: two writers, two readers. TSO's store atomicity
@@ -197,9 +179,6 @@ func Tests() []Test {
 				{Ops: append(append([]isa.MicroOp{ld(X)}, delay(8)...), ld(Y)), ObsSeqs: []int{0, 1}},
 				{Ops: append(append([]isa.MicroOp{ld(Y)}, delay(8)...), ld(X)), ObsSeqs: []int{0, 1}},
 			},
-			Forbidden: func(obs []uint64) bool {
-				return obs[0] == 1 && obs[1] == 0 && obs[2] == 1 && obs[3] == 0
-			},
 		},
 		{
 			// n6 (Owens/Sarkar/Sewell): T0: x=1; r1=x; r2=y
@@ -207,25 +186,17 @@ func Tests() []Test {
 			// The discriminating outcome r1=1 ^ r2=0 ^ final x=1 is
 			// ALLOWED under x86-TSO (store forwarding lets T0 read its
 			// own buffered x=1 while both its drain and T1's stores float
-			// around it) but forbidden without forwarding. The full
-			// allowed set is small, so forbid by complement.
+			// around it) but forbidden without forwarding. Over
+			// (r1, r2, final x): r1 always sees at least T0's own x=1
+			// (mandatory forwarding), and r1=2 requires T0's own store
+			// already drained and overwritten (forcing final x=2 and,
+			// transitively, r2=1).
 			Name: "n6",
 			Threads: []Thread{
 				{Ops: []isa.MicroOp{st(X), ld(X), ld(Y)}, ObsSeqs: []int{0, 1}},
 				{Ops: []isa.MicroOp{st(Y), st(X)}},
 			},
 			FinalReads: []uint64{X},
-			Forbidden: func(obs []uint64) bool {
-				for _, a := range n6Allowed {
-					if obs[0] == a[0] && obs[1] == a[1] && obs[2] == a[2] {
-						return false
-					}
-				}
-				return true
-			},
-			WantRelaxed: func(obs []uint64) bool {
-				return obs[0] == 1 && obs[1] == 0 && obs[2] == 1
-			},
 		},
 		{
 			// RWC (read-to-write causality, fenced): T0: x=1
@@ -240,31 +211,8 @@ func Tests() []Test {
 				{Ops: append(append([]isa.MicroOp{ld(X)}, delay(8)...), ld(Y)), ObsSeqs: []int{0, 1}},
 				{Ops: []isa.MicroOp{st(Y), {Kind: isa.Fence}, ld(X)}, ObsSeqs: []int{0}},
 			},
-			Forbidden: func(obs []uint64) bool {
-				return obs[0] == 1 && obs[1] == 0 && obs[2] == 0
-			},
 		},
 	}
-}
-
-// n6Allowed is the hand-derived x86-TSO outcome table for n6 over
-// (r1, r2, final x): r1 always sees at least T0's own x=1 (mandatory
-// forwarding), r1=2 requires T0's own store already drained and
-// overwritten (forcing final x=2 and, transitively, r2=1).
-var n6Allowed = [][3]uint64{
-	{1, 0, 1}, {1, 0, 2}, {1, 1, 1}, {1, 1, 2}, {2, 1, 2},
-}
-
-// Result summarizes one litmus test under one mechanism.
-type Result struct {
-	Test       string
-	Mech       config.Mechanism
-	Runs       int
-	Violations int
-	// RelaxedSeen reports whether the WantRelaxed outcome appeared.
-	RelaxedSeen bool
-	// Outcomes maps the observation vector (stringified) to its count.
-	Outcomes map[string]int
 }
 
 // Opts tunes a litmus run beyond the plain configuration.
@@ -279,33 +227,6 @@ type Opts struct {
 	AuditEvery uint64
 	// Watchdog, when nonzero, overrides the no-progress window.
 	Watchdog uint64
-}
-
-// Run executes a litmus test under a mechanism across `skews`
-// different relative start offsets and returns the outcome census.
-func Run(test Test, m config.Mechanism, skews int) (Result, error) {
-	return RunOpts(test, m, skews, Opts{})
-}
-
-// RunOpts is Run with chaos options applied to every skew.
-func RunOpts(test Test, m config.Mechanism, skews int, o Opts) (Result, error) {
-	res := Result{Test: test.Name, Mech: m, Outcomes: map[string]int{}}
-	for skew := 0; skew < skews; skew++ {
-		obs, err := RunOne(test, m, skew, o)
-		if err != nil {
-			return res, err
-		}
-		res.Runs++
-		key := fmt.Sprint(obs)
-		res.Outcomes[key]++
-		if test.Forbidden != nil && test.Forbidden(obs) {
-			res.Violations++
-		}
-		if test.WantRelaxed != nil && test.WantRelaxed(obs) {
-			res.RelaxedSeen = true
-		}
-	}
-	return res, nil
 }
 
 // RunOne executes the test once with per-thread start skews and

@@ -68,8 +68,8 @@ type runRef struct {
 }
 
 // Violation is one run whose behaviour left the architecture's
-// contract: a TSO-checker/auditor/crash failure, or (flagged by the
-// comparator) an outcome outside the oracle's allowed set.
+// contract: a TSO-checker/auditor/crash failure, or an outcome outside
+// the oracle's allowed set.
 type Violation struct {
 	Ref runRef
 	// Outcome is the observed vector (nil when the run died before
@@ -90,13 +90,8 @@ type Exploration struct {
 	// bundles embed them).
 	Plan       faults.Plan
 	AuditEvery uint64
-	// Outcomes is the observed outcome census; Vecs holds each key's
-	// vector form.
+	// Outcomes is the observed outcome census.
 	Outcomes map[string]int
-	Vecs     map[string]Outcome
-	// First maps each outcome key to the first run that produced it
-	// (the replay handle the comparator turns into a repro bundle).
-	First map[string]runRef
 	// Runs counts simulator executions; Pruned counts schedules skipped
 	// because their consumed decision trace had already been explored
 	// (commuting suffixes collapse to one run).
@@ -133,9 +128,19 @@ func appendScript(b []byte, ds []faults.Decision) []byte {
 // the first MaxDecisions consumed choice points flipped through its
 // alternatives, expanding only choice points a run actually reached.
 // Every terminal outcome is recorded; the first checker/auditor/crash
-// failure (or annotated-forbidden outcome) stops the cell with a
-// minimized, replayable schedule.
+// failure, or the first outcome outside the oracle's TSO-allowed set,
+// stops the cell with a minimized, replayable schedule. A program the
+// oracle cannot enumerate comes back as a violation carrying why.
 func Explore(test litmus.Test, m config.Mechanism, opts ExploreOpts) *Exploration {
+	oracle, err := Oracle(test, Limits{})
+	if err != nil {
+		return &Exploration{Test: test.Name, Mech: m, Violation: &Violation{Err: err, Reason: "no oracle for the program"}}
+	}
+	return explore(test, m, opts, oracle)
+}
+
+// explore is Explore against an allowed set the caller already holds.
+func explore(test litmus.Test, m config.Mechanism, opts ExploreOpts, oracle *OracleResult) *Exploration {
 	opts = opts.withDefaults()
 	ex := &Exploration{
 		Test:       test.Name,
@@ -143,8 +148,6 @@ func Explore(test litmus.Test, m config.Mechanism, opts ExploreOpts) *Exploratio
 		Plan:       *opts.Plan,
 		AuditEvery: opts.AuditEvery,
 		Outcomes:   map[string]int{},
-		Vecs:       map[string]Outcome{},
-		First:      map[string]runRef{},
 	}
 
 	var buf []byte // one run's transcript line, then its trace key
@@ -172,7 +175,7 @@ func Explore(test litmus.Test, m config.Mechanism, opts ExploreOpts) *Exploratio
 			buf = appendScript(append(buf, " script="...), script)
 			if err != nil {
 				ex.Transcript = append(ex.Transcript, string(buf)+" -> ERROR "+err.Error())
-				ex.Violation = minimize(test, m, opts, &Violation{
+				ex.Violation = minimize(test, m, opts, oracle, &Violation{
 					Ref: ref, Err: err, Reason: "run failed under a legal schedule",
 				})
 				return ex
@@ -188,13 +191,9 @@ func Explore(test litmus.Test, m config.Mechanism, opts ExploreOpts) *Exploratio
 			seen[string(buf)] = true
 
 			ex.Outcomes[key]++
-			ex.Vecs[key] = obs
-			if _, ok := ex.First[key]; !ok {
-				ex.First[key] = ref
-			}
-			if test.Forbidden != nil && test.Forbidden(obs) {
-				ex.Violation = minimize(test, m, opts, &Violation{
-					Ref: ref, Outcome: obs, Reason: "annotated TSO-forbidden outcome",
+			if !oracle.Allowed(obs) {
+				ex.Violation = minimize(test, m, opts, oracle, &Violation{
+					Ref: ref, Outcome: obs, Reason: "outcome outside the TSO-allowed set",
 				})
 				return ex
 			}
@@ -235,9 +234,10 @@ func runScripted(test litmus.Test, m config.Mechanism, ref runRef, opts ExploreO
 
 // minimize shrinks a violating schedule: first truncate decisions off
 // the end, then quiet individual decisions back to their defaults,
-// keeping every change that still reproduces a violation. The result
-// is the replay schedule embedded in the repro bundle.
-func minimize(test litmus.Test, m config.Mechanism, opts ExploreOpts, v *Violation) *Violation {
+// keeping every change that still reproduces a violation (a failed run
+// or an outcome outside the oracle's set). The result is the replay
+// schedule embedded in the repro bundle.
+func minimize(test litmus.Test, m config.Mechanism, opts ExploreOpts, oracle *OracleResult, v *Violation) *Violation {
 	budget := 2*len(v.Ref.Script) + 8
 	fails := func(script []faults.Decision) bool {
 		if budget <= 0 {
@@ -245,10 +245,7 @@ func minimize(test litmus.Test, m config.Mechanism, opts ExploreOpts, v *Violati
 		}
 		budget--
 		obs, _, err := runScripted(test, m, runRef{Skew: v.Ref.Skew, Script: script}, opts)
-		if err != nil {
-			return true
-		}
-		return test.Forbidden != nil && test.Forbidden(obs)
+		return err != nil || !oracle.Allowed(obs)
 	}
 
 	script := append([]faults.Decision(nil), v.Ref.Script...)
@@ -273,7 +270,7 @@ func minimize(test litmus.Test, m config.Mechanism, opts ExploreOpts, v *Violati
 
 	// Re-run the minimized schedule to refresh the violation evidence.
 	obs, _, err := runScripted(test, m, runRef{Skew: v.Ref.Skew, Script: script}, opts)
-	if err != nil || (test.Forbidden != nil && test.Forbidden(obs)) {
+	if err != nil || !oracle.Allowed(obs) {
 		v.Ref.Script = script
 		v.Outcome = obs
 		v.Err = err

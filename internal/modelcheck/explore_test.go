@@ -1,7 +1,6 @@
 package modelcheck
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,10 +9,7 @@ import (
 	"testing"
 
 	"tusim/internal/config"
-	"tusim/internal/faults"
-	"tusim/internal/harness"
 	"tusim/internal/litmus"
-	"tusim/internal/system"
 )
 
 func testByName(t *testing.T, name string) litmus.Test {
@@ -35,11 +31,11 @@ func quickOpts() ExploreOpts {
 
 // TestCheckSuiteBoundedExhaustive is the model checker's main `go
 // test` entry point: every litmus program in the suite, explored under
-// the mechanism matrix, must stay inside the oracle's TSO-allowed
-// outcome set. This is the acceptance property — zero outcomes outside
-// TSO under bounded-exhaustive schedule exploration.
+// every mechanism, must stay inside the oracle's TSO-allowed outcome
+// set. This is the acceptance property — zero outcomes outside TSO
+// under bounded-exhaustive schedule exploration.
 func TestCheckSuiteBoundedExhaustive(t *testing.T) {
-	mechs := []config.Mechanism{config.Baseline, config.CSB, config.TUS}
+	mechs := config.Mechanisms
 	if testing.Short() {
 		mechs = []config.Mechanism{config.TUS}
 	}
@@ -112,8 +108,9 @@ func TestExploreTranscriptPinned(t *testing.T) {
 	}
 }
 
-// TestKeyMatchesFmt: outcome keys cross-index with litmus.Result's
-// fmt.Sprint keys, so the hand-built form must stay byte-identical.
+// TestKeyMatchesFmt: Key is fmt.Sprint's form of an outcome built
+// without fmt — the form tuscheck prints and repro errors quote — so
+// the hand-built bytes must stay identical to it.
 func TestKeyMatchesFmt(t *testing.T) {
 	for _, o := range [][]uint64{nil, {}, {0}, {1, 0, 1}, {0, 18446744073709551615, 42}} {
 		if got, want := Key(o), fmt.Sprint(o); got != want {
@@ -137,62 +134,31 @@ func TestExploreSchedulesDiverge(t *testing.T) {
 	}
 }
 
-// TestCheckViolationPipeline: corrupting protocol state via sabotage
-// must surface as a violation with a *replayable* minimal schedule —
-// the full capture → minimize → bundle → replay loop.
-func TestCheckViolationPipeline(t *testing.T) {
-	plan := ExplorePlan()
-	plan.SabotageSpec = faults.Sabotage{Cycle: 1, Core: 0, Kind: faults.SabotageHideLine}
-	opts := quickOpts()
-	opts.Plan = &plan
-	opts.AuditEvery = 1
-
-	r, err := Check(testByName(t, "MP"), config.TUS, opts, Limits{})
+// TestCheckCatchesDoctoredOracleSet: an allowed set with a reachable
+// outcome removed — SB without its store-buffering [0 0] — must stop
+// the explorer with a minimized violation on that outcome, proving the
+// explorer judges outcomes against the set it is given, not just
+// crashes, and that minimization converges.
+func TestCheckCatchesDoctoredOracleSet(t *testing.T) {
+	sb := testByName(t, "SB")
+	oracle, err := Oracle(sb, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Sound() {
-		t.Fatal("sabotaged run reported sound")
+	doctored := *oracle
+	doctored.Outcomes = map[string]Outcome{}
+	for k, o := range oracle.Outcomes {
+		if k != "[0 0]" {
+			doctored.Outcomes[k] = o
+		}
 	}
-	if r.Violation == nil || r.Violation.Err == nil {
-		t.Fatalf("violation carries no error: %+v", r.Violation)
+	ex := explore(sb, config.TUS, quickOpts(), &doctored)
+	v := ex.Violation
+	if v == nil {
+		t.Fatalf("outcome outside the doctored set never flagged; census: %v", ex.Outcomes)
 	}
-	if r.Bundle == nil {
-		t.Fatal("violation produced no repro bundle")
-	}
-
-	// The bundle must survive disk and reproduce the failure.
-	path := filepath.Join(t.TempDir(), "mc-crash.json")
-	if err := r.Bundle.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := harness.LoadBundle(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rerr := loaded.Replay()
-	if rerr == nil {
-		t.Fatal("replay of the minimized schedule came out clean")
-	}
-	var cr *system.CrashReport
-	if !errors.As(rerr, &cr) {
-		t.Fatalf("replay error is not a CrashReport: %v", rerr)
-	}
-}
-
-// TestCheckFlagsForbiddenOutcome: a (deliberately wrong) annotation
-// that forbids a reachable outcome must produce a minimized violation
-// — proving the explorer checks outcomes, not just crashes, and that
-// minimization converges.
-func TestCheckFlagsForbiddenOutcome(t *testing.T) {
-	doctored := testByName(t, "SB")
-	doctored.Forbidden = func(obs []uint64) bool { return obs[0] == 0 && obs[1] == 0 }
-	ex := Explore(doctored, config.TUS, quickOpts())
-	if ex.Violation == nil {
-		t.Fatalf("reachable 'forbidden' outcome never flagged; census: %v", ex.Outcomes)
-	}
-	if ex.Violation.Outcome == nil || !doctored.Forbidden(ex.Violation.Outcome) {
-		t.Fatalf("violation outcome %v does not satisfy the predicate", ex.Violation.Outcome)
+	if v.Err != nil || Key(v.Outcome) != "[0 0]" || v.Reason != "outcome outside the TSO-allowed set" {
+		t.Fatalf("violation = %+v, want the outcome [0 0] outside the TSO-allowed set", v)
 	}
 }
 

@@ -18,6 +18,10 @@
 //     reported with a minimal replayable schedule); allowed outcomes no
 //     schedule produced are reported as coverage, not failure.
 //
+// The oracle is the repo's only statement of which litmus outcomes TSO
+// allows: Oracle computes a program's set once, and the explorer, the
+// chaos matrix (internal/harness) and repro-bundle replay all ask it.
+//
 // Everything here is deterministic: two identical invocations produce
 // identical exploration transcripts, so a reported violation is
 // reproducible by construction.
@@ -47,9 +51,9 @@ const DefaultMaxStates = 1 << 20
 // RunOne's slot order, then final-memory ranks for Program.FinalReads.
 type Outcome []uint64
 
-// Key is the canonical map key for an outcome. It matches the key
-// format litmus.Result.Outcomes uses, so simulator and oracle outcome
-// sets cross-index directly.
+// Key is the canonical map key for an outcome: fmt.Sprint's form of
+// the vector, built without fmt. The explorer's census and the oracle's
+// allowed set both key by it, so they cross-index directly.
 func Key(o []uint64) string {
 	b := make([]byte, 0, 32)
 	b = append(b, '[')
@@ -280,6 +284,24 @@ func Enumerate(p litmus.Program, lim Limits) *OracleResult {
 	dfs(newState(p))
 	res.States = len(seen)
 	return res
+}
+
+// Oracle is the one way to ask which outcomes of a litmus test x86-TSO
+// allows: it exports the test as IR and enumerates it, failing when the
+// program is not exportable or the state budget stops the enumeration
+// short of the complete set. The explorer, Check, the chaos matrix and
+// bundle replay all judge outcomes by its Allowed.
+func Oracle(test litmus.Test, lim Limits) (*OracleResult, error) {
+	p, err := test.Program()
+	if err != nil {
+		return nil, err
+	}
+	oracle := Enumerate(p, lim)
+	if !oracle.Complete {
+		return nil, fmt.Errorf("modelcheck: oracle state budget exceeded on %s (%d states); raise Limits.MaxStates",
+			test.Name, oracle.States)
+	}
+	return oracle, nil
 }
 
 // Step kinds for enumerated traces.

@@ -120,28 +120,6 @@ func TestOracleN6(t *testing.T) {
 	}
 }
 
-// TestOracleAgreesWithAnnotations: for every suite program, nothing the
-// oracle allows may be annotated Forbidden, and every WantRelaxed
-// outcome must be TSO-reachable. This pins the hand annotations and the
-// operational machine to each other across the whole suite.
-func TestOracleAgreesWithAnnotations(t *testing.T) {
-	for _, lt := range litmus.Tests() {
-		res := enumerate(t, lt.Name)
-		relaxedSeen := false
-		for _, o := range res.Outcomes {
-			if lt.Forbidden != nil && lt.Forbidden(o) {
-				t.Errorf("%s: oracle-allowed outcome %v is annotated TSO-forbidden", lt.Name, o)
-			}
-			if lt.WantRelaxed != nil && lt.WantRelaxed(o) {
-				relaxedSeen = true
-			}
-		}
-		if lt.WantRelaxed != nil && !relaxedSeen {
-			t.Errorf("%s: WantRelaxed outcome is not TSO-reachable per the oracle", lt.Name)
-		}
-	}
-}
-
 // TestOracleDeterministicTranscript: two identical invocations must
 // visit identical states in identical order — the property that makes
 // every reported violation reproducible (and the reason state encoding

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"tusim/internal/config"
-	"tusim/internal/harness"
 	"tusim/internal/litmus"
 )
 
@@ -28,15 +27,11 @@ type Report struct {
 	// to be stricter than TSO (atomic groups are), and bounded budgets
 	// miss behaviours.
 	Uncovered []string
-	// Violation carries the failing run when the cell is unsound (or a
-	// run crashed); Bundle is its minimal replayable schedule.
-	Violation *Violation
-	Bundle    *harness.ReproBundle
 }
 
 // Sound reports whether the simulator stayed inside the TSO-allowed
 // outcome set and no run failed its checker/auditor.
-func (r *Report) Sound() bool { return len(r.Unsound) == 0 && r.Violation == nil }
+func (r *Report) Sound() bool { return len(r.Unsound) == 0 && r.Exploration.Violation == nil }
 
 // Coverage returns observed-allowed and total-allowed outcome counts.
 func (r *Report) Coverage() (got, total int) {
@@ -49,37 +44,19 @@ func (r *Report) Coverage() (got, total int) {
 	return got, total
 }
 
-// bundle builds the replayable schedule for a violating run.
-func (r *Report) bundle(ref runRef) *harness.ReproBundle {
-	return &harness.ReproBundle{
-		Kind:       "litmus",
-		Name:       r.Test,
-		Mechanism:  r.Mech.String(),
-		Skew:       ref.Skew,
-		AuditEvery: r.Exploration.AuditEvery,
-		Faults:     r.Exploration.Plan,
-		Script:     ref.Script,
-		Scripted:   true,
-	}
-}
-
 // Check model-checks one litmus program under one mechanism: exact
 // oracle enumeration, bounded-exhaustive schedule exploration of the
-// real simulator, then the diff. The returned error is reserved for
-// harness problems (program not exportable, oracle budget exceeded);
-// protocol violations land in the Report, with a repro bundle.
+// real simulator against that one allowed set, then the diff. The
+// returned error is reserved for harness problems (program not
+// exportable, oracle budget exceeded); a protocol violation lands in
+// Exploration.Violation with its minimized schedule, which
+// harness.ViolationBundle turns into a repro bundle.
 func Check(test litmus.Test, m config.Mechanism, eo ExploreOpts, lim Limits) (*Report, error) {
-	p, err := test.Program()
+	oracle, err := Oracle(test, lim)
 	if err != nil {
 		return nil, err
 	}
-	oracle := Enumerate(p, lim)
-	if !oracle.Complete {
-		return nil, fmt.Errorf("modelcheck: oracle state budget exceeded on %s (%d states); raise Limits.MaxStates",
-			test.Name, oracle.States)
-	}
-
-	ex := Explore(test, m, eo)
+	ex := explore(test, m, eo, oracle)
 	r := &Report{Test: test.Name, Mech: m, Oracle: oracle, Exploration: ex}
 
 	for key := range ex.Outcomes {
@@ -92,20 +69,6 @@ func Check(test litmus.Test, m config.Mechanism, eo ExploreOpts, lim Limits) (*R
 		if _, ok := ex.Outcomes[key]; !ok {
 			r.Uncovered = append(r.Uncovered, key)
 		}
-	}
-
-	switch {
-	case ex.Violation != nil:
-		r.Violation = ex.Violation
-	case len(r.Unsound) > 0:
-		r.Violation = &Violation{
-			Ref:     ex.First[r.Unsound[0]],
-			Outcome: ex.Vecs[r.Unsound[0]],
-			Reason:  fmt.Sprintf("outcome %s is outside the TSO-allowed set", r.Unsound[0]),
-		}
-	}
-	if r.Violation != nil {
-		r.Bundle = r.bundle(r.Violation.Ref)
 	}
 	return r, nil
 }
@@ -123,11 +86,11 @@ func (r *Report) Write(w io.Writer) {
 	if len(r.Unsound) > 0 {
 		fmt.Fprintf(w, "  UNSOUND outcomes: %v\n", r.Unsound)
 	}
-	if r.Violation != nil {
+	if v := r.Exploration.Violation; v != nil {
 		fmt.Fprintf(w, "  violation: %s (skew %d, %d-decision schedule)\n",
-			r.Violation.Reason, r.Violation.Ref.Skew, len(r.Violation.Ref.Script))
-		if r.Violation.Err != nil {
-			fmt.Fprintf(w, "  error: %v\n", r.Violation.Err)
+			v.Reason, v.Ref.Skew, len(v.Ref.Script))
+		if v.Err != nil {
+			fmt.Fprintf(w, "  error: %v\n", v.Err)
 		}
 	}
 	if len(r.Uncovered) > 0 {
