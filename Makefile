@@ -20,7 +20,7 @@ short:
 
 # race: the protocol-heavy packages under the race detector.
 race:
-	$(GO) test -short -race ./internal/system/ ./internal/modelcheck/
+	$(GO) test -short -race ./internal/system/ ./internal/litmus/
 
 # race-harness: the parallel experiment harness (worker pool, result
 # cache, stats merging, supervision layer) and the tusd service layer
