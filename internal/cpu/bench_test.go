@@ -72,13 +72,6 @@ func benchDrain(b *testing.B, tr *trace.Tracer) {
 // BenchmarkDrainUntraced is the production default: nil tracer.
 func BenchmarkDrainUntraced(b *testing.B) { benchDrain(b, nil) }
 
-// BenchmarkDrainDisabled holds a constructed but disabled tracer.
-func BenchmarkDrainDisabled(b *testing.B) {
-	tr := trace.New(1 << 10)
-	tr.SetEnabled(false)
-	benchDrain(b, tr)
-}
-
 // BenchmarkDrainTraced records every drain into the ring.
 func BenchmarkDrainTraced(b *testing.B) { benchDrain(b, trace.New(1<<10)) }
 

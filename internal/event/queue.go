@@ -1,14 +1,17 @@
 // Package event provides the deterministic discrete-event kernel that
-// drives all timing in the simulator. Every component schedules
-// callbacks on a single Queue; the simulation advances by executing
-// events in (cycle, insertion-seq) order, which makes every run
-// bit-for-bit reproducible for a given seed.
+// drives all timing in the simulator. Every event is one record: a
+// Func2 bound once by its owner plus two uint64 arguments (a record id,
+// a packed payload). Components schedule records on a single Queue;
+// the simulation advances by executing events in (cycle, insertion-seq)
+// order, which makes every run bit-for-bit reproducible for a given
+// seed. Periodic work (the invariant auditor, the sabotage hook) is a
+// record whose callback schedules its own next firing.
 //
 // The queue is a time wheel over a small binary min-heap. Events due
 // 0 < delta < horizon cycles from now go on the wheel: power-of-two
 // slots holding per-slot FIFO chains whose nodes come from a slab
-// free-list, so scheduling and firing are O(1) and move no closure
-// pointers. Everything else — due-now (delta == 0) and far-future
+// free-list, so scheduling and firing are O(1) and allocate nothing.
+// Everything else — due-now (delta == 0) and far-future
 // (delta >= horizon) events — overflows to the heap. Measured on whole
 // cells that share is zero (EXPERIMENTS.md, "Scheduler class shares"),
 // so the heap has to be correct and small, not fast.
@@ -33,21 +36,18 @@ package event
 
 import "math/bits"
 
-// Func is a callback executed when its event fires.
-type Func func()
-
-// Func2 is a callback carrying two uint64 arguments. Scheduling with
-// At2/After2 lets hot paths pass small payloads (a sequence number, a
-// packed 8-byte value) without closing over them — a closure per event
-// is a heap allocation; a Func2 bound once and reused is not.
+// Func2 is the kernel's one event callback: it receives the two
+// uint64 arguments its event was scheduled with. Owners bind it once
+// (a method value at construction) and pass small payloads (a record
+// id, a packed 8-byte value) as arguments, so scheduling allocates
+// nothing.
 type Func2 func(a, b uint64)
 
-// item is one scheduled event; exactly one of fn and fn2 is set.
+// item is one scheduled event record.
 type item struct {
 	cycle uint64
 	seq   uint64 // tie-breaker: FIFO among events at the same cycle
-	fn    Func
-	fn2   Func2
+	fn    Func2
 	a, b  uint64
 }
 
@@ -60,18 +60,10 @@ func (it *item) less(other *item) bool {
 	return it.seq < other.seq
 }
 
-func (it *item) fire() {
-	if it.fn2 != nil {
-		it.fn2(it.a, it.b)
-	} else {
-		it.fn()
-	}
-}
-
 // Wheel geometry. The span must cover the simulator's ordinary
 // latencies (Table I tops out at DRAMLatency=160; chaos request jitter
 // adds up to ~200 more), so every hot event schedules O(1) into the
-// wheel and only long periodics (auditor Every cadences) overflow.
+// wheel and only long periodics (auditor cadences) overflow.
 const (
 	wheelBits  = 9
 	wheelSlots = 1 << wheelBits // 512 cycles of near horizon
@@ -80,7 +72,7 @@ const (
 )
 
 // node is one wheel-resident event in the slab; chains link by slab
-// index so list surgery moves int32s, never the closure pointers.
+// index so list surgery moves int32s, never the records.
 type node struct {
 	item
 	next int32
@@ -167,7 +159,7 @@ func (q *Queue) pop() item {
 	top := q.heap[0]
 	n := len(q.heap) - 1
 	q.heap[0] = q.heap[n]
-	q.heap[n] = item{} // drop closure references for the GC
+	q.heap[n] = item{} // drop the callback reference for the GC
 	q.heap = q.heap[:n]
 	i := 0
 	for {
@@ -191,7 +183,7 @@ func (q *Queue) pop() item {
 // pushSlot links a near-horizon event onto its slot's FIFO chain,
 // recycling a slab node when one is free. Steady state allocates
 // nothing.
-func (q *Queue) pushSlot(cycle uint64, fn Func, fn2 Func2, a, b uint64) {
+func (q *Queue) pushSlot(cycle uint64, fn Func2, a, b uint64) {
 	idx := q.free
 	if idx >= 0 {
 		q.free = q.nodes[idx].next
@@ -200,8 +192,7 @@ func (q *Queue) pushSlot(cycle uint64, fn Func, fn2 Func2, a, b uint64) {
 		idx = int32(len(q.nodes) - 1)
 	}
 	nd := &q.nodes[idx]
-	nd.cycle, nd.seq, nd.a, nd.b = cycle, q.seq, a, b
-	nd.fn, nd.fn2 = fn, fn2
+	nd.cycle, nd.seq, nd.fn, nd.a, nd.b = cycle, q.seq, fn, a, b
 	nd.next = -1
 	s := cycle & wheelMask
 	ch := &q.slots[s]
@@ -215,37 +206,28 @@ func (q *Queue) pushSlot(cycle uint64, fn Func, fn2 Func2, a, b uint64) {
 	q.nearN++
 }
 
-// schedule is the shared insert path for both callback arities. The
-// wheel's ring arithmetic can represent neither the present cycle nor
-// anything a horizon or more away, so those two classes overflow. The
-// fields travel as scalars: handing the wheel path a 48-byte item by
-// value doubled BenchmarkWheelAt2.
-func (q *Queue) schedule(cycle uint64, fn Func, fn2 Func2, a, b uint64) {
+// At2 schedules fn(a, b) to run at the given absolute cycle.
+// Scheduling in the past (or at the current cycle) runs the event
+// before time advances again, preserving causality. The arguments ride
+// in the event record, so a long-lived fn (bound once at construction)
+// schedules with zero allocations.
+//
+// The wheel's ring arithmetic can represent neither the present cycle
+// nor anything a horizon or more away, so those two classes overflow.
+// The fields travel to pushSlot as scalars: handing the wheel path an
+// item by value doubled BenchmarkWheelAt2.
+func (q *Queue) At2(cycle uint64, fn Func2, a, b uint64) {
 	if cycle < q.now {
 		cycle = q.now
 	}
 	q.seq++
 	q.n++
 	if d := cycle - q.now; d == 0 || d >= q.horizon {
-		q.push(item{cycle: cycle, seq: q.seq, fn: fn, fn2: fn2, a: a, b: b})
+		q.push(item{cycle: cycle, seq: q.seq, fn: fn, a: a, b: b})
 		return
 	}
-	q.pushSlot(cycle, fn, fn2, a, b)
+	q.pushSlot(cycle, fn, a, b)
 }
-
-// At schedules fn to run at the given absolute cycle. Scheduling in the
-// past (or at the current cycle) runs the event before time advances
-// again, preserving causality.
-func (q *Queue) At(cycle uint64, fn Func) { q.schedule(cycle, fn, nil, 0, 0) }
-
-// After schedules fn to run delay cycles from now.
-func (q *Queue) After(delay uint64, fn Func) { q.At(q.now+delay, fn) }
-
-// At2 schedules fn(a, b) to run at the given absolute cycle, with the
-// same causality clamp as At. The arguments ride in the event record,
-// so a long-lived fn (bound once at construction) schedules with zero
-// allocations.
-func (q *Queue) At2(cycle uint64, fn Func2, a, b uint64) { q.schedule(cycle, nil, fn, a, b) }
 
 // After2 schedules fn(a, b) to run delay cycles from now.
 func (q *Queue) After2(delay uint64, fn Func2, a, b uint64) { q.At2(q.now+delay, fn, a, b) }
@@ -306,7 +288,7 @@ func (q *Queue) fireCycle(c uint64) {
 	for len(q.heap) > 0 && q.heap[0].cycle == c && q.heap[0].seq < chainSeq {
 		it := q.pop()
 		q.n--
-		it.fire()
+		it.fn(it.a, it.b)
 	}
 	for ch.head >= 0 && q.nodes[ch.head].cycle == c {
 		idx := ch.head
@@ -317,12 +299,12 @@ func (q *Queue) fireCycle(c uint64) {
 			ch.tail = -1
 			q.occ[s>>6] &^= 1 << (s & 63)
 		}
-		nd.fn, nd.fn2 = nil, nil // drop closure references for the GC
+		nd.fn = nil // drop the callback reference for the GC
 		nd.next = q.free
 		q.free = idx
 		q.nearN--
 		q.n--
-		it.fire()
+		it.fn(it.a, it.b)
 	}
 }
 
@@ -343,39 +325,6 @@ func (q *Queue) RunDue() {
 func (q *Queue) Advance() {
 	q.now++
 	q.RunDue()
-}
-
-// Every schedules fn to run every period cycles, starting period
-// cycles from now, until fn returns false. The periodic series rides
-// the ordinary event stream, so it interleaves deterministically with
-// all other events (the invariant auditor uses this cadence).
-func (q *Queue) Every(period uint64, fn func() bool) {
-	if period == 0 {
-		period = 1
-	}
-	var tick Func
-	tick = func() {
-		if fn() {
-			q.After(period, tick)
-		}
-	}
-	q.After(period, tick)
-}
-
-// AdvanceTo moves the clock to the given cycle, running every
-// intervening event in order. It is a no-op if cycle <= Now().
-func (q *Queue) AdvanceTo(cycle uint64) {
-	for q.now < cycle {
-		next, ok := q.nextPending()
-		if !ok || next > cycle {
-			q.now = cycle
-			return
-		}
-		if next > q.now {
-			q.now = next
-		}
-		q.RunDue()
-	}
 }
 
 // Drain runs events until the queue is empty, advancing time as needed,

@@ -172,9 +172,6 @@ func (s *ScriptSource) Index(n int) int { return int(s.take(DecisionIndex, uint6
 // defaulted, in consumption order.
 func (s *ScriptSource) Trace() []Decision { return s.trace }
 
-// Consumed reports how many choice points the run consumed.
-func (s *ScriptSource) Consumed() int { return len(s.trace) }
-
 // Diverged reports whether the run's choice points stopped matching the
 // script (the remaining scripted decisions were ignored).
 func (s *ScriptSource) Diverged() bool { return s.diverged }

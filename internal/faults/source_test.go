@@ -154,8 +154,8 @@ func TestScriptReplayReproducesPRNGRun(t *testing.T) {
 	if a.Injected != b.Injected {
 		t.Fatalf("injection counts diverged: recorded %d, replayed %d", a.Injected, b.Injected)
 	}
-	if src.Consumed() != len(rec.trace) {
-		t.Fatalf("replay consumed %d decisions, recording had %d", src.Consumed(), len(rec.trace))
+	if len(src.Trace()) != len(rec.trace) {
+		t.Fatalf("replay consumed %d decisions, recording had %d", len(src.Trace()), len(rec.trace))
 	}
 }
 

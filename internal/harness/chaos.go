@@ -183,7 +183,9 @@ func RunChaosBench(b workload.Benchmark, m config.Mechanism, seed int64, ops, sb
 	}
 	ck := tso.NewChecker(cfg.Cores)
 	sys.SetObserver(ck)
-	sys.InstallFaults(faults.NewInjector(plan))
+	if err := sys.InstallFaults(faults.NewInjector(plan)); err != nil {
+		return 0, err
+	}
 	if auditEvery != 0 {
 		audit.Install(sys, auditEvery)
 	}

@@ -64,6 +64,29 @@ func findTest(t *testing.T, name string) litmus.Test {
 	return litmus.Test{}
 }
 
+// TestReplayRejectsMalformedSabotage: a bundle whose sabotage names an
+// unknown kind or a core the machine does not have fails its replay
+// with an error naming the field and value, instead of replaying a
+// clean run that reads as "did not reproduce".
+func TestReplayRejectsMalformedSabotage(t *testing.T) {
+	for _, tc := range []struct {
+		spec faults.Sabotage
+		want string
+	}{
+		{faults.Sabotage{Cycle: 1, Core: 0, Kind: "hide_line"}, `sabotage kind "hide_line"`},
+		{faults.Sabotage{Cycle: 1, Core: 5, Kind: faults.SabotageHideLine}, "sabotage core 5"},
+		{faults.Sabotage{Cycle: 1, Core: -1, Kind: faults.SabotageDropOwner}, "sabotage core -1"},
+	} {
+		b := &ReproBundle{
+			Kind: "litmus", Name: "MP", Mechanism: "TUS", AuditEvery: 1,
+			Faults: faults.Plan{Seed: 1, SabotageSpec: tc.spec},
+		}
+		if err := b.Replay(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Replay with sabotage %+v = %v, want an error naming %s", tc.spec, err, tc.want)
+		}
+	}
+}
+
 // TestSabotageDetectedAndReproduced proves the whole detection pipeline
 // end to end, for both sabotage kinds: deliberate corruption must yield
 // a CrashReport naming a violated invariant, and the saved repro bundle

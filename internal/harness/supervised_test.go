@@ -135,7 +135,7 @@ func TestSupervisedPanicQuarantines(t *testing.T) {
 	if cr.Stack == "" {
 		t.Fatal("report lost the stack")
 	}
-	if !cr.Deterministic() {
+	if cr.Transient() {
 		t.Fatal("panics must classify deterministic")
 	}
 }

@@ -88,9 +88,6 @@ func (op MicroOp) String() string {
 	return fmt.Sprintf("%s dep(%d,%d)", op.Kind, op.Dep1, op.Dep2)
 }
 
-// LineAddr returns the 64-byte cache line address of a memory op.
-func (op MicroOp) LineAddr() uint64 { return op.Addr &^ 63 }
-
 // Validate reports structural problems in a trace (bad sizes, deps that
 // reach before the start, fences carrying addresses).
 func Validate(trace []MicroOp) error {

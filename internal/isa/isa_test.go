@@ -43,10 +43,16 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// TestLineAddr: an access is valid only inside its 64-byte line,
+// Addr &^ 63.
 func TestLineAddr(t *testing.T) {
-	op := MicroOp{Kind: Store, Addr: 0x1234, Size: 4}
-	if op.LineAddr() != 0x1200 {
-		t.Fatalf("LineAddr = %#x, want 0x1200", op.LineAddr())
+	in := MicroOp{Kind: Store, Addr: 0x1234, Size: 4}
+	if err := Validate([]MicroOp{in}); err != nil || in.Addr&^63 != 0x1200 {
+		t.Fatalf("store at %#x: line %#x, Validate %v; want line 0x1200, valid", in.Addr, in.Addr&^63, err)
+	}
+	across := MicroOp{Kind: Store, Addr: 0x123E, Size: 4}
+	if Validate([]MicroOp{across}) == nil {
+		t.Fatalf("store at %#x ends in line %#x but was accepted", across.Addr, (across.Addr+3)&^63)
 	}
 }
 
@@ -102,12 +108,13 @@ func TestSliceStream(t *testing.T) {
 	}
 }
 
-// Property: LineAddr is idempotent and never larger than Addr.
+// Property: Validate accepts a scalar access exactly when its first and
+// last bytes share a line address (Addr &^ 63).
 func TestLineAddrProperty(t *testing.T) {
-	f := func(addr uint64) bool {
-		op := MicroOp{Kind: Load, Addr: addr, Size: 1}
-		l := op.LineAddr()
-		return l <= addr && l&63 == 0 && (MicroOp{Kind: Load, Addr: l, Size: 1}).LineAddr() == l
+	f := func(addr uint64, sizeLog uint8) bool {
+		op := MicroOp{Kind: Load, Addr: addr, Size: 1 << (sizeLog % 4)}
+		sameLine := op.Addr&^63 == (op.Addr+uint64(op.Size)-1)&^63
+		return (Validate([]MicroOp{op}) == nil) == sameLine
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -38,9 +38,6 @@ type Program struct {
 	FinalReads []uint64
 }
 
-// OutcomeLen is the length of this program's outcome vectors.
-func (p Program) OutcomeLen() int { return p.NumObs + len(p.FinalReads) }
-
 // Program exports the test in checkable IR form. It fails on tests the
 // oracle cannot model exactly: memory ops that are not 8 aligned bytes
 // (the IR models locations at 8-byte granularity, which every litmus

@@ -22,8 +22,8 @@ func TestProgramExport(t *testing.T) {
 		if p.NumObs != wantObs {
 			t.Errorf("%s: NumObs = %d, want %d", lt.Name, p.NumObs, wantObs)
 		}
-		if p.OutcomeLen() != wantObs+len(lt.FinalReads) {
-			t.Errorf("%s: OutcomeLen = %d, want %d", lt.Name, p.OutcomeLen(), wantObs+len(lt.FinalReads))
+		if len(p.FinalReads) != len(lt.FinalReads) {
+			t.Errorf("%s: %d final reads, want %d", lt.Name, len(p.FinalReads), len(lt.FinalReads))
 		}
 		for c, ops := range p.Threads {
 			for i, op := range ops {

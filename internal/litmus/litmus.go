@@ -277,10 +277,12 @@ func RunOne(test Test, m config.Mechanism, skew int, o Opts) ([]uint64, error) {
 	ck := tso.NewChecker(cores)
 	sys.SetObserver(ck)
 	if o.Faults != nil {
-		if o.Source != nil {
-			sys.InstallFaults(faults.NewInjectorWithSource(*o.Faults, o.Source))
-		} else {
-			sys.InstallFaults(faults.NewInjector(*o.Faults))
+		src := o.Source
+		if src == nil {
+			src = faults.NewPRNGSource(o.Faults.Seed)
+		}
+		if err := sys.InstallFaults(faults.NewInjectorWithSource(*o.Faults, src)); err != nil {
+			return nil, err
 		}
 	}
 	if o.AuditEvery != 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tusim/internal/config"
+	"tusim/internal/event"
 )
 
 // fakeHandler scripts the authorization unit's decisions for tests.
@@ -127,8 +128,8 @@ func TestProbeDelayNacksRequester(t *testing.T) {
 	// Core 1 wants the line; core 0's authorization unit delays.
 	nacks := 0
 	granted := false
-	var attempt func()
-	attempt = func() {
+	var attempt event.Func2
+	attempt = func(_, _ uint64) {
 		r.ps[1].RequestWritable(0xE000, false, false, func(ok bool) {
 			if ok {
 				granted = true
@@ -140,11 +141,11 @@ func TestProbeDelayNacksRequester(t *testing.T) {
 				r.ps[0].MakeVisible(0xE000)
 			}
 			if nacks < 10 {
-				r.q.After(50, attempt)
+				r.q.After2(50, attempt, 0, 0)
 			}
 		})
 	}
-	attempt()
+	attempt(0, 0)
 	r.run(t)
 	if nacks < 3 {
 		t.Fatalf("nacks = %d, want >= 3", nacks)

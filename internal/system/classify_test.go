@@ -36,9 +36,6 @@ func TestCrashClassification(t *testing.T) {
 			if got := tc.report.Transient(); got != tc.transient {
 				t.Fatalf("Transient() = %v, want %v", got, tc.transient)
 			}
-			if tc.report.Deterministic() == tc.report.Transient() {
-				t.Fatal("Deterministic must be the complement of Transient")
-			}
 			want := "deterministic"
 			if tc.transient {
 				want = "transient"
@@ -63,7 +60,7 @@ func TestPanicReport(t *testing.T) {
 	if !strings.Contains(r.Stack, "goroutine 1") {
 		t.Fatalf("stack lost: %q", r.Stack)
 	}
-	if !r.Deterministic() {
+	if r.Transient() {
 		t.Fatal("panics must classify deterministic")
 	}
 	if r.Error() == "" {

@@ -102,9 +102,6 @@ func (r *CrashReport) Transient() bool {
 	return r.Kind == CrashWatchdog && r.FaultPlan.Enabled()
 }
 
-// Deterministic is the complement of Transient.
-func (r *CrashReport) Deterministic() bool { return !r.Transient() }
-
 // Classification renders the transient/deterministic verdict for
 // crash-to-repro bundles and logs.
 func (r *CrashReport) Classification() string {
@@ -151,11 +148,23 @@ func (s *System) crash(kind string, violation *faults.ProtocolError, message str
 
 // InstallFaults wires a fault injector into every layer of the machine
 // (directory, private hierarchies, TUS drain) and schedules the plan's
-// sabotage, if any. Call before Run. A nil injector is a no-op.
-func (s *System) InstallFaults(in *faults.Injector) {
+// sabotage, if any. Call before Run. A nil injector is a no-op. A
+// sabotage of unknown kind or on a core the machine does not have is an
+// error, and nothing is installed.
+func (s *System) InstallFaults(in *faults.Injector) error {
+	spec := in.Plan().SabotageSpec
+	if spec.Kind != "" {
+		if spec.Kind != faults.SabotageHideLine && spec.Kind != faults.SabotageDropOwner {
+			return fmt.Errorf("system: sabotage kind %q: want %q or %q",
+				spec.Kind, faults.SabotageHideLine, faults.SabotageDropOwner)
+		}
+		if spec.Core < 0 || spec.Core >= len(s.Privs) {
+			return fmt.Errorf("system: sabotage core %d: want 0..%d", spec.Core, len(s.Privs)-1)
+		}
+	}
 	s.faults = in
 	if in == nil {
-		return
+		return nil
 	}
 	s.Dir.SetFaults(in)
 	for i, p := range s.Privs {
@@ -164,50 +173,47 @@ func (s *System) InstallFaults(in *faults.Injector) {
 			t.SetFaults(in, s.CoreStats[i])
 		}
 	}
-	if spec := in.Plan().SabotageSpec; spec.Kind != "" {
-		s.scheduleSabotage(spec)
+	if spec.Kind != "" {
+		s.Q.At2(spec.Cycle, s.sabotageTick, 0, 0)
 	}
+	return nil
 }
 
-// scheduleSabotage retries the corruption once per cycle from
-// spec.Cycle until a candidate exists, so a given seed always corrupts
-// the same state at the same cycle.
-func (s *System) scheduleSabotage(spec faults.Sabotage) {
-	if spec.Core < 0 || spec.Core >= len(s.Privs) {
+// sabotageTick is the sabotage hook's event. It arms at spec.Cycle
+// (armed == 0), then tries the corruption once per cycle from the next
+// cycle on until a candidate exists, so a given seed always corrupts the
+// same state at the same cycle.
+func (s *System) sabotageTick(armed, _ uint64) {
+	if armed != 0 && s.trySabotage(s.faults.Plan().SabotageSpec) {
 		return
 	}
-	s.Q.At(spec.Cycle, func() {
-		s.Q.Every(1, func() bool {
-			return !s.trySabotage(spec) // keep retrying until it lands
-		})
-	})
+	s.Q.After2(1, s.sabotageTick, 1, 0)
 }
 
+// trySabotage attempts spec's corruption once and reports whether it
+// landed.
 func (s *System) trySabotage(spec faults.Sabotage) bool {
-	switch spec.Kind {
-	case faults.SabotageHideLine:
+	if spec.Kind == faults.SabotageHideLine {
 		_, ok := s.Privs[spec.Core].SabotageHideLine()
 		return ok
-	case faults.SabotageDropOwner:
-		target, found := uint64(0), false
-		s.Dir.AuditEntries(func(line uint64, owner int, _ uint64, busy bool, _ uint64) {
-			if found || busy || owner != spec.Core {
-				return
-			}
-			// Only corrupt a settled line (no miss or writeback in
-			// flight) the private really holds: the resulting
-			// directory/private disagreement is then unambiguous.
-			p := s.Privs[spec.Core]
-			if p.MSHRPending(line) || p.WBPending(line) || !p.Writable(line) {
-				return
-			}
-			pl := p.Lookup(line)
-			if pl == nil || pl.NotVisible {
-				return
-			}
-			target, found = line, true
-		})
-		return found && s.Dir.SabotageDropOwner(target)
 	}
-	return true // unknown kind: stop retrying
+	target, found := uint64(0), false
+	s.Dir.AuditEntries(func(line uint64, owner int, _ uint64, busy bool, _ uint64) {
+		if found || busy || owner != spec.Core {
+			return
+		}
+		// Only corrupt a settled line (no miss or writeback in flight)
+		// the private really holds: the resulting directory/private
+		// disagreement is then unambiguous.
+		p := s.Privs[spec.Core]
+		if p.MSHRPending(line) || p.WBPending(line) || !p.Writable(line) {
+			return
+		}
+		pl := p.Lookup(line)
+		if pl == nil || pl.NotVisible {
+			return
+		}
+		target, found = line, true
+	})
+	return found && s.Dir.SabotageDropOwner(target)
 }

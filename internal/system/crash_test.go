@@ -108,7 +108,9 @@ func TestWatchdogCrashReportListsTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.InstallFaults(faults.NewInjector(faults.Plan{Seed: 3, BusyStallPct: 100, BusyStallMax: 100, NackPct: 5}))
+	if err := sys.InstallFaults(faults.NewInjector(faults.Plan{Seed: 3, BusyStallPct: 100, BusyStallMax: 100, NackPct: 5})); err != nil {
+		t.Fatal(err)
+	}
 	var cr *CrashReport
 	if err := sys.Run(); !errors.As(err, &cr) || cr.Kind != CrashWatchdog {
 		t.Fatalf("Run = %v, want a watchdog crash", err)

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"tusim/internal/config"
@@ -136,5 +138,49 @@ func TestWheelHoldsAllCellTraffic(t *testing.T) {
 	}
 	if run(t, "502.gcc2", config.TUS, 2000, 512).Q.Overflowed() == 0 {
 		t.Error("audited run (cadence 512): Overflowed() = 0, want the auditor's far-future ticks")
+	}
+}
+
+// cadenceAuditor records the cycle of every audit and fails the failOn-th.
+type cadenceAuditor struct {
+	at     []uint64
+	failOn int
+}
+
+func (a *cadenceAuditor) Audit(cycle uint64) *faults.ProtocolError {
+	a.at = append(a.at, cycle)
+	if len(a.at) == a.failOn {
+		return faults.Violationf("audit", -1, 0, "test-tick", "tick %d", len(a.at))
+	}
+	return nil
+}
+
+// TestWheelAuditorCadence pins the auditor's self-rescheduling event on
+// both engines at a cadence longer than the wheel span (so every tick
+// rides the overflow heap): audits land at k*period, a failing audit
+// stops the series, and Run reports CrashAudit on the failing tick's
+// cycle.
+func TestWheelAuditorCadence(t *testing.T) {
+	const period = 2*512 + 13
+	b, _ := workload.ByName("505.mcf")
+	for _, ref := range []bool{false, true} {
+		cfg := config.Default()
+		cfg.Reference = ref
+		sys, err := New(cfg, b.Streams(1, 50000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &cadenceAuditor{failOn: 5}
+		sys.SetAuditor(a, period)
+		var cr *CrashReport
+		if err := sys.Run(); !errors.As(err, &cr) || cr.Kind != CrashAudit {
+			t.Fatalf("ref=%v: Run = %v, want an audit crash", ref, err)
+		}
+		if want := "[1037 2074 3111 4148 5185]"; fmt.Sprint(a.at) != want {
+			t.Errorf("ref=%v: audits at %v, want %s", ref, a.at, want)
+		}
+		if cr.Cycle != 5*period {
+			t.Errorf("ref=%v: crash at cycle %d, want %d", ref, cr.Cycle, 5*period)
+		}
 	}
 }

@@ -57,6 +57,8 @@ type System struct {
 	tracer    *trace.Tracer
 	dram      *memsys.DRAM
 	faults    *faults.Injector
+	auditor   Auditor
+	auditFn   event.Func2 // auditTick, bound once by SetAuditor
 	auditErr  *faults.ProtocolError
 
 	// WarmupOps discards statistics until this many micro-ops have
@@ -189,20 +191,27 @@ func (s *System) SetTracer(t *trace.Tracer) {
 // Tracer returns the tracer installed with SetTracer (nil when none).
 func (s *System) Tracer() *trace.Tracer { return s.tracer }
 
-// SetAuditor schedules a periodic state-invariant audit (before Run).
-// The audit rides the event queue, so it interleaves deterministically
-// with the simulation; a violation aborts the run with a CrashReport.
+// SetAuditor schedules a periodic state-invariant audit; call it at
+// most once, before Run. The audit is one event record that re-arms
+// itself every cycles on while the machine stays consistent, so it
+// interleaves deterministically with the simulation; a violation aborts
+// the run with a CrashReport.
 func (s *System) SetAuditor(a Auditor, every uint64) {
-	s.Q.Every(every, func() bool {
-		if s.auditErr != nil {
-			return false
-		}
-		if pe := a.Audit(s.Q.Now()); pe != nil {
-			s.auditErr = pe
-			return false
-		}
-		return true
-	})
+	if every == 0 {
+		every = 1 // a zero period would re-fire forever inside one RunDue
+	}
+	s.auditor, s.auditFn = a, s.auditTick
+	s.Q.After2(every, s.auditFn, every, 0)
+}
+
+// auditTick is the auditor's event: audit now, and fire again period
+// cycles on unless the audit failed.
+func (s *System) auditTick(period, _ uint64) {
+	if pe := s.auditor.Audit(s.Q.Now()); pe != nil {
+		s.auditErr = pe
+		return
+	}
+	s.Q.After2(period, s.auditFn, period, 0)
 }
 
 // Run simulates until every core retires its trace and drains. On

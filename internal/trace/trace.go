@@ -150,12 +150,12 @@ type Event struct {
 	Kind  Kind
 }
 
-// Tracer records events into a fixed-capacity ring. The zero value and
-// the nil pointer are both valid, permanently-disabled tracers. A
-// Tracer is not safe for concurrent use; attach one tracer per
-// simulated system (each system runs on one goroutine).
+// Tracer records events into a fixed-capacity ring. A tracer is on
+// from New until it is dropped; the nil pointer is the tracer that is
+// off. Build one only with New (the zero value has no ring). A Tracer
+// is not safe for concurrent use; attach one tracer per simulated
+// system (each system runs on one goroutine).
 type Tracer struct {
-	enabled bool
 	ring    []Event
 	head    int // index of the oldest event when full
 	count   int
@@ -165,21 +165,14 @@ type Tracer struct {
 // DefaultCap is the ring capacity New uses when given n <= 0.
 const DefaultCap = 1 << 18
 
-// New returns an enabled tracer with capacity for n events (DefaultCap
-// when n <= 0). All memory is allocated here; recording never grows it.
+// New returns a tracer with capacity for n events (DefaultCap when
+// n <= 0). All memory is allocated here; recording never grows it.
 func New(n int) *Tracer {
 	if n <= 0 {
 		n = DefaultCap
 	}
-	return &Tracer{enabled: true, ring: make([]Event, n)}
+	return &Tracer{ring: make([]Event, n)}
 }
-
-// Enabled reports whether Emit records anything. Safe on nil.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
-
-// SetEnabled toggles recording (panics on nil; only constructed tracers
-// can be toggled).
-func (t *Tracer) SetEnabled(on bool) { t.enabled = on }
 
 // Cap returns the ring capacity. Safe on nil (0).
 func (t *Tracer) Cap() int {
@@ -205,11 +198,11 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Emit records one event. On a nil or disabled tracer it is a branch
-// and a return: the drain hot path calls it unconditionally and pays
-// nothing when tracing is off (pinned by the AllocsPerRun test).
+// Emit records one event. On a nil tracer it is a branch and a return:
+// the drain hot path calls it unconditionally and pays nothing when
+// tracing is off (pinned by the AllocsPerRun test).
 func (t *Tracer) Emit(k Kind, core int32, cycle, addr, seq, arg uint64) {
-	if t == nil || !t.enabled {
+	if t == nil {
 		return
 	}
 	var slot *Event

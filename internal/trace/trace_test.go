@@ -28,7 +28,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(SBEnqueue, 0, 1, 2, 3, 4) // must not panic
 	tr.Reset()
-	if tr.Enabled() || tr.Len() != 0 || tr.Cap() != 0 || tr.Dropped() != 0 {
+	if tr.Len() != 0 || tr.Cap() != 0 || tr.Dropped() != 0 {
 		t.Errorf("nil tracer reports non-zero state")
 	}
 	if evs := tr.Events(); evs != nil {
@@ -86,36 +86,15 @@ func TestResetKeepsCapacity(t *testing.T) {
 	}
 }
 
-func TestSetEnabledStopsRecording(t *testing.T) {
-	tr := New(4)
-	tr.SetEnabled(false)
-	tr.Emit(SBEnqueue, 0, 1, 0, 0, 0)
-	if tr.Len() != 0 {
-		t.Fatalf("disabled tracer recorded %d events", tr.Len())
-	}
-	tr.SetEnabled(true)
-	tr.Emit(SBEnqueue, 0, 2, 0, 0, 0)
-	if tr.Len() != 1 {
-		t.Fatalf("re-enabled tracer recorded %d events, want 1", tr.Len())
-	}
-}
-
-// TestEmitDisabledZeroAlloc pins the package contract: Emit on a nil or
-// disabled tracer allocates nothing, so the instrumented drain hot path
-// is free when tracing is off.
+// TestEmitDisabledZeroAlloc pins the package contract: Emit on a nil
+// tracer allocates nothing, so the instrumented drain hot path is free
+// when tracing is off.
 func TestEmitDisabledZeroAlloc(t *testing.T) {
 	var nilTr *Tracer
 	if n := testing.AllocsPerRun(1000, func() {
 		nilTr.Emit(SBDrain, 0, 1, 64, 2, 3)
 	}); n != 0 {
 		t.Errorf("nil tracer Emit allocates %.1f bytes/op, want 0", n)
-	}
-	off := New(16)
-	off.SetEnabled(false)
-	if n := testing.AllocsPerRun(1000, func() {
-		off.Emit(SBDrain, 0, 1, 64, 2, 3)
-	}); n != 0 {
-		t.Errorf("disabled tracer Emit allocates %.1f bytes/op, want 0", n)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestMLPConsecutiveRuns(t *testing.T) {
 	}
 	for _, op := range tr {
 		if op.Kind == isa.Store {
-			lines = append(lines, op.LineAddr())
+			lines = append(lines, op.Addr&^63)
 			if len(lines) == 4 {
 				flush()
 			}
@@ -94,7 +94,7 @@ func TestWarmPrologueTouchesFootprint(t *testing.T) {
 	for i := 0; i < 256 && i < len(tr); i++ {
 		op := tr[i]
 		if op.Kind == isa.Store {
-			touched[op.LineAddr()] = true
+			touched[op.Addr&^63] = true
 		} else {
 			break
 		}

@@ -91,7 +91,7 @@ func TestStoreBurstFingerprint(t *testing.T) {
 			continue
 		}
 		stores++
-		switch op.LineAddr() {
+		switch op.Addr &^ 63 {
 		case lastLine:
 		case lastLine + 64:
 			lineRun++
@@ -101,7 +101,7 @@ func TestStoreBurstFingerprint(t *testing.T) {
 		default:
 			lineRun = 0
 		}
-		lastLine = op.LineAddr()
+		lastLine = op.Addr &^ 63
 	}
 	if stores < len(tr)/10 {
 		t.Errorf("gcc5 store density too low: %d/%d", stores, len(tr))
@@ -126,7 +126,7 @@ func TestMemoryBoundFingerprint(t *testing.T) {
 			stores++
 		}
 		if op.Kind.IsMem() {
-			lines[op.LineAddr()] = true
+			lines[op.Addr&^63] = true
 		}
 	}
 	if loads < 300 || stores < 300 {
