@@ -24,10 +24,10 @@
 // independent (benchmark, mechanism, SB) cells out to a worker pool
 // and assembles output in deterministic cell order.
 //
-// Every cell runs under the supervision layer: panics are captured into
-// crash reports, transient chaos failures retry with backoff, and a
-// deterministically failing cell is quarantined so its figure degrades
-// to an explicit partial result instead of killing the run.
+// Every cell runs once under the supervision layer: panics are captured
+// into crash reports, and a failing or hung cell is quarantined on its
+// first failure so its figure degrades to an explicit partial result
+// instead of killing the run.
 //
 // With -journal, the run appends a crash-consistent record of every
 // cell start/finish to .tusjournal/<run-id>.jsonl; after a crash or
@@ -249,7 +249,9 @@ func main() {
 	finish := func() {
 		if journal != nil {
 			journal.Finish()
-			journal.Close()
+			if err := journal.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "tusbench: warning: journal %s stopped recording: %v\n", journal.RunID, err)
+			}
 		}
 		if deg := r.DegradedCells(); len(deg) > 0 {
 			fmt.Fprintf(os.Stderr, "tusbench: warning: %d figure cells degraded by quarantine:\n", len(deg))

@@ -152,12 +152,11 @@ type Config struct {
 	// DefaultWatchdogWindow.
 	WatchdogWindow uint64
 
-	// CellTimeout is the wall-clock deadline the harness supervisor
-	// applies to one experiment cell before calibration has produced a
-	// per-class estimate (once cells complete, deadlines derive from
-	// observed runtimes instead). Purely a harness-robustness knob: it
-	// cannot change any simulation result, so the result cache excludes
-	// it from cell identity. Zero selects DefaultCellTimeout.
+	// CellTimeout is the harness supervisor's fixed per-cell hang guard:
+	// a cell still running after it is quarantined. It is never derived
+	// from observed runtimes. Purely a harness-robustness knob: it cannot
+	// change any simulation result, so the result cache excludes it from
+	// cell identity. Zero selects DefaultCellTimeout.
 	CellTimeout time.Duration
 
 	// Reference runs this machine on the reference twins of its fast
@@ -183,10 +182,9 @@ const MaxStoreRing = 1 << 15
 // Config.WatchdogWindow is zero.
 const DefaultWatchdogWindow = 2_000_000
 
-// DefaultCellTimeout is the uncalibrated per-cell supervision deadline
-// used when Config.CellTimeout is zero. Generous on purpose: a full-
-// scale single cell is minutes at worst, and false deadline trips cost
-// a pointless retry.
+// DefaultCellTimeout is the per-cell hang guard used when
+// Config.CellTimeout is zero. Generous on purpose: a full-scale single
+// cell is minutes at worst, so only a hung cell reaches it.
 const DefaultCellTimeout = 10 * time.Minute
 
 // Default returns the Table I configuration with a 114-entry SB and the

@@ -90,19 +90,18 @@ type Runner struct {
 	// cell is computed (freshly simulated, loaded from the disk cache, or
 	// failed), never again for later memoized Run calls on the same key.
 	// cached reports a disk-cache hit; d is the wall-clock the scheduler
-	// waited for the cell, including supervised retries and backoff. The
-	// callback runs on worker goroutines and must be safe for concurrent
-	// use when Workers > 1. tusd uses it for per-cell job progress and
-	// the cell-latency metrics histogram.
+	// waited for the cell. The callback runs on worker goroutines and
+	// must be safe for concurrent use when Workers > 1. tusd uses it for
+	// per-cell job progress and the cell-latency metrics histogram.
 	OnCellDone func(key string, cached bool, d time.Duration, err error)
 	// Supervisor, when non-nil, runs every simulation inside the cell
-	// supervision layer: panic capture, calibrated deadlines, bounded
-	// retries for transient failures, and quarantine for deterministic
-	// ones. A quarantined cell surfaces as a *supervise.Quarantined
-	// error, which the figure builders degrade into a "degraded" report
-	// section instead of failing the run. Nil keeps the legacy behavior
-	// (any cell failure is fatal to its figure). Healthy runs are
-	// byte-identical either way.
+	// supervision layer: one attempt under panic capture and a fixed
+	// hang guard, quarantined on its first failure. A quarantined cell
+	// surfaces as a *supervise.Quarantined error, which the figure
+	// builders degrade into a "degraded" report section instead of
+	// failing the run. Nil keeps the legacy behavior (any cell failure
+	// is fatal to its figure). Healthy runs are byte-identical either
+	// way.
 	Supervisor *supervise.Supervisor
 
 	mu    sync.Mutex
@@ -129,8 +128,8 @@ type Runner struct {
 
 	// testHookSim, when set (tests only), runs before each simulation
 	// with the cell key; a non-nil return poisons the attempt with that
-	// error, letting tests inject deterministic and transient failures
-	// without touching the simulator.
+	// error, letting tests inject failures and stalls without touching
+	// the simulator.
 	testHookSim func(key string) error
 }
 
@@ -245,48 +244,34 @@ func (r *Runner) compute(b workload.Benchmark, cfg *config.Config, key string) (
 			})
 		}
 	}
-	// A deadline-abandoned attempt keeps running as a zombie goroutine
-	// (goroutines cannot be killed), so attempts only hand their outcome
-	// over under resMu and nothing is counted or announced until the
-	// supervisor has picked the winner: a late zombie can neither race
-	// the returned result nor count the cell twice.
-	var resMu sync.Mutex
+	// The supervisor runs one attempt; out is read only when it returned
+	// nil, so an attempt abandoned at the deadline writes out unread.
 	var out simOutcome
 	attempt := func() error {
 		o, err := r.simulate(b, cfg, key)
 		if err != nil {
 			return err
 		}
-		// The cache write alone stays inside the attempt: the supervisor
+		// The cache write stays inside the attempt: the supervisor
 		// journals the cell done the moment the attempt returns, and a
-		// resumed run relies on "journaled done => in the cache". A zombie
-		// rewriting the same content-addressed entry is harmless.
+		// resumed run relies on "journaled done => in the cache".
 		if r.Cache != nil {
 			r.Cache.Put(ckey, o.res)
 		}
-		resMu.Lock()
 		out = o
-		resMu.Unlock()
 		return nil
 	}
 	var err error
 	if r.Supervisor == nil {
 		err = attempt()
 	} else {
-		class := "st"
-		if b.Threads > 1 {
-			class = "mt"
-		}
-		err = r.Supervisor.Do(key, class, attempt)
+		err = r.Supervisor.Do(key, "", attempt)
 	}
 	if err != nil {
 		return Result{}, false, err
 	}
-	resMu.Lock()
-	won := out
-	resMu.Unlock()
-	r.publish(key, won)
-	return won.res, false, nil
+	r.publish(key, out)
+	return out.res, false, nil
 }
 
 // simOutcome is one finished simulation attempt: the result plus what
@@ -437,26 +422,16 @@ func isQuarantined(err error) bool {
 	return errors.As(err, &q)
 }
 
-// NewSupervisor builds the harness's standard supervision policy wired
-// to the simulator's crash classification: panics become CrashReports,
-// chaos-induced watchdog trips and deadline misses retry with
-// decorrelated-jitter backoff, and everything else quarantines on first
-// failure. timeout is the uncalibrated per-cell deadline (zero selects
+// NewSupervisor builds the harness's standard supervision policy: a
+// panic becomes a CrashReport, and any failed cell quarantines on its
+// first failure. timeout is the fixed per-cell hang guard (zero selects
 // config.DefaultCellTimeout).
 func NewSupervisor(timeout time.Duration) *supervise.Supervisor {
 	if timeout <= 0 {
 		timeout = config.DefaultCellTimeout
 	}
 	return supervise.New(supervise.Policy{
-		MaxRetries: 2,
-		Fallback:   timeout,
-		Transient: func(err error) bool {
-			var cr *system.CrashReport
-			if errors.As(err, &cr) {
-				return cr.Transient()
-			}
-			return false
-		},
+		Deadline: timeout,
 		WrapPanic: func(key string, v any, stack []byte) error {
 			return fmt.Errorf("harness: %s: %w", key, system.PanicReport(v, stack))
 		},

@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -18,54 +17,37 @@ import (
 	"tusim/internal/workload"
 )
 
-// transientCrash is a chaos-induced watchdog report: the one failure
-// class NewSupervisor's policy classifies as retryable.
-func transientCrash() error {
-	return &system.CrashReport{
-		Kind:      system.CrashWatchdog,
-		FaultPlan: faults.Plan{Seed: 7, NackPct: 10},
-	}
-}
-
-// TestSupervisedTransientRetriesThenMatches: a cell that fails once with
-// a chaos watchdog trip retries with backoff, succeeds, and produces a
-// result identical to an unsupervised run.
-func TestSupervisedTransientRetriesThenMatches(t *testing.T) {
+// TestSupervisedChaosCrashQuarantinesOnce: a chaos-induced watchdog
+// report (the one CrashReport that classifies Transient) quarantines
+// after one attempt like every other failure: a seeded cell replays the
+// same crash, so nothing is retried.
+func TestSupervisedChaosCrashQuarantinesOnce(t *testing.T) {
 	b, _ := workload.ByName("503.bw2")
-
-	plain := NewQuickRunner()
-	plain.Ops = 2000
-	want, err := plain.Run(b, config.TUS, 114)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	r := NewQuickRunner()
 	r.Ops = 2000
 	r.Supervisor = NewSupervisor(0)
-	var tripped atomic.Bool
-	r.testHookSim = func(key string) error {
-		if tripped.CompareAndSwap(false, true) {
-			return transientCrash()
+	var attempts atomic.Int64
+	r.testHookSim = func(string) error {
+		attempts.Add(1)
+		return &system.CrashReport{
+			Kind:      system.CrashWatchdog,
+			FaultPlan: faults.Plan{Seed: 7, NackPct: 10},
 		}
-		return nil
 	}
-	got, err := r.Run(b, config.TUS, 114)
-	if err != nil {
-		t.Fatalf("supervised run failed after transient trip: %v", err)
+	_, err := r.Run(b, config.TUS, 114)
+	var q *supervise.Quarantined
+	if !errors.As(err, &q) {
+		t.Fatalf("want *supervise.Quarantined, got %v", err)
 	}
-	if n := r.Supervisor.Retries(); n != 1 {
-		t.Fatalf("retries = %d, want 1", n)
+	var cr *system.CrashReport
+	if !errors.As(err, &cr) || !cr.Transient() {
+		t.Fatalf("quarantine lost the chaos crash report: %v", err)
 	}
-	if got.Cycles != want.Cycles || got.EDP != want.EDP {
-		t.Fatalf("retried result differs: got cycles=%d edp=%v, want cycles=%d edp=%v",
-			got.Cycles, got.EDP, want.Cycles, want.EDP)
+	if n := attempts.Load(); n != 1 {
+		t.Fatalf("chaos crash ran %d attempts, want 1", n)
 	}
-	if !reflect.DeepEqual(got.Stats.Snapshot(), want.Stats.Snapshot()) {
-		t.Fatal("retried stats differ from unsupervised run")
-	}
-	if len(r.Supervisor.QuarantinedCells()) != 0 {
-		t.Fatal("a recovered transient must not quarantine")
+	if !strings.HasPrefix(q.Reason, "deterministic failure: ") {
+		t.Fatalf("reason = %q", q.Reason)
 	}
 }
 
@@ -92,9 +74,6 @@ func TestSupervisedDeterministicQuarantinesImmediately(t *testing.T) {
 	}
 	if n := attempts.Load(); n != 1 {
 		t.Fatalf("deterministic failure ran %d attempts, want 1 (no retry)", n)
-	}
-	if r.Supervisor.Retries() != 0 {
-		t.Fatal("deterministic failure must not consume the retry budget")
 	}
 	// Singleflight memoizes the error for this key within the runner, so
 	// exercise the supervisor's quarantine check directly.
@@ -188,31 +167,31 @@ func TestSupervisedFigureDegrades(t *testing.T) {
 	}
 }
 
-// TestSupervisedDeadlineMissPublishesOnce: the supervisor gives up on an
-// attempt that overruns its deadline and retries, but the overrun
-// attempt keeps running and finishes later. Only the winning attempt may
-// be published — one cells_run, one trace callback — or tusload's
+// TestSupervisedDeadlineMissPublishesNothing: the supervisor gives up
+// on an attempt that overruns the hang guard and quarantines the cell,
+// but the overrun attempt keeps running and finishes later. Nothing of
+// it may be published — no cells_run, no trace callback — or tusload's
 // exactly-once invariant and tusd_cells_run_total both break.
-func TestSupervisedDeadlineMissPublishesOnce(t *testing.T) {
+func TestSupervisedDeadlineMissPublishesNothing(t *testing.T) {
 	b, _ := workload.ByName("503.bw2")
 	r := NewQuickRunner()
-	r.Ops = 500 // ~40 ms under -race: far inside the retry's deadline
-	r.Supervisor = NewSupervisor(time.Second)
+	r.Ops = 500
+	r.Supervisor = NewSupervisor(200 * time.Millisecond)
 	var traces atomic.Int64
 	r.OnTrace = func(string, *trace.Tracer) { traces.Add(1) }
 	release := make(chan struct{})
-	var calls atomic.Int64
 	r.testHookSim = func(string) error {
-		if calls.Add(1) == 1 {
-			<-release // stall the first attempt past its deadline
-		}
+		<-release // stall the attempt past the hang guard
 		return nil
 	}
-	if _, err := r.Run(b, config.TUS, 114); err != nil {
-		t.Fatalf("retry after the deadline miss failed: %v", err)
+	_, err := r.Run(b, config.TUS, 114)
+	var q *supervise.Quarantined
+	if !errors.As(err, &q) {
+		t.Fatalf("want *supervise.Quarantined after the deadline miss, got %v", err)
 	}
-	if n := r.Supervisor.Retries(); n != 1 {
-		t.Fatalf("retries = %d, want 1", n)
+	var d *supervise.DeadlineError
+	if !errors.As(err, &d) {
+		t.Fatalf("quarantine must unwrap to the deadline miss, got %v", err)
 	}
 	// Let the overrun attempt simulate to completion, and wait until no
 	// attempt goroutine is left.
@@ -226,10 +205,45 @@ func TestSupervisedDeadlineMissPublishesOnce(t *testing.T) {
 			t.Fatal("overrun attempt never returned")
 		}
 	}
-	if n := r.CacheStats().CellsRun; n != 1 {
-		t.Fatalf("cells_run = %d after one cell (overrun attempt + retry), want 1", n)
+	if n := r.CacheStats().CellsRun; n != 0 {
+		t.Fatalf("cells_run = %d after a quarantined cell, want 0", n)
 	}
-	if n := traces.Load(); n != 1 {
-		t.Fatalf("OnTrace fired %d times for one cell, want 1", n)
+	if n := traces.Load(); n != 0 {
+		t.Fatalf("OnTrace fired %d times for a quarantined cell, want 0", n)
+	}
+}
+
+// TestSlowCellKeepsFigureBytes: a healthy cell slowed by host load (here
+// by 2.5 s, many times its siblings' runtimes) is not a failure. Fig. 9 renders byte-identical to the unslowed run with no
+// degraded cell: a figure's bytes are a function of its cells alone.
+func TestSlowCellKeepsFigureBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sleeps 2.5 s in one cell")
+	}
+	render := func(hook func(string) error) (string, *Runner) {
+		r := NewQuickRunner()
+		r.Ops = 2000
+		r.ParallelOps = 500
+		r.Workers = 1
+		r.Supervisor = NewSupervisor(0)
+		r.testHookSim = hook
+		var buf bytes.Buffer
+		if err := RenderFigure(r, 9, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), r
+	}
+	want, _ := render(nil)
+	got, r := render(func(key string) error {
+		if key == "505.mcf/TUS/114" {
+			time.Sleep(2500 * time.Millisecond)
+		}
+		return nil
+	})
+	if deg := r.DegradedCells(); len(deg) != 0 {
+		t.Fatalf("slow cell degraded the figure: %+v", deg)
+	}
+	if got != want {
+		t.Fatalf("slowed Fig. 9 differs from the unslowed render:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -35,7 +35,6 @@ import (
 const (
 	TypeRunStart   = "run_start"
 	TypeCellStart  = "cell_start"
-	TypeCellRetry  = "cell_retry"
 	TypeCellFinish = "cell_finish"
 	TypeRunFinish  = "run_finish"
 )
@@ -106,7 +105,7 @@ type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
 	seq  int
-	werr error // first write error; later appends are dropped, not fatal
+	werr error // first write or sync error; later appends are dropped
 }
 
 // journalPath is the canonical file location for a run.
@@ -179,8 +178,9 @@ func OpenAppend(dir, runID string, nextSeq int) (*Journal, error) {
 }
 
 // append seals and writes one record, syncing so the record survives a
-// SIGKILL immediately after the call returns. Write errors are sticky
-// and silent: journaling is best-effort and must never fail the run.
+// SIGKILL immediately after the call returns. A write or sync error is
+// sticky: journaling is best-effort and never fails the run, so later
+// appends are dropped and Close reports the error.
 func (j *Journal) append(rec Record) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -202,18 +202,16 @@ func (j *Journal) append(rec Record) {
 		j.werr = err
 		return
 	}
-	j.f.Sync()
+	if err := j.f.Sync(); err != nil {
+		j.werr = err
+		return
+	}
 	j.seq++
 }
 
 // CellStart journals a cell entering execution.
 func (j *Journal) CellStart(key string) {
 	j.append(Record{Type: TypeCellStart, Cell: key})
-}
-
-// CellRetry journals a transient failure that will be re-attempted.
-func (j *Journal) CellRetry(key, reason string) {
-	j.append(Record{Type: TypeCellRetry, Cell: key, Reason: reason})
 }
 
 // CellFinish journals a cell's terminal state (done or quarantined).
@@ -226,15 +224,20 @@ func (j *Journal) Finish() {
 	j.append(Record{Type: TypeRunFinish})
 }
 
-// Close flushes and closes the journal file.
+// Close closes the journal file. It returns the first write or sync
+// error any append hit, else the close error: a journal that stopped
+// recording must not pass for a complete one.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
-		return nil
+		return j.werr
 	}
 	err := j.f.Close()
 	j.f = nil
+	if j.werr != nil {
+		return j.werr
+	}
 	return err
 }
 
@@ -295,6 +298,11 @@ func Load(dir, runID string) (*RunState, error) {
 			st.warnf("line %d: checksum mismatch, %s record skipped", lineNo, rec.Type)
 			continue
 		}
+		// Every verified record took a seq, skipped or not: a resumed
+		// journal must append past all of them.
+		if rec.Seq >= st.NextSeq {
+			st.NextSeq = rec.Seq + 1
+		}
 		switch rec.Type {
 		case TypeRunStart:
 			if st.Header != nil {
@@ -304,8 +312,6 @@ func Load(dir, runID string) (*RunState, error) {
 			st.Header = rec.Header
 		case TypeCellStart:
 			started[rec.Cell] = true
-		case TypeCellRetry:
-			// informational only
 		case TypeCellFinish:
 			if st.Done[rec.Cell] {
 				st.warnf("line %d: duplicate finish for %s skipped", lineNo, rec.Cell)
@@ -322,16 +328,11 @@ func Load(dir, runID string) (*RunState, error) {
 				st.Done[rec.Cell] = true
 			default:
 				st.warnf("line %d: unknown finish status %q skipped", lineNo, rec.Status)
-				continue
 			}
 		case TypeRunFinish:
 			st.Finished = true
 		default:
 			st.warnf("line %d: unknown record type %q skipped", lineNo, rec.Type)
-			continue
-		}
-		if rec.Seq >= st.NextSeq {
-			st.NextSeq = rec.Seq + 1
 		}
 	}
 	if err := sc.Err(); err != nil {

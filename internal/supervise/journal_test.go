@@ -3,6 +3,7 @@ package supervise
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -21,7 +22,6 @@ func writeJournal(t *testing.T, dir string, finishRun bool) string {
 	j.CellStart("a/base/114")
 	j.CellFinish("a/base/114", StatusDone, "")
 	j.CellStart("a/TUS/114")
-	j.CellRetry("a/TUS/114", "watchdog under chaos")
 	j.CellFinish("a/TUS/114", StatusQuarantined, "deterministic failure: boom")
 	j.CellStart("b/base/114") // in flight: no finish
 	if finishRun {
@@ -234,28 +234,23 @@ func TestJournalFinished(t *testing.T) {
 	}
 }
 
-// TestSupervisorJournals: Do() writes start/finish records for done,
-// quarantined, and retried cells.
+// TestSupervisorJournals: Do() writes one start and one finish record
+// per cell, for done and quarantined cells alike.
 func TestSupervisorJournals(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Create(dir, "run-3", testHeader{Tool: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(testPolicy(nil))
+	s := New(testPolicy())
 	s.SetJournal(j)
-	calls := 0
-	if err := s.Do("ok", "st", func() error {
-		calls++
-		if calls == 1 {
-			return errTransient
-		}
-		return nil
-	}); err != nil {
+	if err := s.Do("ok", "st", func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	s.Do("bad", "st", func() error { return errDeterministic })
-	j.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	st, err := Load(dir, "run-3")
 	if err != nil {
 		t.Fatal(err)
@@ -263,8 +258,109 @@ func TestSupervisorJournals(t *testing.T) {
 	if !st.Done["ok"] {
 		t.Fatalf("done cell not journaled: %v", st.Done)
 	}
-	if _, q := st.Quarantined["bad"]; !q {
+	if st.Quarantined["bad"] != "deterministic failure: invariant violated" {
 		t.Fatalf("quarantined cell not journaled: %v", st.Quarantined)
+	}
+	want := []string{TypeRunStart, TypeCellStart, TypeCellFinish, TypeCellStart, TypeCellFinish}
+	if got := recordTypes(t, j.path); !reflect.DeepEqual(got, want) {
+		t.Fatalf("record types = %v, want %v", got, want)
+	}
+}
+
+// readRecords parses every line of a journal file, torn or not.
+func readRecords(t *testing.T, path string) []Record {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("unparseable record %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+func recordTypes(t *testing.T, path string) []string {
+	var types []string
+	for _, rec := range readRecords(t, path) {
+		types = append(types, rec.Type)
+	}
+	return types
+}
+
+// TestJournalCloseReportsWriteError: a failed append stops the journal
+// and Close reports it, so a run whose journal stopped recording (a
+// full disk) is not mistaken for one that recorded everything.
+func TestJournalCloseReportsWriteError(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Create(dir, "run-ro", testHeader{Tool: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.f.Close()
+	ro, err := os.Open(j.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.f = ro // every write through a read-only handle fails
+	j.CellStart("a/base/114")
+	j.CellFinish("a/base/114", StatusDone, "")
+	if err := j.Close(); err == nil {
+		t.Fatal("Close returned nil after a failed append")
+	}
+	if got := recordTypes(t, j.path); len(got) != 1 {
+		t.Fatalf("records after the failed append: %v, want the header alone", got)
+	}
+}
+
+// TestJournalLoadAdvancesPastSkippedRecords: a verified record that Load
+// skips (a legacy cell_retry, an unknown type) still took a seq, so a
+// resumed journal appends past it instead of reusing it.
+func TestJournalLoadAdvancesPastSkippedRecords(t *testing.T) {
+	for _, tc := range []struct{ name, typ string }{
+		{"legacy cell_retry", "cell_retry"},
+		{"unknown type", "cell_paused"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := Create(dir, "run-s", testHeader{Tool: "t"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.CellStart("a/base/114")
+			j.append(Record{Type: tc.typ, Cell: "a/base/114", Reason: "watchdog under chaos"})
+			j.Close()
+			st, err := Load(dir, "run-s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Warnings) != 1 {
+				t.Fatalf("skipped record must warn once: %v", st.Warnings)
+			}
+			j, err = OpenAppend(dir, "run-s", st.NextSeq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.CellStart("b/base/114")
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(dir, "run-s"); err != nil {
+				t.Fatal(err)
+			}
+			recs := readRecords(t, j.path)
+			for i := 1; i < len(recs); i++ {
+				if recs[i].Seq <= recs[i-1].Seq {
+					t.Fatalf("seq %d (%s) follows seq %d (%s): not strictly increasing",
+						recs[i].Seq, recs[i].Type, recs[i-1].Seq, recs[i-1].Type)
+				}
+			}
+		})
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package supervise is the harness's cell supervision layer: every
-// experiment cell runs inside a goroutine sandbox with a calibrated
-// deadline, panic capture, bounded retries with decorrelated-jitter
-// backoff for transient failures, and a quarantine list so one poisoned
-// cell degrades its figure instead of killing the whole run. It pairs
-// with a crash-consistent run journal (journal.go) that lets a killed
-// run resume and skip completed work.
+// experiment cell runs once inside a goroutine sandbox with panic
+// capture and a fixed hang guard, and a cell that fails is quarantined
+// on that first failure, so one poisoned cell degrades its figure
+// instead of killing the whole run. A cell is a deterministic
+// simulation, so its outcome is a function of the cell alone: nothing
+// is retried, and no deadline is derived from the host's speed. It
+// pairs with a crash-consistent run journal (journal.go) that lets a
+// killed run resume and skip completed work.
 //
 // The design mirrors the paper's own premise: let speculative work
 // proceed optimistically, detect the rare failure precisely, and repair
@@ -37,9 +39,9 @@ func (q *Quarantined) Error() string {
 func (q *Quarantined) Unwrap() error { return q.Err }
 
 // DeadlineError reports a cell attempt that exceeded its deadline. The
-// attempt goroutine is abandoned (goroutines cannot be killed), so the
-// supervised function must tolerate a zombie attempt racing a retry;
-// the harness serializes result publication behind a mutex for this.
+// attempt goroutine is abandoned (goroutines cannot be killed) and may
+// still finish later; the cell is already quarantined, so whatever it
+// produces is never read.
 type DeadlineError struct {
 	Key   string
 	Limit time.Duration
@@ -63,103 +65,43 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("supervise: cell %s panicked: %v", p.Key, p.Value)
 }
 
-// Policy configures a Supervisor. The zero value is usable: no retries,
-// deterministic-only classification, a DefaultFallback deadline.
+// Policy configures a Supervisor. The zero value is usable: a
+// DefaultDeadline hang guard and *PanicError panic wrapping.
 type Policy struct {
-	// MaxRetries bounds re-attempts after a transient failure; a
-	// deterministic failure never retries. Default 0 (no retries).
-	MaxRetries int
-	// BaseBackoff seeds the decorrelated-jitter backoff between
-	// transient retries; MaxBackoff caps it.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Fallback is the per-cell deadline used before calibration has any
-	// data for the cell's class. Zero selects DefaultFallback.
-	Fallback time.Duration
-	// DeadlineFactor scales the calibrated per-class estimate into a
-	// deadline (deadline = factor x max observed duration). Zero selects
-	// DefaultDeadlineFactor.
-	DeadlineFactor float64
-	// MinDeadline floors calibrated deadlines so a class of sub-ms cells
-	// cannot produce a flaky microsecond deadline. Zero selects
-	// DefaultMinDeadline.
-	MinDeadline time.Duration
-	// Transient classifies an attempt failure: true means retry (with
-	// backoff, up to MaxRetries), false means quarantine immediately.
-	// A nil classifier treats every failure as deterministic. Deadline
-	// misses (*DeadlineError) are always considered transient: host
-	// scheduling noise, not simulator state.
-	Transient func(error) bool
+	// Deadline is the per-cell hang guard: an attempt still running
+	// after it fails with a *DeadlineError and quarantines. It is fixed,
+	// never derived from observed runtimes, so a slow but healthy cell
+	// cannot change a figure. Zero selects DefaultDeadline.
+	Deadline time.Duration
 	// WrapPanic converts a recovered panic into the caller's error type
 	// (the harness builds a system.CrashReport). Nil wraps into
 	// *PanicError.
 	WrapPanic func(key string, value any, stack []byte) error
-	// Seed drives the jitter PRNG; runs with equal seeds back off
-	// identically. Zero selects 1.
-	Seed uint64
-	// Sleep is the backoff clock, injectable for tests (nil = time.Sleep).
-	Sleep func(time.Duration)
-	// Warnf receives one-line operational warnings (retries, quarantines).
-	// Nil discards them. Never write these to stdout: figure output must
+	// Warnf receives one-line operational warnings (quarantines). Nil
+	// discards them. Never write these to stdout: figure output must
 	// stay byte-identical.
 	Warnf func(format string, args ...any)
 }
 
-// Defaults for the zero Policy fields.
-const (
-	DefaultFallback       = 10 * time.Minute
-	DefaultDeadlineFactor = 8.0
-	DefaultMinDeadline    = 2 * time.Second
-	DefaultBaseBackoff    = 100 * time.Millisecond
-	DefaultMaxBackoff     = 2 * time.Second
-)
+// DefaultDeadline is the hang guard of a Policy with a zero Deadline.
+const DefaultDeadline = 10 * time.Minute
 
-// Supervisor runs cells under one Policy, sharing a calibrator, a
-// quarantine list, and (optionally) a run journal. All methods are safe
-// for concurrent use.
+// Supervisor runs cells under one Policy, sharing a quarantine list and
+// (optionally) a run journal. All methods are safe for concurrent use.
 type Supervisor struct {
-	p     Policy
-	calib *Calibrator
+	p Policy
 
 	mu          sync.Mutex
 	quarantined map[string]string // key -> reason
-	rng         uint64
 	journal     *Journal
-
-	// Attempt accounting (observability, not control flow).
-	retries     int
-	quarantines int
 }
 
-// New builds a supervisor, filling zero Policy fields with defaults.
+// New builds a supervisor, filling a zero Deadline with DefaultDeadline.
 func New(p Policy) *Supervisor {
-	if p.Fallback <= 0 {
-		p.Fallback = DefaultFallback
+	if p.Deadline <= 0 {
+		p.Deadline = DefaultDeadline
 	}
-	if p.DeadlineFactor <= 0 {
-		p.DeadlineFactor = DefaultDeadlineFactor
-	}
-	if p.MinDeadline <= 0 {
-		p.MinDeadline = DefaultMinDeadline
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = DefaultBaseBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = DefaultMaxBackoff
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
-	return &Supervisor{
-		p:           p,
-		calib:       NewCalibrator(),
-		quarantined: map[string]string{},
-		rng:         p.Seed,
-	}
+	return &Supervisor{p: p, quarantined: map[string]string{}}
 }
 
 // SetJournal attaches a run journal: every supervised cell start/finish
@@ -176,7 +118,6 @@ func (s *Supervisor) Quarantine(key, reason string) {
 	s.mu.Lock()
 	if _, dup := s.quarantined[key]; !dup {
 		s.quarantined[key] = reason
-		s.quarantines++
 	}
 	s.mu.Unlock()
 }
@@ -192,13 +133,6 @@ func (s *Supervisor) QuarantinedCells() map[string]string {
 	return out
 }
 
-// Retries returns how many transient re-attempts the supervisor issued.
-func (s *Supervisor) Retries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retries
-}
-
 // warnf routes an operational warning through the policy hook.
 func (s *Supervisor) warnf(format string, args ...any) {
 	if s.p.Warnf != nil {
@@ -206,48 +140,10 @@ func (s *Supervisor) warnf(format string, args ...any) {
 	}
 }
 
-// splitmix64 is the jitter PRNG step (public-domain constants; same
-// generator the fault injector uses).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// nextBackoff computes the decorrelated-jitter delay: uniform in
-// [base, 3*prev], capped at MaxBackoff.
-func (s *Supervisor) nextBackoff(prev time.Duration) time.Duration {
-	s.mu.Lock()
-	s.rng = splitmix64(s.rng)
-	r := s.rng
-	s.mu.Unlock()
-	lo, hi := s.p.BaseBackoff, 3*prev
-	if hi <= lo {
-		hi = lo + 1
-	}
-	d := lo + time.Duration(r%uint64(hi-lo))
-	if d > s.p.MaxBackoff {
-		d = s.p.MaxBackoff
-	}
-	return d
-}
-
-// transient classifies an attempt failure for retry purposes.
-func (s *Supervisor) transient(err error) bool {
-	if _, ok := err.(*DeadlineError); ok {
-		return true
-	}
-	if s.p.Transient != nil {
-		return s.p.Transient(err)
-	}
-	return false
-}
-
 // attempt runs fn once in a sandbox goroutine with panic capture and the
-// given deadline. On deadline the goroutine is abandoned, never joined.
-func (s *Supervisor) attempt(key string, deadline time.Duration, fn func() error) error {
+// policy's deadline. On deadline the goroutine is abandoned, never
+// joined.
+func (s *Supervisor) attempt(key string, fn func() error) error {
 	done := make(chan error, 1)
 	go func() {
 		defer func() {
@@ -262,24 +158,24 @@ func (s *Supervisor) attempt(key string, deadline time.Duration, fn func() error
 		}()
 		done <- fn()
 	}()
-	timer := time.NewTimer(deadline)
+	timer := time.NewTimer(s.p.Deadline)
 	defer timer.Stop()
 	select {
 	case err := <-done:
 		return err
 	case <-timer.C:
-		return &DeadlineError{Key: key, Limit: deadline}
+		return &DeadlineError{Key: key, Limit: s.p.Deadline}
 	}
 }
 
-// Do runs one cell under supervision. class groups cells with similar
-// expected runtimes for deadline calibration (e.g. "st" vs "mt").
+// Do runs one cell under supervision: one attempt, and on any failure
+// (error, panic or deadline miss) the cell is quarantined. A simulation
+// cell is deterministic, so a second attempt would fail the same way.
+// class is unused; benchmark/probes.go pins the signature.
 //
-// The returned error is nil on success, a *Quarantined once the cell is
-// poisoned (deterministic failure, or transient retries exhausted), or
-// fn's own error only when it cannot be represented as a quarantine
-// (never, today). Calling Do again for a quarantined key returns
-// immediately without running fn.
+// The returned error is nil on success or a *Quarantined that unwraps
+// to the attempt's failure. Calling Do again for a quarantined key
+// returns immediately without running fn.
 func (s *Supervisor) Do(key, class string, fn func() error) error {
 	s.mu.Lock()
 	if reason, bad := s.quarantined[key]; bad {
@@ -292,47 +188,18 @@ func (s *Supervisor) Do(key, class string, fn func() error) error {
 	if j != nil {
 		j.CellStart(key)
 	}
-	backoff := s.p.BaseBackoff
-	var err error
-	for try := 0; ; try++ {
-		deadline := s.calib.Deadline(class, s.p.DeadlineFactor, s.p.MinDeadline, s.p.Fallback)
-		start := time.Now()
-		err = s.attempt(key, deadline, fn)
-		if err == nil {
-			s.calib.Observe(class, time.Since(start))
-			if j != nil {
-				j.CellFinish(key, StatusDone, "")
-			}
-			return nil
-		}
-		if !s.transient(err) || try >= s.p.MaxRetries {
-			break
-		}
-		backoff = s.nextBackoff(backoff)
-		s.mu.Lock()
-		s.retries++
-		s.mu.Unlock()
-		s.warnf("supervise: cell %s attempt %d failed transiently (%v); retrying in %v",
-			key, try+1, err, backoff)
+	err := s.attempt(key, fn)
+	if err == nil {
 		if j != nil {
-			j.CellRetry(key, err.Error())
+			j.CellFinish(key, StatusDone, "")
 		}
-		s.p.Sleep(backoff)
+		return nil
 	}
-	reason := classifyReason(err, s.transient(err))
+	reason := fmt.Sprintf("deterministic failure: %v", err)
 	s.Quarantine(key, reason)
 	s.warnf("supervise: cell %s quarantined: %s", key, reason)
 	if j != nil {
 		j.CellFinish(key, StatusQuarantined, reason)
 	}
 	return &Quarantined{Key: key, Reason: reason, Err: err}
-}
-
-// classifyReason renders the quarantine reason, tagging whether the
-// failure was deterministic or a transient that exhausted its retries.
-func classifyReason(err error, transient bool) string {
-	if transient {
-		return fmt.Sprintf("transient failure persisted past retry budget: %v", err)
-	}
-	return fmt.Sprintf("deterministic failure: %v", err)
 }

@@ -8,73 +8,18 @@ import (
 	"time"
 )
 
-// testPolicy is a fast policy for unit tests: no real sleeping, tiny
-// deadlines allowed, a marker-based transient classifier.
-func testPolicy(sleeps *[]time.Duration) Policy {
-	return Policy{
-		MaxRetries:  2,
-		BaseBackoff: 10 * time.Millisecond,
-		MaxBackoff:  80 * time.Millisecond,
-		Fallback:    time.Second,
-		MinDeadline: time.Millisecond,
-		Transient: func(err error) bool {
-			return err != nil && errors.Is(err, errTransient)
-		},
-		Sleep: func(d time.Duration) {
-			if sleeps != nil {
-				*sleeps = append(*sleeps, d)
-			}
-		},
-	}
+// testPolicy is a fast policy for unit tests: a one-second hang guard.
+func testPolicy() Policy {
+	return Policy{Deadline: time.Second}
 }
 
-var (
-	errTransient     = errors.New("watchdog tripped under chaos")
-	errDeterministic = errors.New("invariant violated")
-)
+var errDeterministic = errors.New("invariant violated")
 
-// TestTransientRetriesThenSucceeds: a chaos-style transient failure
-// retries with backoff and the cell ultimately succeeds — no
-// quarantine, no error.
-func TestTransientRetriesThenSucceeds(t *testing.T) {
-	var sleeps []time.Duration
-	s := New(testPolicy(&sleeps))
-	calls := 0
-	err := s.Do("cell/a", "st", func() error {
-		calls++
-		if calls < 3 {
-			return fmt.Errorf("attempt %d: %w", calls, errTransient)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("expected eventual success, got %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("expected 3 attempts, got %d", calls)
-	}
-	if len(sleeps) != 2 {
-		t.Fatalf("expected 2 backoff sleeps, got %v", sleeps)
-	}
-	for i, d := range sleeps {
-		if d < 10*time.Millisecond || d > 80*time.Millisecond {
-			t.Fatalf("backoff %d = %v outside [base, cap]", i, d)
-		}
-	}
-	if s.Retries() != 2 {
-		t.Fatalf("retry accounting: got %d, want 2", s.Retries())
-	}
-	if len(s.QuarantinedCells()) != 0 {
-		t.Fatal("successful cell must not be quarantined")
-	}
-}
-
-// TestDeterministicQuarantinesImmediately: a deterministic failure goes
-// straight to quarantine with zero retries, and subsequent attempts on
-// the same key short-circuit without running.
+// TestDeterministicQuarantinesImmediately: a failure goes straight to
+// quarantine after one attempt, and subsequent attempts on the same key
+// short-circuit without running.
 func TestDeterministicQuarantinesImmediately(t *testing.T) {
-	var sleeps []time.Duration
-	s := New(testPolicy(&sleeps))
+	s := New(testPolicy())
 	calls := 0
 	err := s.Do("cell/b", "st", func() error {
 		calls++
@@ -85,10 +30,10 @@ func TestDeterministicQuarantinesImmediately(t *testing.T) {
 		t.Fatalf("expected *Quarantined, got %v", err)
 	}
 	if calls != 1 {
-		t.Fatalf("deterministic failure must not retry: %d calls", calls)
+		t.Fatalf("a failure must not retry: %d calls", calls)
 	}
-	if len(sleeps) != 0 {
-		t.Fatalf("deterministic failure must not back off: %v", sleeps)
+	if q.Reason != "deterministic failure: invariant violated" {
+		t.Fatalf("reason = %q", q.Reason)
 	}
 	if !errors.Is(err, errDeterministic) {
 		t.Fatal("quarantine must unwrap to the underlying failure")
@@ -106,33 +51,10 @@ func TestDeterministicQuarantinesImmediately(t *testing.T) {
 	}
 }
 
-// TestTransientExhaustedQuarantines: a persistent transient failure
-// exhausts its retry budget and lands in quarantine with a reason
-// recording the exhaustion.
-func TestTransientExhaustedQuarantines(t *testing.T) {
-	var sleeps []time.Duration
-	s := New(testPolicy(&sleeps))
-	calls := 0
-	err := s.Do("cell/c", "st", func() error {
-		calls++
-		return errTransient
-	})
-	var q *Quarantined
-	if !errors.As(err, &q) {
-		t.Fatalf("expected *Quarantined, got %v", err)
-	}
-	if calls != 3 { // initial + MaxRetries
-		t.Fatalf("expected 3 attempts, got %d", calls)
-	}
-	if q.Reason == "" || !errors.Is(err, errTransient) {
-		t.Fatalf("quarantine must carry reason + cause: %+v", q)
-	}
-}
-
 // TestPanicCaptured: a panicking cell is recovered, wrapped, classified
 // deterministic, and quarantined — the process survives.
 func TestPanicCaptured(t *testing.T) {
-	s := New(testPolicy(nil))
+	s := New(testPolicy())
 	err := s.Do("cell/p", "st", func() error {
 		panic("index out of range [114]")
 	})
@@ -152,7 +74,7 @@ func TestPanicCaptured(t *testing.T) {
 // TestPanicWrapHook: a WrapPanic hook converts the panic into the
 // caller's error type (the harness turns it into a CrashReport).
 func TestPanicWrapHook(t *testing.T) {
-	p := testPolicy(nil)
+	p := testPolicy()
 	type wrapped struct{ error }
 	p.WrapPanic = func(key string, v any, stack []byte) error {
 		return wrapped{fmt.Errorf("crash report for %s: %v (%d stack bytes)", key, v, len(stack))}
@@ -165,68 +87,38 @@ func TestPanicWrapHook(t *testing.T) {
 	}
 }
 
-// TestDeadlineIsTransient: an attempt that exceeds its deadline is
-// abandoned and retried; a fast second attempt succeeds.
-func TestDeadlineIsTransient(t *testing.T) {
-	p := testPolicy(nil)
-	p.Fallback = 25 * time.Millisecond
-	s := New(p)
+// TestDeadlineQuarantines: an attempt that exceeds the fixed deadline is
+// abandoned and its cell quarantined after that one attempt.
+func TestDeadlineQuarantines(t *testing.T) {
+	s := New(Policy{Deadline: 25 * time.Millisecond})
 	release := make(chan struct{})
 	defer close(release)
 	var calls atomic.Int32
 	err := s.Do("cell/d", "st", func() error {
-		if calls.Add(1) == 1 {
-			<-release // hang past the deadline
-		}
+		calls.Add(1)
+		<-release // hang past the deadline
 		return nil
 	})
-	if err != nil {
-		t.Fatalf("expected success after deadline retry, got %v", err)
+	var q *Quarantined
+	if !errors.As(err, &q) {
+		t.Fatalf("expected *Quarantined, got %v", err)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("expected 2 attempts, got %d", got)
+	var d *DeadlineError
+	if !errors.As(err, &d) || d.Limit != 25*time.Millisecond {
+		t.Fatalf("quarantine must unwrap to the deadline miss, got %v", err)
 	}
-	if s.Retries() != 1 {
-		t.Fatalf("deadline retry accounting: %d", s.Retries())
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("expected 1 attempt, got %d", got)
 	}
-}
-
-// TestDeadlineFromCalibration: once a class has completions, its
-// deadline derives from the slowest observed cell, not the fallback.
-func TestDeadlineFromCalibration(t *testing.T) {
-	c := NewCalibrator()
-	fallback := time.Hour
-	if d := c.Deadline("st", 8, time.Millisecond, fallback); d != fallback {
-		t.Fatalf("uncalibrated class must use fallback, got %v", d)
-	}
-	c.Observe("st", 10*time.Millisecond)
-	c.Observe("st", 4*time.Millisecond)
-	if d := c.Deadline("st", 8, time.Millisecond, fallback); d != 80*time.Millisecond {
-		t.Fatalf("calibrated deadline = %v, want 80ms (8 x slowest)", d)
-	}
-	// The floor guards tiny classes.
-	c.Observe("mt", 10*time.Microsecond)
-	if d := c.Deadline("mt", 8, 2*time.Second, fallback); d != 2*time.Second {
-		t.Fatalf("floored deadline = %v, want 2s", d)
-	}
-	if c.Samples("st") != 2 || c.Samples("mt") != 1 {
-		t.Fatal("sample accounting wrong")
-	}
-	// The supervisor feeds the calibrator through Do.
-	p := testPolicy(nil)
-	s := New(p)
-	if err := s.Do("cell/x", "st", func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if s.calib.Samples("st") != 1 {
-		t.Fatal("Do must calibrate on success")
+	if _, bad := s.QuarantinedCells()["cell/d"]; !bad {
+		t.Fatal("deadline miss not on the quarantine list")
 	}
 }
 
 // TestQuarantinePreload: resume-style preloading poisons cells without
 // running them.
 func TestQuarantinePreload(t *testing.T) {
-	s := New(testPolicy(nil))
+	s := New(testPolicy())
 	s.Quarantine("cell/q", "poisoned in a prior run")
 	err := s.Do("cell/q", "st", func() error {
 		t.Fatal("preloaded quarantine must not execute")
@@ -235,23 +127,6 @@ func TestQuarantinePreload(t *testing.T) {
 	var q *Quarantined
 	if !errors.As(err, &q) || q.Reason != "poisoned in a prior run" {
 		t.Fatalf("expected preloaded quarantine, got %v", err)
-	}
-}
-
-// TestBackoffDeterministic: equal seeds produce equal backoff
-// schedules (the jitter is pseudo-random, not nondeterministic).
-func TestBackoffDeterministic(t *testing.T) {
-	run := func() []time.Duration {
-		var sleeps []time.Duration
-		p := testPolicy(&sleeps)
-		p.Seed = 42
-		s := New(p)
-		s.Do("cell/j", "st", func() error { return errTransient })
-		return sleeps
-	}
-	a, b := run(), run()
-	if len(a) != 2 || len(b) != 2 || a[0] != b[0] || a[1] != b[1] {
-		t.Fatalf("jitter not deterministic for equal seeds: %v vs %v", a, b)
 	}
 }
 
@@ -272,24 +147,23 @@ func TestErrorStrings(t *testing.T) {
 	}
 }
 
-// TestNewDefaultsAndWarnf: New fills zero policy fields with defaults,
-// honors explicit ones, and routes warnings through the hook.
+// TestNewDefaultsAndWarnf: New fills a zero Deadline with the default,
+// honors an explicit one, and routes warnings through the hook.
 func TestNewDefaultsAndWarnf(t *testing.T) {
 	s := New(Policy{})
-	if s == nil {
-		t.Fatal("New returned nil")
+	if s.p.Deadline != DefaultDeadline {
+		t.Fatalf("zero Deadline = %v, want DefaultDeadline", s.p.Deadline)
 	}
 	var warned []string
 	s2 := New(Policy{
-		Fallback:       time.Second,
-		DeadlineFactor: 3,
-		MinDeadline:    time.Millisecond,
-		BaseBackoff:    time.Millisecond,
-		MaxBackoff:     time.Millisecond,
-		Warnf:          func(format string, args ...any) { warned = append(warned, fmt.Sprintf(format, args...)) },
+		Deadline: time.Second,
+		Warnf:    func(format string, args ...any) { warned = append(warned, fmt.Sprintf(format, args...)) },
 	})
-	s2.warnf("cell %s retried", "a/base/114")
-	if len(warned) != 1 || warned[0] != "cell a/base/114 retried" {
+	if s2.p.Deadline != time.Second {
+		t.Fatalf("explicit Deadline = %v, want 1s", s2.p.Deadline)
+	}
+	s2.warnf("cell %s quarantined", "a/base/114")
+	if len(warned) != 1 || warned[0] != "cell a/base/114 quarantined" {
 		t.Fatalf("warnf hook: %v", warned)
 	}
 	// No hook installed: warnf is a safe no-op.

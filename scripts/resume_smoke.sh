@@ -5,7 +5,9 @@
 # `tusbench -resume`, and requires the resumed output to be
 # byte-identical to an uninterrupted run. Exercises the same recovery
 # path as TestKillAndResumeByteIdentical but through the real binary
-# and real process death.
+# and real process death. Fails too when the baseline or the resumed
+# run reports a degraded figure or a journal that stopped recording on
+# stderr: identical bytes from two equally degraded runs prove nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +20,7 @@ scale=(-quick -ops 20000 -parallel-ops 500 -fig 9 -j 4)
 jdir="$dir/journal"
 
 # Uninterrupted baseline against its own cache.
-"$dir/tusbench" "${scale[@]}" -cache "$dir/cache-baseline" > "$dir/baseline.txt"
+"$dir/tusbench" "${scale[@]}" -cache "$dir/cache-baseline" > "$dir/baseline.txt" 2> "$dir/baseline.err"
 
 # Journaled run, to be killed mid-matrix.
 "$dir/tusbench" "${scale[@]}" -cache "$dir/cache" \
@@ -48,4 +50,10 @@ run_id=$(basename "$jdir"/*.jsonl .jsonl)
 sed 's/^/  resume: /' "$dir/resumed.err"
 
 diff "$dir/baseline.txt" "$dir/resumed.txt"
+for run in baseline resumed; do
+    if grep -E 'degraded by quarantine|stopped recording' "$dir/$run.err"; then
+        echo "resume-smoke: the $run run reported the failure above on stderr" >&2
+        exit 1
+    fi
+done
 echo "resume-smoke: resumed output is byte-identical to the uninterrupted run"
