@@ -153,10 +153,10 @@ type Config struct {
 	WatchdogWindow uint64
 
 	// CellTimeout is the harness supervisor's fixed per-cell hang guard:
-	// a cell still running after it is quarantined. It is never derived
-	// from observed runtimes. Purely a harness-robustness knob: it cannot
-	// change any simulation result, so the result cache excludes it from
-	// cell identity. Zero selects DefaultCellTimeout.
+	// a cell still running after it is stopped and quarantined. It is
+	// never derived from observed runtimes. Purely a harness-robustness
+	// knob: it cannot change any simulation result, so the result cache
+	// excludes it from cell identity. Zero selects DefaultCellTimeout.
 	CellTimeout time.Duration
 
 	// Reference runs this machine on the reference twins of its fast

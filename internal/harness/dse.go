@@ -71,7 +71,7 @@ func DSE(r *Runner, benchName string) ([]DSEPoint, error) {
 				return cfg
 			}
 		}
-		res, err := r.run(b, key, mkcfg)
+		res, err := r.run(context.Background(), b, key, mkcfg)
 		if err != nil {
 			return fmt.Errorf("harness: DSE %s: %w", specs[i].label, err)
 		}

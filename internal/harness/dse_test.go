@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -83,7 +84,7 @@ func TestDSEPoisonedPointQuarantines(t *testing.T) {
 	r.Ops = 4000
 	r.Supervisor = NewSupervisor(0)
 	const poison = "502.gcc2/TUS/114/WOQ=16"
-	r.testHookSim = func(key string) error {
+	r.testHookSim = func(_ context.Context, key string) error {
 		if key == poison {
 			panic("poisoned point")
 		}

@@ -96,12 +96,12 @@ type Runner struct {
 	OnCellDone func(key string, cached bool, d time.Duration, err error)
 	// Supervisor, when non-nil, runs every simulation inside the cell
 	// supervision layer: one attempt under panic capture and a fixed
-	// hang guard, quarantined on its first failure. A quarantined cell
-	// surfaces as a *supervise.Quarantined error, which the figure
-	// builders degrade into a "degraded" report section instead of
-	// failing the run. Nil keeps the legacy behavior (any cell failure
-	// is fatal to its figure). Healthy runs are byte-identical either
-	// way.
+	// hang guard (a deadline on the cell's context), quarantined on its
+	// first failure. A quarantined cell surfaces as a
+	// *supervise.Quarantined error, which the figure builders degrade
+	// into a "degraded" report section instead of failing the run. Nil
+	// keeps the legacy behavior (any cell failure is fatal to its
+	// figure). Healthy runs are byte-identical either way.
 	Supervisor *supervise.Supervisor
 
 	mu    sync.Mutex
@@ -127,10 +127,10 @@ type Runner struct {
 	degraded map[string]DegradedCell
 
 	// testHookSim, when set (tests only), runs before each simulation
-	// with the cell key; a non-nil return poisons the attempt with that
-	// error, letting tests inject failures and stalls without touching
-	// the simulator.
-	testHookSim func(key string) error
+	// with the attempt's context and the cell key; a non-nil return
+	// poisons the attempt with that error, letting tests inject failures
+	// and stalls without touching the simulator.
+	testHookSim func(ctx context.Context, key string) error
 }
 
 // DegradedCell names one quarantined cell a figure had to skip, and
@@ -145,9 +145,10 @@ type DegradedCell struct {
 // cell is a singleflight slot: the first goroutine to claim a key
 // simulates it; everyone else blocks on done and shares the result.
 type cell struct {
-	done chan struct{}
-	res  Result
-	err  error
+	done    chan struct{}
+	res     Result
+	err     error
+	stopped bool // the owner was stopped and left the slot
 }
 
 // NewRunner returns a runner with the default experiment scale.
@@ -186,7 +187,7 @@ func (c Cell) config() *config.Config {
 // exactly one simulation runs per key per process.
 func (r *Runner) Run(b workload.Benchmark, m config.Mechanism, sbSize int) (Result, error) {
 	c := Cell{b, m, sbSize}
-	return r.run(b, CellKey(c), c.config)
+	return r.run(context.Background(), b, CellKey(c), c.config)
 }
 
 // run is Run for any machine configuration (the DSE sweep mutates it):
@@ -194,36 +195,55 @@ func (r *Runner) Run(b workload.Benchmark, m config.Mechanism, sbSize int) (Resu
 // cell; the disk cache is keyed by the content of the configuration, not
 // by key. mkcfg is called only by the slot's owner, so a memoized read
 // builds no config.
-func (r *Runner) run(b workload.Benchmark, key string, mkcfg func() *config.Config) (Result, error) {
-	r.mu.Lock()
-	if r.cells == nil {
-		r.cells = make(map[string]*cell)
-	}
-	c, inflight := r.cells[key]
-	if !inflight {
-		c = &cell{done: make(chan struct{})}
-		r.cells[key] = c
-	}
-	r.mu.Unlock()
-	if inflight {
-		<-c.done
+// ctx stops this caller only: a waiter returns at once, and an owner's
+// cell stops uncached and unreported, leaving its slot to a live waiter.
+func (r *Runner) run(ctx context.Context, b workload.Benchmark, key string, mkcfg func() *config.Config) (Result, error) {
+	for {
+		r.mu.Lock()
+		if r.cells == nil {
+			r.cells = make(map[string]*cell)
+		}
+		c, inflight := r.cells[key]
+		if !inflight {
+			c = &cell{done: make(chan struct{})}
+			r.cells[key] = c
+		}
+		r.mu.Unlock()
+		if inflight {
+			select {
+			case <-c.done:
+			case <-ctx.Done():
+				return Result{}, ctx.Err()
+			}
+			if c.stopped {
+				continue
+			}
+			return c.res, c.err
+		}
+		start := time.Now()
+		var cached bool
+		c.res, cached, c.err = r.compute(ctx, b, mkcfg(), key)
+		if c.err != nil && ctx.Err() != nil && !isQuarantined(c.err) {
+			r.mu.Lock()
+			delete(r.cells, key)
+			r.mu.Unlock()
+			c.stopped = true
+			close(c.done)
+			return Result{}, ctx.Err()
+		}
+		if r.OnCellDone != nil {
+			r.OnCellDone(key, cached, time.Since(start), c.err)
+		}
+		close(c.done)
 		return c.res, c.err
 	}
-	start := time.Now()
-	var cached bool
-	c.res, cached, c.err = r.compute(b, mkcfg(), key)
-	if r.OnCellDone != nil {
-		r.OnCellDone(key, cached, time.Since(start), c.err)
-	}
-	close(c.done)
-	return c.res, c.err
 }
 
 // compute performs the actual simulation (or persistent-cache load)
 // behind Run's singleflight gate, routing fresh simulations through the
 // supervisor when one is attached. cached reports whether the result
 // was served from the disk cache instead of simulated.
-func (r *Runner) compute(b workload.Benchmark, cfg *config.Config, key string) (_ Result, cached bool, _ error) {
+func (r *Runner) compute(ctx context.Context, b workload.Benchmark, cfg *config.Config, key string) (_ Result, cached bool, _ error) {
 	if !b.Valid() {
 		return Result{}, false, fmt.Errorf("harness: %s: unknown or zero-value benchmark", key)
 	}
@@ -244,11 +264,9 @@ func (r *Runner) compute(b workload.Benchmark, cfg *config.Config, key string) (
 			})
 		}
 	}
-	// The supervisor runs one attempt; out is read only when it returned
-	// nil, so an attempt abandoned at the deadline writes out unread.
 	var out simOutcome
-	attempt := func() error {
-		o, err := r.simulate(b, cfg, key)
+	attempt := func(ctx context.Context) error {
+		o, err := r.simulate(ctx, b, cfg, key)
 		if err != nil {
 			return err
 		}
@@ -263,9 +281,22 @@ func (r *Runner) compute(b workload.Benchmark, cfg *config.Config, key string) (
 	}
 	var err error
 	if r.Supervisor == nil {
-		err = attempt()
+		err = attempt(ctx)
 	} else {
-		err = r.Supervisor.Do(key, "", attempt)
+		// A cell the hang guard stops fails with guard, not ctx.Err().
+		limit := r.Supervisor.Deadline()
+		guard := &supervise.DeadlineError{Key: key, Limit: limit}
+		err = r.Supervisor.Do(key, "", func() error {
+			actx, cancel := context.WithTimeoutCause(ctx, limit, guard)
+			defer cancel()
+			if err := attempt(actx); err == nil || actx.Err() == nil {
+				return err
+			}
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			return guard
+		})
 	}
 	if err != nil {
 		return Result{}, false, err
@@ -283,10 +314,10 @@ type simOutcome struct {
 
 // simulate runs one cell for real (no cache probe). It has no side
 // effect outside its own system: compute caches and publishes it.
-func (r *Runner) simulate(b workload.Benchmark, cfg *config.Config, key string) (simOutcome, error) {
+func (r *Runner) simulate(ctx context.Context, b workload.Benchmark, cfg *config.Config, key string) (simOutcome, error) {
 	m, sbSize := cfg.Mechanism, cfg.SBEntries
 	if r.testHookSim != nil {
-		if err := r.testHookSim(key); err != nil {
+		if err := r.testHookSim(ctx, key); err != nil {
 			return simOutcome{}, err
 		}
 	}
@@ -298,6 +329,7 @@ func (r *Runner) simulate(b workload.Benchmark, cfg *config.Config, key string) 
 	// 2B-instruction simulation point; our warm workloads put their
 	// footprint-touch prologue inside this window).
 	sys.WarmupOps = uint64(r.ops(b)) * uint64(b.Threads) / 3
+	sys.SetContext(ctx)
 	var tr *trace.Tracer
 	if r.OnTrace != nil {
 		tr = trace.New(0)
@@ -350,17 +382,18 @@ func (r *Runner) publish(key string, out simOutcome) {
 // parallel path byte-identical to the serial one. It is the only place
 // a study's cells are claimed (see Build).
 //
-// ctx stops the claiming, never a simulation: workers look at it between
-// cells, because a cell is shared across callers by Run's singleflight
-// and whoever else waits on it must still get its result. A canceled
-// Prefetch returns ctx.Err() within one cell's duration. Otherwise the
-// error is the first failing cell in list order (deterministic at any
+// ctx stops the claiming and this caller's running cells: a simulation
+// looks at it every 1,024 cycles, and a cell shared with another caller
+// through the singleflight is simulated again by that caller (see run).
+// A canceled Prefetch returns ctx.Err() within milliseconds. Otherwise
+// the error is the first failing cell in list order (deterministic at any
 // worker count). Quarantined cells are not failures: the supervisor has
 // already contained them and the assemblies degrade around them, so the
 // prefetch keeps filling every other cell.
 func (r *Runner) Prefetch(ctx context.Context, cells []Cell) error {
 	_, err := parmap(ctx, r.workers(), len(cells), func(i int) error {
-		_, err := r.Run(cells[i].Bench, cells[i].Mech, cells[i].SB)
+		c := cells[i]
+		_, err := r.run(ctx, c.Bench, CellKey(c), c.config)
 		if isQuarantined(err) {
 			return nil
 		}

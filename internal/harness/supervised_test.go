@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -27,7 +28,7 @@ func TestSupervisedChaosCrashQuarantinesOnce(t *testing.T) {
 	r.Ops = 2000
 	r.Supervisor = NewSupervisor(0)
 	var attempts atomic.Int64
-	r.testHookSim = func(string) error {
+	r.testHookSim = func(context.Context, string) error {
 		attempts.Add(1)
 		return &system.CrashReport{
 			Kind:      system.CrashWatchdog,
@@ -60,7 +61,7 @@ func TestSupervisedDeterministicQuarantinesImmediately(t *testing.T) {
 	r.Ops = 2000
 	r.Supervisor = NewSupervisor(0)
 	var attempts atomic.Int64
-	r.testHookSim = func(key string) error {
+	r.testHookSim = func(_ context.Context, key string) error {
 		attempts.Add(1)
 		return errors.New("deterministic boom")
 	}
@@ -93,7 +94,7 @@ func TestSupervisedPanicQuarantines(t *testing.T) {
 	r := NewQuickRunner()
 	r.Ops = 2000
 	r.Supervisor = NewSupervisor(0)
-	r.testHookSim = func(key string) error {
+	r.testHookSim = func(_ context.Context, key string) error {
 		panic("kaboom: slice index out of range")
 	}
 	_, err := r.Run(b, config.TUS, 114)
@@ -130,7 +131,7 @@ func TestSupervisedFigureDegrades(t *testing.T) {
 	r.Workers = 4
 	r.Supervisor = NewSupervisor(0)
 	const poison = "505.mcf/TUS/114"
-	r.testHookSim = func(key string) error {
+	r.testHookSim = func(_ context.Context, key string) error {
 		if key == poison {
 			return errors.New("poisoned cell")
 		}
@@ -167,24 +168,29 @@ func TestSupervisedFigureDegrades(t *testing.T) {
 	}
 }
 
-// TestSupervisedDeadlineMissPublishesNothing: the supervisor gives up
-// on an attempt that overruns the hang guard and quarantines the cell,
-// but the overrun attempt keeps running and finishes later. Nothing of
-// it may be published — no cells_run, no trace callback — or tusload's
-// exactly-once invariant and tusd_cells_run_total both break.
+// TestSupervisedDeadlineMissPublishesNothing: the hang guard stops a
+// running simulation. A real 16-core cell that takes seconds uncancelled
+// runs under a 100 ms guard: Run quarantines it within 2 s, nothing of
+// it is published — no cells_run, no trace callback, or tusload's
+// exactly-once invariant and tusd_cells_run_total both break — and no
+// goroutine of it outlives Run, so W workers never run more than W
+// simulations.
 func TestSupervisedDeadlineMissPublishesNothing(t *testing.T) {
-	b, _ := workload.ByName("503.bw2")
+	b, _ := workload.ByName("ferret")
 	r := NewQuickRunner()
-	r.Ops = 500
-	r.Supervisor = NewSupervisor(200 * time.Millisecond)
+	r.ParallelOps = 100_000 // ~3 s of simulation uncancelled
+	r.Supervisor = NewSupervisor(100 * time.Millisecond)
 	var traces atomic.Int64
 	r.OnTrace = func(string, *trace.Tracer) { traces.Add(1) }
-	release := make(chan struct{})
-	r.testHookSim = func(string) error {
-		<-release // stall the attempt past the hang guard
-		return nil
-	}
+	// Generate the trace first: the guard stops the simulation, and
+	// generation time is not what this test measures.
+	r.interned.traces(b, r.Seed, r.ParallelOps)
+	before := runtime.NumGoroutine()
+	start := time.Now()
 	_, err := r.Run(b, config.TUS, 114)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Run returned %v after the start, want a stop within 2s", d)
+	}
 	var q *supervise.Quarantined
 	if !errors.As(err, &q) {
 		t.Fatalf("want *supervise.Quarantined after the deadline miss, got %v", err)
@@ -193,23 +199,124 @@ func TestSupervisedDeadlineMissPublishesNothing(t *testing.T) {
 	if !errors.As(err, &d) {
 		t.Fatalf("quarantine must unwrap to the deadline miss, got %v", err)
 	}
-	// Let the overrun attempt simulate to completion, and wait until no
-	// attempt goroutine is left.
-	close(release)
-	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Supervisor).attempt")) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("overrun attempt never returned")
-		}
-	}
 	if n := r.CacheStats().CellsRun; n != 0 {
 		t.Fatalf("cells_run = %d after a quarantined cell, want 0", n)
 	}
 	if n := traces.Load(); n != 0 {
 		t.Fatalf("OnTrace fired %d times for a quarantined cell, want 0", n)
+	}
+	// The guard's timer callback may still be returning; a simulation
+	// left running would hold a goroutine for seconds.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before: the stopped cell is still running", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestDeadlineMissCachesNothing: a cell the hang guard stopped never
+// reaches the disk cache, even once everything it started has returned,
+// so a later process cannot serve a quarantined cell as a healthy hit.
+// The hook waits out the guard, so Run stops the cell at its first poll.
+func TestDeadlineMissCachesNothing(t *testing.T) {
+	b, _ := workload.ByName("503.bw2")
+	dir := t.TempDir()
+	runner := func() *Runner {
+		r := NewQuickRunner()
+		r.Ops = 2000
+		c, err := NewDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Cache = c
+		return r
+	}
+	r := runner()
+	r.Supervisor = NewSupervisor(200 * time.Millisecond)
+	r.testHookSim = func(ctx context.Context, _ string) error {
+		<-ctx.Done()
+		return nil
+	}
+	before := runtime.NumGoroutine()
+	var q *supervise.Quarantined
+	if _, err := r.Run(b, config.TUS, 114); !errors.As(err, &q) {
+		t.Fatalf("want *supervise.Quarantined, got %v", err)
+	}
+	// Whatever of the cell still runs after Run may write the cache.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the quarantined cell is still running 10s after Run")
+		}
+	}
+	fresh := runner()
+	if _, err := fresh.Run(b, config.TUS, 114); err != nil {
+		t.Fatal(err)
+	}
+	if cs := fresh.CacheStats(); cs.CellsCached != 0 || cs.CellsRun != 1 {
+		t.Fatalf("fresh runner: %+v, want CellsCached 0 and CellsRun 1", cs)
+	}
+}
+
+// TestSharedCellSurvivesCancel: two Prefetch callers share one in-flight
+// 16-core cell and the owner is canceled while it holds the slot (its
+// System.Run then stops at the first poll). The other caller claims the
+// cell again and gets the same result a fresh Runner computes, the cell
+// is published once, and nothing is quarantined.
+func TestSharedCellSurvivesCancel(t *testing.T) {
+	b, _ := workload.ByName("ferret")
+	cells := []Cell{{b, config.TUS, 114}}
+	runner := func() *Runner {
+		r := NewQuickRunner()
+		r.ParallelOps = 2000
+		r.Supervisor = NewSupervisor(0)
+		return r
+	}
+	fresh := runner()
+	want, err := fresh.Run(b, config.TUS, 114)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := runner()
+	owning := make(chan struct{})
+	var claims atomic.Int64
+	r.testHookSim = func(ctx context.Context, _ string) error {
+		if claims.Add(1) == 1 {
+			close(owning)
+			<-ctx.Done()
+		}
+		return nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	owner := make(chan error, 1)
+	go func() { owner <- r.Prefetch(ctx, cells) }()
+	<-owning
+	waiter := make(chan error, 1)
+	go func() { waiter <- r.Prefetch(context.Background(), cells) }()
+	// Cancel once the waiter is in run too, on the owner's slot.
+	buf := make([]byte, 1<<20)
+	for bytes.Count(buf[:runtime.Stack(buf, true)], []byte("(*Runner).run(")) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-owner; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled owner's Prefetch = %v, want context.Canceled", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter's Prefetch: %v", err)
+	}
+	got, err := r.Run(b, config.TUS, 114)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles || got.Stats.String() != want.Stats.String() {
+		t.Fatalf("shared cell: %d cycles, fresh Runner: %d (or stats differ)", got.Cycles, want.Cycles)
+	}
+	if n, c := r.CacheStats().CellsRun, claims.Load(); n != 1 || c != 2 {
+		t.Fatalf("cells_run = %d after %d claims, want 1 after 2", n, c)
+	}
+	if q := r.Supervisor.QuarantinedCells(); len(q) != 0 {
+		t.Fatalf("a canceled owner quarantined %v", q)
 	}
 }
 
@@ -220,7 +327,7 @@ func TestSlowCellKeepsFigureBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sleeps 2.5 s in one cell")
 	}
-	render := func(hook func(string) error) (string, *Runner) {
+	render := func(hook func(context.Context, string) error) (string, *Runner) {
 		r := NewQuickRunner()
 		r.Ops = 2000
 		r.ParallelOps = 500
@@ -234,7 +341,7 @@ func TestSlowCellKeepsFigureBytes(t *testing.T) {
 		return buf.String(), r
 	}
 	want, _ := render(nil)
-	got, r := render(func(key string) error {
+	got, r := render(func(_ context.Context, key string) error {
 		if key == "505.mcf/TUS/114" {
 			time.Sleep(2500 * time.Millisecond)
 		}

@@ -271,11 +271,11 @@ func (j *Job) terminal() bool {
 
 // runJob drives one job on its own goroutine: pool admission, per-job
 // deadline, build, finalization. Cancel and -job-timeout are one
-// mechanism — the job's context — and it acts where the plan claims
-// work: between cells, never inside one (a cell may be shared with
-// another job through the Runner's singleflight). So a stopped job
-// returns, and frees its pool slot, within one cell's duration, and
-// drain has nothing to wait for but this function.
+// mechanism — the job's context — and it reaches the cells the job is
+// simulating (a cell shared with another job through the Runner's
+// singleflight is simulated again by that job). So a stopped job
+// returns, and frees its pool slot, within milliseconds, and drain has
+// nothing to wait for but this function.
 func (s *Server) runJob(ctx context.Context, j *Job, p *jobPlan) {
 	defer s.builds.Done()
 	select {

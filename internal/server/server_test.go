@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -379,6 +380,47 @@ func TestStopFreesSlot(t *testing.T) {
 			t.Fatalf("cells_run = %d, but %d fresh completions were announced", cs.CellsRun, fresh.Load())
 		}
 	})
+}
+
+// TestCancelStopsRunningCell: cancel stops the cell a job is
+// simulating, not only the claiming of its next one. With one pool slot
+// and one worker, a one-cell job on a 16-core cell that takes seconds
+// uncancelled turns canceled, and a queued job is admitted, within 1 s
+// of the cancel.
+func TestCancelStopsRunningCell(t *testing.T) {
+	r := testRunner(t, "")
+	r.Workers = 1
+	r.ParallelOps = 100_000 // ~3 s of simulation uncancelled
+	s, _ := newTestServer(t, Options{Runner: r, MaxJobs: 1})
+	big, _, err := s.Submit(JobRequest{Kind: "cells", Benches: []string{"ferret"}, Mechs: []string{"TUS"}, SBs: []int{114}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, _, err := s.Submit(JobRequest{Kind: "cells", Benches: []string{"502.gcc1"}, Mechs: []string{"base"}, SBs: []int{32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cancel once the cell simulates: trace generation is not stoppable.
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Minute); !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*System).Run(")); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) || big.terminal() {
+			t.Fatalf("job %s never started simulating (%s)", big.ID, big.view().State)
+		}
+	}
+	start := time.Now()
+	s.Cancel(big.ID)
+	for small.view().State == JobQueued {
+		if time.Since(start) > time.Second {
+			t.Fatal("queued job not admitted within 1s of the cancel")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if v := waitJob(t, big, time.Second); v.State != JobCanceled {
+		t.Fatalf("canceled job ended %s (%s), want canceled", v.State, v.Error)
+	}
+	if v := waitJob(t, small, time.Minute); v.State != JobDone {
+		t.Fatalf("queued job ended %s (%s), want done", v.State, v.Error)
+	}
 }
 
 // TestCancelWhileSharingCells is the -race regression for finalize: a

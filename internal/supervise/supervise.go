@@ -1,12 +1,13 @@
 // Package supervise is the harness's cell supervision layer: every
-// experiment cell runs once inside a goroutine sandbox with panic
-// capture and a fixed hang guard, and a cell that fails is quarantined
-// on that first failure, so one poisoned cell degrades its figure
-// instead of killing the whole run. A cell is a deterministic
-// simulation, so its outcome is a function of the cell alone: nothing
-// is retried, and no deadline is derived from the host's speed. It
-// pairs with a crash-consistent run journal (journal.go) that lets a
-// killed run resume and skip completed work.
+// experiment cell runs once under panic capture, and a cell that fails
+// (an error, a panic, or a miss of the fixed hang guard the caller
+// enforces through the cell's context) is quarantined on that first
+// failure, so one poisoned cell degrades its figure instead of killing
+// the whole run. A cell is a deterministic simulation, so its outcome is
+// a function of the cell alone: nothing is retried, and no deadline is
+// derived from the host's speed. A cell its caller stopped is not a
+// failure. It pairs with a crash-consistent run journal (journal.go)
+// that lets a killed run resume and skip completed work.
 //
 // The design mirrors the paper's own premise: let speculative work
 // proceed optimistically, detect the rare failure precisely, and repair
@@ -14,6 +15,8 @@
 package supervise
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -38,10 +41,8 @@ func (q *Quarantined) Error() string {
 // Unwrap exposes the underlying failure for errors.As chains.
 func (q *Quarantined) Unwrap() error { return q.Err }
 
-// DeadlineError reports a cell attempt that exceeded its deadline. The
-// attempt goroutine is abandoned (goroutines cannot be killed) and may
-// still finish later; the cell is already quarantined, so whatever it
-// produces is never read.
+// DeadlineError reports a cell stopped by its hang guard: the cause of
+// the attempt's context, and the failure its cell is quarantined with.
 type DeadlineError struct {
 	Key   string
 	Limit time.Duration
@@ -68,10 +69,11 @@ func (p *PanicError) Error() string {
 // Policy configures a Supervisor. The zero value is usable: a
 // DefaultDeadline hang guard and *PanicError panic wrapping.
 type Policy struct {
-	// Deadline is the per-cell hang guard: an attempt still running
-	// after it fails with a *DeadlineError and quarantines. It is fixed,
-	// never derived from observed runtimes, so a slow but healthy cell
-	// cannot change a figure. Zero selects DefaultDeadline.
+	// Deadline is the per-cell hang guard: the caller stops an attempt
+	// still running after it, which fails with a *DeadlineError and
+	// quarantines. It is fixed, never derived from observed runtimes, so
+	// a slow but healthy cell cannot change a figure. Zero selects
+	// DefaultDeadline.
 	Deadline time.Duration
 	// WrapPanic converts a recovered panic into the caller's error type
 	// (the harness builds a system.CrashReport). Nil wraps into
@@ -140,32 +142,22 @@ func (s *Supervisor) warnf(format string, args ...any) {
 	}
 }
 
-// attempt runs fn once in a sandbox goroutine with panic capture and the
-// policy's deadline. On deadline the goroutine is abandoned, never
-// joined.
-func (s *Supervisor) attempt(key string, fn func() error) error {
-	done := make(chan error, 1)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				stack := debug.Stack()
-				if s.p.WrapPanic != nil {
-					done <- s.p.WrapPanic(key, v, stack)
-					return
-				}
-				done <- &PanicError{Key: key, Value: v, Stack: string(stack)}
+// Deadline is the policy's per-cell hang guard.
+func (s *Supervisor) Deadline() time.Duration { return s.p.Deadline }
+
+// attempt runs fn once, converting a panic into its error.
+func (s *Supervisor) attempt(key string, fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			stack := debug.Stack()
+			if s.p.WrapPanic != nil {
+				err = s.p.WrapPanic(key, v, stack)
+				return
 			}
-		}()
-		done <- fn()
+			err = &PanicError{Key: key, Value: v, Stack: string(stack)}
+		}
 	}()
-	timer := time.NewTimer(s.p.Deadline)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-timer.C:
-		return &DeadlineError{Key: key, Limit: s.p.Deadline}
-	}
+	return fn()
 }
 
 // Do runs one cell under supervision: one attempt, and on any failure
@@ -173,9 +165,11 @@ func (s *Supervisor) attempt(key string, fn func() error) error {
 // cell is deterministic, so a second attempt would fail the same way.
 // class is unused; benchmark/probes.go pins the signature.
 //
-// The returned error is nil on success or a *Quarantined that unwraps
-// to the attempt's failure. Calling Do again for a quarantined key
-// returns immediately without running fn.
+// The returned error is nil on success, fn's own error when it is
+// context.Canceled or context.DeadlineExceeded (the caller stopped the
+// cell: nothing is quarantined or journaled finished), or a *Quarantined
+// that unwraps to the attempt's failure. Calling Do again for a
+// quarantined key returns immediately without running fn.
 func (s *Supervisor) Do(key, class string, fn func() error) error {
 	s.mu.Lock()
 	if reason, bad := s.quarantined[key]; bad {
@@ -194,6 +188,9 @@ func (s *Supervisor) Do(key, class string, fn func() error) error {
 			j.CellFinish(key, StatusDone, "")
 		}
 		return nil
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
 	}
 	reason := fmt.Sprintf("deterministic failure: %v", err)
 	s.Quarantine(key, reason)

@@ -1,8 +1,11 @@
 package supervise
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,21 +90,33 @@ func TestPanicWrapHook(t *testing.T) {
 	}
 }
 
-// TestDeadlineQuarantines: an attempt that exceeds the fixed deadline is
-// abandoned and its cell quarantined after that one attempt.
+// TestDeadlineQuarantines: an attempt its hang guard stopped fails with
+// a *DeadlineError and its cell is quarantined after that one attempt.
+// An attempt its caller stopped (context.Canceled) is not a failure: Do
+// returns the error as-is, quarantines nothing and journals no finish,
+// so resume re-runs the cell.
 func TestDeadlineQuarantines(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Create(dir, "run-d", testHeader{Tool: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(Policy{Deadline: 25 * time.Millisecond})
-	release := make(chan struct{})
-	defer close(release)
+	s.SetJournal(j)
+	if s.Deadline() != 25*time.Millisecond {
+		t.Fatalf("Deadline() = %v, want 25ms", s.Deadline())
+	}
 	var calls atomic.Int32
-	err := s.Do("cell/d", "st", func() error {
+	err = s.Do("cell/d", "st", func() error {
 		calls.Add(1)
-		<-release // hang past the deadline
-		return nil
+		return &DeadlineError{Key: "cell/d", Limit: s.Deadline()}
 	})
 	var q *Quarantined
 	if !errors.As(err, &q) {
 		t.Fatalf("expected *Quarantined, got %v", err)
+	}
+	if !strings.HasPrefix(q.Reason, "deterministic failure: ") {
+		t.Fatalf("reason = %q", q.Reason)
 	}
 	var d *DeadlineError
 	if !errors.As(err, &d) || d.Limit != 25*time.Millisecond {
@@ -112,6 +127,21 @@ func TestDeadlineQuarantines(t *testing.T) {
 	}
 	if _, bad := s.QuarantinedCells()["cell/d"]; !bad {
 		t.Fatal("deadline miss not on the quarantine list")
+	}
+
+	err = s.Do("cell/c", "st", func() error { return context.Canceled })
+	if err != context.Canceled {
+		t.Fatalf("stopped attempt: got %v, want context.Canceled as-is", err)
+	}
+	if _, bad := s.QuarantinedCells()["cell/c"]; bad {
+		t.Fatal("a stopped attempt must not quarantine its cell")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{TypeRunStart, TypeCellStart, TypeCellFinish, TypeCellStart}
+	if got := recordTypes(t, j.path); !reflect.DeepEqual(got, want) {
+		t.Fatalf("record types = %v, want %v", got, want)
 	}
 }
 

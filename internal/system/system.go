@@ -4,6 +4,7 @@
 package system
 
 import (
+	"context"
 	"fmt"
 
 	"tusim/internal/config"
@@ -60,6 +61,7 @@ type System struct {
 	auditor   Auditor
 	auditFn   event.Func2 // auditTick, bound once by SetAuditor
 	auditErr  *faults.ProtocolError
+	ctx       context.Context // polled by Run; nil never stops it
 
 	// WarmupOps discards statistics until this many micro-ops have
 	// committed machine-wide (the paper warms for 200M instructions
@@ -191,6 +193,13 @@ func (s *System) SetTracer(t *trace.Tracer) {
 // Tracer returns the tracer installed with SetTracer (nil when none).
 func (s *System) Tracer() *trace.Tracer { return s.tracer }
 
+const ctxPoll = 1024 // cycles between Run's looks at its context
+
+// SetContext makes Run return context.Cause(ctx) once ctx is done. Run
+// looks every ctxPoll cycles, outside the event queue, so a run that
+// ends normally is identical with or without a context.
+func (s *System) SetContext(ctx context.Context) { s.ctx = ctx }
+
 // SetAuditor schedules a periodic state-invariant audit; call it at
 // most once, before Run. The audit is one event record that re-arms
 // itself every cycles on while the machine stays consistent, so it
@@ -217,7 +226,8 @@ func (s *System) auditTick(period, _ uint64) {
 // Run simulates until every core retires its trace and drains. On
 // deadlock/livelock (watchdog), MaxCycles overrun, a protocol-code
 // invariant panic, or an auditor violation it returns a *CrashReport
-// (retrieve with errors.As) carrying per-core state snapshots.
+// (retrieve with errors.As) carrying per-core state snapshots. A
+// context set with SetContext stops it early with the context's cause.
 func (s *System) Run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -276,6 +286,9 @@ func (s *System) Run() (err error) {
 			return s.crash(CrashWatchdog, nil,
 				fmt.Sprintf("no commit progress for %d cycles (per-core commits: %v) — deadlock?",
 					watchdogWindow, perCore))
+		}
+		if s.ctx != nil && s.Q.Now()%ctxPoll == 0 && s.ctx.Err() != nil {
+			return context.Cause(s.ctx)
 		}
 		s.Q.Advance()
 		for _, c := range s.Cores {

@@ -1,10 +1,13 @@
 package system
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"tusim/internal/config"
 	"tusim/internal/isa"
+	"tusim/internal/memsys"
 	"tusim/internal/tso"
 	"tusim/internal/workload"
 )
@@ -241,5 +244,72 @@ func TestStatsSanity(t *testing.T) {
 	// Coalescing must reduce L1D writes below the store count.
 	if st.Get("l1d_writes") >= st.Get("stores") {
 		t.Logf("note: l1d_writes=%d stores=%d (little coalescing on this trace)", st.Get("l1d_writes"), st.Get("stores"))
+	}
+}
+
+// cancelAt is an Observer that cancels a run's context at its nth
+// committed store and records the cycle it did so.
+type cancelAt struct {
+	n      int
+	sys    *System
+	cancel context.CancelCauseFunc
+	cause  error
+	cycle  uint64
+}
+
+func (o *cancelAt) StoreExecuted(int, uint64, uint64, uint8, [8]byte)               {}
+func (o *cancelAt) StoreVisible(int, uint64, uint64, memsys.Mask, *memsys.LineData) {}
+func (o *cancelAt) LoadBound(int, uint64, uint64, uint64, uint8, [8]byte)           {}
+func (o *cancelAt) StoreCommitted(int, uint64, uint64, uint8, [8]byte) {
+	if o.n--; o.n == 0 {
+		o.cycle = o.sys.Q.Now()
+		o.cancel(o.cause)
+	}
+}
+
+// TestRunStopsOnContext: Run returns its context's cause at most ctxPoll
+// cycles after the context ends, and a run whose context stays live is
+// the nil-context run: same cycles, same scheduled events, same stats.
+func TestRunStopsOnContext(t *testing.T) {
+	b, _ := workload.ByName("505.mcf")
+	const ops = 20_000
+	run := func(setup func(*System)) (*System, error) {
+		sys, err := New(config.Default(), b.Streams(1, ops))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.WarmupOps = ops / 3
+		setup(sys)
+		return sys, sys.Run()
+	}
+
+	ref, err := run(func(*System) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := run(func(s *System) { s.SetContext(live) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != ref.Cycles || got.Q.Scheduled() != ref.Q.Scheduled() ||
+		got.StatsSum().String() != ref.StatsSum().String() {
+		t.Fatalf("live context: cycles %d scheduled %d, nil context: cycles %d scheduled %d (or stats differ)",
+			got.Cycles, got.Q.Scheduled(), ref.Cycles, ref.Q.Scheduled())
+	}
+
+	ctx, stop := context.WithCancelCause(context.Background())
+	o := &cancelAt{n: 500, cancel: stop, cause: errors.New("stop here")}
+	sys, err := run(func(s *System) {
+		o.sys = s
+		s.SetObserver(o)
+		s.SetContext(ctx)
+	})
+	if err != o.cause {
+		t.Fatalf("Run = %v, want the context's cause %v", err, o.cause)
+	}
+	if o.cycle == 0 || sys.Q.Now() > o.cycle+ctxPoll {
+		t.Fatalf("canceled at cycle %d, stopped at %d: more than %d cycles late", o.cycle, sys.Q.Now(), ctxPoll)
 	}
 }
