@@ -99,8 +99,9 @@ trace-smoke:
 	$(GO) run ./cmd/tusim -bench 502.gcc5 -mech TUS -ops 20000 -trace -trace-out trace.json
 
 # resume-smoke: SIGKILL a journaled figure run mid-matrix, resume it
-# from the .tusjournal run journal + result cache, and require the
-# resumed output to be byte-identical to an uninterrupted run.
+# from its .tusjournal state file (settings, quarantines) + result cache
+# (finished cells), and require the resumed output to be byte-identical
+# to an uninterrupted run.
 resume-smoke:
 	bash scripts/resume_smoke.sh
 

@@ -29,12 +29,15 @@
 // first failure so its figure degrades to an explicit partial result
 // instead of killing the run.
 //
-// With -journal, the run appends a crash-consistent record of every
-// cell start/finish to .tusjournal/<run-id>.jsonl; after a crash or
-// SIGKILL, `tusbench -resume <run-id> -cache DIR` replays the run,
-// serving completed cells from the result cache and keeping quarantined
-// cells quarantined. Resumed output is byte-identical to an
-// uninterrupted run (all resume chatter goes to stderr).
+// With -journal, the run keeps one state file, .tusjournal/<run-id>.json:
+// its settings, the cells it quarantined and whether it finished, each
+// change saved whole by temp file and rename. After a crash or SIGKILL,
+// `tusbench -resume <run-id>` reruns it with the journaled settings: the
+// result cache (-cache, recorded in the journal) serves the cells that
+// finished, and quarantined cells stay quarantined. -resume takes no
+// other flag but -j, -v, -journal-dir, -cpuprofile and -memprofile.
+// Resumed output is byte-identical to an uninterrupted run (all resume
+// chatter goes to stderr).
 package main
 
 import (
@@ -50,8 +53,8 @@ import (
 	"tusim/internal/workload"
 )
 
-// runHeader is the journal's run_start payload: everything needed to
-// reconstruct the run's result-determining settings on resume.
+// runHeader is the journal's header: everything needed to reconstruct
+// the run's result-determining settings on resume.
 type runHeader struct {
 	// Version pins the harness identity the run was recorded under;
 	// resuming with a skewed binary is detected and warned (completed
@@ -91,6 +94,22 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of this invocation to the file")
 	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to the file on exit")
 	flag.Parse()
+
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) {
+		explicit[f.Name] = true
+		switch f.Name {
+		case "resume", "j", "v", "journal-dir", "cpuprofile", "memprofile":
+			return
+		}
+		// A resumed run takes every result-determining setting from its
+		// journal: a flag that would change them is a usage error, not
+		// something to drop silently.
+		if *resume != "" {
+			fmt.Fprintf(os.Stderr, "tusbench: -%s cannot be combined with -resume: a resumed run takes its settings from its journal\n", f.Name)
+			os.Exit(2)
+		}
+	})
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -147,16 +166,13 @@ func main() {
 	}
 
 	// A resumed run reconstructs its result-determining settings from
-	// the journal header; only -j (wall-clock-only) may be overridden on
-	// the resume command line.
+	// the journal header; of the flags -resume accepts, only -j
+	// (wall-clock-only) overrides one of them.
 	var resumeState *supervise.RunState
 	if *resume != "" {
 		st, err := supervise.Load(*journalDir, *resume)
 		if err != nil {
 			fail(err)
-		}
-		for _, w := range st.Warnings {
-			fmt.Fprintf(os.Stderr, "tusbench: journal %s: %s\n", *resume, w)
 		}
 		var h runHeader
 		if err := json.Unmarshal(st.Header, &h); err != nil {
@@ -167,13 +183,7 @@ func main() {
 				*resume, h.Version, harness.Version)
 		}
 		h.Version = harness.Version
-		jExplicit := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "j" {
-				jExplicit = true
-			}
-		})
-		if !jExplicit {
+		if !explicit["j"] {
 			*workers = h.Workers
 		}
 		h.Workers = *workers
@@ -224,13 +234,9 @@ func main() {
 		for k, reason := range resumeState.Quarantined {
 			r.Supervisor.Quarantine(k, reason)
 		}
-		j, err := supervise.OpenAppend(*journalDir, *resume, resumeState.NextSeq)
-		if err != nil {
-			fail(err)
-		}
-		journal = j
-		fmt.Fprintf(os.Stderr, "tusbench: resuming run %s: %d cells done, %d quarantined, %d were in flight\n",
-			*resume, len(resumeState.Done), len(resumeState.Quarantined), len(resumeState.InFlight))
+		journal = supervise.Continue(*journalDir, resumeState)
+		fmt.Fprintf(os.Stderr, "tusbench: resuming run %s: %d cells quarantined\n",
+			*resume, len(resumeState.Quarantined))
 	case *journalOn:
 		id := supervise.NewRunID()
 		j, err := supervise.Create(*journalDir, id, hdr)

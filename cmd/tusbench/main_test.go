@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -99,7 +100,8 @@ func TestCLIAgainstRegistry(t *testing.T) {
 
 // TestResumeRestoresMode: the journal header records what the run was
 // producing, so the resume command tusbench prints regenerates that
-// product — not the figure sweep — byte for byte.
+// product — not the figure sweep — byte for byte. A flag that would
+// change the journaled settings is refused, not silently dropped.
 func TestResumeRestoresMode(t *testing.T) {
 	jdir, cdir := t.TempDir(), t.TempDir()
 	hist := []string{"-quick", "-ops", "2500", "-parallel-ops", "300", "-hist"}
@@ -111,16 +113,31 @@ func TestResumeRestoresMode(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("journaled -hist run: exit %d (stderr: %s)", code, stderr)
 	}
-	ids, err := supervise.List(jdir)
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("journal dir holds runs %v (err %v), want exactly one", ids, err)
+	files, err := filepath.Glob(filepath.Join(jdir, "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("journal dir holds runs %v (err %v), want exactly one", files, err)
 	}
-	got, stderr, code := tusbench(t, "-resume", ids[0], "-journal-dir", jdir)
+	id := strings.TrimSuffix(filepath.Base(files[0]), ".json")
+	got, stderr, code := tusbench(t, "-resume", id, "-journal-dir", jdir, "-j", "2", "-v")
 	if code != 0 {
 		t.Fatalf("resume: exit %d (stderr: %s)", code, stderr)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed -hist run printed something else:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-fig", "10", "-seed", "3"}, "-fig"},
+		{[]string{"-journal"}, "-journal"},
+	} {
+		args := append([]string{"-resume", id, "-journal-dir", jdir}, tc.args...)
+		got, stderr, code := tusbench(t, args...)
+		if code != 2 || len(got) != 0 || !strings.Contains(string(stderr), tc.flag+" cannot be combined with -resume") {
+			t.Fatalf("tusbench %v: exit %d, %d stdout bytes, stderr %q; want exit 2, no stdout, stderr naming %s", args, code, len(got), stderr, tc.flag)
+		}
 	}
 
 	// A header whose mode this binary does not know is refused.

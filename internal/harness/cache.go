@@ -22,9 +22,11 @@ import (
 // a hit is exactly as trustworthy as a rerun, and any change to the
 // simulator invalidates the whole cache via Version.
 //
-// The cache is best-effort: read or write failures (corrupt entries,
-// permission errors, version skew) degrade to a miss and a fresh
-// simulation, never to an error.
+// The cache is best-effort: a read failure (a corrupt entry, a
+// permission error, version skew) degrades to a miss and a fresh
+// simulation, and a failed write is returned for the runner to count
+// and warn about, never to fail the cell. It is also the record of
+// finished cells: a resumed run is served them from here.
 type DiskCache struct {
 	Dir string
 }
@@ -61,21 +63,24 @@ func (r *Runner) ContentKey(c Cell) string {
 
 // CacheStats is a point-in-time snapshot of the runner's cell
 // accounting: cells simulated for real (every one of which was a cache
-// miss when a cache is attached), cells served from the disk cache, and
-// entries that existed but failed to decode or validate.
+// miss when a cache is attached), cells served from the disk cache,
+// entries that existed but failed to decode or validate, and simulated
+// cells the cache failed to store.
 type CacheStats struct {
-	CellsRun     int64 `json:"cells_run"`
-	CellsCached  int64 `json:"cells_cached"`
-	CacheCorrupt int64 `json:"cache_corrupt"`
+	CellsRun         int64 `json:"cells_run"`
+	CellsCached      int64 `json:"cells_cached"`
+	CacheCorrupt     int64 `json:"cache_corrupt"`
+	CacheWriteFailed int64 `json:"cache_write_failed"`
 }
 
 // CacheStats returns the runner's current cell accounting. Safe for
 // concurrent use; tusd scrapes it for /metrics.
 func (r *Runner) CacheStats() CacheStats {
 	return CacheStats{
-		CellsRun:     r.cellsRun.Load(),
-		CellsCached:  r.cellsFromC.Load(),
-		CacheCorrupt: r.cacheCorrupt.Load(),
+		CellsRun:         r.cellsRun.Load(),
+		CellsCached:      r.cellsFromC.Load(),
+		CacheCorrupt:     r.cacheCorrupt.Load(),
+		CacheWriteFailed: r.cacheWriteFailed.Load(),
 	}
 }
 
@@ -162,8 +167,9 @@ func (c *DiskCache) Get(key string, b workload.Benchmark, m config.Mechanism, sb
 }
 
 // Put stores res under key. Writes go through a temp file + rename so
-// concurrent harness processes never observe a torn entry.
-func (c *DiskCache) Put(key string, res Result) {
+// concurrent harness processes never observe a torn entry. A failed
+// write leaves no entry and returns its error.
+func (c *DiskCache) Put(key string, res Result) error {
 	names := res.Stats.Names()
 	vals := make([]uint64, len(names))
 	for i, n := range names {
@@ -192,19 +198,21 @@ func (c *DiskCache) Put(key string, res Result) {
 	}
 	data, err := json.MarshalIndent(&e, "", "  ")
 	if err != nil {
-		return
+		return fmt.Errorf("harness: cache entry %s: %w", key, err)
 	}
 	tmp, err := os.CreateTemp(c.Dir, key+".tmp*")
 	if err != nil {
-		return
+		return err
 	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
+	_, err = tmp.Write(append(data, '\n'))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.path(key))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		return
 	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-	}
+	return err
 }

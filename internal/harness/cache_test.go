@@ -97,6 +97,34 @@ func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 	}
 }
 
+// TestDiskCacheWriteFailureCounted: a cache dir that disappears under
+// the run (as a removed, read-only or full one does) fails every write.
+// The cell's result is still returned, and the failure is counted
+// instead of dropped: the cache is the only record of finished cells, so
+// a silent failure would make every resume resimulate without a word.
+func TestDiskCacheWriteFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	b, _ := workload.ByName("503.bw2")
+	want, err := cachedRunner(t, t.TempDir()).Run(b, config.TUS, 114)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cachedRunner(t, dir)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Run(b, config.TUS, 114)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles {
+		t.Fatalf("cycles %d with a failed cache write, want %d", got.Cycles, want.Cycles)
+	}
+	if cs := r.CacheStats(); cs.CacheWriteFailed != 1 || cs.CellsRun != 1 {
+		t.Fatalf("%+v, want CacheWriteFailed 1 and CellsRun 1", cs)
+	}
+}
+
 // TestContentKeySensitivity: the content hash must move when anything
 // that can change the result moves — mechanism, SB size, seed, trace
 // length, checker attachment, harness version — or that names which

@@ -117,9 +117,12 @@ type Runner struct {
 	cellsFromC atomic.Int64
 	// cacheCorrupt counts disk-cache entries that existed but failed to
 	// decode or validate (each was resimulated); corruptOnce gates the
-	// single per-run warning.
-	cacheCorrupt atomic.Int64
-	corruptOnce  sync.Once
+	// single per-run warning. cacheWriteFailed and writeFailOnce do the
+	// same for simulated cells the cache failed to store.
+	cacheCorrupt     atomic.Int64
+	corruptOnce      sync.Once
+	cacheWriteFailed atomic.Int64
+	writeFailOnce    sync.Once
 
 	// degraded accumulates cells the figure builders skipped because of
 	// quarantine, keyed "figure|cell" for dedup.
@@ -191,10 +194,10 @@ func (r *Runner) Run(b workload.Benchmark, m config.Mechanism, sbSize int) (Resu
 }
 
 // run is Run for any machine configuration (the DSE sweep mutates it):
-// key names the singleflight slot, the journal record and the supervised
-// cell; the disk cache is keyed by the content of the configuration, not
-// by key. mkcfg is called only by the slot's owner, so a memoized read
-// builds no config.
+// key names the singleflight slot, the supervised cell and its journaled
+// quarantine; the disk cache is keyed by the content of the
+// configuration, not by key. mkcfg is called only by the slot's owner,
+// so a memoized read builds no config.
 // ctx stops this caller only: a waiter returns at once, and an owner's
 // cell stops uncached and unreported, leaving its slot to a live waiter.
 func (r *Runner) run(ctx context.Context, b workload.Benchmark, key string, mkcfg func() *config.Config) (Result, error) {
@@ -265,19 +268,9 @@ func (r *Runner) compute(ctx context.Context, b workload.Benchmark, cfg *config.
 		}
 	}
 	var out simOutcome
-	attempt := func(ctx context.Context) error {
-		o, err := r.simulate(ctx, b, cfg, key)
-		if err != nil {
-			return err
-		}
-		// The cache write stays inside the attempt: the supervisor
-		// journals the cell done the moment the attempt returns, and a
-		// resumed run relies on "journaled done => in the cache".
-		if r.Cache != nil {
-			r.Cache.Put(ckey, o.res)
-		}
-		out = o
-		return nil
+	attempt := func(ctx context.Context) (err error) {
+		out, err = r.simulate(ctx, b, cfg, key)
+		return err
 	}
 	var err error
 	if r.Supervisor == nil {
@@ -301,6 +294,14 @@ func (r *Runner) compute(ctx context.Context, b workload.Benchmark, cfg *config.
 	if err != nil {
 		return Result{}, false, err
 	}
+	if r.Cache != nil {
+		if err := r.Cache.Put(ckey, out.res); err != nil {
+			r.cacheWriteFailed.Add(1)
+			r.writeFailOnce.Do(func() {
+				fmt.Fprintf(os.Stderr, "harness: warning: result-cache write failed for %s: %v (a later run resimulates it; further failures counted silently in cache_write_failed)\n", key, err)
+			})
+		}
+	}
 	r.publish(key, out)
 	return out.res, false, nil
 }
@@ -313,7 +314,8 @@ type simOutcome struct {
 }
 
 // simulate runs one cell for real (no cache probe). It has no side
-// effect outside its own system: compute caches and publishes it.
+// effect outside its own system: compute caches and publishes it once
+// the attempt has succeeded.
 func (r *Runner) simulate(ctx context.Context, b workload.Benchmark, cfg *config.Config, key string) (simOutcome, error) {
 	m, sbSize := cfg.Mechanism, cfg.SBEntries
 	if r.testHookSim != nil {

@@ -84,7 +84,7 @@ func (p figureProduct) Print(w io.Writer, _ string) {
 }
 
 // CellKey renders the cell's in-process identity, matching Runner.Run's
-// singleflight key ("bench/mech/sb") and the journal's cell records.
+// singleflight key ("bench/mech/sb") and the journal's quarantine keys.
 func CellKey(c Cell) string {
 	return fmt.Sprintf("%s/%v/%d", c.Bench.Name, c.Mech, c.SB)
 }

@@ -2,9 +2,11 @@ package harness
 
 // Version is the single harness identity string shared by every layer
 // that must agree on what "the same result" means: the content-addressed
-// disk cache keys it, cache entries embed it, the run journal header
-// carries it so a resume under a different binary is detected, and tusd
-// reports it from /healthz and /metrics.
+// disk cache keys it, cache entries embed it, the header of a run
+// journal's state file carries it so a resume under a different binary
+// is detected (the cache, the only record of the run's finished cells,
+// then misses and they resimulate), and tusd reports it from /healthz
+// and /metrics.
 // Bump it whenever a change anywhere in the simulator can alter cell
 // results, so stale entries from older binaries can never masquerade as
 // fresh runs. Keeping it in one exported constant (instead of per-layer

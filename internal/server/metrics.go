@@ -23,6 +23,7 @@ import (
 //	tusd_jobs_completed_total{kind="...",status="..."}
 //	tusd_coalesced_total
 //	tusd_cells_run_total / tusd_cells_cached_total / tusd_cache_corrupt_total
+//	tusd_cache_write_failed_total
 //	tusd_cell_seconds_bucket{le="..."} / _sum / _count
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
@@ -71,6 +72,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# HELP tusd_cache_corrupt_total Disk-cache entries that failed to decode and were resimulated.\n")
 	fmt.Fprintf(&b, "# TYPE tusd_cache_corrupt_total counter\n")
 	fmt.Fprintf(&b, "tusd_cache_corrupt_total %d\n", cs.CacheCorrupt)
+	fmt.Fprintf(&b, "# HELP tusd_cache_write_failed_total Simulated cells the disk cache failed to store.\n")
+	fmt.Fprintf(&b, "# TYPE tusd_cache_write_failed_total counter\n")
+	fmt.Fprintf(&b, "tusd_cache_write_failed_total %d\n", cs.CacheWriteFailed)
 
 	writeHistMetric(&b, "tusd_cell_seconds",
 		"Wall-clock latency of freshly simulated cells, in seconds.",

@@ -743,6 +743,7 @@ func TestMetricsAndRegistryEndpoints(t *testing.T) {
 		"tusd_cells_run_total 2",
 		"tusd_cells_cached_total",
 		"tusd_cache_corrupt_total",
+		"tusd_cache_write_failed_total 0",
 		"tusd_cell_seconds_bucket{le=\"+Inf\"} 2",
 		"tusd_cell_seconds_sum",
 		"tusd_cell_seconds_count 2",

@@ -1,10 +1,14 @@
 package supervise
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -19,29 +23,31 @@ func writeJournal(t *testing.T, dir string, finishRun bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.CellStart("a/base/114")
-	j.CellFinish("a/base/114", StatusDone, "")
-	j.CellStart("a/TUS/114")
-	j.CellFinish("a/TUS/114", StatusQuarantined, "deterministic failure: boom")
-	j.CellStart("b/base/114") // in flight: no finish
+	j.quarantine("a/TUS/114", "deterministic failure: boom")
 	if finishRun {
 		j.Finish()
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return j.path
+	return statePath(dir, "run-1")
 }
 
-// TestJournalRoundTrip: records written through the journal replay into
-// the expected resume state.
-func TestJournalRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	writeJournal(t, dir, false)
-	st, err := Load(dir, "run-1")
+func mustLoad(t *testing.T, dir, runID string) *RunState {
+	t.Helper()
+	st, err := Load(dir, runID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// TestJournalRoundTrip: the header, the quarantines and finished
+// round-trip through the state file, and the file holds nothing else.
+func TestJournalRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := writeJournal(t, dir, true)
+	st := mustLoad(t, dir, "run-1")
 	var hdr testHeader
 	if err := json.Unmarshal(st.Header, &hdr); err != nil {
 		t.Fatal(err)
@@ -49,62 +55,57 @@ func TestJournalRoundTrip(t *testing.T) {
 	if hdr.Tool != "tusbench" || hdr.Ops != 2000 {
 		t.Fatalf("header round trip: %+v", hdr)
 	}
-	if !st.Done["a/base/114"] || len(st.Done) != 1 {
-		t.Fatalf("done set wrong: %v", st.Done)
+	want := map[string]string{"a/TUS/114": "deterministic failure: boom"}
+	if !reflect.DeepEqual(st.Quarantined, want) {
+		t.Fatalf("quarantines = %v, want %v", st.Quarantined, want)
 	}
-	if st.Quarantined["a/TUS/114"] != "deterministic failure: boom" {
-		t.Fatalf("quarantine set wrong: %v", st.Quarantined)
+	if !st.Finished || st.RunID != "run-1" {
+		t.Fatalf("finished = %v, run ID = %q", st.Finished, st.RunID)
 	}
-	if !st.InFlight["b/base/114"] || len(st.InFlight) != 1 {
-		t.Fatalf("in-flight set wrong: %v", st.InFlight)
-	}
-	if st.Finished {
-		t.Fatal("run without run_finish must not report finished")
-	}
-	if len(st.Warnings) != 0 {
-		t.Fatalf("clean journal produced warnings: %v", st.Warnings)
-	}
-
-	ids, err := List(dir)
-	if err != nil || len(ids) != 1 || ids[0] != "run-1" {
-		t.Fatalf("List = %v, %v", ids, err)
-	}
-}
-
-// TestJournalTruncatedTail: a SIGKILL mid-append leaves a torn final
-// record; Load skips it with a warning and keeps the valid prefix.
-func TestJournalTruncatedTail(t *testing.T) {
-	dir := t.TempDir()
-	path := writeJournal(t, dir, false)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut the file mid-way through the final record's line.
-	cut := len(data) - 25
-	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Load(dir, "run-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Warnings) == 0 {
-		t.Fatal("truncated tail must warn")
-	}
-	if !st.Done["a/base/114"] {
-		t.Fatal("valid prefix lost after tail truncation")
-	}
-	// The torn record was b's cell_start; b must simply be absent, and
-	// resume re-arms it implicitly by running everything not done.
-	if st.InFlight["b/base/114"] {
-		t.Fatal("torn start record must not resurrect as in-flight")
+	if len(fields) != 3 || fields["header"] == nil || fields["quarantined"] == nil || fields["finished"] == nil {
+		t.Fatalf("state file holds %s, want only header, quarantined and finished", data)
 	}
 }
 
-// TestJournalBadChecksum: a flipped byte inside a record is detected by
-// the per-record sha256 and the record is skipped, not trusted and not
-// fatal.
+// TestJournalTruncatedTail: a kill during a save leaves a stray, possibly
+// torn temp file beside the state file. Load ignores it and returns the
+// last committed state, and the journal keeps saving past it.
+func TestJournalTruncatedTail(t *testing.T) {
+	dir := t.TempDir()
+	path := writeJournal(t, dir, false)
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, "run-1.tmp4242")
+	if err := os.WriteFile(stray, committed[:len(committed)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := mustLoad(t, dir, "run-1")
+	if st.Quarantined["a/TUS/114"] == "" || st.Finished {
+		t.Fatalf("state after a killed save = %+v, want the last committed one", st)
+	}
+	j := Continue(dir, st)
+	j.Finish()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := mustLoad(t, dir, "run-1"); !st.Finished || len(st.Quarantined) != 1 {
+		t.Fatalf("state after saving past a stray temp file = %+v", st)
+	}
+}
+
+// TestJournalBadChecksum: a state file that does not decode (cut short,
+// or a byte flipped out of JSON) is a load error naming the run, never
+// an empty resume that would drop the run's quarantines.
 func TestJournalBadChecksum(t *testing.T) {
 	dir := t.TempDir()
 	path := writeJournal(t, dir, false)
@@ -112,96 +113,68 @@ func TestJournalBadChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the "done" finish record by renaming its cell in place.
-	corrupted := strings.Replace(string(data), `"cell":"a/base/114","status":"done"`,
-		`"cell":"z/base/114","status":"done"`, 1)
-	if corrupted == string(data) {
-		t.Fatal("test setup: finish record not found")
-	}
-	if err := os.WriteFile(path, []byte(corrupted), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Load(dir, "run-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Warnings) == 0 {
-		t.Fatal("checksum mismatch must warn")
-	}
-	if st.Done["z/base/114"] || st.Done["a/base/114"] {
-		t.Fatalf("corrupted record must not be trusted: %v", st.Done)
-	}
-	// With its finish record rejected, the cell falls back to in-flight
-	// (start is still valid) — the safe direction: it will re-run.
-	if !st.InFlight["a/base/114"] {
-		t.Fatal("cell with rejected finish must be re-armed")
+	for name, bad := range map[string][]byte{
+		"cut short":    data[:len(data)-25],
+		"flipped byte": []byte(strings.Replace(string(data), `"quarantined": {`, `"quarantined": [`, 1)),
+	} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Load(dir, "run-1")
+		if err == nil || !strings.Contains(err.Error(), "run-1") {
+			t.Fatalf("%s: Load = %+v, %v; want an error naming run-1", name, st, err)
+		}
 	}
 }
 
-// TestJournalDuplicateFinish: duplicate finish records (possible when a
-// kill lands between the cache write and the journal append, then the
-// resumed run finishes the cell again) are tolerated: first wins, rest
-// warn.
+// TestJournalDuplicateFinish: repeated Finish calls and a repeated
+// quarantine of one cell leave one valid state: finished, and the cell
+// with its first reason.
 func TestJournalDuplicateFinish(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Create(dir, "run-2", testHeader{Tool: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.CellStart("c/TUS/32")
-	j.CellFinish("c/TUS/32", StatusDone, "")
-	j.CellFinish("c/TUS/32", StatusQuarantined, "late duplicate")
-	j.Close()
-	st, err := Load(dir, "run-2")
-	if err != nil {
+	j.quarantine("c/TUS/32", "deterministic failure: first")
+	j.Finish()
+	j.quarantine("c/TUS/32", "deterministic failure: late duplicate")
+	j.Finish()
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Done["c/TUS/32"] {
-		t.Fatal("first finish must win")
-	}
-	if len(st.Quarantined) != 0 {
-		t.Fatalf("duplicate finish must be skipped: %v", st.Quarantined)
-	}
-	if len(st.Warnings) == 0 {
-		t.Fatal("duplicate finish must warn")
+	st := mustLoad(t, dir, "run-2")
+	want := map[string]string{"c/TUS/32": "deterministic failure: first"}
+	if !st.Finished || !reflect.DeepEqual(st.Quarantined, want) {
+		t.Fatalf("state = %+v, want finished with %v", st, want)
 	}
 }
 
-// TestJournalResumeAppend: OpenAppend continues a journal across
-// processes — including after a torn tail, where it must start on a
-// fresh line instead of gluing onto the partial record.
+// TestJournalResumeAppend: a journal continued from a loaded state keeps
+// the prior run's quarantines from its first save on.
 func TestJournalResumeAppend(t *testing.T) {
 	dir := t.TempDir()
-	path := writeJournal(t, dir, false)
-	// Tear the tail as a kill would.
-	data, _ := os.ReadFile(path)
-	os.WriteFile(path, data[:len(data)-10], 0o644)
-
-	st, err := Load(dir, "run-1")
-	if err != nil {
-		t.Fatal(err)
+	writeJournal(t, dir, false)
+	st := mustLoad(t, dir, "run-1")
+	j := Continue(dir, st)
+	j.quarantine("b/base/114", "deterministic failure: second")
+	want := map[string]string{
+		"a/TUS/114":  "deterministic failure: boom",
+		"b/base/114": "deterministic failure: second",
 	}
-	j, err := OpenAppend(dir, "run-1", st.NextSeq)
-	if err != nil {
-		t.Fatal(err)
+	if got := mustLoad(t, dir, "run-1").Quarantined; !reflect.DeepEqual(got, want) {
+		t.Fatalf("first save after the resume: quarantines = %v, want %v", got, want)
 	}
-	j.CellStart("b/base/114")
-	j.CellFinish("b/base/114", StatusDone, "")
+	if len(st.Quarantined) != 1 {
+		t.Fatalf("Continue wrote through to the loaded state: %v", st.Quarantined)
+	}
 	j.Finish()
-	j.Close()
-
-	st2, err := Load(dir, "run-1")
-	if err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !st2.Done["b/base/114"] || !st2.Done["a/base/114"] {
-		t.Fatalf("resumed records lost: %v", st2.Done)
-	}
-	if !st2.Finished {
-		t.Fatal("run_finish lost on resumed journal")
-	}
-	if len(st2.Warnings) == 0 {
-		t.Fatal("the torn record should still warn on reload")
+	st2 := mustLoad(t, dir, "run-1")
+	if !st2.Finished || !reflect.DeepEqual(st2.Quarantined, want) || !reflect.DeepEqual(st2.Header, st.Header) {
+		t.Fatalf("resumed state = %+v", st2)
 	}
 }
 
@@ -212,11 +185,13 @@ func TestJournalErrors(t *testing.T) {
 	if _, err := Load(dir, "no-such-run"); err == nil {
 		t.Fatal("missing journal must error")
 	}
-	if err := os.WriteFile(journalPath(dir, "headless"), []byte("garbage\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir, "headless"); err == nil {
-		t.Fatal("journal without header must error")
+	for name, data := range map[string]string{"garbage": "garbage\n", "headless": `{"quarantined": {}}`} {
+		if err := os.WriteFile(statePath(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir, name); err == nil {
+			t.Fatalf("%s journal must error", name)
+		}
 	}
 }
 
@@ -225,17 +200,14 @@ func TestJournalErrors(t *testing.T) {
 func TestJournalFinished(t *testing.T) {
 	dir := t.TempDir()
 	writeJournal(t, dir, true)
-	st, err := Load(dir, "run-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Finished {
-		t.Fatal("run_finish not reflected")
+	if st := mustLoad(t, dir, "run-1"); !st.Finished {
+		t.Fatal("Finish not reflected")
 	}
 }
 
-// TestSupervisorJournals: Do() writes one start and one finish record
-// per cell, for done and quarantined cells alike.
+// TestSupervisorJournals: Do saves every quarantined cell to the journal,
+// from concurrent workers too, and writes nothing for a healthy cell or
+// a cell its caller stopped.
 func TestSupervisorJournals(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Create(dir, "run-3", testHeader{Tool: "t"})
@@ -244,123 +216,63 @@ func TestSupervisorJournals(t *testing.T) {
 	}
 	s := New(testPolicy())
 	s.SetJournal(j)
-	if err := s.Do("ok", "st", func() error { return nil }); err != nil {
+	if err := s.Do("ok-cell", "st", func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	s.Do("bad", "st", func() error { return errDeterministic })
+	s.Do("stopped-cell", "st", func() error { return context.Canceled })
+	want := map[string]string{}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		key := fmt.Sprintf("bad-cell-%d", i)
+		want[key] = "deterministic failure: invariant violated"
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Do(key, "st", func() error { return errDeterministic })
+		}()
+	}
+	wg.Wait()
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Load(dir, "run-3")
+	st := mustLoad(t, dir, "run-3")
+	if !reflect.DeepEqual(st.Quarantined, want) {
+		t.Fatalf("journaled quarantines = %v, want %v", st.Quarantined, want)
+	}
+	data, err := os.ReadFile(statePath(dir, "run-3"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Done["ok"] {
-		t.Fatalf("done cell not journaled: %v", st.Done)
-	}
-	if st.Quarantined["bad"] != "deterministic failure: invariant violated" {
-		t.Fatalf("quarantined cell not journaled: %v", st.Quarantined)
-	}
-	want := []string{TypeRunStart, TypeCellStart, TypeCellFinish, TypeCellStart, TypeCellFinish}
-	if got := recordTypes(t, j.path); !reflect.DeepEqual(got, want) {
-		t.Fatalf("record types = %v, want %v", got, want)
-	}
-}
-
-// readRecords parses every line of a journal file, torn or not.
-func readRecords(t *testing.T, path string) []Record {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []Record
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("unparseable record %q: %v", line, err)
+	for _, cell := range []string{"ok-cell", "stopped-cell"} {
+		if strings.Contains(string(data), cell) {
+			t.Fatalf("state file names %s:\n%s", cell, data)
 		}
-		recs = append(recs, rec)
 	}
-	return recs
 }
 
-func recordTypes(t *testing.T, path string) []string {
-	var types []string
-	for _, rec := range readRecords(t, path) {
-		types = append(types, rec.Type)
-	}
-	return types
-}
-
-// TestJournalCloseReportsWriteError: a failed append stops the journal
-// and Close reports it, so a run whose journal stopped recording (a
-// full disk) is not mistaken for one that recorded everything.
+// TestJournalCloseReportsWriteError: a failed save stops the journal and
+// Close reports it, so a run whose journal stopped recording (a removed
+// or full journal dir) is not mistaken for one that recorded everything.
 func TestJournalCloseReportsWriteError(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "journal")
 	j, err := Create(dir, "run-ro", testHeader{Tool: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.f.Close()
-	ro, err := os.Open(j.path)
-	if err != nil {
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	j.f = ro // every write through a read-only handle fails
-	j.CellStart("a/base/114")
-	j.CellFinish("a/base/114", StatusDone, "")
-	if err := j.Close(); err == nil {
-		t.Fatal("Close returned nil after a failed append")
+	j.quarantine("a/base/114", "deterministic failure: boom")
+	// The error is sticky: with the dir back, later changes stay dropped.
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if got := recordTypes(t, j.path); len(got) != 1 {
-		t.Fatalf("records after the failed append: %v, want the header alone", got)
+	j.Finish()
+	if err := j.Close(); err == nil || !strings.Contains(err.Error(), "run-ro") {
+		t.Fatalf("Close after a failed save = %v, want an error naming run-ro", err)
 	}
-}
-
-// TestJournalLoadAdvancesPastSkippedRecords: a verified record that Load
-// skips (a legacy cell_retry, an unknown type) still took a seq, so a
-// resumed journal appends past it instead of reusing it.
-func TestJournalLoadAdvancesPastSkippedRecords(t *testing.T) {
-	for _, tc := range []struct{ name, typ string }{
-		{"legacy cell_retry", "cell_retry"},
-		{"unknown type", "cell_paused"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			j, err := Create(dir, "run-s", testHeader{Tool: "t"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			j.CellStart("a/base/114")
-			j.append(Record{Type: tc.typ, Cell: "a/base/114", Reason: "watchdog under chaos"})
-			j.Close()
-			st, err := Load(dir, "run-s")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(st.Warnings) != 1 {
-				t.Fatalf("skipped record must warn once: %v", st.Warnings)
-			}
-			j, err = OpenAppend(dir, "run-s", st.NextSeq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j.CellStart("b/base/114")
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Load(dir, "run-s"); err != nil {
-				t.Fatal(err)
-			}
-			recs := readRecords(t, j.path)
-			for i := 1; i < len(recs); i++ {
-				if recs[i].Seq <= recs[i-1].Seq {
-					t.Fatalf("seq %d (%s) follows seq %d (%s): not strictly increasing",
-						recs[i].Seq, recs[i].Type, recs[i-1].Seq, recs[i-1].Type)
-				}
-			}
-		})
+	if _, err := os.Stat(statePath(dir, "run-ro")); !os.IsNotExist(err) {
+		t.Fatalf("a change after the failed save reached the disk (stat: %v)", err)
 	}
 }
 
@@ -381,31 +293,9 @@ func TestNewRunID(t *testing.T) {
 	}
 }
 
-// TestList enumerates journals and tolerates absent directories.
-func TestList(t *testing.T) {
-	dir := t.TempDir()
-	ids, err := List(dir + "/does-not-exist")
-	if err != nil || ids != nil {
-		t.Fatalf("List on missing dir = %v, %v; want nil, nil", ids, err)
-	}
-	writeJournal(t, dir, true)
-	if _, err := Create(dir, "run-2", testHeader{Tool: "tusd"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dir+"/notes.txt", []byte("not a journal"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ids, err = List(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || ids[0] != "run-1" || ids[1] != "run-2" {
-		t.Fatalf("List = %v, want [run-1 run-2]", ids)
-	}
-}
-
-// TestCreateErrors: an unmarshalable header and an unusable directory
-// both fail up front instead of leaving a torn journal.
+// TestCreateErrors: an unmarshalable header, an unusable directory and a
+// state path the rename cannot replace all fail up front instead of
+// leaving a run without a journal.
 func TestCreateErrors(t *testing.T) {
 	if _, err := Create(t.TempDir(), "run-x", map[string]any{"ch": make(chan int)}); err == nil {
 		t.Fatal("Create accepted an unmarshalable header")
@@ -416,5 +306,15 @@ func TestCreateErrors(t *testing.T) {
 	}
 	if _, err := Create(file+"/sub", "run-x", testHeader{}); err == nil {
 		t.Fatal("Create accepted a journal dir under a regular file")
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(statePath(dir, "run-x"), "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Create(dir, "run-x", testHeader{}); err == nil {
+		t.Fatal("Create renamed a state file over a non-empty directory")
+	}
+	if err := Continue(dir, &RunState{RunID: "run-y", Header: json.RawMessage("{")}).save(); err == nil {
+		t.Fatal("save accepted a state that does not encode")
 	}
 }

@@ -6,12 +6,14 @@
 // the whole run. A cell is a deterministic simulation, so its outcome is
 // a function of the cell alone: nothing is retried, and no deadline is
 // derived from the host's speed. A cell its caller stopped is not a
-// failure. It pairs with a crash-consistent run journal (journal.go)
-// that lets a killed run resume and skip completed work.
+// failure. It pairs with a run journal (journal.go): one state file per
+// run holding its header and its quarantined cells, so a killed run
+// resumes with its quarantines. Its finished cells need no record: the
+// result cache holds exactly them.
 //
 // The design mirrors the paper's own premise: let speculative work
 // proceed optimistically, detect the rare failure precisely, and repair
-// from a durable log instead of failing wholesale.
+// from durable state instead of failing wholesale.
 package supervise
 
 import (
@@ -106,8 +108,8 @@ func New(p Policy) *Supervisor {
 	return &Supervisor{p: p, quarantined: map[string]string{}}
 }
 
-// SetJournal attaches a run journal: every supervised cell start/finish
-// is appended to it. Nil detaches.
+// SetJournal attaches a run journal: every cell Do quarantines is saved
+// to it. Nil detaches.
 func (s *Supervisor) SetJournal(j *Journal) {
 	s.mu.Lock()
 	s.journal = j
@@ -161,42 +163,36 @@ func (s *Supervisor) attempt(key string, fn func() error) (err error) {
 }
 
 // Do runs one cell under supervision: one attempt, and on any failure
-// (error, panic or deadline miss) the cell is quarantined. A simulation
-// cell is deterministic, so a second attempt would fail the same way.
-// class is unused; benchmark/probes.go pins the signature.
+// (error, panic or deadline miss) the cell is quarantined and, with a
+// journal attached, saved to it. A healthy cell writes nothing: the
+// caller caches its result. A simulation cell is deterministic, so a
+// second attempt would fail the same way. class is unused;
+// benchmark/probes.go pins the signature.
 //
 // The returned error is nil on success, fn's own error when it is
 // context.Canceled or context.DeadlineExceeded (the caller stopped the
-// cell: nothing is quarantined or journaled finished), or a *Quarantined
-// that unwraps to the attempt's failure. Calling Do again for a
-// quarantined key returns immediately without running fn.
+// cell: nothing is quarantined or journaled), or a *Quarantined that
+// unwraps to the attempt's failure. Calling Do again for a quarantined
+// key returns immediately without running fn.
 func (s *Supervisor) Do(key, class string, fn func() error) error {
 	s.mu.Lock()
-	if reason, bad := s.quarantined[key]; bad {
-		s.mu.Unlock()
+	reason, bad := s.quarantined[key]
+	s.mu.Unlock()
+	if bad {
 		return &Quarantined{Key: key, Reason: reason}
 	}
-	j := s.journal
-	s.mu.Unlock()
-
-	if j != nil {
-		j.CellStart(key)
-	}
 	err := s.attempt(key, fn)
-	if err == nil {
-		if j != nil {
-			j.CellFinish(key, StatusDone, "")
-		}
-		return nil
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	reason := fmt.Sprintf("deterministic failure: %v", err)
+	reason = fmt.Sprintf("deterministic failure: %v", err)
 	s.Quarantine(key, reason)
 	s.warnf("supervise: cell %s quarantined: %s", key, reason)
+	s.mu.Lock()
+	j := s.journal
+	s.mu.Unlock()
 	if j != nil {
-		j.CellFinish(key, StatusQuarantined, reason)
+		j.quarantine(key, reason)
 	}
 	return &Quarantined{Key: key, Reason: reason, Err: err}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -93,8 +92,8 @@ func TestPanicWrapHook(t *testing.T) {
 // TestDeadlineQuarantines: an attempt its hang guard stopped fails with
 // a *DeadlineError and its cell is quarantined after that one attempt.
 // An attempt its caller stopped (context.Canceled) is not a failure: Do
-// returns the error as-is, quarantines nothing and journals no finish,
-// so resume re-runs the cell.
+// returns the error as-is and quarantines and journals nothing, so
+// resume re-runs the cell.
 func TestDeadlineQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Create(dir, "run-d", testHeader{Tool: "t"})
@@ -139,9 +138,8 @@ func TestDeadlineQuarantines(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{TypeRunStart, TypeCellStart, TypeCellFinish, TypeCellStart}
-	if got := recordTypes(t, j.path); !reflect.DeepEqual(got, want) {
-		t.Fatalf("record types = %v, want %v", got, want)
+	if got := mustLoad(t, dir, "run-d").Quarantined; len(got) != 1 || got["cell/d"] != q.Reason {
+		t.Fatalf("journaled quarantines = %v, want cell/d alone", got)
 	}
 }
 

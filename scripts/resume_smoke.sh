@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # resume_smoke.sh — kill-and-resume smoke test for the tusbench journal.
 #
-# Starts a journaled Fig. 9 run, SIGKILLs it mid-matrix, resumes it with
-# `tusbench -resume`, and requires the resumed output to be
+# Starts a journaled Fig. 9 run, SIGKILLs it once its result cache holds
+# 8 finished cells, resumes it with `tusbench -resume` (the run ID is the
+# name of its .json state file), and requires the resumed output to be
 # byte-identical to an uninterrupted run. Exercises the same recovery
 # path as TestKillAndResumeByteIdentical but through the real binary
 # and real process death. Fails too when the baseline or the resumed
@@ -27,10 +28,11 @@ jdir="$dir/journal"
     -journal -journal-dir "$jdir" > "$dir/killed.txt" 2> "$dir/killed.err" &
 pid=$!
 
-# Wait until the journal shows real progress, then SIGKILL — no chance
-# to flush or tidy.
+# Wait until the result cache, the record of finished cells, shows real
+# progress, then SIGKILL — no chance to flush or tidy.
+n=0
 for _ in $(seq 1 1200); do
-    n=$(cat "$jdir"/*.jsonl 2>/dev/null | grep -c '"cell_finish"' || true)
+    n=$(find "$dir/cache" -name '*.json' 2>/dev/null | wc -l)
     [ "$n" -ge 8 ] && break
     kill -0 "$pid" 2>/dev/null || break
     sleep 0.05
@@ -38,13 +40,13 @@ done
 if kill -0 "$pid" 2>/dev/null; then
     kill -9 "$pid" 2>/dev/null
     wait "$pid" 2>/dev/null || true
-    echo "resume-smoke: SIGKILLed run mid-matrix after $n journaled cells"
+    echo "resume-smoke: SIGKILLed run mid-matrix with $n cached cells"
 else
     wait "$pid" 2>/dev/null || true
     echo "resume-smoke: run finished before the kill; still validating resume replay"
 fi
 
-run_id=$(basename "$jdir"/*.jsonl .jsonl)
+run_id=$(basename "$jdir"/*.json .json)
 
 "$dir/tusbench" -resume "$run_id" -journal-dir "$jdir" > "$dir/resumed.txt" 2> "$dir/resumed.err"
 sed 's/^/  resume: /' "$dir/resumed.err"
