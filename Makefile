@@ -136,12 +136,13 @@ soak:
 
 # bench: the tiered microbenchmark suite, cheapest first — container
 # ops (lmap), event queue, SB drain, WCB coalesce, L1 hit/miss +
-# directory probe, then whole-cell simulation throughput. A developer
+# directory probe, a memoized tusd figure request, then whole-cell
+# simulation throughput. A developer
 # tool with no committed baseline: the numbers are this machine's, so
 # compare two runs of your own. "Is it slower" is answered by
 # `bash benchmark/run.sh` (see DESIGN.md, "Perf record").
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 0.5s ./internal/lmap/ ./internal/event/ ./internal/cpu/ ./internal/wcb/ ./internal/memsys/
+	$(GO) test -run '^$$' -bench . -benchtime 0.5s ./internal/lmap/ ./internal/event/ ./internal/cpu/ ./internal/wcb/ ./internal/memsys/ ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkWholeCellCyclesPerSec' -benchtime 2s .
 
 # pgo: regenerate the committed profile-guided-optimization profile.

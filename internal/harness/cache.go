@@ -54,9 +54,7 @@ func (r *Runner) contentKey(b workload.Benchmark, cfg *config.Config) string {
 
 // ContentKey exposes the cell's content-addressed cache key: the hex
 // SHA-256 over (harness Version, benchmark identity, seed, trace
-// length, checker attachment, full machine configuration). tusd keys
-// request coalescing on these, so "the same job" means exactly what
-// "the same cache entry" means.
+// length, checker attachment, full machine configuration).
 func (r *Runner) ContentKey(c Cell) string {
 	return r.contentKey(c.Bench, c.config())
 }

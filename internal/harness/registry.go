@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 
 	"tusim/internal/workload"
 )
@@ -86,7 +87,7 @@ func (p figureProduct) Print(w io.Writer, _ string) {
 // CellKey renders the cell's in-process identity, matching Runner.Run's
 // singleflight key ("bench/mech/sb") and the journal's quarantine keys.
 func CellKey(c Cell) string {
-	return fmt.Sprintf("%s/%v/%d", c.Bench.Name, c.Mech, c.SB)
+	return c.Bench.Name + "/" + c.Mech.String() + "/" + strconv.Itoa(c.SB)
 }
 
 // CellUnion returns the distinct cells of the given lists, deduped by

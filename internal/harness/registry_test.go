@@ -72,6 +72,24 @@ func TestCellKeyMatchesRunKey(t *testing.T) {
 	}
 }
 
+// TestCellKeyBytesPinned pins CellKey's bytes for every registry bench
+// and mechanism, an unnamed mechanism included, at the SB sizes the
+// figures use and the ring's limits: it is the singleflight, quarantine
+// and journal key, so a changed byte orphans every recorded cell.
+func TestCellKeyBytesPinned(t *testing.T) {
+	mechs := append(slices.Clone(config.Mechanisms), config.Mechanism(9))
+	for _, b := range workload.All() {
+		for _, m := range mechs {
+			for _, sb := range []int{1, 32, 114, config.MaxStoreRing} {
+				c := Cell{Bench: b, Mech: m, SB: sb}
+				if got, want := CellKey(c), fmt.Sprintf("%s/%v/%d", b.Name, m, sb); got != want {
+					t.Errorf("CellKey = %q, want %q", got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestListReport checks the -list / GET /v1/figures payload is
 // assembled from the same registry tables.
 func TestListReport(t *testing.T) {

@@ -55,8 +55,9 @@ type JobJSON struct {
 	Kind  string `json:"kind"`
 	Name  string `json:"name"`
 	State string `json:"state"`
-	// Key is the job's content-addressed coalesce key: identical
-	// requests share it (and, while one is in flight, share the job).
+	// Key is the job's coalesce key, derived from the cells' identities
+	// and the runner's scale: identical requests share it (and, while
+	// one is in flight, share the job).
 	Key   string `json:"key"`
 	Error string `json:"error,omitempty"`
 	// CellsTotal is the job's full simulation-cell matrix; CellsDone
@@ -200,15 +201,15 @@ func (j *Job) stateEventLocked() sseEvent {
 }
 
 // jobPlan is a validated, runnable job: its coalesce key, its distinct
-// cells (nil for litmus jobs, which do not go through the Runner), and
-// the build function.
+// cells' harness.CellKeys (nil for litmus jobs, which do not go through
+// the Runner), and the build function.
 type jobPlan struct {
 	kind        string
 	name        string
 	key         string
-	cells       []harness.Cell
+	keys        []string
 	contentType string
-	// total is the progress denominator: len(cells), or the model-check
+	// total is the progress denominator: len(keys), or the model-check
 	// cell count for litmus jobs.
 	total int
 	run   func(ctx context.Context, j *Job) ([]byte, error)
@@ -233,15 +234,17 @@ func (s *Server) plan(req JobRequest) (*jobPlan, error) {
 	return nil, fmt.Errorf("unknown job kind %q (want figure, hist, cells, or litmus)", req.Kind)
 }
 
-// cellsKey derives the job's coalesce key from the cells' existing
-// content-addressed cache keys, so two requests coalesce exactly when
-// they would share every cache entry.
-func (s *Server) cellsKey(kind, extra string, cells []harness.Cell) string {
+// cellsKey derives the job's coalesce key from the harness Version, the
+// kind, extra, the runner's scale, and the job's cell keys in plan
+// order. Within one build a cell's machine configuration is a function
+// of its harness.CellKey, so two requests coalesce exactly when they
+// would claim the same singleflight slots and share every cache entry.
+func (s *Server) cellsKey(kind, extra string, keys []string) string {
 	h := sha256.New()
-	io.WriteString(h, harness.Version+"|"+kind+"|"+extra)
-	for _, c := range cells {
+	fmt.Fprintf(h, "%s|%s|%s|seed=%d|ops=%d|pops=%d|check=%v", harness.Version, kind, extra, s.r.Seed, s.r.Ops, s.r.ParallelOps, s.r.Check)
+	for _, k := range keys {
 		io.WriteString(h, "|")
-		io.WriteString(h, s.r.ContentKey(c))
+		io.WriteString(h, k)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -251,14 +254,23 @@ func (s *Server) cellsKey(kind, extra string, cells []harness.Cell) string {
 // context, then assemble and print. extra distinguishes jobs of one kind
 // that share a matrix.
 func (s *Server) studyPlan(kind, name, extra, contentType string, st harness.Study) *jobPlan {
-	cells := harness.CellUnion(st.Cells())
+	// The distinct cell keys in first-appearance order (harness.CellUnion
+	// by key), each built once per request.
+	seen := map[string]bool{}
+	var keys []string
+	for _, c := range st.Cells() {
+		if k := harness.CellKey(c); !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
 	return &jobPlan{
 		kind:        kind,
 		name:        name,
-		key:         s.cellsKey(kind, extra, cells),
-		cells:       cells,
+		key:         s.cellsKey(kind, extra, keys),
+		keys:        keys,
 		contentType: contentType,
-		total:       len(cells),
+		total:       len(keys),
 		run: func(ctx context.Context, _ *Job) ([]byte, error) {
 			p, err := s.r.Build(ctx, st)
 			if err != nil {
@@ -280,8 +292,8 @@ func (s *Server) planFigure(fig int) (*jobPlan, error) {
 }
 
 func (s *Server) planHist(sb int) (*jobPlan, error) {
-	if sb <= 0 {
-		return nil, fmt.Errorf("hist: sb must be positive, got %d", sb)
+	if sb < 1 || sb > config.MaxStoreRing {
+		return nil, fmt.Errorf("hist: sb must be in 1..%d, got %d", config.MaxStoreRing, sb)
 	}
 	name := fmt.Sprintf("hist@%d", sb)
 	return s.studyPlan("hist", name, name, "text/plain; charset=utf-8", harness.HistStudy(sb)), nil
@@ -322,8 +334,8 @@ func (s *Server) planCells(req JobRequest) (*jobPlan, error) {
 				return nil, fmt.Errorf("cells: %w", err)
 			}
 			for _, sb := range sbs {
-				if sb <= 0 {
-					return nil, fmt.Errorf("cells: sb must be positive, got %d", sb)
+				if sb < 1 || sb > config.MaxStoreRing {
+					return nil, fmt.Errorf("cells: sb must be in 1..%d, got %d", config.MaxStoreRing, sb)
 				}
 				cells = append(cells, harness.Cell{Bench: b, Mech: m, SB: sb})
 			}

@@ -4,8 +4,9 @@
 // on a bounded pool that reuses the process-wide harness.Runner (worker
 // pool, supervision, quarantine) and its shared content-addressed disk
 // cache; identical in-flight requests coalesce via singleflight keyed
-// on the cells' existing cache keys; per-cell progress streams over
-// SSE; /metrics exposes Prometheus text with no dependencies.
+// on the cells' identities and the runner's scale; per-cell progress
+// streams over SSE; /metrics exposes Prometheus text with no
+// dependencies.
 //
 // Determinism contract: a figure job's bytes are exactly what
 // `tusbench -fig <n>` prints for the same scale flags — the job builds
@@ -209,13 +210,12 @@ func (s *Server) Submit(req JobRequest) (*Job, bool, error) {
 		state:       JobQueued,
 		contentType: p.contentType,
 		created:     time.Now(),
-		pending:     make(map[string]bool, len(p.cells)),
+		pending:     make(map[string]bool, len(p.keys)),
 		cellsTotal:  p.total,
 		done:        make(chan struct{}),
 		cancel:      cancel,
 	}
-	for _, c := range p.cells {
-		k := harness.CellKey(c)
+	for _, k := range p.keys {
 		j.pending[k] = true
 		w := s.byCell[k]
 		if w == nil {
@@ -324,7 +324,7 @@ func (s *Server) build(ctx context.Context, j *Job, p *jobPlan) (out []byte, err
 func (s *Server) finalize(j *Job, p *jobPlan, state string, out []byte, errMsg string) {
 	var deg []harness.DegradedCell
 	if state == JobDone {
-		deg = s.degraded(j.Name, p.cells)
+		deg = s.degraded(j.Name, p.keys)
 	}
 	s.mu.Lock()
 	if s.inflight[j.Key] == j {
@@ -378,14 +378,13 @@ func (s *Server) finalize(j *Job, p *jobPlan, state string, out []byte, errMsg s
 
 // degraded lists the job's own cells that sit in the supervisor's
 // quarantine: exactly the cells its product had to skip.
-func (s *Server) degraded(name string, cells []harness.Cell) []harness.DegradedCell {
+func (s *Server) degraded(name string, keys []string) []harness.DegradedCell {
 	if s.r.Supervisor == nil {
 		return nil
 	}
 	quarantined := s.r.Supervisor.QuarantinedCells()
 	var out []harness.DegradedCell
-	for _, c := range cells {
-		k := harness.CellKey(c)
+	for _, k := range keys {
 		if reason, bad := quarantined[k]; bad {
 			out = append(out, harness.DegradedCell{Figure: name, Cell: k, Reason: reason})
 		}

@@ -12,12 +12,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tusim/internal/config"
 	"tusim/internal/harness"
 )
 
@@ -36,7 +38,7 @@ var allBenches = []string{
 	"505.mcf", "520.omnetpp", "557.xz", "tf.matmul", "tf.conv", "tf.embed",
 }
 
-func testRunner(t *testing.T, cacheDir string) *harness.Runner {
+func testRunner(t testing.TB, cacheDir string) *harness.Runner {
 	t.Helper()
 	r := harness.NewQuickRunner()
 	r.Ops = testOps
@@ -53,7 +55,7 @@ func testRunner(t *testing.T, cacheDir string) *harness.Runner {
 	return r
 }
 
-func newTestServer(t *testing.T, o Options) (*Server, *harness.Runner) {
+func newTestServer(t testing.TB, o Options) (*Server, *harness.Runner) {
 	t.Helper()
 	if o.Runner == nil {
 		o.Runner = testRunner(t, t.TempDir())
@@ -210,6 +212,49 @@ func TestSubmitCoalescesIdenticalRequests(t *testing.T) {
 	}
 	if len(rows) != 4 || rows[0].Cycles == 0 {
 		t.Fatalf("unexpected rows: %+v", rows)
+	}
+}
+
+// TestCoalesceKey pins what the coalesce key separates: the same
+// request keys the same, while the kind, the cells' order and the
+// runner's scale each make a different key.
+func TestCoalesceKey(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	plan := func(s *Server, req JobRequest) *jobPlan {
+		t.Helper()
+		p, err := s.plan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	fig9 := plan(s, JobRequest{Kind: "figure", Fig: 9})
+	if again := plan(s, JobRequest{Kind: "figure", Fig: 9}); again.key != fig9.key {
+		t.Fatalf("the same request keyed %s then %s", fig9.key, again.key)
+	}
+
+	// Fig. 9 and hist@114 read the same 55 cells in the same order, so
+	// only the job's kind and name tell them apart.
+	hist := plan(s, JobRequest{Kind: "hist", SB: 114})
+	if len(fig9.keys) != 55 || !slices.Equal(fig9.keys, hist.keys) {
+		t.Fatalf("fig9 cells %v, hist@114 cells %v: want the same 55", fig9.keys, hist.keys)
+	}
+	if fig9.key == hist.key {
+		t.Fatal("fig9 and hist@114 share a coalesce key")
+	}
+
+	// A cells job's rows come out in request order.
+	ab := plan(s, JobRequest{Kind: "cells", Benches: []string{"502.gcc1", "505.mcf"}})
+	ba := plan(s, JobRequest{Kind: "cells", Benches: []string{"505.mcf", "502.gcc1"}})
+	if ab.key == ba.key {
+		t.Fatal("cells jobs in different orders share a coalesce key")
+	}
+
+	// The runner's scale is part of the key.
+	r := testRunner(t, "")
+	r.Seed++
+	if other := plan(New(Options{Runner: r}), JobRequest{Kind: "figure", Fig: 9}); other.key == fig9.key {
+		t.Fatal("runners with different seeds share a coalesce key")
 	}
 }
 
@@ -800,10 +845,11 @@ func TestMetricsAndRegistryEndpoints(t *testing.T) {
 // TestAPIErrorPaths pins every client-error response: status code AND
 // body shape, so error messages stay part of the API contract.
 func TestAPIErrorPaths(t *testing.T) {
-	s, _ := newTestServer(t, Options{MaxJobs: 1})
+	s, r := newTestServer(t, Options{MaxJobs: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	sbRange := fmt.Sprintf("sb must be in 1..%d", config.MaxStoreRing)
 	tests := []struct {
 		name         string
 		method, path string
@@ -816,7 +862,12 @@ func TestAPIErrorPaths(t *testing.T) {
 		{"malformed JSON submit", "POST", "/v1/jobs", `{not json`, http.StatusBadRequest, "bad job request"},
 		{"unknown job kind", "POST", "/v1/jobs", `{"kind":"nope"}`, http.StatusBadRequest, `unknown job kind "nope"`},
 		{"figure job for unknown figure", "POST", "/v1/jobs", `{"kind":"figure","fig":99}`, http.StatusBadRequest, "unknown figure 99"},
-		{"hist with negative sb", "POST", "/v1/jobs", `{"kind":"hist","sb":-5}`, http.StatusBadRequest, "sb must be positive"},
+		{"hist with negative sb", "POST", "/v1/jobs", `{"kind":"hist","sb":-5}`, http.StatusBadRequest, sbRange},
+		// An SB the machine cannot build is refused before any cell is
+		// planned: it would otherwise fail config validation in every
+		// cell and quarantine each one for the life of the process.
+		{"hist with sb past the store ring", "POST", "/v1/jobs", fmt.Sprintf(`{"kind":"hist","sb":%d}`, config.MaxStoreRing+1), http.StatusBadRequest, sbRange},
+		{"cells with sb past the store ring", "POST", "/v1/jobs", fmt.Sprintf(`{"kind":"cells","benches":["502.gcc1"],"sbs":[114,%d]}`, config.MaxStoreRing+1), http.StatusBadRequest, sbRange},
 		{"status of unknown job", "GET", "/v1/jobs/nope", "", http.StatusNotFound, "no such job"},
 		{"output of unknown job", "GET", "/v1/jobs/nope/output", "", http.StatusNotFound, "no such job"},
 		{"events of unknown job", "GET", "/v1/jobs/nope/events", "", http.StatusNotFound, "no such job"},
@@ -845,6 +896,9 @@ func TestAPIErrorPaths(t *testing.T) {
 				t.Fatalf("%s %s body %q does not contain %q", tc.method, tc.path, body, tc.wantBody)
 			}
 		})
+	}
+	if q := r.Supervisor.QuarantinedCells(); len(q) != 0 {
+		t.Fatalf("refused requests quarantined %d cell(s): %v", len(q), q)
 	}
 
 	// Output of a queued (unfinished) job is 409, not a hang or a 200
