@@ -26,14 +26,16 @@ race:
 # cache, stats merging, supervision layer) and the tusd service layer
 # (job pool, coalescing, SSE fan-out) under the race detector,
 # including the serial-vs-parallel byte-identity tests; the cell stop
-# paths (hang guard, cancel, a shared cell's slot) repeat five times.
+# paths (hang guard, cancel, a shared cell's slot), jobs born done, the
+# drain admission race and eviction past a running job repeat five
+# times.
 # The zero-alloc pins (SB enqueue->commit->drain, L1-hit load/store, L1
 # load miss, directory probe, CSB group flush, WCB coalesce, event
 # queue) run alongside in their packages — allocation regressions on
 # the hot paths fail here, not in a profiler three PRs later.
 race-harness:
 	$(GO) test -race ./internal/harness/... ./internal/stats/... ./internal/supervise/... ./internal/server/...
-	$(GO) test -race -count=5 -run 'DeadlineMiss|SharedCell|CancelStopsRunningCell|CancelWhileSharing' ./internal/harness/ ./internal/server/
+	$(GO) test -race -count=5 -run 'DeadlineMiss|SharedCell|CancelStopsRunningCell|CancelWhileSharing|BornDone|Drain|EvictionSkips' ./internal/harness/ ./internal/server/
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/cpu/ ./internal/memsys/ ./internal/mech/ ./internal/wcb/ ./internal/event/ ./internal/lmap/ ./internal/harness/
 
 # check: model-check the simulator against the operational x86-TSO

@@ -90,12 +90,14 @@ type sseEvent struct {
 }
 
 // Job is one scheduled unit of work. All mutable state is behind mu;
-// done closes exactly once on the first terminal transition.
+// done closes exactly once on the first terminal transition (a job born
+// done shares one closed channel).
 type Job struct {
 	ID   string
 	Kind string
 	Name string
 	Key  string
+	seq  int // creation order
 
 	mu          sync.Mutex
 	state       string
@@ -202,7 +204,8 @@ func (j *Job) stateEventLocked() sseEvent {
 
 // jobPlan is a validated, runnable job: its coalesce key, its distinct
 // cells' harness.CellKeys (nil for litmus jobs, which do not go through
-// the Runner), and the build function.
+// the Runner), and the build function. A plan is immutable once
+// compiled; the figure plans are shared by every figure request.
 type jobPlan struct {
 	kind        string
 	name        string
@@ -215,11 +218,15 @@ type jobPlan struct {
 	run   func(ctx context.Context, j *Job) ([]byte, error)
 }
 
-// plan validates a request against the registry and compiles it.
+// plan validates a request against the registry and compiles it; a
+// figure's plan was compiled by New.
 func (s *Server) plan(req JobRequest) (*jobPlan, error) {
 	switch req.Kind {
 	case "figure":
-		return s.planFigure(req.Fig)
+		if p := s.figures[req.Fig]; p != nil {
+			return p, nil
+		}
+		return nil, fmt.Errorf("unknown figure %d (GET /v1/figures lists the servable set)", req.Fig)
 	case "hist":
 		sb := req.SB
 		if sb == 0 {
@@ -255,7 +262,7 @@ func (s *Server) cellsKey(kind, extra string, keys []string) string {
 // that share a matrix.
 func (s *Server) studyPlan(kind, name, extra, contentType string, st harness.Study) *jobPlan {
 	// The distinct cell keys in first-appearance order (harness.CellUnion
-	// by key), each built once per request.
+	// by key), each built once per plan.
 	seen := map[string]bool{}
 	var keys []string
 	for _, c := range st.Cells() {
@@ -281,14 +288,6 @@ func (s *Server) studyPlan(kind, name, extra, contentType string, st harness.Stu
 			return buf.Bytes(), nil
 		},
 	}
-}
-
-func (s *Server) planFigure(fig int) (*jobPlan, error) {
-	spec, ok := harness.FigureByNum(fig)
-	if !ok {
-		return nil, fmt.Errorf("unknown figure %d (GET /v1/figures lists the servable set)", fig)
-	}
-	return s.studyPlan("figure", spec.Name, spec.Name, "text/plain; charset=utf-8", spec), nil
 }
 
 func (s *Server) planHist(sb int) (*jobPlan, error) {

@@ -4,7 +4,8 @@
 // on a bounded pool that reuses the process-wide harness.Runner (worker
 // pool, supervision, quarantine) and its shared content-addressed disk
 // cache; identical in-flight requests coalesce via singleflight keyed
-// on the cells' identities and the runner's scale; per-cell progress
+// on the cells' identities and the runner's scale, and a request
+// identical to a done job is born done with its bytes; per-cell progress
 // streams over SSE; /metrics exposes Prometheus text with no
 // dependencies.
 //
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -36,7 +38,9 @@ import (
 type Options struct {
 	// Runner is the shared harness runner (required). The server owns
 	// its OnCellDone hook: per-cell progress dispatch and the cell
-	// latency histogram hang off it.
+	// latency histogram hang off it. New reads the runner's scale
+	// (Seed, Ops, ParallelOps, Check) once, to compile the figure
+	// plans: set it before New and leave it.
 	Runner *harness.Runner
 	// MaxJobs bounds concurrently building jobs; queued jobs wait.
 	// Cell-level parallelism inside one job is still bounded by
@@ -45,8 +49,9 @@ type Options struct {
 	// JobTimeout is the per-job deadline; a job that exceeds it fails
 	// with "job deadline exceeded". 0 disables.
 	JobTimeout time.Duration
-	// KeepJobs bounds the finished-job history in the registry (oldest
-	// terminal jobs are evicted past it). Default 512.
+	// KeepJobs bounds the finished-job history in the registry (the
+	// jobs that turned terminal first are evicted past it), and with it
+	// the done products a repeated request is served from. Default 512.
 	KeepJobs int
 	// Warnf receives operational warnings (never figure output). Nil
 	// discards.
@@ -60,10 +65,18 @@ type Server struct {
 	r   *harness.Runner
 	mux *http.ServeMux
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string        // job IDs in creation order
-	inflight map[string]*Job // coalesce key -> non-terminal job
+	// figures are the compiled figure plans, by figure number.
+	figures map[int]*jobPlan
+
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// latest maps a coalesce key to the newest registered job for it:
+	// a running one to coalesce onto, or a done one whose bytes a
+	// repeated request is served from.
+	latest map[string]*Job
+	// finished holds the registered terminal jobs in the order they
+	// turned terminal; eviction pops its front.
+	finished []*Job
 	byCell   map[string]map[*Job]bool
 	seq      int
 	// jobsCompleted counts terminal jobs by (kind, terminal state).
@@ -82,6 +95,8 @@ type Server struct {
 	// job.
 	sem chan struct{}
 
+	// draining is set under mu, so a Submit that saw it clear has
+	// added its build to builds before StartDrain returns.
 	draining atomic.Bool
 	builds   sync.WaitGroup
 	started  time.Time
@@ -103,8 +118,9 @@ func New(o Options) *Server {
 	s := &Server{
 		o:             o,
 		r:             o.Runner,
+		figures:       map[int]*jobPlan{},
 		jobs:          map[string]*Job{},
-		inflight:      map[string]*Job{},
+		latest:        map[string]*Job{},
 		byCell:        map[string]map[*Job]bool{},
 		jobsCompleted: map[[2]string]int64{},
 		metricSet:     ms,
@@ -112,6 +128,9 @@ func New(o Options) *Server {
 		started:       time.Now(),
 	}
 	s.sem = make(chan struct{}, o.MaxJobs)
+	for _, f := range harness.Figures() {
+		s.figures[f.Fig] = s.studyPlan("figure", f.Name, f.Name, "text/plain; charset=utf-8", f)
+	}
 	o.Runner.OnCellDone = s.onCellDone
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -180,41 +199,50 @@ func (j *Job) cellEventLocked(cell string, cached bool, seconds float64, done in
 	j.broadcast(sseEvent{name: "cell", data: data})
 }
 
-// Submit validates req, coalesces it against in-flight jobs, and
-// schedules a new job if none matched. The bool reports whether the
-// request coalesced onto an existing job.
+// Submit validates req and then, under the coalesce key, attaches it
+// to a job still running, serves it from a done Runner-backed job, or
+// schedules a new job. The bool reports whether the request coalesced
+// onto a running job.
 func (s *Server) Submit(req JobRequest) (*Job, bool, error) {
 	p, err := s.plan(req)
 	if err != nil {
 		return nil, false, err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining.Load() {
 		return nil, false, errDraining
 	}
-	s.mu.Lock()
-	if j := s.inflight[p.key]; j != nil {
-		j.mu.Lock()
-		j.coalesced++
-		j.mu.Unlock()
-		s.coalescedN.Add(1)
-		s.mu.Unlock()
-		return j, true, nil
+	if prev := s.latest[p.key]; prev != nil {
+		prev.mu.Lock()
+		state, out, deg := prev.state, prev.output, prev.degraded
+		live := !isTerminal(state)
+		if live {
+			prev.coalesced++
+		}
+		prev.mu.Unlock()
+		switch {
+		case live:
+			s.coalescedN.Add(1)
+			return prev, true, nil
+		case state == JobDone && p.keys != nil:
+			// A Runner-backed product is a function of its cells, and the
+			// cell memo and the quarantine are permanent in this process:
+			// the done job's bytes are this request's bytes. The new job
+			// is born done and builds nothing.
+			j := s.registerLocked(p, JobDone)
+			j.output, j.degraded = out, deg
+			j.started, j.finished = j.created, j.created
+			j.done, j.cancel = closedDone, func() {}
+			s.finished = append(s.finished, j)
+			s.jobsCompleted[[2]string{j.Kind, JobDone}]++
+			return j, false, nil
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s.seq++
-	j := &Job{
-		ID:          fmt.Sprintf("j%d", s.seq),
-		Kind:        p.kind,
-		Name:        p.name,
-		Key:         p.key,
-		state:       JobQueued,
-		contentType: p.contentType,
-		created:     time.Now(),
-		pending:     make(map[string]bool, len(p.keys)),
-		cellsTotal:  p.total,
-		done:        make(chan struct{}),
-		cancel:      cancel,
-	}
+	j := s.registerLocked(p, JobQueued)
+	j.done, j.cancel = make(chan struct{}), cancel
+	j.pending = make(map[string]bool, len(p.keys))
 	for _, k := range p.keys {
 		j.pending[k] = true
 		w := s.byCell[k]
@@ -224,38 +252,49 @@ func (s *Server) Submit(req JobRequest) (*Job, bool, error) {
 		}
 		w[j] = true
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.inflight[p.key] = j
-	s.evictLocked()
-	s.mu.Unlock()
 	s.jobsInflight.Add(1)
 	s.builds.Add(1)
 	go s.runJob(ctx, j, p)
 	return j, false, nil
 }
 
+// registerLocked registers a new job as the latest for its key, first
+// evicting the jobs that turned terminal first while the registry is at
+// the KeepJobs bound; callers hold s.mu.
+func (s *Server) registerLocked(p *jobPlan, state string) *Job {
+	for len(s.jobs) >= s.o.KeepJobs && len(s.finished) > 0 {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, old.ID)
+		if s.latest[old.Key] == old {
+			delete(s.latest, old.Key)
+		}
+	}
+	s.seq++
+	j := &Job{
+		ID:          "j" + strconv.Itoa(s.seq),
+		Kind:        p.kind,
+		Name:        p.name,
+		Key:         p.key,
+		seq:         s.seq,
+		state:       state,
+		contentType: p.contentType,
+		created:     time.Now(),
+		cellsTotal:  p.total,
+	}
+	s.jobs[j.ID] = j
+	s.latest[p.key] = j
+	return j
+}
+
 var errDraining = errors.New("server is draining")
 
-// evictLocked trims the oldest terminal jobs past the KeepJobs bound;
-// callers hold s.mu.
-func (s *Server) evictLocked() {
-	excess := len(s.order) - s.o.KeepJobs
-	if excess <= 0 {
-		return
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if excess > 0 && j != nil && j.terminal() {
-			delete(s.jobs, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
-}
+// closedDone is the done channel of every job born done.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // isTerminal reports whether state is one of the three final states.
 func isTerminal(state string) bool {
@@ -327,9 +366,7 @@ func (s *Server) finalize(j *Job, p *jobPlan, state string, out []byte, errMsg s
 		deg = s.degraded(j.Name, p.keys)
 	}
 	s.mu.Lock()
-	if s.inflight[j.Key] == j {
-		delete(s.inflight, j.Key)
-	}
+	s.finished = append(s.finished, j)
 	// Counted before the state is visible: whoever sees the job terminal
 	// also sees it gone from tusd_jobs_inflight.
 	s.jobsCompleted[[2]string{j.Kind, state}]++
@@ -415,13 +452,12 @@ func (s *Server) Job(id string) (*Job, bool) {
 // Jobs returns every registered job in creation order.
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		if j := s.jobs[id]; j != nil {
-			out = append(out, j)
-		}
+	out := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, j)
 	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int { return a.seq - b.seq })
 	return out
 }
 
@@ -432,8 +468,13 @@ func (s *Server) Jobs() []*Job {
 func (s *Server) JobsInflight() int64 { return s.jobsInflight.Load() }
 
 // StartDrain flips the server into draining mode: /healthz reports 503
-// and new job submissions are refused. In-flight jobs keep running.
-func (s *Server) StartDrain() { s.draining.Store(true) }
+// and new job submissions are refused. In-flight jobs keep running, and
+// every job Submit admitted is one WaitIdle waits for.
+func (s *Server) StartDrain() {
+	s.mu.Lock()
+	s.draining.Store(true)
+	s.mu.Unlock()
+}
 
 // Draining reports whether a drain has started.
 func (s *Server) Draining() bool { return s.draining.Load() }

@@ -74,6 +74,18 @@ func waitJob(t *testing.T, j *Job, timeout time.Duration) JobJSON {
 	return j.view()
 }
 
+// getFigure serves one GET /v1/figures/{fig} in process and fails on
+// any status but 200.
+func getFigure(t testing.TB, h http.Handler, fig int) *httptest.ResponseRecorder {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/v1/figures/%d", fig), nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET /v1/figures/%d = %d: %s", fig, w.Code, w.Body)
+	}
+	return w
+}
+
 // TestFigureByteIdentity is the tentpole guarantee: GET /v1/figures/9
 // serves exactly the bytes `tusbench -fig 9` prints — cold (every cell
 // simulated), under 8-way concurrent fan-in (matrix executed exactly
@@ -148,6 +160,90 @@ func TestFigureByteIdentity(t *testing.T) {
 	}
 	if cs := r.CacheStats(); cs.CellsRun != int64(nCells) {
 		t.Fatalf("warm fetch resimulated: cells_run = %d, want %d", cs.CellsRun, nCells)
+	}
+}
+
+// TestWarmRequestIsBornDone: a request identical to a done figure job
+// gets a job of its own that is born done with that job's bytes. It
+// runs no cell, moves no gauge but the done counter, and starts no
+// goroutine; its event stream still ends on exactly one done event. A
+// canceled job's key is not served from: the next identical request
+// builds.
+func TestWarmRequestIsBornDone(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	h := s.Handler()
+	cold := getFigure(t, h, 9)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.WaitIdle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	figuresDone := func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.jobsCompleted[[2]string{"figure", JobDone}]
+	}
+	doneBefore, goroutines := figuresDone(), runtime.NumGoroutine()
+	ids := map[string]bool{cold.Header().Get("X-Tusd-Job"): true}
+	var last string
+	for i := 0; i < 50; i++ {
+		w := getFigure(t, h, 9)
+		last = w.Header().Get("X-Tusd-Job")
+		if ids[last] {
+			t.Fatalf("warm GET %d reused job %s", i, last)
+		}
+		ids[last] = true
+		if co, run := w.Header().Get("X-Tusd-Coalesced"), w.Header().Get("X-Tusd-Cells-Run"); co != "false" || run != "0" {
+			t.Fatalf("warm GET %d: X-Tusd-Coalesced %s, X-Tusd-Cells-Run %s, want false and 0", i, co, run)
+		}
+		if !bytes.Equal(w.Body.Bytes(), cold.Body.Bytes()) {
+			t.Fatalf("warm GET %d: bytes differ from the cold body", i)
+		}
+		if n := s.JobsInflight(); n != 0 {
+			t.Fatalf("warm GET %d: tusd_jobs_inflight %d, want 0", i, n)
+		}
+	}
+	if n := figuresDone() - doneBefore; n != 50 {
+		t.Fatalf("jobs_completed{figure,done} rose by %d over 50 warm GETs, want 50", n)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("goroutines grew from %d to %d over 50 warm GETs", goroutines, n)
+	}
+
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	if events, _ := followEvents(t, ts.URL, last, 10*time.Second); events[len(events)-1] != JobDone {
+		t.Fatalf("born-done job %s streamed %v, want state ... done", last, events)
+	}
+
+	req := JobRequest{Kind: "cells", Benches: allBenches, SBs: []int{60}}
+	first, _, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Cancel(first.ID)
+	if v := waitJob(t, first, time.Minute); v.State != JobCanceled {
+		t.Fatalf("canceled cells job ended %s (%s)", v.State, v.Error)
+	}
+	again, co, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitJob(t, again, 2*time.Minute); co || again == first || v.State != JobDone || v.CellsRun == 0 {
+		t.Fatalf("resubmit after cancel: coalesced %v, same job %v, state %s, cells_run %d; want a fresh job that builds and ends done",
+			co, again == first, v.State, v.CellsRun)
+	}
+}
+
+// TestWarmFigureAllocs pins what a memoized figure GET allocates in
+// process, request and recorder included: a job record and the reply's
+// headers, not a rebuilt figure.
+func TestWarmFigureAllocs(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	h := s.Handler()
+	getFigure(t, h, 9)
+	if n := testing.AllocsPerRun(100, func() { getFigure(t, h, 9) }); n > 64 {
+		t.Fatalf("warm GET /v1/figures/9 allocates %.0f times, want <= 64", n)
 	}
 }
 
@@ -536,6 +632,31 @@ func TestDegradedIsTheJobsOwnCells(t *testing.T) {
 	}
 }
 
+// TestDegradedWarnsOnce: a degraded product warns when it is built,
+// not each time it is served, while every reply still says it is
+// degraded.
+func TestDegradedWarnsOnce(t *testing.T) {
+	r := testRunner(t, "")
+	r.Supervisor.Quarantine("505.mcf/TUS/114", "preloaded by the test")
+	var mu sync.Mutex
+	var warnings []string
+	s, _ := newTestServer(t, Options{Runner: r, Warnf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+	}})
+	for i := 0; i < 5; i++ {
+		if got := getFigure(t, s.Handler(), 11).Header().Get("X-Tusd-Degraded"); got != "1" {
+			t.Fatalf("GET %d of Fig. 11: X-Tusd-Degraded = %q, want 1", i, got)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "degraded") {
+		t.Fatalf("five GETs of a degraded Fig. 11 warned %q, want one degraded warning", warnings)
+	}
+}
+
 // TestDrainUnderLoad: draining refuses new work, flips /healthz to 503,
 // and WaitIdle returns only after in-flight jobs finish.
 func TestDrainUnderLoad(t *testing.T) {
@@ -575,6 +696,48 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 	if err := s2.WaitIdle(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDrainAdmitsNoLateJob races submitters against StartDrain and
+// WaitIdle: a Submit either is refused or starts a job that WaitIdle
+// waits for, so once both have returned no job is queued or running.
+func TestDrainAdmitsNoLateJob(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		s, _ := newTestServer(t, Options{})
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// One fresh cell per job: each takes a moment to build.
+				for sb := 8 + w; sb < 24; sb += 4 {
+					_, _, err := s.Submit(JobRequest{Kind: "cells", Benches: []string{"502.gcc1"}, Mechs: []string{"base"}, SBs: []int{sb}})
+					if errors.Is(err, errDraining) {
+						return
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		// Vary where in the submitters' loops the drain lands.
+		time.Sleep(time.Duration(round%4) * 25 * time.Microsecond)
+		s.StartDrain()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		err := s.WaitIdle(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		for _, j := range s.Jobs() {
+			if !j.terminal() {
+				t.Fatalf("round %d: job %s is %s after WaitIdle returned", round, j.ID, j.view().State)
+			}
+		}
 	}
 }
 
@@ -1085,6 +1248,55 @@ func TestJobEviction(t *testing.T) {
 	if _, ok := s.Job(ids[2]); !ok {
 		t.Fatalf("newest job %s missing from registry", ids[2])
 	}
+}
+
+// TestEvictionSkipsRunningJobs: eviction takes the jobs that turned
+// terminal first and never a running one. A blocked job older than
+// KeepJobs finished ones stays registered and listed first, and the
+// registry and the coalesce index stay within KeepJobs plus the jobs
+// still running.
+func TestEvictionSkipsRunningJobs(t *testing.T) {
+	const keep = 4
+	r := testRunner(t, "")
+	r.ParallelOps = 100_000 // the blocker's one 16-core cell runs for seconds
+	s, _ := newTestServer(t, Options{Runner: r, MaxJobs: 2, KeepJobs: keep})
+	blocker, _, err := s.Submit(JobRequest{Kind: "cells", Benches: []string{"ferret"}, Mechs: []string{"TUS"}, SBs: []int{114}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounded := func(when string) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		running := 0
+		for _, j := range s.jobs {
+			if !j.terminal() {
+				running++
+			}
+		}
+		if len(s.jobs) > keep+running || len(s.latest) > keep+running {
+			t.Fatalf("%s: %d jobs and %d coalesce keys registered, want <= %d+%d", when, len(s.jobs), len(s.latest), keep, running)
+		}
+	}
+	for i := 0; i < 3*keep; i++ {
+		j, _, err := s.Submit(JobRequest{Kind: "cells", Benches: []string{"502.gcc1"}, Mechs: []string{"base"}, SBs: []int{8 + i}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounded(fmt.Sprintf("submit %d", i))
+		if v := waitJob(t, j, time.Minute); v.State != JobDone {
+			t.Fatalf("job %s: %s (%s)", j.ID, v.State, v.Error)
+		}
+		bounded(fmt.Sprintf("job %d done", i))
+	}
+	if blocker.terminal() {
+		t.Fatalf("blocker ended %s before the last submit", blocker.view().State)
+	}
+	if jobs := s.Jobs(); jobs[0] != blocker {
+		t.Fatalf("registry lists %s first, want the running blocker %s", jobs[0].ID, blocker.ID)
+	}
+	s.Cancel(blocker.ID)
+	waitJob(t, blocker, 2*time.Minute)
 }
 
 // TestHealthzAndDrainingAccessor covers the healthy side of /healthz

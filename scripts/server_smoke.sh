@@ -5,8 +5,9 @@
 # polls /healthz, then proves the service contract through the network:
 #
 #   1. GET /v1/figures/9 (cold) is byte-identical to `tusbench -fig 9`;
-#   2. the same GET warm is byte-identical again and reports
-#      X-Tusd-Cells-Run: 0 (everything served from the shared cache);
+#   2. the same GET warm, twice, is byte-identical again, reports
+#      X-Tusd-Cells-Run: 0, and carries a new X-Tusd-Job each time (a
+#      job born done from the cold job's bytes);
 #   3. GET /v1/figures matches `tusbench -list`;
 #   4. /metrics carries every required series;
 #   5. a figure job canceled right after submission turns terminal,
@@ -60,12 +61,20 @@ cold_run=$(tr -d '\r' < "$dir/cold.hdr" | awk -F': ' 'tolower($1)=="x-tusd-cells
 [ "$cold_run" -gt 0 ] || { echo "server-smoke: cold fetch ran $cold_run cells, expected > 0"; exit 1; }
 echo "server-smoke: cold figure 9 byte-identical to CLI ($cold_run cells simulated)"
 
-# Warm fetch: byte-identical again, zero cells simulated.
-curl -fsS -D "$dir/warm.hdr" "$base/v1/figures/9" > "$dir/warm.txt"
-diff "$dir/cli_fig9.txt" "$dir/warm.txt"
-warm_run=$(tr -d '\r' < "$dir/warm.hdr" | awk -F': ' 'tolower($1)=="x-tusd-cells-run"{print $2}')
-[ "$warm_run" = "0" ] || { echo "server-smoke: warm fetch reran $warm_run cells, expected 0"; exit 1; }
-echo "server-smoke: warm figure 9 byte-identical, cells_run: 0"
+# Warm fetches: byte-identical again, zero cells simulated, and each a
+# job of its own.
+header() { tr -d '\r' < "$1" | awk -F': ' -v h="$2" 'tolower($1)==h{print $2}'; }
+for n in 1 2; do
+    curl -fsS -D "$dir/warm$n.hdr" "$base/v1/figures/9" > "$dir/warm$n.txt"
+    diff "$dir/cli_fig9.txt" "$dir/warm$n.txt"
+    warm_run=$(header "$dir/warm$n.hdr" x-tusd-cells-run)
+    [ "$warm_run" = "0" ] || { echo "server-smoke: warm fetch $n reran $warm_run cells, expected 0"; exit 1; }
+done
+job1=$(header "$dir/warm1.hdr" x-tusd-job)
+job2=$(header "$dir/warm2.hdr" x-tusd-job)
+[ -n "$job1" ] && [ "$job1" != "$job2" ] \
+    || { echo "server-smoke: warm fetches carried X-Tusd-Job '$job1' and '$job2', expected two jobs"; exit 1; }
+echo "server-smoke: warm figure 9 byte-identical twice (jobs $job1, $job2), cells_run: 0"
 
 # Inventory: one registry behind both the CLI flag and the endpoint.
 curl -fsS "$base/v1/figures" > "$dir/srv_list.json"
