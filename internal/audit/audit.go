@@ -113,7 +113,8 @@ func (a *Auditor) checkOwnership() *faults.ProtocolError {
 
 // checkLineBits verifies per-line TUS bit consistency and residency:
 // not-visible lines are pinned in L1, ready implies not-visible with
-// write permission, and owned lines hold their data somewhere.
+// write permission, owned lines hold their data somewhere, and the
+// in-flight bit victim choice reads agrees with the MSHR table.
 func (a *Auditor) checkLineBits() *faults.ProtocolError {
 	var pe *faults.ProtocolError
 	for core := range a.sys.Privs {
@@ -133,6 +134,9 @@ func (a *Auditor) checkLineBits() *faults.ProtocolError {
 			case (pl.State == memsys.StateE || pl.State == memsys.StateM) && !pl.InL1 && !pl.InL2:
 				pe = faults.Violationf("audit", core, pl.Line, "owned-line-resident",
 					"line held %v resides in neither L1 nor L2; %s", pl.State, a.dumpLine(pl.Line))
+			case pl.InFlight() != a.sys.Privs[core].MSHRPending(pl.Line):
+				pe = faults.Violationf("audit", core, pl.Line, "mshr-inflight-bit",
+					"in-flight bit %v disagrees with the MSHR table; %s", pl.InFlight(), a.dumpLine(pl.Line))
 			}
 		})
 		if pe != nil {

@@ -12,11 +12,7 @@
 // before the handler is told the line is ready.
 package memsys
 
-import (
-	"slices"
-
-	"tusim/internal/event"
-)
+import "tusim/internal/event"
 
 // LineBytes is the cache line size used throughout (Table I).
 const LineBytes = 64
@@ -98,7 +94,7 @@ type DRAM struct {
 	latency             uint64
 	maxInFlight         int
 	inFlight            int
-	waiting, waitingLow []uint64
+	waiting, waitingLow idQueue
 	done                func(id uint64)
 	finishFn            event.Func2
 	// Accesses counts DRAM transfers for the energy model.
@@ -123,9 +119,9 @@ func (d *DRAM) access(id uint64, low bool) {
 	case d.canStart(low):
 		d.start(id)
 	case low:
-		d.waitingLow = append(d.waitingLow, id)
+		d.waitingLow.push(id)
 	default:
-		d.waiting = append(d.waiting, id)
+		d.waiting.push(id)
 	}
 }
 
@@ -150,16 +146,30 @@ func (d *DRAM) canStart(low bool) bool {
 }
 
 func (d *DRAM) pump() {
-	for len(d.waiting) > 0 && d.inFlight < d.maxInFlight {
-		id := d.waiting[0]
-		d.waiting = slices.Delete(d.waiting, 0, 1)
-		d.start(id)
+	for d.waiting.len() > 0 && d.inFlight < d.maxInFlight {
+		d.start(d.waiting.pop())
 	}
-	for len(d.waitingLow) > 0 && d.inFlight < d.maxInFlight/2 {
-		id := d.waitingLow[0]
-		d.waitingLow = slices.Delete(d.waitingLow, 0, 1)
-		d.start(id)
+	for d.waitingLow.len() > 0 && d.inFlight < d.maxInFlight/2 {
+		d.start(d.waitingLow.pop())
 	}
+}
+
+// idQueue is a FIFO of access ids popped at a head index, so a start
+// moves nothing. A full array at least half popped is compacted rather
+// than grown, so it is reused and holds under four times the backlog.
+type idQueue struct {
+	ids  []uint64
+	head int
+}
+
+func (q *idQueue) len() int    { return len(q.ids) - q.head }
+func (q *idQueue) pop() uint64 { q.head++; return q.ids[q.head-1] }
+
+func (q *idQueue) push(id uint64) {
+	if len(q.ids) == cap(q.ids) && 2*q.head >= len(q.ids) {
+		q.ids, q.head = q.ids[:copy(q.ids, q.ids[q.head:])], 0
+	}
+	q.ids = append(q.ids, id)
 }
 
 // InFlight reports current outstanding accesses (for tests).

@@ -147,3 +147,39 @@ func TestDRAMBandwidthBound(t *testing.T) {
 		t.Fatalf("completion order %v, want [1 2 3 4]", order)
 	}
 }
+
+// TestIDQueueFIFO drives the DRAM wait queue against a plain slice
+// model: a backlog that grows, holds for hundreds of pushes without
+// ever emptying (compacted, not grown), then drains and refills.
+func TestIDQueueFIFO(t *testing.T) {
+	var q idQueue
+	var model []uint64
+	next, peak := uint64(0), 0
+	for round := 0; round < 300; round++ {
+		pushes, pops := round%7+1, round%7+1 // steady backlog
+		switch {
+		case round < 20:
+			pops = 0 // build a backlog
+		case round%50 == 49:
+			pops = len(model) + pushes // drain
+		}
+		for i := 0; i < pushes; i++ {
+			next++
+			q.push(next)
+			model = append(model, next)
+		}
+		peak = max(peak, len(model))
+		for ; pops > 0 && len(model) > 0; pops-- {
+			if got := q.pop(); got != model[0] {
+				t.Fatalf("round %d: popped %d, want %d", round, got, model[0])
+			}
+			model = model[1:]
+		}
+		if q.len() != len(model) {
+			t.Fatalf("round %d: len %d, want %d", round, q.len(), len(model))
+		}
+		if cap(q.ids) > 4*peak {
+			t.Fatalf("round %d: backing array %d for a backlog of at most %d", round, cap(q.ids), peak)
+		}
+	}
+}

@@ -46,7 +46,10 @@ type PLine struct {
 	// data was combined under UMask; UMask marks unauthorized bytes.
 	NotVisible bool
 	Ready      bool
-	UMask      Mask
+	// inFlight mirrors the MSHR table (set by noteMSHRAlloc, cleared by
+	// freeMSHR, seeded by newLine); the auditor diffs the two.
+	inFlight bool
+	UMask    Mask
 
 	lru1, lru2  uint64
 	loadWaiters []loadWait
@@ -279,10 +282,11 @@ func NewPrivate(id int, cfg *config.Config, q *event.Queue, dir *Directory, st *
 func (p *Private) SetTracer(t *trace.Tracer) { p.tr = t }
 
 // newLine allocates (from the slab pool) and registers a fully reset
-// PLine. The loadWaiters slice keeps its grown capacity across reuse.
-func (p *Private) newLine(line uint64) *PLine {
+// PLine; inFlight seeds its bit, since a miss may already be in flight
+// for it. The loadWaiters slice keeps its grown capacity across reuse.
+func (p *Private) newLine(line uint64, inFlight bool) *PLine {
 	pl := p.linePool.Get()
-	*pl = PLine{Line: line, loadWaiters: pl.loadWaiters[:0]}
+	*pl = PLine{Line: line, loadWaiters: pl.loadWaiters[:0], inFlight: inFlight}
 	p.lines.Put(line, pl)
 	return pl
 }
@@ -295,10 +299,13 @@ func (p *Private) newMSHR(line uint64) *mshrEntry {
 	return m
 }
 
-// noteMSHRAlloc observes a fresh MSHR allocation (occupancy includes
-// the new entry; both demand and prefetch pools count).
+// noteMSHRAlloc marks the line in flight and observes the allocation
+// (occupancy includes the new entry; both MSHR pools count).
 func (p *Private) noteMSHRAlloc(line uint64) {
 	p.permEpoch++
+	if pl := p.lines.Get(line); pl != nil {
+		pl.inFlight = true
+	}
 	p.hMSHROcc.Observe(uint64(p.mshrs.Len()))
 	p.tr.Emit(trace.MSHRAlloc, int32(p.ID), p.q.Now(), line, 0, uint64(p.mshrs.Len()))
 }
@@ -626,6 +633,9 @@ func (p *Private) freeMSHR(m *mshrEntry) {
 	p.permEpoch++
 	if p.mshrs.Get(m.line) == m {
 		p.mshrs.Delete(m.line)
+		if pl := p.lines.Get(m.line); pl != nil {
+			pl.inFlight = false
+		}
 		now := p.q.Now()
 		var lat uint64
 		if now >= m.born {
@@ -643,7 +653,7 @@ func (p *Private) fill(m *mshrEntry, data *LineData, excl bool) {
 	line := m.line
 	pl := p.lines.Get(line)
 	if pl == nil {
-		pl = p.newLine(line)
+		pl = p.newLine(line, true) // m is in the table until freeMSHR below
 	}
 	// Allocate in the private L2 (inclusive point).
 	if !pl.InL2 {
@@ -666,8 +676,8 @@ func (p *Private) fill(m *mshrEntry, data *LineData, excl bool) {
 		// TUS: write permission granted — combine memory data with the
 		// unauthorized bytes (Fig. 7 (4)).
 		if !pl.InL1 {
-			// Invariant: not-visible lines are pinned in L1 (l1Evictable
-			// excludes them), so a writable fill must find the L1 copy.
+			// Invariant: not-visible lines are pinned in L1 (pinned
+			// covers them), so a writable fill must find the L1 copy.
 			panic(faults.Violationf("memsys", p.ID, line, "notvisible-in-l1",
 				"not-visible line lost its L1 copy during writable fill"))
 		}
@@ -823,7 +833,7 @@ func (p *Private) StoreUnauthorizedLine(line uint64, data *LineData, mask Mask) 
 	line &= LineMask
 	pl := p.lines.Get(line)
 	if pl == nil {
-		pl = p.newLine(line)
+		pl = p.newLine(line, p.MSHRPending(line))
 	}
 	if !pl.InL1 {
 		if !p.allocL1(pl) {
@@ -926,33 +936,41 @@ func (p *Private) MakeVisible(line uint64) {
 
 // L1WaysAvailable reports whether all the given lines could reside in
 // L1 simultaneously (the atomic-group associativity restriction,
-// Sec. III-B). Lines already resident count as satisfied.
+// Sec. III-B). Resident lines count as satisfied, duplicates twice; up
+// to 16 missing lines are counted per set without allocating.
 func (p *Private) L1WaysAvailable(lines []uint64) bool {
-	need := map[uint64]int{}
+	need := make([]uint64, 0, 16) // the set of each line not yet in L1
 	for _, ln := range lines {
-		ln &= LineMask
-		pl := p.lines.Get(ln)
-		if pl != nil && pl.InL1 {
-			continue
+		if pl := p.lines.Get(ln & LineMask); pl == nil || !pl.InL1 {
+			need = append(need, p.l1.of(ln))
 		}
-		need[p.l1.of(ln)]++
 	}
-	for set, n := range need {
+	for i, set := range need {
+		if slices.Contains(need[:i], set) {
+			continue // judged at its first line
+		}
 		avail := p.cfg.L1D.Ways // free ways plus evictable ones
 		for _, v := range p.l1.ways(set) {
-			if !p.l1Evictable(v) {
+			if v.pinned() {
 				avail--
 			}
 		}
-		if avail < n {
+		for _, s := range need[i:] {
+			if s == set {
+				avail--
+			}
+		}
+		if avail < 0 {
 			return false
 		}
 	}
 	return true
 }
 
-func (p *Private) l1Evictable(pl *PLine) bool {
-	return !pl.NotVisible && p.mshrs.Get(pl.Line) == nil && len(pl.loadWaiters) == 0
+// pinned reports that no cache may evict pl (the L2 is inclusive) and
+// gc must keep it: not visible, a miss in flight, or loads waiting.
+func (pl *PLine) pinned() bool {
+	return pl.NotVisible || pl.inFlight || len(pl.loadWaiters) > 0
 }
 
 // allocL1 places pl into its L1 set, evicting if needed. Returns false
@@ -976,7 +994,7 @@ func (p *Private) allocL1(pl *PLine) bool {
 func (p *Private) pickL1Victim(ways []*PLine) *PLine {
 	var victim *PLine
 	for _, w := range ways {
-		if !p.l1Evictable(w) {
+		if w.pinned() {
 			continue
 		}
 		if victim == nil || w.lru1 < victim.lru1 {
@@ -1010,7 +1028,7 @@ func (p *Private) allocL2(pl *PLine) {
 	if len(ways) >= p.cfg.L2.Ways {
 		var victim *PLine
 		for _, w := range ways {
-			if w.NotVisible || p.mshrs.Get(w.Line) != nil || len(w.loadWaiters) > 0 {
+			if w.pinned() {
 				continue // inclusive: cannot evict below a pinned L1 line
 			}
 			if victim == nil || w.lru2 < victim.lru2 {
@@ -1057,8 +1075,7 @@ func (p *Private) dropL2(pl *PLine) {
 // gc forgets a line that holds no state worth tracking, returning the
 // struct to the slab pool.
 func (p *Private) gc(pl *PLine) {
-	if pl.InL1 || pl.InL2 || pl.NotVisible || pl.State != StateI ||
-		p.mshrs.Get(pl.Line) != nil || len(pl.loadWaiters) > 0 {
+	if pl.InL1 || pl.InL2 || pl.State != StateI || pl.pinned() {
 		return
 	}
 	p.lines.Delete(pl.Line)
@@ -1225,6 +1242,9 @@ func (p *Private) WBPending(line uint64) bool {
 
 // MSHRPending reports whether a miss for line is in flight.
 func (p *Private) MSHRPending(line uint64) bool { return p.mshrs.Get(line&LineMask) != nil }
+
+// InFlight reports pl's in-flight bit, which must equal MSHRPending.
+func (pl *PLine) InFlight() bool { return pl.inFlight }
 
 // SabotageHideLine deliberately corrupts state for crash-pipeline
 // testing: the lowest-addressed unauthorized (not-visible, not-ready)

@@ -5,6 +5,7 @@ import (
 
 	"tusim/internal/config"
 	"tusim/internal/event"
+	"tusim/internal/faults"
 )
 
 // fakeHandler scripts the authorization unit's decisions for tests.
@@ -269,6 +270,168 @@ func TestL1WaysAvailable(t *testing.T) {
 	// The resident line itself still counts as available.
 	if !r.ps[0].L1WaysAvailable([]uint64{0x0, 0x80}) {
 		t.Fatal("resident line counts as satisfied")
+	}
+}
+
+// TestL1WaysAvailableInFlightPin: a way pinned only by a miss in flight
+// (an S line with a GetM upgrade pending) is neither available to a
+// group nor chosen as a victim, and is evictable again once the miss
+// ends, by a fill or by a NACK that frees it.
+func TestL1WaysAvailableInFlightPin(t *testing.T) {
+	r := newRig(t, 2, func(c *config.Config) {
+		c.L1D.SizeBytes = 2 * 64 * 2 // 2 sets x 2 ways
+		c.L1D.Ways = 2
+	})
+	p := r.ps[0]
+	// 0x0 is shared with core 1, so core 0 holds it S; 0x80 then takes
+	// set 0's other way, which leaves 0x0 the LRU way.
+	r.mustLoad(t, 1, 0x0, 8)
+	r.mustLoad(t, 0, 0x0, 8)
+	r.mustLoad(t, 0, 0x80, 8)
+	pl, other := p.Lookup(0x0), p.Lookup(0x80)
+	if pl.State != StateS || !pl.InL1 || !other.InL1 {
+		t.Fatalf("setup: 0x0 is %v (in L1 %v), 0x80 in L1 %v", pl.State, pl.InL1, other.InL1)
+	}
+	check := func(inFlight bool, when string) {
+		t.Helper()
+		if pl.InFlight() != inFlight || p.MSHRPending(0x0) != inFlight {
+			t.Fatalf("%s: in-flight bit %v, MSHR pending %v, want %v", when, pl.InFlight(), p.MSHRPending(0x0), inFlight)
+		}
+		// Two new set-0 lines need both ways, so 0x0 must be evictable.
+		if got := p.L1WaysAvailable([]uint64{0x100, 0x180}); got == inFlight {
+			t.Fatalf("%s: L1WaysAvailable = %v", when, got)
+		}
+		victim := pl
+		if inFlight {
+			victim = other
+		}
+		if got := p.pickL1Victim(p.l1.ways(p.l1.of(0x0))); got != victim {
+			t.Fatalf("%s: victim %#x, want %#x", when, got.Line, victim.Line)
+		}
+	}
+	check(false, "shared, nothing in flight")
+
+	p.RequestWritable(0x0, false, true, nil)
+	check(true, "upgrade in flight")
+	r.run(t)
+	if pl.State != StateM {
+		t.Fatalf("upgrade ended in %v", pl.State)
+	}
+	check(false, "after the fill")
+
+	// Share it again, then let the directory NACK a one-shot upgrade.
+	r.mustLoad(t, 1, 0x0, 8)
+	r.dir.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, NackPct: 100}))
+	p.RequestWritable(0x0, false, false, nil)
+	check(true, "upgrade in flight, to be NACKed")
+	r.run(t)
+	if pl.State != StateS {
+		t.Fatalf("NACKed upgrade left %v", pl.State)
+	}
+	check(false, "after the NACK freed the miss")
+}
+
+// TestInFlightBitSeededOnNewLine: a line first tracked while its miss
+// is already in flight (an unauthorized store into a line being read)
+// starts with the bit set, and the fill clears it.
+func TestInFlightBitSeededOnNewLine(t *testing.T) {
+	r := newRig(t, 1, nil)
+	p := r.ps[0]
+	p.SetHandler(&fakeHandler{})
+	r.load(0, 0x5000, 8, func([]byte) {})
+	if p.Lookup(0x5000) != nil || !p.MSHRPending(0x5000) {
+		t.Fatal("setup: want a read in flight for an untracked line")
+	}
+	p.StoreUnauthorizedLine(lineStore(0x5000, []byte{1}))
+	if pl := p.Lookup(0x5000); !pl.InFlight() {
+		t.Fatal("a line created under an in-flight miss must start in flight")
+	}
+	r.run(t)
+	if pl := p.Lookup(0x5000); pl.InFlight() || p.MSHRPending(0x5000) {
+		t.Fatal("the fill must clear the bit with the MSHR")
+	}
+}
+
+// TestL1WaysAvailableMatchesPerSetCount: over every group of up to four
+// lines (duplicates included) drawn from two sets, on a machine with
+// free, resident and pinned ways, L1WaysAvailable gives the verdict of
+// a plain per-set count.
+func TestL1WaysAvailableMatchesPerSetCount(t *testing.T) {
+	r := newRig(t, 1, func(c *config.Config) {
+		c.L1D.SizeBytes = 2 * 64 * 2 // 2 sets x 2 ways
+		c.L1D.Ways = 2
+	})
+	p := r.ps[0]
+	p.SetHandler(&fakeHandler{})
+	perSet := func(lines []uint64) bool {
+		need := map[uint64]int{}
+		for _, ln := range lines {
+			if pl := p.Lookup(ln); pl == nil || !pl.InL1 {
+				need[(ln>>6)%2]++
+			}
+		}
+		for set, n := range need {
+			avail := 2
+			for _, v := range p.l1.ways(set) {
+				if v.NotVisible || p.MSHRPending(v.Line) || len(v.loadWaiters) > 0 {
+					avail--
+				}
+			}
+			if avail < n {
+				return false
+			}
+		}
+		return true
+	}
+	pool := []uint64{0x0, 0x40, 0x80, 0xC0, 0x100, 0x140} // sets 0,1,0,1,0,1
+	var group []uint64
+	var walk func(when string)
+	walk = func(when string) {
+		if len(group) > 0 {
+			if got, want := p.L1WaysAvailable(group), perSet(group); got != want {
+				t.Fatalf("%s: L1WaysAvailable(%#x) = %v, per-set count says %v", when, group, got, want)
+			}
+		}
+		if len(group) == 4 {
+			return
+		}
+		for _, ln := range pool {
+			group = append(group, ln)
+			walk(when)
+			group = group[:len(group)-1]
+		}
+	}
+	walk("empty L1")
+	r.mustLoad(t, 0, 0x40, 8) // resident, evictable
+	r.mustLoad(t, 0, 0x80, 8)
+	walk("two resident lines")
+	p.StoreUnauthorizedLine(lineStore(0x0, []byte{1})) // pinned, not visible
+	walk("one way of set 0 pinned")
+	p.StoreUnauthorizedLine(lineStore(0x140, []byte{1}))
+	p.StoreUnauthorizedLine(lineStore(0xC0, []byte{1}))
+	walk("set 1 fully pinned")
+}
+
+// TestL1WaysAvailableZeroAlloc pins the admission check TUS and CSB run
+// on every group attempt: judging a group allocates nothing.
+func TestL1WaysAvailableZeroAlloc(t *testing.T) {
+	r := newRig(t, 1, nil)
+	p := r.ps[0]
+	p.SetHandler(&fakeHandler{})
+	r.mustLoad(t, 0, 0x1000, 8)
+	p.StoreUnauthorizedLine(lineStore(0x2000, []byte{1}))
+	sets := uint64(r.cfg.L1D.Sets()) << 6 // stride between lines of one set
+	// A full 16-line group over twelve sets, one of them three deep,
+	// with a resident line, a pinned one and a duplicate.
+	group := []uint64{0x1000, 0x2000, 0x3000, 0x3000 + sets, 0x3000 + 2*sets, 0x3000}
+	for ln := uint64(0x4000); len(group) < 16; ln += 64 {
+		group = append(group, ln)
+	}
+	if !p.L1WaysAvailable(group) {
+		t.Fatal("the group should fit")
+	}
+	if n := testing.AllocsPerRun(1000, func() { p.L1WaysAvailable(group) }); n != 0 {
+		t.Fatalf("L1WaysAvailable allocates %.1f allocs/op, want 0", n)
 	}
 }
 

@@ -399,18 +399,19 @@ func (s *Server) finalize(j *Job, p *jobPlan, state string, out []byte, errMsg s
 	j.mu.Unlock()
 	s.mu.Unlock()
 
-	v := j.view()
-	data, _ := json.Marshal(v)
-	j.mu.Lock()
-	j.broadcast(sseEvent{name: state, data: data})
-	j.mu.Unlock()
-	close(j.done)
+	// Warn before done closes: whoever saw the job end saw its warning.
 	if state == JobFailed {
 		s.warnf("tusd: job %s (%s) failed: %s", j.ID, j.Name, errMsg)
 	}
 	if len(deg) > 0 {
 		s.warnf("tusd: job %s (%s) degraded: %d cell(s) quarantined", j.ID, j.Name, len(deg))
 	}
+	v := j.view()
+	data, _ := json.Marshal(v)
+	j.mu.Lock()
+	j.broadcast(sseEvent{name: state, data: data})
+	j.mu.Unlock()
+	close(j.done)
 }
 
 // degraded lists the job's own cells that sit in the supervisor's
@@ -558,22 +559,27 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		// attached, and its cells warm the shared cache either way).
 		return
 	}
-	v := j.view()
-	w.Header().Set("X-Tusd-Job", v.ID)
-	w.Header().Set("X-Tusd-Coalesced", strconv.FormatBool(coalesced))
-	w.Header().Set("X-Tusd-Cells-Total", strconv.Itoa(v.CellsTotal))
-	w.Header().Set("X-Tusd-Cells-Run", strconv.Itoa(v.CellsRun))
-	w.Header().Set("X-Tusd-Cells-Cached", strconv.Itoa(v.CellsCached))
-	w.Header().Set("X-Tusd-Degraded", strconv.Itoa(len(v.Degraded)))
-	switch v.State {
+	// The reply sends counts only, so it reads them off the record (view
+	// would format three timestamps); the keys are already canonical.
+	j.mu.Lock()
+	state, errMsg, data, ct := j.state, j.errMsg, j.output, j.contentType
+	total, run, cached, degraded := j.cellsTotal, j.cellsRun, j.cellsCached, len(j.degraded)
+	j.mu.Unlock()
+	h := w.Header()
+	h["X-Tusd-Job"] = []string{j.ID}
+	h["X-Tusd-Coalesced"] = []string{strconv.FormatBool(coalesced)}
+	h["X-Tusd-Cells-Total"] = []string{strconv.Itoa(total)}
+	h["X-Tusd-Cells-Run"] = []string{strconv.Itoa(run)}
+	h["X-Tusd-Cells-Cached"] = []string{strconv.Itoa(cached)}
+	h["X-Tusd-Degraded"] = []string{strconv.Itoa(degraded)}
+	switch state {
 	case JobDone:
-		data, ct, _ := j.Output()
-		w.Header().Set("Content-Type", ct)
+		h["Content-Type"] = []string{ct}
 		w.Write(data)
 	case JobCanceled:
 		http.Error(w, "job canceled", http.StatusConflict)
 	default:
-		http.Error(w, "figure job failed: "+v.Error, http.StatusInternalServerError)
+		http.Error(w, "figure job failed: "+errMsg, http.StatusInternalServerError)
 	}
 }
 

@@ -11,8 +11,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -630,6 +632,49 @@ func TestDegradedIsTheJobsOwnCells(t *testing.T) {
 			t.Fatalf("fig %d: degraded entry %+v does not name %s with a reason", tc.fig, deg[0], poisoned)
 		}
 	}
+}
+
+// TestFigureReplyHeaders pins every header a figure reply carries, on
+// a cold GET, a warm GET and a degraded figure: the job's ID and cell
+// counts as its record holds them, and the body's content type.
+func TestFigureReplyHeaders(t *testing.T) {
+	check := func(s *Server, fig int, want map[string]string) {
+		t.Helper()
+		w := getFigure(t, s.Handler(), fig)
+		j, ok := s.Job(w.Header().Get("X-Tusd-Job"))
+		if !ok {
+			t.Fatalf("fig %d: X-Tusd-Job %q names no job", fig, w.Header().Get("X-Tusd-Job"))
+		}
+		v := j.view()
+		full := http.Header{
+			"Content-Type":        {"text/plain; charset=utf-8"},
+			"X-Tusd-Job":          {v.ID},
+			"X-Tusd-Coalesced":    {"false"},
+			"X-Tusd-Cells-Total":  {strconv.Itoa(v.CellsTotal)},
+			"X-Tusd-Cells-Run":    {strconv.Itoa(v.CellsRun)},
+			"X-Tusd-Cells-Cached": {strconv.Itoa(v.CellsCached)},
+			"X-Tusd-Degraded":     {strconv.Itoa(len(v.Degraded))},
+		}
+		for k, val := range want {
+			if full.Get(k) != val {
+				t.Fatalf("fig %d: the job record says %s %q, want %q", fig, k, full.Get(k), val)
+			}
+		}
+		if !reflect.DeepEqual(w.Header(), full) {
+			t.Fatalf("fig %d: headers %v, want %v", fig, w.Header(), full)
+		}
+	}
+	s, _ := newTestServer(t, Options{})
+	cold := getFigure(t, s.Handler(), 9).Header().Get("X-Tusd-Cells-Total")
+	check(s, 9, map[string]string{"X-Tusd-Job": "j2", "X-Tusd-Cells-Total": cold, "X-Tusd-Cells-Run": "0", "X-Tusd-Degraded": "0"})
+
+	s, _ = newTestServer(t, Options{})
+	check(s, 9, map[string]string{"X-Tusd-Job": "j1", "X-Tusd-Cells-Run": cold, "X-Tusd-Cells-Cached": "0", "X-Tusd-Degraded": "0"})
+
+	r := testRunner(t, "")
+	r.Supervisor.Quarantine("505.mcf/TUS/114", "preloaded by the test")
+	s, _ = newTestServer(t, Options{Runner: r})
+	check(s, 11, map[string]string{"X-Tusd-Job": "j1", "X-Tusd-Degraded": "1"})
 }
 
 // TestDegradedWarnsOnce: a degraded product warns when it is built,
