@@ -17,7 +17,7 @@
 //	tuscheck -j 8                     # check up to 8 cells in parallel
 //
 // Cells are independent (each explores its own simulator instances), so
-// -j fans them out to a worker pool; reports are buffered and printed
+// -j fans them out to the harness worker pool; reports are buffered and printed
 // in deterministic cell order, identical to the serial run.
 //
 // Exit status is nonzero if any cell is unsound; the violating
@@ -26,13 +26,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"tusim/internal/config"
 	"tusim/internal/harness"
@@ -110,35 +109,20 @@ func main() {
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
-	if w > len(cells) {
-		w = len(cells)
-	}
 	results := make([]*modelcheck.Report, len(cells))
-	errs := make([]error, len(cells))
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(cells) {
-					return
-				}
-				results[i], errs[i] = modelcheck.Check(cells[i].lt, cells[i].m, eo,
-					modelcheck.Limits{MaxStates: *states})
-			}
-		}()
+	failIdx, err := harness.Parmap(context.Background(), w, len(cells), func(i int) error {
+		var err error
+		results[i], err = modelcheck.Check(cells[i].lt, cells[i].m, eo,
+			modelcheck.Limits{MaxStates: *states})
+		return err
+	})
+	if err != nil {
+		// Every cell before the first failing one has run: report them.
+		results = results[:failIdx]
 	}
-	wg.Wait()
 
 	exit := 0
-	for i, r := range results {
-		if errs[i] != nil {
-			fail(errs[i])
-		}
+	for _, r := range results {
 		r.Write(os.Stdout)
 		if *verbose && len(r.Uncovered) > 0 {
 			fmt.Printf("    deepened=%v budget_exhausted=%v\n",
@@ -155,6 +139,9 @@ func main() {
 			}
 		}
 	}
+	if err != nil {
+		fail(err)
+	}
 	if exit != 0 {
 		fmt.Fprintln(os.Stderr, "tuscheck: UNSOUND — simulator produced TSO-forbidden behaviour")
 	}
@@ -166,14 +153,10 @@ func selectTests(spec string) ([]litmus.Test, error) {
 	if spec == "" {
 		return all, nil
 	}
-	byName := map[string]litmus.Test{}
-	for _, lt := range all {
-		byName[lt.Name] = lt
-	}
 	var out []litmus.Test
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
-		lt, ok := byName[name]
+		lt, ok := litmus.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown litmus program %q (suite: %s)", name, suiteNames(all))
 		}

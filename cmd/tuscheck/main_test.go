@@ -90,3 +90,20 @@ func TestSmokeIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatalf("-j 0: exit %d, stderr %q, stdout\n%s\nwant the -j 1 bytes\n%s", code, stderr, parallel, serial)
 	}
 }
+
+// TestCellErrorKeepsEarlierReports: a cell that fails (SB overruns a
+// 30-state oracle budget) stops tuscheck with exit 1 and the error on
+// stderr, after the reports of the cells before it (MP) — the same
+// bytes serial and parallel.
+func TestCellErrorKeepsEarlierReports(t *testing.T) {
+	for _, j := range []string{"1", "2"} {
+		stdout, stderr, code := tuscheck(t, "-prog", "MP,SB,LB", "-mech", "TUS", "-smoke", "-states", "30", "-j", j)
+		lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+		if code != 1 || len(lines) != 1 || !strings.HasPrefix(lines[0], "MP ") || !strings.Contains(lines[0], "SOUND") {
+			t.Fatalf("-j %s: exit %d, stdout %q; want exit 1 and MP's report line alone", j, code, stdout)
+		}
+		if !strings.HasPrefix(stderr, "tuscheck: ") || !strings.Contains(stderr, "state budget exceeded on SB") {
+			t.Fatalf("-j %s: stderr %q does not name SB's state budget", j, stderr)
+		}
+	}
+}

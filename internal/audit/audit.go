@@ -81,7 +81,6 @@ func (a *Auditor) checkOwnership() *faults.ProtocolError {
 	holders := map[uint64]int{}
 	var pe *faults.ProtocolError
 	for core := range a.sys.Privs {
-		core := core
 		a.sys.Privs[core].AuditLines(func(pl *memsys.PLine) {
 			if pe != nil {
 				return
@@ -113,13 +112,13 @@ func (a *Auditor) checkOwnership() *faults.ProtocolError {
 
 // checkLineBits verifies per-line TUS bit consistency and residency:
 // not-visible lines are pinned in L1, ready implies not-visible with
-// write permission, owned lines hold their data somewhere, and the
-// in-flight bit victim choice reads agrees with the MSHR table.
+// write permission, owned lines hold their data somewhere, and the miss
+// a line names is a miss for that line.
 func (a *Auditor) checkLineBits() *faults.ProtocolError {
 	var pe *faults.ProtocolError
-	for core := range a.sys.Privs {
-		core := core
-		a.sys.Privs[core].AuditLines(func(pl *memsys.PLine) {
+	for core, p := range a.sys.Privs {
+		p.AuditLines(func(pl *memsys.PLine) {
+			missLine, inFlight := p.MissLine(pl)
 			switch {
 			case pe != nil:
 			case pl.NotVisible && !pl.InL1:
@@ -134,9 +133,9 @@ func (a *Auditor) checkLineBits() *faults.ProtocolError {
 			case (pl.State == memsys.StateE || pl.State == memsys.StateM) && !pl.InL1 && !pl.InL2:
 				pe = faults.Violationf("audit", core, pl.Line, "owned-line-resident",
 					"line held %v resides in neither L1 nor L2; %s", pl.State, a.dumpLine(pl.Line))
-			case pl.InFlight() != a.sys.Privs[core].MSHRPending(pl.Line):
-				pe = faults.Violationf("audit", core, pl.Line, "mshr-inflight-bit",
-					"in-flight bit %v disagrees with the MSHR table; %s", pl.InFlight(), a.dumpLine(pl.Line))
+			case inFlight && missLine != pl.Line:
+				pe = faults.Violationf("audit", core, pl.Line, "mshr-line-agreement",
+					"line names the miss for %#x; %s", missLine, a.dumpLine(pl.Line))
 			}
 		})
 		if pe != nil {
@@ -188,7 +187,6 @@ func (a *Auditor) checkWOQ(cycle uint64) *faults.ProtocolError {
 func (a *Auditor) checkAges(cycle uint64) *faults.ProtocolError {
 	var pe *faults.ProtocolError
 	for core := range a.sys.Privs {
-		core := core
 		a.sys.Privs[core].AuditMSHRs(func(line, born uint64, wantM, prefetch bool) {
 			if pe == nil && cycle-born > a.MaxMissAge {
 				pe = faults.Violationf("audit", core, line, "mshr-age-bound",

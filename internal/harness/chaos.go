@@ -100,18 +100,11 @@ func (b *ReproBundle) Replay() error {
 	}
 	switch b.Kind {
 	case "litmus":
-		var test *litmus.Test
-		for _, t := range litmus.Tests() {
-			if t.Name == b.Name {
-				t := t
-				test = &t
-				break
-			}
-		}
-		if test == nil {
+		test, ok := litmus.ByName(b.Name)
+		if !ok {
 			return fmt.Errorf("harness: unknown litmus test %q", b.Name)
 		}
-		oracle, err := modelcheck.Oracle(*test, modelcheck.Limits{})
+		oracle, err := modelcheck.Oracle(test, modelcheck.Limits{})
 		if err != nil {
 			return err
 		}
@@ -123,7 +116,7 @@ func (b *ReproBundle) Replay() error {
 		if b.Scripted || len(b.Script) > 0 {
 			o.Source = faults.NewScriptSource(b.Script)
 		}
-		obs, err := litmus.RunOne(*test, m, b.Skew, o)
+		obs, err := litmus.RunOne(test, m, b.Skew, o)
 		return litmusVerdict(oracle, m, b.Skew, obs, err)
 	case "bench":
 		bench, ok := workload.ByName(b.Name)
@@ -218,10 +211,6 @@ type ChaosResult struct {
 // sweep returns Bundle == nil.
 func ChaosLitmus(seed uint64, schedules, skews int, auditEvery uint64, workers int) (ChaosResult, error) {
 	res := ChaosResult{Injected: true}
-	tests := map[string]litmus.Test{}
-	for _, t := range litmus.Tests() {
-		tests[t.Name] = t
-	}
 	// Each pattern's allowed set is computed once and shared read-only
 	// by all of its cells.
 	type pattern struct {
@@ -230,7 +219,7 @@ func ChaosLitmus(seed uint64, schedules, skews int, auditEvery uint64, workers i
 	}
 	pats := make([]pattern, len(ChaosPatterns))
 	for pi, name := range ChaosPatterns {
-		test, ok := tests[name]
+		test, ok := litmus.ByName(name)
 		if !ok {
 			return res, fmt.Errorf("harness: unknown chaos pattern %q", name)
 		}
@@ -256,7 +245,7 @@ func ChaosLitmus(seed uint64, schedules, skews int, auditEvery uint64, workers i
 	cellPlan := func(c chaosCell) faults.Plan {
 		return faults.Schedule(faults.MixSeed(seed, uint64(c.mi), uint64(c.pi), uint64(c.si)))
 	}
-	failIdx, failErr := parmap(context.Background(), workers, len(cells), func(i int) error {
+	failIdx, failErr := Parmap(context.Background(), workers, len(cells), func(i int) error {
 		c := cells[i]
 		m := config.Mechanisms[c.mi]
 		plan := cellPlan(c)
@@ -298,7 +287,7 @@ func ChaosBench(seed uint64, ops int, auditEvery uint64, workers int) (ChaosResu
 	cellPlan := func(bi int) faults.Plan {
 		return faults.Schedule(faults.MixSeed(seed, 0xBE9C4, uint64(bi)))
 	}
-	failIdx, failErr := parmap(context.Background(), workers, len(benchs), func(bi int) error {
+	failIdx, failErr := Parmap(context.Background(), workers, len(benchs), func(bi int) error {
 		plan := cellPlan(bi)
 		_, err := RunChaosBench(benchs[bi], config.TUS, int64(seed), ops, 0, plan, auditEvery, 0)
 		return err

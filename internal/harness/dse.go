@@ -61,7 +61,7 @@ func DSE(r *Runner, benchName string) ([]DSEPoint, error) {
 	)
 
 	cycles := make([]uint64, len(specs))
-	_, err := parmap(context.Background(), r.workers(), len(specs), func(i int) error {
+	_, err := Parmap(context.Background(), r.workers(), len(specs), func(i int) error {
 		key, mkcfg := CellKey(def), def.config
 		if mut := specs[i].mut; mut != nil {
 			key += "/" + specs[i].label

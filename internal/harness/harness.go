@@ -393,7 +393,7 @@ func (r *Runner) publish(key string, out simOutcome) {
 // already contained them and the assemblies degrade around them, so the
 // prefetch keeps filling every other cell.
 func (r *Runner) Prefetch(ctx context.Context, cells []Cell) error {
-	_, err := parmap(ctx, r.workers(), len(cells), func(i int) error {
+	_, err := Parmap(ctx, r.workers(), len(cells), func(i int) error {
 		c := cells[i]
 		_, err := r.run(ctx, c.Bench, CellKey(c), c.config)
 		if isQuarantined(err) {
@@ -404,14 +404,15 @@ func (r *Runner) Prefetch(ctx context.Context, cells []Cell) error {
 	return err
 }
 
-// parmap is the harness's one worker pool: it runs f(0..n-1) on up to
-// workers goroutines (the caller's included, so one worker is a plain
-// serial loop) and returns the lowest failing index with its error, or
-// (-1, nil) on a clean sweep. Indices are claimed in order and claiming
-// stops at the first failure, so every index below a failing one has
-// run and the result is the serial sweep's at any worker count. A done
-// ctx also stops the claiming, and then wins: (-1, ctx.Err()).
-func parmap(ctx context.Context, workers, n int, f func(int) error) (int, error) {
+// Parmap is the one worker pool (the harness's and tuscheck's): it runs
+// f(0..n-1) on up to workers goroutines (the caller's included, so one
+// worker is a plain serial loop) and returns the lowest failing index
+// with its error, or (-1, nil) on a clean sweep. Indices are claimed in
+// order and claiming stops at the first failure, so every index below a
+// failing one has run and the result is the serial sweep's at any
+// worker count. A done ctx also stops the claiming, and then wins:
+// (-1, ctx.Err()).
+func Parmap(ctx context.Context, workers, n int, f func(int) error) (int, error) {
 	if workers > n {
 		workers = n
 	}

@@ -229,6 +229,16 @@ type Opts struct {
 	Watchdog uint64
 }
 
+// ByName looks a suite test up; ok=false when unknown.
+func ByName(name string) (Test, bool) {
+	for _, t := range Tests() {
+		if t.Name == name {
+			return t, true
+		}
+	}
+	return Test{}, false
+}
+
 // RunOne executes the test once with per-thread start skews and
 // classifies each observed load value: 0 = initial memory, k = the
 // k-th store (in program order) to that address anywhere in the test.

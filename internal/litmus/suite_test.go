@@ -34,13 +34,11 @@ func quietRuns(t *testing.T, lt litmus.Test, m config.Mechanism, skews int) map[
 
 func byName(t *testing.T, name string) litmus.Test {
 	t.Helper()
-	for _, lt := range litmus.Tests() {
-		if lt.Name == name {
-			return lt
-		}
+	lt, ok := litmus.ByName(name)
+	if !ok {
+		t.Fatalf("no litmus test %q", name)
 	}
-	t.Fatalf("no litmus test %q", name)
-	return litmus.Test{}
+	return lt
 }
 
 // TestForbiddenOutcomesNeverAppear runs every litmus test under every

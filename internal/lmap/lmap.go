@@ -1,6 +1,7 @@
 // Package lmap provides the open-addressed line-map and slab pool that
-// back the simulator's hot per-line state (private cache lines, MSHRs,
-// write-back entries, directory entries). The built-in map[uint64]*T
+// back the simulator's hot per-line state (private line records and
+// the miss and write-back records they name, directory entries and
+// transactions). The built-in map[uint64]*T
 // these replaced paid an interface-free but still branchy runtime call
 // plus a heap allocation per inserted bucket chain; Map is a flat
 // power-of-two open-addressed table with linear probing and

@@ -182,7 +182,7 @@ func TestSSBDrainsInOrder(t *testing.T) {
 // RFOs, and with four MSHRs most of its requests are refused and must be
 // retried the cycle an MSHR frees — so a skipped walk that mattered shows
 // at once. Each row steps the two machines together (lockstep), and they
-// must agree every cycle on the MSHR table, the store rings and commit
+// must agree every cycle on the misses in flight, the store rings and commit
 // progress, fault-free and with an injector that refuses MSHRs at random
 // (each query consumes a decision: skipping a walk that would have asked
 // desynchronizes the two streams) and NACKs requests at random (a NACKed

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tusim/internal/config"
+	"tusim/internal/faults"
 )
 
 // TestL2EvictionRecallsL1 verifies inclusion: evicting a line from the
@@ -51,6 +52,56 @@ func TestWritebackReachesLLC(t *testing.T) {
 	}
 	if d := r.dir.LLCData(0x0); d == nil || d[0] != 0x31 {
 		t.Fatalf("LLC data after writeback = %v", d)
+	}
+}
+
+// evictDirty makes line x modified and dirty, then fills x's L2 set
+// until a fill evicts it, and stops the clock as x's write-back leaves.
+func evictDirty(t *testing.T, r *rig, x uint64) {
+	t.Helper()
+	p := r.ps[0]
+	r.mustWritable(t, 0, x)
+	if !p.StoreVisible(x, []byte{0xAA}) {
+		t.Fatal("store failed")
+	}
+	stride := uint64(r.cfg.L2.Sets()) * LineBytes
+	for i := uint64(1); i < uint64(r.cfg.L2.Ways); i++ {
+		r.mustLoad(t, 0, x+i*stride, 8)
+	}
+	r.load(0, x+uint64(r.cfg.L2.Ways)*stride, 8, func([]byte) {})
+	for !p.WBPending(x) {
+		r.q.Advance()
+	}
+}
+
+// TestRefetchWaitsForWriteBack: a line read again while its NACKed
+// write-back is still in flight must not start a miss. The directory
+// still lists the core as owner, so a GetS would be granted the LLC's
+// stale copy without a probe and the core would lose its own store.
+func TestRefetchWaitsForWriteBack(t *testing.T) {
+	r := newRig(t, 1, nil)
+	p := r.ps[0]
+	const x = 0x0
+	evictDirty(t, r, x)
+	// NACK the write-back once, then let its retry through.
+	r.dir.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, NackPct: 100}))
+	for end := r.q.Now() + r.dir.reqLat + 1; r.q.Now() < end; {
+		r.q.Advance()
+	}
+	r.dir.SetFaults(nil)
+	if !p.WBPending(x) {
+		t.Fatal("setup: the NACKed write-back is no longer in flight")
+	}
+	if p.RequestWritableAs(x, false, true, 0) || p.PrefetchRead(x) {
+		t.Fatal("a write or prefetch miss started during the write-back")
+	}
+	var got []byte
+	for !r.load(0, x, 1, func(d []byte) { got = d }) {
+		r.q.Advance()
+	}
+	r.run(t)
+	if got == nil || got[0] != 0xAA {
+		t.Fatalf("reload during the write-back = %v, want [0xaa]", got)
 	}
 }
 

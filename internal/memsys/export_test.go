@@ -1,5 +1,9 @@
 package memsys
 
-// SetInFlight overwrites pl's in-flight bit, desynchronising it from
-// the MSHR table for tests that prove the auditor notices.
-func (pl *PLine) SetInFlight(v bool) { pl.inFlight = v }
+// CrossWire points pl's miss link at the miss from names and returns a
+// func that restores it, for tests that prove the auditor notices.
+func CrossWire(pl, from *PLine) (restore func()) {
+	old := pl.mshr
+	pl.mshr = from.mshr
+	return func() { pl.mshr = old }
+}

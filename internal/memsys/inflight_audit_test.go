@@ -10,9 +10,10 @@ import (
 	"tusim/internal/system"
 )
 
-// TestAuditorCatchesInFlightBitDrift desynchronises one line's
-// in-flight bit from the MSHR table, each way round, and requires the
-// auditor to report mshr-inflight-bit; the machine in sync audits clean.
+// TestAuditorCatchesInFlightBitDrift cross-wires one line's miss link
+// to another line's miss, from a line with no miss and from a line with
+// its own, and requires the auditor to report mshr-line-agreement; the
+// restored links audit clean.
 func TestAuditorCatchesInFlightBitDrift(t *testing.T) {
 	const line = 0x10000
 	// Both cores read the same lines, so each ends holding them S.
@@ -32,26 +33,27 @@ func TestAuditorCatchesInFlightBitDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, a := sys.Privs[0], audit.New(sys)
-	pl := p.Lookup(line)
-	if pl == nil || pl.State != memsys.StateS || pl.InFlight() || p.MSHRPending(line) {
+	idle, busy, other := p.Lookup(line), p.Lookup(line+64), p.Lookup(line+128)
+	if idle == nil || idle.State != memsys.StateS || idle.InFlight() || p.MSHRPending(line) {
 		t.Fatal("setup: want a shared line with no miss in flight")
 	}
-	drifts := func(when string) {
-		t.Helper()
-		pl.SetInFlight(!pl.InFlight())
+	p.KeepWritable(line + 64) // upgrades, left in flight
+	p.KeepWritable(line + 128)
+	if !busy.InFlight() || !other.InFlight() || !p.MSHRPending(line+128) {
+		t.Fatal("setup: want both upgrades in flight")
+	}
+	if pe := a.Audit(sys.Q.Now()); pe != nil {
+		t.Fatalf("setup: the machine in sync gave %v", pe)
+	}
+	for _, pl := range []*memsys.PLine{idle, busy} {
+		restore := memsys.CrossWire(pl, other)
 		pe := a.Audit(sys.Q.Now())
-		if pe == nil || pe.Invariant != "mshr-inflight-bit" || pe.Core != 0 || pe.Line != line {
-			t.Fatalf("%s: a flipped bit gave %v", when, pe)
+		if pe == nil || pe.Invariant != "mshr-line-agreement" || pe.Core != 0 || pe.Line != pl.Line {
+			t.Fatalf("%#x linked to %#x's miss gave %v", pl.Line, other.Line, pe)
 		}
-		pl.SetInFlight(!pl.InFlight())
+		restore()
 		if pe := a.Audit(sys.Q.Now()); pe != nil {
-			t.Fatalf("%s: the restored bit gave %v", when, pe)
+			t.Fatalf("%#x: the restored link gave %v", pl.Line, pe)
 		}
 	}
-	drifts("no miss in flight")
-	p.KeepWritable(line) // an upgrade, left in flight
-	if !pl.InFlight() || !p.MSHRPending(line) {
-		t.Fatal("setup: want the upgrade in flight")
-	}
-	drifts("upgrade in flight")
 }

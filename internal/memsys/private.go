@@ -46,10 +46,10 @@ type PLine struct {
 	// data was combined under UMask; UMask marks unauthorized bytes.
 	NotVisible bool
 	Ready      bool
-	// inFlight mirrors the MSHR table (set by noteMSHRAlloc, cleared by
-	// freeMSHR, seeded by newLine); the auditor diffs the two.
-	inFlight bool
-	UMask    Mask
+	UMask      Mask
+	// mshr and wb name the line's miss and write-back in flight by
+	// record id (0 = none).
+	mshr, wb uint32
 
 	lru1, lru2  uint64
 	loadWaiters []loadWait
@@ -162,10 +162,10 @@ type UnauthorizedHandler interface {
 // Private models one core's L1D + private L2 (both write-back,
 // write-allocate, L1D inclusive in L2 — Table I).
 //
-// Per-line state (lines, MSHRs, writeback buffer) lives in lmap
-// open-addressed tables with slab-pooled entry structs, so the
-// steady-state hit/miss machinery allocates nothing; see package lmap
-// for the reference-mode escape hatch the differential rig uses.
+// lines is the one per-line index; a line's record names its miss and
+// write-back in the mshrRecs and wbRecs pools. All three are lmap
+// containers with slab-pooled structs, so the steady-state hit/miss
+// machinery allocates nothing (see package lmap for reference mode).
 type Private struct {
 	ID  int
 	cfg *config.Config
@@ -177,20 +177,20 @@ type Private struct {
 	linePool *lmap.Pool[PLine]
 	l1, l2   setTable[PLine]
 
-	mshrs     *lmap.Map[mshrEntry]
 	mshrRecs  *lmap.Records[mshrEntry]
+	misses    int // lines naming a miss in flight (both MSHR pools)
 	mshrLimit int
 	// prefetch MSHRs live in their own pool so speculative traffic
 	// never blocks demand misses.
 	prefMSHRs     int
 	prefMSHRLimit int
 	// permEpoch advances whenever the outcome of a KeepWritable call may
-	// have changed: a line's MESI state is written (setState), an MSHR is
-	// allocated (noteMSHRAlloc) or freed (freeMSHR), or MSHRFree consulted
-	// a fault injector. See PermEpoch.
+	// have changed: a line's MESI state is written (setState), a miss is
+	// tracked (track) or freed (freeMSHR), a write-back lands
+	// (writeBackDone), or MSHRFree consulted a fault injector. See
+	// PermEpoch.
 	permEpoch uint64
 
-	wb     *lmap.Map[wbEntry]
 	wbRecs *lmap.Records[wbEntry]
 
 	// requesters are the registered clients (handle = index+1); the
@@ -251,11 +251,9 @@ func NewPrivate(id int, cfg *config.Config, q *event.Queue, dir *Directory, st *
 		linePool:      lmap.NewPoolRef[PLine](ref),
 		l1:            newSetTable[PLine](cfg.L1D.Sets()),
 		l2:            newSetTable[PLine](cfg.L2.Sets()),
-		mshrs:         lmap.NewRef[mshrEntry](ref),
 		mshrRecs:      lmap.NewRecordsRef[mshrEntry](ref),
 		mshrLimit:     cfg.L1D.MSHRs,
 		prefMSHRLimit: cfg.L1D.MSHRs / 2,
-		wb:            lmap.NewRef[wbEntry](ref),
 		wbRecs:        lmap.NewRecordsRef[wbEntry](ref),
 	}
 	p.resendFn = p.resend
@@ -281,12 +279,15 @@ func NewPrivate(id int, cfg *config.Config, q *event.Queue, dir *Directory, st *
 // SetTracer attaches (or detaches, with nil) the lifecycle tracer.
 func (p *Private) SetTracer(t *trace.Tracer) { p.tr = t }
 
-// newLine allocates (from the slab pool) and registers a fully reset
-// PLine; inFlight seeds its bit, since a miss may already be in flight
-// for it. The loadWaiters slice keeps its grown capacity across reuse.
-func (p *Private) newLine(line uint64, inFlight bool) *PLine {
+// lineFor returns line's record, registering a fully reset one from
+// the slab pool when the line is untracked. The loadWaiters slice keeps
+// its grown capacity across reuse.
+func (p *Private) lineFor(line uint64) *PLine {
+	if pl := p.lines.Get(line); pl != nil {
+		return pl
+	}
 	pl := p.linePool.Get()
-	*pl = PLine{Line: line, loadWaiters: pl.loadWaiters[:0], inFlight: inFlight}
+	*pl = PLine{Line: line, loadWaiters: pl.loadWaiters[:0]}
 	p.lines.Put(line, pl)
 	return pl
 }
@@ -299,15 +300,15 @@ func (p *Private) newMSHR(line uint64) *mshrEntry {
 	return m
 }
 
-// noteMSHRAlloc marks the line in flight and observes the allocation
-// (occupancy includes the new entry; both MSHR pools count).
-func (p *Private) noteMSHRAlloc(line uint64) {
+// track links miss m to its line's record pl, observes the allocation
+// (occupancy includes the new miss; both MSHR pools count) and sends it.
+func (p *Private) track(pl *PLine, m *mshrEntry) {
+	pl.mshr = m.id
+	p.misses++
 	p.permEpoch++
-	if pl := p.lines.Get(line); pl != nil {
-		pl.inFlight = true
-	}
-	p.hMSHROcc.Observe(uint64(p.mshrs.Len()))
-	p.tr.Emit(trace.MSHRAlloc, int32(p.ID), p.q.Now(), line, 0, uint64(p.mshrs.Len()))
+	p.hMSHROcc.Observe(uint64(p.misses))
+	p.tr.Emit(trace.MSHRAlloc, int32(p.ID), p.q.Now(), pl.Line, 0, uint64(p.misses))
+	p.send(m)
 }
 
 // SetHandler installs the TUS handler. Must be called before simulation.
@@ -325,10 +326,7 @@ func (p *Private) SetFaults(in *faults.Injector) {
 func (p *Private) Lookup(line uint64) *PLine { return p.lines.Get(line & LineMask) }
 
 // Writable reports whether the hierarchy holds E or M permission.
-func (p *Private) Writable(line uint64) bool {
-	pl := p.lines.Get(line & LineMask)
-	return pl != nil && (pl.State == StateE || pl.State == StateM)
-}
+func (p *Private) Writable(line uint64) bool { return p.lines.Get(line & LineMask).writable() }
 
 // setState is the one writer of a line's MESI state.
 func (p *Private) setState(pl *PLine, s MESI) {
@@ -337,10 +335,11 @@ func (p *Private) setState(pl *PLine, s MESI) {
 }
 
 // PermEpoch identifies everything KeepWritable reads: which lines are
-// held in E/M, the MSHR table and, under fault injection, the injector's
-// next decision. A caller whose KeepWritable calls left the epoch where
-// it was may skip repeating them until it moves (SSB's blocked drain
-// head would otherwise re-walk an unchanged 64-line window every cycle).
+// held in E/M, which name a miss or write-back in flight and, under
+// fault injection, the injector's next decision. A caller whose
+// KeepWritable calls left the epoch where it was may skip repeating
+// them until it moves (SSB's blocked drain head would otherwise re-walk
+// an unchanged 64-line window every cycle).
 func (p *Private) PermEpoch() uint64 { return p.permEpoch }
 
 // MSHRFree reports whether a new demand miss can be tracked.
@@ -353,7 +352,7 @@ func (p *Private) MSHRFree() bool {
 			return false
 		}
 	}
-	return p.mshrs.Len()-p.prefMSHRs < p.mshrLimit
+	return p.misses-p.prefMSHRs < p.mshrLimit
 }
 
 func (p *Private) touch1(pl *PLine) { p.lruTick++; pl.lru1 = p.lruTick }
@@ -376,8 +375,8 @@ func (p *Private) reply(lw loadWait, src *LineData, delay uint64) {
 
 // LoadSeq performs a timed read of size bytes at addr. The read is
 // identified by seq and answered through LoadReply when the access
-// completes. It returns false when the access cannot even start (MSHRs
-// full); the caller retries next cycle.
+// completes. It returns false when the access cannot start yet (MSHRs
+// full, or a write-back in flight); the caller retries next cycle.
 func (p *Private) LoadSeq(addr uint64, size uint8, seq uint64) bool {
 	return p.load(loadWait{addr: addr, size: size, seq: seq})
 }
@@ -425,11 +424,11 @@ func (p *Private) load(lw loadWait) bool {
 		return true
 	}
 	// Full miss.
-	if m := p.mshrs.Get(line); m != nil {
+	if m := p.miss(pl); m != nil {
 		m.loads = append(m.loads, lw)
 		return true
 	}
-	if !p.MSHRFree() {
+	if pl != nil && pl.wb != 0 || !p.MSHRFree() {
 		return false
 	}
 	p.cL1Miss.Inc()
@@ -440,9 +439,7 @@ func (p *Private) load(lw loadWait) bool {
 	m := p.newMSHR(line)
 	m.autoRetry = true
 	m.loads = append(m.loads, lw)
-	p.mshrs.Put(line, m)
-	p.noteMSHRAlloc(line)
-	p.send(m)
+	p.track(p.lineFor(line), m)
 	return true
 }
 
@@ -452,10 +449,7 @@ func (p *Private) load(lw loadWait) bool {
 func (p *Private) PrefetchRead(line uint64) bool {
 	line &= LineMask
 	pl := p.lines.Get(line)
-	if pl != nil && ((pl.InL1 || pl.InL2) && pl.State != StateI || pl.NotVisible) {
-		return false
-	}
-	if p.mshrs.Get(line) != nil {
+	if pl != nil && ((pl.InL1 || pl.InL2) && pl.State != StateI || pl.NotVisible || pl.mshr != 0 || pl.wb != 0) {
 		return false
 	}
 	if p.prefMSHRs >= p.prefMSHRLimit {
@@ -466,10 +460,8 @@ func (p *Private) PrefetchRead(line uint64) bool {
 	m := p.newMSHR(line)
 	m.prefetch = true
 	m.lowLane = true
-	p.mshrs.Put(line, m)
 	p.prefMSHRs++
-	p.noteMSHRAlloc(line)
-	p.send(m)
+	p.track(p.lineFor(line), m)
 	return true
 }
 
@@ -495,8 +487,16 @@ func (p *Private) grantNow(line, who uint64) { p.tell(Requester(who), line, true
 // Awaits reports whether who waits on the write permission of the miss
 // in flight for line.
 func (p *Private) Awaits(line uint64, who Requester) bool {
-	m := p.mshrs.Get(line & LineMask)
+	m := p.miss(p.lines.Get(line & LineMask))
 	return m != nil && slices.Contains(m.writers, who)
+}
+
+// miss returns the miss pl (nil when untracked) names, or nil.
+func (p *Private) miss(pl *PLine) *mshrEntry {
+	if pl == nil || pl.mshr == 0 {
+		return nil
+	}
+	return p.mshrRecs.ByID(pl.mshr)
 }
 
 // RequestWritableAs asks for E/M permission on line on behalf of who.
@@ -507,13 +507,14 @@ func (p *Private) Awaits(line uint64, who Requester) bool {
 // nothing) when MSHRs run low. Returns false if nothing could start.
 func (p *Private) RequestWritableAs(line uint64, prefetch, autoRetry bool, who Requester) bool {
 	line &= LineMask
-	if p.Writable(line) {
+	pl := p.lines.Get(line)
+	if pl.writable() {
 		if who != 0 {
 			p.q.After2(0, p.grantFn, line, uint64(who))
 		}
 		return true
 	}
-	return p.requestMiss(line, prefetch, autoRetry, who)
+	return p.requestMiss(line, pl, prefetch, autoRetry, who)
 }
 
 // RequestWritable is RequestWritableAs with a one-shot callback (or nil)
@@ -549,15 +550,15 @@ func (p *Private) runCallback(line uint64, ok bool) {
 // already held in E/M.
 func (p *Private) KeepWritable(line uint64) {
 	line &= LineMask
-	if !p.Writable(line) {
-		p.requestMiss(line, false, false, 0)
+	if pl := p.lines.Get(line); !pl.writable() {
+		p.requestMiss(line, pl, false, false, 0)
 	}
 }
 
-// requestMiss is RequestWritableAs for a line known not to be writable:
-// join the MSHR in flight for it or start one.
-func (p *Private) requestMiss(line uint64, prefetch, autoRetry bool, who Requester) bool {
-	if m := p.mshrs.Get(line); m != nil {
+// requestMiss is RequestWritableAs for a line known not to be writable,
+// given its record pl (or nil): join its miss in flight or start one.
+func (p *Private) requestMiss(line uint64, pl *PLine, prefetch, autoRetry bool, who Requester) bool {
+	if m := p.miss(pl); m != nil {
 		if !m.wantM {
 			m.upgradeM = true
 		}
@@ -567,6 +568,9 @@ func (p *Private) requestMiss(line uint64, prefetch, autoRetry bool, who Request
 			m.writers = append(m.writers, who)
 		}
 		return true
+	}
+	if pl != nil && pl.wb != 0 {
+		return false
 	}
 	if prefetch && p.prefMSHRs >= p.prefMSHRLimit {
 		p.cPrefetchDrop.Inc()
@@ -583,12 +587,10 @@ func (p *Private) requestMiss(line uint64, prefetch, autoRetry bool, who Request
 	if who != 0 {
 		m.writers = append(m.writers, who)
 	}
-	p.mshrs.Put(line, m)
 	if prefetch {
 		p.prefMSHRs++
 	}
-	p.noteMSHRAlloc(line)
-	p.send(m)
+	p.track(p.lineFor(line), m)
 	return true
 }
 
@@ -619,23 +621,20 @@ func (p *Private) response(id uint32, ok bool, data *LineData, excl bool) {
 		m2 := p.newMSHR(m.line)
 		m2.autoRetry = true
 		m2.loads, m.loads = m.loads, m2.loads
-		p.mshrs.Put(m2.line, m2)
-		p.noteMSHRAlloc(m2.line)
-		p.send(m2)
+		p.track(p.lineFor(m2.line), m2)
 	}
 	p.mshrRecs.Put(m.id)
 }
 
-// freeMSHR retires an MSHR, removing it from the tracking table. The
+// freeMSHR retires an MSHR, unlinking it from its line's record. The
 // struct itself returns to the pool at the caller's terminal point
 // (after its loads and writers have been answered).
 func (p *Private) freeMSHR(m *mshrEntry) {
 	p.permEpoch++
-	if p.mshrs.Get(m.line) == m {
-		p.mshrs.Delete(m.line)
-		if pl := p.lines.Get(m.line); pl != nil {
-			pl.inFlight = false
-		}
+	if pl := p.lines.Get(m.line); pl != nil && pl.mshr == m.id {
+		pl.mshr = 0
+		p.misses--
+		p.gc(pl)
 		now := p.q.Now()
 		var lat uint64
 		if now >= m.born {
@@ -651,10 +650,7 @@ func (p *Private) freeMSHR(m *mshrEntry) {
 // fill applies a directory response. Runs inside the response event.
 func (p *Private) fill(m *mshrEntry, data *LineData, excl bool) {
 	line := m.line
-	pl := p.lines.Get(line)
-	if pl == nil {
-		pl = p.newLine(line, true) // m is in the table until freeMSHR below
-	}
+	pl := p.lines.Get(line) // m's record, kept by the link until freeMSHR below
 	// Allocate in the private L2 (inclusive point).
 	if !pl.InL2 {
 		p.allocL2(pl)
@@ -694,16 +690,9 @@ func (p *Private) fill(m *mshrEntry, data *LineData, excl bool) {
 		// e.g. a stale prefetch. The L2 copy was updated above; the
 		// unauthorized L1 stash stays untouched and not ready until a
 		// writable fill arrives.
-	} else {
-		if !pl.InL1 {
-			if p.allocL1(pl) {
-				pl.L1Data = *data
-				pl.L1Dirty = false
-			}
-		} else {
-			pl.L1Data = *data
-			pl.L1Dirty = false
-		}
+	} else if pl.InL1 || p.allocL1(pl) {
+		pl.L1Data = *data
+		pl.L1Dirty = false
 	}
 
 	p.freeMSHR(m)
@@ -731,9 +720,7 @@ func (p *Private) fill(m *mshrEntry, data *LineData, excl bool) {
 		m2.wantM = true
 		m2.autoRetry = true
 		m2.writers, m.writers = m.writers, m2.writers
-		p.mshrs.Put(line, m2)
-		p.noteMSHRAlloc(line)
-		p.send(m2)
+		p.track(pl, m2)
 	} else {
 		for _, w := range m.writers {
 			p.tell(w, line, true)
@@ -831,10 +818,7 @@ func (p *Private) StoreVisibleLine(line uint64, data *LineData, mask Mask) bool 
 // no L1 way can host the line.
 func (p *Private) StoreUnauthorizedLine(line uint64, data *LineData, mask Mask) bool {
 	line &= LineMask
-	pl := p.lines.Get(line)
-	if pl == nil {
-		pl = p.newLine(line, p.MSHRPending(line))
-	}
+	pl := p.lineFor(line)
 	if !pl.InL1 {
 		if !p.allocL1(pl) {
 			p.cL1SetOverflow.Inc()
@@ -970,7 +954,12 @@ func (p *Private) L1WaysAvailable(lines []uint64) bool {
 // pinned reports that no cache may evict pl (the L2 is inclusive) and
 // gc must keep it: not visible, a miss in flight, or loads waiting.
 func (pl *PLine) pinned() bool {
-	return pl.NotVisible || pl.inFlight || len(pl.loadWaiters) > 0
+	return pl.NotVisible || pl.mshr != 0 || len(pl.loadWaiters) > 0
+}
+
+// writable reports whether pl (nil when untracked) holds E or M.
+func (pl *PLine) writable() bool {
+	return pl != nil && (pl.State == StateE || pl.State == StateM)
 }
 
 // allocL1 places pl into its L1 set, evicting if needed. Returns false
@@ -1056,8 +1045,7 @@ func (p *Private) evictL2(pl *PLine) {
 	owned := pl.State == StateM || pl.State == StateE
 	dirty := pl.L2Dirty
 	if owned || dirty {
-		data := pl.L2Data
-		p.writeBack(pl.Line, &data)
+		p.writeBack(pl)
 	}
 	p.setState(pl, StateI)
 	pl.L2Dirty = false
@@ -1075,21 +1063,23 @@ func (p *Private) dropL2(pl *PLine) {
 // gc forgets a line that holds no state worth tracking, returning the
 // struct to the slab pool.
 func (p *Private) gc(pl *PLine) {
-	if pl.InL1 || pl.InL2 || pl.State != StateI || pl.pinned() {
+	if pl.InL1 || pl.InL2 || pl.State != StateI || pl.pinned() || pl.wb != 0 {
 		return
 	}
 	p.lines.Delete(pl.Line)
 	p.linePool.Put(pl)
 }
 
-// writeBack sends the data to the directory, retrying NACKs from a
-// writeback buffer that external probes can also service.
-func (p *Private) writeBack(line uint64, data *LineData) {
+// writeBack sends pl's L2 copy to the directory, retrying NACKs from a
+// writeback buffer that probes can also service. Until it lands the line
+// starts no miss: the directory, still naming this core owner, would
+// grant the LLC's stale copy.
+func (p *Private) writeBack(pl *PLine) {
 	p.cWriteback.Inc()
 	id, e := p.wbRecs.Get()
-	*e = wbEntry{id: id, line: line, data: *data}
-	p.wb.Put(line, e)
-	p.dir.request(p.ID, line, false, false, id, data)
+	*e = wbEntry{id: id, line: pl.Line, data: pl.L2Data}
+	pl.wb = id
+	p.dir.request(p.ID, pl.Line, false, false, id, &e.data)
 }
 
 // writeBackDone is the directory's answer to write-back id; a NACK is
@@ -1100,7 +1090,11 @@ func (p *Private) writeBackDone(id uint32, ok bool) {
 		p.q.After2(p.cfg.NetLatency, p.resendWBFn, uint64(id), 0)
 		return
 	}
-	p.wb.Delete(e.line)
+	if pl := p.lines.Get(e.line); pl != nil && pl.wb == id {
+		pl.wb = 0
+		p.permEpoch++ // the line may start a miss again
+		p.gc(pl)
+	}
 	p.wbRecs.Put(id)
 }
 
@@ -1126,13 +1120,14 @@ func (p *Private) Probe(line uint64, kind ProbeKind, data *LineData) (res ProbeR
 	if kind == ProbeInv && p.OnLineLost != nil {
 		p.OnLineLost(line)
 	}
-	if e := p.wb.Get(line); e != nil {
+	pl := p.lines.Get(line)
+	if pl != nil && pl.wb != 0 {
 		// The line was being written back; hand the data over directly.
+		e := p.wbRecs.ByID(pl.wb)
 		e.retired = true
 		*data = e.data
 		return ProbeAck, true
 	}
-	pl := p.lines.Get(line)
 	if pl == nil || (pl.State == StateI && !pl.NotVisible) {
 		return ProbeAck, false
 	}
@@ -1215,16 +1210,17 @@ func (p *Private) AuditLines(visit func(pl *PLine)) {
 
 // AuditMSHRs visits every in-flight miss in ascending line order.
 func (p *Private) AuditMSHRs(visit func(line, born uint64, wantM, prefetch bool)) {
-	for _, k := range p.mshrs.SortedKeys() {
-		m := p.mshrs.Get(k)
-		visit(m.line, m.born, m.wantM, m.prefetch)
-	}
+	p.AuditLines(func(pl *PLine) {
+		if m := p.miss(pl); m != nil {
+			visit(m.line, m.born, m.wantM, m.prefetch)
+		}
+	})
 }
 
 // MSHRWaiters reports who waits on the miss in flight for line: its
 // pending loads, and its write requesters by name in arrival order.
 func (p *Private) MSHRWaiters(line uint64) (loads int, writers []string) {
-	m := p.mshrs.Get(line & LineMask)
+	m := p.miss(p.lines.Get(line & LineMask))
 	if m == nil {
 		return 0, nil
 	}
@@ -1237,14 +1233,24 @@ func (p *Private) MSHRWaiters(line uint64) (loads int, writers []string) {
 // WBPending reports whether line sits in the writeback buffer (its
 // directory state is transiently out of sync while the WB is in flight).
 func (p *Private) WBPending(line uint64) bool {
-	return p.wb.Get(line&LineMask) != nil
+	pl := p.lines.Get(line & LineMask)
+	return pl != nil && pl.wb != 0
 }
 
 // MSHRPending reports whether a miss for line is in flight.
-func (p *Private) MSHRPending(line uint64) bool { return p.mshrs.Get(line&LineMask) != nil }
+func (p *Private) MSHRPending(line uint64) bool { return p.miss(p.lines.Get(line&LineMask)) != nil }
 
-// InFlight reports pl's in-flight bit, which must equal MSHRPending.
-func (pl *PLine) InFlight() bool { return pl.inFlight }
+// InFlight reports whether pl names a miss in flight.
+func (pl *PLine) InFlight() bool { return pl.mshr != 0 }
+
+// MissLine reports the line of the miss pl names (ok=false: none),
+// which must be pl's own.
+func (p *Private) MissLine(pl *PLine) (line uint64, ok bool) {
+	if m := p.miss(pl); m != nil {
+		return m.line, true
+	}
+	return 0, false
+}
 
 // SabotageHideLine deliberately corrupts state for crash-pipeline
 // testing: the lowest-addressed unauthorized (not-visible, not-ready)

@@ -318,7 +318,8 @@ func TestMSHRLimit(t *testing.T) {
 // TestPermEpochTracksKeepWritableInputs pins the key the drain lookahead
 // skips on: each input of KeepWritable moves PermEpoch on its own — a
 // state write, an MSHR allocation, an MSHR free (a NACK, no state
-// changes) and an MSHR query that consumes an injector decision.
+// changes), an MSHR query that consumes an injector decision and a
+// write-back landing.
 func TestPermEpochTracksKeepWritableInputs(t *testing.T) {
 	r := newRig(t, 1, nil)
 	p := r.ps[0]
@@ -340,6 +341,17 @@ func TestPermEpochTracksKeepWritableInputs(t *testing.T) {
 	}
 	p.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, MSHRPressurePct: 50}))
 	moves("an MSHR query under faults", func() { p.MSHRFree() })
+
+	// A line starts no miss while its write-back is in flight, so the
+	// write-back landing is an input too.
+	r = newRig(t, 1, nil)
+	p = r.ps[0]
+	evictDirty(t, r, 0x0)
+	moves("a write-back landing", func() {
+		for p.WBPending(0x0) {
+			r.q.Advance()
+		}
+	})
 }
 
 func TestUpgradeFromShared(t *testing.T) {

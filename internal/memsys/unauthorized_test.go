@@ -331,24 +331,30 @@ func TestL1WaysAvailableInFlightPin(t *testing.T) {
 	check(false, "after the NACK freed the miss")
 }
 
-// TestInFlightBitSeededOnNewLine: a line first tracked while its miss
-// is already in flight (an unauthorized store into a line being read)
-// starts with the bit set, and the fill clears it.
+// TestInFlightBitSeededOnNewLine: a miss creates its line's record, so
+// an untracked line is tracked and in flight from the miss's allocation
+// and not after the fill; a NACKed one-shot miss with no loads waiting
+// leaves no record behind.
 func TestInFlightBitSeededOnNewLine(t *testing.T) {
 	r := newRig(t, 1, nil)
 	p := r.ps[0]
-	p.SetHandler(&fakeHandler{})
 	r.load(0, 0x5000, 8, func([]byte) {})
-	if p.Lookup(0x5000) != nil || !p.MSHRPending(0x5000) {
-		t.Fatal("setup: want a read in flight for an untracked line")
-	}
-	p.StoreUnauthorizedLine(lineStore(0x5000, []byte{1}))
-	if pl := p.Lookup(0x5000); !pl.InFlight() {
-		t.Fatal("a line created under an in-flight miss must start in flight")
+	if pl := p.Lookup(0x5000); pl == nil || !pl.InFlight() || !p.MSHRPending(0x5000) {
+		t.Fatal("a read miss must track its line, in flight")
 	}
 	r.run(t)
-	if pl := p.Lookup(0x5000); pl.InFlight() || p.MSHRPending(0x5000) {
-		t.Fatal("the fill must clear the bit with the MSHR")
+	if pl := p.Lookup(0x5000); pl == nil || pl.InFlight() || p.MSHRPending(0x5000) {
+		t.Fatal("the fill must keep the line and end the miss")
+	}
+
+	r.dir.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, NackPct: 100}))
+	p.RequestWritable(0x6000, false, false, nil)
+	if pl := p.Lookup(0x6000); pl == nil || !pl.InFlight() {
+		t.Fatal("a write miss must track its line, in flight")
+	}
+	r.run(t)
+	if pl := p.Lookup(0x6000); pl != nil || p.MSHRPending(0x6000) {
+		t.Fatalf("a NACKed miss with no loads left a record: %+v", pl)
 	}
 }
 

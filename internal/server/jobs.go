@@ -383,18 +383,15 @@ func (d cellsJSON) Print(w io.Writer, _ string) { w.Write(d) }
 func (d cellsJSON) JSON() any                   { return json.RawMessage(d) }
 
 func (s *Server) planLitmus(req JobRequest) (*jobPlan, error) {
-	tests := litmus.Tests()
-	byName := make(map[string]litmus.Test, len(tests))
-	var names []string
-	for _, lt := range tests {
-		byName[lt.Name] = lt
-		names = append(names, lt.Name)
-	}
-	selected := tests
+	selected := litmus.Tests()
 	if len(req.Progs) > 0 {
+		var names []string
+		for _, lt := range selected {
+			names = append(names, lt.Name)
+		}
 		selected = nil
 		for _, n := range req.Progs {
-			lt, ok := byName[n]
+			lt, ok := litmus.ByName(n)
 			if !ok {
 				return nil, fmt.Errorf("litmus: unknown program %q (suite: %s)", n, strings.Join(names, ","))
 			}
