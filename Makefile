@@ -18,9 +18,12 @@ test: build
 short:
 	$(GO) test -short ./...
 
-# race: the protocol-heavy packages under the race detector.
+# race: the protocol-heavy packages under the race detector, and the
+# explorer's concurrent schedule runs (each level of a cell's schedule
+# tree fans out to the pool).
 race:
 	$(GO) test -short -race ./internal/system/ ./internal/litmus/
+	$(GO) test -short -race -run 'AnyWorkerCount|TranscriptPinned|Doctored' ./internal/modelcheck/
 
 # race-harness: the parallel experiment harness (worker pool, result
 # cache, stats merging, supervision layer) and the tusd service layer

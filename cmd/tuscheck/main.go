@@ -14,11 +14,12 @@
 //	tuscheck -smoke                   # small CI budgets
 //	tuscheck -oracle                  # print oracle outcome sets only
 //	tuscheck -skews 8 -depth 8 -runs 512   # exploration budgets
-//	tuscheck -j 8                     # check up to 8 cells in parallel
+//	tuscheck -j 8                     # check up to 8 cells at once
 //
 // Cells are independent (each explores its own simulator instances), so
-// -j fans them out to the harness worker pool; reports are buffered and printed
-// in deterministic cell order, identical to the serial run.
+// -j fans them out to the shared worker pool; within a cell, each level
+// of the schedule tree runs on every CPU whatever -j is. Reports are
+// buffered and printed in deterministic cell order, identical at any -j.
 //
 // Exit status is nonzero if any cell is unsound; the violating
 // schedule is written to -crash-out and replays with
@@ -37,6 +38,7 @@ import (
 	"tusim/internal/harness"
 	"tusim/internal/litmus"
 	"tusim/internal/modelcheck"
+	"tusim/internal/parmap"
 )
 
 func main() {
@@ -51,7 +53,7 @@ func main() {
 	oracleOnly := flag.Bool("oracle", false, "print oracle-allowed outcome sets and exit")
 	verbose := flag.Bool("v", false, "print uncovered outcomes and exploration detail")
 	crashOut := flag.String("crash-out", "mc-crash.json", "where to write the repro bundle on violation")
-	workers := flag.Int("j", 0, "max concurrent cells (0 = all CPUs, 1 = serial; output identical)")
+	workers := flag.Int("j", 0, "max concurrent cells (0 = one per CPU); each cell's schedules still use every CPU; output identical at any -j")
 	flag.Parse()
 
 	tests, err := selectTests(*progs)
@@ -110,7 +112,7 @@ func main() {
 		w = runtime.NumCPU()
 	}
 	results := make([]*modelcheck.Report, len(cells))
-	failIdx, err := harness.Parmap(context.Background(), w, len(cells), func(i int) error {
+	failIdx, err := parmap.Parmap(context.Background(), w, len(cells), func(i int) error {
 		var err error
 		results[i], err = modelcheck.Check(cells[i].lt, cells[i].m, eo,
 			modelcheck.Limits{MaxStates: *states})

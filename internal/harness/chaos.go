@@ -12,6 +12,7 @@ import (
 	"tusim/internal/faults"
 	"tusim/internal/litmus"
 	"tusim/internal/modelcheck"
+	"tusim/internal/parmap"
 	"tusim/internal/system"
 	"tusim/internal/tso"
 	"tusim/internal/workload"
@@ -245,7 +246,7 @@ func ChaosLitmus(seed uint64, schedules, skews int, auditEvery uint64, workers i
 	cellPlan := func(c chaosCell) faults.Plan {
 		return faults.Schedule(faults.MixSeed(seed, uint64(c.mi), uint64(c.pi), uint64(c.si)))
 	}
-	failIdx, failErr := Parmap(context.Background(), workers, len(cells), func(i int) error {
+	failIdx, failErr := parmap.Parmap(context.Background(), workers, len(cells), func(i int) error {
 		c := cells[i]
 		m := config.Mechanisms[c.mi]
 		plan := cellPlan(c)
@@ -287,7 +288,7 @@ func ChaosBench(seed uint64, ops int, auditEvery uint64, workers int) (ChaosResu
 	cellPlan := func(bi int) faults.Plan {
 		return faults.Schedule(faults.MixSeed(seed, 0xBE9C4, uint64(bi)))
 	}
-	failIdx, failErr := Parmap(context.Background(), workers, len(benchs), func(bi int) error {
+	failIdx, failErr := parmap.Parmap(context.Background(), workers, len(benchs), func(bi int) error {
 		plan := cellPlan(bi)
 		_, err := RunChaosBench(benchs[bi], config.TUS, int64(seed), ops, 0, plan, auditEvery, 0)
 		return err

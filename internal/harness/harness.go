@@ -25,6 +25,7 @@ import (
 
 	"tusim/internal/config"
 	"tusim/internal/energy"
+	"tusim/internal/parmap"
 	"tusim/internal/stats"
 	"tusim/internal/supervise"
 	"tusim/internal/system"
@@ -393,7 +394,7 @@ func (r *Runner) publish(key string, out simOutcome) {
 // already contained them and the assemblies degrade around them, so the
 // prefetch keeps filling every other cell.
 func (r *Runner) Prefetch(ctx context.Context, cells []Cell) error {
-	_, err := Parmap(ctx, r.workers(), len(cells), func(i int) error {
+	_, err := parmap.Parmap(ctx, r.workers(), len(cells), func(i int) error {
 		c := cells[i]
 		_, err := r.run(ctx, c.Bench, CellKey(c), c.config)
 		if isQuarantined(err) {
@@ -402,54 +403,6 @@ func (r *Runner) Prefetch(ctx context.Context, cells []Cell) error {
 		return err
 	})
 	return err
-}
-
-// Parmap is the one worker pool (the harness's and tuscheck's): it runs
-// f(0..n-1) on up to workers goroutines (the caller's included, so one
-// worker is a plain serial loop) and returns the lowest failing index
-// with its error, or (-1, nil) on a clean sweep. Indices are claimed in
-// order and claiming stops at the first failure, so every index below a
-// failing one has run and the result is the serial sweep's at any
-// worker count. A done ctx also stops the claiming, and then wins:
-// (-1, ctx.Err()).
-func Parmap(ctx context.Context, workers, n int, f func(int) error) (int, error) {
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	claiming, stop := context.WithCancel(ctx)
-	defer stop()
-	var next atomic.Int64
-	work := func() {
-		for claiming.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if errs[i] = f(i); errs[i] != nil {
-				stop()
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return -1, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return i, err
-		}
-	}
-	return -1, nil
 }
 
 // isQuarantined reports whether err is a supervisor quarantine.

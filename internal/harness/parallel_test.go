@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tusim/internal/config"
+	"tusim/internal/parmap"
 	"tusim/internal/workload"
 )
 
@@ -118,7 +119,7 @@ func TestRunSingleflight(t *testing.T) {
 	b, _ := workload.ByName("503.bw2")
 	const callers = 8
 	results := make([]Result, callers)
-	if _, err := Parmap(context.Background(), callers, callers, func(i int) error {
+	if _, err := parmap.Parmap(context.Background(), callers, callers, func(i int) error {
 		res, err := r.Run(b, config.TUS, 114)
 		results[i] = res
 		return err
@@ -207,7 +208,7 @@ func TestRunRejectsInvalidBenchmark(t *testing.T) {
 func TestParmapOrderAndError(t *testing.T) {
 	for _, w := range []int{1, 3, 16} {
 		var hits [40]int32
-		if _, err := Parmap(context.Background(), w, len(hits), func(i int) error {
+		if _, err := parmap.Parmap(context.Background(), w, len(hits), func(i int) error {
 			hits[i]++
 			return nil
 		}); err != nil {
@@ -218,7 +219,7 @@ func TestParmapOrderAndError(t *testing.T) {
 				t.Fatalf("workers=%d: index %d ran %d times", w, i, h)
 			}
 		}
-		at, err := Parmap(context.Background(), w, 10, func(i int) error {
+		at, err := parmap.Parmap(context.Background(), w, 10, func(i int) error {
 			if i >= 4 {
 				return fmt.Errorf("boom %d", i)
 			}

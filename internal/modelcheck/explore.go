@@ -1,11 +1,15 @@
 package modelcheck
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"strconv"
 
 	"tusim/internal/config"
 	"tusim/internal/faults"
 	"tusim/internal/litmus"
+	"tusim/internal/parmap"
 )
 
 // ExploreOpts bounds a controlled-schedule exploration of the real
@@ -104,8 +108,8 @@ type Exploration struct {
 	BudgetExhausted bool
 	// Violation is the first contract violation encountered, if any.
 	Violation *Violation
-	// Transcript logs every run in execution order (deterministic:
-	// identical invocations produce identical transcripts).
+	// Transcript logs every run in the serial walk's order (identical
+	// invocations produce identical transcripts at any GOMAXPROCS).
 	Transcript []string
 }
 
@@ -127,6 +131,8 @@ func appendScript(b []byte, ds []faults.Decision) []byte {
 // prefix deepening: run the quiet schedule, then re-run with each of
 // the first MaxDecisions consumed choice points flipped through its
 // alternatives, expanding only choice points a run actually reached.
+// Each level of the tree runs on every CPU through the shared pool and
+// is committed in queue order, so the result is the serial walk's.
 // Every terminal outcome is recorded; the first checker/auditor/crash
 // failure, or the first outcome outside the oracle's TSO-allowed set,
 // stops the cell with a minimized, replayable schedule. A program the
@@ -164,55 +170,70 @@ func explore(test litmus.Test, m config.Mechanism, opts ExploreOpts, oracle *Ora
 				ex.BudgetExhausted = true
 				return ex
 			}
-			script := queue[0]
-			queue = queue[1:]
+			// A level is the queue as it stands, capped by the budget. The
+			// pool stops at its first failing run; the commit loop finds it.
+			level := queue[:min(len(queue), opts.MaxRuns-ex.Runs)]
+			queue = queue[len(level):]
+			runs := make([]scriptedRun, len(level))
+			_, _ = parmap.Parmap(context.TODO(), runtime.GOMAXPROCS(0), len(level), func(i int) error {
+				runs[i] = runScripted(test, m, runRef{Skew: skew, Script: level[i]}, opts)
+				if runs[i].err == nil && !oracle.Allowed(runs[i].obs) {
+					return errors.New("outcome outside the TSO-allowed set")
+				}
+				return runs[i].err
+			})
 
-			ref := runRef{Skew: skew, Script: script}
-			obs, trace, err := runScripted(test, m, ref, opts)
-			ex.Runs++
+			// Commit in queue order, so the walk is the serial one at any
+			// worker count. Every run before the first violation has run (a
+			// pruned run repeats a committed schedule, so it is never it).
+			for k, script := range level {
+				r := runs[k]
+				ref := runRef{Skew: skew, Script: script}
+				ex.Runs++
 
-			buf = strconv.AppendInt(append(buf[:0], "skew="...), int64(skew), 10)
-			buf = appendScript(append(buf, " script="...), script)
-			if err != nil {
-				ex.Transcript = append(ex.Transcript, string(buf)+" -> ERROR "+err.Error())
-				ex.Violation = minimize(test, m, opts, oracle, &Violation{
-					Ref: ref, Err: err, Reason: "run failed under a legal schedule",
-				})
-				return ex
-			}
-			key := Key(obs)
-			buf = append(append(buf, " -> "...), key...)
-			ex.Transcript = append(ex.Transcript, string(buf))
-			buf = appendScript(buf[:0], trace)
-			if seen[string(buf)] {
-				ex.Pruned++
-				continue
-			}
-			seen[string(buf)] = true
+				buf = strconv.AppendInt(append(buf[:0], "skew="...), int64(skew), 10)
+				buf = appendScript(append(buf, " script="...), script)
+				if r.err != nil {
+					ex.Transcript = append(ex.Transcript, string(buf)+" -> ERROR "+r.err.Error())
+					ex.Violation = minimize(test, m, opts, oracle, &Violation{
+						Ref: ref, Err: r.err, Reason: "run failed under a legal schedule",
+					})
+					return ex
+				}
+				key := Key(r.obs)
+				buf = append(append(buf, " -> "...), key...)
+				ex.Transcript = append(ex.Transcript, string(buf))
+				buf = appendScript(buf[:0], r.trace)
+				if seen[string(buf)] {
+					ex.Pruned++
+					continue
+				}
+				seen[string(buf)] = true
 
-			ex.Outcomes[key]++
-			if !oracle.Allowed(obs) {
-				ex.Violation = minimize(test, m, opts, oracle, &Violation{
-					Ref: ref, Outcome: obs, Reason: "outcome outside the TSO-allowed set",
-				})
-				return ex
-			}
+				ex.Outcomes[key]++
+				if !oracle.Allowed(r.obs) {
+					ex.Violation = minimize(test, m, opts, oracle, &Violation{
+						Ref: ref, Outcome: r.obs, Reason: "outcome outside the TSO-allowed set",
+					})
+					return ex
+				}
 
-			// Expand: flip each newly consumed choice point within the
-			// deepening bound through its alternatives.
-			limit := len(trace)
-			if limit > opts.MaxDecisions {
-				limit = opts.MaxDecisions
-				ex.Deepened = true
-			}
-			for i := len(script); i < limit; i++ {
-				for _, alt := range trace[i].Alternatives() {
-					if alt == trace[i].Val {
-						continue
+				// Expand: flip each newly consumed choice point within the
+				// deepening bound through its alternatives.
+				limit := len(r.trace)
+				if limit > opts.MaxDecisions {
+					limit = opts.MaxDecisions
+					ex.Deepened = true
+				}
+				for i := len(script); i < limit; i++ {
+					for _, alt := range r.trace[i].Alternatives() {
+						if alt == r.trace[i].Val {
+							continue
+						}
+						next := append([]faults.Decision(nil), r.trace[:i+1]...)
+						next[i].Val = alt
+						queue = append(queue, next)
 					}
-					next := append([]faults.Decision(nil), trace[:i+1]...)
-					next[i].Val = alt
-					queue = append(queue, next)
 				}
 			}
 		}
@@ -220,16 +241,22 @@ func explore(test litmus.Test, m config.Mechanism, opts ExploreOpts, oracle *Ora
 	return ex
 }
 
-// runScripted executes one litmus run under a scripted decision source,
-// returning the outcome and the consumed decision trace.
-func runScripted(test litmus.Test, m config.Mechanism, ref runRef, opts ExploreOpts) (Outcome, []faults.Decision, error) {
+// scriptedRun is one run's outcome, consumed decision trace and error.
+type scriptedRun struct {
+	obs   Outcome
+	trace []faults.Decision
+	err   error
+}
+
+// runScripted executes one litmus run under a scripted decision source.
+func runScripted(test litmus.Test, m config.Mechanism, ref runRef, opts ExploreOpts) scriptedRun {
 	src := faults.NewScriptSource(ref.Script)
 	obs, err := litmus.RunOne(test, m, ref.Skew, litmus.Opts{
 		Faults:     opts.Plan,
 		Source:     src,
 		AuditEvery: opts.AuditEvery,
 	})
-	return obs, src.Trace(), err
+	return scriptedRun{obs, src.Trace(), err}
 }
 
 // minimize shrinks a violating schedule: first truncate decisions off
@@ -244,8 +271,8 @@ func minimize(test litmus.Test, m config.Mechanism, opts ExploreOpts, oracle *Or
 			return false
 		}
 		budget--
-		obs, _, err := runScripted(test, m, runRef{Skew: v.Ref.Skew, Script: script}, opts)
-		return err != nil || !oracle.Allowed(obs)
+		r := runScripted(test, m, runRef{Skew: v.Ref.Skew, Script: script}, opts)
+		return r.err != nil || !oracle.Allowed(r.obs)
 	}
 
 	script := append([]faults.Decision(nil), v.Ref.Script...)
@@ -269,11 +296,10 @@ func minimize(test litmus.Test, m config.Mechanism, opts ExploreOpts, oracle *Or
 	}
 
 	// Re-run the minimized schedule to refresh the violation evidence.
-	obs, _, err := runScripted(test, m, runRef{Skew: v.Ref.Skew, Script: script}, opts)
-	if err != nil || !oracle.Allowed(obs) {
+	if r := runScripted(test, m, runRef{Skew: v.Ref.Skew, Script: script}, opts); r.err != nil || !oracle.Allowed(r.obs) {
 		v.Ref.Script = script
-		v.Outcome = obs
-		v.Err = err
+		v.Outcome = r.obs
+		v.Err = r.err
 	}
 	return v
 }

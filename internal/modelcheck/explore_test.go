@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,25 +141,76 @@ func TestExploreSchedulesDiverge(t *testing.T) {
 // explorer judges outcomes against the set it is given, not just
 // crashes, and that minimization converges.
 func TestCheckCatchesDoctoredOracleSet(t *testing.T) {
-	sb := testByName(t, "SB")
-	oracle, err := Oracle(sb, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doctored := *oracle
-	doctored.Outcomes = map[string]Outcome{}
-	for k, o := range oracle.Outcomes {
-		if k != "[0 0]" {
-			doctored.Outcomes[k] = o
-		}
-	}
-	ex := explore(sb, config.TUS, quickOpts(), &doctored)
+	ex := explore(testByName(t, "SB"), config.TUS, quickOpts(), doctoredSB(t, "[0 0]"))
 	v := ex.Violation
 	if v == nil {
 		t.Fatalf("outcome outside the doctored set never flagged; census: %v", ex.Outcomes)
 	}
 	if v.Err != nil || Key(v.Outcome) != "[0 0]" || v.Reason != "outcome outside the TSO-allowed set" {
 		t.Fatalf("violation = %+v, want the outcome [0 0] outside the TSO-allowed set", v)
+	}
+}
+
+// doctoredSB is SB's allowed set without the outcome cut, which the
+// machine reaches.
+func doctoredSB(t *testing.T, cut string) *OracleResult {
+	t.Helper()
+	oracle, err := Oracle(testByName(t, "SB"), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doctored := *oracle
+	doctored.Outcomes = map[string]Outcome{}
+	for k, o := range oracle.Outcomes {
+		if k != cut {
+			doctored.Outcomes[k] = o
+		}
+	}
+	return &doctored
+}
+
+// atWorkerCounts runs f under GOMAXPROCS 1 and 4: the explorer's pool
+// is GOMAXPROCS wide, so these are a serial walk and a concurrent one.
+func atWorkerCounts[T any](t *testing.T, f func() T) (serial, concurrent T) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial = f()
+	runtime.GOMAXPROCS(4)
+	return serial, f()
+}
+
+// TestExploreSameAtAnyWorkerCount: a level's runs finish in any order,
+// but they are committed in queue order, so the whole exploration —
+// transcript, census, counts and flags — is the serial walk's.
+func TestExploreSameAtAnyWorkerCount(t *testing.T) {
+	for _, lt := range litmus.Tests() {
+		for _, m := range []config.Mechanism{config.Baseline, config.CSB, config.TUS} {
+			serial, concurrent := atWorkerCounts(t, func() *Exploration { return Explore(lt, m, quickOpts()) })
+			if !reflect.DeepEqual(serial, concurrent) {
+				t.Errorf("%s/%v: exploration differs between 1 and 4 workers:\n  1: runs %d pruned %d census %v\n  4: runs %d pruned %d census %v",
+					lt.Name, m, serial.Runs, serial.Pruned, serial.Outcomes, concurrent.Runs, concurrent.Pruned, concurrent.Outcomes)
+			}
+		}
+	}
+}
+
+// TestViolationSameAtAnyWorkerCount: with each of SB's outcomes cut
+// from its allowed set in turn, the pool stops at the first run outside
+// the doctored set and nothing after it is committed, so the violation,
+// its minimized schedule and the transcript up to it are the serial
+// walk's. [1 0] first appears as the second run of a level of six.
+func TestViolationSameAtAnyWorkerCount(t *testing.T) {
+	sb := testByName(t, "SB")
+	for _, cut := range []string{"[0 0]", "[0 1]", "[1 0]", "[1 1]"} {
+		doctored := doctoredSB(t, cut)
+		serial, concurrent := atWorkerCounts(t, func() *Exploration { return explore(sb, config.TUS, quickOpts(), doctored) })
+		if serial.Violation == nil || Key(serial.Violation.Outcome) != cut {
+			t.Fatalf("without %s: violation = %+v, want that outcome flagged", cut, serial.Violation)
+		}
+		if !reflect.DeepEqual(serial, concurrent) {
+			t.Errorf("without %s: violation differs between 1 and 4 workers:\n  1: %+v after %d runs\n  4: %+v after %d runs",
+				cut, serial.Violation, serial.Runs, concurrent.Violation, concurrent.Runs)
+		}
 	}
 }
 
