@@ -18,9 +18,11 @@ test: build
 short:
 	$(GO) test -short ./...
 
-# race: the protocol-heavy packages under the race detector, and the
-# explorer's concurrent schedule runs (each level of a cell's schedule
-# tree fans out to the pool).
+# race: the protocol-heavy packages under the race detector (in
+# internal/system, the quiescence-skip identity tests: every litmus
+# program explored on the fast and the reference machine, and the
+# skip-share pin), and the explorer's concurrent schedule runs (each
+# level of a cell's schedule tree fans out to the pool).
 race:
 	$(GO) test -short -race ./internal/system/ ./internal/litmus/
 	$(GO) test -short -race -run 'AnyWorkerCount|TranscriptPinned|Doctored' ./internal/modelcheck/

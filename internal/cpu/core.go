@@ -29,7 +29,24 @@ type DrainMechanism interface {
 	// globally visible (fence/serializing semantics; for TUS this
 	// additionally requires an empty WOQ).
 	FlushDone() bool
+	// Quiescent describes the next ticks, given that no event fires
+	// before them; fence says the core asks FlushDone in each of them.
+	Quiescent(fence bool) Idle
 }
+
+// Idle describes a drain mechanism's quiescent ticks: up to Ticks of
+// them in a row (0: the next one may act; Forever: until an event)
+// change nothing but bump Blocked and sample Occ at OccLen, each when
+// set. The run loop skips them and accounts them in bulk.
+type Idle struct {
+	Ticks   uint64
+	Blocked *stats.Counter
+	Occ     *stats.Histogram
+	OccLen  uint64
+}
+
+// Forever is Idle.Ticks when only an event can end the wait.
+const Forever = ^uint64(0)
 
 type robEntry struct {
 	seq      uint64
@@ -125,6 +142,11 @@ type Core struct {
 	cSBBlocked, cFenceStall, cSBOverflow     *stats.Counter
 
 	hSBOcc, hDrainLat *stats.Histogram
+
+	// idleStalls (fence, dispatch; nil when none) and idleMech are what
+	// the last Quiescent found the skipped ticks would bump.
+	idleStalls [2]*stats.Counter
+	idleMech   Idle
 
 	// tr is the lifecycle tracer; nil (the default) records nothing and
 	// costs one branch per Emit.
@@ -299,6 +321,58 @@ func (c *Core) Tick() {
 	c.dispatch()
 	if c.mech != nil {
 		c.mech.Tick()
+	}
+}
+
+// Quiescent reports how many ticks in a row, from the next one on,
+// would change nothing but what Skip accounts, given that no event
+// fires before them; 0 when the next tick may act. Such a tick issues
+// nothing (a blocked load may only wait on a fence), commits nothing
+// (the ROB head is unfinished, or a fence still waits), cannot dispatch
+// the next op and finds the drain mechanism quiescent too.
+func (c *Core) Quiescent() uint64 {
+	if len(c.ready) > 0 || c.mech == nil {
+		return 0
+	}
+	for _, seq := range c.blockedLoads {
+		if !c.blockedByFence(seq) {
+			return 0
+		}
+	}
+	fence := false
+	c.idleStalls = [2]*stats.Counter{}
+	if c.robCount > 0 {
+		if e := c.entry(c.robHead); e.op.Kind == isa.Fence {
+			h := c.SB.Head()
+			fence = h == nil || h.Seq > e.seq // commit will ask FlushDone
+			c.idleStalls[0] = c.cFenceStall
+		} else if e.done {
+			return 0
+		}
+	}
+	if c.haveNext {
+		if c.idleStalls[1] = c.stallOf(&c.nextOp); c.idleStalls[1] == nil {
+			return 0
+		}
+	} else if !c.eof {
+		return 0
+	}
+	c.idleMech = c.mech.Quiescent(fence)
+	return c.idleMech.Ticks
+}
+
+// Skip accounts n ticks that the last Quiescent allowed: the cycles,
+// the occupancy samples and the stall counters they would bump.
+func (c *Core) Skip(n uint64) {
+	c.cCycles.Add(n)
+	c.hSBOcc.ObserveN(uint64(c.SB.Len()), n)
+	for _, ctr := range [...]*stats.Counter{c.idleStalls[0], c.idleStalls[1], c.idleMech.Blocked} {
+		if ctr != nil {
+			ctr.Add(n)
+		}
+	}
+	if m := c.idleMech; m.Occ != nil {
+		m.Occ.ObserveN(m.OccLen, n)
 	}
 }
 
@@ -672,21 +746,7 @@ func (c *Core) dispatch() {
 		if op == nil {
 			break
 		}
-		if c.robCount == c.robCap {
-			stall = c.cStallROB
-			break
-		}
-		switch op.Kind {
-		case isa.Load:
-			if c.lqCount == c.cfg.LQEntries {
-				stall = c.cStallLQ
-			}
-		case isa.Store:
-			if c.SB.Full() {
-				stall = c.cStallSB
-			}
-		}
-		if stall != nil {
+		if stall = c.stallOf(op); stall != nil {
 			break
 		}
 		if !c.dispatchOp(*op) {
@@ -699,6 +759,20 @@ func (c *Core) dispatch() {
 	if dispatched == 0 && stall != nil {
 		stall.Inc()
 	}
+}
+
+// stallOf names the stall counter of a full ROB, LQ or SB that keeps op
+// from dispatching, or nil when it may dispatch.
+func (c *Core) stallOf(op *isa.MicroOp) *stats.Counter {
+	switch {
+	case c.robCount == c.robCap:
+		return c.cStallROB
+	case op.Kind == isa.Load && c.lqCount == c.cfg.LQEntries:
+		return c.cStallLQ
+	case op.Kind == isa.Store && c.SB.Full():
+		return c.cStallSB
+	}
+	return nil
 }
 
 func (c *Core) dispatchOp(op isa.MicroOp) bool {

@@ -47,6 +47,9 @@ func (d *testDrain) Forward(addr uint64, size uint8) (ForwardResult, [8]byte) {
 func (d *testDrain) Drained() bool   { return true }
 func (d *testDrain) FlushDone() bool { return true }
 
+// Quiescent never lets a run loop skip: the rig ticks cores by hand.
+func (d *testDrain) Quiescent(bool) Idle { return Idle{} }
+
 func newCoreRig(t *testing.T, ops []isa.MicroOp, mut func(*config.Config)) *coreRig {
 	t.Helper()
 	cfg := config.Default()

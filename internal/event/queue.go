@@ -259,9 +259,9 @@ func (q *Queue) nearNext() (uint64, bool) {
 	panic("event: wheel occupancy bitmap out of sync")
 }
 
-// nextPending returns the earliest pending cycle across the wheel and
-// the overflow heap.
-func (q *Queue) nextPending() (uint64, bool) {
+// NextPending returns the earliest pending cycle across the wheel and
+// the overflow heap (ok is false when nothing is pending).
+func (q *Queue) NextPending() (uint64, bool) {
 	best, ok := q.nearNext()
 	if len(q.heap) > 0 && (!ok || q.heap[0].cycle < best) {
 		return q.heap[0].cycle, true
@@ -312,7 +312,7 @@ func (q *Queue) fireCycle(c uint64) {
 // Events may schedule further events for the same cycle; those run too.
 func (q *Queue) RunDue() {
 	for q.n > 0 {
-		c, ok := q.nextPending()
+		c, ok := q.NextPending()
 		if !ok || c > q.now {
 			return
 		}
@@ -327,11 +327,15 @@ func (q *Queue) Advance() {
 	q.RunDue()
 }
 
+// Skip moves the clock n cycles on and runs nothing; the caller keeps
+// the new clock short of NextPending, so each slot keeps one cycle.
+func (q *Queue) Skip(n uint64) { q.now += n }
+
 // Drain runs events until the queue is empty, advancing time as needed,
 // or until maxCycle is reached. It returns the final cycle.
 func (q *Queue) Drain(maxCycle uint64) uint64 {
 	for {
-		next, ok := q.nextPending()
+		next, ok := q.NextPending()
 		if !ok || next > maxCycle {
 			return q.now
 		}

@@ -2,15 +2,19 @@ package harness
 
 import (
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"tusim/internal/audit"
 	"tusim/internal/config"
 	"tusim/internal/faults"
+	"tusim/internal/isa"
 	"tusim/internal/litmus"
 	"tusim/internal/modelcheck"
 	"tusim/internal/system"
+	"tusim/internal/tso"
 )
 
 // TestChaosFuzzMatrix sweeps the full chaos matrix — every mechanism ×
@@ -252,5 +256,63 @@ func TestBundleRejectsGarbage(t *testing.T) {
 	b := &ReproBundle{Kind: "nonsense"}
 	if err := b.Replay(); err == nil {
 		t.Fatal("replaying an unknown bundle kind succeeded")
+	}
+}
+
+// TestChaosRereadsNackedWriteBack reaches what the seeded chaos matrix
+// never pairs: a dirty line evicted from a tiny private hierarchy while
+// the directory NACKs its write-back, then read again before the
+// write-back's retry lands. That load must wait for the write-back (a
+// line whose PLine.wb is set starts no miss): the directory still lists
+// the core as the line's owner, so a miss started early is granted the
+// LLC's stale copy without a probe and the core reads around its own
+// store, which the per-cycle audit reports as a directory that no
+// longer names the owner (and the TSO checker as a lost store). Seeded
+// NACKs, every mechanism.
+func TestChaosRereadsNackedWriteBack(t *testing.T) {
+	// Six lines share one set of a 2-way L2 (and of a 2-way L1). Each
+	// round stores to one line, fences it out, reads two others, whose
+	// fills evict the stored line dirty, and then reads the stored line
+	// back as soon as the second fill lands (a data dependence on it).
+	const l2Sets = 4
+	rng := rand.New(rand.NewSource(5))
+	var ops []isa.MicroOp
+	for i := 0; i < 40; i++ {
+		l := rng.Perm(6)
+		a, b, c := l[0], l[1], l[2]
+		at := func(k int) uint64 { return uint64(1<<30) + uint64(k)*l2Sets*64 }
+		ops = append(ops,
+			isa.MicroOp{Kind: isa.Store, Addr: at(a), Size: 8},
+			isa.MicroOp{Kind: isa.Fence},
+			isa.MicroOp{Kind: isa.Load, Addr: at(b), Size: 8},
+			isa.MicroOp{Kind: isa.Load, Addr: at(c), Size: 8},
+			isa.MicroOp{Kind: isa.Load, Addr: at(a), Size: 8, Dep1: 1})
+	}
+	for _, m := range config.Mechanisms {
+		for _, seed := range []uint64{1, 2} {
+			cfg := config.Default().WithMechanism(m)
+			cfg.L1D.SizeBytes, cfg.L1D.Ways = 2*64*2, 2
+			cfg.L2.SizeBytes, cfg.L2.Ways = l2Sets*64*2, 2
+			sys, err := system.New(cfg, []isa.Stream{isa.NewSliceStream(ops)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck := tso.NewChecker(1)
+			sys.SetObserver(ck)
+			if err := sys.InstallFaults(faults.NewInjector(faults.Plan{Seed: seed, NackPct: 40})); err != nil {
+				t.Fatal(err)
+			}
+			audit.Install(sys, 1)
+			if err := sys.Run(); err != nil {
+				t.Fatalf("%v seed %d: %v", m, seed, err)
+			}
+			ck.Finish()
+			if err := ck.Err(); err != nil {
+				t.Fatalf("%v seed %d: %v", m, seed, err)
+			}
+			if sys.StatsSum().Get("writebacks") == 0 {
+				t.Fatalf("%v seed %d: no write-back", m, seed)
+			}
+		}
 	}
 }

@@ -58,9 +58,14 @@ type lookahead struct {
 	gen, epoch uint64
 }
 
+// still reports that walk would skip: its key has not moved.
+func (l *lookahead) still() bool {
+	return !l.ref && l.gen == l.ring.Gen() && l.epoch == l.priv.PermEpoch()
+}
+
 func (l *lookahead) walk() {
-	if gen, epoch := l.ring.Gen(), l.priv.PermEpoch(); l.ref || gen != l.gen || epoch != l.epoch {
-		l.gen, l.epoch = gen, epoch
+	if !l.still() {
+		l.gen, l.epoch = l.ring.Gen(), l.priv.PermEpoch()
 		l.ring.LookaheadLines(l.k, l.priv.KeepWritable)
 	}
 }
@@ -101,3 +106,14 @@ func (b *Base) Drained() bool { return true }
 
 // FlushDone implements cpu.DrainMechanism.
 func (b *Base) FlushDone() bool { return true }
+
+// Quiescent implements cpu.DrainMechanism; a fence commits at once.
+func (b *Base) Quiescent(fence bool) cpu.Idle {
+	switch e := b.core.SB.Head(); {
+	case !fence && (e == nil || !e.Committed):
+		return cpu.Idle{Ticks: cpu.Forever}
+	case !fence && b.requested && b.still() && !b.priv.Writable(e.Line()):
+		return cpu.Idle{Ticks: cpu.Forever, Blocked: b.cBlocked}
+	}
+	return cpu.Idle{}
+}

@@ -30,6 +30,7 @@ type CSB struct {
 	// lineScratch holds the flushing group's lines, lex-sorted by startFlush.
 	lineScratch []uint64
 	idle        int
+	waited      uint64 // PermEpoch before the last attempt that left the group waiting
 
 	cDrained, cBlocked, cGroupWrites *stats.Counter
 	cCoalesced, cWCBSearch           *stats.Counter
@@ -66,8 +67,10 @@ func (c *CSB) SetTracer(t *trace.Tracer) { c.tr = t }
 // Tick implements cpu.DrainMechanism.
 func (c *CSB) Tick() {
 	if c.flushing != nil {
+		epoch := c.priv.PermEpoch()
 		c.advanceFlush()
 		if c.flushing != nil {
+			c.waited = epoch
 			c.cBlocked.Inc()
 			return
 		}
@@ -180,6 +183,19 @@ func (c *CSB) Forward(addr uint64, size uint8) (cpu.ForwardResult, [8]byte) {
 
 // Drained implements cpu.DrainMechanism.
 func (c *CSB) Drained() bool { return c.wcbs.Empty() && c.flushing == nil }
+
+// Quiescent implements cpu.DrainMechanism: a flushing group waits while
+// PermEpoch is what its last attempt started from (as lookahead's walk
+// does); else the drain is idle only with nothing to drain or flush.
+func (c *CSB) Quiescent(fence bool) cpu.Idle {
+	switch e := c.core.SB.Head(); {
+	case c.flushing != nil && c.waited == c.priv.PermEpoch():
+		return cpu.Idle{Ticks: cpu.Forever, Blocked: c.cBlocked}
+	case c.flushing == nil && !fence && c.still() && (e == nil || !e.Committed) && c.wcbs.Empty():
+		return cpu.Idle{Ticks: cpu.Forever}
+	}
+	return cpu.Idle{}
+}
 
 // FlushDone reports whether every coalesced store reached the cache;
 // while stores linger the idle timer pushes them out, so a waiting

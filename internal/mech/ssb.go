@@ -159,3 +159,20 @@ func (s *SSB) Drained() bool { return s.tsob.Empty() }
 
 // FlushDone implements cpu.DrainMechanism.
 func (s *SSB) FlushDone() bool { return s.tsob.Empty() }
+
+// Quiescent implements cpu.DrainMechanism: no store can enter the TSOB,
+// and its head, if any, waits on the write port or on its request.
+func (s *SSB) Quiescent(fence bool) cpu.Idle {
+	e, h := s.core.SB.Head(), s.tsob.Head()
+	idle := cpu.Idle{Ticks: cpu.Forever, Occ: s.hTSOBOcc, OccLen: uint64(s.tsob.Len())}
+	switch {
+	case fence && h == nil, e != nil && e.Committed && !s.tsob.Full():
+		return cpu.Idle{}
+	case h == nil:
+		return idle
+	case s.still() && (s.llcInflight >= ssbLLCWritePort || s.requested && !s.priv.Writable(h.Line())):
+		idle.Blocked = s.cBlocked
+		return idle
+	}
+	return cpu.Idle{}
+}

@@ -46,11 +46,14 @@ func bucketOf(v uint64) int {
 
 // Observe records one sample. It is a handful of atomic adds and never
 // allocates; safe for concurrent producers.
-func (h *Histogram) Observe(v uint64) {
-	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
+func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of v, as n calls of Observe would.
+func (h *Histogram) ObserveN(v, n uint64) {
+	h.buckets[bucketOf(v)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
+	for n > 0 {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			return

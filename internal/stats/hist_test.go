@@ -107,6 +107,58 @@ func TestObserveZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: n samples at once leave exactly the state n
+// calls of Observe leave, zero samples included.
+func TestHistogramObserveN(t *testing.T) {
+	for _, c := range []struct{ v, n uint64 }{{0, 5}, {1, 1}, {37, 1000}, {1 << 40, 3}, {9, 0}} {
+		bulk, one := &Histogram{}, &Histogram{}
+		bulk.Observe(4) // a prior sample, so max and sums start nonzero
+		one.Observe(4)
+		bulk.ObserveN(c.v, c.n)
+		for i := uint64(0); i < c.n; i++ {
+			one.Observe(c.v)
+		}
+		if got, want := bulk.Snapshot(), one.Snapshot(); got != want {
+			t.Errorf("ObserveN(%d, %d) = %+v, want %+v", c.v, c.n, got, want)
+		}
+	}
+}
+
+func TestObserveNZeroAlloc(t *testing.T) {
+	h := NewSet("t").Histogram("hot")
+	if n := testing.AllocsPerRun(1000, func() { h.ObserveN(42, 7) }); n != 0 {
+		t.Errorf("ObserveN allocates %v per call, want 0", n)
+	}
+}
+
+// TestHistogramObserveNConcurrent: ObserveN shares a handle between
+// producers as Observe does; totals stay exact and the largest value
+// survives the max CAS race.
+func TestHistogramObserveNConcurrent(t *testing.T) {
+	h := &Histogram{name: "c"}
+	const workers, per, n = 8, 1000, 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.ObserveN(uint64(w*per+i), n)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if h.Count() != workers*per*n {
+		t.Errorf("Count = %d, want %d", h.Count(), workers*per*n)
+	}
+	if want := n * uint64(workers*per) * (workers*per - 1) / 2; h.Sum() != want {
+		t.Errorf("Sum = %d, want %d", h.Sum(), want)
+	}
+	if h.Max() != workers*per-1 {
+		t.Errorf("Max = %d, want %d", h.Max(), workers*per-1)
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	var empty HistSnapshot
 	if empty.Quantile(0.5) != 0 {

@@ -240,3 +240,21 @@ func TestSnapshotDuringMerge(t *testing.T) {
 		t.Fatalf("c00 = %d, want 100", got)
 	}
 }
+
+// TestSetRegistersInPlace: a machine's worth of counters and histograms
+// registers into the order slices NewSet sized, without regrowing them.
+func TestSetRegistersInPlace(t *testing.T) {
+	s := NewSet("core0")
+	s.Counter("c0")
+	s.Histogram("h0")
+	order, hist := &s.order[0], &s.histOrder[0]
+	for i := 1; i < setSizeHint; i++ {
+		s.Counter(fmt.Sprintf("c%d", i))
+	}
+	for i := 1; i < 8; i++ {
+		s.Histogram(fmt.Sprintf("h%d", i))
+	}
+	if &s.order[0] != order || &s.histOrder[0] != hist {
+		t.Error("registering a machine's counters and histograms regrew the order slices")
+	}
+}

@@ -47,6 +47,46 @@ func TestWatchdogCrashReport(t *testing.T) {
 	if _, jerr := json.Marshal(cr); jerr != nil {
 		t.Fatalf("report does not serialize: %v", jerr)
 	}
+
+	// The run loop's idle-cycle skip stops at the watchdog's cycle: the
+	// report matches the reference machine's, which ticks every cycle,
+	// also for a window long enough that the fast machine skips into it.
+	for _, window := range []uint64{3, 100} {
+		cfg := config.Default()
+		cfg.WatchdogWindow = window
+		sys, fast, ref := crashOnBoth(t, cfg, stallTrace)
+		if fast.Kind != CrashWatchdog || fast.Cycle != ref.Cycle || fast.Message != ref.Message {
+			t.Errorf("window %d: fast machine %s at cycle %d (%q), reference %s at %d (%q)",
+				window, fast.Kind, fast.Cycle, fast.Message, ref.Kind, ref.Cycle, ref.Message)
+		}
+		if window == 100 && sys.skipped == 0 {
+			t.Errorf("window %d: the fast machine skipped no cycle", window)
+		}
+	}
+}
+
+// crashOnBoth runs the streams mk builds on the fast machine and on the
+// reference machine, both configured as cfg, and returns the fast
+// machine with both runs' crash reports.
+func crashOnBoth(t *testing.T, cfg *config.Config, mk func() []isa.Stream) (*System, *CrashReport, *CrashReport) {
+	t.Helper()
+	var sys *System
+	var crs [2]*CrashReport
+	for i, ref := range []bool{false, true} {
+		c := *cfg
+		c.Reference = ref
+		s, err := New(&c, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); !errors.As(err, &crs[i]) {
+			t.Fatalf("reference=%v: Run = %v, want a *CrashReport", ref, err)
+		}
+		if !ref {
+			sys = s
+		}
+	}
+	return sys, crs[0], crs[1]
 }
 
 // TestWatchdogCrashReportShowsTSOB: under SSB the SB is empty by design,
@@ -150,6 +190,17 @@ func TestMaxCyclesCrashReport(t *testing.T) {
 	}
 	if cr.Kind != CrashMaxCycles {
 		t.Fatalf("kind = %q, want %q", cr.Kind, CrashMaxCycles)
+	}
+
+	// The fast machine skips the idle miss wait up to MaxCycles and no
+	// further: same cycle and message as the reference machine.
+	sys, fast, ref := crashOnBoth(t, cfg, stallTrace)
+	if fast.Kind != CrashMaxCycles || fast.Cycle != cfg.MaxCycles || fast.Cycle != ref.Cycle || fast.Message != ref.Message {
+		t.Errorf("fast machine %s at cycle %d (%q), reference %s at %d (%q), want cycle %d",
+			fast.Kind, fast.Cycle, fast.Message, ref.Kind, ref.Cycle, ref.Message, cfg.MaxCycles)
+	}
+	if sys.skipped == 0 {
+		t.Error("the fast machine skipped no cycle of the miss wait")
 	}
 }
 

@@ -182,5 +182,9 @@ func TestWheelAuditorCadence(t *testing.T) {
 		if cr.Cycle != 5*period {
 			t.Errorf("ref=%v: crash at cycle %d, want %d", ref, cr.Cycle, 5*period)
 		}
+		// The audit is an event, so it bounds the run loop's idle skip.
+		if !ref && sys.skipped == 0 {
+			t.Error("the fast machine skipped no cycle, so no skip met an audit")
+		}
 	}
 }

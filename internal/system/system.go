@@ -62,6 +62,7 @@ type System struct {
 	auditFn   event.Func2 // auditTick, bound once by SetAuditor
 	auditErr  *faults.ProtocolError
 	ctx       context.Context // polled by Run; nil never stops it
+	skipped   uint64          // cycles Run jumped over (see skip)
 
 	// WarmupOps discards statistics until this many micro-ops have
 	// committed machine-wide (the paper warms for 200M instructions
@@ -72,11 +73,20 @@ type System struct {
 	warmed    bool
 }
 
+// reference makes New build every machine as config.Reference would;
+// only tests set it (export_test.go).
+var reference bool
+
 // New builds a machine running one micro-op stream per core.
 // len(streams) must equal cfg.Cores.
 func New(cfg *config.Config, streams []isa.Stream) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if reference && !cfg.Reference {
+		ref := *cfg
+		ref.Reference = true
+		cfg = &ref
 	}
 	if len(streams) != cfg.Cores {
 		return nil, fmt.Errorf("system: %d streams for %d cores", len(streams), cfg.Cores)
@@ -290,6 +300,9 @@ func (s *System) Run() (err error) {
 		if s.ctx != nil && s.Q.Now()%ctxPoll == 0 && s.ctx.Err() != nil {
 			return context.Cause(s.ctx)
 		}
+		if !s.Cfg.Reference && s.skip(min(s.Cfg.MaxCycles, lastProgress+watchdogWindow+1, (s.Q.Now()/ctxPoll+1)*ctxPoll)) {
+			continue // the checks above run again at the new cycle
+		}
 		s.Q.Advance()
 		for _, c := range s.Cores {
 			c.Tick()
@@ -298,6 +311,30 @@ func (s *System) Run() (err error) {
 			return s.crash(CrashAudit, s.auditErr, s.auditErr.Error())
 		}
 	}
+}
+
+// skip jumps the clock over the ticks in which no core can act, to no
+// later than cycle limit (where a check at the top of Run may fire),
+// accounts them as they would have counted, and reports whether it
+// moved the clock. The reference machine's run loop ticks every cycle.
+func (s *System) skip(limit uint64) bool {
+	now := s.Q.Now()
+	if next, ok := s.Q.NextPending(); ok {
+		limit = min(limit, max(next, now+1)-1) // the tick at next runs its events
+	}
+	n := max(limit, now) - now // a bound that wrapped past 2^64 skips nothing
+	for i := 0; i < len(s.Cores) && n > 0; i++ {
+		n = min(n, s.Cores[i].Quiescent())
+	}
+	if n == 0 {
+		return false
+	}
+	for _, c := range s.Cores {
+		c.Skip(n)
+	}
+	s.Q.Skip(n)
+	s.skipped += n
+	return true
 }
 
 // statsFinalizer lets mechanisms export internal counters at run end.

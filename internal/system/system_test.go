@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tusim/internal/config"
+	"tusim/internal/faults"
 	"tusim/internal/isa"
 	"tusim/internal/memsys"
 	"tusim/internal/tso"
@@ -33,13 +34,6 @@ func runChecked(t *testing.T, cfg *config.Config, streams []isa.Stream) (*System
 		t.Fatalf("[%v] %v", cfg.Mechanism, err)
 	}
 	return sys, ck
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // mixedTrace builds a small single-core trace exercising every op kind.
@@ -312,4 +306,39 @@ func TestRunStopsOnContext(t *testing.T) {
 	if o.cycle == 0 || sys.Q.Now() > o.cycle+ctxPoll {
 		t.Fatalf("canceled at cycle %d, stopped at %d: more than %d cycles late", o.cycle, sys.Q.Now(), ctxPoll)
 	}
+
+	// A cancel in the middle of a long idle wait (one load's DRAM miss):
+	// the fast machine's skip stops at each multiple of ctxPoll, so it
+	// stops where the reference machine does, at the first multiple
+	// after the cancel, and not when the miss returns.
+	for _, ref := range []bool{false, true} {
+		cfg := config.Default()
+		cfg.DRAMLatency = 4 * ctxPoll
+		cfg.Reference = ref
+		sys, err := New(cfg, stallTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, stop := context.WithCancelCause(context.Background())
+		a := &cancelAudit{stop: stop, cause: errors.New("stop in the wait")}
+		sys.SetContext(ctx)
+		sys.SetAuditor(a, ctxPoll+ctxPoll/2)
+		if err := sys.Run(); err != a.cause || sys.Q.Now() != 2*ctxPoll {
+			t.Errorf("reference=%v: Run = %v at cycle %d, want %v at cycle %d", ref, err, sys.Q.Now(), a.cause, 2*ctxPoll)
+		}
+		if !ref && sys.skipped < ctxPoll/2 {
+			t.Errorf("fast machine skipped %d cycles of the wait", sys.skipped)
+		}
+	}
+}
+
+// cancelAudit is an Auditor that cancels its context at the first audit.
+type cancelAudit struct {
+	stop  context.CancelCauseFunc
+	cause error
+}
+
+func (a *cancelAudit) Audit(uint64) *faults.ProtocolError {
+	a.stop(a.cause)
+	return nil
 }

@@ -14,8 +14,9 @@ func TestWarmupDiscardsStatistics(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		ops = append(ops, isa.MicroOp{Kind: isa.Store, Addr: uint64(i%64) * 64, Size: 8})
 	}
-	mk := func(warmup uint64) (cycles, committed, stores uint64) {
+	run := func(warmup uint64, ref bool) *System {
 		cfg := config.Default()
+		cfg.Reference = ref
 		sys, err := New(cfg, []isa.Stream{isa.NewSliceStream(ops)})
 		if err != nil {
 			t.Fatal(err)
@@ -24,7 +25,22 @@ func TestWarmupDiscardsStatistics(t *testing.T) {
 		if err := sys.Run(); err != nil {
 			t.Fatal(err)
 		}
+		return sys
+	}
+	mk := func(warmup uint64) (cycles, committed, stores uint64) {
+		sys := run(warmup, false)
 		st := sys.StatsSum()
+		// The crossover and the cycles skipped around it leave the
+		// measured region as the reference machine's tick-every-cycle
+		// loop leaves it.
+		if ref := run(warmup, true); sys.warmCycle != ref.warmCycle || sys.Cycles != ref.Cycles ||
+			st.String() != ref.StatsSum().String() {
+			t.Errorf("warm-up %d: fast machine warmed at cycle %d and ran %d cycles, reference at %d and %d (or stats differ)",
+				warmup, sys.warmCycle, sys.Cycles, ref.warmCycle, ref.Cycles)
+		}
+		if sys.skipped == 0 {
+			t.Errorf("warm-up %d: the fast machine skipped no cycle", warmup)
+		}
 		return sys.Cycles, st.Get("committed_ops"), st.Get("stores")
 	}
 	fullCyc, fullCommitted, _ := mk(0)

@@ -452,22 +452,24 @@ func (t *TUS) reRequest() {
 		budget--
 	}
 	// Gated: only the lex-least missing line of the head group.
-	head := t.woq[0].group
+	if best := t.headLeast(); best != nil && best.gated && now >= best.retryAt {
+		t.request(best)
+	}
+}
+
+// headLeast is the lex-least line of the WOQ head's group that lacks
+// permission and has no request out, or nil.
+func (t *TUS) headLeast() *woqEntry {
 	var best *woqEntry
 	for _, e := range t.woq {
-		if e.group != head {
+		if e.group != t.woq[0].group {
 			break
 		}
-		if e.hasPerm || e.requested {
-			continue
-		}
-		if best == nil || t.lex(e.line) < t.lex(best.line) {
+		if !e.hasPerm && !e.requested && (best == nil || t.lex(e.line) < t.lex(best.line)) {
 			best = e
 		}
 	}
-	if best != nil && best.gated && now >= best.retryAt {
-		t.request(best)
-	}
+	return best
 }
 
 // ---------- Visibility ----------
@@ -623,6 +625,26 @@ func (t *TUS) FlushDone() bool {
 		t.startFlushOldest()
 	}
 	return false
+}
+
+// Quiescent implements cpu.DrainMechanism: nothing to admit, insert or
+// flush, and no line to ask again before the retryAt reRequest acts on
+// (the WOQ head group is never all ready here: what readies publishes).
+func (t *TUS) Quiescent(fence bool) cpu.Idle {
+	if e := t.core.SB.Head(); t.pending != nil || e != nil && e.Committed || !t.wcbs.Empty() || fence && len(t.woq) == 0 {
+		return cpu.Idle{}
+	}
+	idle, now := cpu.Idle{Ticks: cpu.Forever, Occ: t.hWOQOcc, OccLen: uint64(len(t.woq))}, t.q.Now()
+	wake := func(e *woqEntry) { idle.Ticks = min(idle.Ticks, max(e.retryAt, now+1)-now-1) }
+	for _, e := range t.woq {
+		if !e.hasPerm && !e.requested && !e.gated {
+			wake(e)
+		}
+	}
+	if e := t.headLeast(); e != nil && e.gated {
+		wake(e)
+	}
+	return idle
 }
 
 // FinalizeStats exports WCB search counts at run end.
