@@ -12,6 +12,7 @@ package tusim_test
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"tusim/internal/config"
@@ -40,28 +41,37 @@ func reportSpeedups(b *testing.B, sp map[config.Mechanism]float64) {
 }
 
 // figureJSON builds registry figure fig the way tusbench and tusd do —
-// Runner.Build over the registry row — and returns its JSON rows.
-func figureJSON[T any](b *testing.B, fig int) T {
+// Runner.Build over the registry row — and reads its product back from
+// the JSON the figure writes.
+func figureJSON[T harness.Product](b *testing.B, fig int) T {
 	b.Helper()
 	f, _ := harness.FigureByNum(fig)
 	p, err := benchRunner().Build(context.Background(), f)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p.JSON().(T)
+	var out T
+	data, err := json.Marshal(p)
+	if err == nil {
+		err = json.Unmarshal(data, &out)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
 }
 
 // BenchmarkFig8_Scalability regenerates the SB-size scalability study.
 func BenchmarkFig8_Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Report the SPEC row at SB=32 (the headline "small SB" case).
-		for _, row := range figureJSON[[]harness.Fig8JSON](b, 8) {
+		for _, row := range figureJSON[harness.Fig8Rows](b, 8) {
 			if row.SB != 32 || row.Suite != "SPEC-ST(SB-bound)" {
 				continue
 			}
 			for _, m := range config.Mechanisms {
 				if m != config.Baseline {
-					b.ReportMetric(100*(row.Speedups[m.String()]-1), m.String()+"_speedup_%")
+					b.ReportMetric(100*(row.Speedup[m]-1), m.String()+"_speedup_%")
 				}
 			}
 		}
@@ -71,11 +81,11 @@ func BenchmarkFig8_Scalability(b *testing.B) {
 // BenchmarkFig9_SBStalls regenerates the SB-induced stall breakdown.
 func BenchmarkFig9_SBStalls(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := figureJSON[[]harness.Fig9JSON](b, 9)
+		rows := figureJSON[harness.Fig9Rows](b, 9)
 		var base, tus float64
 		for _, row := range rows {
-			base += row.Stalls[config.Baseline.String()]
-			tus += row.Stalls[config.TUS.String()]
+			base += row.Values[config.Baseline]
+			tus += row.Values[config.TUS]
 		}
 		n := float64(len(rows))
 		b.ReportMetric(base/n, "base_stall_%")

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -185,6 +187,36 @@ func TestVerboseStaysOffStdout(t *testing.T) {
 		}
 		if ran, hit := count(stderr, "  ran "), count(stderr, "  hit "); ran != run.ran || hit != run.hit {
 			t.Fatalf("%s -v run: %d ran / %d hit lines on stderr, want %d / %d:\n%s", run.name, ran, hit, run.ran, run.hit, stderr)
+		}
+	}
+}
+
+// TestProductBytesPinned is the identity rule for the evaluation's
+// products: the figure tables, the JSON report, the histogram report
+// and a DSE sweep hash to the same bytes at the quick scale, whatever
+// the internals that build them. A change that moves a number must
+// re-pin the hash here and say why in CHANGES.md.
+func TestProductBytesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick evaluation four times")
+	}
+	for _, tc := range []struct {
+		product string
+		args    []string
+		sha256  string
+	}{
+		{"figures", []string{"-quick", "-j", "0"}, "8de47ca786b24b846d96ac8ed91f4eb3c9fab5e3a4573cdde43ad0033ba858ba"},
+		{"json report", []string{"-quick", "-j", "0", "-json"}, "ceaa69ebf006f1b33ff3148de27d373968879fd9cecccdb9353793fa661b4958"},
+		{"histograms", []string{"-quick", "-hist"}, "6fc4f8429321c77cb24515474872ce1070234d1c7bb49859b05d1e897cb362b1"},
+		{"dse", []string{"-quick", "-dse", "502.gcc5"}, "0ce05647f7cc747f5ac0a195932e23947148e5667077183cbcc9985b0e822508"},
+	} {
+		stdout, stderr, code := tusbench(t, tc.args...)
+		if code != 0 {
+			t.Fatalf("tusbench %v: exit %d: %s", tc.args, code, stderr)
+		}
+		if sum := sha256.Sum256(stdout); hex.EncodeToString(sum[:]) != tc.sha256 {
+			t.Errorf("the %s product (tusbench %v) hashes to %x, pinned %s: a re-pin is a changed number and is explained in CHANGES.md",
+				tc.product, strings.Join(tc.args, " "), sum, tc.sha256)
 		}
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"tusim/internal/config"
 	"tusim/internal/harness"
@@ -43,10 +42,10 @@ import (
 
 func main() {
 	progs := flag.String("prog", "", "comma-separated litmus programs (default: whole suite)")
-	mech := flag.String("mech", "base,CSB,TUS", "comma-separated mechanisms, or 'all'")
-	skews := flag.Int("skews", 8, "start-skew indices to sweep per cell")
-	depth := flag.Int("depth", 8, "injector decision-prefix depth to enumerate")
-	runs := flag.Int("runs", 512, "max simulator runs per cell")
+	mech := flag.String("mech", modelcheck.DefaultMechs, "comma-separated mechanisms, or 'all'")
+	skews := flag.Int("skews", 0, "start-skew indices to sweep per cell (0 = 8)")
+	depth := flag.Int("depth", 0, "injector decision-prefix depth to enumerate (0 = 8)")
+	runs := flag.Int("runs", 0, "max simulator runs per cell (0 = 512)")
 	states := flag.Int("states", modelcheck.DefaultMaxStates, "oracle state budget")
 	auditEvery := flag.Uint64("audit", 0, "attach the invariant auditor every N cycles (0 = off)")
 	smoke := flag.Bool("smoke", false, "small bounded budgets for CI (overrides -skews/-depth/-runs)")
@@ -56,7 +55,7 @@ func main() {
 	workers := flag.Int("j", 0, "max concurrent cells (0 = one per CPU); each cell's schedules still use every CPU; output identical at any -j")
 	flag.Parse()
 
-	tests, err := selectTests(*progs)
+	tests, err := modelcheck.SelectTests(*progs)
 	if err != nil {
 		fail(err)
 	}
@@ -80,20 +79,16 @@ func main() {
 		return
 	}
 
-	mechs, err := selectMechs(*mech)
+	mechs, err := modelcheck.SelectMechs(*mech)
 	if err != nil {
 		fail(err)
 	}
 
-	eo := modelcheck.ExploreOpts{
-		Skews:        *skews,
-		MaxDecisions: *depth,
-		MaxRuns:      *runs,
-		AuditEvery:   *auditEvery,
+	eo := modelcheck.Budget(*smoke)
+	if !*smoke {
+		eo.Skews, eo.MaxDecisions, eo.MaxRuns = *skews, *depth, *runs
 	}
-	if *smoke {
-		eo.Skews, eo.MaxDecisions, eo.MaxRuns = 3, 4, 64
-	}
+	eo.AuditEvery = *auditEvery
 
 	// The (program, mechanism) cells are independent; fan them out to a
 	// worker pool and report in deterministic cell order.
@@ -148,46 +143,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tuscheck: UNSOUND — simulator produced TSO-forbidden behaviour")
 	}
 	os.Exit(exit)
-}
-
-func selectTests(spec string) ([]litmus.Test, error) {
-	all := litmus.Tests()
-	if spec == "" {
-		return all, nil
-	}
-	var out []litmus.Test
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		lt, ok := litmus.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown litmus program %q (suite: %s)", name, suiteNames(all))
-		}
-		out = append(out, lt)
-	}
-	return out, nil
-}
-
-func suiteNames(tests []litmus.Test) string {
-	names := make([]string, len(tests))
-	for i, lt := range tests {
-		names[i] = lt.Name
-	}
-	return strings.Join(names, ",")
-}
-
-func selectMechs(spec string) ([]config.Mechanism, error) {
-	if spec == "all" {
-		return append([]config.Mechanism(nil), config.Mechanisms...), nil
-	}
-	var out []config.Mechanism
-	for _, name := range strings.Split(spec, ",") {
-		m, err := config.ParseMechanism(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 func fail(err error) {

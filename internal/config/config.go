@@ -67,6 +67,20 @@ func ParseMechanism(name string) (Mechanism, error) {
 	return Baseline, fmt.Errorf("config: unknown mechanism %q", name)
 }
 
+// MarshalText writes the mechanism's paper name, so JSON carries "TUS"
+// rather than a number and mechanism-keyed maps sort by name.
+func (m Mechanism) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText reads any name ParseMechanism accepts.
+func (m *Mechanism) UnmarshalText(text []byte) error {
+	v, err := ParseMechanism(string(text))
+	if err != nil {
+		return err
+	}
+	*m = v
+	return nil
+}
+
 // CacheConfig describes one cache level.
 type CacheConfig struct {
 	SizeBytes int

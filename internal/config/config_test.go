@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -199,5 +200,39 @@ func TestMechanismString(t *testing.T) {
 	}
 	if len(Mechanisms) != 5 {
 		t.Fatalf("Mechanisms has %d entries, want 5", len(Mechanisms))
+	}
+}
+
+// TestMechanismText pins the text form JSON uses: every mechanism
+// round-trips through its paper name, the aliases decode, an unknown
+// name fails, and a mechanism-keyed map encodes sorted by name.
+func TestMechanismText(t *testing.T) {
+	for _, m := range Mechanisms {
+		text, err := m.MarshalText()
+		if err != nil || string(text) != m.String() {
+			t.Fatalf("%v.MarshalText() = %q, %v", m, text, err)
+		}
+		var back Mechanism
+		if err := back.UnmarshalText(text); err != nil || back != m {
+			t.Fatalf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, m)
+		}
+	}
+	for alias, want := range map[string]Mechanism{"baseline": Baseline, "tus": TUS} {
+		var m Mechanism
+		if err := m.UnmarshalText([]byte(alias)); err != nil || m != want {
+			t.Fatalf("UnmarshalText(%q) = %v, %v; want %v", alias, m, err, want)
+		}
+	}
+	m := TUS
+	if err := m.UnmarshalText([]byte("LSQ")); err == nil || m != TUS {
+		t.Fatalf("UnmarshalText(LSQ) = %v, left %v; want an error and TUS kept", err, m)
+	}
+	data, err := json.Marshal(map[Mechanism]int{TUS: 1, Baseline: 0, SSB: 2})
+	if err != nil || string(data) != `{"SSB":2,"TUS":1,"base":0}` {
+		t.Fatalf("map encodes as %s, %v", data, err)
+	}
+	var back map[Mechanism]int
+	if err := json.Unmarshal(data, &back); err != nil || back[TUS] != 1 || back[SSB] != 2 || len(back) != 3 {
+		t.Fatalf("map decodes as %v, %v", back, err)
 	}
 }

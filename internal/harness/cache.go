@@ -88,7 +88,7 @@ func (r *Runner) CacheStats() CacheStats {
 type cacheEntry struct {
 	Version    string           `json:"version"`
 	Bench      string           `json:"bench"`
-	Mech       string           `json:"mech"`
+	Mech       config.Mechanism `json:"mech"`
 	SB         int              `json:"sb"`
 	Cores      int              `json:"cores"`
 	Cycles     uint64           `json:"cycles"`
@@ -140,7 +140,7 @@ func (c *DiskCache) Get(key string, b workload.Benchmark, m config.Mechanism, sb
 	if err := json.Unmarshal(data, &e); err != nil {
 		return Result{}, CacheCorrupt
 	}
-	if e.Version != Version || e.Bench != b.Name || e.Mech != m.String() ||
+	if e.Version != Version || e.Bench != b.Name || e.Mech != m ||
 		e.SB != sbSize || len(e.StatNames) != len(e.StatValues) ||
 		len(e.HistNames) != len(e.HistSnaps) || e.Cycles == 0 {
 		return Result{}, CacheCorrupt
@@ -182,7 +182,7 @@ func (c *DiskCache) Put(key string, res Result) error {
 	e := cacheEntry{
 		Version:    Version,
 		Bench:      res.Bench,
-		Mech:       res.Mech.String(),
+		Mech:       res.Mech,
 		SB:         res.SB,
 		Cores:      res.Cores,
 		Cycles:     res.Cycles,

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -246,5 +247,44 @@ func TestCacheDirVanishesMidRun(t *testing.T) {
 	}
 	if n := int64(len(FigureCellUnion(9))); st.CellsRun != n || st.CellsCached != 0 {
 		t.Fatalf("cells_run=%d cells_cached=%d, want %d and 0", st.CellsRun, st.CellsCached, n)
+	}
+}
+
+// TestDiskCacheReadsStoredEntry: an entry written when cacheEntry kept
+// the mechanism as a plain string (testdata, a 505.mcf/TUS/32 cell at
+// 400 ops) is still a hit, and storing its result again writes the same
+// bytes. The version member is set to the current Version first: the
+// test is about the entry's encoding, which a Version bump does not
+// change.
+func TestDiskCacheReadsStoredEntry(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "cache_entry_505.mcf_TUS_32.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Replace(data, []byte(`"tusim-harness-6"`), []byte(strconv.Quote(Version)), 1)
+	cache, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cache.path("stored"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := workload.ByName("505.mcf")
+	res, st := cache.Get("stored", b, config.TUS, 32)
+	if st != CacheHit || res.Mech != config.TUS || res.Cycles != 693 {
+		t.Fatalf("Get = %v (%v, %d cycles), want a TUS hit of 693 cycles", st, res.Mech, res.Cycles)
+	}
+	if _, st := cache.Get("stored", b, config.CSB, 32); st != CacheCorrupt {
+		t.Fatalf("Get under CSB = %v, want CacheCorrupt", st)
+	}
+	if err := cache.Put("again", res); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(cache.path("again"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("Put writes %d bytes where the stored entry has %d:\n%s", len(again), len(data), again)
 	}
 }

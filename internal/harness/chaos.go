@@ -31,8 +31,8 @@ type ReproBundle struct {
 	// Kind selects the replay procedure: "litmus" or "bench".
 	Kind string `json:"kind"`
 	// Name is the litmus test or benchmark name.
-	Name      string `json:"name"`
-	Mechanism string `json:"mechanism"`
+	Name      string           `json:"name"`
+	Mechanism config.Mechanism `json:"mechanism"`
 	// Skew is the litmus start-offset index.
 	Skew int `json:"skew,omitempty"`
 	// Seed/Ops size a bench replay (unused for litmus).
@@ -95,10 +95,6 @@ func LoadBundle(path string) (*ReproBundle, error) {
 // binary are out of sync). A litmus run is judged like a chaos cell:
 // its own error, else an outcome outside the TSO-allowed set.
 func (b *ReproBundle) Replay() error {
-	m, err := config.ParseMechanism(b.Mechanism)
-	if err != nil {
-		return err
-	}
 	switch b.Kind {
 	case "litmus":
 		test, ok := litmus.ByName(b.Name)
@@ -117,14 +113,14 @@ func (b *ReproBundle) Replay() error {
 		if b.Scripted || len(b.Script) > 0 {
 			o.Source = faults.NewScriptSource(b.Script)
 		}
-		obs, err := litmus.RunOne(test, m, b.Skew, o)
-		return litmusVerdict(oracle, m, b.Skew, obs, err)
+		obs, err := litmus.RunOne(test, b.Mechanism, b.Skew, o)
+		return litmusVerdict(oracle, b.Mechanism, b.Skew, obs, err)
 	case "bench":
 		bench, ok := workload.ByName(b.Name)
 		if !ok {
 			return fmt.Errorf("harness: unknown benchmark %q", b.Name)
 		}
-		_, err := RunChaosBench(bench, m, b.Seed, b.Ops, b.SB, b.Faults, b.AuditEvery, b.Watchdog)
+		_, err := RunChaosBench(bench, b.Mechanism, b.Seed, b.Ops, b.SB, b.Faults, b.AuditEvery, b.Watchdog)
 		return err
 	}
 	return fmt.Errorf("harness: unknown bundle kind %q", b.Kind)
@@ -150,7 +146,7 @@ func ViolationBundle(r *modelcheck.Report) *ReproBundle {
 	return &ReproBundle{
 		Kind:       "litmus",
 		Name:       r.Test,
-		Mechanism:  r.Mech.String(),
+		Mechanism:  r.Mech,
 		Skew:       v.Ref.Skew,
 		AuditEvery: r.Exploration.AuditEvery,
 		Faults:     r.Exploration.Plan,
@@ -266,7 +262,7 @@ func ChaosLitmus(seed uint64, schedules, skews int, auditEvery uint64, workers i
 	res.Bundle = &ReproBundle{
 		Kind:       "litmus",
 		Name:       ChaosPatterns[c.pi],
-		Mechanism:  config.Mechanisms[c.mi].String(),
+		Mechanism:  config.Mechanisms[c.mi],
 		Skew:       c.skew,
 		AuditEvery: auditEvery,
 		Faults:     cellPlan(c),
@@ -302,7 +298,7 @@ func ChaosBench(seed uint64, ops int, auditEvery uint64, workers int) (ChaosResu
 	res.Bundle = &ReproBundle{
 		Kind:       "bench",
 		Name:       benchs[failIdx].Name,
-		Mechanism:  config.TUS.String(),
+		Mechanism:  config.TUS,
 		Seed:       int64(seed),
 		Ops:        ops,
 		AuditEvery: auditEvery,

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -82,7 +84,7 @@ func TestReplayRejectsMalformedSabotage(t *testing.T) {
 		{faults.Sabotage{Cycle: 1, Core: -1, Kind: faults.SabotageDropOwner}, "sabotage core -1"},
 	} {
 		b := &ReproBundle{
-			Kind: "litmus", Name: "MP", Mechanism: "TUS", AuditEvery: 1,
+			Kind: "litmus", Name: "MP", Mechanism: config.TUS, AuditEvery: 1,
 			Faults: faults.Plan{Seed: 1, SabotageSpec: tc.spec},
 		}
 		if err := b.Replay(); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -129,7 +131,7 @@ func TestSabotageDetectedAndReproduced(t *testing.T) {
 			bundle := &ReproBundle{
 				Kind:       "litmus",
 				Name:       "MP",
-				Mechanism:  tc.mech.String(),
+				Mechanism:  tc.mech,
 				AuditEvery: 1,
 				Faults:     plan,
 				Report:     cr,
@@ -314,5 +316,36 @@ func TestChaosRereadsNackedWriteBack(t *testing.T) {
 				t.Fatalf("%v seed %d: no write-back", m, seed)
 			}
 		}
+	}
+}
+
+// TestReplayStoredBundle: a bundle written when ReproBundle kept the
+// mechanism as a plain string (testdata: MP under TUS with a hide-line
+// sabotage, plus the crash report it produced) loads as config.TUS,
+// replays the same crash, and saves back to the same bytes.
+func TestReplayStoredBundle(t *testing.T) {
+	path := filepath.Join("testdata", "bundle_MP_TUS_hide_line.json")
+	b, err := LoadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Mechanism != config.TUS || b.Report == nil || b.Report.Violation == nil {
+		t.Fatalf("loaded %v with report %+v", b.Mechanism, b.Report)
+	}
+	var cr *system.CrashReport
+	if err := b.Replay(); !errors.As(err, &cr) {
+		t.Fatalf("replay = %v, want a crash report", err)
+	}
+	if cr.Kind != b.Report.Kind || cr.Cycle != b.Report.Cycle || cr.Message != b.Report.Message {
+		t.Fatalf("replay crashed %s at cycle %d (%s), the bundle says %s at %d (%s)",
+			cr.Kind, cr.Cycle, cr.Message, b.Report.Kind, b.Report.Cycle, b.Report.Message)
+	}
+	saved := filepath.Join(t.TempDir(), "again.json")
+	if err := b.Save(saved); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := os.ReadFile(path)
+	if got, _ := os.ReadFile(saved); !bytes.Equal(got, want) {
+		t.Fatalf("Save writes %d bytes where the stored bundle has %d", len(got), len(want))
 	}
 }

@@ -30,13 +30,12 @@ type Study interface {
 	Assemble(r *Runner) (Product, error)
 }
 
-// Product is an assembled Study.
+// Product is an assembled Study. Its value is also its JSON form: the
+// product types carry the wire names of `tusbench -json` as json tags.
 type Product interface {
 	// Print renders the text form. figure labels the panels that carry a
 	// paper figure number ("Figure 10"); the rest ignore it.
 	Print(w io.Writer, figure string)
-	// JSON is the value `tusbench -json` encodes for the study.
-	JSON() any
 }
 
 // Build is the only place a study's cells are claimed: prefetch the
@@ -75,6 +74,15 @@ func fullMatrix(benchs []workload.Benchmark, baseSB, mechSB int) []Cell {
 	return cells
 }
 
+// BenchRow is one benchmark's value per mechanism: the SB stall
+// percentage (Fig. 9), a speedup (the Figs. 10/13 breakdown, the
+// Figs. 12/14 left panels) or an EDP normalized to the baseline. The
+// wire writes every kind under one member name.
+type BenchRow struct {
+	Bench  string                       `json:"bench"`
+	Values map[config.Mechanism]float64 `json:"sb_stall_pct"`
+}
+
 // mechTable is the mechanism-column table every per-benchmark figure
 // shares: a header line, one line per row, then a foot row (geomean or
 // average). label/head/cell are the first-column, column-header and
@@ -90,12 +98,11 @@ var (
 	stallTable   = mechTable{"%-16s", " %7s", " %6.1f%%", nil}
 )
 
-func (t mechTable) print(w io.Writer, n int, row func(i int) (string, map[config.Mechanism]float64),
-	foot string, footVals map[config.Mechanism]float64) {
-	line := func(label string, vals map[config.Mechanism]float64) {
-		fmt.Fprintf(w, t.label, label)
+func (t mechTable) print(w io.Writer, rows []BenchRow, foot BenchRow) {
+	line := func(row BenchRow) {
+		fmt.Fprintf(w, t.label, row.Bench)
 		for _, m := range config.Mechanisms {
-			v := vals[m]
+			v := row.Values[m]
 			if t.val != nil {
 				v = t.val(v)
 			}
@@ -108,10 +115,10 @@ func (t mechTable) print(w io.Writer, n int, row func(i int) (string, map[config
 		fmt.Fprintf(w, t.head, m)
 	}
 	fmt.Fprintln(w)
-	for i := 0; i < n; i++ {
-		line(row(i))
+	for _, row := range rows {
+		line(row)
 	}
-	line(foot, footVals)
+	line(foot)
 }
 
 // pct turns a speedup ratio into the signed percentage the tables print.
@@ -142,9 +149,9 @@ func (r *Runner) speedupsOver(tag string, benchs []workload.Benchmark, m config.
 // Fig8Row is one (suite, SB size) series of geomean speedups relative
 // to the 114-entry-SB baseline.
 type Fig8Row struct {
-	Suite   string
-	SB      int
-	Speedup map[config.Mechanism]float64
+	Suite   string                       `json:"suite"`
+	SB      int                          `json:"sb_entries"`
+	Speedup map[config.Mechanism]float64 `json:"speedup_vs_base114"`
 }
 
 // Fig8Rows is the assembled scalability study.
@@ -232,14 +239,9 @@ func (rows Fig8Rows) Print(w io.Writer, _ string) {
 	}
 }
 
-// Fig9Row is one benchmark's SB-induced stall fractions per mechanism.
-type Fig9Row struct {
-	Bench  string
-	Stalls map[config.Mechanism]float64 // % of cycles
-}
-
-// Fig9Rows is the assembled stall study.
-type Fig9Rows []Fig9Row
+// Fig9Rows is the assembled stall study: each row's values are the
+// SB-induced stall fractions, in % of cycles.
+type Fig9Rows []BenchRow
 
 // fig9Spec is the SB-induced dispatch stall breakdown (114 SB,
 // single-threaded SB-bound set, sorted by baseline stalls).
@@ -254,7 +256,7 @@ func (fig9Spec) Assemble(r *Runner) (Product, error) {
 	}
 	var rows Fig9Rows
 	for _, b := range benchs {
-		row := Fig9Row{Bench: b.Name, Stalls: map[config.Mechanism]float64{}}
+		row := BenchRow{Bench: b.Name, Values: map[config.Mechanism]float64{}}
 		good := true
 		for _, m := range config.Mechanisms {
 			res, ok, err := r.runCell("fig9", b, m, 114)
@@ -265,7 +267,7 @@ func (fig9Spec) Assemble(r *Runner) (Product, error) {
 				good = false
 				continue
 			}
-			row.Stalls[m] = res.SBStallPct()
+			row.Values[m] = res.SBStallPct()
 		}
 		// A row with any quarantined cell is dropped whole: a partial
 		// stall comparison would be misleading. The skip is recorded in
@@ -286,35 +288,27 @@ func (rows Fig9Rows) Print(w io.Writer, _ string) {
 	avg := map[config.Mechanism]float64{}
 	for _, row := range rows {
 		for _, m := range config.Mechanisms {
-			avg[m] += row.Stalls[m]
+			avg[m] += row.Values[m]
 		}
 	}
 	for m := range avg {
 		avg[m] /= float64(len(rows))
 	}
-	stallTable.print(w, len(rows),
-		func(i int) (string, map[config.Mechanism]float64) { return rows[i].Bench, rows[i].Stalls },
-		"average", avg)
+	stallTable.print(w, rows, BenchRow{"average", avg})
 }
 
 // SpeedupStudy holds the data behind Figs. 10/13: an S-curve over every
 // application plus the per-benchmark SB-bound breakdown, normalized to
 // a baseline with the given SB size.
 type SpeedupStudy struct {
-	BaselineSB int
-	MechSB     int
+	BaselineSB int `json:"baseline_sb"`
+	MechSB     int `json:"mech_sb"`
 	// SCurves: per mechanism, sorted speedups over all applications.
-	SCurves map[config.Mechanism][]float64
-	// Breakdown: per SB-bound ST benchmark (sorted by stalls).
-	Breakdown []SpeedupRow
+	SCurves map[config.Mechanism][]float64 `json:"s_curves"`
+	// Breakdown: speedups per SB-bound ST benchmark (sorted by stalls).
+	Breakdown []BenchRow `json:"sb_bound_breakdown"`
 	// Geomean over the SB-bound set.
-	Geomean map[config.Mechanism]float64
-}
-
-// SpeedupRow is one benchmark's speedups per mechanism.
-type SpeedupRow struct {
-	Bench    string
-	Speedups map[config.Mechanism]float64
+	Geomean map[config.Mechanism]float64 `json:"geomean"`
 }
 
 // speedupSpec is Fig. 10 (114/114) or Fig. 13 (32/32): every mechanism
@@ -346,10 +340,7 @@ func (s speedupSpec) Assemble(r *Runner) (Product, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range bd.Rows {
-		study.Breakdown = append(study.Breakdown, SpeedupRow{row.Bench, row.EDP})
-	}
-	study.Geomean = bd.Geomean
+	study.Breakdown, study.Geomean = bd.Rows, bd.Geomean
 	return study, nil
 }
 
@@ -372,27 +363,17 @@ func (s *SpeedupStudy) Print(w io.Writer, figure string) {
 		fmt.Fprintf(w, "  %-5s%s\n", m, sb.String())
 	}
 	fmt.Fprintln(w, "right panel - ST SB-bound breakdown:")
-	speedupTable.print(w, len(s.Breakdown),
-		func(i int) (string, map[config.Mechanism]float64) {
-			return s.Breakdown[i].Bench, s.Breakdown[i].Speedups
-		},
-		"geomean", s.Geomean)
+	speedupTable.print(w, s.Breakdown, BenchRow{"geomean", s.Geomean})
 }
 
 // EDPStudy holds Figs. 11/15 (ST SB-bound) or one panel of Figs. 12/14
 // (Parsec): one row per benchmark of a metric normalized to the
 // baseline, plus its geomean.
 type EDPStudy struct {
-	BaselineSB int
-	MechSB     int
-	Rows       []EDPRow
-	Geomean    map[config.Mechanism]float64
-}
-
-// EDPRow is one benchmark's normalized EDP per mechanism.
-type EDPRow struct {
-	Bench string
-	EDP   map[config.Mechanism]float64 // normalized; lower is better
+	BaselineSB int                          `json:"baseline_sb"`
+	MechSB     int                          `json:"mech_sb"`
+	Rows       []BenchRow                   `json:"rows"`
+	Geomean    map[config.Mechanism]float64 `json:"geomean"`
 }
 
 // normalized is the loop the breakdown, EDP and Parsec panels share: one
@@ -409,7 +390,7 @@ func (r *Runner) normalized(tag string, benchs []workload.Benchmark, baseSB, mec
 		if err != nil {
 			return nil, err
 		}
-		row := EDPRow{Bench: b.Name, EDP: map[config.Mechanism]float64{}}
+		row := BenchRow{Bench: b.Name, Values: map[config.Mechanism]float64{}}
 		for _, m := range config.Mechanisms {
 			res, ok, err := r.runCell(tag, b, m, mechSB)
 			if err != nil {
@@ -417,7 +398,7 @@ func (r *Runner) normalized(tag string, benchs []workload.Benchmark, baseSB, mec
 			}
 			good = good && ok
 			if good {
-				row.EDP[m] = metric(res, base)
+				row.Values[m] = metric(res, base)
 			}
 		}
 		if good {
@@ -430,7 +411,7 @@ func (r *Runner) normalized(tag string, benchs []workload.Benchmark, baseSB, mec
 	for _, m := range config.Mechanisms {
 		xs := make([]float64, len(study.Rows))
 		for i, row := range study.Rows {
-			xs[i] = row.EDP[m]
+			xs[i] = row.Values[m]
 		}
 		g, err := Geomean(xs)
 		if err != nil {
@@ -473,15 +454,13 @@ func (s *EDPStudy) Print(w io.Writer, figure string) {
 }
 
 func (s *EDPStudy) printRows(w io.Writer, t mechTable) {
-	t.print(w, len(s.Rows),
-		func(i int) (string, map[config.Mechanism]float64) { return s.Rows[i].Bench, s.Rows[i].EDP },
-		"geomean", s.Geomean)
+	t.print(w, s.Rows, BenchRow{"geomean", s.Geomean})
 }
 
 // ParsecStudy is a Fig. 12/14 panel pair: Parsec speedup and EDP.
 type ParsecStudy struct {
-	Speedup *EDPStudy // reused row layout; values are speedups
-	EDP     *EDPStudy
+	Speedup *EDPStudy `json:"speedup"` // reused row layout; values are speedups
+	EDP     *EDPStudy `json:"edp"`
 }
 
 // parsecSpec is Fig. 12 (114/114) or Fig. 14 (32/32).

@@ -41,7 +41,7 @@ func TestGoldenFigures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.MarshalIndent(p.JSON(), "", "  ")
+			got, err := json.MarshalIndent(p, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -119,7 +119,7 @@ func TestFig9Structure(t *testing.T) {
 	}
 	// Sorted by baseline stalls, descending.
 	for i := 1; i < len(rows); i++ {
-		if rows[i].Stalls[config.Baseline] > rows[i-1].Stalls[config.Baseline]+1e-9 {
+		if rows[i].Values[config.Baseline] > rows[i-1].Values[config.Baseline]+1e-9 {
 			t.Fatal("Fig9 rows not sorted by baseline stalls")
 		}
 	}
@@ -169,11 +169,11 @@ func TestEDPStudyStructure(t *testing.T) {
 		t.Fatalf("rows = %d", len(s.Rows))
 	}
 	for _, row := range s.Rows {
-		if math.Abs(row.EDP[config.Baseline]-1) > 1e-12 {
-			t.Fatalf("baseline EDP not normalized: %f", row.EDP[config.Baseline])
+		if math.Abs(row.Values[config.Baseline]-1) > 1e-12 {
+			t.Fatalf("baseline EDP not normalized: %f", row.Values[config.Baseline])
 		}
 		for _, m := range config.Mechanisms {
-			if row.EDP[m] <= 0 {
+			if row.Values[m] <= 0 {
 				t.Fatalf("non-positive EDP for %v", m)
 			}
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -84,27 +85,27 @@ func (rows HistRows) Print(w io.Writer, _ string) {
 // moments plus quantile upper bounds (full buckets stay in the disk
 // cache; the report carries the summary).
 type HistJSON struct {
-	Bench string  `json:"bench"`
-	Mech  string  `json:"mech"`
-	SB    int     `json:"sb"`
-	Name  string  `json:"name"`
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	Max   uint64  `json:"max"`
-	P50   uint64  `json:"p50_upper"`
-	P90   uint64  `json:"p90_upper"`
-	P99   uint64  `json:"p99_upper"`
+	Bench string           `json:"bench"`
+	Mech  config.Mechanism `json:"mech"`
+	SB    int              `json:"sb"`
+	Name  string           `json:"name"`
+	Count uint64           `json:"count"`
+	Mean  float64          `json:"mean"`
+	Max   uint64           `json:"max"`
+	P50   uint64           `json:"p50_upper"`
+	P90   uint64           `json:"p90_upper"`
+	P99   uint64           `json:"p99_upper"`
 }
 
-// JSON flattens the report to one entry per (cell, histogram).
-func (rows HistRows) JSON() any {
+// MarshalJSON flattens the report to one HistJSON per (cell, histogram).
+func (rows HistRows) MarshalJSON() ([]byte, error) {
 	var out []HistJSON
 	for _, row := range rows {
 		for _, n := range row.Names {
 			s := row.Hists[n]
 			out = append(out, HistJSON{
 				Bench: row.Bench,
-				Mech:  row.Mech.String(),
+				Mech:  row.Mech,
 				SB:    row.SB,
 				Name:  n,
 				Count: s.Count,
@@ -116,5 +117,5 @@ func (rows HistRows) JSON() any {
 			})
 		}
 	}
-	return out
+	return json.Marshal(out)
 }

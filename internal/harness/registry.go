@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -83,6 +84,9 @@ func (p figureProduct) Print(w io.Writer, _ string) {
 	p.Product.Print(w, p.figure)
 	fmt.Fprintln(w)
 }
+
+// MarshalJSON writes the figure's product; the label is text-only.
+func (p figureProduct) MarshalJSON() ([]byte, error) { return json.Marshal(p.Product) }
 
 // CellKey renders the cell's in-process identity, matching Runner.Run's
 // singleflight key ("bench/mech/sb") and the journal's quarantine keys.

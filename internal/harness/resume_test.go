@@ -40,11 +40,7 @@ func fig9Bytes(r *Runner) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Fig9JSON
-	for _, row := range rows {
-		out = append(out, Fig9JSON{Bench: row.Bench, Stalls: mechMap(row.Stalls)})
-	}
-	return json.MarshalIndent(out, "", "  ")
+	return json.MarshalIndent(rows, "", "  ")
 }
 
 // resumeRunner builds the runner both halves of the test share: same

@@ -146,7 +146,7 @@ func (c *CSB) advanceFlush() {
 		return
 	}
 	// All permissions held: the group must also fit the L1D.
-	if !c.priv.L1WaysAvailable(c.lineScratch) {
+	if !c.priv.L1WaysAvailable(c.lineScratch, false) {
 		return
 	}
 	for _, b := range c.flushing {

@@ -921,11 +921,13 @@ func (p *Private) MakeVisible(line uint64) {
 // L1WaysAvailable reports whether all the given lines could reside in
 // L1 simultaneously (the atomic-group associativity restriction,
 // Sec. III-B). Resident lines count as satisfied, duplicates twice; up
-// to 16 missing lines are counted per set without allocating.
-func (p *Private) L1WaysAvailable(lines []uint64) bool {
-	need := make([]uint64, 0, 16) // the set of each line not yet in L1
+// to 16 lines that need a way are counted per set without allocating.
+// pin is set when the write makes every line not visible (TUS): a
+// resident, unpinned line then needs its way too, as the write pins it.
+func (p *Private) L1WaysAvailable(lines []uint64, pin bool) bool {
+	need := make([]uint64, 0, 16) // the set of each line that needs a way
 	for _, ln := range lines {
-		if pl := p.lines.Get(ln & LineMask); pl == nil || !pl.InL1 {
+		if pl := p.lines.Get(ln & LineMask); pl == nil || !pl.InL1 || pin && !pl.pinned() {
 			need = append(need, p.l1.of(ln))
 		}
 	}

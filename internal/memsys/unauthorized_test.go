@@ -250,26 +250,52 @@ func TestL1WaysAvailable(t *testing.T) {
 	})
 	r.ps[0].SetHandler(&fakeHandler{})
 	// Lines 0x0, 0x80, 0x100 map to set 0; 0x40 to set 1.
-	if !r.ps[0].L1WaysAvailable([]uint64{0x0, 0x80}) {
+	if !r.ps[0].L1WaysAvailable([]uint64{0x0, 0x80}, false) {
 		t.Fatal("2 lines into a 2-way set should fit")
 	}
-	if r.ps[0].L1WaysAvailable([]uint64{0x0, 0x80, 0x100}) {
+	if r.ps[0].L1WaysAvailable([]uint64{0x0, 0x80, 0x100}, false) {
 		t.Fatal("3 lines cannot fit a 2-way set")
 	}
-	if !r.ps[0].L1WaysAvailable([]uint64{0x0, 0x80, 0x40}) {
+	if !r.ps[0].L1WaysAvailable([]uint64{0x0, 0x80, 0x40}, false) {
 		t.Fatal("split across sets should fit")
 	}
 	// Pin one way with an unauthorized line: only 1 slot left in set 0.
 	r.ps[0].StoreUnauthorizedLine(lineStore(0x0, []byte{1}))
-	if !r.ps[0].L1WaysAvailable([]uint64{0x80}) {
+	if !r.ps[0].L1WaysAvailable([]uint64{0x80}, false) {
 		t.Fatal("one free way remains")
 	}
-	if r.ps[0].L1WaysAvailable([]uint64{0x80, 0x100}) {
+	if r.ps[0].L1WaysAvailable([]uint64{0x80, 0x100}, false) {
 		t.Fatal("pinned way must reduce availability")
 	}
 	// The resident line itself still counts as available.
-	if !r.ps[0].L1WaysAvailable([]uint64{0x0, 0x80}) {
+	if !r.ps[0].L1WaysAvailable([]uint64{0x0, 0x80}, false) {
 		t.Fatal("resident line counts as satisfied")
+	}
+}
+
+// TestL1WaysAvailablePinsResidentLines: when the write pins every line
+// (TUS), a resident line that is not yet pinned needs its way, and a
+// line that is already pinned is counted once.
+func TestL1WaysAvailablePinsResidentLines(t *testing.T) {
+	r := newRig(t, 1, func(c *config.Config) {
+		c.L1D.SizeBytes = 2 * 64 * 2 // 2 sets x 2 ways
+		c.L1D.Ways = 2
+	})
+	p := r.ps[0]
+	r.mustLoad(t, 0, 0x80, 8)
+	p.StoreUnauthorizedLine(lineStore(0x0, []byte{1}))
+	if pl := p.Lookup(0x80); pl == nil || !pl.InL1 || pl.pinned() {
+		t.Fatal("setup: 0x80 is not resident and unpinned")
+	}
+	// Set 0 holds 0x0 (pinned) and 0x80 (resident, unpinned).
+	if !p.L1WaysAvailable([]uint64{0x80, 0x100}, false) {
+		t.Fatal("a visible write reuses 0x80's way")
+	}
+	if p.L1WaysAvailable([]uint64{0x80, 0x100}, true) {
+		t.Fatal("pinning 0x80 and 0x100 beside 0x0 needs three ways")
+	}
+	if !p.L1WaysAvailable([]uint64{0x0, 0x80}, true) {
+		t.Fatal("the pinned 0x0 and the resident 0x80 fit their two ways")
 	}
 }
 
@@ -298,7 +324,7 @@ func TestL1WaysAvailableInFlightPin(t *testing.T) {
 			t.Fatalf("%s: in-flight bit %v, MSHR pending %v, want %v", when, pl.InFlight(), p.MSHRPending(0x0), inFlight)
 		}
 		// Two new set-0 lines need both ways, so 0x0 must be evictable.
-		if got := p.L1WaysAvailable([]uint64{0x100, 0x180}); got == inFlight {
+		if got := p.L1WaysAvailable([]uint64{0x100, 0x180}, false); got == inFlight {
 			t.Fatalf("%s: L1WaysAvailable = %v", when, got)
 		}
 		victim := pl
@@ -394,7 +420,7 @@ func TestL1WaysAvailableMatchesPerSetCount(t *testing.T) {
 	var walk func(when string)
 	walk = func(when string) {
 		if len(group) > 0 {
-			if got, want := p.L1WaysAvailable(group), perSet(group); got != want {
+			if got, want := p.L1WaysAvailable(group, false), perSet(group); got != want {
 				t.Fatalf("%s: L1WaysAvailable(%#x) = %v, per-set count says %v", when, group, got, want)
 			}
 		}
@@ -433,10 +459,10 @@ func TestL1WaysAvailableZeroAlloc(t *testing.T) {
 	for ln := uint64(0x4000); len(group) < 16; ln += 64 {
 		group = append(group, ln)
 	}
-	if !p.L1WaysAvailable(group) {
+	if !p.L1WaysAvailable(group, false) {
 		t.Fatal("the group should fit")
 	}
-	if n := testing.AllocsPerRun(1000, func() { p.L1WaysAvailable(group) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { p.L1WaysAvailable(group, false) }); n != 0 {
 		t.Fatalf("L1WaysAvailable allocates %.1f allocs/op, want 0", n)
 	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"tusim/internal/config"
 	"tusim/internal/harness"
-	"tusim/internal/litmus"
 	"tusim/internal/modelcheck"
 	"tusim/internal/supervise"
 	"tusim/internal/workload"
@@ -300,13 +299,13 @@ func (s *Server) planHist(sb int) (*jobPlan, error) {
 
 // cellRow is one cell-matrix result row.
 type cellRow struct {
-	Bench       string  `json:"bench"`
-	Mech        string  `json:"mech"`
-	SB          int     `json:"sb"`
-	Cycles      uint64  `json:"cycles,omitempty"`
-	SBStallPct  float64 `json:"sb_stall_pct,omitempty"`
-	EDP         float64 `json:"edp,omitempty"`
-	Quarantined string  `json:"quarantined,omitempty"`
+	Bench       string           `json:"bench"`
+	Mech        config.Mechanism `json:"mech"`
+	SB          int              `json:"sb"`
+	Cycles      uint64           `json:"cycles,omitempty"`
+	SBStallPct  float64          `json:"sb_stall_pct,omitempty"`
+	EDP         float64          `json:"edp,omitempty"`
+	Quarantined string           `json:"quarantined,omitempty"`
 }
 
 func (s *Server) planCells(req JobRequest) (*jobPlan, error) {
@@ -353,7 +352,7 @@ func (m cellMatrix) Cells() []harness.Cell { return m }
 func (m cellMatrix) Assemble(r *harness.Runner) (harness.Product, error) {
 	rows := make([]cellRow, 0, len(m))
 	for _, c := range m {
-		row := cellRow{Bench: c.Bench.Name, Mech: c.Mech.String(), SB: c.SB}
+		row := cellRow{Bench: c.Bench.Name, Mech: c.Mech, SB: c.SB}
 		res, err := r.Run(c.Bench, c.Mech, c.SB)
 		var q *supervise.Quarantined
 		switch {
@@ -380,45 +379,26 @@ func (m cellMatrix) Assemble(r *harness.Runner) (harness.Product, error) {
 type cellsJSON []byte
 
 func (d cellsJSON) Print(w io.Writer, _ string) { w.Write(d) }
-func (d cellsJSON) JSON() any                   { return json.RawMessage(d) }
 
 func (s *Server) planLitmus(req JobRequest) (*jobPlan, error) {
-	selected := litmus.Tests()
-	if len(req.Progs) > 0 {
-		var names []string
-		for _, lt := range selected {
-			names = append(names, lt.Name)
-		}
-		selected = nil
-		for _, n := range req.Progs {
-			lt, ok := litmus.ByName(n)
-			if !ok {
-				return nil, fmt.Errorf("litmus: unknown program %q (suite: %s)", n, strings.Join(names, ","))
-			}
-			selected = append(selected, lt)
-		}
+	selected, err := modelcheck.SelectTests(strings.Join(req.Progs, ","))
+	if err != nil {
+		return nil, fmt.Errorf("litmus: %w", err)
 	}
-	mechNames := req.Mechs
-	if len(mechNames) == 0 {
-		mechNames = []string{"base", "CSB", "TUS"}
+	mechSpec := strings.Join(req.Mechs, ",")
+	if mechSpec == "" {
+		mechSpec = modelcheck.DefaultMechs
 	}
-	var mechs []config.Mechanism
-	for _, mn := range mechNames {
-		m, err := config.ParseMechanism(mn)
-		if err != nil {
-			return nil, fmt.Errorf("litmus: %w", err)
-		}
-		mechs = append(mechs, m)
+	mechs, err := modelcheck.SelectMechs(mechSpec)
+	if err != nil {
+		return nil, fmt.Errorf("litmus: %w", err)
 	}
-	eo := modelcheck.ExploreOpts{Skews: 8, MaxDecisions: 8, MaxRuns: 512}
-	if req.Smoke {
-		eo.Skews, eo.MaxDecisions, eo.MaxRuns = 3, 4, 64
-	}
+	eo := modelcheck.Budget(req.Smoke)
 	var progNames []string
 	for _, lt := range selected {
 		progNames = append(progNames, lt.Name)
 	}
-	extra := fmt.Sprintf("progs=%s|mechs=%s|smoke=%v", strings.Join(progNames, ","), strings.Join(mechNames, ","), req.Smoke)
+	extra := fmt.Sprintf("progs=%s|mechs=%s|smoke=%v", strings.Join(progNames, ","), mechSpec, req.Smoke)
 	total := len(selected) * len(mechs)
 	return &jobPlan{
 		kind:        "litmus",

@@ -143,3 +143,42 @@ func TestStressManyCores(t *testing.T) {
 		t.Error("8-way hot-line contention never exercised the authorization unit")
 	}
 }
+
+// TestTUSAdmissionCountsResidentGroupLines crowds one L1 set and one L2
+// set with a few lines under random loads and stores. A TUS group whose
+// lines are partly resident and authorized (so unpinned) must count
+// those lines as ways its commit will pin: the commit writes each of
+// them not visible, and allocating a missing line may first evict one.
+// An admission that counts only the missing lines crashes the machine
+// with the admission-checked invariant.
+func TestTUSAdmissionCountsResidentGroupLines(t *testing.T) {
+	const l2Sets, lines = 4, 6
+	cfg := config.Default().WithMechanism(config.TUS)
+	cfg.StreamPrefetcher = false
+	cfg.L1D.SizeBytes, cfg.L1D.Ways = 2*2*64, 2
+	cfg.L2.SizeBytes, cfg.L2.Ways = l2Sets*2*64, 2
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]isa.MicroOp, 600)
+		for i := range ops {
+			addr := uint64(1)<<30 + uint64(rng.Intn(lines))*l2Sets*64
+			ops[i] = isa.MicroOp{Kind: isa.Load, Addr: addr, Size: 8}
+			if rng.Intn(2) == 0 {
+				ops[i].Kind = isa.Store
+			}
+		}
+		sys, err := New(cfg, []isa.Stream{isa.NewSliceStream(ops)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck := tso.NewChecker(1)
+		sys.SetObserver(ck)
+		if err := sys.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ck.Finish()
+		if err := ck.Err(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}

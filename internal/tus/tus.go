@@ -245,7 +245,7 @@ func (t *TUS) tryAdmit() bool {
 	newEntries := 0
 	cycleHit := false
 	minHitIdx := -1
-	needWays := t.wayScratch[:0]
+	needWays, missing := t.wayScratch[:0], false
 	for _, it := range items {
 		pl := t.priv.Lookup(it.line)
 		switch {
@@ -268,9 +268,8 @@ func (t *TUS) tryAdmit() bool {
 			cycleHit = true
 		default:
 			newEntries++
-			if pl == nil || !pl.InL1 {
-				needWays = append(needWays, it.line)
-			}
+			needWays = append(needWays, it.line)
+			missing = missing || pl == nil || !pl.InL1
 		}
 	}
 	t.wayScratch = needWays
@@ -278,7 +277,9 @@ func (t *TUS) tryAdmit() bool {
 	if len(t.woq)+newEntries > t.cfg.WOQEntries {
 		return false
 	}
-	if len(needWays) > 0 && !t.priv.L1WaysAvailable(needWays) {
+	// With every group line resident the commit allocates nothing, so
+	// the lines it pins keep the ways they hold.
+	if missing && !t.priv.L1WaysAvailable(needWays, true) {
 		return false
 	}
 
