@@ -36,12 +36,13 @@ race:
 # times.
 # The zero-alloc pins (SB enqueue->commit->drain, L1-hit load/store, L1
 # load miss, directory probe, CSB group flush, WCB coalesce, event
-# queue) run alongside in their packages — allocation regressions on
-# the hot paths fail here, not in a profiler three PRs later.
+# queue) and the litmus machine's build count run alongside in their
+# packages — allocation regressions on the hot paths fail here, not in a
+# profiler three PRs later.
 race-harness:
 	$(GO) test -race ./internal/harness/... ./internal/stats/... ./internal/supervise/... ./internal/server/...
 	$(GO) test -race -count=5 -run 'DeadlineMiss|SharedCell|CancelStopsRunningCell|CancelWhileSharing|BornDone|Drain|EvictionSkips' ./internal/harness/ ./internal/server/
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/cpu/ ./internal/memsys/ ./internal/mech/ ./internal/wcb/ ./internal/event/ ./internal/lmap/ ./internal/harness/
+	$(GO) test -run 'ZeroAlloc|MachineAllocs' -count=1 ./internal/cpu/ ./internal/memsys/ ./internal/mech/ ./internal/wcb/ ./internal/event/ ./internal/lmap/ ./internal/harness/ ./internal/system/
 
 # check: model-check the simulator against the operational x86-TSO
 # oracle — every litmus program × {base, CSB, TUS}, bounded-exhaustive

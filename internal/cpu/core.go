@@ -57,7 +57,7 @@ type robEntry struct {
 	replay   bool // bound load snooped by an invalidation; re-bind at commit
 	depCount int
 	waiters  []uint64 // seqs of dependents
-	sbEntry  *SBEntry
+	sbEntry  *SBEntry // a store's; rebindSB moves it when the SB ring grows
 }
 
 // mobLoad is one memory-order-buffer record: a load that bound its
@@ -261,6 +261,17 @@ func (c *Core) growROB() {
 	c.robMask = uint64(size - 1)
 	for i := range old {
 		*c.entry(old[i].seq) = old[i]
+	}
+}
+
+// rebindSB points the ROB's stores older than seq at their entries in
+// the SB's new ring after Push grew it. A store leaves the ROB when it
+// commits, so the uncommitted entries are exactly the ROB's stores.
+func (c *Core) rebindSB(seq uint64) {
+	for i := 0; i < c.SB.count; i++ {
+		if e := c.SB.at(i); !e.Committed && e.Seq < seq {
+			c.entry(e.Seq).sbEntry = e
+		}
 	}
 }
 
@@ -782,10 +793,14 @@ func (c *Core) dispatchOp(op isa.MicroOp) bool {
 		// Push before touching any other state so an overflow (dispatch
 		// checked Full this cycle, so this means SB accounting drifted)
 		// surfaces as a counted stall rather than a dead process.
+		slots := len(c.SB.entries)
 		sbe = c.SB.Push(seq, op.Addr, op.Size)
 		if sbe == nil {
 			c.cSBOverflow.Inc()
 			return false
+		}
+		if len(c.SB.entries) != slots {
+			c.rebindSB(seq)
 		}
 		c.tr.Emit(trace.SBEnqueue, int32(c.ID), c.q.Now(), op.Addr, seq, uint64(c.SB.Len()))
 	}

@@ -237,6 +237,52 @@ func TestROBRingGrowsWithOccupancy(t *testing.T) {
 	}
 }
 
+// TestSBRingGrowsUnderInFlightStores: stores dispatched into the first
+// SB ring wait on a load miss while younger stores grow the ring twice;
+// they execute, commit and drain with their own data after the move.
+func TestSBRingGrowsUnderInFlightStores(t *testing.T) {
+	const early, stores = 4, 24
+	ops := []isa.MicroOp{{Kind: isa.Load, Addr: 0x4000, Size: 8}}
+	for i := 1; i <= stores; i++ {
+		op := isa.MicroOp{Kind: isa.Store, Addr: 0x10000 + uint64(i)*64, Size: 8}
+		if i <= early {
+			op.Dep1 = uint16(i) // the load's value is the store's data
+		}
+		ops = append(ops, op)
+	}
+	r := newCoreRig(t, ops, nil)
+	visible := map[uint64][8]byte{}
+	r.core.priv.OnStoreVisible = func(line uint64, mask memsys.Mask, data *memsys.LineData) {
+		visible[line] = [8]byte(data[:8])
+	}
+	grown := false
+	for cycle := 0; cycle < 100_000 && !r.core.Done(); cycle++ {
+		r.q.Advance()
+		r.core.Tick()
+		if !grown && len(r.core.SB.entries) > sbFirst {
+			grown = true
+			for _, e := range r.core.rob {
+				if e.valid && e.op.Kind == isa.Store && e.seq <= early && e.done {
+					t.Fatalf("store %d executed before the ring grew: the test no longer crosses the move", e.seq)
+				}
+			}
+		}
+	}
+	if !r.core.Done() || !r.core.SB.Empty() {
+		t.Fatalf("core stuck: %d of %d ops committed, %d stores in the SB",
+			r.st.Get("committed_ops"), len(ops), r.core.SB.Len())
+	}
+	if len(r.core.SB.entries) != 32 {
+		t.Fatalf("SB ring of %d slots, want it grown to 32", len(r.core.SB.entries))
+	}
+	for i := 1; i <= stores; i++ {
+		line := 0x10000 + uint64(i)*64
+		if got, want := visible[line], StoreValue(0, uint64(i)); got != want {
+			t.Errorf("store %d drained %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestFenceOrdersStores(t *testing.T) {
 	ops := []isa.MicroOp{
 		{Kind: isa.Store, Addr: 0x1000, Size: 8},

@@ -45,8 +45,9 @@ type ringPair struct {
 	ref      *StoreBuffer
 	seq      uint64
 	searches int
-	// pending holds the handles of the stores not yet executed.
-	pending [][2]*SBEntry
+	// pending holds the seqs of the stores not yet executed (an entry
+	// pointer would not survive the ring growing).
+	pending []uint64
 }
 
 func newRingPair(t testing.TB, capacity int) *ringPair {
@@ -98,8 +99,18 @@ func (p *ringPair) push(addr uint64, size uint8, copyIn bool) {
 	}
 	if a != nil {
 		a.Data, b.Data = ringData(seq), ringData(seq)
-		p.pending = append(p.pending, [2]*SBEntry{a, b})
+		p.pending = append(p.pending, seq)
 	}
+}
+
+// bySeq returns sb's entry for seq.
+func bySeq(sb *StoreBuffer, seq uint64) *SBEntry {
+	for i := 0; i < sb.count; i++ {
+		if e := sb.at(i); e.Seq == seq {
+			return e
+		}
+	}
+	panic(fmt.Sprintf("no store %d in the ring", seq))
 }
 
 // execute marks the n-th pending store executed (out of order).
@@ -108,10 +119,10 @@ func (p *ringPair) execute(n int) {
 		return
 	}
 	n %= len(p.pending)
-	h := p.pending[n]
+	seq := p.pending[n]
 	p.pending = append(p.pending[:n], p.pending[n+1:]...)
-	p.fast.MarkExecuted(h[0])
-	p.ref.MarkExecuted(h[1])
+	p.fast.MarkExecuted(bySeq(p.fast, seq))
+	p.ref.MarkExecuted(bySeq(p.ref, seq))
 }
 
 // commit retires up to n of the oldest uncommitted stores, stopping at
@@ -321,6 +332,23 @@ var ringScripts = map[string][]byte{
 		}
 		return s
 	}()...),
+	// Capacity 32, first ring 8: Z (line 0) links to Y, Y pops and its
+	// slot wraps to V (line 0 again), so V -> Z -> V is a stale cycle in a
+	// full ring whose head is slot 1. W (line 0, dispatched, not yet
+	// executed) grows the ring, joins V's run and executes, commits and
+	// drains after the move; a second fill grows the ring again.
+	"grow": append([]byte{2,
+		opPushCopy, 0, opPushCopy, 1, opPushCopy, 8, opPop, 0,
+		opPushCopy, 2, opPushCopy, 3, opPushCopy, 4, opPushCopy, 5, opPushCopy, 13, opPushCopy, 16,
+		opSearch, 8, opPush, 0, opSearch, 8, opSearch, 16, opLookahead, 3, opExecute, 0, opSearch, 0x48,
+		opCommit, 63, opLookahead, 3},
+		func() []byte {
+			var s []byte
+			for i := 0; i < 12; i++ {
+				s = append(s, opPushCopy, byte(i*9), opSearch, byte(i*8+8))
+			}
+			return append(s, opPush, 6, opPush, 8, opExecute, 1, opSearch, 8, opExecute, 0, opCommit, 63, opPop, 63)
+		}()...),
 	// Capacity 1.
 	"one": {0, opPushCopy, 0, opSearch, 0, opPop, 0, opPush, 6, opSearch, 6, opExecute, 0, opCommit, 0, opPop, 0, opPushCopy, 7},
 }

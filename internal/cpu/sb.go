@@ -104,6 +104,11 @@ type StoreBuffer struct {
 
 const noUnexec = ^uint64(0)
 
+// sbFirst is the ring's initial size (a power of two). A litmus thread
+// pushes a store or two; a store burst doubles the ring (grow) as its
+// occupancy rises, up to the power of two covering its capacity.
+const sbFirst = 8
+
 // NewStoreBuffer allocates a ring with the given capacity, at most
 // config.MaxStoreRing: slot links are 16 bits wide (config.Validate
 // rejects larger SB and TSOB sizes before a machine is built). ref
@@ -115,7 +120,7 @@ func NewStoreBuffer(capacity int, ref bool) *StoreBuffer {
 		panic("cpu: store ring capacity exceeds config.MaxStoreRing")
 	}
 	size := 1
-	for size < capacity {
+	for size < capacity && size < sbFirst {
 		size <<= 1
 	}
 	return &StoreBuffer{entries: make([]SBEntry, size), mask: size - 1, capacity: capacity, minUnexec: noUnexec, ref: ref}
@@ -179,6 +184,9 @@ func (sb *StoreBuffer) Gen() uint64 { return sb.gen }
 // append writes v at the tail and links it into its bucket's chain and
 // the youngest run.
 func (sb *StoreBuffer) append(v SBEntry) *SBEntry {
+	if sb.count == len(sb.entries) {
+		sb.grow()
+	}
 	idx := (sb.head + sb.count) & sb.mask
 	e := &sb.entries[idx]
 	*e = v
@@ -195,6 +203,31 @@ func (sb *StoreBuffer) append(v SBEntry) *SBEntry {
 	}
 	sb.count++
 	return e
+}
+
+// grow doubles a full ring, re-laying it from slot 0: the entry at ring
+// position p moves to slot p, and so does every link that names it.
+// Every slot is live, so every link names a live slot, and a stale link
+// still leads to a younger position. Entry pointers into the old ring
+// are dead afterwards (the core rebinds its ROB's, see Core.rebindSB).
+func (sb *StoreBuffer) grow() {
+	old := sb.entries
+	link := func(v uint16) uint16 { return uint16((int(v)-1-sb.head)&sb.mask) + 1 }
+	sb.entries = make([]SBEntry, 2*len(old))
+	for p := range old {
+		e := &sb.entries[p]
+		*e = old[(sb.head+p)&sb.mask]
+		if e.next != 0 {
+			e.next = link(e.next)
+		}
+	}
+	for b, v := range sb.bucket {
+		if v != 0 {
+			sb.bucket[b] = link(v)
+		}
+	}
+	sb.tailRun = link(sb.tailRun+1) - 1
+	sb.head, sb.mask = 0, len(sb.entries)-1
 }
 
 // MarkExecuted records that the entry's address/data are now known

@@ -24,15 +24,11 @@ const HistBuckets = 32
 // histograms with the same name always merge bucket-for-bucket and the
 // formatted output is deterministic across runs and worker counts.
 type Histogram struct {
-	name    string
 	buckets [HistBuckets]atomic.Uint64
 	count   atomic.Uint64
 	sum     atomic.Uint64
 	max     atomic.Uint64
 }
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
 
 // bucketOf maps a sample to its power-of-two bucket index.
 func bucketOf(v uint64) int {
@@ -222,16 +218,11 @@ func (s HistSnapshot) String() string {
 
 // histogram is Histogram without the lock; callers must hold s.mu.
 func (s *Set) histogram(name string) *Histogram {
-	if h, ok := s.hists[name]; ok {
+	i := histNames.intern(name)
+	if h := s.hists.get(i); h != nil {
 		return h
 	}
-	if s.hists == nil {
-		s.hists = make(map[string]*Histogram)
-	}
-	h := &Histogram{name: name}
-	s.hists[name] = h
-	s.histOrder = append(s.histOrder, name)
-	return h
+	return s.hists.add(i)
 }
 
 // Histogram returns the histogram with the given name, creating it
@@ -247,22 +238,18 @@ func (s *Set) Histogram(name string) *Histogram {
 func (s *Set) HistNames() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, len(s.histOrder))
-	copy(out, s.histOrder)
-	return out
+	return s.hists.names(&histNames)
 }
 
 // snapshotHists captures names (creation order) and snapshots together.
 func (s *Set) snapshotHists() ([]string, []HistSnapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, len(s.histOrder))
-	copy(names, s.histOrder)
-	snaps := make([]HistSnapshot, len(names))
-	for i, n := range names {
-		snaps[i] = s.hists[n].Snapshot()
+	snaps := make([]HistSnapshot, s.hists.n)
+	for p := range snaps {
+		snaps[p] = s.hists.at(p).Snapshot()
 	}
-	return names, snaps
+	return s.hists.names(&histNames), snaps
 }
 
 // HistSnapshots returns every histogram's snapshot keyed by name.

@@ -44,9 +44,10 @@ func TestBucketBounds(t *testing.T) {
 }
 
 func TestHistogramObserve(t *testing.T) {
-	h := &Histogram{name: "lat"}
-	if h.Name() != "lat" {
-		t.Fatalf("Name = %q", h.Name())
+	set := NewSet("x")
+	h := set.Histogram("lat")
+	if names := set.HistNames(); len(names) != 1 || names[0] != "lat" {
+		t.Fatalf("HistNames = %q", names)
 	}
 	for _, v := range []uint64{0, 1, 2, 3, 100, 7} {
 		h.Observe(v)
@@ -76,7 +77,7 @@ func TestHistogramObserve(t *testing.T) {
 // between producers: totals must be exact, the max must survive the
 // CAS race.
 func TestHistogramObserveConcurrent(t *testing.T) {
-	h := &Histogram{name: "c"}
+	h := new(Histogram)
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -135,7 +136,7 @@ func TestObserveNZeroAlloc(t *testing.T) {
 // producers as Observe does; totals stay exact and the largest value
 // survives the max CAS race.
 func TestHistogramObserveNConcurrent(t *testing.T) {
-	h := &Histogram{name: "c"}
+	h := new(Histogram)
 	const workers, per, n = 8, 1000, 3
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -164,7 +165,7 @@ func TestQuantile(t *testing.T) {
 	if empty.Quantile(0.5) != 0 {
 		t.Error("empty histogram quantile must be 0")
 	}
-	h := &Histogram{name: "q"}
+	h := new(Histogram)
 	// 90 samples in [1,2) and 10 in [8,16): p50 lands in the first
 	// bucket, p99 in the second.
 	for i := 0; i < 90; i++ {
@@ -190,7 +191,7 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestHistSnapshotString(t *testing.T) {
-	h := &Histogram{name: "s"}
+	h := new(Histogram)
 	h.Observe(0)
 	h.Observe(3)
 	h.Observe(3)
@@ -201,7 +202,7 @@ func TestHistSnapshotString(t *testing.T) {
 		}
 	}
 	// The overflow bucket renders with an open upper bound.
-	h2 := &Histogram{name: "inf"}
+	h2 := new(Histogram)
 	h2.Observe(^uint64(0))
 	if got := h2.Snapshot().String(); !strings.Contains(got, ",inf):1") {
 		t.Errorf("overflow bucket not rendered open-ended: %q", got)
@@ -350,7 +351,7 @@ func TestQuantileUpperBoundSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := &Histogram{name: tc.name}
+			h := new(Histogram)
 			tc.observe(h)
 			s := h.Snapshot()
 			if got := s.Quantile(0.50); got != tc.p50 {

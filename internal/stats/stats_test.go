@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -19,8 +20,8 @@ func TestCounterBasics(t *testing.T) {
 	if s.Get("missing") != 0 {
 		t.Fatal("missing counter should read 0")
 	}
-	if c.Name() != "loads" {
-		t.Fatalf("Name = %q", c.Name())
+	if names := s.Names(); len(names) != 1 || names[0] != "loads" {
+		t.Fatalf("Names = %q", names)
 	}
 }
 
@@ -241,20 +242,110 @@ func TestSnapshotDuringMerge(t *testing.T) {
 	}
 }
 
-// TestSetRegistersInPlace: a machine's worth of counters and histograms
-// registers into the order slices NewSet sized, without regrowing them.
+// TestSetRegistersInPlace: once a Set of the same prefix has registered
+// a machine's worth of counters and histograms, a new Set registers them
+// into one slab of each, sized for them, and allocates nothing more.
 func TestSetRegistersInPlace(t *testing.T) {
-	s := NewSet("core0")
-	s.Counter("c0")
-	s.Histogram("h0")
-	order, hist := &s.order[0], &s.histOrder[0]
-	for i := 1; i < setSizeHint; i++ {
-		s.Counter(fmt.Sprintf("c%d", i))
+	cs, hs := make([]string, 50), make([]string, 8)
+	for i := range cs {
+		cs[i] = fmt.Sprintf("inplace_c%d", i)
 	}
-	for i := 1; i < 8; i++ {
-		s.Histogram(fmt.Sprintf("h%d", i))
+	for i := range hs {
+		hs[i] = fmt.Sprintf("inplace_h%d", i)
 	}
-	if &s.order[0] != order || &s.histOrder[0] != hist {
-		t.Error("registering a machine's counters and histograms regrew the order slices")
+	var s *Set
+	register := func() {
+		s = NewSet("inplace")
+		for _, n := range cs {
+			s.Counter(n)
+		}
+		for _, n := range hs {
+			s.Histogram(n)
+		}
+	}
+	register() // the prefix's first Set sizes the slabs of the next ones
+	build := testing.AllocsPerRun(100, func() { s = NewSet("inplace") })
+	all := testing.AllocsPerRun(100, register)
+	if all != build+2 {
+		t.Errorf("registering a machine's counters and histograms allocates %.0f times beyond NewSet's %.0f, want 2 (one slab each)", all-build, build)
+	}
+	if len(s.counters.more) != 0 || len(s.hists.more) != 0 || s.counters.n != 50 || s.hists.n != 8 {
+		t.Errorf("registration spilled past the first slabs: %d and %d more", len(s.counters.more), len(s.hists.more))
+	}
+}
+
+// TestSetsShareSchemaConcurrently: goroutines register overlapping names
+// into their own Sets, each in its own order, while others intern new
+// names into the shared schema and merge into one total. Every Set
+// keeps its own registration order and values, and Merge and Get by name
+// agree with per-name sums kept in plain maps.
+func TestSetsShareSchemaConcurrently(t *testing.T) {
+	const (
+		workers = 16
+		shared  = 40
+	)
+	total := NewSet("schema_total")
+	sets := make([]*Set, workers)
+	orders := make([][]string, workers)
+	want := make([]map[string]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			var order []string
+			for _, i := range rng.Perm(shared) {
+				order = append(order, fmt.Sprintf("schema_c%d", i))
+			}
+			// Every third worker also registers names no other Set has.
+			for i := 0; w%3 == 0 && i < 5; i++ {
+				order = append(order, fmt.Sprintf("schema_w%d_%d", w, i))
+			}
+			s := NewSet(fmt.Sprintf("schema_p%d", w%3))
+			vals := map[string]uint64{}
+			for k, n := range order {
+				vals[n] = uint64(w*1000 + k + 1)
+				s.Counter(n).Add(vals[n])
+				s.Histogram("schema_h" + n[len(n)-1:]).Observe(uint64(k))
+			}
+			total.Merge(s)
+			sets[w], orders[w], want[w] = s, order, vals
+		}(w)
+	}
+	wg.Wait()
+	sums := map[string]uint64{}
+	for w, s := range sets {
+		if got := s.Names(); fmt.Sprint(got) != fmt.Sprint(orders[w]) {
+			t.Errorf("worker %d: Names() = %v, want its own order %v", w, got, orders[w])
+		}
+		for n, v := range want[w] {
+			if got := s.Get(n); got != v {
+				t.Errorf("worker %d: Get(%q) = %d, want %d", w, n, got, v)
+			}
+			if got := s.Counter(n).Value(); got != v {
+				t.Errorf("worker %d: the handle for %q reads %d, want %d", w, n, got, v)
+			}
+			sums[n] += v
+		}
+		if s.Get("schema_never") != 0 {
+			t.Errorf("worker %d: an unregistered name reads nonzero", w)
+		}
+	}
+	snap := total.Snapshot()
+	if len(snap) != len(sums) {
+		t.Errorf("total holds %d counters, want %d", len(snap), len(sums))
+	}
+	for n, v := range sums {
+		if got := total.Get(n); got != v || snap[n] != v {
+			t.Errorf("total %q: Get %d, Snapshot %d, want %d", n, got, snap[n], v)
+		}
+	}
+	var samples uint64
+	for _, h := range total.HistSnapshots() {
+		samples += h.Count
+	}
+	if want := uint64(workers*shared + 6*5); samples != want {
+		t.Errorf("total histograms hold %d samples, want %d", samples, want)
 	}
 }

@@ -113,6 +113,7 @@ type Checker struct {
 
 	batchCycle []uint64
 	batch      []map[uint64]*publication
+	scratch    map[uint64]byte // flush's, cleared on entry
 
 	// Published counts visibility events; LoadsSeen counts checked loads.
 	Published uint64
@@ -129,6 +130,7 @@ func NewChecker(cores int) *Checker {
 		maxKeep:    64,
 		batchCycle: make([]uint64, cores),
 		batch:      make([]map[uint64]*publication, cores),
+		scratch:    make(map[uint64]byte),
 	}
 	for i := range c.exec {
 		c.exec[i] = make(map[uint64][]seqVal)
@@ -213,7 +215,8 @@ func (c *Checker) flush(core int) {
 	// program-order application of the popped stores must equal the
 	// published bytes everywhere they touch) disambiguates.
 	q := c.pending[core]
-	scratch := map[uint64]byte{}
+	scratch := c.scratch
+	clear(scratch)
 	consistent := func() bool {
 		for a, v := range scratch {
 			pub := batch[a&^63]
