@@ -174,10 +174,11 @@ pgo:
 # the binary heap alone) via the tus_ref build tag, plus the in-process
 # differential rigs that run a fast and a reference machine side by
 # side (state identity at every drain point under seeded + chaos
-# traffic, whole-system cycle/stat identity, event-level pop order).
+# traffic, whole-system cycle/stat identity, event-level pop order,
+# and the drain lookahead's watermark stepped against the full walk).
 ref-identity:
 	$(GO) test -tags tus_ref ./...
-	$(GO) test -run 'TestDifferential|TestReference|TestWheel' -count=1 ./internal/memsys/ ./internal/system/ ./internal/event/
+	$(GO) test -run 'TestDifferential|TestReference|TestWheel|TestLookahead' -count=1 ./internal/memsys/ ./internal/system/ ./internal/event/ ./internal/mech/
 
 # clean: drop run-local state — the content-addressed result cache,
 # stale run journals, the benchmark's build directory, and scratch

@@ -145,7 +145,7 @@ func BenchmarkLookaheadLines(b *testing.B) {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sb.LookaheadLines(k, visit)
+				sb.LookaheadLines(k, true, visit)
 			}
 		})
 	}

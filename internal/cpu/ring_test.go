@@ -153,8 +153,8 @@ func (p *ringPair) search(loadSeq, addr uint64, size uint8) {
 
 func (p *ringPair) lookahead(k int) {
 	var a, b []uint64
-	p.fast.LookaheadLines(k, func(l uint64) { a = append(a, l) })
-	p.ref.LookaheadLines(k, func(l uint64) { b = append(b, l) })
+	p.fast.LookaheadLines(k, true, func(l uint64) { a = append(a, l) })
+	p.ref.LookaheadLines(k, true, func(l uint64) { b = append(b, l) })
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		p.t.Fatalf("LookaheadLines(%d) with %d entries: indexed %#x, reference %#x", k, p.ref.Len(), a, b)
 	}
@@ -402,7 +402,7 @@ func TestStoreRingZeroAlloc(t *testing.T) {
 			e.Committed = true
 			seq++
 			sb.Search(seq, 0x1000+seq*8-64, 8)
-			sb.LookaheadLines(64, visit)
+			sb.LookaheadLines(64, true, visit)
 			sb.Pop()
 		}
 		step()

@@ -7,6 +7,8 @@
 package cpu
 
 import (
+	"sort"
+
 	"tusim/internal/config"
 	"tusim/internal/memsys"
 )
@@ -100,6 +102,8 @@ type StoreBuffer struct {
 	// gen advances whenever what LookaheadLines visits may have changed
 	// (see Gen).
 	gen uint64
+	// LookaheadLines' watermark and resume point (see there).
+	mark, popped, runsPopped, lastAt, lastRuns uint64
 }
 
 const noUnexec = ^uint64(0)
@@ -175,10 +179,9 @@ func (sb *StoreBuffer) Commit(e *SBEntry, now uint64) {
 }
 
 // Gen identifies the committed part of the ring: it advances on every
-// Commit, Pop and PushCopy. Push does not move it — it appends an
-// uncommitted store, which LookaheadLines never reaches — so a drain
-// whose walk saw the same Gen (and the same memsys.Private.PermEpoch)
-// would repeat it exactly.
+// Commit, Pop and PushCopy. Push does not move it: an uncommitted store
+// adds no line to LookaheadLines' window, so a drain whose last walk saw
+// the same Gen and memsys.Private.LossEpoch would ask nothing new.
 func (sb *StoreBuffer) Gen() uint64 { return sb.gen }
 
 // append writes v at the tail and links it into its bucket's chain and
@@ -231,15 +234,15 @@ func (sb *StoreBuffer) grow() {
 }
 
 // MarkExecuted records that the entry's address/data are now known
-// (callers must use this instead of setting Executed directly so the
-// oldest-unexecuted cache stays coherent).
+// (callers must not set Executed directly: the oldest-unexecuted cache
+// would go stale). Every older store is executed, so a rescan starts at e.
 func (sb *StoreBuffer) MarkExecuted(e *SBEntry) {
 	e.Executed = true
 	if e.Seq != sb.minUnexec {
 		return
 	}
 	sb.minUnexec = noUnexec
-	for i := 0; i < sb.count; i++ {
+	for i := sort.Search(sb.count, func(i int) bool { return sb.at(i).Seq >= e.Seq }); i < sb.count; i++ {
 		x := sb.at(i)
 		if !x.Executed {
 			sb.minUnexec = x.Seq
@@ -275,9 +278,12 @@ func (sb *StoreBuffer) Pop() {
 		if int(sb.tailRun) == sb.head {
 			sb.tailRun = uint16(next)
 		}
+	} else {
+		sb.runsPopped++
 	}
 	sb.head = next
 	sb.count--
+	sb.popped++
 	sb.gen++
 }
 
@@ -376,20 +382,33 @@ func (sb *StoreBuffer) searchRef(loadSeq, addr uint64, size uint8, want memsys.M
 	return FwdMiss, zero
 }
 
-// LookaheadLines visits up to k distinct line addresses of the oldest
-// committed stores (drain-ahead RFO issue): one step per run.
-func (sb *StoreBuffer) LookaheadLines(k int, visit func(line uint64)) {
+// LookaheadLines steps over the runs of up to k distinct lines of the
+// oldest committed stores (drain-ahead RFO issue) and visits each whose
+// youngest Seq is at or past mark, the Seq after the last run visited
+// (all: every run). Else it resumes at the last call's last run unless
+// Pop reached it (popped, runsPopped). The reference twin visits all.
+func (sb *StoreBuffer) LookaheadLines(k int, all bool, visit func(line uint64)) {
 	if sb.ref {
 		sb.lookaheadRef(k, visit)
 		return
 	}
-	for i, seen := 0, 0; i < sb.count && seen < k; seen++ {
+	i, seen := 0, 0
+	if all {
+		sb.mark = 0
+	} else if sb.lastAt >= sb.popped {
+		i, seen = int(sb.lastAt-sb.popped), int(sb.lastRuns-sb.runsPopped)
+	}
+	for ; i < sb.count && seen < k; seen++ {
 		e := sb.at(i)
 		if !e.Committed {
 			break
 		}
-		visit(e.Line())
+		sb.lastAt, sb.lastRuns = sb.popped+uint64(i), sb.runsPopped+uint64(seen)
 		i += int(e.run)
+		if last := sb.at(i - 1).Seq; last >= sb.mark {
+			visit(e.Line())
+			sb.mark = last + 1
+		}
 	}
 }
 

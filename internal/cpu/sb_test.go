@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -169,15 +170,51 @@ func TestSBLookaheadLines(t *testing.T) {
 	mk(4, 0x300, false) // uncommitted ends the scan
 	mk(5, 0x400, true)
 	var lines []uint64
-	sb.LookaheadLines(8, func(l uint64) { lines = append(lines, l) })
+	sb.LookaheadLines(8, true, func(l uint64) { lines = append(lines, l) })
 	if len(lines) != 2 || lines[0] != 0x100 || lines[1] != 0x200 {
 		t.Fatalf("lookahead lines = %#v", lines)
 	}
 	lines = nil
-	sb.LookaheadLines(1, func(l uint64) { lines = append(lines, l) })
+	sb.LookaheadLines(1, true, func(l uint64) { lines = append(lines, l) })
 	if len(lines) != 1 {
 		t.Fatalf("k bound ignored: %v", lines)
 	}
+}
+
+// TestSBLookaheadMark: a walk visits only the runs whose youngest store
+// is at or past the watermark, still counts the older runs toward k,
+// resumes at the last walk's last run (after pops too), and moves the
+// watermark past the last run it visited; all visits every run again.
+func TestSBLookaheadMark(t *testing.T) {
+	sb := NewStoreBuffer(16, false)
+	commit := func(seq, addr uint64) { execStore(sb, seq, addr, 8, [8]byte{}).Committed = true }
+	walk := func(all bool, want string, wantMark uint64) {
+		t.Helper()
+		var lines []uint64
+		sb.LookaheadLines(3, all, func(l uint64) { lines = append(lines, l) })
+		if got := fmt.Sprintf("%#x", lines); got != want || sb.mark != wantMark {
+			t.Fatalf("visited %s, mark %d; want %s, mark %d", got, sb.mark, want, wantMark)
+		}
+	}
+	commit(1, 0x100)
+	commit(2, 0x108)
+	commit(3, 0x200)
+	walk(false, "[0x100 0x200]", 4)
+	commit(4, 0x208) // lengthens the youngest run, which is asked again
+	commit(5, 0x300)
+	commit(6, 0x400) // the fourth line: past k
+	walk(false, "[0x200 0x300]", 6)
+	sb.Pop()
+	sb.Pop() // the 0x100 run leaves and the window reaches 0x400
+	walk(false, "[0x400]", 7)
+	walk(false, "[]", 7)
+	for sb.Len() > 0 {
+		sb.Pop() // Pop reaches the last walk's last run
+	}
+	commit(7, 0x500)
+	commit(8, 0x600)
+	walk(false, "[0x500 0x600]", 9)
+	walk(true, "[0x500 0x600]", 9)
 }
 
 // TestSBLookaheadLinesAtCapacity fills a wrapped ring of every size with
@@ -202,7 +239,7 @@ func TestSBLookaheadLinesAtCapacity(t *testing.T) {
 		}
 		for _, k := range []int{1, 2, 16, 64, capacity} {
 			var got []uint64
-			sb.LookaheadLines(k, func(l uint64) { got = append(got, l) })
+			sb.LookaheadLines(k, true, func(l uint64) { got = append(got, l) })
 			exp := want
 			if len(exp) > k {
 				exp = exp[:k]

@@ -45,11 +45,11 @@ const drainLookahead = 16
 
 // lookahead is the drain-ahead RFO walk every drain shares: keep
 // write-permission requests in flight for the next k distinct committed
-// lines of a store ring. A blocked head would repeat the same walk every
-// cycle, so it is skipped while the ring's Gen and the private's
-// PermEpoch are what the last walk started from (the zero key is an
-// empty ring's); a walk that moved the epoch is followed by another. The
-// reference machine always walks.
+// lines of a store ring. A KeepWritable call settles its line until the
+// private's LossEpoch moves, so a walk asks only the runs past the ring's
+// watermark (all when the epoch moved), and none while the ring's Gen
+// and the epoch are what the last walk started from (the zero key is an
+// empty ring's). The reference machine always walks the whole window.
 type lookahead struct {
 	ring       *cpu.StoreBuffer
 	priv       *memsys.Private
@@ -60,13 +60,14 @@ type lookahead struct {
 
 // still reports that walk would skip: its key has not moved.
 func (l *lookahead) still() bool {
-	return !l.ref && l.gen == l.ring.Gen() && l.epoch == l.priv.PermEpoch()
+	return !l.ref && l.gen == l.ring.Gen() && l.epoch == l.priv.LossEpoch()
 }
 
 func (l *lookahead) walk() {
 	if !l.still() {
-		l.gen, l.epoch = l.ring.Gen(), l.priv.PermEpoch()
-		l.ring.LookaheadLines(l.k, l.priv.KeepWritable)
+		e := l.priv.LossEpoch()
+		l.ring.LookaheadLines(l.k, e != l.epoch, l.priv.KeepWritable)
+		l.gen, l.epoch = l.ring.Gen(), e
 	}
 }
 

@@ -229,7 +229,7 @@ func TestLookaheadSkipLockstep(t *testing.T) {
 	for _, mechName := range []string{"base", "csb", "ssb"} {
 		for _, pressure := range []int{0, 30} {
 			t.Run(fmt.Sprintf("%s/pressure%d", mechName, pressure), func(t *testing.T) {
-				fast := lockstep(t, ops, mechName, pressure, 0x40000, pool)
+				fast := lockstep(t, ops, mechName, pressure, 0x40000, pool, nil)
 				if fast.st.Get("l2_misses") < pool || fast.st.Get("drain_blocked_cycles") == 0 || fast.remoteSt.Get("l2_misses") == 0 {
 					t.Fatalf("%d misses, %d blocked cycles, %d remote misses: the trace no longer stresses the lookahead",
 						fast.st.Get("l2_misses"), fast.st.Get("drain_blocked_cycles"), fast.remoteSt.Get("l2_misses"))
@@ -237,6 +237,33 @@ func TestLookaheadSkipLockstep(t *testing.T) {
 			})
 		}
 	}
+
+	// A write-back that lands under a waiting lookahead. Sixteen written
+	// lines fill a one-set, 16-way L2; behind a fence, three cold loads
+	// evict the oldest three, whose write-backs go out. Then a cold line
+	// heads the drain, and stores to the three evicted lines commit behind
+	// it: the walk finds each refused for its write-back, and the landing
+	// is the only thing that says it must ask again while the head waits.
+	t.Run("base/writeback", func(t *testing.T) {
+		own := func(j uint64) uint64 { return 0x100000 + j*64 }
+		var wbOps []isa.MicroOp
+		for j := uint64(0); j < 16; j++ {
+			wbOps = append(wbOps, storeTrace(own(j))...)
+		}
+		wbOps = append(wbOps, isa.MicroOp{Kind: isa.Fence})
+		for j := uint64(0); j < 3; j++ {
+			wbOps = append(wbOps, isa.MicroOp{Kind: isa.Load, Addr: 0x300000 + j*0x10000, Size: 8})
+		}
+		wbOps = append(wbOps, storeTrace(0x500000, own(0), own(1), own(2))...)
+		fast := lockstep(t, wbOps, "base", 0, 0x600000, 8, func(c *config.Config) {
+			c.StreamPrefetcher = false
+			c.L1D.SizeBytes, c.L1D.Ways = 4*64, 4
+			c.L2.SizeBytes, c.L2.Ways = 16*64, 16
+		})
+		if fast.landed == 0 {
+			t.Fatal("no write-back landed while its line waited behind the drain head: the trace no longer reaches the case")
+		}
+	})
 }
 
 // lockMachine is one side of a lockstep pair: a core under test, its
@@ -249,12 +276,28 @@ type lockMachine struct {
 	*rig
 	remote   *memsys.Private
 	remoteSt *stats.Set
+	// landed counts the write-backs that landed while their line sat in
+	// the lookahead window behind the drain head.
+	landed int
+}
+
+// lookaheadOf returns m's drain lookahead.
+func lookaheadOf(m cpu.DrainMechanism) *lookahead {
+	switch m := m.(type) {
+	case *Base:
+		return &m.lookahead
+	case *CSB:
+		return &m.lookahead
+	case *SSB:
+		return &m.lookahead
+	}
+	panic(fmt.Sprintf("no lookahead in %T", m))
 }
 
 // lockstep runs ops on a skipping and a reference machine cycle by
 // cycle, failing at the first cycle they disagree, and returns the
-// skipping side.
-func lockstep(t *testing.T, ops []isa.MicroOp, mechName string, pressure int, base, pool uint64) lockMachine {
+// skipping side. mut, when set, adjusts both machines' configuration.
+func lockstep(t *testing.T, ops []isa.MicroOp, mechName string, pressure int, base, pool uint64, mut func(*config.Config)) lockMachine {
 	t.Helper()
 	build := func(ref bool) lockMachine {
 		var cfg *config.Config
@@ -263,6 +306,9 @@ func lockstep(t *testing.T, ops []isa.MicroOp, mechName string, pressure int, ba
 			c.StreamPrefetcher = true
 			c.L1D.MSHRs = 4
 			c.Reference = ref
+			if mut != nil {
+				mut(c)
+			}
 			cfg = c
 		})
 		m := lockMachine{rig: r, remoteSt: stats.NewSet("remote")}
@@ -287,10 +333,25 @@ func lockstep(t *testing.T, ops []isa.MicroOp, mechName string, pressure int, ba
 		return b.String()
 	}
 	fast, ref := build(false), build(true)
+	// The reference ring finds the window: asking the skipping one would
+	// move its watermark.
+	la := lookaheadOf(ref.mech)
+	var waiting []uint64 // window lines behind the head with a write-back in flight
 	for cycle := uint64(1); !fast.core.Done() || !ref.core.Done(); cycle++ {
 		if cycle > 1_000_000 {
 			t.Fatalf("not finished after %d cycles", cycle)
 		}
+		for _, l := range waiting {
+			if !fast.priv.WBPending(l) {
+				fast.landed++
+			}
+		}
+		waiting = waiting[:0]
+		la.ring.LookaheadLines(la.k, true, func(l uint64) {
+			if l != la.ring.Head().Line() && fast.priv.WBPending(l) {
+				waiting = append(waiting, l)
+			}
+		})
 		line := base + cycle*13%pool*64
 		for _, m := range []lockMachine{fast, ref} {
 			m.q.Advance()

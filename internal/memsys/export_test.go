@@ -7,3 +7,6 @@ func CrossWire(pl, from *PLine) (restore func()) {
 	pl.mshr = from.mshr
 	return func() { pl.mshr = old }
 }
+
+// KeepWritableCalls reports how many times KeepWritable was called.
+func (p *Private) KeepWritableCalls() uint64 { return p.keepCalls }

@@ -190,6 +190,9 @@ type Private struct {
 	// (writeBackDone), or MSHRFree consulted a fault injector. See
 	// PermEpoch.
 	permEpoch uint64
+	// See LossEpoch; refused: a refusal for lack of an MSHR awaits a free.
+	lossEpoch, keepCalls uint64
+	refused              bool
 
 	wbRecs *lmap.Records[wbEntry]
 
@@ -330,6 +333,9 @@ func (p *Private) Writable(line uint64) bool { return p.lines.Get(line & LineMas
 
 // setState is the one writer of a line's MESI state.
 func (p *Private) setState(pl *PLine, s MESI) {
+	if pl.writable() && s != StateE && s != StateM {
+		p.lossEpoch++
+	}
 	pl.State = s
 	p.permEpoch++
 }
@@ -337,16 +343,23 @@ func (p *Private) setState(pl *PLine, s MESI) {
 // PermEpoch identifies everything KeepWritable reads: which lines are
 // held in E/M, which name a miss or write-back in flight and, under
 // fault injection, the injector's next decision. A caller whose
-// KeepWritable calls left the epoch where it was may skip repeating
-// them until it moves (SSB's blocked drain head would otherwise re-walk
-// an unchanged 64-line window every cycle).
+// permission requests left the epoch where it was may skip repeating
+// them until it moves (CSB's waiting group does; the drain lookahead
+// needs only LossEpoch, which moves on a subset of these).
 func (p *Private) PermEpoch() uint64 { return p.permEpoch }
+
+// LossEpoch advances on what can reopen a line KeepWritable settled
+// (writable, joined to a miss, refused): a line leaving E/M, a free
+// leaving its line unwritable or answering a refusal for lack of an
+// MSHR, a write-back landing, an MSHRFree query under faults.
+func (p *Private) LossEpoch() uint64 { return p.lossEpoch }
 
 // MSHRFree reports whether a new demand miss can be tracked.
 func (p *Private) MSHRFree() bool {
 	if p.faults != nil {
 		// Each call consumes an injector decision, so no two are alike.
 		p.permEpoch++
+		p.lossEpoch++
 		if p.faults.MSHRPressure() {
 			p.cFaultMSHR.Inc()
 			return false
@@ -549,6 +562,7 @@ func (p *Private) runCallback(line uint64, ok bool) {
 // it decides on one line-table lookup and does nothing for a line
 // already held in E/M.
 func (p *Private) KeepWritable(line uint64) {
+	p.keepCalls++
 	line &= LineMask
 	if pl := p.lines.Get(line); !pl.writable() {
 		p.requestMiss(line, pl, false, false, 0)
@@ -577,6 +591,7 @@ func (p *Private) requestMiss(line uint64, pl *PLine, prefetch, autoRetry bool, 
 		return false
 	}
 	if !prefetch && !p.MSHRFree() {
+		p.refused = true
 		return false
 	}
 	p.cL2Miss.Inc()
@@ -631,7 +646,11 @@ func (p *Private) response(id uint32, ok bool, data *LineData, excl bool) {
 // (after its loads and writers have been answered).
 func (p *Private) freeMSHR(m *mshrEntry) {
 	p.permEpoch++
-	if pl := p.lines.Get(m.line); pl != nil && pl.mshr == m.id {
+	pl := p.lines.Get(m.line)
+	if p.refused || !pl.writable() {
+		p.lossEpoch, p.refused = p.lossEpoch+1, false
+	}
+	if pl != nil && pl.mshr == m.id {
 		pl.mshr = 0
 		p.misses--
 		p.gc(pl)
@@ -1095,6 +1114,7 @@ func (p *Private) writeBackDone(id uint32, ok bool) {
 	if pl := p.lines.Get(e.line); pl != nil && pl.wb == id {
 		pl.wb = 0
 		p.permEpoch++ // the line may start a miss again
+		p.lossEpoch++
 		p.gc(pl)
 	}
 	p.wbRecs.Put(id)

@@ -354,6 +354,67 @@ func TestPermEpochTracksKeepWritableInputs(t *testing.T) {
 	})
 }
 
+// TestLossEpochTracksReopenings pins the key the drain lookahead's
+// watermark resets on: each way a line KeepWritable settled can need
+// asking again moves LossEpoch on its own — a line leaving E/M, a miss
+// freed by a NACK or by a shared fill, any free while a refusal for lack
+// of an MSHR is pending, a write-back landing, and an MSHR query that
+// consumes an injector decision. A new miss and a granted writable fill
+// with no refusal pending settle lines and leave it where it was.
+func TestLossEpochTracksReopenings(t *testing.T) {
+	r := newRig(t, 2, func(c *config.Config) { c.L1D.MSHRs = 2 })
+	p := r.ps[0]
+	epochMoves := func(what string, want bool, f func()) {
+		t.Helper()
+		e := p.LossEpoch()
+		f()
+		if got := p.LossEpoch() != e; got != want {
+			t.Fatalf("%s: LossEpoch moved = %v, want %v", what, got, want)
+		}
+	}
+	epochMoves("a new miss", false, func() { p.KeepWritable(0x1000) })
+	epochMoves("a granted writable fill", false, func() { r.run(t) })
+	if !p.Writable(0x1000) {
+		t.Fatal("the miss did not end writable")
+	}
+	epochMoves("a line leaving E/M", true, func() { r.mustWritable(t, 1, 0x1000) })
+
+	r.mustLoad(t, 1, 0x2000, 8)
+	r.load(0, 0x2000, 8, func([]byte) {})
+	epochMoves("a shared fill", true, func() { r.run(t) })
+
+	p.KeepWritable(0x3000)
+	p.KeepWritable(0x4000)
+	epochMoves("a refusal for lack of an MSHR", false, func() { p.KeepWritable(0x5000) })
+	if p.MSHRPending(0x5000) {
+		t.Fatal("a third miss started with two MSHRs")
+	}
+	epochMoves("a writable fill while a refusal is pending", true, func() {
+		for p.MSHRPending(0x3000) && p.MSHRPending(0x4000) {
+			r.q.Advance()
+		}
+	})
+	epochMoves("the next writable fill", false, func() { r.run(t) })
+
+	r.dir.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, NackPct: 100}))
+	p.KeepWritable(0x6000)
+	epochMoves("a NACK", true, func() { r.run(t) })
+	if p.MSHRPending(0x6000) || p.Writable(0x6000) {
+		t.Fatal("the NACKed request did not end as a plain free")
+	}
+	p.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, MSHRPressurePct: 50}))
+	epochMoves("an MSHR query under faults", true, func() { p.MSHRFree() })
+
+	r = newRig(t, 1, nil)
+	p = r.ps[0]
+	evictDirty(t, r, 0x0)
+	epochMoves("a write-back landing", true, func() {
+		for p.WBPending(0x0) {
+			r.q.Advance()
+		}
+	})
+}
+
 func TestUpgradeFromShared(t *testing.T) {
 	r := newRig(t, 2, nil)
 	r.mustLoad(t, 0, 0x8000, 8)
