@@ -6,8 +6,8 @@
 //	go test -bench=. -benchmem
 //
 // Naming: BenchmarkFigN_* maps to the paper's Figure N (see DESIGN.md's
-// experiment index); BenchmarkAblation* covers the design choices the
-// DSE in Sec. VI calls out.
+// experiment index); BenchmarkDSE and BenchmarkAblationPrefetchAtCommit
+// cover the design choices the DSE in Sec. VI calls out.
 package tusim_test
 
 import (
@@ -187,71 +187,18 @@ func BenchmarkHeadline_TUS32vsBase114(b *testing.B) {
 
 // ---------- Ablations (design choices from the Sec. VI DSE) ----------
 
-func ablationRun(b *testing.B, mut func(*config.Config)) uint64 {
-	b.Helper()
-	bench, _ := workload.ByName("502.gcc5")
-	const ops = 60_000
-	cfg := config.Default().WithMechanism(config.TUS)
-	mut(cfg)
-	sys, err := system.New(cfg, bench.Streams(1, ops))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys.WarmupOps = ops / 3
-	if err := sys.Run(); err != nil {
-		b.Fatal(err)
-	}
-	return sys.Cycles
-}
-
-// BenchmarkAblationWOQSize sweeps the write ordering queue size
-// (the DSE chose 64).
-func BenchmarkAblationWOQSize(b *testing.B) {
+// BenchmarkDSE runs the TUS design-space sweep on 502.gcc5 (WOQ size,
+// WCB count, atomic group length, coalescing, prefetch-at-commit) and
+// reports each point's speedup over the paper's chosen design.
+func BenchmarkDSE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base := ablationRun(b, func(c *config.Config) {})
-		for _, n := range []int{16, 32, 64, 128} {
-			n := n
-			cyc := ablationRun(b, func(c *config.Config) { c.WOQEntries = n })
-			b.ReportMetric(100*(float64(base)/float64(cyc)-1),
-				"woq"+itoa(n)+"_vs_64_%")
+		points, err := harness.DSE(benchRunner(), "502.gcc5")
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationWCBCount sweeps the number of write-combining
-// buffers (the DSE chose 2).
-func BenchmarkAblationWCBCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base := ablationRun(b, func(c *config.Config) {})
-		for _, n := range []int{1, 2, 4} {
-			n := n
-			cyc := ablationRun(b, func(c *config.Config) { c.WCBCount = n })
-			b.ReportMetric(100*(float64(base)/float64(cyc)-1),
-				"wcb"+itoa(n)+"_vs_2_%")
+		for _, p := range points {
+			b.ReportMetric(100*(p.SpeedupVsDefault-1), p.Label+"_vs_default_%")
 		}
-	}
-}
-
-// BenchmarkAblationGroupLen sweeps the maximum atomic group length
-// (the DSE chose 16; after 8 the paper saw no ST difference).
-func BenchmarkAblationGroupLen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base := ablationRun(b, func(c *config.Config) {})
-		for _, n := range []int{4, 8, 16, 32} {
-			n := n
-			cyc := ablationRun(b, func(c *config.Config) { c.MaxAtomicGroup = n })
-			b.ReportMetric(100*(float64(base)/float64(cyc)-1),
-				"group"+itoa(n)+"_vs_16_%")
-		}
-	}
-}
-
-// BenchmarkAblationNoCoalesce disables WCB coalescing inside TUS.
-func BenchmarkAblationNoCoalesce(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base := ablationRun(b, func(c *config.Config) {})
-		cyc := ablationRun(b, func(c *config.Config) { c.TUSCoalesce = false })
-		b.ReportMetric(100*(float64(base)/float64(cyc)-1), "no_coalesce_vs_tus_%")
 	}
 }
 
@@ -321,18 +268,4 @@ func BenchmarkWholeCellCyclesPerSec(b *testing.B) {
 		cycles += sys.Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

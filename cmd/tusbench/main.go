@@ -30,18 +30,22 @@
 // instead of killing the run.
 //
 // With -journal, the run keeps one state file, .tusjournal/<run-id>.json:
-// its settings, the cells it quarantined and whether it finished, each
+// its flags (every flag by name, but -v, -journal-dir, -cpuprofile and
+// -memprofile), the cells it quarantined and whether it finished, each
 // change saved whole by temp file and rename. After a crash or SIGKILL,
-// `tusbench -resume <run-id>` reruns it with the journaled settings: the
-// result cache (-cache, recorded in the journal) serves the cells that
-// finished, and quarantined cells stay quarantined. -resume takes no
-// other flag but -j, -v, -journal-dir, -cpuprofile and -memprofile.
-// Resumed output is byte-identical to an uninterrupted run (all resume
-// chatter goes to stderr).
+// `tusbench -resume <run-id>` sets the journaled flags again and reruns
+// the run exactly as a fresh one would: the result cache (-cache, one of
+// the flags) serves the cells that finished, and quarantined cells stay
+// quarantined. -resume takes no other flag but -j (which then overrides
+// the journaled one), -v, -journal-dir, -cpuprofile and -memprofile, and
+// it refuses a journal whose header holds no flags or a flag this binary
+// lacks. Resumed output is byte-identical to an uninterrupted run (all
+// resume chatter goes to stderr).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -53,26 +57,28 @@ import (
 	"tusim/internal/workload"
 )
 
-// runHeader is the journal's header: everything needed to reconstruct
-// the run's result-determining settings on resume.
+// runHeader is the journal's header: the binary's harness version and
+// every flag of the run, by name, but the invocation flags. A resume
+// sets each stored flag again, so it depends on nothing but the journal,
+// not on this binary's defaults.
 type runHeader struct {
 	// Version pins the harness identity the run was recorded under;
 	// resuming with a skewed binary is detected and warned (completed
 	// cells then miss the content-addressed cache and resimulate).
-	Version     string `json:"harness_version,omitempty"`
-	Mode        string `json:"mode"` // "figs", "json", "dse", "hist" or "summary"
-	Fig         int    `json:"fig,omitempty"`
-	DSE         string `json:"dse,omitempty"` // the swept benchmark, mode "dse"
-	Quick       bool   `json:"quick,omitempty"`
-	Ops         int    `json:"ops"`
-	ParallelOps int    `json:"parallel_ops"`
-	Seed        int64  `json:"seed"`
-	Check       bool   `json:"check,omitempty"`
-	Workers     int    `json:"workers,omitempty"`
-	Cache       string `json:"cache,omitempty"`
+	Version string            `json:"harness_version,omitempty"`
+	Flags   map[string]string `json:"flags"`
 }
 
+// invocationFlags shape one invocation, not the run's results: they are
+// not journaled, and -resume takes them (and -j) beside itself.
+var invocationFlags = map[string]bool{"resume": true, "v": true, "journal-dir": true, "cpuprofile": true, "memprofile": true}
+
 func main() {
+	// The flags defined below are all of tusbench's settings, which a
+	// journal records by name: start from an empty set, so a process
+	// that registered flags of its own before main (a test binary that
+	// runs main) journals none of them.
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	fig := flag.Int("fig", 0, "regenerate one figure (8-15); 0 = all")
 	list := flag.Bool("list", false, "print the servable inventory (figures, benches, cell counts) as JSON")
 	table := flag.String("table", "", "print a table: cam | config")
@@ -95,21 +101,51 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to the file on exit")
 	flag.Parse()
 
-	explicit := map[string]bool{}
+	// A resumed run takes every result-determining setting from its
+	// journal: a flag that would change them is a usage error, not
+	// something to drop silently.
+	explicitJ := false
 	flag.Visit(func(f *flag.Flag) {
-		explicit[f.Name] = true
-		switch f.Name {
-		case "resume", "j", "v", "journal-dir", "cpuprofile", "memprofile":
-			return
-		}
-		// A resumed run takes every result-determining setting from its
-		// journal: a flag that would change them is a usage error, not
-		// something to drop silently.
-		if *resume != "" {
+		explicitJ = explicitJ || f.Name == "j"
+		if *resume != "" && f.Name != "j" && !invocationFlags[f.Name] {
 			fmt.Fprintf(os.Stderr, "tusbench: -%s cannot be combined with -resume: a resumed run takes its settings from its journal\n", f.Name)
 			os.Exit(2)
 		}
 	})
+
+	// A resumed run sets its journaled flags again; only an explicit -j
+	// (wall-clock-only) overrides one of them.
+	var resumeState *supervise.RunState
+	if *resume != "" {
+		st, err := supervise.Load(*journalDir, *resume)
+		if err != nil {
+			fail(err)
+		}
+		var h runHeader
+		err = json.Unmarshal(st.Header, &h)
+		if err == nil && h.Flags == nil {
+			err = errors.New("no flags (journaled by an older tusbench)")
+		}
+		for name, v := range h.Flags {
+			if err == nil && !(name == "j" && explicitJ) {
+				err = flag.Set(name, v)
+			}
+		}
+		if err != nil {
+			fail(fmt.Errorf("journal %s: bad run header: %w", *resume, err))
+		}
+		if h.Version != harness.Version {
+			fmt.Fprintf(os.Stderr, "tusbench: warning: run %s was journaled under %s, this binary is %s; completed cells will miss the result cache and resimulate\n",
+				*resume, h.Version, harness.Version)
+		}
+		resumeState = st
+		if st.Finished {
+			fmt.Fprintf(os.Stderr, "tusbench: run %s already finished; replaying from cache\n", *resume)
+		}
+		if *cacheDir == "" {
+			fmt.Fprintf(os.Stderr, "tusbench: warning: run %s had no result cache; completed cells will resimulate\n", *resume)
+		}
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -138,71 +174,6 @@ func main() {
 			os.Exit(2)
 		}
 		return
-	}
-
-	mode := "figs"
-	switch {
-	case *jsonOut:
-		mode = "json"
-	case *dse != "":
-		mode = "dse"
-	case *hist:
-		mode = "hist"
-	case *summary:
-		mode = "summary"
-	}
-	hdr := runHeader{
-		Version:     harness.Version,
-		Mode:        mode,
-		Fig:         *fig,
-		DSE:         *dse,
-		Quick:       *quick,
-		Ops:         *ops,
-		ParallelOps: *pops,
-		Seed:        *seed,
-		Check:       *check,
-		Workers:     *workers,
-		Cache:       *cacheDir,
-	}
-
-	// A resumed run reconstructs its result-determining settings from
-	// the journal header; of the flags -resume accepts, only -j
-	// (wall-clock-only) overrides one of them.
-	var resumeState *supervise.RunState
-	if *resume != "" {
-		st, err := supervise.Load(*journalDir, *resume)
-		if err != nil {
-			fail(err)
-		}
-		var h runHeader
-		if err := json.Unmarshal(st.Header, &h); err != nil {
-			fail(fmt.Errorf("journal %s: bad run header: %w", *resume, err))
-		}
-		if h.Version != "" && h.Version != harness.Version {
-			fmt.Fprintf(os.Stderr, "tusbench: warning: run %s was journaled under %s, this binary is %s; completed cells will miss the result cache and resimulate\n",
-				*resume, h.Version, harness.Version)
-		}
-		h.Version = harness.Version
-		if !explicit["j"] {
-			*workers = h.Workers
-		}
-		h.Workers = *workers
-		hdr = h
-		*quick = h.Quick
-		*ops = h.Ops
-		*pops = h.ParallelOps
-		*seed = h.Seed
-		*check = h.Check
-		*cacheDir = h.Cache
-		*fig = h.Fig
-		*dse = h.DSE
-		resumeState = st
-		if st.Finished {
-			fmt.Fprintf(os.Stderr, "tusbench: run %s already finished; replaying from cache\n", *resume)
-		}
-		if h.Cache == "" {
-			fmt.Fprintf(os.Stderr, "tusbench: warning: run %s had no result cache; completed cells will resimulate\n", *resume)
-		}
 	}
 
 	r := harness.NewRunner()
@@ -238,6 +209,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tusbench: resuming run %s: %d cells quarantined\n",
 			*resume, len(resumeState.Quarantined))
 	case *journalOn:
+		hdr := runHeader{Version: harness.Version, Flags: map[string]string{}}
+		flag.VisitAll(func(f *flag.Flag) {
+			if !invocationFlags[f.Name] {
+				hdr.Flags[f.Name] = f.Value.String()
+			}
+		})
 		id := supervise.NewRunID()
 		j, err := supervise.Create(*journalDir, id, hdr)
 		if err != nil {
@@ -247,28 +224,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tusbench: journaling run %s (resume with: tusbench -resume %s -journal-dir %s)\n",
 			id, id, *journalDir)
 	}
-	if journal != nil {
-		r.Supervisor.SetJournal(journal)
-	}
-	// finish commits clean completion to the journal and surfaces any
-	// figure degradations on stderr (stdout carries only figure output).
-	finish := func() {
-		if journal != nil {
-			journal.Finish()
-			if err := journal.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "tusbench: warning: journal %s stopped recording: %v\n", journal.RunID, err)
-			}
-		}
-		if deg := r.DegradedCells(); len(deg) > 0 {
-			fmt.Fprintf(os.Stderr, "tusbench: warning: %d figure cells degraded by quarantine:\n", len(deg))
-			for _, d := range deg {
-				fmt.Fprintf(os.Stderr, "  %s: %s: %s\n", d.Figure, d.Cell, d.Reason)
-			}
-		}
-	}
+	r.Supervisor.SetJournal(journal)
 
-	switch hdr.Mode {
-	case "json":
+	switch {
+	case *jsonOut:
 		rep, err := harness.BuildJSON(r)
 		if err != nil {
 			fail(err)
@@ -278,23 +237,23 @@ func main() {
 		if err := enc.Encode(rep); err != nil {
 			fail(err)
 		}
-	case "dse":
+	case *dse != "":
 		points, err := harness.DSE(r, *dse)
 		if err != nil {
 			fail(err)
 		}
 		harness.PrintDSE(os.Stdout, points)
-	case "hist":
+	case *hist:
 		rows, err := harness.Histograms(r, 114)
 		if err != nil {
 			fail(err)
 		}
 		harness.PrintHistograms(os.Stdout, rows)
-	case "summary":
+	case *summary:
 		if err := printSummary(r); err != nil {
 			fail(err)
 		}
-	case "figs":
+	default:
 		figs := []int{8, 9, 10, 11, 12, 13, 14, 15}
 		if *fig != 0 {
 			figs = []int{*fig}
@@ -307,11 +266,18 @@ func main() {
 		if *fig == 0 {
 			harness.PrintCAMTable(os.Stdout)
 		}
-	default:
-		// Only a journal header can carry a mode main did not just compute.
-		fail(fmt.Errorf("journal %s: unknown run mode %q", *resume, hdr.Mode))
 	}
-	finish()
+
+	// Commit clean completion to the journal and list the quarantined
+	// cells, which every product skipped, on stderr (stdout carries only
+	// figure output).
+	if journal != nil {
+		journal.Finish()
+		if err := journal.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "tusbench: warning: journal %s stopped recording: %v\n", journal.RunID, err)
+		}
+	}
+	r.PrintQuarantined(os.Stderr, "tusbench: warning")
 }
 
 // profStop finalizes any active profiles; fail must flush them because

@@ -100,10 +100,11 @@ func TestCLIAgainstRegistry(t *testing.T) {
 	}
 }
 
-// TestResumeRestoresMode: the journal header records what the run was
-// producing, so the resume command tusbench prints regenerates that
-// product — not the figure sweep — byte for byte. A flag that would
-// change the journaled settings is refused, not silently dropped.
+// TestResumeRestoresMode: the journal header records the run's flags,
+// so the resume command tusbench prints regenerates that product — not
+// the figure sweep — byte for byte. A flag that would change the
+// journaled settings is refused, not silently dropped, and so is a
+// header this binary cannot restore.
 func TestResumeRestoresMode(t *testing.T) {
 	jdir, cdir := t.TempDir(), t.TempDir()
 	hist := []string{"-quick", "-ops", "2500", "-parallel-ops", "300", "-hist"}
@@ -142,15 +143,26 @@ func TestResumeRestoresMode(t *testing.T) {
 		}
 	}
 
-	// A header whose mode this binary does not know is refused.
-	j, err := supervise.Create(jdir, "future", map[string]any{"mode": "fig99", "quick": true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	got, stderr, code = tusbench(t, "-resume", "future", "-journal-dir", jdir)
-	if code != 1 || len(got) != 0 || !strings.Contains(string(stderr), `unknown run mode "fig99"`) {
-		t.Fatalf("unknown mode: exit %d, stdout %q, stderr %q", code, got, stderr)
+	// A header naming a flag this binary lacks is refused, and so is one
+	// with no flags at all (a journal written before the header held
+	// them).
+	for _, tc := range []struct {
+		id     string
+		header any
+		stderr string
+	}{
+		{"future", runHeader{Version: harness.Version, Flags: map[string]string{"hist": "true", "fig99": "1"}}, "no such flag -fig99"},
+		{"old", map[string]any{"mode": "hist", "quick": true}, "no flags"},
+	} {
+		j, err := supervise.Create(jdir, tc.id, tc.header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		got, stderr, code := tusbench(t, "-resume", tc.id, "-journal-dir", jdir)
+		if code != 1 || len(got) != 0 || !strings.Contains(string(stderr), tc.stderr) {
+			t.Fatalf("resume %s: exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr naming %q", tc.id, code, got, stderr, tc.stderr)
+		}
 	}
 }
 

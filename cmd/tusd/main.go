@@ -137,12 +137,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tusd: listener shutdown: %v\n", err)
 	}
 	drainErr := srv.WaitIdle(shutCtx)
-	if deg := r.DegradedCells(); len(deg) > 0 {
-		fmt.Fprintf(os.Stderr, "tusd: %d cells were degraded by quarantine this run:\n", len(deg))
-		for _, d := range deg {
-			fmt.Fprintf(os.Stderr, "  %s: %s: %s\n", d.Figure, d.Cell, d.Reason)
-		}
-	}
+	r.PrintQuarantined(os.Stderr, "tusd")
 	if drainErr != nil {
 		fail(fmt.Errorf("%w (exiting with jobs still running)", drainErr))
 	}

@@ -136,7 +136,14 @@ func (c *DiskCache) Get(key string, b workload.Benchmark, m config.Mechanism, sb
 		}
 		return Result{}, CacheCorrupt
 	}
-	var e cacheEntry
+	// Unmarshal appends into spare capacity: sized past the largest entry
+	// (46 counters, 5 histograms), the slices are not regrown as it reads.
+	e := cacheEntry{
+		StatNames:  make([]string, 0, 64),
+		StatValues: make([]uint64, 0, 64),
+		HistNames:  make([]string, 0, 8),
+		HistSnaps:  make([]stats.HistSnapshot, 0, 8),
+	}
 	if err := json.Unmarshal(data, &e); err != nil {
 		return Result{}, CacheCorrupt
 	}

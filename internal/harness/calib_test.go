@@ -26,7 +26,10 @@ func TestCalibration(t *testing.T) {
 		fmt.Printf(" %8s", m)
 	}
 	fmt.Println()
-	for _, b := range workload.SingleThreaded() {
+	for _, b := range workload.All() {
+		if b.Threads != 1 {
+			continue
+		}
 		base, err := r.Run(b, config.Baseline, 114)
 		if err != nil {
 			t.Fatal(err)

@@ -126,16 +126,16 @@ func pct(x float64) float64 { return 100 * (x - 1) }
 
 // speedupsOver returns mechanism m's speedup at mechSB over the baseline
 // at baseSB for each benchmark in order. A benchmark with either cell
-// quarantined is skipped (recorded under tag), so the aggregate built
-// from the result degrades to the survivors.
-func (r *Runner) speedupsOver(tag string, benchs []workload.Benchmark, m config.Mechanism, baseSB, mechSB int) ([]float64, error) {
+// quarantined is skipped, so the aggregate built from the result
+// degrades to the survivors.
+func (r *Runner) speedupsOver(benchs []workload.Benchmark, m config.Mechanism, baseSB, mechSB int) ([]float64, error) {
 	var sp []float64
 	for _, b := range benchs {
-		base, bok, err := r.runCell(tag, b, config.Baseline, baseSB)
+		base, bok, err := r.runCell(b, config.Baseline, baseSB)
 		if err != nil {
 			return nil, err
 		}
-		res, rok, err := r.runCell(tag, b, m, mechSB)
+		res, rok, err := r.runCell(b, m, mechSB)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +206,7 @@ func (fig8Spec) Assemble(r *Runner) (Product, error) {
 		for _, sb := range SBSizes {
 			row := Fig8Row{Suite: s.name, SB: sb, Speedup: map[config.Mechanism]float64{}}
 			for _, m := range config.Mechanisms {
-				sp, err := r.speedupsOver("fig8", s.benchs, m, 114, sb)
+				sp, err := r.speedupsOver(s.benchs, m, 114, sb)
 				if err != nil {
 					return nil, err
 				}
@@ -259,7 +259,7 @@ func (fig9Spec) Assemble(r *Runner) (Product, error) {
 		row := BenchRow{Bench: b.Name, Values: map[config.Mechanism]float64{}}
 		good := true
 		for _, m := range config.Mechanisms {
-			res, ok, err := r.runCell("fig9", b, m, 114)
+			res, ok, err := r.runCell(b, m, 114)
 			if err != nil {
 				return nil, err
 			}
@@ -270,8 +270,7 @@ func (fig9Spec) Assemble(r *Runner) (Product, error) {
 			row.Values[m] = res.SBStallPct()
 		}
 		// A row with any quarantined cell is dropped whole: a partial
-		// stall comparison would be misleading. The skip is recorded in
-		// the degraded section.
+		// stall comparison would be misleading.
 		if good {
 			rows = append(rows, row)
 		}
@@ -320,15 +319,14 @@ func (s speedupSpec) Cells() []Cell { return fullMatrix(workload.All(), s.baseSB
 
 func (s speedupSpec) Assemble(r *Runner) (Product, error) {
 	study := &SpeedupStudy{BaselineSB: s.baseSB, MechSB: s.mechSB, SCurves: map[config.Mechanism][]float64{}}
-	fig := fmt.Sprintf("speedups_%d_%d", s.baseSB, s.mechSB)
 	for _, m := range config.Mechanisms {
-		sp, err := r.speedupsOver(fig, workload.All(), m, s.baseSB, s.mechSB)
+		sp, err := r.speedupsOver(workload.All(), m, s.baseSB, s.mechSB)
 		if err != nil {
 			return nil, err
 		}
 		curve, err := SCurve(sp)
 		if err != nil {
-			return nil, fmt.Errorf("%s %v: %w", fig, m, err)
+			return nil, fmt.Errorf("speedups %d/%d %v: %w", s.baseSB, s.mechSB, m, err)
 		}
 		study.SCurves[m] = curve
 	}
@@ -336,7 +334,7 @@ func (s speedupSpec) Assemble(r *Runner) (Product, error) {
 	if err != nil {
 		return nil, err
 	}
-	bd, err := r.normalized(fig, benchs, s.baseSB, s.mechSB, Speedup)
+	bd, err := r.normalized(benchs, s.baseSB, s.mechSB, Speedup)
 	if err != nil {
 		return nil, err
 	}
@@ -379,20 +377,18 @@ type EDPStudy struct {
 // normalized is the loop the breakdown, EDP and Parsec panels share: one
 // row per benchmark of metric(mechanism cell at mechSB, baseline cell at
 // baseSB), and the per-mechanism geomean over the rows. A row with any
-// quarantined cell is dropped whole — a partial comparison would mislead
-// — but its remaining cells are still probed, so the degraded section
-// (under tag) lists every poisoned cell, not just the first.
-func (r *Runner) normalized(tag string, benchs []workload.Benchmark, baseSB, mechSB int,
+// quarantined cell is dropped whole: a partial comparison would mislead.
+func (r *Runner) normalized(benchs []workload.Benchmark, baseSB, mechSB int,
 	metric func(res, base Result) float64) (*EDPStudy, error) {
 	study := &EDPStudy{BaselineSB: baseSB, MechSB: mechSB, Geomean: map[config.Mechanism]float64{}}
 	for _, b := range benchs {
-		base, good, err := r.runCell(tag, b, config.Baseline, baseSB)
+		base, good, err := r.runCell(b, config.Baseline, baseSB)
 		if err != nil {
 			return nil, err
 		}
 		row := BenchRow{Bench: b.Name, Values: map[config.Mechanism]float64{}}
 		for _, m := range config.Mechanisms {
-			res, ok, err := r.runCell(tag, b, m, mechSB)
+			res, ok, err := r.runCell(b, m, mechSB)
 			if err != nil {
 				return nil, err
 			}
@@ -406,7 +402,7 @@ func (r *Runner) normalized(tag string, benchs []workload.Benchmark, baseSB, mec
 		}
 	}
 	if len(study.Rows) == 0 {
-		return nil, fmt.Errorf("%s: every benchmark quarantined", tag)
+		return nil, fmt.Errorf("SB %d/%d: every benchmark quarantined", baseSB, mechSB)
 	}
 	for _, m := range config.Mechanisms {
 		xs := make([]float64, len(study.Rows))
@@ -415,7 +411,7 @@ func (r *Runner) normalized(tag string, benchs []workload.Benchmark, baseSB, mec
 		}
 		g, err := Geomean(xs)
 		if err != nil {
-			return nil, fmt.Errorf("%s %v: %w", tag, m, err)
+			return nil, fmt.Errorf("SB %d/%d %v: %w", baseSB, mechSB, m, err)
 		}
 		study.Geomean[m] = g
 	}
@@ -434,7 +430,7 @@ type edpSpec struct {
 func (s edpSpec) Cells() []Cell { return fullMatrix(s.benchs, s.baseSB, s.mechSB) }
 
 func (s edpSpec) Assemble(r *Runner) (Product, error) {
-	study, err := r.normalized(fmt.Sprintf("edp_%d_%d", s.baseSB, s.mechSB), s.benchs, s.baseSB, s.mechSB, edpRatio)
+	study, err := r.normalized(s.benchs, s.baseSB, s.mechSB, edpRatio)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +470,7 @@ func (s parsecSpec) Cells() []Cell { return s.edp().Cells() }
 
 func (s parsecSpec) Assemble(r *Runner) (Product, error) {
 	e := s.edp()
-	sp, err := r.normalized(fmt.Sprintf("parsec_%d_%d", s.baseSB, s.mechSB), e.benchs, s.baseSB, s.mechSB, Speedup)
+	sp, err := r.normalized(e.benchs, s.baseSB, s.mechSB, Speedup)
 	if err != nil {
 		return nil, err
 	}

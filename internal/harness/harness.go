@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -125,11 +126,6 @@ type Runner struct {
 	cacheWriteFailed atomic.Int64
 	writeFailOnce    sync.Once
 
-	// degraded accumulates cells the figure builders skipped because of
-	// quarantine, keyed "figure|cell" for dedup.
-	degMu    sync.Mutex
-	degraded map[string]DegradedCell
-
 	// testHookSim, when set (tests only), runs before each simulation
 	// with the attempt's context and the cell key; a non-nil return
 	// poisons the attempt with that error, letting tests inject failures
@@ -138,8 +134,8 @@ type Runner struct {
 }
 
 // DegradedCell names one quarantined cell a figure had to skip, and
-// why. The JSON report collects these in its "degraded" section so a
-// partial run is explicit, never silent.
+// why. The JSON report and a tusd job list these so a partial result is
+// explicit, never silent.
 type DegradedCell struct {
 	Figure string `json:"figure"`
 	Cell   string `json:"cell"`
@@ -405,8 +401,13 @@ func (r *Runner) Prefetch(ctx context.Context, cells []Cell) error {
 	return err
 }
 
-// isQuarantined reports whether err is a supervisor quarantine.
+// isQuarantined reports whether err is a supervisor quarantine. A nil
+// err returns before q is declared: &q escapes into errors.As, so
+// declaring it would allocate on every memoized read.
 func isQuarantined(err error) bool {
+	if err == nil {
+		return false
+	}
 	var q *supervise.Quarantined
 	return errors.As(err, &q)
 }
@@ -430,48 +431,55 @@ func NewSupervisor(timeout time.Duration) *supervise.Supervisor {
 	})
 }
 
-// DegradedCells returns every recorded figure degradation, sorted by
-// (figure, cell) so reports serialize deterministically. Empty (and
-// nil) on a healthy run.
-func (r *Runner) DegradedCells() []DegradedCell {
-	r.degMu.Lock()
-	defer r.degMu.Unlock()
-	if len(r.degraded) == 0 {
+// Degraded lists the cells among keys that sit in the supervisor's
+// quarantine, under the product name, in keys' order: exactly the cells
+// that product had to skip. Nil without a supervisor or a quarantine.
+func (r *Runner) Degraded(name string, keys []string) []DegradedCell {
+	if r.Supervisor == nil {
 		return nil
 	}
-	out := make([]DegradedCell, 0, len(r.degraded))
-	for _, d := range r.degraded {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Figure != out[j].Figure {
-			return out[i].Figure < out[j].Figure
+	quarantined := r.Supervisor.QuarantinedCells()
+	var out []DegradedCell
+	for _, k := range keys {
+		if reason, bad := quarantined[k]; bad {
+			out = append(out, DegradedCell{Figure: name, Cell: k, Reason: reason})
 		}
-		return out[i].Cell < out[j].Cell
-	})
+	}
 	return out
 }
 
-// runCell is Run plus quarantine degradation: a quarantined cell is
-// recorded under fig for the report's "degraded" section (duplicates
-// collapse) and reported as ok=false with a nil error, so assemblies
-// skip it; any other failure propagates.
-func (r *Runner) runCell(fig string, b workload.Benchmark, m config.Mechanism, sb int) (Result, bool, error) {
+// PrintQuarantined writes the supervisor's quarantine list, the cells
+// every product skipped, to w sorted by cell: a "<who>: N cells degraded
+// by quarantine:" line, then "  cell: reason" per cell. An empty list
+// (or no supervisor) writes nothing.
+func (r *Runner) PrintQuarantined(w io.Writer, who string) {
+	if r.Supervisor == nil {
+		return
+	}
+	q := r.Supervisor.QuarantinedCells()
+	if len(q) == 0 {
+		return
+	}
+	keys := make([]string, 0, len(q))
+	for k := range q {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fmt.Fprintf(w, "%s: %d cells degraded by quarantine:\n", who, len(q))
+	for _, k := range keys {
+		fmt.Fprintf(w, "  %s: %s\n", k, q[k])
+	}
+}
+
+// runCell is Run for an assembly: a quarantined cell is reported as
+// ok=false with a nil error, so the assembly skips it (the supervisor's
+// list is the record of the skip); any other failure propagates.
+func (r *Runner) runCell(b workload.Benchmark, m config.Mechanism, sb int) (Result, bool, error) {
 	res, err := r.Run(b, m, sb)
-	if err == nil {
-		return res, true, nil
+	if isQuarantined(err) {
+		return Result{}, false, nil
 	}
-	var q *supervise.Quarantined
-	if !errors.As(err, &q) {
-		return Result{}, false, err
-	}
-	r.degMu.Lock()
-	defer r.degMu.Unlock()
-	if r.degraded == nil {
-		r.degraded = map[string]DegradedCell{}
-	}
-	r.degraded[fig+"|"+q.Key] = DegradedCell{Figure: fig, Cell: q.Key, Reason: q.Reason}
-	return Result{}, false, nil
+	return res, err == nil, err
 }
 
 // Speedup returns base.Cycles / res.Cycles.
@@ -525,9 +533,8 @@ func (r *Runner) SortByBaselineStalls(benchs []workload.Benchmark, sb int) ([]wo
 		case err == nil:
 			stalls[b.Name] = res.SBStallPct()
 		case isQuarantined(err):
-			// A quarantined baseline sorts last; the assembly rediscovers
-			// the quarantine per cell and records the degradation under
-			// its own figure name.
+			// A quarantined baseline sorts last; the assembly skips its
+			// cells.
 			stalls[b.Name] = -1
 		default:
 			return nil, err

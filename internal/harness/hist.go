@@ -42,7 +42,7 @@ func (s histSpec) Assemble(r *Runner) (Product, error) {
 	var rows HistRows
 	for _, b := range workload.SBBound() {
 		for _, m := range config.Mechanisms {
-			res, ok, err := r.runCell("histograms", b, m, s.sb)
+			res, ok, err := r.runCell(b, m, s.sb)
 			if err != nil {
 				return nil, err
 			}

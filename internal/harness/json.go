@@ -53,13 +53,16 @@ func (rep JSONReport) MarshalJSON() ([]byte, error) {
 }
 
 // BuildJSON runs the full evaluation — every registry row, then the
-// histogram report — and assembles the report.
+// histogram report — and assembles the report. The degraded list names
+// each row's quarantined cells under the row's name, in registry and
+// then cell order; the histogram cells are Fig. 9's, so its row names
+// them.
 func BuildJSON(r *Runner) (*JSONReport, error) {
 	rep := &JSONReport{}
 	rep.Scale.Ops = r.Ops
 	rep.Scale.ParallelOps = r.ParallelOps
 	rep.Scale.Seed = r.Seed
-	hists := FigureSpec{Name: "histograms", jsonKey: "histograms", study: histSpec{114}}
+	hists := FigureSpec{jsonKey: "histograms", study: histSpec{114}}
 	for _, f := range append(Figures(), hists) {
 		p, err := r.Build(context.Background(), f.study)
 		if err != nil {
@@ -67,6 +70,8 @@ func BuildJSON(r *Runner) (*JSONReport, error) {
 		}
 		rep.Sections = append(rep.Sections, JSONSection{f.jsonKey, p})
 	}
-	rep.Degraded = r.DegradedCells()
+	for _, f := range figureSpecs {
+		rep.Degraded = append(rep.Degraded, r.Degraded(f.Name, CellKeys(f.Cells()))...)
+	}
 	return rep, nil
 }

@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -82,5 +86,48 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if rep.Scale.Ops != 2500 {
 		t.Fatalf("scale.ops = %d", rep.Scale.Ops)
+	}
+}
+
+// TestJSONDegradedNamesRegistryRows: the report's degraded section lists
+// each registry row's quarantined cells under the row's name, as tusd
+// names a job's, in registry order: a cell only Fig. 10 reads is listed
+// under fig10 alone, and a cell four figures read under each of them.
+func TestJSONDegradedNamesRegistryRows(t *testing.T) {
+	r := NewQuickRunner()
+	r.Ops = 2500
+	r.ParallelOps = 300
+	r.Supervisor = NewSupervisor(0)
+	poisoned := map[string]bool{"503.bw2/TUS/114": true, "505.mcf/TUS/114": true}
+	r.testHookSim = func(_ context.Context, key string) error {
+		if poisoned[key] {
+			return errors.New("poisoned cell")
+		}
+		return nil
+	}
+	rep, err := BuildJSON(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank := map[string]int{}
+	for _, f := range Figures() {
+		rank[f.Name] = f.Fig
+	}
+	got := map[string][]string{}
+	for i, d := range rep.Degraded {
+		if d.Reason == "" || i > 0 && rank[d.Figure] < rank[rep.Degraded[i-1].Figure] {
+			t.Fatalf("degraded entry %d %+v: no reason, or out of registry order", i, d)
+		}
+		got[d.Cell] = append(got[d.Cell], d.Figure)
+	}
+	want := map[string][]string{
+		"503.bw2/TUS/114": {"fig10"},
+		"505.mcf/TUS/114": {"fig10", "fig11", "fig8", "fig9"},
+	}
+	for k := range got {
+		sort.Strings(got[k])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("degraded figures per cell = %v, want %v", got, want)
 	}
 }

@@ -111,6 +111,15 @@ func CellUnion(lists ...[]Cell) []Cell {
 	return out
 }
 
+// CellKeys returns the CellKeys of CellUnion(cells), in its order.
+func CellKeys(cells []Cell) []string {
+	var keys []string
+	for _, c := range CellUnion(cells) {
+		keys = append(keys, CellKey(c))
+	}
+	return keys
+}
+
 // FigureCellUnion returns the distinct union of the given figures'
 // cells in first-appearance order. Its length is the registry's expected exactly-once cell total
 // for a cold run that regenerates exactly those figures: tusload asserts

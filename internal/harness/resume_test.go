@@ -261,7 +261,8 @@ func TestResumeKeepsQuarantines(t *testing.T) {
 	if n := firstCalls.Load(); n != 0 {
 		t.Fatalf("the resumed run simulated the quarantined %s %d times", first, n)
 	}
-	if got, want := r2.DegradedCells(), r1.DegradedCells(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+	fig9 := CellKeys(fig9Spec{}.Cells())
+	if got, want := r2.Degraded("fig9", fig9), r1.Degraded("fig9", fig9); len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed degraded cells = %+v, want the first run's %+v", got, want)
 	}
 	b, _ := workload.ByName("505.mcf")

@@ -121,9 +121,9 @@ func TestSupervisedPanicQuarantines(t *testing.T) {
 }
 
 // TestSupervisedFigureDegrades: poisoning one Fig. 9 cell drops that
-// benchmark's row, records the skip in the degraded section, and leaves
-// every other row intact — the figure is an explicit partial result,
-// not a failure.
+// benchmark's row, lists the skip among the figure's degraded cells, and
+// leaves every other row intact — the figure is an explicit partial
+// result, not a failure.
 func TestSupervisedFigureDegrades(t *testing.T) {
 	r := NewQuickRunner()
 	r.Ops = 2000
@@ -150,21 +150,14 @@ func TestSupervisedFigureDegrades(t *testing.T) {
 			t.Fatal("poisoned benchmark must not appear in the figure")
 		}
 	}
-	deg := r.DegradedCells()
-	if len(deg) == 0 {
-		t.Fatal("degraded section empty; skip was silent")
+	deg := r.Degraded("fig9", CellKeys(fig9Spec{}.Cells()))
+	if len(deg) != 1 || deg[0].Cell != poison || deg[0].Figure != "fig9" || deg[0].Reason == "" {
+		t.Fatalf("degraded cells %+v, want %s alone under fig9 with a reason", deg, poison)
 	}
-	found := false
-	for _, d := range deg {
-		if d.Cell == poison && d.Figure == "fig9" {
-			found = true
-			if d.Reason == "" {
-				t.Fatal("degraded entry has no reason")
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("degraded section %+v does not name %s under fig9", deg, poison)
+	var buf bytes.Buffer
+	r.PrintQuarantined(&buf, "tusbench: warning")
+	if want := "tusbench: warning: 1 cells degraded by quarantine:\n  " + poison + ": " + deg[0].Reason + "\n"; buf.String() != want {
+		t.Fatalf("quarantine list printed %q, want %q", buf.String(), want)
 	}
 }
 
@@ -347,8 +340,8 @@ func TestSlowCellKeepsFigureBytes(t *testing.T) {
 		}
 		return nil
 	})
-	if deg := r.DegradedCells(); len(deg) != 0 {
-		t.Fatalf("slow cell degraded the figure: %+v", deg)
+	if q := r.Supervisor.QuarantinedCells(); len(q) != 0 {
+		t.Fatalf("slow cell degraded the figure: %+v", q)
 	}
 	if got != want {
 		t.Fatalf("slowed Fig. 9 differs from the unslowed render:\n%s\nwant:\n%s", got, want)

@@ -260,16 +260,7 @@ func (s *Server) cellsKey(kind, extra string, keys []string) string {
 // context, then assemble and print. extra distinguishes jobs of one kind
 // that share a matrix.
 func (s *Server) studyPlan(kind, name, extra, contentType string, st harness.Study) *jobPlan {
-	// The distinct cell keys in first-appearance order (harness.CellUnion
-	// by key), each built once per plan.
-	seen := map[string]bool{}
-	var keys []string
-	for _, c := range st.Cells() {
-		if k := harness.CellKey(c); !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
+	keys := harness.CellKeys(st.Cells())
 	return &jobPlan{
 		kind:        kind,
 		name:        name,

@@ -363,7 +363,7 @@ func (s *Server) build(ctx context.Context, j *Job, p *jobPlan) (out []byte, err
 func (s *Server) finalize(j *Job, p *jobPlan, state string, out []byte, errMsg string) {
 	var deg []harness.DegradedCell
 	if state == JobDone {
-		deg = s.degraded(j.Name, p.keys)
+		deg = s.r.Degraded(j.Name, p.keys)
 	}
 	s.mu.Lock()
 	s.finished = append(s.finished, j)
@@ -412,22 +412,6 @@ func (s *Server) finalize(j *Job, p *jobPlan, state string, out []byte, errMsg s
 	j.broadcast(sseEvent{name: state, data: data})
 	j.mu.Unlock()
 	close(j.done)
-}
-
-// degraded lists the job's own cells that sit in the supervisor's
-// quarantine: exactly the cells its product had to skip.
-func (s *Server) degraded(name string, keys []string) []harness.DegradedCell {
-	if s.r.Supervisor == nil {
-		return nil
-	}
-	quarantined := s.r.Supervisor.QuarantinedCells()
-	var out []harness.DegradedCell
-	for _, k := range keys {
-		if reason, bad := quarantined[k]; bad {
-			out = append(out, harness.DegradedCell{Figure: name, Cell: k, Reason: reason})
-		}
-	}
-	return out
 }
 
 // Cancel requests cancellation of a job; terminal jobs are unaffected.

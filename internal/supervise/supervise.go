@@ -27,8 +27,8 @@ import (
 
 // Quarantined is the error a supervised cell returns once it has been
 // poisoned: the cell will not be attempted again this run (or, via the
-// journal, on resume). Figures treat it as "skip this cell and record a
-// degraded entry", not as a fatal error.
+// journal, on resume). Figures skip the cell, not fail, and the
+// supervisor's quarantine list is the record of the skip.
 type Quarantined struct {
 	Key    string
 	Reason string

@@ -10,6 +10,8 @@
 package tus
 
 import (
+	"slices"
+
 	"tusim/internal/config"
 	"tusim/internal/cpu"
 	"tusim/internal/event"
@@ -506,10 +508,11 @@ func (t *TUS) advanceVisibility() {
 			}
 			t.hUnauthRes.Observe(res)
 			t.tr.Emit(trace.WOQRelease, int32(t.core.ID), now, e.line, 0, res)
-			t.woq[i] = nil // drop the slice's reference before recycling
 			t.woqPool.Put(e)
 		}
-		t.woq = t.woq[n:]
+		// Compact in place: re-slicing from the head would walk the
+		// backing array forward and make every later append reallocate.
+		t.woq = slices.Delete(t.woq, 0, n)
 		t.cVisibleGroups.Inc()
 	}
 }

@@ -257,3 +257,43 @@ func TestTUSLoadAliasedUntilReady(t *testing.T) {
 		t.Fatalf("load got %v, want the store's value %v", got, want)
 	}
 }
+
+// TestTUSDrainZeroAlloc pins TUS's drain in steady state: a store cycle
+// over two lines per group, on private caches too small to keep the
+// footprint, so the WOQ keeps filling and publishing groups from its
+// head. Once a round over the footprint has grown every pool and table,
+// none of it allocates — publishing slides the WOQ in place.
+func TestTUSDrainZeroAlloc(t *testing.T) {
+	const lines = 64
+	var ops []isa.MicroOp
+	for round := 0; round < 200; round++ {
+		for j := uint64(0); j < lines; j += 2 {
+			a, b := 0x100000+j*64, 0x100000+(j+1)*64
+			ops = append(ops, stores(a, b, a+8)...)
+		}
+	}
+	r := newRig(t, 1, [][]isa.MicroOp{ops}, func(c *config.Config) {
+		c.Reference = false // the pin is on the production containers
+		c.PrefetchAtCommit = false
+		c.L1D.SizeBytes, c.L1D.Ways = 4*64, 4
+		c.L2.SizeBytes, c.L2.Ways = 16*64, 16
+	})
+	tick := func() {
+		for i := 0; i < 1000; i++ {
+			r.q.Advance()
+			r.cores[0].Tick()
+		}
+	}
+	for i := 0; i < 5; i++ {
+		tick()
+	}
+	st := r.sts[0]
+	groups := st.Get("tus_visible_groups")
+	if n := testing.AllocsPerRun(5, tick); n != 0 {
+		t.Fatalf("TUS drain allocates %.1f times per 1,000 cycles, want 0", n)
+	}
+	if r.cores[0].Done() || st.Get("tus_visible_groups") == groups || st.Get("l2_misses") < lines {
+		t.Fatalf("measured %d visible groups over %d misses (done=%v): the trace no longer keeps the WOQ draining",
+			st.Get("tus_visible_groups")-groups, st.Get("l2_misses"), r.cores[0].Done())
+	}
+}

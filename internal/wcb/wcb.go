@@ -52,8 +52,6 @@ type Set struct {
 	order   uint64
 	// Searches counts associative lookups (energy model).
 	Searches uint64
-	// CycleMerges counts atomic-group formations from WCB-level cycles.
-	CycleMerges uint64
 	// group is the scratch backing for OldestGroup (one outstanding
 	// group per set, so a single buffer suffices).
 	group []*Buffer
@@ -99,9 +97,8 @@ func (s *Set) Insert(addr uint64, data []byte) InsertResult {
 			}
 			cid := b.CID
 			for j := range s.bufs {
-				if s.bufs[j].Valid && s.bufs[j].CID != cid {
+				if s.bufs[j].Valid {
 					s.bufs[j].CID = cid
-					s.CycleMerges++
 				}
 			}
 		}

@@ -155,17 +155,6 @@ func BySuite(s Suite) []Benchmark {
 	return out
 }
 
-// SingleThreaded returns the SPEC + TF proxies.
-func SingleThreaded() []Benchmark {
-	var out []Benchmark
-	for _, b := range benchmarks {
-		if b.Threads == 1 {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // SBBound returns the single-threaded SB-bound set (the paper's
 // detailed-evaluation selection).
 func SBBound() []Benchmark {

@@ -197,9 +197,9 @@ func TestRegistryFilters(t *testing.T) {
 			t.Errorf("%s: Parsec proxy with %d threads", b.Name, b.Threads)
 		}
 	}
-	for _, b := range SingleThreaded() {
-		if b.Threads != 1 {
-			t.Errorf("%s in SingleThreaded with %d threads", b.Name, b.Threads)
+	for _, b := range All() {
+		if b.Suite != Parsec && b.Threads != 1 {
+			t.Errorf("%s: %v proxy with %d threads", b.Name, b.Suite, b.Threads)
 		}
 	}
 	for _, b := range SBBound() {
