@@ -104,7 +104,7 @@ cover:
 # trace-smoke: the acceptance path — a smoke workload emitting a
 # Perfetto-loadable Chrome trace JSON with the full store lifecycle.
 trace-smoke:
-	$(GO) run ./cmd/tusim -bench 502.gcc5 -mech TUS -ops 20000 -trace -trace-out trace.json
+	$(GO) run ./cmd/tusim -bench 502.gcc5 -mech TUS -ops 20000 -trace-out trace.json
 
 # resume-smoke: SIGKILL a journaled figure run mid-matrix, resume it
 # from its .tusjournal state file (settings, quarantines) + result cache

@@ -197,7 +197,6 @@ func main() {
 		}
 		r.Cache = cache
 	}
-	r.Supervisor = harness.NewSupervisor(config.Default().CellTimeout)
 
 	var journal *supervise.Journal
 	switch {

@@ -45,7 +45,6 @@ import (
 	"syscall"
 	"time"
 
-	"tusim/internal/config"
 	"tusim/internal/harness"
 	"tusim/internal/server"
 )
@@ -87,7 +86,6 @@ func main() {
 		}
 		r.Cache = cache
 	}
-	r.Supervisor = harness.NewSupervisor(config.Default().CellTimeout)
 
 	srv := server.New(server.Options{
 		Runner:     r,

@@ -10,7 +10,7 @@
 //	tusim -bench 505.mcf -mech base -check   # with TSO checker
 //	tusim -bench 502.gcc1 -save-trace /tmp/t # export trace files
 //	tusim -replay /tmp/t.0.tust -mech CSB    # replay a trace file
-//	tusim -trace -trace-out t.json           # store-lifecycle trace (Perfetto)
+//	tusim -trace-out t.json                  # store-lifecycle trace (Perfetto)
 //	tusim -chaos-seed 7                      # seeded chaos-fuzz sweep
 //	tusim -repro tus-crash.json              # replay a crash bundle
 package main
@@ -50,8 +50,7 @@ func main() {
 	dumpStats := flag.Bool("stats", false, "dump all raw counters")
 	saveTrace := flag.String("save-trace", "", "write the generated trace(s) to <path>.<thread>.tust and exit")
 	fromTrace := flag.String("replay", "", "run a saved single-thread trace file instead of a benchmark proxy")
-	doTrace := flag.Bool("trace", false, "record the store-lifecycle trace (SB/WCB/WOQ/MSHR spans)")
-	traceOut := flag.String("trace-out", "", "write the lifecycle trace as Chrome trace JSON to this file (implies -trace; default trace.json)")
+	traceOut := flag.String("trace-out", "", "record the store-lifecycle trace (SB/WCB/WOQ/MSHR spans) and write it as Chrome trace JSON to this file")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "run the seeded chaos-fuzz sweep (litmus matrix + bench soak) and exit")
 	auditEvery := flag.Uint64("audit", 0, "audit machine invariants every N cycles (0 = off)")
 	watchdog := flag.Uint64("watchdog", 0, "no-commit-progress watchdog window in cycles (0 = default)")
@@ -167,10 +166,7 @@ func main() {
 	sys.WarmupOps = uint64(*ops) * uint64(threads) / 3
 
 	var lifecycle *trace.Tracer
-	if *doTrace || *traceOut != "" {
-		if *traceOut == "" {
-			*traceOut = "trace.json"
-		}
+	if *traceOut != "" {
 		lifecycle = trace.New(0)
 		sys.SetTracer(lifecycle)
 	}

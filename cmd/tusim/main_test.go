@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -77,5 +79,31 @@ func TestCheckedRunReportsOK(t *testing.T) {
 	stdout, stderr, code := tusim(t, "-bench", "502.gcc2", "-mech", "TUS", "-ops", "4000", "-check")
 	if code != 0 || !strings.Contains(stdout, "TSO checker: OK") {
 		t.Fatalf("exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// TestTraceOutWritesChromeTrace: -trace-out alone records the
+// store-lifecycle trace and writes it as Chrome trace JSON with events.
+func TestTraceOutWritesChromeTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	stdout, stderr, code := tusim(t, "-bench", "502.gcc2", "-mech", "TUS", "-ops", "4000", "-trace-out", path)
+	if code != 0 || !strings.Contains(stdout, path) {
+		t.Fatalf("exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatalf("%s is not Chrome trace JSON: %v", path, err)
+	}
+	if len(f.TraceEvents) == 0 || f.TraceEvents[0].Name == "" || f.TraceEvents[0].Ph == "" {
+		t.Fatalf("%s holds no named trace events (%d events)", path, len(f.TraceEvents))
 	}
 }

@@ -130,9 +130,6 @@ func NewStoreBuffer(capacity int, ref bool) *StoreBuffer {
 	return &StoreBuffer{entries: make([]SBEntry, size), mask: size - 1, capacity: capacity, minUnexec: noUnexec, ref: ref}
 }
 
-// Cap returns the SB capacity.
-func (sb *StoreBuffer) Cap() int { return sb.capacity }
-
 // Len returns the number of occupied slots.
 func (sb *StoreBuffer) Len() int { return sb.count }
 

@@ -15,7 +15,7 @@ func execStore(sb *StoreBuffer, seq, addr uint64, size uint8, data [8]byte) *SBE
 
 func TestSBPushPop(t *testing.T) {
 	sb := NewStoreBuffer(3, false)
-	if !sb.Empty() || sb.Full() || sb.Cap() != 3 {
+	if !sb.Empty() || sb.Full() || sb.capacity != 3 {
 		t.Fatal("fresh SB state wrong")
 	}
 	sb.Push(1, 0x100, 8)

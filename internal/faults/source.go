@@ -171,7 +171,3 @@ func (s *ScriptSource) Index(n int) int { return int(s.take(DecisionIndex, uint6
 // Trace returns every choice point consumed so far, scripted or
 // defaulted, in consumption order.
 func (s *ScriptSource) Trace() []Decision { return s.trace }
-
-// Diverged reports whether the run's choice points stopped matching the
-// script (the remaining scripted decisions were ignored).
-func (s *ScriptSource) Diverged() bool { return s.diverged }

@@ -148,7 +148,7 @@ func TestScriptReplayReproducesPRNGRun(t *testing.T) {
 			t.Fatalf("step %d: replay %+v != recorded %+v", i, g, w)
 		}
 	}
-	if src.Diverged() {
+	if src.diverged {
 		t.Fatal("replay of its own recording diverged")
 	}
 	if a.Injected != b.Injected {
@@ -226,7 +226,7 @@ func TestScriptSourceDivergence(t *testing.T) {
 	if src.Hit(50) {
 		t.Fatal("diverged script should answer the quiet default")
 	}
-	if !src.Diverged() {
+	if !src.diverged {
 		t.Fatal("divergence not reported")
 	}
 	if got := src.Amount(8); got != 1 {

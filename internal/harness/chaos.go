@@ -36,31 +36,26 @@ type ReproBundle struct {
 	// Skew is the litmus start-offset index.
 	Skew int `json:"skew,omitempty"`
 	// Seed/Ops size a bench replay (unused for litmus).
-	Seed int64 `json:"seed,omitempty"`
-	Ops  int   `json:"ops,omitempty"`
-	// SB is the bench store-buffer size (0 = config default).
-	SB         int    `json:"sb,omitempty"`
+	Seed       int64  `json:"seed,omitempty"`
+	Ops        int    `json:"ops,omitempty"`
 	AuditEvery uint64 `json:"audit_every,omitempty"`
-	Watchdog   uint64 `json:"watchdog,omitempty"`
 	// Faults is the injected schedule (includes its seed).
 	Faults faults.Plan `json:"faults"`
 	// Script, when non-nil, pins the injector's decision stream
 	// explicitly instead of deriving it from Faults.Seed: the model
 	// checker's minimal violating schedules replay through it
-	// (litmus-kind bundles only). An empty-but-present script is the
-	// quiet all-defaults schedule, which is distinct from no script.
-	Script []faults.Decision `json:"script,omitempty"`
-	// Scripted marks the bundle as schedule-pinned even when Script
-	// minimized to empty (JSON omits empty slices).
-	Scripted bool `json:"scripted,omitempty"`
+	// (litmus-kind bundles only). A present but empty script is the
+	// quiet all-defaults schedule, which is distinct from no script;
+	// the pointer keeps the two apart in JSON ("script": [] or absent).
+	Script *[]faults.Decision `json:"script,omitempty"`
 	// Report is the diagnosis from the crashing run (informational;
 	// replay regenerates it).
 	Report *system.CrashReport `json:"report,omitempty"`
 	// Classification is the report's transient/deterministic verdict
 	// (see CrashReport.Classification): "transient" failures may not
 	// replay byte-for-byte under different host timing pressure, while
-	// "deterministic" ones must reproduce exactly. Derived from Report
-	// at save time.
+	// "deterministic" ones must reproduce exactly. Save derives it from
+	// Report.
 	Classification string `json:"classification,omitempty"`
 }
 
@@ -105,13 +100,9 @@ func (b *ReproBundle) Replay() error {
 		if err != nil {
 			return err
 		}
-		o := litmus.Opts{
-			Faults:     &b.Faults,
-			AuditEvery: b.AuditEvery,
-			Watchdog:   b.Watchdog,
-		}
-		if b.Scripted || len(b.Script) > 0 {
-			o.Source = faults.NewScriptSource(b.Script)
+		o := litmus.Opts{Faults: &b.Faults, AuditEvery: b.AuditEvery}
+		if b.Script != nil {
+			o.Source = faults.NewScriptSource(*b.Script)
 		}
 		obs, err := litmus.RunOne(test, b.Mechanism, b.Skew, o)
 		return litmusVerdict(oracle, b.Mechanism, b.Skew, obs, err)
@@ -120,8 +111,7 @@ func (b *ReproBundle) Replay() error {
 		if !ok {
 			return fmt.Errorf("harness: unknown benchmark %q", b.Name)
 		}
-		_, err := RunChaosBench(bench, b.Mechanism, b.Seed, b.Ops, b.SB, b.Faults, b.AuditEvery, b.Watchdog)
-		return err
+		return runChaosBench(bench, b.Mechanism, b.Seed, b.Ops, b.Faults, b.AuditEvery)
 	}
 	return fmt.Errorf("harness: unknown bundle kind %q", b.Kind)
 }
@@ -143,6 +133,7 @@ func ViolationBundle(r *modelcheck.Report) *ReproBundle {
 	if v == nil {
 		return nil
 	}
+	script := append([]faults.Decision{}, v.Ref.Script...)
 	return &ReproBundle{
 		Kind:       "litmus",
 		Name:       r.Test,
@@ -150,43 +141,32 @@ func ViolationBundle(r *modelcheck.Report) *ReproBundle {
 		Skew:       v.Ref.Skew,
 		AuditEvery: r.Exploration.AuditEvery,
 		Faults:     r.Exploration.Plan,
-		Script:     v.Ref.Script,
-		Scripted:   true,
+		Script:     &script,
 	}
 }
 
-// RunChaosBench runs one benchmark under fault injection with the TSO
-// checker and invariant auditor attached, returning the final cycle
-// count. Any returned error may be a *system.CrashReport.
-func RunChaosBench(b workload.Benchmark, m config.Mechanism, seed int64, ops, sb int,
-	plan faults.Plan, auditEvery, watchdog uint64) (uint64, error) {
+// runChaosBench runs one benchmark under fault injection with the TSO
+// checker and invariant auditor attached. Any returned error may be a
+// *system.CrashReport.
+func runChaosBench(b workload.Benchmark, m config.Mechanism, seed int64, ops int, plan faults.Plan, auditEvery uint64) error {
 	cfg := config.Default().WithMechanism(m).WithCores(b.Threads)
-	if sb > 0 {
-		cfg = cfg.WithSB(sb)
-	}
-	if watchdog != 0 {
-		cfg.WatchdogWindow = watchdog
-	}
 	sys, err := system.New(cfg, b.Streams(seed, ops))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	ck := tso.NewChecker(cfg.Cores)
 	sys.SetObserver(ck)
 	if err := sys.InstallFaults(faults.NewInjector(plan)); err != nil {
-		return 0, err
+		return err
 	}
 	if auditEvery != 0 {
 		audit.Install(sys, auditEvery)
 	}
 	if err := sys.Run(); err != nil {
-		return 0, err
+		return err
 	}
 	ck.Finish()
-	if err := ck.Err(); err != nil {
-		return 0, err
-	}
-	return sys.Cycles, nil
+	return ck.Err()
 }
 
 // ChaosResult summarizes a chaos sweep.
@@ -257,22 +237,24 @@ func ChaosLitmus(seed uint64, schedules, skews int, auditEvery uint64, workers i
 		return res, nil
 	}
 	c := cells[failIdx]
-	res.Runs = failIdx + 1
-	res.Err = failErr
-	res.Bundle = &ReproBundle{
+	return res.failed(failIdx, failErr, &ReproBundle{
 		Kind:       "litmus",
 		Name:       ChaosPatterns[c.pi],
 		Mechanism:  config.Mechanisms[c.mi],
 		Skew:       c.skew,
 		AuditEvery: auditEvery,
 		Faults:     cellPlan(c),
-	}
-	var cr *system.CrashReport
-	if errors.As(failErr, &cr) {
-		res.Bundle.Report = cr
-		res.Bundle.Classification = cr.Classification()
-	}
-	return res, nil
+	}), nil
+}
+
+// failed records a sweep's first failure, at index failIdx, with the
+// bundle that replays it and the crash report the failure carries.
+func (res ChaosResult) failed(failIdx int, err error, b *ReproBundle) ChaosResult {
+	res.Runs = failIdx + 1
+	res.Err = err
+	errors.As(err, &b.Report)
+	res.Bundle = b
+	return res
 }
 
 // ChaosBench runs each SB-bound benchmark once under TUS with a
@@ -285,17 +267,13 @@ func ChaosBench(seed uint64, ops int, auditEvery uint64, workers int) (ChaosResu
 		return faults.Schedule(faults.MixSeed(seed, 0xBE9C4, uint64(bi)))
 	}
 	failIdx, failErr := parmap.Parmap(context.Background(), workers, len(benchs), func(bi int) error {
-		plan := cellPlan(bi)
-		_, err := RunChaosBench(benchs[bi], config.TUS, int64(seed), ops, 0, plan, auditEvery, 0)
-		return err
+		return runChaosBench(benchs[bi], config.TUS, int64(seed), ops, cellPlan(bi), auditEvery)
 	})
 	if failIdx < 0 {
 		res.Runs = len(benchs)
 		return res, nil
 	}
-	res.Runs = failIdx + 1
-	res.Err = failErr
-	res.Bundle = &ReproBundle{
+	return res.failed(failIdx, failErr, &ReproBundle{
 		Kind:       "bench",
 		Name:       benchs[failIdx].Name,
 		Mechanism:  config.TUS,
@@ -303,11 +281,5 @@ func ChaosBench(seed uint64, ops int, auditEvery uint64, workers int) (ChaosResu
 		Ops:        ops,
 		AuditEvery: auditEvery,
 		Faults:     cellPlan(failIdx),
-	}
-	var cr *system.CrashReport
-	if errors.As(failErr, &cr) {
-		res.Bundle.Report = cr
-		res.Bundle.Classification = cr.Classification()
-	}
-	return res, nil
+	}), nil
 }

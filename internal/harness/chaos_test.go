@@ -349,3 +349,72 @@ func TestReplayStoredBundle(t *testing.T) {
 		t.Fatalf("Save writes %d bytes where the stored bundle has %d", len(got), len(want))
 	}
 }
+
+// TestEmptyScriptBundleReplaysScripted: a violation whose minimized
+// schedule is empty is pinned to the quiet all-defaults schedule, not to
+// the explorer plan's seeded stream. Its bundle keeps the empty script
+// through Save and LoadBundle ("script": []) and replays the explored
+// crash under a ScriptSource; dropped, the same bundle replays seeded.
+func TestEmptyScriptBundleReplaysScripted(t *testing.T) {
+	plan := modelcheck.ExplorePlan()
+	plan.SabotageSpec = faults.Sabotage{Cycle: 1, Core: 0, Kind: faults.SabotageHideLine}
+	opts := modelcheck.ExploreOpts{Skews: 1, MaxDecisions: 4, MaxRuns: 16, Plan: &plan, AuditEvery: 1}
+	r, err := modelcheck.Check(findTest(t, "MP"), config.TUS, opts, modelcheck.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := r.Exploration.Violation
+	if v == nil || len(v.Ref.Script) != 0 {
+		t.Fatalf("want a violation minimized to the empty schedule, got %+v", v)
+	}
+	var want *system.CrashReport
+	if !errors.As(v.Err, &want) {
+		t.Fatalf("violation error is not a CrashReport: %v", v.Err)
+	}
+
+	path := filepath.Join(t.TempDir(), "mc-crash.json")
+	if err := ViolationBundle(r).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path); !bytes.Contains(data, []byte(`"script": []`)) {
+		t.Fatalf("saved bundle lost its empty script:\n%s", data)
+	}
+	b, err := LoadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Script == nil || len(*b.Script) != 0 {
+		t.Fatalf("loaded script = %v, want present and empty", b.Script)
+	}
+	var got *system.CrashReport
+	if err := b.Replay(); !errors.As(err, &got) || got.Kind != want.Kind || got.Cycle != want.Cycle {
+		t.Fatalf("scripted replay = %v, want %s at cycle %d", err, want.Kind, want.Cycle)
+	}
+	b.Script = nil
+	if err := b.Replay(); errors.As(err, &got) && got.Kind == want.Kind && got.Cycle == want.Cycle {
+		t.Fatalf("the seeded replay reproduced the scripted crash (%s at cycle %d); the test no longer tells the two apart", got.Kind, got.Cycle)
+	}
+}
+
+// TestOldBundleMembersLoad: a bundle written while ReproBundle still had
+// its sb, watchdog and scripted members loads, ignores them, and
+// replays its sabotage crash (unscripted: it carries no script).
+func TestOldBundleMembersLoad(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"kind":"litmus","name":"MP","mechanism":"TUS","sb":32,"audit_every":1,"watchdog":5000,` +
+		`"faults":{"seed":1,"sabotage":{"cycle":1,"core":0,"kind":"hide-line"}},"scripted":true}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Mechanism != config.TUS || b.AuditEvery != 1 || b.Script != nil {
+		t.Fatalf("loaded %+v", b)
+	}
+	var cr *system.CrashReport
+	if err := b.Replay(); !errors.As(err, &cr) || cr.Violation == nil {
+		t.Fatalf("replay = %v, want the sabotage's crash report", err)
+	}
+}

@@ -82,7 +82,6 @@ func TestDSEPointsAreCells(t *testing.T) {
 func TestDSEPoisonedPointQuarantines(t *testing.T) {
 	r := NewQuickRunner()
 	r.Ops = 4000
-	r.Supervisor = NewSupervisor(0)
 	const poison = "502.gcc2/TUS/114/WOQ=16"
 	r.testHookSim = func(_ context.Context, key string) error {
 		if key == poison {

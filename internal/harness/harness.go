@@ -96,14 +96,13 @@ type Runner struct {
 	// must be safe for concurrent use when Workers > 1. tusd uses it for
 	// per-cell job progress and the cell-latency metrics histogram.
 	OnCellDone func(key string, cached bool, d time.Duration, err error)
-	// Supervisor, when non-nil, runs every simulation inside the cell
-	// supervision layer: one attempt under panic capture and a fixed
-	// hang guard (a deadline on the cell's context), quarantined on its
-	// first failure. A quarantined cell surfaces as a
-	// *supervise.Quarantined error, which the figure builders degrade
-	// into a "degraded" report section instead of failing the run. Nil
-	// keeps the legacy behavior (any cell failure is fatal to its
-	// figure). Healthy runs are byte-identical either way.
+	// Supervisor runs every simulation inside the cell supervision
+	// layer: one attempt under panic capture and a fixed hang guard (a
+	// deadline on the cell's context), quarantined on its first failure.
+	// A quarantined cell surfaces as a *supervise.Quarantined error,
+	// which the figure builders degrade into a "degraded" report section
+	// instead of failing the run. NewRunner and NewQuickRunner attach
+	// NewSupervisor(0); replace it only with another supervisor.
 	Supervisor *supervise.Supervisor
 
 	mu    sync.Mutex
@@ -153,12 +152,12 @@ type cell struct {
 
 // NewRunner returns a runner with the default experiment scale.
 func NewRunner() *Runner {
-	return &Runner{Ops: 150_000, ParallelOps: 25_000, Seed: 1}
+	return &Runner{Ops: 150_000, ParallelOps: 25_000, Seed: 1, Supervisor: NewSupervisor(0)}
 }
 
 // NewQuickRunner returns a runner sized for tests.
 func NewQuickRunner() *Runner {
-	return &Runner{Ops: 12_000, ParallelOps: 1_500, Seed: 1}
+	return &Runner{Ops: 12_000, ParallelOps: 1_500, Seed: 1, Supervisor: NewSupervisor(0)}
 }
 
 func (r *Runner) ops(b workload.Benchmark) int {
@@ -241,8 +240,8 @@ func (r *Runner) run(ctx context.Context, b workload.Benchmark, key string, mkcf
 
 // compute performs the actual simulation (or persistent-cache load)
 // behind Run's singleflight gate, routing fresh simulations through the
-// supervisor when one is attached. cached reports whether the result
-// was served from the disk cache instead of simulated.
+// supervisor. cached reports whether the result was served from the
+// disk cache instead of simulated.
 func (r *Runner) compute(ctx context.Context, b workload.Benchmark, cfg *config.Config, key string) (_ Result, cached bool, _ error) {
 	if !b.Valid() {
 		return Result{}, false, fmt.Errorf("harness: %s: unknown or zero-value benchmark", key)
@@ -264,30 +263,21 @@ func (r *Runner) compute(ctx context.Context, b workload.Benchmark, cfg *config.
 			})
 		}
 	}
+	// A cell the hang guard stops fails with guard, not ctx.Err().
 	var out simOutcome
-	attempt := func(ctx context.Context) (err error) {
-		out, err = r.simulate(ctx, b, cfg, key)
-		return err
-	}
-	var err error
-	if r.Supervisor == nil {
-		err = attempt(ctx)
-	} else {
-		// A cell the hang guard stops fails with guard, not ctx.Err().
-		limit := r.Supervisor.Deadline()
-		guard := &supervise.DeadlineError{Key: key, Limit: limit}
-		err = r.Supervisor.Do(key, "", func() error {
-			actx, cancel := context.WithTimeoutCause(ctx, limit, guard)
-			defer cancel()
-			if err := attempt(actx); err == nil || actx.Err() == nil {
-				return err
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return guard
-		})
-	}
+	limit := r.Supervisor.Deadline()
+	guard := &supervise.DeadlineError{Key: key, Limit: limit}
+	err := r.Supervisor.Do(key, "", func() (err error) {
+		actx, cancel := context.WithTimeoutCause(ctx, limit, guard)
+		defer cancel()
+		if out, err = r.simulate(actx, b, cfg, key); err == nil || actx.Err() == nil {
+			return err
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return guard
+	})
 	if err != nil {
 		return Result{}, false, err
 	}
@@ -417,9 +407,6 @@ func isQuarantined(err error) bool {
 // first failure. timeout is the fixed per-cell hang guard (zero selects
 // config.DefaultCellTimeout).
 func NewSupervisor(timeout time.Duration) *supervise.Supervisor {
-	if timeout <= 0 {
-		timeout = config.DefaultCellTimeout
-	}
 	return supervise.New(supervise.Policy{
 		Deadline: timeout,
 		WrapPanic: func(key string, v any, stack []byte) error {
@@ -433,11 +420,8 @@ func NewSupervisor(timeout time.Duration) *supervise.Supervisor {
 
 // Degraded lists the cells among keys that sit in the supervisor's
 // quarantine, under the product name, in keys' order: exactly the cells
-// that product had to skip. Nil without a supervisor or a quarantine.
+// that product had to skip. Nil without a quarantine.
 func (r *Runner) Degraded(name string, keys []string) []DegradedCell {
-	if r.Supervisor == nil {
-		return nil
-	}
 	quarantined := r.Supervisor.QuarantinedCells()
 	var out []DegradedCell
 	for _, k := range keys {
@@ -451,11 +435,8 @@ func (r *Runner) Degraded(name string, keys []string) []DegradedCell {
 // PrintQuarantined writes the supervisor's quarantine list, the cells
 // every product skipped, to w sorted by cell: a "<who>: N cells degraded
 // by quarantine:" line, then "  cell: reason" per cell. An empty list
-// (or no supervisor) writes nothing.
+// writes nothing.
 func (r *Runner) PrintQuarantined(w io.Writer, who string) {
-	if r.Supervisor == nil {
-		return
-	}
 	q := r.Supervisor.QuarantinedCells()
 	if len(q) == 0 {
 		return

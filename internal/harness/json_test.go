@@ -97,7 +97,6 @@ func TestJSONDegradedNamesRegistryRows(t *testing.T) {
 	r := NewQuickRunner()
 	r.Ops = 2500
 	r.ParallelOps = 300
-	r.Supervisor = NewSupervisor(0)
 	poisoned := map[string]bool{"503.bw2/TUS/114": true, "505.mcf/TUS/114": true}
 	r.testHookSim = func(_ context.Context, key string) error {
 		if poisoned[key] {

@@ -56,7 +56,6 @@ func resumeRunner(t *testing.T, dir string, workers int) *Runner {
 	r.ParallelOps = resumePOps
 	r.Workers = workers
 	r.Cache = cache
-	r.Supervisor = NewSupervisor(0)
 	return r
 }
 
@@ -209,7 +208,6 @@ func TestResumeKeepsQuarantines(t *testing.T) {
 		r.Ops = 2000
 		r.ParallelOps = 500
 		r.Workers = 2
-		r.Supervisor = NewSupervisor(0)
 		r.testHookSim = func(_ context.Context, key string) error { return hook(key) }
 		return r
 	}

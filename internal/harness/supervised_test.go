@@ -26,7 +26,6 @@ func TestSupervisedChaosCrashQuarantinesOnce(t *testing.T) {
 	b, _ := workload.ByName("503.bw2")
 	r := NewQuickRunner()
 	r.Ops = 2000
-	r.Supervisor = NewSupervisor(0)
 	var attempts atomic.Int64
 	r.testHookSim = func(context.Context, string) error {
 		attempts.Add(1)
@@ -59,7 +58,6 @@ func TestSupervisedDeterministicQuarantinesImmediately(t *testing.T) {
 	b, _ := workload.ByName("503.bw2")
 	r := NewQuickRunner()
 	r.Ops = 2000
-	r.Supervisor = NewSupervisor(0)
 	var attempts atomic.Int64
 	r.testHookSim = func(_ context.Context, key string) error {
 		attempts.Add(1)
@@ -93,7 +91,6 @@ func TestSupervisedPanicQuarantines(t *testing.T) {
 	b, _ := workload.ByName("503.bw2")
 	r := NewQuickRunner()
 	r.Ops = 2000
-	r.Supervisor = NewSupervisor(0)
 	r.testHookSim = func(_ context.Context, key string) error {
 		panic("kaboom: slice index out of range")
 	}
@@ -129,7 +126,6 @@ func TestSupervisedFigureDegrades(t *testing.T) {
 	r.Ops = 2000
 	r.ParallelOps = 500
 	r.Workers = 4
-	r.Supervisor = NewSupervisor(0)
 	const poison = "505.mcf/TUS/114"
 	r.testHookSim = func(_ context.Context, key string) error {
 		if key == poison {
@@ -261,7 +257,6 @@ func TestSharedCellSurvivesCancel(t *testing.T) {
 	runner := func() *Runner {
 		r := NewQuickRunner()
 		r.ParallelOps = 2000
-		r.Supervisor = NewSupervisor(0)
 		return r
 	}
 	fresh := runner()
@@ -325,7 +320,6 @@ func TestSlowCellKeepsFigureBytes(t *testing.T) {
 		r.Ops = 2000
 		r.ParallelOps = 500
 		r.Workers = 1
-		r.Supervisor = NewSupervisor(0)
 		r.testHookSim = hook
 		var buf bytes.Buffer
 		if err := RenderFigure(r, 9, &buf); err != nil {

@@ -138,14 +138,3 @@ func (s *SliceStream) Next() (MicroOp, bool) {
 	s.pos++
 	return op, true
 }
-
-// Len returns the total number of ops in the underlying slice.
-func (s *SliceStream) Len() int { return len(s.ops) }
-
-// Reset rebinds the cursor to ops and rewinds it, letting a long-lived
-// stream struct serve successive (shared, immutable) traces without
-// allocating a new cursor per run.
-func (s *SliceStream) Reset(ops []MicroOp) {
-	s.ops = ops
-	s.pos = 0
-}

@@ -92,8 +92,8 @@ func TestValidateRejects(t *testing.T) {
 func TestSliceStream(t *testing.T) {
 	ops := []MicroOp{{Kind: IntAdd}, {Kind: Load, Addr: 8, Size: 8}}
 	s := NewSliceStream(ops)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.ops) != 2 {
+		t.Fatalf("Len = %d", len(s.ops))
 	}
 	a, ok := s.Next()
 	if !ok || a.Kind != IntAdd {

@@ -225,8 +225,6 @@ type Opts struct {
 	// AuditEvery, when nonzero, attaches the invariant auditor at the
 	// given cadence (cycles).
 	AuditEvery uint64
-	// Watchdog, when nonzero, overrides the no-progress window.
-	Watchdog uint64
 }
 
 // ByName looks a suite test up; ok=false when unknown.
@@ -248,9 +246,6 @@ func RunOne(test Test, m config.Mechanism, skew int, o Opts) ([]uint64, error) {
 	cores := len(test.Threads)
 	cfg := config.Default().WithMechanism(m).WithCores(cores)
 	cfg.StreamPrefetcher = false
-	if o.Watchdog != 0 {
-		cfg.WatchdogWindow = o.Watchdog
-	}
 
 	type obsKey struct{ core, loadIdx int }
 	streams := make([]isa.Stream, cores)

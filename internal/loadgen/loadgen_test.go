@@ -31,7 +31,6 @@ func testRunner(t *testing.T, cacheDir string) *harness.Runner {
 		}
 		r.Cache = c
 	}
-	r.Supervisor = harness.NewSupervisor(0)
 	return r
 }
 

@@ -34,12 +34,12 @@ func TestAuditorCatchesInFlightBitDrift(t *testing.T) {
 	}
 	p, a := sys.Privs[0], audit.New(sys)
 	idle, busy, other := p.Lookup(line), p.Lookup(line+64), p.Lookup(line+128)
-	if idle == nil || idle.State != memsys.StateS || idle.InFlight() || p.MSHRPending(line) {
+	if idle == nil || idle.State != memsys.StateS || p.MSHRPending(line) {
 		t.Fatal("setup: want a shared line with no miss in flight")
 	}
 	p.KeepWritable(line + 64) // upgrades, left in flight
 	p.KeepWritable(line + 128)
-	if !busy.InFlight() || !other.InFlight() || !p.MSHRPending(line+128) {
+	if !p.MSHRPending(line+64) || !p.MSHRPending(line+128) {
 		t.Fatal("setup: want both upgrades in flight")
 	}
 	if pe := a.Audit(sys.Q.Now()); pe != nil {

@@ -171,6 +171,3 @@ func (q *idQueue) push(id uint64) {
 	}
 	q.ids = append(q.ids, id)
 }
-
-// InFlight reports current outstanding accesses (for tests).
-func (d *DRAM) InFlight() int { return d.inFlight }

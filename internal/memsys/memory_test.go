@@ -132,8 +132,8 @@ func TestDRAMBandwidthBound(t *testing.T) {
 	for i := uint64(1); i <= 4; i++ {
 		d.access(i, false)
 	}
-	if d.InFlight() != 2 {
-		t.Fatalf("InFlight = %d, want 2 (bounded)", d.InFlight())
+	if d.inFlight != 2 {
+		t.Fatalf("InFlight = %d, want 2 (bounded)", d.inFlight)
 	}
 	q.Drain(1 << 20)
 	if len(finishes) != 4 {

@@ -1262,9 +1262,6 @@ func (p *Private) WBPending(line uint64) bool {
 // MSHRPending reports whether a miss for line is in flight.
 func (p *Private) MSHRPending(line uint64) bool { return p.miss(p.lines.Get(line&LineMask)) != nil }
 
-// InFlight reports whether pl names a miss in flight.
-func (pl *PLine) InFlight() bool { return pl.mshr != 0 }
-
 // MissLine reports the line of the miss pl names (ok=false: none),
 // which must be pl's own.
 func (p *Private) MissLine(pl *PLine) (line uint64, ok bool) {

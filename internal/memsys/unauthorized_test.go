@@ -320,8 +320,8 @@ func TestL1WaysAvailableInFlightPin(t *testing.T) {
 	}
 	check := func(inFlight bool, when string) {
 		t.Helper()
-		if pl.InFlight() != inFlight || p.MSHRPending(0x0) != inFlight {
-			t.Fatalf("%s: in-flight bit %v, MSHR pending %v, want %v", when, pl.InFlight(), p.MSHRPending(0x0), inFlight)
+		if (pl.mshr != 0) != inFlight || p.MSHRPending(0x0) != inFlight {
+			t.Fatalf("%s: in-flight bit %v, MSHR pending %v, want %v", when, pl.mshr != 0, p.MSHRPending(0x0), inFlight)
 		}
 		// Two new set-0 lines need both ways, so 0x0 must be evictable.
 		if got := p.L1WaysAvailable([]uint64{0x100, 0x180}, false); got == inFlight {
@@ -365,17 +365,17 @@ func TestInFlightBitSeededOnNewLine(t *testing.T) {
 	r := newRig(t, 1, nil)
 	p := r.ps[0]
 	r.load(0, 0x5000, 8, func([]byte) {})
-	if pl := p.Lookup(0x5000); pl == nil || !pl.InFlight() || !p.MSHRPending(0x5000) {
+	if pl := p.Lookup(0x5000); pl == nil || pl.mshr == 0 || !p.MSHRPending(0x5000) {
 		t.Fatal("a read miss must track its line, in flight")
 	}
 	r.run(t)
-	if pl := p.Lookup(0x5000); pl == nil || pl.InFlight() || p.MSHRPending(0x5000) {
+	if pl := p.Lookup(0x5000); pl == nil || pl.mshr != 0 || p.MSHRPending(0x5000) {
 		t.Fatal("the fill must keep the line and end the miss")
 	}
 
 	r.dir.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, NackPct: 100}))
 	p.RequestWritable(0x6000, false, false, nil)
-	if pl := p.Lookup(0x6000); pl == nil || !pl.InFlight() {
+	if pl := p.Lookup(0x6000); pl == nil || pl.mshr == 0 {
 		t.Fatal("a write miss must track its line, in flight")
 	}
 	r.run(t)

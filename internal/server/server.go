@@ -446,12 +446,6 @@ func (s *Server) Jobs() []*Job {
 	return out
 }
 
-// JobsInflight reports the number of jobs currently queued or running —
-// the same gauge /metrics exports as tusd_jobs_inflight. tusload's
-// quiesce phase and the drain tests read it directly instead of
-// scraping.
-func (s *Server) JobsInflight() int64 { return s.jobsInflight.Load() }
-
 // StartDrain flips the server into draining mode: /healthz reports 503
 // and new job submissions are refused. In-flight jobs keep running, and
 // every job Submit admitted is one WaitIdle waits for.
@@ -460,9 +454,6 @@ func (s *Server) StartDrain() {
 	s.draining.Store(true)
 	s.mu.Unlock()
 }
-
-// Draining reports whether a drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // WaitIdle blocks until every job has left runJob — nothing builds
 // anywhere else — or ctx expires.

@@ -53,7 +53,6 @@ func testRunner(t testing.TB, cacheDir string) *harness.Runner {
 		}
 		r.Cache = c
 	}
-	r.Supervisor = harness.NewSupervisor(0)
 	return r
 }
 
@@ -201,7 +200,7 @@ func TestWarmRequestIsBornDone(t *testing.T) {
 		if !bytes.Equal(w.Body.Bytes(), cold.Body.Bytes()) {
 			t.Fatalf("warm GET %d: bytes differ from the cold body", i)
 		}
-		if n := s.JobsInflight(); n != 0 {
+		if n := s.jobsInflight.Load(); n != 0 {
 			t.Fatalf("warm GET %d: tusd_jobs_inflight %d, want 0", i, n)
 		}
 	}
@@ -452,7 +451,7 @@ func TestStopFreesSlot(t *testing.T) {
 		if err := s.WaitIdle(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if n := s.JobsInflight(); n != 0 {
+		if n := s.jobsInflight.Load(); n != 0 {
 			t.Fatalf("JobsInflight = %d after WaitIdle, want 0", n)
 		}
 	}
@@ -1212,7 +1211,7 @@ func TestHistJobAndRegistryHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || v.Kind != "hist" {
 		t.Fatalf("hist submit: status %d kind %s", resp.StatusCode, v.Kind)
 	}
-	if s.JobsInflight() == 0 {
+	if s.jobsInflight.Load() == 0 {
 		t.Fatal("JobsInflight = 0 with a job just submitted")
 	}
 	j, ok := s.Job(v.ID)
@@ -1262,7 +1261,7 @@ func TestHistJobAndRegistryHTTP(t *testing.T) {
 	if err := s.WaitIdle(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.JobsInflight(); n != 0 {
+	if n := s.jobsInflight.Load(); n != 0 {
 		t.Fatalf("JobsInflight = %d after WaitIdle, want 0", n)
 	}
 }
@@ -1363,11 +1362,11 @@ func TestHealthzAndDrainingAccessor(t *testing.T) {
 	if resp.Header.Get("X-Tusd-Version") != harness.Version {
 		t.Fatalf("healthz version header %q", resp.Header.Get("X-Tusd-Version"))
 	}
-	if s.Draining() {
+	if s.draining.Load() {
 		t.Fatal("fresh server reports draining")
 	}
 	s.StartDrain()
-	if !s.Draining() {
+	if !s.draining.Load() {
 		t.Fatal("Draining() false after StartDrain")
 	}
 	// Submission over HTTP during drain is 503 with the drain message.

@@ -57,18 +57,6 @@ func (h *Histogram) ObserveN(v, n uint64) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all recorded samples.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Max returns the largest recorded sample (0 when empty).
-func (h *Histogram) Max() uint64 { return h.max.Load() }
-
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 { return Ratio(h.sum.Load(), h.count.Load()) }
-
 // HistSnapshot is a consistent-enough copy of a histogram's state for
 // serialization and reporting. (Producers may race a snapshot; the
 // harness only snapshots between run phases, when histograms are
@@ -146,36 +134,8 @@ func (s HistSnapshot) Quantile(q float64) uint64 {
 	return s.Max
 }
 
-// QuantSummary is the standard latency/occupancy export: sample count,
-// mean, exact max, and the p50/p95/p99 *upper bounds* (each quantile is
-// the exclusive upper bound of its power-of-two bucket, so the true
-// quantile is strictly below the reported value — a conservative SLO
-// reading). tusload's latency report and its perf-regression gate are
-// built on this shape.
-type QuantSummary struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	Max   uint64  `json:"max"`
-	P50   uint64  `json:"p50"`
-	P95   uint64  `json:"p95"`
-	P99   uint64  `json:"p99"`
-}
-
-// Summary exports the snapshot's quantile summary. All-zero on an empty
-// histogram.
-func (s HistSnapshot) Summary() QuantSummary {
-	return QuantSummary{
-		Count: s.Count,
-		Mean:  Ratio(s.Sum, s.Count),
-		Max:   s.Max,
-		P50:   s.Quantile(0.50),
-		P95:   s.Quantile(0.95),
-		P99:   s.Quantile(0.99),
-	}
-}
-
 // BucketUpper returns the exclusive upper bound of bucket i: samples in
-// bucket i satisfy BucketLower(i) <= v < BucketUpper(i).
+// bucket i satisfy bucketLower(i) <= v < BucketUpper(i).
 func BucketUpper(i int) uint64 {
 	if i <= 0 {
 		return 1
@@ -186,8 +146,8 @@ func BucketUpper(i int) uint64 {
 	return uint64(1) << uint(i)
 }
 
-// BucketLower returns the inclusive lower bound of bucket i.
-func BucketLower(i int) uint64 {
+// bucketLower returns the inclusive lower bound of bucket i.
+func bucketLower(i int) uint64 {
 	if i <= 0 {
 		return 0
 	}
@@ -206,9 +166,9 @@ func (s HistSnapshot) String() string {
 			continue
 		}
 		if i >= HistBuckets-1 {
-			fmt.Fprintf(&b, " [%d,inf):%d", BucketLower(i), c)
+			fmt.Fprintf(&b, " [%d,inf):%d", bucketLower(i), c)
 		} else {
-			fmt.Fprintf(&b, " [%d,%d):%d", BucketLower(i), BucketUpper(i), c)
+			fmt.Fprintf(&b, " [%d,%d):%d", bucketLower(i), BucketUpper(i), c)
 		}
 	}
 	return b.String()

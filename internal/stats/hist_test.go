@@ -30,12 +30,12 @@ func TestBucketBounds(t *testing.T) {
 		if got := bucketOf(tc.v); got != tc.bucket {
 			t.Errorf("bucketOf(%d) = %d, want %d", tc.v, got, tc.bucket)
 		}
-		lo, hi := BucketLower(tc.bucket), BucketUpper(tc.bucket)
+		lo, hi := bucketLower(tc.bucket), BucketUpper(tc.bucket)
 		if tc.v < lo || (tc.bucket < HistBuckets-1 && tc.v >= hi) {
 			t.Errorf("value %d not in its own bucket's range [%d,%d)", tc.v, lo, hi)
 		}
 	}
-	if BucketUpper(-1) != 1 || BucketLower(-1) != 0 {
+	if BucketUpper(-1) != 1 || bucketLower(-1) != 0 {
 		t.Error("negative bucket index must clamp to bucket 0 bounds")
 	}
 	if BucketUpper(HistBuckets-1) != ^uint64(0) {
@@ -52,19 +52,19 @@ func TestHistogramObserve(t *testing.T) {
 	for _, v := range []uint64{0, 1, 2, 3, 100, 7} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 {
-		t.Errorf("Count = %d, want 6", h.Count())
-	}
-	if h.Sum() != 113 {
-		t.Errorf("Sum = %d, want 113", h.Sum())
-	}
-	if h.Max() != 100 {
-		t.Errorf("Max = %d, want 100", h.Max())
-	}
-	if want := 113.0 / 6.0; h.Mean() != want {
-		t.Errorf("Mean = %v, want %v", h.Mean(), want)
-	}
 	s := h.Snapshot()
+	if s.Count != 6 {
+		t.Errorf("Count = %d, want 6", s.Count)
+	}
+	if s.Sum != 113 {
+		t.Errorf("Sum = %d, want 113", s.Sum)
+	}
+	if s.Max != 100 {
+		t.Errorf("Max = %d, want 100", s.Max)
+	}
+	if want := 113.0 / 6.0; Ratio(s.Sum, s.Count) != want {
+		t.Errorf("Mean = %v, want %v", Ratio(s.Sum, s.Count), want)
+	}
 	if s.Buckets[0] != 1 || s.Buckets[1] != 1 || s.Buckets[2] != 2 || s.Buckets[3] != 1 || s.Buckets[7] != 1 {
 		t.Errorf("bucket placement wrong: %v", s.Buckets[:8])
 	}
@@ -90,14 +90,15 @@ func TestHistogramObserveConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Errorf("Count = %d, want %d", h.Count(), workers*per)
+	s := h.Snapshot()
+	if s.Count != workers*per {
+		t.Errorf("Count = %d, want %d", s.Count, workers*per)
 	}
-	if want := uint64(workers*per) * (workers*per - 1) / 2; h.Sum() != want {
-		t.Errorf("Sum = %d, want %d", h.Sum(), want)
+	if want := uint64(workers*per) * (workers*per - 1) / 2; s.Sum != want {
+		t.Errorf("Sum = %d, want %d", s.Sum, want)
 	}
-	if h.Max() != workers*per-1 {
-		t.Errorf("Max = %d, want %d", h.Max(), workers*per-1)
+	if s.Max != workers*per-1 {
+		t.Errorf("Max = %d, want %d", s.Max, workers*per-1)
 	}
 }
 
@@ -149,14 +150,15 @@ func TestHistogramObserveNConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != workers*per*n {
-		t.Errorf("Count = %d, want %d", h.Count(), workers*per*n)
+	s := h.Snapshot()
+	if s.Count != workers*per*n {
+		t.Errorf("Count = %d, want %d", s.Count, workers*per*n)
 	}
-	if want := n * uint64(workers*per) * (workers*per - 1) / 2; h.Sum() != want {
-		t.Errorf("Sum = %d, want %d", h.Sum(), want)
+	if want := n * uint64(workers*per) * (workers*per - 1) / 2; s.Sum != want {
+		t.Errorf("Sum = %d, want %d", s.Sum, want)
 	}
-	if h.Max() != workers*per-1 {
-		t.Errorf("Max = %d, want %d", h.Max(), workers*per-1)
+	if s.Max != workers*per-1 {
+		t.Errorf("Max = %d, want %d", s.Max, workers*per-1)
 	}
 }
 
@@ -255,14 +257,14 @@ func TestMergeAndResetHistograms(t *testing.T) {
 
 	h := agg.Histogram("lat")
 	agg.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
-		t.Errorf("Reset left lat at count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
+	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || s.Max != 0 {
+		t.Errorf("Reset left lat at count=%d sum=%d max=%d", s.Count, s.Sum, s.Max)
 	}
 	if s := h.Snapshot(); s.Buckets[3] != 0 || s.Buckets[5] != 0 {
 		t.Error("Reset left bucket counts behind")
 	}
 	h.Observe(7) // handle stays live after Reset
-	if h.Count() != 1 {
+	if h.Snapshot().Count != 1 {
 		t.Error("handle dead after Reset")
 	}
 }
@@ -363,24 +365,20 @@ func TestQuantileUpperBoundSemantics(t *testing.T) {
 			if got := s.Quantile(0.99); got != tc.p99 {
 				t.Errorf("p99 = %d, want %d", got, tc.p99)
 			}
-			// The summary export must agree with the raw quantile calls.
-			sum := s.Summary()
-			if sum.P50 != tc.p50 || sum.P95 != tc.p95 || sum.P99 != tc.p99 {
-				t.Errorf("Summary quantiles = %d/%d/%d, want %d/%d/%d",
-					sum.P50, sum.P95, sum.P99, tc.p50, tc.p95, tc.p99)
-			}
-			if sum.Count != s.Count || sum.Max != s.Max {
-				t.Errorf("Summary count/max = %d/%d, want %d/%d", sum.Count, sum.Max, s.Count, s.Max)
-			}
 		})
 	}
 }
 
-// TestQuantSummaryEmpty: an empty histogram exports an all-zero summary
-// (no NaNs leak into the JSON report).
+// TestQuantSummaryEmpty: an empty histogram reports all-zero quantiles
+// and a zero mean (no NaNs leak into a report).
 func TestQuantSummaryEmpty(t *testing.T) {
 	var s HistSnapshot
-	if got := s.Summary(); got != (QuantSummary{}) {
-		t.Errorf("empty summary = %+v, want zero value", got)
+	for _, q := range []float64{0.50, 0.95, 0.99} {
+		if got := s.Quantile(q); got != 0 {
+			t.Errorf("empty p%v = %d, want 0", 100*q, got)
+		}
+	}
+	if got, want := s.String(), "count=0 mean=0.00 max=0 p50<=0 p90<=0 p99<=0"; got != want {
+		t.Errorf("empty snapshot = %q, want %q", got, want)
 	}
 }

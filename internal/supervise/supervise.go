@@ -23,6 +23,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"tusim/internal/config"
 )
 
 // Quarantined is the error a supervised cell returns once it has been
@@ -69,13 +71,13 @@ func (p *PanicError) Error() string {
 }
 
 // Policy configures a Supervisor. The zero value is usable: a
-// DefaultDeadline hang guard and *PanicError panic wrapping.
+// config.DefaultCellTimeout hang guard and *PanicError panic wrapping.
 type Policy struct {
 	// Deadline is the per-cell hang guard: the caller stops an attempt
 	// still running after it, which fails with a *DeadlineError and
 	// quarantines. It is fixed, never derived from observed runtimes, so
 	// a slow but healthy cell cannot change a figure. Zero selects
-	// DefaultDeadline.
+	// config.DefaultCellTimeout.
 	Deadline time.Duration
 	// WrapPanic converts a recovered panic into the caller's error type
 	// (the harness builds a system.CrashReport). Nil wraps into
@@ -87,9 +89,6 @@ type Policy struct {
 	Warnf func(format string, args ...any)
 }
 
-// DefaultDeadline is the hang guard of a Policy with a zero Deadline.
-const DefaultDeadline = 10 * time.Minute
-
 // Supervisor runs cells under one Policy, sharing a quarantine list and
 // (optionally) a run journal. All methods are safe for concurrent use.
 type Supervisor struct {
@@ -100,10 +99,11 @@ type Supervisor struct {
 	journal     *Journal
 }
 
-// New builds a supervisor, filling a zero Deadline with DefaultDeadline.
+// New builds a supervisor, filling a zero Deadline with
+// config.DefaultCellTimeout.
 func New(p Policy) *Supervisor {
 	if p.Deadline <= 0 {
-		p.Deadline = DefaultDeadline
+		p.Deadline = config.DefaultCellTimeout
 	}
 	return &Supervisor{p: p, quarantined: map[string]string{}}
 }

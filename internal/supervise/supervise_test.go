@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tusim/internal/config"
 )
 
 // testPolicy is a fast policy for unit tests: a one-second hang guard.
@@ -179,8 +181,8 @@ func TestErrorStrings(t *testing.T) {
 // honors an explicit one, and routes warnings through the hook.
 func TestNewDefaultsAndWarnf(t *testing.T) {
 	s := New(Policy{})
-	if s.p.Deadline != DefaultDeadline {
-		t.Fatalf("zero Deadline = %v, want DefaultDeadline", s.p.Deadline)
+	if s.p.Deadline != config.DefaultCellTimeout {
+		t.Fatalf("zero Deadline = %v, want config.DefaultCellTimeout", s.p.Deadline)
 	}
 	var warned []string
 	s2 := New(Policy{

@@ -200,9 +200,6 @@ func (s *System) SetTracer(t *trace.Tracer) {
 	}
 }
 
-// Tracer returns the tracer installed with SetTracer (nil when none).
-func (s *System) Tracer() *trace.Tracer { return s.tracer }
-
 const ctxPoll = 1024 // cycles between Run's looks at its context
 
 // SetContext makes Run return context.Cause(ctx) once ctx is done. Run

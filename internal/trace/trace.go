@@ -174,14 +174,6 @@ func New(n int) *Tracer {
 	return &Tracer{ring: make([]Event, n)}
 }
 
-// Cap returns the ring capacity. Safe on nil (0).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.ring)
-}
-
 // Len returns the number of retained events. Safe on nil (0).
 func (t *Tracer) Len() int {
 	if t == nil {

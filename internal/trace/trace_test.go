@@ -28,7 +28,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(SBEnqueue, 0, 1, 2, 3, 4) // must not panic
 	tr.Reset()
-	if tr.Len() != 0 || tr.Cap() != 0 || tr.Dropped() != 0 {
+	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Errorf("nil tracer reports non-zero state")
 	}
 	if evs := tr.Events(); evs != nil {
@@ -77,8 +77,8 @@ func TestResetKeepsCapacity(t *testing.T) {
 		tr.Emit(SBDrain, 0, i, 0, i, 0)
 	}
 	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Cap() != 4 {
-		t.Fatalf("after Reset: Len=%d Dropped=%d Cap=%d", tr.Len(), tr.Dropped(), tr.Cap())
+	if tr.Len() != 0 || tr.Dropped() != 0 || len(tr.ring) != 4 {
+		t.Fatalf("after Reset: Len=%d Dropped=%d Cap=%d", tr.Len(), tr.Dropped(), len(tr.ring))
 	}
 	tr.Emit(SBDrain, 0, 42, 0, 0, 0)
 	if evs := tr.Events(); len(evs) != 1 || evs[0].Cycle != 42 {

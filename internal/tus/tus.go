@@ -657,9 +657,6 @@ func (t *TUS) FinalizeStats() {
 	c.Add(t.wcbs.Searches - c.Value())
 }
 
-// WOQLen reports the current WOQ occupancy (tests, harness).
-func (t *TUS) WOQLen() int { return len(t.woq) }
-
 // WOQInfo is one WOQ entry's state exported for auditing and crash
 // snapshots.
 type WOQInfo struct {

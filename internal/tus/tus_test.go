@@ -86,8 +86,8 @@ func TestTUSDrainsAndPublishes(t *testing.T) {
 	if st.Get("tus_lines_made_visible") != 3 {
 		t.Fatalf("lines visible = %d, want 3", st.Get("tus_lines_made_visible"))
 	}
-	if r.tus[0].WOQLen() != 0 {
-		t.Fatalf("WOQ not empty at end: %d", r.tus[0].WOQLen())
+	if len(r.tus[0].woq) != 0 {
+		t.Fatalf("WOQ not empty at end: %d", len(r.tus[0].woq))
 	}
 	if !r.tus[0].Drained() || !r.tus[0].FlushDone() {
 		t.Fatal("Drained/FlushDone false after completion")
