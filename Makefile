@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test short race race-harness check smoke chaos litmus figs figures-par fuzz cover bench pgo ref-identity trace-smoke resume-smoke serve server-smoke loadtest soak clean
+.PHONY: all build vet test short race race-harness check smoke chaos litmus figs figures-par fuzz cover bench pgo ref-identity trace-smoke serve loadtest soak clean
 
 all: vet build test
 
@@ -106,30 +106,17 @@ cover:
 trace-smoke:
 	$(GO) run ./cmd/tusim -bench 502.gcc5 -mech TUS -ops 20000 -trace-out trace.json
 
-# resume-smoke: SIGKILL a journaled figure run mid-matrix, resume it
-# from its .tusjournal state file (settings, quarantines) + result cache
-# (finished cells), and require the resumed output to be byte-identical
-# to an uninterrupted run.
-resume-smoke:
-	bash scripts/resume_smoke.sh
-
 # serve: run the tusd evaluation daemon on :8344 with the shared
 # content-addressed cache. Figures come out byte-identical to tusbench:
 #   curl localhost:8344/v1/figures/9
 serve:
 	$(GO) run ./cmd/tusd -quick -cache .tuscache
 
-# server-smoke: the tusd acceptance path through real binaries — cold
-# and warm GET /v1/figures/9 diffed byte-for-byte against the CLI,
-# /v1/figures vs -list, required /metrics series, a canceled job, and
-# a graceful SIGTERM drain.
-server-smoke:
-	bash scripts/server_smoke.sh
-
 # loadtest: spawn a real tusd binary and check its invariants under the
 # deterministic mixed load — byte-identity, warm-phase cells_run 0,
 # exactly-once cell accounting, /metrics monotonicity, the SSE, cancel
-# and storm contracts. It asserts; timing is `bash benchmark/run.sh`.
+# and storm contracts — and its clean SIGTERM drain (exit 0) after it.
+# It asserts; timing is `bash benchmark/run.sh`.
 loadtest:
 	$(GO) build -o bin/tusd ./cmd/tusd
 	$(GO) run ./cmd/tusload -tusd bin/tusd -smoke

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,7 +11,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"tusim/internal/harness"
 	"tusim/internal/supervise"
@@ -27,10 +30,16 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// tusbenchCmd is tusbench with args, killed if ctx ends first.
+func tusbenchCmd(ctx context.Context, args ...string) *exec.Cmd {
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "TUSBENCH_TEST_MAIN=1")
+	return cmd
+}
+
 func tusbench(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "TUSBENCH_TEST_MAIN=1")
+	cmd := tusbenchCmd(context.Background(), args...)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
@@ -166,23 +175,101 @@ func TestResumeRestoresMode(t *testing.T) {
 	}
 }
 
+// TestKilledRunResumesByteIdentical is the crash-and-resume contract
+// through the binary and a real process death (internal/harness's
+// TestKillAndResumeByteIdentical resumes in-process): a journaled Fig. 9
+// run is SIGKILLed once its result cache holds 8 finished cells, and
+// `tusbench -resume <run-id>` must print exactly what an uninterrupted
+// run prints, serving every cell the kill left cached. Identical bytes
+// from two equally degraded runs prove nothing, so neither run may
+// report a quarantine or a journal that stopped recording; a run that
+// finished before the kill landed proves nothing either, and skips.
+func TestKilledRunResumesByteIdentical(t *testing.T) {
+	scale := []string{"-quick", "-ops", "20000", "-parallel-ops", "500", "-fig", "9", "-j", "4"}
+	dir := t.TempDir()
+	cache, jdir := filepath.Join(dir, "cache"), filepath.Join(dir, "journal")
+	want, wantErr, code := tusbench(t, append(scale, "-cache", filepath.Join(dir, "baseline"))...)
+	if code != 0 || len(want) == 0 {
+		t.Fatalf("uninterrupted run: exit %d, %d bytes (stderr: %s)", code, len(want), wantErr)
+	}
+
+	killed := tusbenchCmd(context.Background(), append(scale, "-cache", cache, "-journal", "-journal-dir", jdir)...)
+	var killedErr bytes.Buffer
+	killed.Stderr = &killedErr
+	if err := killed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan struct{})
+	go func() { killed.Wait(); close(exited) }()
+	cached := func() int {
+		files, err := filepath.Glob(filepath.Join(cache, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+	// The cache is the record of finished cells: once it shows real
+	// progress, SIGKILL leaves the run no chance to flush or tidy.
+	for deadline := time.After(2 * time.Minute); cached() < 8; {
+		select {
+		case <-exited:
+			if killed.ProcessState.ExitCode() != 0 {
+				t.Fatalf("journaled run failed before the kill: exit %d (stderr: %s)", killed.ProcessState.ExitCode(), killedErr.String())
+			}
+			t.Skip("the journaled run finished before it cached 8 cells; nothing to resume")
+		case <-deadline:
+			killed.Process.Kill()
+			<-exited
+			t.Fatalf("the journaled run cached %d cells in 2 minutes, want 8 (stderr: %s)", cached(), killedErr.String())
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	killed.Process.Signal(syscall.SIGKILL)
+	<-exited
+	if ws, ok := killed.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() {
+		t.Skipf("the journaled run exited %d before the SIGKILL landed; nothing to resume", killed.ProcessState.ExitCode())
+	}
+	done := cached()
+
+	files, err := filepath.Glob(filepath.Join(jdir, "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("journal dir holds runs %v (err %v), want exactly one", files, err)
+	}
+	id := strings.TrimSuffix(filepath.Base(files[0]), ".json")
+	// The run takes about a second. A resume that lost the journaled
+	// scale would run the full evaluation: stop it rather than wait.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	resume := tusbenchCmd(ctx, "-resume", id, "-journal-dir", jdir, "-v")
+	var got, gotErr bytes.Buffer
+	resume.Stdout, resume.Stderr = &got, &gotErr
+	if err := resume.Run(); err != nil {
+		t.Fatalf("resume of a run killed with %d cells cached: %v (stderr: %s)", done, err, gotErr.String())
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("resumed run printed something else:\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+	if hit := countLines(gotErr.Bytes(), "  hit "); hit < done {
+		t.Fatalf("resume served %d cells from the cache, want >= %d (the entries at the kill):\n%s", hit, done, gotErr.String())
+	}
+	for run, stderr := range map[string]string{"uninterrupted": string(wantErr), "resumed": gotErr.String()} {
+		for _, bad := range []string{"degraded by quarantine", "stopped recording"} {
+			if strings.Contains(stderr, bad) {
+				t.Fatalf("the %s run reported %q on stderr:\n%s", run, bad, stderr)
+			}
+		}
+	}
+}
+
 // TestVerboseStaysOffStdout: -v is run chatter, so it goes to stderr
 // and stdout keeps the figure's bytes at any -j. The chatter is also
-// the "what was simulated" signal CI reads: one `ran` line per cell on
-// a cold cache, only `hit` lines on a warm one.
+// the "what was simulated" signal TestProductBytesPinned reads: one
+// `ran` line per cell on a cold cache, only `hit` lines on a warm one.
 func TestVerboseStaysOffStdout(t *testing.T) {
 	fig9 := []string{"-quick", "-ops", "2500", "-parallel-ops", "300", "-fig", "9"}
 	want, stderr, code := tusbench(t, fig9...)
 	if code != 0 || len(want) == 0 {
 		t.Fatalf("plain run: exit %d, %d bytes (stderr: %s)", code, len(want), stderr)
-	}
-	count := func(stderr []byte, prefix string) (n int) {
-		for _, line := range strings.Split(string(stderr), "\n") {
-			if strings.HasPrefix(line, prefix) {
-				n++
-			}
-		}
-		return n
 	}
 	cells := len(harness.FigureCellUnion(9))
 	verbose := append(fig9, "-v", "-cache", t.TempDir())
@@ -197,17 +284,31 @@ func TestVerboseStaysOffStdout(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s -v run changed stdout:\ngot:\n%s\nwant:\n%s", run.name, got, want)
 		}
-		if ran, hit := count(stderr, "  ran "), count(stderr, "  hit "); ran != run.ran || hit != run.hit {
+		if ran, hit := countLines(stderr, "  ran "), countLines(stderr, "  hit "); ran != run.ran || hit != run.hit {
 			t.Fatalf("%s -v run: %d ran / %d hit lines on stderr, want %d / %d:\n%s", run.name, ran, hit, run.ran, run.hit, stderr)
 		}
 	}
+}
+
+// countLines counts the lines of out that start with prefix.
+func countLines(out []byte, prefix string) (n int) {
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, prefix) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestProductBytesPinned is the identity rule for the evaluation's
 // products: the figure tables, the JSON report, the histogram report
 // and a DSE sweep hash to the same bytes at the quick scale, whatever
 // the internals that build them. A change that moves a number must
-// re-pin the hash here and say why in CHANGES.md.
+// re-pin the hash here and say why in CHANGES.md. The figures and the
+// JSON report (whose histogram section is read back through the cache
+// entries too) are built cold into a fresh -cache and then again from
+// it: the warm run prints the same bytes and simulates nothing (-v
+// prints no `ran` line, only `hit` lines).
 func TestProductBytesPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick evaluation four times")
@@ -216,19 +317,32 @@ func TestProductBytesPinned(t *testing.T) {
 		product string
 		args    []string
 		sha256  string
+		cached  bool
 	}{
-		{"figures", []string{"-quick", "-j", "0"}, "8de47ca786b24b846d96ac8ed91f4eb3c9fab5e3a4573cdde43ad0033ba858ba"},
-		{"json report", []string{"-quick", "-j", "0", "-json"}, "ceaa69ebf006f1b33ff3148de27d373968879fd9cecccdb9353793fa661b4958"},
-		{"histograms", []string{"-quick", "-hist"}, "6fc4f8429321c77cb24515474872ce1070234d1c7bb49859b05d1e897cb362b1"},
-		{"dse", []string{"-quick", "-dse", "502.gcc5"}, "0ce05647f7cc747f5ac0a195932e23947148e5667077183cbcc9985b0e822508"},
+		{"figures", []string{"-quick", "-j", "0"}, "8de47ca786b24b846d96ac8ed91f4eb3c9fab5e3a4573cdde43ad0033ba858ba", true},
+		{"json report", []string{"-quick", "-j", "0", "-json"}, "ceaa69ebf006f1b33ff3148de27d373968879fd9cecccdb9353793fa661b4958", true},
+		{"histograms", []string{"-quick", "-hist"}, "6fc4f8429321c77cb24515474872ce1070234d1c7bb49859b05d1e897cb362b1", false},
+		{"dse", []string{"-quick", "-dse", "502.gcc5"}, "0ce05647f7cc747f5ac0a195932e23947148e5667077183cbcc9985b0e822508", false},
 	} {
-		stdout, stderr, code := tusbench(t, tc.args...)
-		if code != 0 {
-			t.Fatalf("tusbench %v: exit %d: %s", tc.args, code, stderr)
+		runs := []string{"uncached"}
+		args := tc.args
+		if tc.cached {
+			runs = []string{"cold", "warm"}
+			args = append(args, "-cache", t.TempDir(), "-v")
 		}
-		if sum := sha256.Sum256(stdout); hex.EncodeToString(sum[:]) != tc.sha256 {
-			t.Errorf("the %s product (tusbench %v) hashes to %x, pinned %s: a re-pin is a changed number and is explained in CHANGES.md",
-				tc.product, strings.Join(tc.args, " "), sum, tc.sha256)
+		for _, run := range runs {
+			stdout, stderr, code := tusbench(t, args...)
+			if code != 0 {
+				t.Fatalf("tusbench %v: exit %d: %s", args, code, stderr)
+			}
+			if sum := sha256.Sum256(stdout); hex.EncodeToString(sum[:]) != tc.sha256 {
+				t.Errorf("the %s product (tusbench %v, %s) hashes to %x, pinned %s: a re-pin is a changed number and is explained in CHANGES.md",
+					tc.product, strings.Join(args, " "), run, sum, tc.sha256)
+			}
+			ran, hit := countLines(stderr, "  ran "), countLines(stderr, "  hit ")
+			if run == "cold" && ran == 0 || run == "warm" && (ran != 0 || hit == 0) {
+				t.Errorf("%s %s run: %d ran / %d hit lines on stderr; a warm run simulates nothing:\n%s", tc.product, run, ran, hit, stderr)
+			}
 		}
 	}
 }

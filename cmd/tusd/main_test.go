@@ -86,7 +86,8 @@ func (d *tusd) term(t *testing.T) (code int, stderr string) {
 }
 
 // TestCleanDrain: an idle daemon answers SIGTERM with exit 0 and the
-// "drained, bye" line scripts/server_smoke.sh greps for.
+// "drained, bye" line. `make loadtest` asks the same exit 0 of a daemon
+// after its load: tusload fails the run on any other exit.
 func TestCleanDrain(t *testing.T) {
 	code, stderr := startTusd(t).term(t)
 	if code != 0 || !strings.Contains(stderr, "tusd: drained, bye") {

@@ -15,7 +15,8 @@
 // The scale flags (-quick/-ops/-parallel-ops/-seed) must match the
 // daemon exactly: they configure both the spawned daemon and the
 // in-process reference runner that renders the byte-identity oracle.
-// Exit status is nonzero when any invariant was violated.
+// Exit status is nonzero when any invariant was violated, or when a
+// spawned daemon does not exit 0 on the final SIGTERM.
 package main
 
 import (
@@ -44,7 +45,7 @@ func fail(err error) int {
 	return 1
 }
 
-func run() int {
+func run() (code int) {
 	base := flag.String("base", "", "base URL of a running tusd (alternative to -tusd)")
 	tusdBin := flag.String("tusd", "", "path to a tusd binary to spawn on 127.0.0.1:0")
 	cacheDir := flag.String("cache", "", "cache dir for the spawned daemon (default: fresh temp dir; -soak reuses it across the restart)")
@@ -128,7 +129,11 @@ func run() int {
 		if err = d.start(); err != nil {
 			return fail(err)
 		}
-		defer d.end(syscall.SIGTERM)
+		defer func() {
+			if err := d.end(syscall.SIGTERM); err != nil {
+				code = fail(err)
+			}
+		}()
 		baseURL = "http://" + d.addr
 	}
 
@@ -269,10 +274,11 @@ func (d *daemon) start() error {
 
 // end sends the running daemon sig — SIGKILL is the crash the soak
 // injects, SIGTERM a graceful drain — and reaps it, falling back to
-// SIGKILL when a drain outlasts 30 s.
-func (d *daemon) end(sig os.Signal) {
+// SIGKILL when a drain outlasts 30 s. A drain that does not exit 0 is
+// an error; a crash's exit status is not.
+func (d *daemon) end(sig os.Signal) error {
 	if d.cmd == nil {
-		return
+		return nil
 	}
 	d.cmd.Process.Signal(sig)
 	done := make(chan struct{})
@@ -283,7 +289,12 @@ func (d *daemon) end(sig os.Signal) {
 		d.cmd.Process.Kill()
 		<-done
 	}
+	state := d.cmd.ProcessState
 	d.cmd = nil
+	if sig == syscall.SIGKILL || state.Success() {
+		return nil
+	}
+	return fmt.Errorf("daemon %s did not drain on SIGTERM: %v", d.bin, state)
 }
 
 func parseFigs(s string) ([]int, error) {

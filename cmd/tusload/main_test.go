@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
+	"os/signal"
 	"regexp"
 	"sort"
 	"strconv"
@@ -15,6 +17,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"tusim/internal/harness"
+	"tusim/internal/server"
 )
 
 // The tests re-execute this test binary as tusload itself (the pattern
@@ -25,6 +30,9 @@ import (
 func TestMain(m *testing.M) {
 	if os.Getenv("TUSLOAD_TEST_MAIN") != "" {
 		if len(os.Args) > 1 && os.Args[1] == "-addr" {
+			if os.Getenv("TUSLOAD_TEST_UNDRAINABLE") != "" {
+				undrainableTusd()
+			}
 			brokenTusd()
 		}
 		main()
@@ -129,6 +137,47 @@ func TestFailureAfterSpawnCleansUp(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(tmp); len(left) != 0 {
 		t.Errorf("tusload left %d entries in its temp dir, first %s", len(left), left[0].Name())
+	}
+}
+
+// undrainableTusd is the other daemon the test binary plays: tusd's
+// real handler at the scale tusload passes, which answers SIGTERM with
+// exit 3 instead of a drain.
+func undrainableTusd() {
+	fs := flag.NewFlagSet("tusd", flag.ExitOnError)
+	fs.String("addr", "", "")
+	addrFile := fs.String("addr-file", "", "")
+	cacheDir := fs.String("cache", "", "")
+	maxJobs := fs.Int("max-jobs", 0, "")
+	r := harness.NewRunner()
+	fs.Int64Var(&r.Seed, "seed", 1, "")
+	fs.IntVar(&r.Ops, "ops", 0, "")
+	fs.IntVar(&r.ParallelOps, "parallel-ops", 0, "")
+	fs.Parse(os.Args[1:])
+	cache, err := harness.NewDiskCache(*cacheDir)
+	if err != nil {
+		panic(err)
+	}
+	r.Cache = cache
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		panic(err)
+	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM)
+	go http.Serve(ln, server.New(server.Options{Runner: r, MaxJobs: *maxJobs}).Handler())
+	os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644)
+	<-sig
+	os.Exit(3)
+}
+
+// TestUncleanDrainFailsTheRun: a spawned daemon that passes the whole
+// load but exits non-zero on the final SIGTERM fails the run, with the
+// exit status on stderr.
+func TestUncleanDrainFailsTheRun(t *testing.T) {
+	code, _, stderr := tusload(t, []string{"TUSLOAD_TEST_UNDRAINABLE=1"}, "-tusd", os.Args[0], "-smoke")
+	if code != 1 || !strings.Contains(stderr, "zero invariant violations") || !strings.Contains(stderr, "did not drain on SIGTERM: exit status 3") {
+		t.Fatalf("exit code %d, want 1 after a clean load with the daemon's exit status 3 on stderr:\n%s", code, stderr)
 	}
 }
 

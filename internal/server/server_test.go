@@ -383,13 +383,17 @@ func TestCancel(t *testing.T) {
 		t.Fatalf("blocker state %s (%s), want done", v.State, v.Error)
 	}
 
-	// Cancel mid-run: the litmus job checks its context between cells.
+	// Cancel mid-run, through DELETE /v1/jobs/{id} (the route served
+	// in-process, so no socket round trip can let the job finish first):
+	// the litmus job checks its context between cells.
 	lit, _, err := s.Submit(JobRequest{Kind: "litmus"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Cancel(lit.ID); !ok {
-		t.Fatal("cancel: litmus job not found")
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest("DELETE", "/v1/jobs/"+lit.ID, nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("DELETE /v1/jobs/%s = %d: %s", lit.ID, w.Code, w.Body)
 	}
 	v = waitJob(t, lit, 2*time.Minute)
 	if v.State != JobCanceled {
@@ -962,8 +966,9 @@ func TestLitmusJob(t *testing.T) {
 	}
 }
 
-// TestMetricsAndRegistryEndpoints scrapes /metrics after real activity
-// and spot-checks the HTTP registry and error paths.
+// TestMetricsAndRegistryEndpoints scrapes /metrics after real activity,
+// holds the HTTP registry to `tusbench -list`'s bytes and spot-checks
+// the error paths.
 func TestMetricsAndRegistryEndpoints(t *testing.T) {
 	s, _ := newTestServer(t, Options{MaxJobs: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -1005,14 +1010,25 @@ func TestMetricsAndRegistryEndpoints(t *testing.T) {
 		}
 	}
 
-	// Registry: GET /v1/figures serves the same inventory as -list.
+	// Registry: GET /v1/figures serves the bytes `tusbench -list` prints
+	// (TestCLIAgainstRegistry pins the CLI to the same encoding).
 	fresp, err := http.Get(ts.URL + "/v1/figures")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresp.Body.Close()
+	got, _ := io.ReadAll(fresp.Body)
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(harness.List()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("GET /v1/figures differs from tusbench -list's bytes:\ngot:\n%s\nwant:\n%s", got, want.Bytes())
+	}
 	var list harness.ListReport
-	if err := json.NewDecoder(fresp.Body).Decode(&list); err != nil {
+	if err := json.Unmarshal(got, &list); err != nil {
 		t.Fatal(err)
 	}
 	if list.HarnessVersion != harness.Version || len(list.Figures) != 8 || len(list.Benches) == 0 {
@@ -1079,6 +1095,7 @@ func TestAPIErrorPaths(t *testing.T) {
 		{"output of unknown job", "GET", "/v1/jobs/nope/output", "", http.StatusNotFound, "no such job"},
 		{"events of unknown job", "GET", "/v1/jobs/nope/events", "", http.StatusNotFound, "no such job"},
 		{"cancel of unknown job", "POST", "/v1/jobs/nope/cancel", "", http.StatusNotFound, "no such job"},
+		{"delete of unknown job", "DELETE", "/v1/jobs/nope", "", http.StatusNotFound, "no such job"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
