@@ -158,14 +158,13 @@ pgo:
 # open-addressed/pooled containers AND the time-wheel scheduler — the
 # entire test suite (golden figures, chaos, model check included)
 # replayed with config.Reference defaulted on (reference containers,
-# the binary heap alone) via the tus_ref build tag, plus the in-process
-# differential rigs that run a fast and a reference machine side by
-# side (state identity at every drain point under seeded + chaos
-# traffic, whole-system cycle/stat identity, event-level pop order,
-# and the drain lookahead's watermark stepped against the full walk).
+# the sorted overflow list alone) via the tus_ref build tag. The
+# in-process differential rigs that run a fast and a reference machine
+# side by side (state identity at every drain point, whole-system
+# cycle/stat identity, event-level pop order, the drain lookahead's
+# watermark) are part of that suite, and of `make test`.
 ref-identity:
 	$(GO) test -tags tus_ref ./...
-	$(GO) test -run 'TestDifferential|TestReference|TestWheel|TestLookahead' -count=1 ./internal/memsys/ ./internal/system/ ./internal/event/ ./internal/mech/
 
 # clean: drop run-local state — the content-addressed result cache,
 # stale run journals, the benchmark's build directory, and scratch

@@ -155,7 +155,7 @@ func run() (code int) {
 
 	ctx := context.Background()
 	if *soak {
-		err = runSoak(ctx, l, d)
+		err = runSoak(ctx, l, d, *requests)
 	} else {
 		err = l.Run(ctx)
 	}
@@ -174,21 +174,30 @@ func run() (code int) {
 // produces client errors (never hangs), and that a restart on the same
 // cache directory serves every figure byte-identically without
 // simulating a single cell.
-func runSoak(ctx context.Context, l *loadgen.Loader, d *daemon) error {
+func runSoak(ctx context.Context, l *loadgen.Loader, d *daemon, requests int) error {
 	fmt.Fprintln(os.Stderr, "tusload: soak: cold sweep")
 	if err := l.ColdSweep(ctx); err != nil {
 		return err
 	}
 
 	fmt.Fprintln(os.Stderr, "tusload: soak: mixed load, SIGKILL incoming")
+	sent, _ := recorded(l)
 	done := make(chan error, 1)
 	go func() { done <- l.RunMixed(ctx) }()
 
-	// Let the mixed phase get airborne, then yank the daemon. Transport
-	// errors are expected from here until the restart — tolerated, but
-	// every in-flight request must ERROR within the client timeout;
-	// RunMixed not returning is the hang we are hunting.
-	time.Sleep(500 * time.Millisecond)
+	// Let a quarter of the mixed phase's budget finish, then yank the
+	// daemon under the rest. Transport errors are expected from here
+	// until the restart — tolerated, but every in-flight request must
+	// ERROR within the client timeout; RunMixed not returning is the
+	// hang we are hunting.
+	for n, _ := recorded(l); n-sent < int64(requests/4); n, _ = recorded(l) {
+		select {
+		case <-done:
+			return fmt.Errorf("soak: mixed phase ended after %d of %d requests, before the SIGKILL", n-sent, requests)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	_, failed := recorded(l)
 	l.BeginKillWindow()
 	fmt.Fprintln(os.Stderr, "tusload: soak: SIGKILL", d.cmd.Process.Pid)
 	d.end(syscall.SIGKILL)
@@ -199,6 +208,9 @@ func runSoak(ctx context.Context, l *loadgen.Loader, d *daemon) error {
 		// mode; transport errors are the expected outcome.
 	case <-time.After(3 * time.Minute):
 		return fmt.Errorf("soak: mixed phase still running 3m after SIGKILL — in-flight requests hung instead of erroring")
+	}
+	if _, n := recorded(l); n == failed {
+		return fmt.Errorf("soak: SIGKILL hit no in-flight request: the kill window recorded no tolerated error")
 	}
 
 	fmt.Fprintln(os.Stderr, "tusload: soak: restarting daemon on the same cache")
@@ -214,6 +226,18 @@ func runSoak(ctx context.Context, l *loadgen.Loader, d *daemon) error {
 	// The restarted daemon must have simulated nothing: every response
 	// came off the shared disk cache.
 	return l.CheckAllCached(ctx, "after restart")
+}
+
+// recorded sums the requests and errors l has recorded over every op
+// but the metrics scrapes.
+func recorded(l *loadgen.Loader) (requests, failed int64) {
+	for _, c := range l.Report().Ops {
+		if c.Name != "metrics" {
+			requests += c.Requests
+			failed += c.Errors
+		}
+	}
+	return requests, failed
 }
 
 // daemon is a spawned tusd process plus what respawns it identically

@@ -177,8 +177,8 @@ type Config struct {
 	// structures: per-line state (private cache lines, MSHRs, writeback
 	// buffer, directory entries, WOQ) in built-in maps with always-fresh
 	// allocation instead of the open-addressed/pooled containers, and
-	// the event queue on the binary heap alone instead of the time
-	// wheel. Any observable difference between the two modes is a bug;
+	// the event queue on its sorted overflow list alone instead of the
+	// time wheel. Any observable difference between the two modes is a bug;
 	// the differential rigs run one machine in each and compare state
 	// at every drain point. Default() sets it false; building with
 	// -tags tus_ref flips that default so the whole suite replays on

@@ -7,34 +7,39 @@
 // seed. Periodic work (the invariant auditor, the sabotage hook) is a
 // record whose callback schedules its own next firing.
 //
-// The queue is a time wheel over a small binary min-heap. Events due
-// 0 < delta < horizon cycles from now go on the wheel: power-of-two
+// The queue is a time wheel over a sorted overflow list. Events due
+// 0 <= delta < horizon cycles from now go on the wheel: power-of-two
 // slots holding per-slot FIFO chains whose nodes come from a slab
 // free-list, so scheduling and firing are O(1) and allocate nothing.
-// Everything else — due-now (delta == 0) and far-future
-// (delta >= horizon) events — overflows to the heap. Measured on whole
+// Far-future events (delta >= horizon) go on the list, kept in
+// descending cycle order so the next one is last. Measured on whole
 // cells that share is zero (EXPERIMENTS.md, "Scheduler class shares"),
-// so the heap has to be correct and small, not fast.
+// so the list has to be correct and small, not fast.
 //
 // The reference engine (NewQueueRef(true), selected machine-wide by
 // config.Reference) is the same queue with a zero-cycle horizon: every
-// event overflows, the wheel is never touched, and pops are plainly the
-// heap's (cycle, seq) order. The wheel reproduces that order exactly.
-// A RunDue at cycle now fires, in turn:
+// event goes on the list, the wheel is never touched, and pops are
+// plainly (cycle, seq) order. The wheel reproduces that order exactly.
+// At cycle now the queue fires, in turn:
 //
-//  1. stale due-now events (cycle < now: scheduled outside RunDue just
-//     before the clock moved), lowest cycles first off the heap;
-//  2. far-future overflow at now, scheduled at least a horizon ago;
-//  3. the slot chain at now (FIFO), scheduled less than a horizon ago;
-//  4. due-now events at now, scheduled during this very cycle.
+//  1. stale events (cycle now-1: scheduled at the present cycle outside
+//     RunDue just before Advance moved the clock), fired by Advance;
+//  2. far-future events at now, scheduled at least a horizon ago;
+//  3. the slot chain at now (FIFO), scheduled less than a horizon ago,
+//     due-now events of this very cycle included.
 //
-// Classes 2-4 share a cycle, and each was scheduled at a strictly later
-// now, hence with larger seqs, than the one before; the heap orders by
-// seq inside a class. A slot maps to one cycle of [now, now+horizon),
-// so a chain never mixes cycles.
+// Classes 2 and 3 share a cycle, and every far event was scheduled at
+// an earlier now, hence with a smaller seq, than any chain event. A
+// list insert goes below every event of its own cycle and a chain
+// appends, so each class is in seq order and no record carries a seq.
+// A slot maps to one cycle of [now, now+horizon).
 package event
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+	"sort"
+)
 
 // Func2 is the kernel's one event callback: it receives the two
 // uint64 arguments its event was scheduled with. Owners bind it once
@@ -46,18 +51,8 @@ type Func2 func(a, b uint64)
 // item is one scheduled event record.
 type item struct {
 	cycle uint64
-	seq   uint64 // tie-breaker: FIFO among events at the same cycle
 	fn    Func2
 	a, b  uint64
-}
-
-// less orders items by (cycle, insertion seq). Both keys are unique per
-// item, so the order is total and independent of heap internals.
-func (it *item) less(other *item) bool {
-	if it.cycle != other.cycle {
-		return it.cycle < other.cycle
-	}
-	return it.seq < other.seq
 }
 
 // Wheel geometry. The span must cover the simulator's ordinary
@@ -90,12 +85,13 @@ type Queue struct {
 	n   int // total pending events, wheel and overflow
 
 	// horizon is wheelSlots, or 0 on the reference engine: an event
-	// delta cycles out rides the wheel iff 0 < delta < horizon.
+	// delta cycles out rides the wheel iff delta < horizon.
 	horizon uint64
 
-	// heap is the min-heap of everything the wheel does not hold (its
-	// overflow); overflowed counts the events ever pushed onto it.
-	heap       []item
+	// later holds everything the wheel does not hold (its overflow) in
+	// descending (cycle, seq) order; overflowed counts the events ever
+	// put there.
+	later      []item
 	overflowed uint64
 
 	// Wheel state: per-slot chains, an occupancy bitmap for O(words)
@@ -111,7 +107,7 @@ type Queue struct {
 func NewQueue() *Queue { return NewQueueRef(false) }
 
 // NewQueueRef returns an empty queue; ref selects the reference engine
-// (the heap alone) instead of the time wheel.
+// (the sorted list alone) instead of the time wheel.
 func NewQueueRef(ref bool) *Queue {
 	q := &Queue{horizon: wheelSlots, free: -1}
 	if ref {
@@ -132,53 +128,11 @@ func (q *Queue) Len() int { return q.n }
 // Scheduled reports how many events have ever been scheduled.
 func (q *Queue) Scheduled() uint64 { return q.seq }
 
-// Overflowed reports how many of them were routed to the overflow heap
+// Overflowed reports how many of them were routed to the overflow list
 // instead of the wheel. Whole-cell simulation keeps it at zero (pinned
 // by a system test), so a latency that grows past the horizon fails a
-// test instead of quietly moving hot traffic onto the heap.
+// test instead of quietly moving hot traffic onto the list.
 func (q *Queue) Overflowed() uint64 { return q.overflowed }
-
-// push inserts it into the overflow heap, sifting up to restore heap
-// order.
-func (q *Queue) push(it item) {
-	q.overflowed++
-	q.heap = append(q.heap, it)
-	i := len(q.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.heap[i].less(&q.heap[parent]) {
-			break
-		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum item. Callers must check length.
-func (q *Queue) pop() item {
-	top := q.heap[0]
-	n := len(q.heap) - 1
-	q.heap[0] = q.heap[n]
-	q.heap[n] = item{} // drop the callback reference for the GC
-	q.heap = q.heap[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		min := l
-		if r := l + 1; r < n && q.heap[r].less(&q.heap[l]) {
-			min = r
-		}
-		if !q.heap[min].less(&q.heap[i]) {
-			break
-		}
-		q.heap[i], q.heap[min] = q.heap[min], q.heap[i]
-		i = min
-	}
-	return top
-}
 
 // pushSlot links a near-horizon event onto its slot's FIFO chain,
 // recycling a slab node when one is free. Steady state allocates
@@ -192,7 +146,7 @@ func (q *Queue) pushSlot(cycle uint64, fn Func2, a, b uint64) {
 		idx = int32(len(q.nodes) - 1)
 	}
 	nd := &q.nodes[idx]
-	nd.cycle, nd.seq, nd.fn, nd.a, nd.b = cycle, q.seq, fn, a, b
+	nd.cycle, nd.fn, nd.a, nd.b = cycle, fn, a, b
 	nd.next = -1
 	s := cycle & wheelMask
 	ch := &q.slots[s]
@@ -212,18 +166,20 @@ func (q *Queue) pushSlot(cycle uint64, fn Func2, a, b uint64) {
 // in the event record, so a long-lived fn (bound once at construction)
 // schedules with zero allocations.
 //
-// The wheel's ring arithmetic can represent neither the present cycle
-// nor anything a horizon or more away, so those two classes overflow.
-// The fields travel to pushSlot as scalars: handing the wheel path an
-// item by value doubled BenchmarkWheelAt2.
+// The wheel's ring arithmetic cannot represent anything a horizon or
+// more away, so that class overflows, below every listed event of its
+// cycle (seqs only grow). The fields travel to pushSlot as scalars:
+// handing the wheel path an item by value doubled BenchmarkWheelAt2.
 func (q *Queue) At2(cycle uint64, fn Func2, a, b uint64) {
 	if cycle < q.now {
 		cycle = q.now
 	}
 	q.seq++
 	q.n++
-	if d := cycle - q.now; d == 0 || d >= q.horizon {
-		q.push(item{cycle: cycle, seq: q.seq, fn: fn, a: a, b: b})
+	if cycle-q.now >= q.horizon {
+		q.overflowed++
+		i := sort.Search(len(q.later), func(i int) bool { return q.later[i].cycle <= cycle })
+		q.later = slices.Insert(q.later, i, item{cycle: cycle, fn: fn, a: a, b: b})
 		return
 	}
 	q.pushSlot(cycle, fn, a, b)
@@ -260,36 +216,33 @@ func (q *Queue) nearNext() (uint64, bool) {
 }
 
 // NextPending returns the earliest pending cycle across the wheel and
-// the overflow heap (ok is false when nothing is pending).
+// the overflow list (ok is false when nothing is pending).
 func (q *Queue) NextPending() (uint64, bool) {
 	best, ok := q.nearNext()
-	if len(q.heap) > 0 && (!ok || q.heap[0].cycle < best) {
-		return q.heap[0].cycle, true
+	if n := len(q.later); n > 0 && (!ok || q.later[n-1].cycle < best) {
+		return q.later[n-1].cycle, true
 	}
 	return best, ok
 }
 
 // fireCycle runs the events scheduled at cycle c in seq order: overflow
 // events older than the slot chain (class 2 of the package comment),
-// then the chain. Due-now overflow at c (class 4) is younger than the
-// chain head, so it waits for RunDue's next pass, which finds the chain
-// empty.
+// then the chain, which takes the due-now events its callbacks schedule
+// at its tail.
 func (q *Queue) fireCycle(c uint64) {
+	for n := len(q.later) - 1; n >= 0 && q.later[n].cycle == c; n = len(q.later) - 1 {
+		it := q.later[n]
+		q.later[n] = item{} // drop the callback reference for the GC
+		q.later = q.later[:n]
+		q.n--
+		it.fn(it.a, it.b)
+	}
 	s := c & wheelMask
 	ch := &q.slots[s]
 	// A chain is single-cycle, but when c is STALE (c < now, a due-now
 	// event fired late) the slot's resident cycle is c+wheelSlots — a
 	// future event this fire must not touch, and one a stale callback
 	// can itself schedule, hence the cycle check on every node.
-	chainSeq := ^uint64(0)
-	if ch.head >= 0 && q.nodes[ch.head].cycle == c {
-		chainSeq = q.nodes[ch.head].seq
-	}
-	for len(q.heap) > 0 && q.heap[0].cycle == c && q.heap[0].seq < chainSeq {
-		it := q.pop()
-		q.n--
-		it.fn(it.a, it.b)
-	}
 	for ch.head >= 0 && q.nodes[ch.head].cycle == c {
 		idx := ch.head
 		nd := &q.nodes[idx]
@@ -321,9 +274,14 @@ func (q *Queue) RunDue() {
 }
 
 // Advance moves the clock forward by one cycle and runs all events due
-// at the new cycle.
+// at the new cycle. A wheel event left at the old cycle is stale: its
+// slot now reads a horizon away, so one occupancy bit fires it first.
 func (q *Queue) Advance() {
+	s := q.now & wheelMask
 	q.now++
+	if q.occ[s>>6]&(1<<(s&63)) != 0 {
+		q.fireCycle(q.now - 1)
+	}
 	q.RunDue()
 }
 

@@ -172,28 +172,38 @@ func TestQueueDrainRespectsMaxCycle(t *testing.T) {
 }
 
 func TestQueueRandomizedVsReference(t *testing.T) {
-	// Differential check of the hand-rolled heap against a trivially
-	// correct reference: stable-sort the same (cycle, seq) stream and
-	// require identical firing order.
-	rng := rand.New(rand.NewSource(99))
-	q := NewQueue()
-	type ev struct{ cycle, seq uint64 }
-	var want []ev
-	var got []ev
-	rec := func(a, b uint64) { got = append(got, ev{a, b}) }
-	for i := 0; i < 2000; i++ {
-		c := uint64(rng.Intn(300))
-		want = append(want, ev{c, uint64(i)})
-		q.At2(c, rec, c, uint64(i))
-	}
-	sort.SliceStable(want, func(i, j int) bool { return want[i].cycle < want[j].cycle })
-	q.Drain(1 << 20)
-	if len(got) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d fired as %+v, reference order wants %+v", i, got[i], want[i])
+	// Differential check of both engines against a trivially correct
+	// reference: stable-sort the same (cycle, seq) stream and require
+	// identical firing order. Cycles reach four wheel horizons, so the
+	// overflow list is exercised, and every eighth event is due now and
+	// left for the next Advance, which fires it stale.
+	for _, ref := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(99))
+		q := NewQueueRef(ref)
+		type ev struct{ cycle, seq uint64 }
+		var want []ev
+		var got []ev
+		rec := func(a, b uint64) { got = append(got, ev{a, b}) }
+		for i := 0; i < 2000; i++ {
+			c := q.Now() + uint64(rng.Intn(4*wheelSlots))
+			if i%8 == 0 {
+				c = q.Now()
+			}
+			want = append(want, ev{c, uint64(i)})
+			q.At2(c, rec, c, uint64(i))
+			if i%8 == 0 {
+				q.Advance()
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].cycle < want[j].cycle })
+		q.Drain(1 << 20)
+		if len(got) != len(want) {
+			t.Fatalf("ref=%v: fired %d events, want %d", ref, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("ref=%v: event %d fired as %+v, reference order wants %+v", ref, i, got[i], want[i])
+			}
 		}
 	}
 }

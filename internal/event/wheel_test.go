@@ -8,9 +8,9 @@ import (
 )
 
 // The wheel's contract is bit-exact (cycle, seq) pop-order identity
-// with the reference heap. These tests drive both engines through the
+// with the reference engine. These tests drive both engines through the
 // same randomized schedules — including far-future events that take
-// the overflow heap, idle-time jumps, due-now events left stale by a
+// the overflow list, idle-time jumps, due-now events left stale by a
 // clock move, and events scheduled from inside firing events — and
 // require identical firing sequences and identical clocks at every
 // step.
@@ -22,8 +22,8 @@ type rec struct {
 }
 
 // driveBoth applies the same seeded schedule script to a wheel queue
-// and a heap queue and returns both firing logs.
-func driveBoth(seed int64, steps int) (wheelLog, heapLog []rec) {
+// and a reference queue and returns both firing logs.
+func driveBoth(seed int64, steps int) (wheelLog, refLog []rec) {
 	rng := rand.New(rand.NewSource(seed))
 	qs := []*Queue{NewQueueRef(false), NewQueueRef(true)}
 	logs := make([][]rec, 2)
@@ -56,7 +56,7 @@ func driveBoth(seed int64, steps int) (wheelLog, heapLog []rec) {
 			for i, q := range qs {
 				q.After2(d, logf[i], label, 0)
 			}
-		case op < 7: // far event, overflow heap
+		case op < 7: // far event, overflow list
 			d := uint64(wheelSlots + rng.Intn(wheelSlots*4))
 			label++
 			for i, q := range qs {
@@ -88,7 +88,7 @@ func driveBoth(seed int64, steps int) (wheelLog, heapLog []rec) {
 			}
 		}
 		if qs[0].Now() != qs[1].Now() || qs[0].Len() != qs[1].Len() {
-			panic(fmt.Sprintf("step %d: wheel now=%d len=%d, heap now=%d len=%d",
+			panic(fmt.Sprintf("step %d: wheel now=%d len=%d, reference now=%d len=%d",
 				step, qs[0].Now(), qs[0].Len(), qs[1].Now(), qs[1].Len()))
 		}
 	}
@@ -99,17 +99,17 @@ func driveBoth(seed int64, steps int) (wheelLog, heapLog []rec) {
 }
 
 // TestWheelVsHeapDifferential pins wheel pop order to the reference
-// heap under randomized mixed traffic.
+// engine under randomized mixed traffic.
 func TestWheelVsHeapDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 99, 1234} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			w, h := driveBoth(seed, 400)
 			if len(w) != len(h) {
-				t.Fatalf("wheel fired %d events, heap fired %d", len(w), len(h))
+				t.Fatalf("wheel fired %d events, reference fired %d", len(w), len(h))
 			}
 			for i := range w {
 				if w[i] != h[i] {
-					t.Fatalf("firing %d: wheel %+v, heap %+v", i, w[i], h[i])
+					t.Fatalf("firing %d: wheel %+v, reference %+v", i, w[i], h[i])
 				}
 			}
 			if len(w) == 0 {
@@ -146,7 +146,8 @@ func TestWheelOverflowLadderOrder(t *testing.T) {
 
 // TestWheelSlotAliasRoutesToLadder pins the single-cycle-per-slot
 // invariant: with an event pending at cycle c, scheduling at
-// c+wheelSpan (same slot index) must not corrupt the chain.
+// c+wheelSlots (same slot index) goes to the overflow list and must not
+// corrupt the chain.
 func TestWheelSlotAliasRoutesToLadder(t *testing.T) {
 	q := NewQueueRef(false)
 	var got []uint64
@@ -197,11 +198,10 @@ func TestWheelStaleCycleSparesSlotAlias(t *testing.T) {
 	}
 }
 
-// TestWheelStaleCycleKeepsSeqOrder pins the class 3 / class 4 split of
+// TestWheelStaleCycleKeepsSeqOrder pins the class 1 / class 3 split of
 // the package comment's order argument: a stale event schedules g due
 // now while h, scheduled earlier, already waits in that cycle's chain.
-// g reaches the overflow heap before the chain fires but must run
-// after it.
+// g joins the chain before it fires and must run after h.
 func TestWheelStaleCycleKeepsSeqOrder(t *testing.T) {
 	for _, ref := range []bool{false, true} {
 		got := staleDueNow(ref, func(q *Queue, fired Func2) {
@@ -219,14 +219,14 @@ func TestWheelStaleCycleKeepsSeqOrder(t *testing.T) {
 
 // steadyStateZeroAlloc pins the event kernel's allocation contract,
 // which the cpu/memsys hot paths rely on: once the slab free list and
-// the heap's backing array have reached their high-water marks,
+// the overflow list's backing array have reached their high-water marks,
 // schedule+fire — due-now, near and far events alike — must not
 // allocate.
 func steadyStateZeroAlloc(t *testing.T, q *Queue) {
 	t.Helper()
 	sink := uint64(0)
 	fn := func(a, b uint64) { sink += a + b }
-	for i := 0; i < 256; i++ { // grow slab + heap to high-water mark
+	for i := 0; i < 256; i++ { // grow slab + list to high-water mark
 		q.After2(uint64(i%8), fn, 1, 2)
 		q.After2(uint64(wheelSlots+i%8), fn, 1, 2)
 	}
@@ -246,14 +246,14 @@ func steadyStateZeroAlloc(t *testing.T, q *Queue) {
 // TestWheelSteadyStateZeroAlloc: the time wheel, NewQueue's engine.
 func TestWheelSteadyStateZeroAlloc(t *testing.T) { steadyStateZeroAlloc(t, NewQueueRef(false)) }
 
-// TestQueueSteadyStateZeroAlloc: the reference engine, the heap alone.
+// TestQueueSteadyStateZeroAlloc: the reference engine, the sorted list alone.
 func TestQueueSteadyStateZeroAlloc(t *testing.T) { steadyStateZeroAlloc(t, NewQueueRef(true)) }
 
 // TestWheelRecordSize pins the event record at one callback and two
-// arguments: cycle, seq, fn, a, b.
+// arguments: cycle, fn, a, b. No seq: the order argument needs none.
 func TestWheelRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(item{}); got != 40 {
-		t.Fatalf("unsafe.Sizeof(item{}) = %d, want 40", got)
+	if got := unsafe.Sizeof(item{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(item{}) = %d, want 32", got)
 	}
 }
 

@@ -155,7 +155,7 @@ func TestL1HitLoadZeroAlloc(t *testing.T) {
 		}
 		r.q.Drain(r.q.Now() + 64)
 	}
-	step() // settle event-queue heap capacity
+	step() // settle the event queue's capacity
 	if n := testing.AllocsPerRun(1000, step); n != 0 {
 		t.Fatalf("L1-hit load allocates %.1f allocs/op, want 0", n)
 	}

@@ -13,14 +13,14 @@ import (
 // The differential state-identity rig: one memory system runs on the
 // open-addressed/pooled fast containers and the time-wheel scheduler,
 // its twin runs with config.Reference set (built-in maps, always-fresh
-// allocation, the binary heap alone), and the same seeded traffic —
+// allocation, the sorted overflow list alone), and the same seeded traffic —
 // loads, stores, ownership bounces, unauthorized-store lifecycles,
 // chaos-injector streams — is pumped through both. At every drain point the full observable state (cache
 // lines, MSHRs, write-back buffer, directory, stats, and the ordered
 // reply log) must be byte-identical. Reference pools never recycle
 // memory, so a missing field reset in the fast path's struct reuse
 // diverges here immediately, and so does any wheel pop that leaves the
-// heap's (cycle, seq) order.
+// reference engine's (cycle, seq) order.
 
 // diffSide is one of the two systems under comparison plus the
 // observable-output log the rig compares.

@@ -375,8 +375,7 @@ func (p *Private) touch2(pl *PLine) { p.lruTick++; pl.lru2 = p.lruTick }
 
 // reply answers one pending load after delay cycles (synchronously when
 // delay is 0, matching the fill path's in-event delivery). Replies ride
-// the two-arg event form, so a hit schedules nothing on the heap beyond
-// the preallocated item slot.
+// the two-arg event form, so scheduling one allocates no closure.
 func (p *Private) reply(lw loadWait, src *LineData, delay uint64) {
 	packed := extractPacked(src, lw.addr, lw.size)
 	if delay == 0 {

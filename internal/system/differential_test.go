@@ -14,7 +14,8 @@ import (
 // differential state-identity rig (the memsys package holds the
 // per-drain-point half): every mechanism runs the same workload twice,
 // once on the fast containers and time wheel and once with
-// config.Reference set, and the complete runs must agree on cycle
+// config.Reference set (built-in maps, the event queue's sorted
+// overflow list alone), and the complete runs must agree on cycle
 // count and every statistic. Combined with `go test -tags tus_ref
 // ./...` — which replays the entire suite, golden figures included, on
 // the reference side — this pins observational equivalence of the fast
@@ -91,8 +92,8 @@ func (nopAuditor) Audit(uint64) *faults.ProtocolError { return nil }
 // design leans on (EXPERIMENTS.md, "Scheduler class shares", which this
 // test's -v output reproduces): whole cells schedule nothing due-now
 // and nothing a wheel horizon (512 cycles) or more away, so the
-// overflow heap sees no hot traffic. A latency that grows past the
-// horizon fails here instead of silently moving events onto the heap.
+// overflow list sees no hot traffic. A latency that grows past the
+// horizon fails here instead of silently moving events onto the list.
 // An auditor cadence of 512 is the one known far-future source and
 // proves the counter counts.
 func TestWheelHoldsAllCellTraffic(t *testing.T) {
@@ -157,7 +158,7 @@ func (a *cadenceAuditor) Audit(cycle uint64) *faults.ProtocolError {
 
 // TestWheelAuditorCadence pins the auditor's self-rescheduling event on
 // both engines at a cadence longer than the wheel span (so every tick
-// rides the overflow heap): audits land at k*period, a failing audit
+// rides the overflow list): audits land at k*period, a failing audit
 // stops the series, and Run reports CrashAudit on the failing tick's
 // cycle.
 func TestWheelAuditorCadence(t *testing.T) {
